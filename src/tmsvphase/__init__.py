@@ -14,13 +14,10 @@ The package has two independent computational routes and a front end:
 
 from .errors import CutoffExceededError, CutoffMismatchError, ExpmNotConvergedError
 from .fock import (
-    DEFAULT_POLICY,
     DiagonalFockState,
     FullTwoModeOperator,
-    TruncationPolicy,
     bogoliubov_residual,
-    cutoff_for_expm_accuracy,
-    cutoff_for_tolerance,
+    cutoff_for,
     dynamical_integral,
     energy_expectation,
     entropy_numeric,
@@ -63,7 +60,6 @@ __all__ = [
     "CutoffExceededError",
     "CutoffMismatchError",
     "CyclicPhase",
-    "DEFAULT_POLICY",
     "DecompositionTriple",
     "DiagonalFockState",
     "ExpmNotConvergedError",
@@ -73,11 +69,9 @@ __all__ = [
     "PhaseBreakdown",
     "R_MAX",
     "SqueezeParams",
-    "TruncationPolicy",
     "bogoliubov_residual",
     "c_matrix",
-    "cutoff_for_expm_accuracy",
-    "cutoff_for_tolerance",
+    "cutoff_for",
     "cyclic_geometric_phase",
     "decompose_product",
     "dynamical_integral",

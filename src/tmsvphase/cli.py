@@ -17,12 +17,13 @@ are printed with 12 significant digits, scientific notation below 1e-4,
 unless ``--degrees`` is given, which converts display only.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 resource
-limit (a Fock cutoff above ``--max-cutoff``).
+limit (no Fock cutoff up to ``--max-cutoff`` reaches the needed accuracy).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,12 +34,14 @@ import numpy as np
 
 from . import fock, phases, su11
 from .errors import CutoffExceededError
-from .fock import TruncationPolicy
 from .phases import TAU, HamiltonianParams
 from .su11 import SqueezeParams
 
 #: Largest tolerated gap between analytic and oracle geometric phase in sweeps.
 SWEEP_PHASE_BOUND = 1e-8
+
+# A comparison against a bound asks the Fock oracle for bound / _HEADROOM.
+_HEADROOM = 10.0
 
 _DEG = 180.0 / math.pi
 
@@ -69,8 +72,7 @@ class SweepSpec:
     """One swept variable over [start, stop] with the rest held fixed.
 
     ``variable`` is one of ``r``, ``omega_t``, ``gamma_c``; ``fixed`` holds
-    the non-swept parameters (r, Omega, epsilon, phi, t); ``tolerance`` is
-    the oracle truncation tolerance used for the numeric phase column.
+    the non-swept parameters (r, Omega, epsilon, phi, t).
     """
 
     variable: str
@@ -78,7 +80,6 @@ class SweepSpec:
     stop: float
     points: int
     fixed: dict = field(default_factory=dict)
-    tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.variable not in ("r", "omega_t", "gamma_c"):
@@ -94,20 +95,30 @@ class SweepSpec:
                 raise ValueError(f"fixed parameter {key} must be finite")
 
 
-_ANGLE_COLUMNS = {
-    "omega_t": ("omega_t", "total_phase", "delta", "gamma_mod_2pi",
-                "gamma_numeric", "abs_error"),
-    "r": ("total_phase", "delta", "gamma_mod_2pi", "gamma_numeric",
-          "abs_error", "gamma_c_unreduced", "gamma_c_reduced"),
-    "gamma_c": ("gamma_c",),
+# Output columns of each sweep in order, each flagged True when it is an
+# angle that --degrees converts.
+_PHASE_COLUMNS = (
+    ("re_overlap", False), ("im_overlap", False), ("total_phase", True),
+    ("delta", True), ("gamma_mod_2pi", True), ("gamma_numeric", True),
+    ("abs_error", True),
+)
+_COLUMNS = {
+    "omega_t": (("omega_t", True),) + _PHASE_COLUMNS,
+    "r": (("r", False),) + _PHASE_COLUMNS + (
+        ("gamma_c_unreduced", True), ("gamma_c_reduced", True), ("entropy", False),
+    ),
+    "gamma_c": (("gamma_c", True), ("entropy", False)),
 }
 
 
-def _phase_columns(r, Omega, epsilon, phi, t, policy):
+def _phase_columns(r, Omega, epsilon, phi, t, max_cutoff):
     h = HamiltonianParams(Omega, epsilon)
     overlap = phases.overlap_analytic(r, Omega, t)
     breakdown = phases.geometric_phase(r, Omega, t)
-    gamma_numeric = fock.geometric_phase_numeric(r, phi, h, t, policy, steps=4)
+    gamma_numeric = fock.geometric_phase_numeric(
+        r, phi, h, t, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
+        max_cutoff=max_cutoff, steps=4,
+    )
     return {
         "re_overlap": overlap.real,
         "im_overlap": overlap.imag,
@@ -121,43 +132,36 @@ def _phase_columns(r, Omega, epsilon, phi, t, policy):
 
 def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     """Evaluate the sweep grid; returns (headers, rows) with rows in grid order."""
-    policy = TruncationPolicy(tolerance=spec.tolerance, max_cutoff=max_cutoff)
     grid = np.linspace(spec.start, spec.stop, spec.points)
     fx = {"r": 1.0, "Omega": 1.0, "epsilon": 0.0, "phi": 0.0, "t": 1.0}
     fx.update(spec.fixed)
 
     rows = []
     if spec.variable == "omega_t":
-        headers = ["omega_t", "re_overlap", "im_overlap", "total_phase", "delta",
-                   "gamma_mod_2pi", "gamma_numeric", "abs_error"]
         for wt in grid:
             t = float(wt) / fx["Omega"]
             row = {"omega_t": float(wt)}
             row.update(_phase_columns(fx["r"], fx["Omega"], fx["epsilon"],
-                                      fx["phi"], t, policy))
+                                      fx["phi"], t, max_cutoff))
             rows.append(row)
     elif spec.variable == "r":
-        headers = ["r", "re_overlap", "im_overlap", "total_phase", "delta",
-                   "gamma_mod_2pi", "gamma_numeric", "abs_error",
-                   "gamma_c_unreduced", "gamma_c_reduced", "entropy"]
         for rv in grid:
             rv = float(rv)
             row = {"r": rv}
             row.update(_phase_columns(rv, fx["Omega"], fx["epsilon"],
-                                      fx["phi"], fx["t"], policy))
+                                      fx["phi"], fx["t"], max_cutoff))
             cyclic = phases.cyclic_geometric_phase(rv)
             row["gamma_c_unreduced"] = cyclic.unreduced
             row["gamma_c_reduced"] = cyclic.reduced
             row["entropy"] = phases.entropy_from_squeeze(rv)
             rows.append(row)
     else:  # gamma_c
-        headers = ["gamma_c", "entropy"]
         for g in grid:
             rows.append({
                 "gamma_c": float(g),
                 "entropy": phases.entropy_from_cyclic_phase(float(g)),
             })
-    return headers, rows
+    return [name for name, _ in _COLUMNS[spec.variable]], rows
 
 
 def cmd_sweep(
@@ -181,7 +185,7 @@ def cmd_sweep(
 
     display_rows = rows
     if degrees:
-        angle_cols = _ANGLE_COLUMNS[spec.variable]
+        angle_cols = {name for name, angle in _COLUMNS[spec.variable] if angle}
         display_rows = [
             {k: (v * _DEG if k in angle_cols else v) for k, v in row.items()}
             for row in rows
@@ -199,7 +203,6 @@ def cmd_sweep(
                 "stop": spec.stop,
                 "points": spec.points,
                 "fixed": dict(spec.fixed),
-                "tolerance": spec.tolerance,
                 "degrees": degrees,
             },
             "rows": display_rows,
@@ -260,251 +263,244 @@ class CheckResult:
     detail: str
 
 
-def _check(name, bound, pairs):
-    """Fold (value, detail) pairs into a CheckResult keeping the worst case."""
-    worst = 0.0
-    where = ""
-    for value, detail in pairs:
-        if value > worst:
-            worst, where = value, detail
-    return CheckResult(name, worst <= bound, worst, bound, where)
+def _invariant(name, bound):
+    """Make a verify check from a generator of (value, detail) pairs.
+
+    The generator gets ``(bound / _HEADROOM, max_cutoff, rng)``, the first
+    being the accuracy it asks of the Fock oracle; the check reports its
+    worst pair against ``bound``.
+    """
+
+    def decorate(samples):
+        @functools.wraps(samples)
+        def check(max_cutoff, rng):
+            worst, where = 0.0, ""
+            for value, detail in samples(bound / _HEADROOM, max_cutoff, rng):
+                if value > worst:
+                    worst, where = value, detail
+            return CheckResult(name, worst <= bound, worst, bound, where)
+
+        return check
+
+    return decorate
 
 
-def _su11_closure(policy, rng):
-    def samples():
-        for chain in range(60):
-            element = su11.IDENTITY
-            for step in range(100):
-                p = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
-                element = su11.multiply(element, su11.c_matrix(p))
-                defect = abs(element.determinant() - 1.0)
-                defect /= max(1.0, abs(element.m11) ** 2)
-                yield defect, f"chain {chain}, step {step}"
-    return _check("su11-closure", 1e-9, samples())
+@_invariant("su11-closure", 1e-9)
+def _su11_closure(accuracy, max_cutoff, rng):
+    for chain in range(60):
+        element = su11.IDENTITY
+        for step in range(100):
+            p = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+            element = su11.multiply(element, su11.c_matrix(p))
+            defect = abs(element.determinant() - 1.0)
+            defect /= max(1.0, abs(element.m11) ** 2)
+            yield defect, f"chain {chain}, step {step}"
 
 
-def _su11_reconstruction(policy, rng):
-    def samples():
-        for _ in range(1000):
-            prime = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
-            dbl = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
-            target = su11.multiply(
-                su11.c_matrix(dbl), su11.c_matrix(SqueezeParams(-prime.r, prime.phi))
+@_invariant("su11-reconstruction", 1e-10)
+def _su11_reconstruction(accuracy, max_cutoff, rng):
+    for _ in range(1000):
+        prime = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+        dbl = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+        target = su11.multiply(
+            su11.c_matrix(dbl), su11.c_matrix(SqueezeParams(-prime.r, prime.phi))
+        )
+        rebuilt = su11.reconstruct(su11.decompose_product(prime, dbl))
+        residual = max(
+            abs(rebuilt.m11 - target.m11), abs(rebuilt.m12 - target.m12)
+        )
+        yield residual, (
+            f"r'={prime.r:.4g}, phi'={prime.phi:.4g}, "
+            f"r''={dbl.r:.4g}, phi''={dbl.phi:.4g}"
+        )
+
+
+@_invariant("su11-matrix-consistency", 1e-10)
+def _su11_matrix_consistency(accuracy, max_cutoff, rng):
+    for r in np.arange(0.0, 2.0001, 0.25):
+        for wt in np.linspace(0.0, TAU, 63):
+            triple_m = su11.multiply(
+                su11.c_matrix(SqueezeParams(r, 0.3 - wt)),
+                su11.c_matrix(SqueezeParams(-r, 0.3)),
             )
-            rebuilt = su11.reconstruct(su11.decompose_product(prime, dbl))
-            residual = max(
-                abs(rebuilt.m11 - target.m11), abs(rebuilt.m12 - target.m12)
+            detail = f"r={r:.4g}, omega_t={wt:.4g}"
+            modulus_closed = math.sqrt(
+                math.cos(wt) ** 2 + math.sin(wt) ** 2 * math.cosh(2 * r) ** 2
             )
-            yield residual, (
-                f"r'={prime.r:.4g}, phi'={prime.phi:.4g}, "
-                f"r''={dbl.r:.4g}, phi''={dbl.phi:.4g}"
-            )
-    return _check("su11-reconstruction", 1e-10, samples())
-
-
-def _su11_matrix_consistency(policy, rng):
-    def samples():
-        for r in np.arange(0.0, 2.0001, 0.25):
-            for wt in np.linspace(0.0, TAU, 63):
-                triple_m = su11.multiply(
-                    su11.c_matrix(SqueezeParams(r, 0.3 - wt)),
-                    su11.c_matrix(SqueezeParams(-r, 0.3)),
-                )
-                detail = f"r={r:.4g}, omega_t={wt:.4g}"
-                modulus_closed = math.sqrt(
-                    math.cos(wt) ** 2 + math.sin(wt) ** 2 * math.cosh(2 * r) ** 2
-                )
-                yield abs(abs(triple_m.m11) - modulus_closed), detail
-                tpf = phases.total_phase_factor(r, 1.0, wt)
-                yield circle_distance(
-                    math.atan2(triple_m.m11.imag, triple_m.m11.real),
-                    -math.atan2(tpf.imag, tpf.real),
-                ), detail
-    return _check("su11-matrix-consistency", 1e-10, samples())
+            yield abs(abs(triple_m.m11) - modulus_closed), detail
+            tpf = phases.total_phase_factor(r, 1.0, wt)
+            yield circle_distance(
+                math.atan2(triple_m.m11.imag, triple_m.m11.real),
+                -math.atan2(tpf.imag, tpf.real),
+            ), detail
 
 
 _R_GRID = (0.1, 0.5, 1.0, 1.5, 2.0)
 
 
-def _overlap_agreement(policy, rng):
-    def samples():
-        for r in _R_GRID:
-            N = fock.cutoff_for_tolerance(r, policy.tolerance, policy.max_cutoff)
-            initial = fock.schmidt_state(r, 0.4, N)
-            h = HamiltonianParams(1.0, 0.25)
-            for wt in np.linspace(0.0, TAU, 63):
-                numeric = fock.overlap_numeric(
-                    initial, fock.evolve(initial, h, float(wt))
-                )
-                analytic = phases.overlap_analytic(r, 1.0, float(wt))
-                yield abs(numeric - analytic), f"r={r}, omega_t={wt:.4g}"
-    return _check("overlap-agreement", 1e-9, samples())
-
-
-def _phase_agreement(policy, rng):
-    def samples():
+@_invariant("overlap-agreement", 1e-9)
+def _overlap_agreement(accuracy, max_cutoff, rng):
+    for r in _R_GRID:
+        N = fock.cutoff_for("mass", r, accuracy, max_cutoff=max_cutoff)
+        initial = fock.schmidt_state(r, 0.4, N)
         h = HamiltonianParams(1.0, 0.25)
-        for r in _R_GRID:
-            for wt in np.linspace(0.0, TAU, 63):
-                numeric = fock.geometric_phase_numeric(
-                    r, 0.4, h, float(wt), policy, steps=4
-                )
-                analytic = phases.geometric_phase(r, 1.0, float(wt)).geometric_phase
-                yield circle_distance(numeric, analytic), f"r={r}, omega_t={wt:.4g}"
-    return _check("geometric-phase-agreement", 1e-8, samples())
-
-
-def _dynamical_quadrature(policy, rng):
-    quad_policy = TruncationPolicy(
-        tolerance=min(policy.tolerance, 1e-15), max_cutoff=policy.max_cutoff
-    )
-
-    def samples():
-        for r in (0.1, 0.5, 1.0, 1.5):
-            for wt in (0.3, math.pi / 4, 1.0, math.pi, TAU):
-                omega = 1.3
-                t = wt / omega
-                expected = 2.0 * omega * t * math.sinh(r) ** 2
-                results = []
-                for eps_frac in (0.0, 0.37, 0.9):
-                    h = HamiltonianParams(omega, eps_frac * omega)
-                    for steps in (1, 7, 200):
-                        got = fock.dynamical_integral(r, 0.2, h, t, steps, quad_policy)
-                        results.append(got)
-                        yield abs(got - expected), (
-                            f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega, "
-                            f"steps={steps}"
-                        )
-                spread = max(results) - min(results)
-                yield spread, f"r={r}, omega_t={wt:.4g} (step/eps spread)"
-    return _check("dynamical-quadrature", 1e-10, samples())
-
-
-def _gauge_invariance(policy, rng):
-    def samples():
-        h = HamiltonianParams(1.0, 0.1)
-        for r in (0.5, 1.0, 1.5):
-            for wt in (math.pi / 4, 1.7, TAU):
-                reference = fock.geometric_phase_numeric(r, 0.2, h, wt, policy)
-                for shift in (-2.0, 0.7, 5.0):
-                    shifted = fock.geometric_phase_numeric(
-                        r, 0.2, h, wt, policy, energy_shift=shift
-                    )
-                    yield circle_distance(shifted, reference), (
-                        f"r={r}, omega_t={wt:.4g}, shift={shift}"
-                    )
-    return _check("gauge-invariance", 1e-10, samples())
-
-
-def _evolution_reparameterization(policy, rng):
-    def samples():
-        omega = 1.3
-        h = HamiltonianParams(omega, 0.4)
-        for r in (0.3, 1.0, 2.0):
-            N = fock.cutoff_for_tolerance(r, policy.tolerance, policy.max_cutoff)
-            for phi in (0.0, 1.1):
-                initial = fock.schmidt_state(r, phi, N)
-                for wt in (0.7, 3.1, TAU):
-                    evolved = fock.evolve(initial, h, wt / omega)
-                    target = fock.schmidt_state(r, phi - wt, N)
-                    diff = float(np.abs(evolved.coeffs - target.coeffs).max())
-                    yield diff, f"r={r}, phi={phi}, omega_t={wt:.4g}"
-    return _check("evolution-reparameterization", 1e-14, samples())
-
-
-def _exponentiation_agreement(policy, rng):
-    def samples():
-        for r in (0.5, 1.0, 2.0):
-            N = fock.cutoff_for_expm_accuracy(r, 1e-10, policy.max_cutoff)
-            brute = fock.squeeze_by_exponentiation(r, 0.3, N, policy.max_cutoff)
-            closed = fock.schmidt_state(r, 0.3, N)
-            diff = float(np.abs(brute.coeffs - closed.coeffs).max())
-            yield diff, f"r={r}, N={N}"
-    return _check("exponentiation-agreement", 1e-10, samples())
-
-
-def _bogoliubov_identities(policy, rng):
-    def samples():
-        for r in (0.25, 0.5, 1.0):
-            for eta in (0.0, 0.3, 1.1):
-                residual = fock.bogoliubov_residual(r, eta, N=12, margin=4)
-                yield residual, f"r={r}, eta={eta}, N=12, margin=4"
-    return _check("bogoliubov-identities", 1e-6, samples())
-
-
-def _rotation_conjugation(policy, rng):
-    def samples():
-        for theta in (0.0, 0.9, 2.5):
-            for eps_t in (0.37, 1.9):
-                res = fock.rotation_conjugation_check(
-                    0.5, 0.2, theta, eps_t, N=12, margin=4
-                )
-                detail = f"theta={theta}, eps_t={eps_t}, N=12, margin=4"
-                yield res.rotation, detail + " (rotation)"
-                yield res.modulation, detail + " (modulation)"
-    return _check("rotation-conjugation", 1e-6, samples())
-
-
-def _cyclic_total_phase(policy, rng):
-    def samples():
-        h = HamiltonianParams(1.0, 0.0)
-        for r in _R_GRID:
-            N = fock.cutoff_for_tolerance(r, policy.tolerance, policy.max_cutoff)
-            initial = fock.schmidt_state(r, 0.3, N)
-            overlap = fock.overlap_numeric(initial, fock.evolve(initial, h, TAU))
-            yield abs(overlap / abs(overlap) - 1.0), f"r={r}, omega_t=2pi"
-    return _check("cyclic-total-phase", 1e-10, samples())
-
-
-def _cyclic_gamma(policy, rng):
-    # The dynamical integral misses the energy carried by the dropped tail,
-    # which at omega_t = 2 pi costs about 4 pi N tol; a 1e-15 tail keeps the
-    # cyclic comparison honest at 1e-9 up to r = 2.
-    tight = TruncationPolicy(
-        tolerance=min(policy.tolerance, 1e-15), max_cutoff=policy.max_cutoff
-    )
-
-    def samples():
-        h = HamiltonianParams(1.0, 0.0)
-        for r in _R_GRID:
-            numeric = fock.geometric_phase_numeric(r, 0.3, h, TAU, tight)
-            yield circle_distance(
-                numeric, phases.cyclic_geometric_phase(r).reduced
-            ), f"r={r}"
-    return _check("cyclic-gamma", 1e-9, samples())
-
-
-def _additivity(policy, rng):
-    def samples():
-        for r in np.linspace(0.0, 3.0, 31):
-            cyclic = phases.cyclic_geometric_phase(float(r))
-            defect = abs(cyclic.unreduced - 2.0 * phases.one_mode_cyclic_phase(float(r)))
-            yield defect, f"r={r:.4g}"
-    return _check("one-mode-additivity", 0.0, samples())
-
-
-def _entropy_identity(policy, rng):
-    def samples():
-        for r in np.linspace(0.0, 3.0, 301):
-            r = float(r)
-            gap = abs(
-                phases.entropy_from_squeeze(r)
-                - phases.entropy_from_cyclic_phase(phases.cyclic_geometric_phase(r).unreduced)
+        for wt in np.linspace(0.0, TAU, 63):
+            numeric = fock.overlap_numeric(
+                initial, fock.evolve(initial, h, float(wt))
             )
-            yield gap, f"r={r:.4g}"
-    return _check("entropy-identity", 1e-12, samples())
+            analytic = phases.overlap_analytic(r, 1.0, float(wt))
+            yield abs(numeric - analytic), f"r={r}, omega_t={wt:.4g}"
 
 
-def _entropy_numeric_agreement(policy, rng):
-    def samples():
-        for r in _R_GRID:
-            N = fock.cutoff_for_tolerance(r, policy.tolerance, policy.max_cutoff)
-            numeric = fock.entropy_numeric(fock.schmidt_state(r, 0.7, N))
-            yield abs(numeric - phases.entropy_from_squeeze(r)), f"r={r}"
-    return _check("entropy-numeric-agreement", 1e-10, samples())
+@_invariant("geometric-phase-agreement", 1e-8)
+def _phase_agreement(accuracy, max_cutoff, rng):
+    h = HamiltonianParams(1.0, 0.25)
+    for r in _R_GRID:
+        for wt in np.linspace(0.0, TAU, 63):
+            numeric = fock.geometric_phase_numeric(
+                r, 0.4, h, float(wt), accuracy=accuracy, max_cutoff=max_cutoff, steps=4
+            )
+            analytic = phases.geometric_phase(r, 1.0, float(wt)).geometric_phase
+            yield circle_distance(numeric, analytic), f"r={r}, omega_t={wt:.4g}"
 
 
-def _entropy_curve(policy, rng):
+@_invariant("dynamical-quadrature", 1e-10)
+def _dynamical_quadrature(accuracy, max_cutoff, rng):
+    for r in (0.1, 0.5, 1.0, 1.5):
+        for wt in (0.3, math.pi / 4, 1.0, math.pi, TAU):
+            omega = 1.3
+            t = wt / omega
+            expected = 2.0 * omega * t * math.sinh(r) ** 2
+            results = []
+            for eps_frac in (0.0, 0.37, 0.9):
+                h = HamiltonianParams(omega, eps_frac * omega)
+                for steps in (1, 7, 200):
+                    got = fock.dynamical_integral(
+                        r, 0.2, h, t, steps, accuracy=accuracy,
+                        max_cutoff=max_cutoff,
+                    )
+                    results.append(got)
+                    yield abs(got - expected), (
+                        f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega, "
+                        f"steps={steps}"
+                    )
+            spread = max(results) - min(results)
+            yield spread, f"r={r}, omega_t={wt:.4g} (step/eps spread)"
+
+
+@_invariant("gauge-invariance", 1e-10)
+def _gauge_invariance(accuracy, max_cutoff, rng):
+    h = HamiltonianParams(1.0, 0.1)
+    for r in (0.5, 1.0, 1.5):
+        for wt in (math.pi / 4, 1.7, TAU):
+            reference = fock.geometric_phase_numeric(
+                r, 0.2, h, wt, accuracy=accuracy, max_cutoff=max_cutoff
+            )
+            for shift in (-2.0, 0.7, 5.0):
+                shifted = fock.geometric_phase_numeric(
+                    r, 0.2, h, wt, accuracy=accuracy, max_cutoff=max_cutoff,
+                    energy_shift=shift,
+                )
+                yield circle_distance(shifted, reference), (
+                    f"r={r}, omega_t={wt:.4g}, shift={shift}"
+                )
+
+
+@_invariant("evolution-reparameterization", 1e-14)
+def _evolution_reparameterization(accuracy, max_cutoff, rng):
+    omega = 1.3
+    h = HamiltonianParams(omega, 0.4)
+    for r in (0.3, 1.0, 2.0):
+        N = fock.cutoff_for("mass", r, accuracy, max_cutoff=max_cutoff)
+        for phi in (0.0, 1.1):
+            initial = fock.schmidt_state(r, phi, N)
+            for wt in (0.7, 3.1, TAU):
+                evolved = fock.evolve(initial, h, wt / omega)
+                target = fock.schmidt_state(r, phi - wt, N)
+                diff = float(np.abs(evolved.coeffs - target.coeffs).max())
+                yield diff, f"r={r}, phi={phi}, omega_t={wt:.4g}"
+
+
+@_invariant("exponentiation-agreement", 1e-10)
+def _exponentiation_agreement(accuracy, max_cutoff, rng):
+    for r in (0.5, 1.0, 2.0):
+        N = fock.cutoff_for("expm", r, accuracy, max_cutoff=max_cutoff)
+        brute = fock.squeeze_by_exponentiation(r, 0.3, N, max_cutoff)
+        closed = fock.schmidt_state(r, 0.3, N)
+        diff = float(np.abs(brute.coeffs - closed.coeffs).max())
+        yield diff, f"r={r}, N={N}"
+
+
+@_invariant("bogoliubov-identities", 1e-6)
+def _bogoliubov_identities(accuracy, max_cutoff, rng):
+    for r in (0.25, 0.5, 1.0):
+        for eta in (0.0, 0.3, 1.1):
+            residual = fock.bogoliubov_residual(r, eta, N=12, margin=4)
+            yield residual, f"r={r}, eta={eta}, N=12, margin=4"
+
+
+@_invariant("rotation-conjugation", 1e-6)
+def _rotation_conjugation(accuracy, max_cutoff, rng):
+    for theta in (0.0, 0.9, 2.5):
+        for eps_t in (0.37, 1.9):
+            res = fock.rotation_conjugation_check(
+                0.5, 0.2, theta, eps_t, N=12, margin=4
+            )
+            detail = f"theta={theta}, eps_t={eps_t}, N=12, margin=4"
+            yield res.rotation, detail + " (rotation)"
+            yield res.modulation, detail + " (modulation)"
+
+
+@_invariant("cyclic-total-phase", 1e-10)
+def _cyclic_total_phase(accuracy, max_cutoff, rng):
+    h = HamiltonianParams(1.0, 0.0)
+    for r in _R_GRID:
+        N = fock.cutoff_for("mass", r, accuracy, max_cutoff=max_cutoff)
+        initial = fock.schmidt_state(r, 0.3, N)
+        overlap = fock.overlap_numeric(initial, fock.evolve(initial, h, TAU))
+        yield abs(overlap / abs(overlap) - 1.0), f"r={r}, omega_t=2pi"
+
+
+@_invariant("cyclic-gamma", 1e-9)
+def _cyclic_gamma(accuracy, max_cutoff, rng):
+    h = HamiltonianParams(1.0, 0.0)
+    for r in _R_GRID:
+        numeric = fock.geometric_phase_numeric(
+            r, 0.3, h, TAU, accuracy=accuracy, max_cutoff=max_cutoff
+        )
+        yield circle_distance(
+            numeric, phases.cyclic_geometric_phase(r).reduced
+        ), f"r={r}"
+
+
+@_invariant("one-mode-additivity", 0.0)
+def _additivity(accuracy, max_cutoff, rng):
+    for r in np.linspace(0.0, 3.0, 31):
+        cyclic = phases.cyclic_geometric_phase(float(r))
+        defect = abs(cyclic.unreduced - 2.0 * phases.one_mode_cyclic_phase(float(r)))
+        yield defect, f"r={r:.4g}"
+
+
+@_invariant("entropy-identity", 1e-12)
+def _entropy_identity(accuracy, max_cutoff, rng):
+    for r in np.linspace(0.0, 3.0, 301):
+        r = float(r)
+        gap = abs(
+            phases.entropy_from_squeeze(r)
+            - phases.entropy_from_cyclic_phase(phases.cyclic_geometric_phase(r).unreduced)
+        )
+        yield gap, f"r={r:.4g}"
+
+
+@_invariant("entropy-numeric-agreement", 1e-10)
+def _entropy_numeric_agreement(accuracy, max_cutoff, rng):
+    for r in _R_GRID:
+        N = fock.cutoff_for("entropy", r, accuracy, max_cutoff=max_cutoff)
+        numeric = fock.entropy_numeric(fock.schmidt_state(r, 0.7, N))
+        yield abs(numeric - phases.entropy_from_squeeze(r)), f"r={r}"
+
+
+def _entropy_curve(max_cutoff, rng):
     grid = np.linspace(0.0, TAU, 1000)
     values = np.array([phases.entropy_from_cyclic_phase(float(g)) for g in grid])
     min_slope = float(np.diff(values).min())
@@ -542,21 +538,21 @@ _CHECKS: tuple[Callable, ...] = (
 
 
 def run_invariant_suite(
-    policy: TruncationPolicy = fock.DEFAULT_POLICY, seed: int = 0
+    max_cutoff: int = fock.DEFAULT_MAX_CUTOFF, seed: int = 0
 ) -> list[CheckResult]:
     """Run every invariant check; the seed affects sampling, never verdicts."""
     rng = np.random.default_rng(seed)
-    return [check(policy, rng) for check in _CHECKS]
+    return [check(max_cutoff, rng) for check in _CHECKS]
 
 
 def cmd_verify(
-    policy: TruncationPolicy = fock.DEFAULT_POLICY,
+    max_cutoff: int = fock.DEFAULT_MAX_CUTOFF,
     seed: int = 0,
     stream: TextIO | None = None,
 ) -> int:
     """Print the invariant table; exit 0 iff every check passes."""
     out = stream if stream is not None else sys.stdout
-    results = run_invariant_suite(policy, seed)
+    results = run_invariant_suite(max_cutoff, seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         out.write(
@@ -574,18 +570,6 @@ def cmd_verify(
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=1e-12,
-                        help="truncation tolerance (probability mass), default 1e-12")
-    common.add_argument("--max-cutoff", type=int, default=fock.DEFAULT_MAX_CUTOFF,
-                        help="hard bound on Fock cutoffs, default 4096")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="table format for sweep output, default csv")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized invariant sampling, default 0")
-    common.add_argument("--degrees", action="store_true",
-                        help="display angles in degrees (I/O stays radians)")
-
     parser = argparse.ArgumentParser(
         prog="tmsvphase",
         description="Geometric phases of evolving two-mode squeezed vacuum "
@@ -593,10 +577,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", parents=[common],
-                   help="run the invariant suite and print a pass/fail table")
+    max_cutoff_help = "hard bound on Fock cutoffs, default 4096"
+    degrees_help = "display angles in degrees (I/O stays radians)"
 
-    sweep = sub.add_parser("sweep", parents=[common],
+    verify = sub.add_parser("verify",
+                            help="run the invariant suite and print a pass/fail table")
+    verify.add_argument("--max-cutoff", type=int, default=fock.DEFAULT_MAX_CUTOFF,
+                        help=max_cutoff_help)
+    verify.add_argument("--seed", type=int, default=0,
+                        help="seed for randomized invariant sampling, default 0")
+
+    sweep = sub.add_parser("sweep",
                            help="emit a CSV/JSON table along a parameter grid")
     sweep.add_argument("--variable", required=True,
                        choices=("r", "omega_t", "gamma_c"),
@@ -614,15 +605,21 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fixed squeeze phase angle, default 0")
     sweep.add_argument("--t", type=float, default=1.0,
                        help="fixed evolution time (r sweeps), default 1")
+    sweep.add_argument("--max-cutoff", type=int, default=fock.DEFAULT_MAX_CUTOFF,
+                       help=max_cutoff_help)
+    sweep.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="table format, default csv")
+    sweep.add_argument("--degrees", action="store_true", help=degrees_help)
 
     decompose = sub.add_parser(
-        "decompose", parents=[common],
+        "decompose",
         help="factor S(r', phi')^dag S(r'', phi'') into squeeze times rotation",
     )
     decompose.add_argument("r_prime", type=float)
     decompose.add_argument("phi_prime", type=float)
     decompose.add_argument("r_doubleprime", type=float)
     decompose.add_argument("phi_doubleprime", type=float)
+    decompose.add_argument("--degrees", action="store_true", help=degrees_help)
 
     return parser
 
@@ -636,10 +633,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "verify":
-            policy = TruncationPolicy(
-                tolerance=args.tolerance, max_cutoff=args.max_cutoff
-            )
-            return cmd_verify(policy, seed=args.seed)
+            return cmd_verify(args.max_cutoff, seed=args.seed)
         if args.command == "sweep":
             spec = SweepSpec(
                 variable=args.variable,
@@ -648,7 +642,6 @@ def main(argv: list[str] | None = None) -> int:
                 points=args.points,
                 fixed={"r": args.r, "Omega": args.omega, "epsilon": args.epsilon,
                        "phi": args.phi, "t": args.t},
-                tolerance=args.tolerance,
             )
             return cmd_sweep(spec, fmt=args.format, max_cutoff=args.max_cutoff,
                              degrees=args.degrees)

@@ -17,14 +17,11 @@ Two representations are used, chosen by what truncation does to them:
   (:class:`FullTwoModeOperator`).
 
 Truncation error policy: the Schmidt coefficient of |n>|n> is
-(-e^{2i phi} tanh r)^n / cosh r, so the probability mass beyond cutoff N
-is exactly tanh^{2(N+1)} r.  Exponentiating the *truncated* generator adds
-a boundary-reflection error of order of the first dropped amplitude
-|tanh^{N+1} r| / cosh r, first order rather than second, which is why
-:func:`cutoff_for_expm_accuracy` exists alongside the probability-mass
-cutoff :func:`cutoff_for_tolerance`.  Operator identities are asserted
-only on entries a ``margin`` away from the cutoff, where the constructions
-used here keep them exact up to rounding.
+(-e^{2i phi} tanh r)^n / cosh r, so every truncation error has a
+closed-form geometric tail in the cutoff N, and :func:`cutoff_for` is the
+one place that turns an observable's accuracy target into N.  Operator
+identities are asserted only on entries a ``margin`` away from the cutoff,
+where the constructions used here keep them exact up to rounding.
 
 All operations are pure; matrix workspaces are created per call.
 """
@@ -53,38 +50,12 @@ _EXPM_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class TruncationPolicy:
-    """How aggressively to truncate and when to give up.
-
-    ``tolerance`` is the probability mass allowed beyond the cutoff,
-    ``margin`` the extra rows added above the mass-based cutoff (and the
-    rows excluded near the cutoff in operator-identity checks), and
-    ``max_cutoff`` the hard bound that turns into CutoffExceededError.
-    """
-
-    tolerance: float = 1e-12
-    margin: int = 10
-    max_cutoff: int = DEFAULT_MAX_CUTOFF
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.tolerance < 1.0):
-            raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance}")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
-        if self.max_cutoff < 0:
-            raise ValueError("max_cutoff must be nonnegative")
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-
-@dataclass(frozen=True)
 class DiagonalFockState:
     """Amplitudes c_0..c_N on the paired-number states |n>|n>.
 
     The stored array is an immutable complex128 copy.  States never
     over-normalize: sum |c_n|^2 <= 1 + 1e-12 (they may under-normalize by
-    the truncation tolerance).
+    the dropped mass).
     """
 
     cutoff: int
@@ -133,52 +104,84 @@ class RotationResiduals(NamedTuple):
 # Cutoff selection
 
 
-def cutoff_for_tolerance(
-    r: float, tol: float, max_cutoff: int = DEFAULT_MAX_CUTOFF
+def cutoff_for(
+    observable: str,
+    r: float,
+    accuracy: float,
+    *,
+    t: float = 0.0,
+    max_cutoff: int = DEFAULT_MAX_CUTOFF,
 ) -> int:
-    """Smallest N whose dropped probability mass tanh^{2(N+1)} r is <= tol.
+    """Smallest cutoff N whose truncation error for ``observable`` is <= accuracy.
 
-    Closed form N = ceil(ln tol / (2 ln tanh |r|)) - 1, clamped to >= 0;
-    r = 0 needs no excitation at all and returns 0.
+    With x = tanh^2 r, m = x^{N+1} the dropped mass and ``t`` the evolution
+    angle Omega t, each error is a closed-form tail, strictly decreasing in N:
+
+    * ``mass``: m, which also bounds the error of any overlap;
+    * ``energy``: the energy integral misses
+      Omega t sum_{n>N} 2n (1 - x) x^n = Omega t 2m ((N+1)(1 - x) + x) / (1 - x);
+    * ``phase``: the energy tail plus cosh 2r m, the first-order error of
+      arg<psi(0)|psi(t)>, whose modulus is at least 1 / cosh 2r;
+    * ``entropy``: the renormalized spectrum misses H(m) / (1 - m), H the
+      binary entropy, since the dropped tail is again geometric; this is
+      at most m (1 - ln m) / (1 - m);
+    * ``expm``: the first dropped amplitude tanh^{N+1}|r| / cosh r, the
+      boundary reflection of the exponentiated truncated generator.
+
+    Raises
+    ------
+    CutoffExceededError
+        If the cutoff would exceed ``max_cutoff``, or if tanh r rounds to 1
+        so that no finite cutoff drops a vanishing mass.
     """
-    r = check_squeeze_factor(r)
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    if r == 0.0:
-        return 0
-    n = math.ceil(math.log(tol) / (2.0 * math.log(math.tanh(abs(r))))) - 1
-    n = max(n, 0)
-    if n > max_cutoff:
-        raise CutoffExceededError(
-            f"cutoff {n} for r={r}, tol={tol} exceeds max_cutoff={max_cutoff}"
-        )
-    return n
-
-
-def cutoff_for_expm_accuracy(
-    r: float, accuracy: float, max_cutoff: int = DEFAULT_MAX_CUTOFF
-) -> int:
-    """Cutoff large enough that exponentiating the truncated generator is accurate.
-
-    The truncated-generator exponential differs from the exact Schmidt
-    coefficients by about the first dropped amplitude tanh^{N+1}|r|/cosh r
-    (measured ratio 0.8..1.0 over r <= 2), so this returns the smallest N
-    with that amplitude <= accuracy / 10.
-    """
-    r = check_squeeze_factor(r)
+    r = abs(check_squeeze_factor(r))
+    wt = abs(_require_finite("t", t))
     if not (0.0 < accuracy < 1.0):
         raise ValueError(f"accuracy must lie in (0, 1), got {accuracy}")
+    if max_cutoff < 0:
+        raise ValueError("max_cutoff must be nonnegative")
+    log_tanh = math.log(math.tanh(r)) if r > 0.0 else -math.inf
+    one_minus_x = 1.0 / math.cosh(r) ** 2
+
+    def mass(N: int) -> float:
+        return math.exp(2.0 * (N + 1) * log_tanh)
+
+    def energy(N: int) -> float:
+        weight = 2.0 * ((N + 1) * one_minus_x + 1.0 - one_minus_x) / one_minus_x
+        return mass(N) * weight * wt
+
+    def entropy(N: int) -> float:
+        log_mass = 2.0 * (N + 1) * log_tanh
+        return math.exp(log_mass) * (1.0 - log_mass) / -math.expm1(log_mass)
+
+    tails = {
+        "mass": mass,
+        "energy": energy,
+        "phase": lambda N: energy(N) + math.cosh(2.0 * r) * mass(N),
+        "entropy": entropy,
+        "expm": lambda N: math.exp((N + 1) * log_tanh) / math.cosh(r),
+    }
+    if observable not in tails:
+        raise ValueError(f"unknown observable {observable!r}, not in {list(tails)}")
     if r == 0.0:
         return 0
-    target = math.log(accuracy / 10.0) + math.log(math.cosh(r))
-    n = math.ceil(target / math.log(math.tanh(abs(r)))) - 1
-    n = max(n, 0)
-    if n > max_cutoff:
+    if log_tanh == 0.0:
+        raise CutoffExceededError(f"tanh r rounds to 1 at r={r}: no cutoff is enough")
+    tail = tails[observable]
+    if tail(max_cutoff) > accuracy:
         raise CutoffExceededError(
-            f"cutoff {n} for r={r}, accuracy={accuracy} exceeds "
-            f"max_cutoff={max_cutoff}"
+            f"{observable} to {accuracy:g} at r={r}, Omega t={wt:g} needs a "
+            f"cutoff above max_cutoff={max_cutoff}"
         )
-    return n
+    # Bisection keeps tail(lo) > accuracy >= tail(hi), with tail(-1) > accuracy.
+    lo, hi = -1, max_cutoff
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail(mid) <= accuracy:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +228,8 @@ def squeeze_by_exponentiation(
     against.  The truncated generator is exactly anti-Hermitian, so the
     exponential is unitary and the result keeps unit norm; what truncation
     costs is a boundary reflection of order tanh^{N+1}|r|/cosh r in the
-    coefficients.  Pick N with :func:`cutoff_for_expm_accuracy` when a
-    specific componentwise accuracy is needed.
+    coefficients.  Pick N with ``cutoff_for("expm", ...)`` when a specific
+    componentwise accuracy is needed.
 
     Raises
     ------
@@ -307,36 +310,44 @@ def energy_expectation(
     return float(np.sum(energies * np.abs(state.coeffs) ** 2)) + shift
 
 
+def _energy_integral(
+    initial: DiagonalFockState, h: HamiltonianParams, t: float, steps: int, shift: float
+) -> float:
+    """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] from ``initial``."""
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    if t < 0.0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    taus = np.linspace(0.0, t, steps + 1)
+    values = np.array(
+        [
+            energy_expectation(evolve(initial, h, tau, shift), h, shift)
+            for tau in taus
+        ]
+    )
+    return float(np.trapezoid(values, taus))
+
+
 def dynamical_integral(
     r: float,
     phi: float,
     h: HamiltonianParams,
     t: float,
     steps: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    *,
+    accuracy: float = 1e-10,
+    max_cutoff: int = DEFAULT_MAX_CUTOFF,
     energy_shift: float = 0.0,
 ) -> float:
     """Composite trapezoid quadrature of <psi(tau)|H|psi(tau)> over [0, t].
 
     The integrand is constant in time (evolution preserves every |c_n|),
     so the trapezoid rule is exact up to rounding for any step count; the
-    result equals 2 Omega t sinh^2 r within the truncation tail.
+    result equals 2 Omega t sinh^2 r within ``accuracy``, the energy tail
+    the cutoff is chosen for.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    t = _require_finite("t", t)
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    N = cutoff_for_tolerance(r, policy.tolerance, policy.max_cutoff)
-    initial = schmidt_state(r, phi, N)
-    taus = np.linspace(0.0, t, steps + 1)
-    values = np.array(
-        [
-            energy_expectation(evolve(initial, h, tau, energy_shift), h, energy_shift)
-            for tau in taus
-        ]
-    )
-    return float(np.trapezoid(values, taus))
+    N = cutoff_for("energy", r, accuracy, t=h.Omega * t, max_cutoff=max_cutoff)
+    return _energy_integral(schmidt_state(r, phi, N), h, t, steps, energy_shift)
 
 
 def geometric_phase_numeric(
@@ -344,23 +355,25 @@ def geometric_phase_numeric(
     phi: float,
     h: HamiltonianParams,
     t: float,
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    *,
+    accuracy: float = 1e-10,
+    max_cutoff: int = DEFAULT_MAX_CUTOFF,
     energy_shift: float = 0.0,
     steps: int = 16,
 ) -> float:
     """Kinematic geometric phase arg<psi(0)|psi(t)> + integral, in [0, 2 pi).
 
-    Computed entirely from the truncated state: overlap by summation,
+    Computed entirely from one truncated state: overlap by summation,
     energy integral by quadrature.  Agrees with
-    :func:`tmsvphase.phases.geometric_phase` within 1e-8 at the default
-    tolerance.
+    :func:`tmsvphase.phases.geometric_phase` within ``accuracy``, the phase
+    tail the cutoff is chosen for at this Omega t.
     """
-    N = cutoff_for_tolerance(r, policy.tolerance, policy.max_cutoff)
+    N = cutoff_for("phase", r, accuracy, t=h.Omega * t, max_cutoff=max_cutoff)
     initial = schmidt_state(r, phi, N)
     evolved = evolve(initial, h, t, energy_shift)
     overlap = overlap_numeric(initial, evolved)
     total = math.atan2(overlap.imag, overlap.real)
-    delta = dynamical_integral(r, phi, h, t, steps, policy, energy_shift)
+    delta = _energy_integral(initial, h, t, steps, energy_shift)
     gamma = (total + delta) % (2.0 * math.pi)
     return 0.0 if gamma >= 2.0 * math.pi else gamma
 
@@ -369,8 +382,8 @@ def entropy_numeric(state: DiagonalFockState) -> float:
     """Entanglement entropy -sum p_n ln p_n of the Schmidt spectrum, in nats.
 
     Probabilities are renormalized over the kept coefficients so the
-    entropy of a truncated state is well defined; the truncation tolerance
-    bounds the bias.
+    entropy of a truncated state is well defined; ``cutoff_for("entropy",
+    ...)`` bounds the bias.
     """
     p = np.abs(state.coeffs) ** 2
     total = p.sum()
@@ -531,15 +544,12 @@ def rotation_conjugation_check(
 
 __all__ = [
     "DEFAULT_MAX_CUTOFF",
-    "DEFAULT_POLICY",
     "FULL_SPACE_MAX_CUTOFF",
     "DiagonalFockState",
     "FullTwoModeOperator",
     "RotationResiduals",
-    "TruncationPolicy",
     "bogoliubov_residual",
-    "cutoff_for_expm_accuracy",
-    "cutoff_for_tolerance",
+    "cutoff_for",
     "dynamical_integral",
     "energy_expectation",
     "entropy_numeric",

@@ -97,13 +97,15 @@ def _check_args(r: float, Omega: float, t: float) -> tuple[float, float, float]:
 def overlap_analytic(r: float, Omega: float, t: float) -> complex:
     """Overlap <psi(0)|psi(t)> = 1 / (cosh^2 r - sinh^2 r e^{-2i Omega t}).
 
-    The modulus equals (cos^2 Wt + sin^2 Wt cosh^2 2r)^(-1/2) with
-    Wt = Omega t, and the value returns to exactly 1 at Wt = 2 pi.
+    Evaluated as the equal 1 / (1 + 2i sinh^2 r e^{-i Wt} sin Wt), Wt = Omega t,
+    whose real part 1 + 2 sinh^2 r sin^2 Wt adds positive terms: no
+    cosh^2 r - sinh^2 r cancellation.  The modulus equals
+    (cos^2 Wt + sin^2 Wt cosh^2 2r)^(-1/2); the value is 1 at Wt = 2 pi.
     """
     r, Omega, t = _check_args(r, Omega, t)
-    ch2 = math.cosh(r) ** 2
-    sh2 = math.sinh(r) ** 2
-    return 1.0 / (ch2 - sh2 * cmath.exp(-2j * Omega * t))
+    wt = Omega * t
+    s = 2.0 * math.sinh(r) ** 2 * math.sin(wt)
+    return 1.0 / complex(1.0 + s * math.sin(wt), s * math.cos(wt))
 
 
 def total_phase_factor(r: float, Omega: float, t: float) -> complex:

@@ -14,7 +14,6 @@ import numpy as np
 
 from tmsvphase import fock, phases, su11
 from tmsvphase.cli import SweepSpec, circle_distance, cmd_sweep, cmd_verify
-from tmsvphase.fock import TruncationPolicy
 from tmsvphase.phases import TAU, HamiltonianParams
 
 H_UNIT = HamiltonianParams(1.0, 0.0)
@@ -37,7 +36,7 @@ def test_criterion_1_overlap_equivalence():
         started = time.perf_counter()
         worst = 0.0
         for r in R_GRID:
-            N = fock.cutoff_for_tolerance(r, 1e-12)
+            N = fock.cutoff_for("mass", r, 1e-12)
             if r <= 1.0:
                 assert N <= 60  # tail bound keeps small squeezes tiny
             initial = fock.schmidt_state(r, 0.3, N)
@@ -71,13 +70,14 @@ def test_criterion_2_geometric_phase_closed_form():
 
 def test_criterion_3_cyclic_phase():
     with criterion(3, "cyclic evolution: unit total phase factor, 4 pi sinh^2 r, additivity"):
-        tight = TruncationPolicy(tolerance=1e-15)
         for r in R_GRID:
-            N = fock.cutoff_for_tolerance(r, 1e-12)
+            N = fock.cutoff_for("mass", r, 1e-12)
             initial = fock.schmidt_state(r, 0.3, N)
             overlap = fock.overlap_numeric(initial, fock.evolve(initial, H_UNIT, TAU))
             assert abs(overlap / abs(overlap) - 1.0) <= 1e-10
-            numeric = fock.geometric_phase_numeric(r, 0.3, H_UNIT, TAU, tight)
+            numeric = fock.geometric_phase_numeric(
+                r, 0.3, H_UNIT, TAU, accuracy=1e-10
+            )
             expected = (4.0 * math.pi * math.sinh(r) ** 2) % TAU
             assert circle_distance(numeric, expected) <= 1e-9
         for r in np.linspace(0.0, 3.0, 61):
@@ -87,7 +87,6 @@ def test_criterion_3_cyclic_phase():
 
 def test_criterion_4_dynamical_term():
     with criterion(4, "quadrature equals 2 Omega t sinh^2 r to 1e-10, steps/epsilon free"):
-        policy = TruncationPolicy(tolerance=1e-15)
         for r in R_GRID:
             for wt in (0.3, math.pi / 4, TAU):
                 omega = 1.3
@@ -96,7 +95,8 @@ def test_criterion_4_dynamical_term():
                 step_results = []
                 for steps in (1, 7, 1000):
                     got = fock.dynamical_integral(
-                        r, 0.1, HamiltonianParams(omega, 0.0), t, steps, policy
+                        r, 0.1, HamiltonianParams(omega, 0.0), t, steps,
+                        accuracy=1e-11,
                     )
                     step_results.append(got)
                     assert abs(got - expected) <= 1e-10
@@ -104,7 +104,8 @@ def test_criterion_4_dynamical_term():
                 # three epsilon values: the term cancels arithmetically
                 for eps in (0.2, 0.37, -0.9):
                     got = fock.dynamical_integral(
-                        r, 0.1, HamiltonianParams(omega, eps * omega), t, 7, policy
+                        r, 0.1, HamiltonianParams(omega, eps * omega), t, 7,
+                        accuracy=1e-11,
                     )
                     assert got == step_results[1]
 
@@ -157,7 +158,7 @@ def test_criterion_6_operator_identities():
 def test_criterion_7_entropy():
     with criterion(7, "entropy: oracle vs closed form, phase relation, Fig.1 curve"):
         for r in R_GRID:
-            N = fock.cutoff_for_tolerance(r, 1e-12)
+            N = fock.cutoff_for("mass", r, 1e-12)
             numeric = fock.entropy_numeric(fock.schmidt_state(r, 0.7, N))
             assert abs(numeric - phases.entropy_from_squeeze(r)) <= 1e-10
         for r in np.linspace(0.0, 3.0, 301):
@@ -193,7 +194,7 @@ def test_criterion_9_cli_verify_and_determinism():
     with criterion(9, "cmd_verify green under 60 s; sweep output byte-deterministic"):
         started = time.perf_counter()
         sink = io.StringIO()
-        assert cmd_verify(fock.DEFAULT_POLICY, seed=0, stream=sink) == 0
+        assert cmd_verify(fock.DEFAULT_MAX_CUTOFF, seed=0, stream=sink) == 0
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
         assert "VERDICT: PASS" in sink.getvalue()

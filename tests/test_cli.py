@@ -222,6 +222,33 @@ class TestMainEntry:
         assert main([]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--format", "json"],
+        ["verify", "--degrees"],
+        ["sweep", "--variable", "gamma_c", "--start", "0", "--stop", "1",
+         "--points", "3", "--seed", "3"],
+        ["sweep", "--variable", "gamma_c", "--start", "0", "--stop", "1",
+         "--points", "3", "--tolerance", "1e-9"],
+        ["decompose", "--tolerance", "5", "--seed", "3", "1", "0", "1", "0"],
+        ["decompose", "--max-cutoff", "9", "1", "0", "1", "0"],
+    ])
+    def test_flags_belong_to_their_subcommand(self, argv, capsys):
+        assert main(argv) == 2
+        capsys.readouterr()
+
+    def test_long_sweep_within_gate(self, capsys):
+        # The oracle's phase error grows with Omega t; its cutoff follows.
+        assert main(["sweep", "--variable", "omega_t", "--start", "0",
+                     "--stop", "62.83", "--points", "200", "--r", "2"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        column = lines[0].split(",").index("abs_error")
+        assert max(float(line.split(",")[column]) for line in lines[1:]) <= 1e-9
+
+    def test_squeeze_beyond_cutoff_reach_is_resource_error(self, capsys):
+        assert main(["sweep", "--variable", "omega_t", "--start", "0",
+                     "--stop", "1", "--points", "3", "--r", "19.5"]) == 3
+        assert "CUTOFF_EXCEEDED" in capsys.readouterr().err
+
     def test_sweep_degrees_scales_angles(self, capsys):
         argv = ["sweep", "--variable", "gamma_c", "--start", "0",
                 "--stop", str(TAU), "--points", "3"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmsvphase import fock, phases
 from tmsvphase.cli import circle_distance
@@ -14,10 +16,8 @@ from tmsvphase.errors import (
 from tmsvphase.fock import (
     DiagonalFockState,
     FullTwoModeOperator,
-    TruncationPolicy,
     bogoliubov_residual,
-    cutoff_for_expm_accuracy,
-    cutoff_for_tolerance,
+    cutoff_for,
     dynamical_integral,
     energy_expectation,
     entropy_numeric,
@@ -53,33 +53,121 @@ def _tail_by_summation(r, N, terms=4000):
 
 
 class TestCutoffForTolerance:
+    """Cutoffs for a dropped probability mass, the ``mass`` observable."""
+
     def test_vacuum_needs_nothing(self):
-        assert cutoff_for_tolerance(0.0, 1e-12) == 0
+        assert cutoff_for("mass", 0.0, 1e-12) == 0
 
     def test_unit_squeeze_frozen(self):
-        assert cutoff_for_tolerance(1.0, 1e-12) == 50
+        assert cutoff_for("mass", 1.0, 1e-12) == 50
 
     def test_frozen_secondary_points(self):
-        assert cutoff_for_tolerance(0.5, 1e-8) == 11
-        assert cutoff_for_tolerance(1.0, 1e-8) == 33
+        assert cutoff_for("mass", 0.5, 1e-8) == 11
+        assert cutoff_for("mass", 1.0, 1e-8) == 33
 
     @pytest.mark.parametrize("r,tol", [(1.0, 1e-12), (0.5, 1e-8), (1.7, 1e-10)])
     def test_minimality_against_summed_tail(self, r, tol):
-        N = cutoff_for_tolerance(r, tol)
+        N = cutoff_for("mass", r, tol)
         assert _tail_by_summation(r, N) <= tol
         if N > 0:
             assert _tail_by_summation(r, N - 1) > tol
 
     def test_smaller_squeeze_needs_smaller_cutoff(self):
-        assert cutoff_for_tolerance(0.5, 1e-8) < cutoff_for_tolerance(1.0, 1e-8)
+        assert cutoff_for("mass", 0.5, 1e-8) < cutoff_for("mass", 1.0, 1e-8)
 
     def test_cutoff_exceeded(self):
         with pytest.raises(CutoffExceededError):
-            cutoff_for_tolerance(1.0, 1e-12, max_cutoff=2)
+            cutoff_for("mass", 1.0, 1e-12, max_cutoff=2)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
-            cutoff_for_tolerance(1.0, 0.0)
+            cutoff_for("mass", 1.0, 0.0)
+
+
+OBSERVABLES = ("mass", "energy", "phase", "entropy", "expm")
+
+
+def _energy_tail_by_summation(r, wt, N, terms=6000):
+    """Brute-force energy-integral tail Omega t sum_{n>N} 2n |c_n|^2."""
+    n = np.arange(N + 1, N + 1 + terms)
+    return wt * float(np.sum(2.0 * n * np.tanh(r) ** (2 * n) / np.cosh(r) ** 2))
+
+
+def _predicted_tail(observable, r, wt, N):
+    """The closed-form tails cutoff_for documents, written out independently."""
+    x = math.tanh(r) ** 2
+    m = x ** (N + 1)
+    energy = wt * 2.0 * m * ((N + 1) * (1.0 - x) + x) / (1.0 - x)
+    return {
+        "mass": m,
+        "energy": energy,
+        "phase": energy + math.cosh(2.0 * r) * m,
+        "entropy": m * (1.0 - math.log(m)) / (1.0 - m) if m > 0.0 else 0.0,
+        "expm": math.tanh(r) ** (N + 1) / math.cosh(r),
+    }[observable]
+
+
+def _observed_error(observable, r, wt, N, accuracy):
+    """Oracle error against the closed form, and the scale its rounding has."""
+    if observable == "mass":
+        state = schmidt_state(r, 0.3, N)
+        overlap = overlap_numeric(state, evolve(state, H_UNIT, wt))
+        return abs(overlap - phases.overlap_analytic(r, 1.0, wt)), 1.0
+    if observable == "energy":
+        exact = 2.0 * wt * math.sinh(r) ** 2
+        got = dynamical_integral(r, 0.3, H_UNIT, wt, steps=2, accuracy=accuracy)
+        return abs(got - exact), exact
+    if observable == "phase":
+        breakdown = phases.geometric_phase(r, 1.0, wt)
+        got = geometric_phase_numeric(r, 0.3, H_UNIT, wt, accuracy=accuracy, steps=2)
+        scale = breakdown.dynamical_term_delta + 1.0
+        return circle_distance(got, breakdown.geometric_phase), scale
+    if observable == "entropy":
+        exact = phases.entropy_from_squeeze(r)
+        return abs(entropy_numeric(schmidt_state(r, 0.3, N)) - exact), exact
+    brute = squeeze_by_exponentiation(r, 0.3, N)
+    return float(np.abs(brute.coeffs - schmidt_state(r, 0.3, N).coeffs).max()), 1.0
+
+
+class TestCutoffFor:
+    def test_mass_cutoff_at_double_squeeze(self):
+        assert cutoff_for("mass", 2.0, 1e-12) == 377
+
+    def test_expm_cutoff_at_double_squeeze(self):
+        assert cutoff_for("expm", 2.0, 1e-11) == 655
+
+    @pytest.mark.parametrize("observable", OBSERVABLES)
+    def test_tanh_rounding_to_one_is_a_resource_error(self, observable):
+        assert math.tanh(19.5) == 1.0
+        with pytest.raises(CutoffExceededError):
+            cutoff_for(observable, 19.5, 1e-9, t=1.0)
+
+    @pytest.mark.parametrize("r,wt,accuracy", [(0.5, 0.7, 1e-8), (2.0, 62.83, 1e-9)])
+    def test_energy_minimal_against_summed_tail(self, r, wt, accuracy):
+        N = cutoff_for("energy", r, accuracy, t=wt)
+        assert _energy_tail_by_summation(r, wt, N) <= accuracy
+        assert _energy_tail_by_summation(r, wt, N - 1) > accuracy
+
+    def test_phase_cutoff_grows_with_evolution_time(self):
+        short = cutoff_for("phase", 2.0, 1e-9, t=0.1)
+        long = cutoff_for("phase", 2.0, 1e-9, t=62.83)
+        assert cutoff_for("mass", 2.0, 1e-9) <= short < long
+
+    @settings(deadline=None)
+    @given(
+        r=st.floats(0.05, 2.5),
+        wt=st.floats(0.0, 20 * math.pi),
+        observable=st.sampled_from(OBSERVABLES),
+        accuracy=st.sampled_from([1e-6, 1e-9]),
+    )
+    def test_observed_error_within_predicted_tail(self, r, wt, observable, accuracy):
+        if observable == "expm":
+            accuracy = 1e-2  # a dense expm of a few hundred rows at most
+        N = cutoff_for(observable, r, accuracy, t=wt)
+        predicted = _predicted_tail(observable, r, wt, N)
+        observed, scale = _observed_error(observable, r, wt, N, accuracy)
+        assert predicted <= accuracy
+        assert observed <= predicted + 64 * np.finfo(float).eps * scale
 
 
 class TestSchmidtState:
@@ -122,10 +210,13 @@ class TestStateValidation:
             state.coeffs[0] = 0.0
 
     def test_policy_validation(self):
+        for accuracy in (2.0, 1.0, -1e-9, float("nan")):
+            with pytest.raises(ValueError):
+                cutoff_for("mass", 1.0, accuracy)
         with pytest.raises(ValueError):
-            TruncationPolicy(tolerance=2.0)
+            cutoff_for("norm", 1.0, 1e-9)
         with pytest.raises(ValueError):
-            TruncationPolicy(margin=-1)
+            cutoff_for("mass", 1.0, 1e-9, max_cutoff=-1)
 
 
 class TestSqueezeByExponentiation:
@@ -136,7 +227,7 @@ class TestSqueezeByExponentiation:
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_matches_schmidt_at_accuracy_cutoff(self, r):
-        N = cutoff_for_expm_accuracy(r, 1e-10)
+        N = cutoff_for("expm", r, 1e-11)
         brute = squeeze_by_exponentiation(r, 0.3, N)
         closed = schmidt_state(r, 0.3, N)
         assert np.abs(brute.coeffs - closed.coeffs).max() < 1e-10
@@ -183,7 +274,7 @@ class TestEvolve:
     @pytest.mark.parametrize("r,phi,wt", [(0.3, 0.0, 0.7), (1.0, 1.1, 3.1), (2.0, 0.5, TAU)])
     def test_reparameterization_identity(self, r, phi, wt):
         omega = 1.3
-        N = cutoff_for_tolerance(r, 1e-12)
+        N = cutoff_for("mass", r, 1e-12)
         evolved = evolve(schmidt_state(r, phi, N), HamiltonianParams(omega), wt / omega)
         target = schmidt_state(r, phi - wt, N)
         assert np.abs(evolved.coeffs - target.coeffs).max() < 1e-14
@@ -204,13 +295,13 @@ class TestOverlapNumeric:
         assert 1.0 - 1e-12 <= got.real <= 1.0
 
     def test_half_period_frozen(self):
-        N = cutoff_for_tolerance(1.0, 1e-12)
+        N = cutoff_for("mass", 1.0, 1e-12)
         initial = schmidt_state(1.0, 0.0, N)
         got = overlap_numeric(initial, evolve(initial, H_UNIT, math.pi / 2))
         assert abs(got - INV_COSH_2) < 1e-12
 
     def test_quarter_period_argument(self):
-        N = cutoff_for_tolerance(1.0, 1e-12)
+        N = cutoff_for("mass", 1.0, 1e-12)
         initial = schmidt_state(1.0, 0.0, N)
         got = overlap_numeric(initial, evolve(initial, H_UNIT, math.pi / 4))
         assert abs(np.angle(got) - TOTAL_PHASE_QUARTER) < 1e-12
@@ -223,7 +314,7 @@ class TestOverlapNumeric:
     @pytest.mark.parametrize("r", [0.4, 1.0, 1.8])
     def test_agreement_scales_with_tolerance(self, r, tol):
         # the truncation tail bounds the overlap error at any tolerance
-        N = cutoff_for_tolerance(r, tol)
+        N = cutoff_for("mass", r, tol)
         initial = schmidt_state(r, 0.2, N)
         for wt in (0.6, 2.4, 5.1):
             numeric = overlap_numeric(initial, evolve(initial, H_UNIT, wt))
@@ -234,7 +325,7 @@ class TestOverlapNumeric:
         # at Omega t = 2 pi the evolved state coincides with the initial one,
         # so the overlap collapses to the squared norm (zero total phase)
         for r in (0.5, 1.0, 2.0):
-            state = schmidt_state(r, 0.3, cutoff_for_tolerance(r, 1e-12))
+            state = schmidt_state(r, 0.3, cutoff_for("mass", r, 1e-12))
             got = overlap_numeric(state, evolve(state, H_UNIT, TAU))
             assert abs(got - state.squared_norm()) < 1e-12
 
@@ -244,7 +335,7 @@ class TestEnergyExpectation:
         assert energy_expectation(schmidt_state(0.0, 0.0, 5), H_UNIT) == 0.0
 
     def test_unit_squeeze_frozen(self):
-        state = schmidt_state(1.0, 0.0, cutoff_for_tolerance(1.0, 1e-12))
+        state = schmidt_state(1.0, 0.0, cutoff_for("mass", 1.0, 1e-12))
         got = energy_expectation(state, H_UNIT)
         assert abs(got - ENERGY_R1) < 1e-9
 
@@ -289,10 +380,9 @@ class TestDynamicalIntegral:
             assert got == base
 
     def test_matches_formula_at_tight_tolerance(self):
-        policy = TruncationPolicy(tolerance=1e-15)
         for r in (0.1, 0.5, 1.0, 1.5, 2.0):
             for wt in (0.3, math.pi / 4, TAU):
-                got = dynamical_integral(r, 0.1, H_UNIT, wt, steps=3, policy=policy)
+                got = dynamical_integral(r, 0.1, H_UNIT, wt, steps=3, accuracy=1e-11)
                 assert abs(got - 2.0 * wt * math.sinh(r) ** 2) < 1e-10
 
     def test_rejects_bad_steps(self):
@@ -304,13 +394,23 @@ class TestGeometricPhaseNumeric:
     def test_vacuum(self):
         assert geometric_phase_numeric(0.0, 0.0, H_UNIT, 4.2) == 0.0
 
+    def test_builds_one_state(self, monkeypatch):
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return schmidt_state(*args)
+
+        monkeypatch.setattr(fock, "schmidt_state", counting)
+        geometric_phase_numeric(1.0, 0.2, H_UNIT, 1.3)
+        assert len(builds) == 1
+
     def test_quarter_period(self):
         got = geometric_phase_numeric(1.0, 0.0, H_UNIT, math.pi / 4)
         assert circle_distance(got, GAMMA_QUARTER) < 1e-8
 
     def test_full_cycle(self):
-        policy = TruncationPolicy(tolerance=1e-15)
-        got = geometric_phase_numeric(1.0, 0.0, H_UNIT, TAU, policy)
+        got = geometric_phase_numeric(1.0, 0.0, H_UNIT, TAU, accuracy=1e-10)
         assert circle_distance(got, GAMMA_CYCLE_REDUCED) < 1e-9
 
     def test_agrees_with_analytic_on_grid(self):
@@ -333,7 +433,7 @@ class TestGeometricPhaseNumeric:
     def test_gauge_shift_moves_both_terms_oppositely(self):
         # shift c changes arg overlap by -ct and the integral by +ct
         r, t, c = 0.8, 1.3, 0.9
-        N = cutoff_for_tolerance(r, 1e-12)
+        N = cutoff_for("mass", r, 1e-12)
         initial = schmidt_state(r, 0.0, N)
         plain = overlap_numeric(initial, evolve(initial, H_UNIT, t))
         shifted = overlap_numeric(initial, evolve(initial, H_UNIT, t, energy_shift=c))
@@ -350,12 +450,12 @@ class TestEntropyNumeric:
         assert entropy_numeric(schmidt_state(0.0, 0.0, 4)) == 0.0
 
     def test_half_squeeze_frozen(self):
-        state = schmidt_state(0.5, 0.0, cutoff_for_tolerance(0.5, 1e-12))
+        state = schmidt_state(0.5, 0.0, cutoff_for("mass", 0.5, 1e-12))
         assert abs(entropy_numeric(state) - ENTROPY_HALF) < 1e-10
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 1.5, 2.0])
     def test_agrees_with_closed_form(self, r):
-        state = schmidt_state(r, 0.7, cutoff_for_tolerance(r, 1e-12))
+        state = schmidt_state(r, 0.7, cutoff_for("mass", r, 1e-12))
         assert abs(entropy_numeric(state) - phases.entropy_from_squeeze(r)) < 1e-10
 
     def test_independent_of_phase_angle(self):
@@ -367,7 +467,7 @@ class TestEntropyNumeric:
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_bias_scales_with_tolerance(self, tol):
         for r in (0.5, 1.0, 1.5):
-            state = schmidt_state(r, 0.0, cutoff_for_tolerance(r, tol))
+            state = schmidt_state(r, 0.0, cutoff_for("entropy", r, tol))
             gap = abs(entropy_numeric(state) - phases.entropy_from_squeeze(r))
             assert gap <= 100.0 * tol
 

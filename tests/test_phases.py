@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -93,6 +94,15 @@ class TestOverlap:
     def test_rejects_overflowing_r(self):
         with pytest.raises(ValueError):
             overlap_analytic(21.0, 1.0, 1.0)
+
+    def test_matches_mpmath_at_large_squeeze(self):
+        with mpmath.workdps(50):
+            r = mpmath.mpf(10)
+            for wt in (1e-9, 0.3, 1.0, math.pi / 2, 3.0, math.pi, 4.5, TAU):
+                want = 1 / (mpmath.cosh(r) ** 2
+                            - mpmath.sinh(r) ** 2 * mpmath.exp(-2j * mpmath.mpf(wt)))
+                got = overlap_analytic(10.0, 1.0, wt)
+                assert abs(mpmath.mpc(got) - want) <= 1e-12 * abs(want)
 
 
 class TestTotalPhaseFactor:
