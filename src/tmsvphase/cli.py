@@ -606,7 +606,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--t", type=float, default=1.0,
                        help="fixed evolution time (r sweeps), default 1")
     sweep.add_argument("--max-cutoff", type=int, default=fock.DEFAULT_MAX_CUTOFF,
-                       help=max_cutoff_help)
+                       help=max_cutoff_help + ", which lets an r sweep at "
+                            "Omega t = 1 reach r ~ 3.15 (exit 3 beyond)")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="table format, default csv")
     sweep.add_argument("--degrees", action="store_true", help=degrees_help)

@@ -2,10 +2,10 @@
 
 Everything the closed forms in :mod:`tmsvphase.phases` claim is recomputed
 here from first principles: states as coefficient vectors, squeezing by
-matrix exponential of the generator, time evolution as literal Hamiltonian
-phase factors, numerical inner products, quadrature of the energy
-expectation, entropy of the Schmidt spectrum, and operator-identity
-residuals on the full two-mode space.
+exponentiating the generator through its eigendecomposition, evolution as
+literal Hamiltonian phase factors, numerical inner products, quadrature of
+the energy expectation, entropy of the Schmidt spectrum, and
+operator-identity residuals on the full two-mode space.
 
 Two representations are used, chosen by what truncation does to them:
 
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffExceededError, CutoffMismatchError, ExpmNotConvergedError
 from .phases import HamiltonianParams
@@ -69,11 +68,10 @@ class DiagonalFockState:
             )
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("coefficients must be finite")
-        squared_norm = float(np.sum(np.abs(arr) ** 2))
-        if squared_norm > 1.0 + 1e-12:
-            raise ValueError(f"state over-normalized: |psi|^2 = {squared_norm}")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+        if self.squared_norm() > 1.0 + 1e-12:
+            raise ValueError(f"state over-normalized: |psi|^2 = {self.squared_norm()}")
 
     def squared_norm(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
@@ -211,12 +209,9 @@ def _diagonal_generator(r: float, phi: float, N: int) -> np.ndarray:
     off-diagonals below.
     """
     n = np.arange(1, N + 1, dtype=np.float64)
-    gen = np.zeros((N + 1, N + 1), dtype=np.complex128)
     lower = r * np.exp(-2j * phi) * n  # maps component n to n-1
     raise_ = -r * np.exp(2j * phi) * n  # maps component n-1 to n, weight n
-    gen += np.diag(lower, 1)
-    gen += np.diag(raise_, -1)
-    return gen
+    return np.diag(lower, 1) + np.diag(raise_, -1)
 
 
 def squeeze_by_exponentiation(
@@ -225,11 +220,11 @@ def squeeze_by_exponentiation(
     """Apply exp(generator) to the vacuum on the diagonal subspace.
 
     This is the brute-force route that :func:`schmidt_state` is checked
-    against.  The truncated generator is exactly anti-Hermitian, so the
-    exponential is unitary and the result keeps unit norm; what truncation
-    costs is a boundary reflection of order tanh^{N+1}|r|/cosh r in the
-    coefficients.  Pick N with ``cutoff_for("expm", ...)`` when a specific
-    componentwise accuracy is needed.
+    against.  The truncated generator G is exactly anti-Hermitian, so iG =
+    V diag(w) V^dag is Hermitian and exp(G) = V diag(e^{-iw}) V^dag is
+    unitary: the result keeps unit norm.  What truncation costs is a
+    boundary reflection of order tanh^{N+1}|r|/cosh r in the coefficients.
+    Pick N with ``cutoff_for("expm", ...)`` for a componentwise accuracy.
 
     Raises
     ------
@@ -245,8 +240,8 @@ def squeeze_by_exponentiation(
         raise ValueError("cutoff must be nonnegative")
     if N > max_cutoff:
         raise CutoffExceededError(f"cutoff {N} exceeds max_cutoff={max_cutoff}")
-    op = expm(_diagonal_generator(r, phi, N))
-    coeffs = op[:, 0].copy()
+    w, v = np.linalg.eigh(1j * _diagonal_generator(r, phi, N))
+    coeffs = v @ (np.exp(-1j * w) * v[0].conj())
     norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > _EXPM_NORM_TOL:
         raise ExpmNotConvergedError(
@@ -258,6 +253,12 @@ def squeeze_by_exponentiation(
     return DiagonalFockState(cutoff=N, coeffs=coeffs)
 
 
+def _energies(h: HamiltonianParams, N: int) -> np.ndarray:
+    """Omega(n+n) + epsilon(n-n) on |n>|n>; epsilon cancels arithmetically."""
+    n = np.arange(N + 1)
+    return h.Omega * (n + n) + h.epsilon * (n - n)
+
+
 def evolve(
     state: DiagonalFockState,
     h: HamiltonianParams,
@@ -267,15 +268,13 @@ def evolve(
     """Evolve under H = Omega(n+ + n-) + epsilon(n+ - n-) + energy_shift.
 
     On |n>|n> both occupations equal n, so the phase is written literally
-    as e^{-i [Omega(n+n) + epsilon(n-n) + shift] t}; the epsilon term
-    cancels arithmetically rather than being dropped.  ``energy_shift``
+    as e^{-i [Omega(n+n) + epsilon(n-n) + shift] t}.  ``energy_shift``
     adds a multiple of the identity, which is the gauge transformation the
     geometric phase must not see.
     """
     t = _require_finite("t", t)
     shift = _require_finite("energy_shift", energy_shift)
-    n = np.arange(state.cutoff + 1)
-    energies = h.Omega * (n + n) + h.epsilon * (n - n) + shift
+    energies = _energies(h, state.cutoff) + shift
     return DiagonalFockState(
         cutoff=state.cutoff,
         coeffs=state.coeffs * np.exp(-1j * energies * t),
@@ -305,26 +304,26 @@ def energy_expectation(
     2 Omega sinh^2 r up to the truncation tail, independent of phi and t.
     """
     shift = _require_finite("energy_shift", energy_shift)
-    n = np.arange(state.cutoff + 1)
-    energies = h.Omega * (n + n) + h.epsilon * (n - n)
+    energies = _energies(h, state.cutoff)
     return float(np.sum(energies * np.abs(state.coeffs) ** 2)) + shift
 
 
 def _energy_integral(
     initial: DiagonalFockState, h: HamiltonianParams, t: float, steps: int, shift: float
 ) -> float:
-    """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] from ``initial``."""
+    """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] from ``initial``.
+
+    Row k of ``evolved`` is ``evolve(initial, h, tau_k, shift)``, element for
+    element, and ``values`` repeats :func:`energy_expectation` row by row.
+    """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     taus = np.linspace(0.0, t, steps + 1)
-    values = np.array(
-        [
-            energy_expectation(evolve(initial, h, tau, shift), h, shift)
-            for tau in taus
-        ]
-    )
+    energies = _energies(h, initial.cutoff)
+    evolved = initial.coeffs * np.exp(-1j * (energies + shift) * taus[:, None])
+    values = np.sum(energies * np.abs(evolved) ** 2, axis=1) + shift
     return float(np.trapezoid(values, taus))
 
 

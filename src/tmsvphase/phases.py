@@ -176,14 +176,14 @@ def entropy_from_squeeze(r: float) -> float:
     """Von Neumann entanglement entropy cosh^2 r ln cosh^2 r - sinh^2 r ln sinh^2 r.
 
     In nats; the r = 0 limit (0 ln 0 -> 0) is the product state with zero
-    entropy.
+    entropy.  Evaluated as (1 + sinh^2 r) log1p(sinh^2 r) - sinh^2 r ln sinh^2 r:
+    ln cosh^2 r would lose an ulp of 1 at small r.
     """
     r = check_squeeze_factor(r)
     sh2 = math.sinh(r) ** 2
     if sh2 == 0.0:
         return 0.0
-    ch2 = math.cosh(r) ** 2
-    return ch2 * math.log(ch2) - sh2 * math.log(sh2)
+    return (1.0 + sh2) * math.log1p(sh2) - sh2 * math.log(sh2)
 
 
 def entropy_from_cyclic_phase(gamma_c_unreduced: float) -> float:

@@ -178,19 +178,27 @@ def decompose_product(
         With ``degenerate=True`` when R = 0 (within 1e-12), in which case
         Phi carries no information; Theta is still meaningful.
     """
-    m = multiply(
-        c_matrix(doubleprime),
-        c_matrix(SqueezeParams(-prime.r, prime.phi)),
+    a = c_matrix(doubleprime)
+    b = c_matrix(SqueezeParams(-prime.r, prime.phi))
+    m11 = a.m11 * b.m11 + a.m12 * b.m12.conjugate()  # as in multiply
+    # multiply's m12 is the difference of two terms of size sinh r cosh r,
+    # which loses all relative accuracy near the identity.  With
+    # delta = phi'' - phi' the same entry is free of cancellation:
+    delta = doubleprime.phi - prime.phi
+    m12 = cmath.exp(2j * prime.phi) * (
+        2j * cmath.exp(1j * delta) * math.sin(delta)
+        * math.sinh(doubleprime.r) * math.cosh(prime.r)
+        + math.sinh(doubleprime.r - prime.r)
     )
     # math.atan2 instead of cmath.phase: the latter raises OverflowError on
     # subnormal components (libm underflow reported as ERANGE).
-    theta = math.atan2(m.m11.imag, m.m11.real)
-    big_r = math.asinh(abs(m.m12))
+    theta = math.atan2(m11.imag, m11.real)
+    big_r = math.asinh(abs(m12))
     degenerate = big_r <= DEGENERATE_R
     if degenerate:
         phi = 0.0
     else:
-        phi = 0.5 * (math.atan2(m.m12.imag, m.m12.real) + theta)
+        phi = 0.5 * (math.atan2(m12.imag, m12.real) + theta)
     return DecompositionTriple(R=big_r, Phi=phi, Theta=theta, degenerate=degenerate)
 
 

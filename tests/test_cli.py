@@ -249,6 +249,15 @@ class TestMainEntry:
                      "--stop", "1", "--points", "3", "--r", "19.5"]) == 3
         assert "CUTOFF_EXCEEDED" in capsys.readouterr().err
 
+    def test_r_sweep_reach_follows_max_cutoff(self, capsys):
+        # At Omega t = 1 the oracle column needs N > 4096 above r ~ 3.15.
+        argv = ["sweep", "--variable", "r", "--start", "0", "--stop", "4",
+                "--points", "5"]
+        assert main(argv) == 3
+        assert "CUTOFF_EXCEEDED" in capsys.readouterr().err
+        assert main(argv + ["--max-cutoff", "30000"]) == 0
+        capsys.readouterr()
+
     def test_sweep_degrees_scales_angles(self, capsys):
         argv = ["sweep", "--variable", "gamma_c", "--start", "0",
                 "--stop", str(TAU), "--points", "3"]
@@ -262,6 +271,15 @@ class TestMainEntry:
         # entropy column is not an angle and must be unchanged
         assert (radians_out.strip().split("\n")[-1].split(",")[1]
                 == degrees_out.strip().split("\n")[-1].split(",")[1])
+
+    def test_import_loads_no_scipy(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, tmsvphase.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
     def test_console_entry_point_subprocess(self):
         result = subprocess.run(

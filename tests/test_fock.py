@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from tmsvphase import fock, phases
 from tmsvphase.cli import circle_distance
@@ -97,7 +98,9 @@ def _predicted_tail(observable, r, wt, N):
     """The closed-form tails cutoff_for documents, written out independently."""
     x = math.tanh(r) ** 2
     m = x ** (N + 1)
-    energy = wt * 2.0 * m * ((N + 1) * (1.0 - x) + x) / (1.0 - x)
+    # Omega t last, as in cutoff_for: a subnormal Omega t must not underflow
+    # the product before the other factors are in.
+    energy = 2.0 * m * ((N + 1) * (1.0 - x) + x) / (1.0 - x) * wt
     return {
         "mass": m,
         "energy": energy,
@@ -160,9 +163,11 @@ class TestCutoffFor:
         observable=st.sampled_from(OBSERVABLES),
         accuracy=st.sampled_from([1e-6, 1e-9]),
     )
+    @example(r=0.0546875, wt=0.0, observable="entropy", accuracy=1e-9)
+    @example(r=1.0, wt=5e-324, observable="energy", accuracy=1e-6)
     def test_observed_error_within_predicted_tail(self, r, wt, observable, accuracy):
         if observable == "expm":
-            accuracy = 1e-2  # a dense expm of a few hundred rows at most
+            accuracy = 1e-2  # an eigendecomposition of a few hundred rows at most
         N = cutoff_for(observable, r, accuracy, t=wt)
         predicted = _predicted_tail(observable, r, wt, N)
         observed, scale = _observed_error(observable, r, wt, N, accuracy)
@@ -242,6 +247,14 @@ class TestSqueezeByExponentiation:
         amplitude = math.tanh(r) ** (N + 1) / math.cosh(r)
         assert gap < 2.0 * amplitude
         assert gap > 0.1 * amplitude
+
+    @pytest.mark.parametrize("r,N", [(1.0, 91), (2.0, 377)])
+    def test_matches_pade_expm(self, r, N):
+        # scipy's scaling-and-squaring expm as an independent reference for
+        # the eigendecomposition, at the same truncation.
+        reference = expm(fock._diagonal_generator(r, 0.3, N))[:, 0]
+        brute = squeeze_by_exponentiation(r, 0.3, N)
+        assert np.abs(brute.coeffs - reference).max() <= 1e-13
 
     def test_result_is_normalized(self):
         # anti-Hermitian truncated generator: exactly unitary evolution
@@ -359,6 +372,15 @@ class TestEnergyExpectation:
         assert abs(base - evolved) < 1e-12
 
 
+def _energy_integral_by_loop(initial, h, t, steps, shift):
+    """Reference for the array trapezoid: one evolved state per tau."""
+    taus = np.linspace(0.0, t, steps + 1)
+    values = np.array(
+        [energy_expectation(evolve(initial, h, tau, shift), h, shift) for tau in taus]
+    )
+    return float(np.trapezoid(values, taus))
+
+
 class TestDynamicalIntegral:
     def test_vacuum(self):
         assert dynamical_integral(0.0, 0.0, H_UNIT, 3.0, steps=5) == 0.0
@@ -388,6 +410,15 @@ class TestDynamicalIntegral:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             dynamical_integral(1.0, 0.0, H_UNIT, 1.0, steps=0)
+
+    @pytest.mark.parametrize("steps", [1, 4, 200])
+    @pytest.mark.parametrize("shift", [0.0, -2.3])
+    @pytest.mark.parametrize("h", [H_UNIT, HamiltonianParams(1.3, 0.9)])
+    @pytest.mark.parametrize("r,t", [(0.5, 0.7), (2.0, 48.3)])
+    def test_array_equals_per_tau_loop_bit_for_bit(self, r, t, h, shift, steps):
+        initial = schmidt_state(r, 0.4, cutoff_for("mass", r, 1e-12))
+        got = fock._energy_integral(initial, h, t, steps, shift)
+        assert got == _energy_integral_by_loop(initial, h, t, steps, shift)
 
 
 class TestGeometricPhaseNumeric:
@@ -518,8 +549,6 @@ class TestTwoModeSqueezeOperator:
         # Cross-validation of the normal-ordered factorization against a
         # plain expm of the truncated generator, on entries far enough from
         # the cutoff that the expm route is itself trustworthy.
-        from scipy.linalg import expm
-
         r, eta, N = 0.3, 0.45, 16
         a_plus, a_minus = lowering_operators(N)
         generator = r * (

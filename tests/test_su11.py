@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tmsvphase.su11 import (
@@ -198,6 +198,7 @@ class TestDecompose:
             assert triple.R >= 0.0
 
     @given(squeeze_factors, angles, angles, st.floats(-2.0, 2.0, allow_nan=False))
+    @example(r=1.0, pp=1e-8, pd=0.0, shift=1.0)  # m12 near the identity
     def test_phi_shift_covariance(self, r, pp, pd, shift):
         base = decompose_product(params(r, pp), params(r, pd))
         moved = decompose_product(params(r, pp + shift), params(r, pd + shift))
