@@ -111,17 +111,19 @@ _COLUMNS = {
 }
 
 
-def _phase_columns(r, Omega, epsilon, phi, t, max_cutoff):
-    h = HamiltonianParams(Omega, epsilon)
-    overlap = phases.overlap_analytic(r, Omega, t)
-    breakdown = phases.geometric_phase(r, Omega, t)
-    gamma_numeric = fock.geometric_phase_numeric(
+def _gamma_numeric(r, phi, h, t, max_cutoff):
+    """The Fock oracle's geometric phase at t, a float or a 1-D grid."""
+    return fock.geometric_phase_numeric(
         r, phi, h, t, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
         max_cutoff=max_cutoff, steps=4,
     )
+
+
+def _phase_columns(r, Omega, t, gamma_numeric):
+    breakdown = phases.geometric_phase(r, Omega, t)
     return {
-        "re_overlap": overlap.real,
-        "im_overlap": overlap.imag,
+        "re_overlap": breakdown.overlap.real,
+        "im_overlap": breakdown.overlap.imag,
         "total_phase": breakdown.total_phase,
         "delta": breakdown.dynamical_term_delta,
         "gamma_mod_2pi": breakdown.geometric_phase,
@@ -131,25 +133,31 @@ def _phase_columns(r, Omega, epsilon, phi, t, max_cutoff):
 
 
 def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
-    """Evaluate the sweep grid; returns (headers, rows) with rows in grid order."""
+    """Evaluate the sweep grid; returns (headers, rows) with rows in grid order.
+
+    An ``omega_t`` sweep asks the oracle for the whole grid in one call; an
+    ``r`` sweep needs a new state per row and asks row by row.
+    """
     grid = np.linspace(spec.start, spec.stop, spec.points)
     fx = {"r": 1.0, "Omega": 1.0, "epsilon": 0.0, "phi": 0.0, "t": 1.0}
     fx.update(spec.fixed)
 
     rows = []
     if spec.variable == "omega_t":
-        for wt in grid:
-            t = float(wt) / fx["Omega"]
+        h = HamiltonianParams(fx["Omega"], fx["epsilon"])
+        ts = grid / fx["Omega"]
+        numeric = _gamma_numeric(fx["r"], fx["phi"], h, ts, max_cutoff)
+        for wt, t, gamma in zip(grid, ts, numeric):
             row = {"omega_t": float(wt)}
-            row.update(_phase_columns(fx["r"], fx["Omega"], fx["epsilon"],
-                                      fx["phi"], t, max_cutoff))
+            row.update(_phase_columns(fx["r"], fx["Omega"], float(t), float(gamma)))
             rows.append(row)
     elif spec.variable == "r":
+        h = HamiltonianParams(fx["Omega"], fx["epsilon"])
         for rv in grid:
             rv = float(rv)
             row = {"r": rv}
-            row.update(_phase_columns(rv, fx["Omega"], fx["epsilon"],
-                                      fx["phi"], fx["t"], max_cutoff))
+            gamma = _gamma_numeric(rv, fx["phi"], h, fx["t"], max_cutoff)
+            row.update(_phase_columns(rv, fx["Omega"], fx["t"], gamma))
             cyclic = phases.cyclic_geometric_phase(rv)
             row["gamma_c_unreduced"] = cyclic.unreduced
             row["gamma_c_reduced"] = cyclic.reduced

@@ -16,6 +16,13 @@ Two representations are used, chosen by what truncation does to them:
   (N+1)^2-dimensional product basis |n+>|n->, kept to small N
   (:class:`FullTwoModeOperator`).
 
+The geometric phase also runs over a whole grid of t, as an ``omega_t``
+sweep asks: it builds one Schmidt state at the grid's largest cutoff,
+each row reads the prefix its own cutoff keeps, and rows sharing a cutoff
+are evolved and integrated together in small blocks.  Each row keeps the
+reduction order of a lone evaluation, so the digits do not depend on the
+grid.
+
 Truncation error policy: the Schmidt coefficient of |n>|n> is
 (-e^{2i phi} tanh r)^n / cosh r, so every truncation error has a
 closed-form geometric tail in the cutoff N, and :func:`cutoff_for` is the
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,6 +53,9 @@ FULL_SPACE_MAX_CUTOFF = 32
 
 #: Norm defect above which an exponentiated generator is considered broken.
 _EXPM_NORM_TOL = 1e-12
+
+# Evolved coefficients per block of grid rows: 4 rows of 5 taus at N = 377.
+_BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -132,54 +142,78 @@ def cutoff_for(
         If the cutoff would exceed ``max_cutoff``, or if tanh r rounds to 1
         so that no finite cutoff drops a vanishing mass.
     """
+    return _cutoffs(observable, r, accuracy, [t], max_cutoff)[0]
+
+
+_OBSERVABLES = ("mass", "energy", "phase", "entropy", "expm")
+
+
+def _tails(r: float) -> dict[str, Callable[[int, float], float]]:
+    """The tails :func:`cutoff_for` documents, as functions of (N, |Omega t|), r > 0."""
+    log_tanh = math.log(math.tanh(r))
+    one_minus_x = 1.0 / math.cosh(r) ** 2
+
+    def mass(N: int, wt: float) -> float:
+        return math.exp(2.0 * (N + 1) * log_tanh)
+
+    def energy(N: int, wt: float) -> float:
+        weight = 2.0 * ((N + 1) * one_minus_x + 1.0 - one_minus_x) / one_minus_x
+        return mass(N, wt) * weight * wt
+
+    def entropy(N: int, wt: float) -> float:
+        log_mass = 2.0 * (N + 1) * log_tanh
+        return math.exp(log_mass) * (1.0 - log_mass) / -math.expm1(log_mass)
+
+    return {
+        "mass": mass,
+        "energy": energy,
+        "phase": lambda N, wt: energy(N, wt) + math.cosh(2.0 * r) * mass(N, wt),
+        "entropy": entropy,
+        "expm": lambda N, wt: math.exp((N + 1) * log_tanh) / math.cosh(r),
+    }
+
+
+def _cutoffs(
+    observable: str, r: float, accuracy: float, wts: Iterable[float], max_cutoff: int
+) -> list[int]:
+    """:func:`cutoff_for` at each evolution angle Omega t in ``wts``.
+
+    A row keeps the previous row's N while that is still the smallest,
+    tail(N) <= accuracy < tail(N - 1); otherwise it bisects, so a sorted
+    grid costs two tail evaluations per row between cutoff changes.
+    """
     r = abs(check_squeeze_factor(r))
-    wt = abs(_require_finite("t", t))
     if not (0.0 < accuracy < 1.0):
         raise ValueError(f"accuracy must lie in (0, 1), got {accuracy}")
     if max_cutoff < 0:
         raise ValueError("max_cutoff must be nonnegative")
-    log_tanh = math.log(math.tanh(r)) if r > 0.0 else -math.inf
-    one_minus_x = 1.0 / math.cosh(r) ** 2
-
-    def mass(N: int) -> float:
-        return math.exp(2.0 * (N + 1) * log_tanh)
-
-    def energy(N: int) -> float:
-        weight = 2.0 * ((N + 1) * one_minus_x + 1.0 - one_minus_x) / one_minus_x
-        return mass(N) * weight * wt
-
-    def entropy(N: int) -> float:
-        log_mass = 2.0 * (N + 1) * log_tanh
-        return math.exp(log_mass) * (1.0 - log_mass) / -math.expm1(log_mass)
-
-    tails = {
-        "mass": mass,
-        "energy": energy,
-        "phase": lambda N: energy(N) + math.cosh(2.0 * r) * mass(N),
-        "entropy": entropy,
-        "expm": lambda N: math.exp((N + 1) * log_tanh) / math.cosh(r),
-    }
-    if observable not in tails:
-        raise ValueError(f"unknown observable {observable!r}, not in {list(tails)}")
-    if r == 0.0:
-        return 0
-    if log_tanh == 0.0:
+    if observable not in _OBSERVABLES:
+        raise ValueError(f"unknown observable {observable!r}, not in {list(_OBSERVABLES)}")
+    if math.tanh(r) == 1.0:
         raise CutoffExceededError(f"tanh r rounds to 1 at r={r}: no cutoff is enough")
-    tail = tails[observable]
-    if tail(max_cutoff) > accuracy:
-        raise CutoffExceededError(
-            f"{observable} to {accuracy:g} at r={r}, Omega t={wt:g} needs a "
-            f"cutoff above max_cutoff={max_cutoff}"
-        )
-    # Bisection keeps tail(lo) > accuracy >= tail(hi), with tail(-1) > accuracy.
-    lo, hi = -1, max_cutoff
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tail(mid) <= accuracy:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    tail = _tails(r)[observable] if r > 0.0 else None
+    cutoffs = []
+    N = -1
+    for wt in wts:
+        wt = abs(_require_finite("t", wt))
+        if tail is None:
+            N = 0
+        elif N < 0 or tail(N, wt) > accuracy or (N > 0 and tail(N - 1, wt) <= accuracy):
+            if tail(max_cutoff, wt) > accuracy:
+                raise CutoffExceededError(
+                    f"{observable} to {accuracy:g} at r={r}, Omega t={wt:g} needs a "
+                    f"cutoff above max_cutoff={max_cutoff}"
+                )
+            # Bisection keeps tail(lo) > accuracy >= tail(hi), with tail(-1) > accuracy.
+            lo, N = -1, max_cutoff
+            while N - lo > 1:
+                mid = (lo + N) // 2
+                if tail(mid, wt) <= accuracy:
+                    N = mid
+                else:
+                    lo = mid
+        cutoffs.append(N)
+    return cutoffs
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +342,65 @@ def energy_expectation(
     return float(np.sum(energies * np.abs(state.coeffs) ** 2)) + shift
 
 
-def _energy_integral(
-    initial: DiagonalFockState, h: HamiltonianParams, t: float, steps: int, shift: float
-) -> float:
-    """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] from ``initial``.
+def _tau_grids(ts: np.ndarray, steps: int) -> np.ndarray:
+    """Row i is np.linspace(0.0, ts[i], steps + 1), element for element.
 
-    Row k of ``evolved`` is ``evolve(initial, h, tau_k, shift)``, element for
-    element, and ``values`` repeats :func:`energy_expectation` row by row.
+    One linspace over all rows would differ: if any row's step t / steps is
+    zero, numpy forms every row as (k / steps) t instead of k (t / steps).
+    """
+    k = np.arange(steps + 1, dtype=np.float64)
+    step = ts[:, None] / steps
+    taus = np.where(step == 0.0, k / steps * ts[:, None], k * step) + 0.0
+    taus[:, -1] = ts
+    return taus
+
+
+def _energy_integrals(
+    state: DiagonalFockState,
+    h: HamiltonianParams,
+    ts: np.ndarray,
+    cutoffs: list[int],
+    steps: int,
+    shift: float,
+) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
+    """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] for each t in ``ts``.
+
+    Row i starts from the first cutoffs[i] + 1 coefficients of ``state``.
+    Rows that share a cutoff go through together, as many as fit in
+    _BLOCK_ELEMENTS evolved coefficients (one at least).  Yields (i,
+    integral, psi(0), psi(t)) per row.  Element for element, psi(tau_k) is
+    ``evolve(psi(0), h, tau_k, shift)`` with psi(t) its last tau, each
+    value repeats :func:`energy_expectation`, and each trapezoid runs on
+    its own row: a 2-D reduction may add in another order and move the
+    last bit.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    taus = np.linspace(0.0, t, steps + 1)
-    energies = _energies(h, initial.cutoff)
-    evolved = initial.coeffs * np.exp(-1j * (energies + shift) * taus[:, None])
-    values = np.sum(energies * np.abs(evolved) ** 2, axis=1) + shift
-    return float(np.trapezoid(values, taus))
+    negative = ts[ts < 0.0]
+    if negative.size:
+        raise ValueError(f"t must be nonnegative, got {negative[0]}")
+    cutoffs = np.asarray(cutoffs)
+    order = np.argsort(cutoffs, kind="stable")
+    done = 0
+    while done < order.size:
+        N = int(cutoffs[order[done]])
+        size = max(1, _BLOCK_ELEMENTS // ((steps + 1) * (N + 1)))
+        rows = order[done : done + size]
+        rows = rows[cutoffs[rows] == N]
+        done += rows.size
+        initial = state.coeffs[: N + 1]
+        taus = _tau_grids(ts[rows], steps)
+        energies = _energies(h, N)
+        evolved = initial * np.exp(-1j * (energies + shift) * taus[:, :, None])
+        weights = np.abs(evolved) ** 2
+        values = np.sum(energies * weights, axis=-1) + shift
+        norms = weights[:, -1].sum(axis=-1)
+        if not np.isfinite(norms).all():
+            raise ValueError("coefficients must be finite")
+        if norms.max() > 1.0 + 1e-12:
+            raise ValueError(f"state over-normalized: |psi|^2 = {norms.max()}")
+        for i, row_values, row_taus, final in zip(rows, values, taus, evolved[:, -1]):
+            yield int(i), float(np.trapezoid(row_values, row_taus)), initial, final
 
 
 def dynamical_integral(
@@ -346,35 +422,53 @@ def dynamical_integral(
     the cutoff is chosen for.
     """
     N = cutoff_for("energy", r, accuracy, t=h.Omega * t, max_cutoff=max_cutoff)
-    return _energy_integral(schmidt_state(r, phi, N), h, t, steps, energy_shift)
+    ts = np.array([t], dtype=np.float64)
+    ((_, integral, _, _),) = _energy_integrals(
+        schmidt_state(r, phi, N), h, ts, [N], steps, energy_shift
+    )
+    return integral
 
 
 def geometric_phase_numeric(
     r: float,
     phi: float,
     h: HamiltonianParams,
-    t: float,
+    t: float | np.ndarray,
     *,
     accuracy: float = 1e-10,
     max_cutoff: int = DEFAULT_MAX_CUTOFF,
     energy_shift: float = 0.0,
     steps: int = 16,
-) -> float:
+) -> float | np.ndarray:
     """Kinematic geometric phase arg<psi(0)|psi(t)> + integral, in [0, 2 pi).
 
-    Computed entirely from one truncated state: overlap by summation,
-    energy integral by quadrature.  Agrees with
+    Computed entirely from truncated states: overlap by summation, energy
+    integral by quadrature.  Agrees with
     :func:`tmsvphase.phases.geometric_phase` within ``accuracy``, the phase
-    tail the cutoff is chosen for at this Omega t.
+    tail the cutoff is chosen for at each Omega t.
+
+    ``t`` may be a 1-D array of times; the result is then an array, row i
+    bit for bit the value at t[i] alone.  The whole grid uses one Schmidt
+    state, built at its largest cutoff; row i reads the prefix its own
+    ``cutoff_for("phase", ...)`` keeps, and psi(t) is the last tau of the
+    quadrature, so no row builds or evolves a state of its own.
     """
-    N = cutoff_for("phase", r, accuracy, t=h.Omega * t, max_cutoff=max_cutoff)
-    initial = schmidt_state(r, phi, N)
-    evolved = evolve(initial, h, t, energy_shift)
-    overlap = overlap_numeric(initial, evolved)
-    total = math.atan2(overlap.imag, overlap.real)
-    delta = _energy_integral(initial, h, t, steps, energy_shift)
-    gamma = (total + delta) % (2.0 * math.pi)
-    return 0.0 if gamma >= 2.0 * math.pi else gamma
+    ts = np.asarray(t, dtype=np.float64)
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a float or a 1-D array, got shape {ts.shape}")
+    scalar = ts.ndim == 0
+    ts = ts.reshape(-1)
+    wts = (h.Omega * float(tt) for tt in ts)
+    cutoffs = _cutoffs("phase", r, accuracy, wts, max_cutoff)
+    state = schmidt_state(r, phi, max(cutoffs, default=0))
+    shift = _require_finite("energy_shift", energy_shift)
+    gammas = np.empty(ts.size)
+    for i, delta, initial, final in _energy_integrals(state, h, ts, cutoffs, steps, shift):
+        overlap = complex(np.vdot(initial, final))
+        total = math.atan2(overlap.imag, overlap.real)
+        gamma = (total + delta) % (2.0 * math.pi)
+        gammas[i] = 0.0 if gamma >= 2.0 * math.pi else gamma
+    return float(gammas[0]) if scalar else gammas
 
 
 def entropy_numeric(state: DiagonalFockState) -> float:

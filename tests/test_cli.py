@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import hashlib
 import io
 import json
 import math
@@ -152,6 +153,32 @@ class TestSweepJson:
         assert abs(payload["rows"][-1]["entropy"] - ENTROPY_FIG1_END) < 1e-11
 
 
+class TestSweepGoldenBytes:
+    """sha256 of sweep stdout, recorded while the oracle still ran point by point.
+
+    Every printed digit depends on the last bit of each oracle row, so the
+    grid evaluation must reproduce the per-point arithmetic exactly.
+    Recorded with numpy 2.4 on x86-64 Linux.
+    """
+
+    OMEGA_T = ["sweep", "--variable", "omega_t", "--start", "0",
+               "--stop", "6.283185307179586", "--points", "500",
+               "--r", "2", "--phi", "0.7", "--epsilon", "0.3"]
+    R = ["sweep", "--variable", "r", "--start", "0", "--stop", "2",
+         "--points", "50", "--phi", "0.7", "--epsilon", "0.3"]
+
+    @pytest.mark.parametrize("argv,digest", [
+        (OMEGA_T, "8e0472ddd8e1feb755bf78e612bae7ac04efea017694b3623224a41a361b73fc"),
+        (OMEGA_T + ["--format", "json"],
+         "5cb451fd8efaaa51130f3de668d846320fe7bff2ab38e773372e1cfa0b449dca"),
+        (R, "0495b283294dd7eec1519f7446c76c6658b9222d8f31975eecbee5823a2f5ee0"),
+    ], ids=["omega_t-csv", "omega_t-json", "r-csv"])
+    def test_stdout_digest(self, argv, digest, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestDecomposeCommand:
     def run(self, prime, dbl, degrees=False):
         out = io.StringIO()
@@ -217,6 +244,12 @@ class TestMainEntry:
                      "--points", "3", "--epsilon", "2.0"])
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_omega_t_sweep_rejects_zero_frequency(self, capsys):
+        code = main(["sweep", "--variable", "omega_t", "--start", "0", "--stop", "1",
+                     "--points", "3", "--omega", "0"])
+        assert code == 2
+        assert "Omega must be positive" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2

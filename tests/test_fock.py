@@ -381,6 +381,26 @@ def _energy_integral_by_loop(initial, h, t, steps, shift):
     return float(np.trapezoid(values, taus))
 
 
+def _energy_integral_per_point(initial, h, t, steps, shift):
+    """Reference for the grid quadrature: one point's (steps+1) x (N+1) block."""
+    taus = np.linspace(0.0, t, steps + 1)
+    energies = fock._energies(h, initial.cutoff)
+    evolved = initial.coeffs * np.exp(-1j * (energies + shift) * taus[:, None])
+    values = np.sum(energies * np.abs(evolved) ** 2, axis=1) + shift
+    return float(np.trapezoid(values, taus))
+
+
+def _geometric_phase_per_point(r, phi, h, t, accuracy, shift, steps):
+    """Reference for the grid oracle: its own cutoff, state and evolved state."""
+    N = cutoff_for("phase", r, accuracy, t=h.Omega * t)
+    initial = schmidt_state(r, phi, N)
+    overlap = overlap_numeric(initial, evolve(initial, h, t, shift))
+    total = math.atan2(overlap.imag, overlap.real)
+    delta = _energy_integral_per_point(initial, h, t, steps, shift)
+    gamma = (total + delta) % (2.0 * math.pi)
+    return 0.0 if gamma >= 2.0 * math.pi else gamma
+
+
 class TestDynamicalIntegral:
     def test_vacuum(self):
         assert dynamical_integral(0.0, 0.0, H_UNIT, 3.0, steps=5) == 0.0
@@ -417,7 +437,9 @@ class TestDynamicalIntegral:
     @pytest.mark.parametrize("r,t", [(0.5, 0.7), (2.0, 48.3)])
     def test_array_equals_per_tau_loop_bit_for_bit(self, r, t, h, shift, steps):
         initial = schmidt_state(r, 0.4, cutoff_for("mass", r, 1e-12))
-        got = fock._energy_integral(initial, h, t, steps, shift)
+        ((_, got, _, _),) = fock._energy_integrals(
+            initial, h, np.array([t]), [initial.cutoff], steps, shift
+        )
         assert got == _energy_integral_by_loop(initial, h, t, steps, shift)
 
 
@@ -475,6 +497,103 @@ class TestGeometricPhaseNumeric:
         d_shift = dynamical_integral(r, 0.0, H_UNIT, t, steps=4, energy_shift=c)
         assert abs((d_shift - d_plain) - c * t) < 1e-12
 
+
+@st.composite
+def _t_grids(draw):
+    """1-60 times, ascending, descending, shuffled or with repeats."""
+    ts = draw(st.lists(st.floats(0.0, TAU), min_size=1, max_size=60))
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled", "repeated"]))
+    if order == "ascending":
+        return sorted(ts)
+    if order == "descending":
+        return sorted(ts, reverse=True)
+    if order == "shuffled":
+        return draw(st.permutations(ts))
+    return [t for t in ts for _ in (0, 1)][:60]
+
+
+class TestGeometricPhaseGrid:
+    """A grid of t gives, row for row and bit for bit, the per-point values."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        r=st.floats(0.05, 2.5),
+        phi=st.floats(-math.pi, math.pi),
+        omega=st.floats(0.5, 2.0),
+        eps_frac=st.floats(-0.9, 0.9),
+        shift=st.sampled_from([0.0, -2.0, 5.0]),
+        steps=st.sampled_from([1, 4, 7, 16, 200]),
+        ts=_t_grids(),
+    )
+    def test_equals_per_point_bit_for_bit(self, r, phi, omega, eps_frac, shift, steps, ts):
+        h = HamiltonianParams(omega, eps_frac * omega)
+        real_cutoffs = fock._cutoffs
+        seen = []
+
+        def spy(*args):
+            seen.append(real_cutoffs(*args))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fock, "_cutoffs", spy)
+            got = geometric_phase_numeric(
+                r, phi, h, np.array(ts), accuracy=1e-9, energy_shift=shift, steps=steps
+            )
+        want = [_geometric_phase_per_point(r, phi, h, t, 1e-9, shift, steps) for t in ts]
+        assert got.tolist() == want
+        assert seen == [[cutoff_for("phase", r, 1e-9, t=h.Omega * t) for t in ts]]
+        scalar = geometric_phase_numeric(
+            r, phi, h, ts[0], accuracy=1e-9, energy_shift=shift, steps=steps
+        )
+        assert scalar == want[0]
+
+    @pytest.mark.parametrize("r,steps", [(2.0, 4), (0.5, 16), (0.3, 7), (1.0, 1)])
+    def test_sweep_grid_equals_per_point(self, r, steps):
+        # (0.5, 16) packs about 11 rows of 17 taus into a block, where a 2-D
+        # trapezoid would move the last bit of most rows.
+        h = HamiltonianParams(1.0, 0.3)
+        ts = np.linspace(0.0, TAU, 200)
+        got = geometric_phase_numeric(r, 0.7, h, ts, accuracy=1e-9, steps=steps)
+        want = [_geometric_phase_per_point(r, 0.7, h, t, 1e-9, 0.0, steps) for t in ts]
+        assert got.tolist() == want
+
+    def test_zero_and_subnormal_times_share_a_block(self):
+        ts = np.array([0.0, 5e-324, 1e-320, 0.3, 2.9, -0.0])
+        got = geometric_phase_numeric(0.4, 0.1, H_UNIT, ts, steps=16)
+        want = [_geometric_phase_per_point(0.4, 0.1, H_UNIT, t, 1e-10, 0.0, 16) for t in ts]
+        assert got.tolist() == want
+
+    def test_builds_one_state_at_the_largest_cutoff(self, monkeypatch):
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return schmidt_state(*args)
+
+        monkeypatch.setattr(fock, "schmidt_state", counting)
+        ts = np.linspace(0.0, 3 * TAU, 50)
+        geometric_phase_numeric(2.0, 0.2, H_UNIT, ts, accuracy=1e-9)
+        assert builds == [(2.0, 0.2, cutoff_for("phase", 2.0, 1e-9, t=ts[-1]))]
+
+    def test_shapes(self):
+        assert isinstance(geometric_phase_numeric(1.0, 0.0, H_UNIT, 1.3), float)
+        grid = geometric_phase_numeric(1.0, 0.0, H_UNIT, [1.3, 0.2])
+        assert isinstance(grid, np.ndarray) and grid.shape == (2,)
+        assert geometric_phase_numeric(1.0, 0.0, H_UNIT, np.array([])).shape == (0,)
+        with pytest.raises(ValueError):
+            geometric_phase_numeric(1.0, 0.0, H_UNIT, np.ones((2, 2)))
+
+    def test_rejects_a_negative_time_anywhere(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            geometric_phase_numeric(1.0, 0.0, H_UNIT, [0.5, -0.1, 2.0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_evolution_is_rejected(self):
+        # The shifted phase overflows; each row's evolved state is checked.
+        with pytest.raises(ValueError, match="finite"):
+            geometric_phase_numeric(0.0, 0.0, H_UNIT, [1.0, 1e308], energy_shift=5.0)
+        with pytest.raises(ValueError, match="finite"):
+            geometric_phase_numeric(0.0, 0.0, H_UNIT, 1e308, energy_shift=5.0)
 
 class TestEntropyNumeric:
     def test_vacuum(self):
