@@ -15,7 +15,6 @@ The package has two independent computational routes and a front end:
 from .errors import CutoffExceededError, CutoffMismatchError, ExpmNotConvergedError
 from .fock import (
     DiagonalFockState,
-    FullTwoModeOperator,
     bogoliubov_residual,
     cutoff_for,
     dynamical_integral,
@@ -63,7 +62,6 @@ __all__ = [
     "DecompositionTriple",
     "DiagonalFockState",
     "ExpmNotConvergedError",
-    "FullTwoModeOperator",
     "GroupElement",
     "HamiltonianParams",
     "PhaseBreakdown",

@@ -231,6 +231,15 @@ def cmd_sweep(
 # Decompose
 
 
+def _reconstruction_residual(prime, doubleprime, triple):
+    """Largest entry gap between reconstruct(triple) and S(doubleprime) S(prime)^-1."""
+    target = su11.multiply(
+        su11.c_matrix(doubleprime), su11.c_matrix(SqueezeParams(-prime.r, prime.phi))
+    )
+    rebuilt = su11.reconstruct(triple)
+    return max(abs(rebuilt.m11 - target.m11), abs(rebuilt.m12 - target.m12))
+
+
 def cmd_decompose(
     prime: SqueezeParams,
     doubleprime: SqueezeParams,
@@ -240,15 +249,7 @@ def cmd_decompose(
     """Print the squeeze-plus-rotation factorization of S(prime)^dag S(doubleprime)."""
     out = stream if stream is not None else sys.stdout
     triple = su11.decompose_product(prime, doubleprime)
-    target = su11.multiply(
-        su11.c_matrix(doubleprime),
-        su11.c_matrix(SqueezeParams(-prime.r, prime.phi)),
-    )
-    rebuilt = su11.reconstruct(triple)
-    residual = max(
-        abs(rebuilt.m11 - target.m11),
-        abs(rebuilt.m12 - target.m12),
-    )
+    residual = _reconstruction_residual(prime, doubleprime, triple)
     scale = _DEG if degrees else 1.0
     out.write(f"R = {format_number(triple.R)}\n")
     out.write(f"Phi = {format_number(triple.Phi * scale)}\n")
@@ -310,14 +311,8 @@ def _su11_reconstruction(accuracy, max_cutoff, rng):
     for _ in range(1000):
         prime = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
         dbl = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
-        target = su11.multiply(
-            su11.c_matrix(dbl), su11.c_matrix(SqueezeParams(-prime.r, prime.phi))
-        )
-        rebuilt = su11.reconstruct(su11.decompose_product(prime, dbl))
-        residual = max(
-            abs(rebuilt.m11 - target.m11), abs(rebuilt.m12 - target.m12)
-        )
-        yield residual, (
+        triple = su11.decompose_product(prime, dbl)
+        yield _reconstruction_residual(prime, dbl, triple), (
             f"r'={prime.r:.4g}, phi'={prime.phi:.4g}, "
             f"r''={dbl.r:.4g}, phi''={dbl.phi:.4g}"
         )
@@ -363,13 +358,14 @@ def _overlap_agreement(accuracy, max_cutoff, rng):
 @_invariant("geometric-phase-agreement", 1e-8)
 def _phase_agreement(accuracy, max_cutoff, rng):
     h = HamiltonianParams(1.0, 0.25)
+    grid = np.linspace(0.0, TAU, 63)
     for r in _R_GRID:
-        for wt in np.linspace(0.0, TAU, 63):
-            numeric = fock.geometric_phase_numeric(
-                r, 0.4, h, float(wt), accuracy=accuracy, max_cutoff=max_cutoff, steps=4
-            )
+        numeric = fock.geometric_phase_numeric(
+            r, 0.4, h, grid, accuracy=accuracy, max_cutoff=max_cutoff, steps=4
+        )
+        for wt, gamma in zip(grid, numeric):
             analytic = phases.geometric_phase(r, 1.0, float(wt)).geometric_phase
-            yield circle_distance(numeric, analytic), f"r={r}, omega_t={wt:.4g}"
+            yield circle_distance(float(gamma), analytic), f"r={r}, omega_t={wt:.4g}"
 
 
 @_invariant("dynamical-quadrature", 1e-10)
@@ -399,17 +395,16 @@ def _dynamical_quadrature(accuracy, max_cutoff, rng):
 @_invariant("gauge-invariance", 1e-10)
 def _gauge_invariance(accuracy, max_cutoff, rng):
     h = HamiltonianParams(1.0, 0.1)
+    grid, shifts = (math.pi / 4, 1.7, TAU), (-2.0, 0.7, 5.0)
     for r in (0.5, 1.0, 1.5):
-        for wt in (math.pi / 4, 1.7, TAU):
-            reference = fock.geometric_phase_numeric(
-                r, 0.2, h, wt, accuracy=accuracy, max_cutoff=max_cutoff
-            )
-            for shift in (-2.0, 0.7, 5.0):
-                shifted = fock.geometric_phase_numeric(
-                    r, 0.2, h, wt, accuracy=accuracy, max_cutoff=max_cutoff,
-                    energy_shift=shift,
-                )
-                yield circle_distance(shifted, reference), (
+        reference, *shifted = (
+            fock.geometric_phase_numeric(r, 0.2, h, grid, accuracy=accuracy,
+                                         max_cutoff=max_cutoff, energy_shift=shift)
+            for shift in (0.0,) + shifts
+        )
+        for i, wt in enumerate(grid):
+            for shift, values in zip(shifts, shifted):
+                yield circle_distance(float(values[i]), float(reference[i])), (
                     f"r={r}, omega_t={wt:.4g}, shift={shift}"
                 )
 

@@ -277,6 +277,13 @@ class TestMainEntry:
         column = lines[0].split(",").index("abs_error")
         assert max(float(line.split(",")[column]) for line in lines[1:]) <= 1e-9
 
+    def test_gamma_c_sweep_to_the_largest_float(self, capsys):
+        # The entropy grows like ln(gamma_c / 4 pi) + 1 without cancelling.
+        assert main(["sweep", "--variable", "gamma_c", "--start", "0",
+                     "--stop", "1e308", "--points", "3"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[1:] == ["0,0", "5e+307,706.972037215", "1e+308,707.665184395"]
+
     def test_squeeze_beyond_cutoff_reach_is_resource_error(self, capsys):
         assert main(["sweep", "--variable", "omega_t", "--start", "0",
                      "--stop", "1", "--points", "3", "--r", "19.5"]) == 3

@@ -15,8 +15,9 @@ from tmsvphase.errors import (
     CutoffMismatchError,
 )
 from tmsvphase.fock import (
+    FULL_SPACE_MAX_CUTOFF,
     DiagonalFockState,
-    FullTwoModeOperator,
+    SectorBlockOperator,
     bogoliubov_residual,
     cutoff_for,
     dynamical_integral,
@@ -24,7 +25,6 @@ from tmsvphase.fock import (
     entropy_numeric,
     evolve,
     geometric_phase_numeric,
-    lowering_operators,
     overlap_numeric,
     rotation_conjugation_check,
     schmidt_state,
@@ -224,6 +224,17 @@ class TestStateValidation:
             cutoff_for("mass", 1.0, 1e-9, max_cutoff=-1)
 
 
+def _diagonal_generator(r, phi, N):
+    """The squeeze generator on span{|n>|n>}: tridiagonal, anti-Hermitian.
+
+    r (a+ a- e^{-2i phi} - a+^dag a-^dag e^{2i phi}) takes component n to
+    n - 1 with weight r e^{-2i phi} n and component n - 1 to n with weight
+    -r e^{2i phi} n.
+    """
+    n = np.arange(1, N + 1, dtype=np.float64)
+    return np.diag(r * np.exp(-2j * phi) * n, 1) + np.diag(-r * np.exp(2j * phi) * n, -1)
+
+
 class TestSqueezeByExponentiation:
     def test_zero_squeeze_is_vacuum(self):
         state = squeeze_by_exponentiation(0.0, 0.4, 8)
@@ -248,12 +259,21 @@ class TestSqueezeByExponentiation:
         assert gap < 2.0 * amplitude
         assert gap > 0.1 * amplitude
 
-    @pytest.mark.parametrize("r,N", [(1.0, 91), (2.0, 377)])
+    @pytest.mark.parametrize("r,N", [(1.0, 91), (2.0, 377), (2.0, 655)])
     def test_matches_pade_expm(self, r, N):
-        # scipy's scaling-and-squaring expm as an independent reference for
-        # the eigendecomposition, at the same truncation.
-        reference = expm(fock._diagonal_generator(r, 0.3, N))[:, 0]
+        # scipy's scaling-and-squaring expm of the complex generator as an
+        # independent reference for the real tridiagonal eigendecomposition,
+        # at the same truncation.
+        reference = expm(_diagonal_generator(r, 0.3, N))[:, 0]
         brute = squeeze_by_exponentiation(r, 0.3, N)
+        assert np.abs(brute.coeffs - reference).max() <= 1e-13
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, -2.2, 40.0])
+    def test_matches_complex_eigendecomposition(self, phi):
+        # The generator diagonalized as the complex Hermitian iG directly.
+        w, v = np.linalg.eigh(1j * _diagonal_generator(1.5, phi, 120))
+        reference = v @ (np.exp(-1j * w) * v[0].conj())
+        brute = squeeze_by_exponentiation(1.5, phi, 120)
         assert np.abs(brute.coeffs - reference).max() <= 1e-13
 
     def test_result_is_normalized(self):
@@ -622,43 +642,176 @@ class TestEntropyNumeric:
             assert gap <= 100.0 * tol
 
 
+# ---------------------------------------------------------------------------
+# Dense reference on the (N+1)^2-dimensional product basis, row-major in
+# (n+, n-): the Kronecker construction the sector blocks replaced.
+
+
+def _lowering_operators(N):
+    """Dense a+ and a- with entries sqrt(n) from integers cast once to float."""
+    steps = np.sqrt(np.arange(1, N + 1, dtype=np.int64).astype(np.float64))
+    a = np.diag(steps, 1).astype(np.complex128)
+    eye = np.eye(N + 1, dtype=np.complex128)
+    return np.kron(a, eye), np.kron(eye, a)
+
+
+def _occupations(N):
+    n = np.arange(N + 1)
+    return np.repeat(n, N + 1), np.tile(n, N + 1)
+
+
+def _interior(N, margin):
+    n_plus, n_minus = _occupations(N)
+    return (n_plus <= N - margin) & (n_minus <= N - margin)
+
+
+def _dense_squeeze_factors(r, eta, N):
+    """The normal-ordered factors of S, each by its terminating Taylor sum."""
+    a_plus, a_minus = _lowering_operators(N)
+    k_minus = a_plus @ a_minus
+    k_plus = k_minus.conj().T
+    tanh_r = math.tanh(r)
+
+    def nilpotent_exp(mat):
+        out = np.eye(mat.shape[0], dtype=np.complex128)
+        term = out
+        for k in range(1, N + 1):
+            term = term @ mat / k
+            out = out + term
+        return out
+
+    ascend = nilpotent_exp(-tanh_r * np.exp(2j * eta) * k_plus)
+    n_plus, n_minus = _occupations(N)
+    middle = np.diag(np.cosh(r) ** -(n_plus + n_minus + 1.0)).astype(np.complex128)
+    descend = nilpotent_exp(tanh_r * np.exp(-2j * eta) * k_minus)
+    return ascend, middle, descend
+
+
+def _dense_squeeze(r, eta, N):
+    ascend, middle, descend = _dense_squeeze_factors(r, eta, N)
+    return ascend @ middle @ descend
+
+
+def _dense_bogoliubov_residual(r, eta, N, margin):
+    """The residual, and the largest kept entry of |a| |S| + |S| |rhs|.
+
+    |S| is the sum of the magnitudes of the terms that make up each entry
+    of S, so the second value scales the rounding of the first.
+    """
+    ascend, middle, descend = _dense_squeeze_factors(r, eta, N)
+    squeeze = ascend @ middle @ descend
+    magnitude = np.abs(ascend) @ np.abs(middle) @ np.abs(descend)
+    a_plus, a_minus = _lowering_operators(N)
+    keep = np.ix_(_interior(N, margin), _interior(N, margin))
+    phase = np.exp(2j * eta)
+    worst = scale = 0.0
+    for a_op, partner in ((a_plus, a_minus), (a_minus, a_plus)):
+        rhs = a_op * math.cosh(r) - partner.conj().T * (phase * math.sinh(r))
+        defect = a_op @ squeeze - squeeze @ rhs
+        worst = max(worst, float(np.abs(defect[keep]).max()))
+        bound = np.abs(a_op) @ magnitude + magnitude @ np.abs(rhs)
+        scale = max(scale, float(bound[keep].max()))
+    return worst, scale
+
+
+def _dense_rotation_check(r, phi, theta, epsilon_t, N, margin):
+    squeeze = _dense_squeeze(r, phi, N)
+    n_plus, n_minus = _occupations(N)
+    keep = _interior(N, margin)
+
+    def defect(diag_phase, target):
+        conjugated = diag_phase[:, None] * squeeze * diag_phase.conj()[None, :]
+        return float(np.abs((conjugated - target)[np.ix_(keep, keep)]).max())
+
+    return (
+        defect(np.exp(-1j * theta * (n_plus + n_minus)), _dense_squeeze(r, phi - theta, N)),
+        defect(np.exp(-1j * epsilon_t * (n_plus - n_minus)), squeeze),
+    )
+
+
+def _slots(N, d):
+    """(n+, n-) of the states of sector d, in the order of its block."""
+    n_plus = np.arange(max(d, 0), N + 1 + min(d, 0))
+    return n_plus, n_plus - d
+
+
+def _assemble(op):
+    """Scatter the sector blocks of ``op`` into the dense product-basis matrix."""
+    N = op.cutoff
+    dense = np.zeros(((N + 1) ** 2, (N + 1) ** 2), dtype=np.complex128)
+    for d in range(-N, N + 1):
+        n_plus, n_minus = _slots(N, d)
+        index = n_plus * (N + 1) + n_minus
+        dense[np.ix_(index, index)] = op.block(d)
+    return dense
+
+
+def _ladder_block(N, d, which):
+    """A sector block of one ladder; None where its sectors leave the cutoff.
+
+    ``which`` names the map: a+ or a-^dag from sector d down to d - 1, a+^dag
+    or a- from sector d - 1 up to d.
+    """
+    if not (-N < d <= N):
+        return None
+    a_plus, a_minus_dag = fock._ladders(N)
+    rows, cols = _slots(N, d - 1)[0], _slots(N, d)[0]
+    a_plus, a_minus_dag = (
+        ladder[np.ix_(rows, cols)] for ladder in (a_plus, a_minus_dag[d + N - 1])
+    )
+    return {"a+": a_plus, "a-dag": a_minus_dag, "a+dag": a_plus.T, "a-": a_minus_dag.T}[which]
+
+
+def _round_trip(N, d, last, first):
+    """``last`` after ``first``, both on the sector pair (d - 1, d); 0 if absent."""
+    if _ladder_block(N, d, last) is None:
+        return 0.0
+    return _ladder_block(N, d, last) @ _ladder_block(N, d, first)
+
+
 class TestLadderOperators:
+    """The sector ladders a+, a-^dag and their transposes."""
+
     def test_matrix_element_placement(self):
         N = 4
-        a_plus, a_minus = lowering_operators(N)
-        dim = N + 1
-        # <(1,2)| a+ |(2,2)> = sqrt(2), row-major index n+*(N+1)+n-
-        assert a_plus[1 * dim + 2, 2 * dim + 2] == pytest.approx(math.sqrt(2.0))
-        # <(2,1)| a- |(2,2)> = sqrt(2)
-        assert a_minus[2 * dim + 1, 2 * dim + 2] == pytest.approx(math.sqrt(2.0))
+        # <(1,2)| a+ |(2,2)> = sqrt(2): slot 2 of sector 0 to slot 1 of sector -1
+        assert _ladder_block(N, 0, "a+")[1, 2] == pytest.approx(math.sqrt(2.0))
+        # <(2,1)| a- |(2,2)> = sqrt(2): slot 2 of sector 0 to slot 1 of sector 1
+        assert _ladder_block(N, 1, "a-")[1, 2] == pytest.approx(math.sqrt(2.0))
 
     def test_commutators_on_interior_block(self):
         N = 12
-        a_plus, a_minus = lowering_operators(N)
-        dim = (N + 1) ** 2
-        n_plus = np.repeat(np.arange(N + 1), N + 1)
-        n_minus = np.tile(np.arange(N + 1), N + 1)
-        for a_op, occ in ((a_plus, n_plus), (a_minus, n_minus)):
-            comm = a_op @ a_op.conj().T - a_op.conj().T @ a_op
-            keep = occ <= N - 1
-            block = comm[np.ix_(keep, keep)] - np.eye(int(keep.sum()))
-            # sqrt(n)^2 is within one ulp of n, never exactly equal for all n
-            assert np.abs(block).max() < 1e-13
+        for d in range(-N, N + 1):
+            n_plus, n_minus = _slots(N, d)
+            # a+ lowers d and a- raises it, so each product a a^dag or
+            # a^dag a passes through one neighbouring sector.
+            comm_plus = _round_trip(N, d + 1, "a+", "a+dag") - _round_trip(N, d, "a+dag", "a+")
+            comm_minus = _round_trip(N, d, "a-", "a-dag") - _round_trip(N, d + 1, "a-dag", "a-")
+            for comm, occ in ((comm_plus, n_plus), (comm_minus, n_minus)):
+                keep = occ <= N - 1
+                block = comm[np.ix_(keep, keep)] - np.eye(int(keep.sum()))
+                # sqrt(n)^2 is within one ulp of n, never exactly equal for all n
+                assert np.abs(block).max(initial=0.0) < 1e-13
 
     def test_modes_commute(self):
-        a_plus, a_minus = lowering_operators(6)
-        assert np.abs(a_plus @ a_minus - a_minus @ a_plus).max() == 0.0
+        N = 6
+        for d in range(-N, N + 1):
+            defect = _round_trip(N, d + 1, "a+", "a-") - _round_trip(N, d, "a-", "a+")
+            assert np.abs(defect).max() == 0.0
 
 
 class TestTwoModeSqueezeOperator:
     def test_matrix_size(self):
         op = two_mode_squeeze_operator(1.0, 0.0, 12)
-        assert op.matrix.shape == (169, 169)
+        assert op.stack.shape == (25, 13, 13)
+        sizes = [op.block(d).shape for d in range(-12, 13)]
+        assert sizes == [(13 - abs(d), 13 - abs(d)) for d in range(-12, 13)]
+        assert sum(size for size, _ in sizes) == 169
 
     def test_vacuum_column_is_schmidt_state(self):
         N = 12
         op = two_mode_squeeze_operator(1.0, 0.3, N)
-        column = op.matrix[:, 0].reshape(N + 1, N + 1)
+        column = _assemble(op)[:, 0].reshape(N + 1, N + 1)
         closed = schmidt_state(1.0, 0.3, N).coeffs
         assert np.abs(np.diagonal(column) - closed).max() < 1e-14
         off_diagonal = column - np.diag(np.diagonal(column))
@@ -669,25 +822,58 @@ class TestTwoModeSqueezeOperator:
         # plain expm of the truncated generator, on entries far enough from
         # the cutoff that the expm route is itself trustworthy.
         r, eta, N = 0.3, 0.45, 16
-        a_plus, a_minus = lowering_operators(N)
+        a_plus, a_minus = _lowering_operators(N)
         generator = r * (
             a_plus @ a_minus * np.exp(-2j * eta)
             - a_plus.conj().T @ a_minus.conj().T * np.exp(2j * eta)
         )
         brute = expm(generator)
-        factored = two_mode_squeeze_operator(r, eta, N).matrix
-        n_plus = np.repeat(np.arange(N + 1), N + 1)
-        n_minus = np.tile(np.arange(N + 1), N + 1)
+        factored = _assemble(two_mode_squeeze_operator(r, eta, N))
+        n_plus, n_minus = _occupations(N)
         deep = (n_plus <= 2) & (n_minus <= 2)
         assert np.abs((brute - factored)[np.ix_(deep, deep)]).max() < 1e-10
 
     def test_full_space_cutoff_cap(self):
         with pytest.raises(CutoffExceededError):
-            two_mode_squeeze_operator(1.0, 0.0, 33)
+            two_mode_squeeze_operator(1.0, 0.0, FULL_SPACE_MAX_CUTOFF + 1)
+
+    def test_largest_cutoff_builds(self):
+        op = two_mode_squeeze_operator(1.0, 0.3, FULL_SPACE_MAX_CUTOFF)
+        assert op.cutoff == FULL_SPACE_MAX_CUTOFF
+        assert np.isfinite(op.stack).all()
+        # The vacuum column is still the Schmidt state at the cap.
+        closed = schmidt_state(1.0, 0.3, FULL_SPACE_MAX_CUTOFF).coeffs
+        assert np.abs(op.block(0)[:, 0] - closed).max() < 1e-14
 
     def test_operator_shape_validation(self):
         with pytest.raises(ValueError):
-            FullTwoModeOperator(cutoff=2, matrix=np.eye(4))
+            SectorBlockOperator(cutoff=2, stack=np.eye(4))
+        stack = np.arange(12.0).reshape(3, 2, 2)
+        op = SectorBlockOperator(cutoff=1, stack=stack)
+        assert op.block(0).tolist() == [[4.0, 5.0], [6.0, 7.0]]
+        assert op.block(-1).tolist() == [[0.0]]  # |0>|1>: n+ = 0
+        assert op.block(1).tolist() == [[11.0]]  # |1>|0>: n+ = 1
+        assert not op.stack.flags.writeable
+        with pytest.raises(IndexError):
+            op.block(2)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        r=st.floats(-2.0, 2.0),
+        eta=st.floats(-math.pi, math.pi),
+        N=st.integers(0, 16),
+    )
+    @example(r=1.0, eta=0.45, N=16)
+    def test_blocks_equal_dense_reference(self, r, eta, N):
+        # Entry (a, b) sums min(a, b) + 1 alternating terms, which cancel to
+        # about 1e-12 of the largest at r = 1, N = 16 in either route, so
+        # each entry is held to 1e-14 of the sum of its terms' magnitudes.
+        ascend, middle, descend = _dense_squeeze_factors(r, eta, N)
+        reference = ascend @ middle @ descend
+        magnitude = np.abs(ascend) @ np.abs(middle) @ np.abs(descend)
+        blocks = _assemble(two_mode_squeeze_operator(r, eta, N))
+        # Below 1e-300 the two routes underflow in different places.
+        assert np.all(np.abs(blocks - reference) <= 1e-14 * magnitude + 1e-300)
 
 
 class TestBogoliubovResidual:
@@ -710,20 +896,25 @@ class TestBogoliubovResidual:
         # Same computation with a corrupted coefficient must light up: the
         # residual measures the identity, not just numerical noise.
         r, eta, N, margin = 0.8, 0.3, 12, 4
-        squeeze = two_mode_squeeze_operator(r, eta, N).matrix
-        a_plus, a_minus = lowering_operators(N)
-        n_plus = np.repeat(np.arange(N + 1), N + 1)
-        n_minus = np.tile(np.arange(N + 1), N + 1)
-        keep = (n_plus <= N - margin) & (n_minus <= N - margin)
-        wrong_rhs = a_plus * math.cosh(r) - a_minus.conj().T * (
+        squeeze = two_mode_squeeze_operator(r, eta, N).stack
+        kept = fock._kept_slots(N, margin)
+        a_plus, a_minus_dag = fock._ladders(N)
+        wrong_rhs = a_plus * math.cosh(r) - a_minus_dag * (
             np.exp(2j * eta) * math.sinh(r) * 1.01
         )
-        defect = a_plus @ squeeze - squeeze @ wrong_rhs
-        assert np.abs(defect[np.ix_(keep, keep)]).max() > 1e-3
+        defect = a_plus @ squeeze[1:] - squeeze[:-1] @ wrong_rhs
+        assert fock._max_kept(defect, kept[:-1], kept[1:]) > 1e-3
 
     def test_margin_validation(self):
         with pytest.raises(ValueError):
             bogoliubov_residual(0.5, 0.0, N=10, margin=11)
+
+    @pytest.mark.parametrize("r,eta", [(0.25, 0.0), (0.8, 0.3), (-1.5, 2.2), (2.0, -0.7)])
+    @pytest.mark.parametrize("N,margin", [(0, 0), (1, 1), (6, 0), (12, 4), (12, 11), (16, 2)])
+    def test_equals_dense_residual(self, r, eta, N, margin):
+        blocks = bogoliubov_residual(r, eta, N=N, margin=margin)
+        dense, scale = _dense_bogoliubov_residual(r, eta, N, margin)
+        assert abs(blocks - dense) <= 1e-14 * scale
 
 
 class TestRotationConjugation:
@@ -746,3 +937,11 @@ class TestRotationConjugation:
         for theta in (0.4, 1.3, 2.9):
             res = rotation_conjugation_check(0.8, 0.6, theta, 0.5, N=12, margin=4)
             assert res.rotation <= 1e-12
+
+    @pytest.mark.parametrize("theta,eps_t", [(0.0, 0.37), (0.9, 1.9), (2.5, 0.37), (-4.0, 7.5)])
+    @pytest.mark.parametrize("N,margin", [(0, 0), (5, 0), (12, 4), (16, 3)])
+    def test_equals_dense_residuals(self, theta, eps_t, N, margin):
+        blocks = rotation_conjugation_check(0.5, 0.2, theta, eps_t, N=N, margin=margin)
+        dense = _dense_rotation_check(0.5, 0.2, theta, eps_t, N, margin)
+        assert abs(blocks.rotation - dense[0]) <= 1e-13
+        assert abs(blocks.modulation - dense[1]) <= 1e-13

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmsvphase import phases, su11
@@ -274,3 +274,53 @@ class TestEntropy:
         grid = np.linspace(0.0, TAU, 1000)
         values = np.array([entropy_from_cyclic_phase(float(g)) for g in grid])
         assert np.all(np.diff(values) > 0.0)
+
+
+def _entropy_mpmath(x):
+    """(1 + x) ln(1 + x) - x ln x at x = ``x`` (an mpf), to 30 digits past
+    the cancellation: x ln x carries log10(x) more digits than the result."""
+    if x == 0:
+        return 0.0
+    digits = 30 + max(0, int(mpmath.log10(x)))
+    with mpmath.workdps(digits):
+        return float((1 + x) * mpmath.log1p(x) - x * mpmath.log(x))
+
+
+# Both closed forms are accurate to this relative error; below 1e-300 the
+# results (and x ln x) have left the normal range and carry few digits.
+ENTROPY_REL = 4 * np.finfo(float).eps
+ENTROPY_FLOOR = 1e-300
+
+
+class TestEntropyAgainstMpmath:
+    """The closed forms against 30 correct digits over the whole domain."""
+
+    @pytest.mark.parametrize("r", [3.0, 10.0, 12.0, 15.0, 18.0, 19.06, 20.0, -20.0])
+    def test_large_squeeze(self, r):
+        with mpmath.workdps(40):
+            x = mpmath.sinh(mpmath.mpf(r)) ** 2
+        want = _entropy_mpmath(x)
+        assert abs(entropy_from_squeeze(r) - want) <= ENTROPY_REL * want
+
+    @settings(max_examples=300)
+    @given(st.floats(-20.0, 20.0))
+    @example(18.0)
+    @example(20.0)
+    @example(1e-160)
+    def test_squeeze_form(self, r):
+        with mpmath.workdps(40):
+            x = mpmath.sinh(mpmath.mpf(r)) ** 2
+        want = _entropy_mpmath(x)
+        assert abs(entropy_from_squeeze(r) - want) <= ENTROPY_REL * want + ENTROPY_FLOOR
+
+    @settings(max_examples=300)
+    @given(st.floats(0.0, 1e308) | st.floats(0.0, 100.0))
+    @example(1e308)
+    @example(5e-324)
+    @example(1e-310)
+    def test_phase_form(self, gamma_c):
+        with mpmath.workdps(40):
+            x = mpmath.mpf(gamma_c) / (4 * mpmath.pi)
+        want = _entropy_mpmath(x)
+        got = entropy_from_cyclic_phase(gamma_c)
+        assert abs(got - want) <= ENTROPY_REL * want + ENTROPY_FLOOR
