@@ -17,7 +17,8 @@ are printed with 12 significant digits, scientific notation below 1e-4,
 unless ``--degrees`` is given, which converts display only.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 resource
-limit (no Fock cutoff up to ``--max-cutoff`` reaches the needed accuracy).
+limit (no Fock cutoff up to ``--max-cutoff`` reaches the needed accuracy,
+or memory runs out).
 """
 
 from __future__ import annotations
@@ -370,19 +371,26 @@ def _phase_agreement(accuracy, max_cutoff, rng):
 
 @_invariant("dynamical-quadrature", 1e-10)
 def _dynamical_quadrature(accuracy, max_cutoff, rng):
+    omega = 1.3
+    grid = (0.3, math.pi / 4, 1.0, math.pi, TAU)
+    ts = [wt / omega for wt in grid]
+    eps_fracs, step_counts = (0.0, 0.37, 0.9), (1, 7, 200)
     for r in (0.1, 0.5, 1.0, 1.5):
-        for wt in (0.3, math.pi / 4, 1.0, math.pi, TAU):
-            omega = 1.3
-            t = wt / omega
+        # One grid call per (epsilon, steps), then the samples in t order.
+        integrals = {
+            (eps_frac, steps): fock.dynamical_integral(
+                r, 0.2, HamiltonianParams(omega, eps_frac * omega), ts, steps,
+                accuracy=accuracy, max_cutoff=max_cutoff,
+            )
+            for eps_frac in eps_fracs
+            for steps in step_counts
+        }
+        for i, (wt, t) in enumerate(zip(grid, ts)):
             expected = 2.0 * omega * t * math.sinh(r) ** 2
             results = []
-            for eps_frac in (0.0, 0.37, 0.9):
-                h = HamiltonianParams(omega, eps_frac * omega)
-                for steps in (1, 7, 200):
-                    got = fock.dynamical_integral(
-                        r, 0.2, h, t, steps, accuracy=accuracy,
-                        max_cutoff=max_cutoff,
-                    )
+            for eps_frac in eps_fracs:
+                for steps in step_counts:
+                    got = float(integrals[eps_frac, steps][i])
                     results.append(got)
                     yield abs(got - expected), (
                         f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega, "
@@ -654,6 +662,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_decompose(prime, doubleprime, degrees=args.degrees)
     except CutoffExceededError as exc:
         print(f"CUTOFF_EXCEEDED: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"OUT_OF_MEMORY: {exc or 'an allocation failed'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,12 +17,15 @@ Two representations are used, chosen by what truncation does to them:
   truncated discrete-series SU(1,1) representation of N + 1 - |d| states,
   so operators are 2N + 1 sector blocks (:class:`SectorBlockOperator`).
 
-The geometric phase also runs over a whole grid of t, as an ``omega_t``
-sweep asks: it builds one Schmidt state at the grid's largest cutoff,
-each row reads the prefix its own cutoff keeps, and rows sharing a cutoff
-are evolved and integrated together in small blocks.  Each row keeps the
-reduction order of a lone evaluation, so the digits do not depend on the
-grid.
+The geometric phase and the dynamical integral also run over a whole
+grid of t, as an ``omega_t`` sweep asks: one Schmidt state is built at
+the grid's largest cutoff, each row reads the prefix its own cutoff
+keeps, and rows sharing a cutoff are evolved and integrated together in
+small blocks.  The blocks run on worker threads created for the call and
+joined before it returns, one per usable CPU, when the grid has enough
+work to pay for starting them.  Each row keeps the reduction order of a
+lone evaluation and each block writes only its own rows, so the digits
+depend neither on the grid nor on the number of CPUs.
 
 Truncation error policy: the Schmidt coefficient of |n>|n> is
 (-e^{2i phi} tanh r)^n / cosh r, so every truncation error has a
@@ -31,14 +34,17 @@ one place that turns an observable's accuracy target into N.  Operator
 identities are asserted only on entries a ``margin`` away from the cutoff,
 where the constructions used here keep them exact up to rounding.
 
-All operations are pure; matrix workspaces are created per call.
+No state outlives a call: workspaces and worker threads belong to the
+call that made them, and results depend only on the arguments.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -55,8 +61,8 @@ FULL_SPACE_MAX_CUTOFF = 64
 #: Norm defect above which an exponentiated generator is considered broken.
 _EXPM_NORM_TOL = 1e-12
 
-# Evolved coefficients per block of grid rows: 4 rows of 5 taus at N = 377.
-_BLOCK_ELEMENTS = 8192
+# Evolved coefficients per block of grid rows: 16 rows of 4 taus at N = 377.
+_BLOCK_ELEMENTS = 24576
 
 
 @dataclass(frozen=True)
@@ -361,6 +367,14 @@ def _tau_grids(ts: np.ndarray, steps: int) -> np.ndarray:
     return taus
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on, which bounds the grid's worker threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _energy_integrals(
     state: DiagonalFockState,
     h: HamiltonianParams,
@@ -368,17 +382,24 @@ def _energy_integrals(
     cutoffs: list[int],
     steps: int,
     shift: float,
-) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] for each t in ``ts``.
 
     Row i starts from the first cutoffs[i] + 1 coefficients of ``state``.
+    Returns, in grid order, each row's integral and its overlap
+    <psi(0)|psi(t)>.  Element for element, psi(tau_k) is ``evolve(psi(0),
+    h, tau_k, shift)`` with psi(t) its last tau, and each value repeats
+    :func:`energy_expectation`; at tau = 0 the phase factor exp(-0j) is
+    exactly 1, so that value is taken from psi(0) once per block.
+
     Rows that share a cutoff go through together, as many as fit in
-    _BLOCK_ELEMENTS evolved coefficients (one at least).  Yields (i,
-    integral, psi(0), psi(t)) per row.  Element for element, psi(tau_k) is
-    ``evolve(psi(0), h, tau_k, shift)`` with psi(t) its last tau, each
-    value repeats :func:`energy_expectation`, and each trapezoid runs on
-    its own row: a 2-D reduction may add in another order and move the
-    last bit.
+    _BLOCK_ELEMENTS evolved coefficients (one at least).  A block's
+    reductions run along contiguous rows, so each row adds in the order a
+    lone row would.  The blocks are shared out to the calling thread and up
+    to one helper thread per further usable CPU; every block writes only
+    its own rows, so the digits do not depend on how many threads run.
+    Workers call numpy alone: the tau grids and energies are built here
+    for the whole grid, and each block slices them.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -387,52 +408,123 @@ def _energy_integrals(
         raise ValueError(f"t must be nonnegative, got {negative[0]}")
     cutoffs = np.asarray(cutoffs)
     order = np.argsort(cutoffs, kind="stable")
+    blocks = []
     done = 0
     while done < order.size:
         N = int(cutoffs[order[done]])
-        size = max(1, _BLOCK_ELEMENTS // ((steps + 1) * (N + 1)))
+        size = max(1, _BLOCK_ELEMENTS // (steps * (N + 1)))
         rows = order[done : done + size]
         rows = rows[cutoffs[rows] == N]
         done += rows.size
+        blocks.append((rows, N))
+    taus = _tau_grids(ts, steps)
+    energies = _energies(h, int(cutoffs.max(initial=0)))
+    integrals = np.empty(ts.size)
+    overlaps = np.empty(ts.size, dtype=np.complex128)
+
+    def integrate(rows: np.ndarray, N: int, spare: np.ndarray, real_spare: np.ndarray):
+        # The block's two large arrays are views of its thread's spare buffers.
         initial = state.coeffs[: N + 1]
-        taus = _tau_grids(ts[rows], steps)
-        energies = _energies(h, N)
-        evolved = initial * np.exp(-1j * (energies + shift) * taus[:, :, None])
-        weights = np.abs(evolved) ** 2
-        values = np.sum(energies * weights, axis=-1) + shift
+        block_energies = energies[: N + 1]
+        block_taus = taus[rows]
+        shape = (rows.size, steps, N + 1)
+        size = math.prod(shape)
+        evolved = np.multiply(
+            -1j * (block_energies + shift), block_taus[:, 1:, None],
+            out=spare[:size].reshape(shape),
+        )
+        np.exp(evolved, out=evolved)
+        np.multiply(initial, evolved, out=evolved)
+        weights = np.abs(evolved, out=real_spare[:size].reshape(shape))
+        np.square(weights, out=weights)
         norms = weights[:, -1].sum(axis=-1)
         if not np.isfinite(norms).all():
             raise ValueError("coefficients must be finite")
         if norms.max() > 1.0 + 1e-12:
             raise ValueError(f"state over-normalized: |psi|^2 = {norms.max()}")
-        for i, row_values, row_taus, final in zip(rows, values, taus, evolved[:, -1]):
-            yield int(i), float(np.trapezoid(row_values, row_taus)), initial, final
+        values = np.empty(block_taus.shape)
+        values[:, 0] = np.sum(block_energies * np.abs(initial) ** 2) + shift
+        np.multiply(block_energies, weights, out=weights)
+        values[:, 1:] = weights.sum(axis=-1) + shift
+        # np.trapezoid's arithmetic, row by row.
+        widths = np.diff(block_taus, axis=-1)
+        integrals[rows] = (widths * (values[:, 1:] + values[:, :-1]) / 2.0).sum(axis=-1)
+        overlaps[rows] = [np.vdot(initial, final) for final in evolved[:, -1]]
+
+    # Threads claim blocks in plan order.  Once a block fails, later blocks
+    # are skipped and the first failure in plan order is raised, the one a
+    # loop over the blocks would raise.
+    claims = iter(range(len(blocks)))
+    failures: list[tuple[int, BaseException]] = []
+
+    def drain(spare: np.ndarray, real_spare: np.ndarray) -> None:
+        for k in claims:
+            if any(j < k for j, _ in failures):
+                return
+            try:
+                integrate(*blocks[k], spare, real_spare)
+            except BaseException as exc:
+                failures.append((k, exc))
+
+    # The calling thread drains as well.  Starting a helper and sharing the
+    # interpreter with it costs about a block, so each thread needs two
+    # blocks' worth of work.  Spare buffers are allocated here, so no helper
+    # keeps freed memory; the helpers end with this call.
+    sizes = [rows.size * steps * (N + 1) for rows, N in blocks]
+    workers = min(_cpu_count(), len(blocks), sum(sizes) // (2 * _BLOCK_ELEMENTS))
+    largest = max(sizes, default=0)
+    spares = [
+        (np.empty(largest, dtype=np.complex128), np.empty(largest))
+        for _ in range(max(1, workers))
+    ]
+    helpers = [threading.Thread(target=drain, args=spare) for spare in spares[1:]]
+    for helper in helpers:
+        helper.start()
+    drain(*spares[0])
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return integrals, overlaps
+
+
+def _time_grid(t: float | np.ndarray) -> tuple[np.ndarray, bool]:
+    """``t`` as a 1-D float array, and whether it was a scalar."""
+    ts = np.asarray(t, dtype=np.float64)
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a float or a 1-D array, got shape {ts.shape}")
+    return ts.reshape(-1), ts.ndim == 0
 
 
 def dynamical_integral(
     r: float,
     phi: float,
     h: HamiltonianParams,
-    t: float,
+    t: float | np.ndarray,
     steps: int,
     *,
     accuracy: float = 1e-10,
     max_cutoff: int = DEFAULT_MAX_CUTOFF,
     energy_shift: float = 0.0,
-) -> float:
+) -> float | np.ndarray:
     """Composite trapezoid quadrature of <psi(tau)|H|psi(tau)> over [0, t].
 
     The integrand is constant in time (evolution preserves every |c_n|),
     so the trapezoid rule is exact up to rounding for any step count; the
     result equals 2 Omega t sinh^2 r within ``accuracy``, the energy tail
     the cutoff is chosen for.
+
+    ``t`` may be a 1-D array of times, as in :func:`geometric_phase_numeric`:
+    row i is bit for bit the value at t[i] alone, read from one Schmidt
+    state at the prefix its own ``cutoff_for("energy", ...)`` keeps.
     """
-    N = cutoff_for("energy", r, accuracy, t=h.Omega * t, max_cutoff=max_cutoff)
-    ts = np.array([t], dtype=np.float64)
-    ((_, integral, _, _),) = _energy_integrals(
-        schmidt_state(r, phi, N), h, ts, [N], steps, energy_shift
-    )
-    return integral
+    ts, scalar = _time_grid(t)
+    wts = (h.Omega * float(tt) for tt in ts)
+    cutoffs = _cutoffs("energy", r, accuracy, wts, max_cutoff)
+    state = schmidt_state(r, phi, max(cutoffs, default=0))
+    shift = _require_finite("energy_shift", energy_shift)
+    integrals, _ = _energy_integrals(state, h, ts, cutoffs, steps, shift)
+    return float(integrals[0]) if scalar else integrals
 
 
 def geometric_phase_numeric(
@@ -459,20 +551,17 @@ def geometric_phase_numeric(
     ``cutoff_for("phase", ...)`` keeps, and psi(t) is the last tau of the
     quadrature, so no row builds or evolves a state of its own.
     """
-    ts = np.asarray(t, dtype=np.float64)
-    if ts.ndim > 1:
-        raise ValueError(f"t must be a float or a 1-D array, got shape {ts.shape}")
-    scalar = ts.ndim == 0
-    ts = ts.reshape(-1)
+    ts, scalar = _time_grid(t)
     wts = (h.Omega * float(tt) for tt in ts)
     cutoffs = _cutoffs("phase", r, accuracy, wts, max_cutoff)
     state = schmidt_state(r, phi, max(cutoffs, default=0))
     shift = _require_finite("energy_shift", energy_shift)
+    deltas, overlaps = _energy_integrals(state, h, ts, cutoffs, steps, shift)
     gammas = np.empty(ts.size)
-    for i, delta, initial, final in _energy_integrals(state, h, ts, cutoffs, steps, shift):
-        overlap = complex(np.vdot(initial, final))
+    for i, (delta, overlap) in enumerate(zip(deltas, overlaps)):
+        overlap = complex(overlap)
         total = math.atan2(overlap.imag, overlap.real)
-        gamma = (total + delta) % (2.0 * math.pi)
+        gamma = (total + float(delta)) % (2.0 * math.pi)
         gammas[i] = 0.0 if gamma >= 2.0 * math.pi else gamma
     return float(gammas[0]) if scalar else gammas
 

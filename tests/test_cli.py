@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tmsvphase.cli import SweepSpec, cmd_decompose, cmd_sweep, format_number, main
@@ -313,13 +314,27 @@ class TestMainEntry:
                 == degrees_out.strip().split("\n")[-1].split(",")[1])
 
     def test_import_loads_no_scipy(self):
+        # Nor concurrent.futures: the oracle's worker threads need only threading.
         result = subprocess.run(
             [sys.executable, "-c", "import sys, tmsvphase.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy', 'concurrent'))))"],
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_out_of_memory_is_a_resource_error(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with "
+                              "shape (10000000000,) and data type float64")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        assert main(["sweep", "--variable", "gamma_c", "--start", "0", "--stop", "1",
+                     "--points", "10000000000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("OUT_OF_MEMORY: Unable to allocate 74.5 GiB")
+        assert err.count("\n") == 1
 
     def test_console_entry_point_subprocess(self):
         result = subprocess.run(

@@ -1,10 +1,12 @@
 """Tests for the truncated Fock-space oracle."""
 
 import math
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -421,6 +423,20 @@ def _geometric_phase_per_point(r, phi, h, t, accuracy, shift, steps):
     return 0.0 if gamma >= 2.0 * math.pi else gamma
 
 
+@st.composite
+def _t_grids(draw):
+    """1-60 times, ascending, descending, shuffled or with repeats."""
+    ts = draw(st.lists(st.floats(0.0, TAU), min_size=1, max_size=60))
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled", "repeated"]))
+    if order == "ascending":
+        return sorted(ts)
+    if order == "descending":
+        return sorted(ts, reverse=True)
+    if order == "shuffled":
+        return draw(st.permutations(ts))
+    return [t for t in ts for _ in (0, 1)][:60]
+
+
 class TestDynamicalIntegral:
     def test_vacuum(self):
         assert dynamical_integral(0.0, 0.0, H_UNIT, 3.0, steps=5) == 0.0
@@ -457,10 +473,37 @@ class TestDynamicalIntegral:
     @pytest.mark.parametrize("r,t", [(0.5, 0.7), (2.0, 48.3)])
     def test_array_equals_per_tau_loop_bit_for_bit(self, r, t, h, shift, steps):
         initial = schmidt_state(r, 0.4, cutoff_for("mass", r, 1e-12))
-        ((_, got, _, _),) = fock._energy_integrals(
+        (got,), _ = fock._energy_integrals(
             initial, h, np.array([t]), [initial.cutoff], steps, shift
         )
         assert got == _energy_integral_by_loop(initial, h, t, steps, shift)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        r=st.floats(0.0, 2.0),
+        omega=st.floats(0.5, 2.0),
+        eps_frac=st.floats(-0.9, 0.9),
+        shift=st.sampled_from([0.0, -2.3]),
+        steps=st.sampled_from([1, 7, 200]),
+        ts=_t_grids(),
+    )
+    def test_grid_equals_per_point_bit_for_bit(self, r, omega, eps_frac, shift, steps, ts):
+        h = HamiltonianParams(omega, eps_frac * omega)
+        got = dynamical_integral(r, 0.2, h, np.array(ts), steps, energy_shift=shift)
+        want = []
+        for t in ts:
+            N = cutoff_for("energy", r, 1e-10, t=h.Omega * t)
+            want.append(_energy_integral_per_point(schmidt_state(r, 0.2, N), h, t, steps, shift))
+        assert got.tolist() == want
+        scalar = dynamical_integral(r, 0.2, h, ts[0], steps, energy_shift=shift)
+        assert isinstance(scalar, float) and scalar == want[0]
+
+    def test_grid_shapes(self):
+        assert dynamical_integral(1.0, 0.0, H_UNIT, np.array([]), 4).shape == (0,)
+        with pytest.raises(ValueError):
+            dynamical_integral(1.0, 0.0, H_UNIT, np.ones((2, 2)), 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            dynamical_integral(1.0, 0.0, H_UNIT, [0.5, -0.1], 4)
 
 
 class TestGeometricPhaseNumeric:
@@ -516,20 +559,6 @@ class TestGeometricPhaseNumeric:
         d_plain = dynamical_integral(r, 0.0, H_UNIT, t, steps=4)
         d_shift = dynamical_integral(r, 0.0, H_UNIT, t, steps=4, energy_shift=c)
         assert abs((d_shift - d_plain) - c * t) < 1e-12
-
-
-@st.composite
-def _t_grids(draw):
-    """1-60 times, ascending, descending, shuffled or with repeats."""
-    ts = draw(st.lists(st.floats(0.0, TAU), min_size=1, max_size=60))
-    order = draw(st.sampled_from(["ascending", "descending", "shuffled", "repeated"]))
-    if order == "ascending":
-        return sorted(ts)
-    if order == "descending":
-        return sorted(ts, reverse=True)
-    if order == "shuffled":
-        return draw(st.permutations(ts))
-    return [t for t in ts for _ in (0, 1)][:60]
 
 
 class TestGeometricPhaseGrid:
@@ -614,6 +643,118 @@ class TestGeometricPhaseGrid:
             geometric_phase_numeric(0.0, 0.0, H_UNIT, [1.0, 1e308], energy_shift=5.0)
         with pytest.raises(ValueError, match="finite"):
             geometric_phase_numeric(0.0, 0.0, H_UNIT, 1e308, energy_shift=5.0)
+
+
+def _plan(cutoffs, steps, block):
+    """Blocks and evolved coefficients of the grid plan: per cutoff N, rows
+    go in blocks of max(1, block // (steps (N + 1)))."""
+    blocks = work = 0
+    for N in set(cutoffs):
+        rows = cutoffs.count(N)
+        blocks += -(-rows // max(1, block // (steps * (N + 1))))
+        work += rows * steps * (N + 1)
+    return blocks, work
+
+
+def _count_helpers(mp):
+    """Record every thread started while ``mp`` is active."""
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    mp.setattr(fock.threading, "Thread", Counting)
+    return started
+
+
+class TestParallelBlocks:
+    """Blocks shared out over threads give, bit for bit, what one thread gives."""
+
+    def test_cpu_count_is_positive(self):
+        assert fock._cpu_count() >= 1
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        r=st.floats(0.3, 2.0),
+        phi=st.floats(-math.pi, math.pi),
+        eps_frac=st.floats(-0.9, 0.9),
+        shift=st.sampled_from([0.0, -2.0]),
+        steps=st.sampled_from([1, 4, 16]),
+        block=st.sampled_from([16, 64, 512]),
+        cpus=st.integers(2, 4),
+        ts=st.lists(st.floats(0.0, 3 * TAU), min_size=4, max_size=40),
+    )
+    def test_thread_count_does_not_move_a_bit(
+        self, r, phi, eps_frac, shift, steps, block, cpus, ts
+    ):
+        h = HamiltonianParams(1.0, eps_frac)
+        blocks, work = _plan([cutoff_for("phase", r, 1e-9, t=t) for t in ts], steps, block)
+        assume(blocks >= 3 and work >= 4 * block)
+        runs = []
+        for n in (1, cpus):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fock, "_BLOCK_ELEMENTS", block)
+                mp.setattr(fock, "_cpu_count", lambda: n)
+                helpers = _count_helpers(mp)
+                gammas = geometric_phase_numeric(
+                    r, phi, h, np.array(ts), accuracy=1e-9, energy_shift=shift, steps=steps
+                )
+            runs.append((gammas.tolist(), len(helpers)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fock, "_BLOCK_ELEMENTS", block)
+                mp.setattr(fock, "_cpu_count", lambda: n)
+                runs.append(dynamical_integral(
+                    r, phi, h, np.array(ts), steps, energy_shift=shift
+                ).tolist())
+        (gammas_1, helpers_1), integrals_1, (gammas_n, helpers_n), integrals_n = runs
+        assert gammas_n == gammas_1 and integrals_n == integrals_1
+        # Threads: one per CPU, per block and per two blocks' worth of work,
+        # the calling thread among them.
+        assert helpers_1 == 0
+        assert helpers_n == min(cpus, blocks, work // (2 * block)) - 1 > 0
+
+    def test_large_grid_uses_every_cpu(self, monkeypatch):
+        monkeypatch.setattr(fock, "_cpu_count", lambda: 3)
+        helpers = _count_helpers(monkeypatch)
+        ts = np.linspace(0.0, TAU, 2000)
+        got = geometric_phase_numeric(2.0, 0.7, HamiltonianParams(1.0, 0.3), ts, steps=4)
+        assert len(helpers) == 2
+        monkeypatch.setattr(fock, "_cpu_count", lambda: 1)
+        assert geometric_phase_numeric(
+            2.0, 0.7, HamiltonianParams(1.0, 0.3), ts, steps=4
+        ).tolist() == got.tolist()
+        assert len(helpers) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_later_block_surfaces(self, monkeypatch):
+        monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(fock, "_cpu_count", lambda: 4)
+        helpers = _count_helpers(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            geometric_phase_numeric(
+                0.0, 0.0, H_UNIT, [1.0] * 7 + [1e308], energy_shift=5.0
+            )
+        assert threading.active_count() == before
+        assert len(helpers) == 3
+
+    def test_first_over_normalized_block_in_plan_order_surfaces(self, monkeypatch):
+        # Prefixes of length 1 and 2 hold 0.36 and 0.72; lengths 3 and 4 hold
+        # 1.53 and 2.34, each row its own block, so the first failure in plan
+        # order is a cutoff-2 row.
+        monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(fock, "_cpu_count", lambda: 4)
+        helpers = _count_helpers(monkeypatch)
+        state = SimpleNamespace(coeffs=np.array([0.6, 0.6, 0.9, 0.9], dtype=np.complex128))
+        ts = np.linspace(0.1, 1.0, 12)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=r"over-normalized: \|psi\|\^2 = 1\.5"):
+            fock._energy_integrals(state, H_UNIT, ts, [3, 2, 1, 0] * 3, 4, 0.0)
+        assert threading.active_count() == before
+        assert len(helpers) == 3 and not any(h.is_alive() for h in helpers)
+
 
 class TestEntropyNumeric:
     def test_vacuum(self):
