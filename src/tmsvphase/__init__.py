@@ -12,17 +12,15 @@ The package has two independent computational routes and a front end:
 * :mod:`tmsvphase.cli` exposes ``verify``, ``sweep`` and ``decompose``.
 """
 
-from .errors import CutoffExceededError, CutoffMismatchError, ExpmNotConvergedError
+from .errors import CutoffExceededError, ExpmNotConvergedError
 from .fock import (
     DiagonalFockState,
     bogoliubov_residual,
     cutoff_for,
     dynamical_integral,
-    energy_expectation,
     entropy_numeric,
     evolve,
     geometric_phase_numeric,
-    overlap_numeric,
     rotation_conjugation_check,
     schmidt_state,
     squeeze_by_exponentiation,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CutoffExceededError",
-    "CutoffMismatchError",
     "CyclicPhase",
     "DecompositionTriple",
     "DiagonalFockState",
@@ -74,7 +71,6 @@ __all__ = [
     "decompose_product",
     "dynamical_integral",
     "dynamical_term",
-    "energy_expectation",
     "entropy_from_cyclic_phase",
     "entropy_from_squeeze",
     "entropy_numeric",
@@ -85,7 +81,6 @@ __all__ = [
     "multiply",
     "one_mode_cyclic_phase",
     "overlap_analytic",
-    "overlap_numeric",
     "reconstruct",
     "rotation_conjugation_check",
     "schmidt_state",

@@ -18,7 +18,7 @@ unless ``--degrees`` is given, which converts display only.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 resource
 limit (no Fock cutoff up to ``--max-cutoff`` reaches the needed accuracy,
-or memory runs out).
+memory runs out, or the reader closes stdout early, as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, TextIO
@@ -344,16 +345,16 @@ _R_GRID = (0.1, 0.5, 1.0, 1.5, 2.0)
 
 @_invariant("overlap-agreement", 1e-9)
 def _overlap_agreement(accuracy, max_cutoff, rng):
+    h = HamiltonianParams(1.0, 0.25)
+    grid = np.linspace(0.0, TAU, 63)
     for r in _R_GRID:
-        N = fock.cutoff_for("mass", r, accuracy, max_cutoff=max_cutoff)
-        initial = fock.schmidt_state(r, 0.4, N)
-        h = HamiltonianParams(1.0, 0.25)
-        for wt in np.linspace(0.0, TAU, 63):
-            numeric = fock.overlap_numeric(
-                initial, fock.evolve(initial, h, float(wt))
-            )
+        _, overlaps, _ = fock._evolution(
+            "mass", r, 0.4, h, grid, accuracy=accuracy, max_cutoff=max_cutoff,
+            energy_shift=0.0, steps=1,
+        )
+        for wt, numeric in zip(grid, overlaps):
             analytic = phases.overlap_analytic(r, 1.0, float(wt))
-            yield abs(numeric - analytic), f"r={r}, omega_t={wt:.4g}"
+            yield abs(complex(numeric) - analytic), f"r={r}, omega_t={wt:.4g}"
 
 
 @_invariant("geometric-phase-agreement", 1e-8)
@@ -387,15 +388,11 @@ def _dynamical_quadrature(accuracy, max_cutoff, rng):
         }
         for i, (wt, t) in enumerate(zip(grid, ts)):
             expected = 2.0 * omega * t * math.sinh(r) ** 2
-            results = []
-            for eps_frac in eps_fracs:
-                for steps in step_counts:
-                    got = float(integrals[eps_frac, steps][i])
-                    results.append(got)
-                    yield abs(got - expected), (
-                        f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega, "
-                        f"steps={steps}"
-                    )
+            results = [float(values[i]) for values in integrals.values()]
+            for (eps_frac, steps), got in zip(integrals, results):
+                yield abs(got - expected), (
+                    f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega, steps={steps}"
+                )
             spread = max(results) - min(results)
             yield spread, f"r={r}, omega_t={wt:.4g} (step/eps spread)"
 
@@ -466,9 +463,11 @@ def _rotation_conjugation(accuracy, max_cutoff, rng):
 def _cyclic_total_phase(accuracy, max_cutoff, rng):
     h = HamiltonianParams(1.0, 0.0)
     for r in _R_GRID:
-        N = fock.cutoff_for("mass", r, accuracy, max_cutoff=max_cutoff)
-        initial = fock.schmidt_state(r, 0.3, N)
-        overlap = fock.overlap_numeric(initial, fock.evolve(initial, h, TAU))
+        _, overlaps, _ = fock._evolution(
+            "mass", r, 0.3, h, np.array([TAU]), accuracy=accuracy,
+            max_cutoff=max_cutoff, energy_shift=0.0, steps=1,
+        )
+        overlap = complex(overlaps[0])
         yield abs(overlap / abs(overlap) - 1.0), f"r={r}, omega_t=2pi"
 
 
@@ -645,21 +644,25 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "verify":
-            return cmd_verify(args.max_cutoff, seed=args.seed)
-        if args.command == "sweep":
-            spec = SweepSpec(
-                variable=args.variable,
-                start=args.start,
-                stop=args.stop,
-                points=args.points,
-                fixed={"r": args.r, "Omega": args.omega, "epsilon": args.epsilon,
-                       "phi": args.phi, "t": args.t},
-            )
-            return cmd_sweep(spec, fmt=args.format, max_cutoff=args.max_cutoff,
+            code = cmd_verify(args.max_cutoff, seed=args.seed)
+        elif args.command == "sweep":
+            fixed = {"r": args.r, "Omega": args.omega, "epsilon": args.epsilon,
+                     "phi": args.phi, "t": args.t}
+            spec = SweepSpec(args.variable, args.start, args.stop, args.points, fixed)
+            code = cmd_sweep(spec, fmt=args.format, max_cutoff=args.max_cutoff,
                              degrees=args.degrees)
-        prime = SqueezeParams(args.r_prime, args.phi_prime)
-        doubleprime = SqueezeParams(args.r_doubleprime, args.phi_doubleprime)
-        return cmd_decompose(prime, doubleprime, degrees=args.degrees)
+        else:
+            prime = SqueezeParams(args.r_prime, args.phi_prime)
+            doubleprime = SqueezeParams(args.r_doubleprime, args.phi_doubleprime)
+            code = cmd_decompose(prime, doubleprime, degrees=args.degrees)
+        # Output still buffered would meet a closed pipe only at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left; the flush at interpreter exit must not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("BROKEN_PIPE: stdout was closed before the output ended", file=sys.stderr)
+        return 3
     except CutoffExceededError as exc:
         print(f"CUTOFF_EXCEEDED: {exc}", file=sys.stderr)
         return 3

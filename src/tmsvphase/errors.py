@@ -8,10 +8,6 @@ class CutoffExceededError(RuntimeError):
     """
 
 
-class CutoffMismatchError(ValueError):
-    """Two truncated states with different cutoffs were combined."""
-
-
 class ExpmNotConvergedError(RuntimeError):
     """A matrix exponential failed its accuracy contract.
 

@@ -3,9 +3,9 @@
 Everything the closed forms in :mod:`tmsvphase.phases` claim is recomputed
 here from first principles: states as coefficient vectors, squeezing by
 exponentiating the generator through its eigendecomposition, evolution as
-literal Hamiltonian phase factors, numerical inner products, quadrature of
-the energy expectation, entropy of the Schmidt spectrum, and
-operator-identity residuals on the full two-mode space.
+literal Hamiltonian phase factors, quadrature of the energy expectation,
+entropy of the Schmidt spectrum, and operator-identity residuals on the
+full two-mode space.
 
 Two representations are used, chosen by what truncation does to them:
 
@@ -17,15 +17,13 @@ Two representations are used, chosen by what truncation does to them:
   truncated discrete-series SU(1,1) representation of N + 1 - |d| states,
   so operators are 2N + 1 sector blocks (:class:`SectorBlockOperator`).
 
-The geometric phase and the dynamical integral also run over a whole
-grid of t, as an ``omega_t`` sweep asks: one Schmidt state is built at
-the grid's largest cutoff, each row reads the prefix its own cutoff
-keeps, and rows sharing a cutoff are evolved and integrated together in
-small blocks.  The blocks run on worker threads created for the call and
-joined before it returns, one per usable CPU, when the grid has enough
-work to pay for starting them.  Each row keeps the reduction order of a
-lone evaluation and each block writes only its own rows, so the digits
-depend neither on the grid nor on the number of CPUs.
+Every quantity over time (overlap, energy integral, geometric phase) goes
+through one grid route, for one t or a whole ``omega_t`` sweep: one
+Schmidt state is built at the grid's largest cutoff, each row reads the
+prefix its own cutoff keeps, and rows sharing a cutoff are evolved and
+integrated together in small blocks, shared out to worker threads, with
+digits that depend neither on the grid nor on the number of CPUs.
+:func:`evolve` is the standalone per-state evolution it is checked against.
 
 Truncation error policy: the Schmidt coefficient of |n>|n> is
 (-e^{2i phi} tanh r)^n / cosh r, so every truncation error has a
@@ -48,8 +46,8 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CutoffExceededError, CutoffMismatchError, ExpmNotConvergedError
-from .phases import HamiltonianParams
+from .errors import CutoffExceededError, ExpmNotConvergedError
+from .phases import HamiltonianParams, _reduce_angle
 from .su11 import _require_finite, check_squeeze_factor
 
 #: Default bound on diagonal-subspace cutoffs (vectors of this length).
@@ -327,33 +325,6 @@ def evolve(
     )
 
 
-def overlap_numeric(a: DiagonalFockState, b: DiagonalFockState) -> complex:
-    """Inner product sum conj(a_n) b_n of two states with equal cutoffs."""
-    if a.cutoff != b.cutoff:
-        raise CutoffMismatchError(
-            f"cutoffs differ: {a.cutoff} vs {b.cutoff}; build both states "
-            "at the same truncation"
-        )
-    return complex(np.vdot(a.coeffs, b.coeffs))
-
-
-def energy_expectation(
-    state: DiagonalFockState,
-    h: HamiltonianParams,
-    energy_shift: float = 0.0,
-) -> float:
-    """<H> = sum [Omega(n+n) + epsilon(n-n)] |c_n|^2, plus the gauge shift.
-
-    The shift contributes c * 1 (the nominal state is normalized; using
-    the truncated squared norm instead would leak the truncation tail into
-    gauge-invariance checks).  For the squeezed vacuum this evaluates to
-    2 Omega sinh^2 r up to the truncation tail, independent of phi and t.
-    """
-    shift = _require_finite("energy_shift", energy_shift)
-    energies = _energies(h, state.cutoff)
-    return float(np.sum(energies * np.abs(state.coeffs) ** 2)) + shift
-
-
 def _tau_grids(ts: np.ndarray, steps: int) -> np.ndarray:
     """Row i is np.linspace(0.0, ts[i], steps + 1), element for element.
 
@@ -389,8 +360,9 @@ def _energy_integrals(
     Returns, in grid order, each row's integral and its overlap
     <psi(0)|psi(t)>.  Element for element, psi(tau_k) is ``evolve(psi(0),
     h, tau_k, shift)`` with psi(t) its last tau, and each value repeats
-    :func:`energy_expectation`; at tau = 0 the phase factor exp(-0j) is
-    exactly 1, so that value is taken from psi(0) once per block.
+    the per-state reference ``_expected_energy`` in ``tests/test_fock.py``;
+    at tau = 0 the phase factor exp(-0j) is exactly 1, so that value is
+    taken from psi(0) once per block.
 
     Rows that share a cutoff go through together, as many as fit in
     _BLOCK_ELEMENTS evolved coefficients (one at least).  A block's
@@ -496,6 +468,24 @@ def _time_grid(t: float | np.ndarray) -> tuple[np.ndarray, bool]:
     return ts.reshape(-1), ts.ndim == 0
 
 
+def _evolution(
+    observable: str, r: float, phi: float, h: HamiltonianParams, ts: np.ndarray, *,
+    accuracy: float, max_cutoff: int, energy_shift: float, steps: int,
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each row's energy integral, overlap <psi(0)|psi(t)> and cutoff, ts 1-D.
+
+    Row i keeps ``cutoff_for(observable, r, accuracy, t=Omega t[i])``, and
+    one Schmidt state is built at the largest.  The overlap does not depend
+    on ``steps``: the last tau of each row is t itself.
+    """
+    wts = (h.Omega * float(t) for t in ts)
+    cutoffs = _cutoffs(observable, r, accuracy, wts, max_cutoff)
+    state = schmidt_state(r, phi, max(cutoffs, default=0))
+    shift = _require_finite("energy_shift", energy_shift)
+    integrals, overlaps = _energy_integrals(state, h, ts, cutoffs, steps, shift)
+    return integrals, overlaps, cutoffs
+
+
 def dynamical_integral(
     r: float,
     phi: float,
@@ -515,15 +505,13 @@ def dynamical_integral(
     the cutoff is chosen for.
 
     ``t`` may be a 1-D array of times, as in :func:`geometric_phase_numeric`:
-    row i is bit for bit the value at t[i] alone, read from one Schmidt
-    state at the prefix its own ``cutoff_for("energy", ...)`` keeps.
+    row i is bit for bit the value at t[i] alone.
     """
     ts, scalar = _time_grid(t)
-    wts = (h.Omega * float(tt) for tt in ts)
-    cutoffs = _cutoffs("energy", r, accuracy, wts, max_cutoff)
-    state = schmidt_state(r, phi, max(cutoffs, default=0))
-    shift = _require_finite("energy_shift", energy_shift)
-    integrals, _ = _energy_integrals(state, h, ts, cutoffs, steps, shift)
+    integrals, _, _ = _evolution(
+        "energy", r, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
+        energy_shift=energy_shift, steps=steps,
+    )
     return float(integrals[0]) if scalar else integrals
 
 
@@ -546,23 +534,16 @@ def geometric_phase_numeric(
     tail the cutoff is chosen for at each Omega t.
 
     ``t`` may be a 1-D array of times; the result is then an array, row i
-    bit for bit the value at t[i] alone.  The whole grid uses one Schmidt
-    state, built at its largest cutoff; row i reads the prefix its own
-    ``cutoff_for("phase", ...)`` keeps, and psi(t) is the last tau of the
-    quadrature, so no row builds or evolves a state of its own.
+    bit for bit the value at t[i] alone.
     """
     ts, scalar = _time_grid(t)
-    wts = (h.Omega * float(tt) for tt in ts)
-    cutoffs = _cutoffs("phase", r, accuracy, wts, max_cutoff)
-    state = schmidt_state(r, phi, max(cutoffs, default=0))
-    shift = _require_finite("energy_shift", energy_shift)
-    deltas, overlaps = _energy_integrals(state, h, ts, cutoffs, steps, shift)
+    deltas, overlaps, _ = _evolution(
+        "phase", r, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
+        energy_shift=energy_shift, steps=steps,
+    )
     gammas = np.empty(ts.size)
     for i, (delta, overlap) in enumerate(zip(deltas, overlaps)):
-        overlap = complex(overlap)
-        total = math.atan2(overlap.imag, overlap.real)
-        gamma = (total + float(delta)) % (2.0 * math.pi)
-        gammas[i] = 0.0 if gamma >= 2.0 * math.pi else gamma
+        gammas[i] = _reduce_angle(math.atan2(overlap.imag, overlap.real) + float(delta))
     return float(gammas[0]) if scalar else gammas
 
 
@@ -751,11 +732,9 @@ __all__ = [
     "bogoliubov_residual",
     "cutoff_for",
     "dynamical_integral",
-    "energy_expectation",
     "entropy_numeric",
     "evolve",
     "geometric_phase_numeric",
-    "overlap_numeric",
     "rotation_conjugation_check",
     "schmidt_state",
     "squeeze_by_exponentiation",

@@ -4,12 +4,15 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import tmsvphase
+from tmsvphase import errors, fock
 from tmsvphase.cli import SweepSpec, cmd_decompose, cmd_sweep, format_number, main
 from tmsvphase.phases import TAU
 from tmsvphase.su11 import SqueezeParams
@@ -180,6 +183,31 @@ class TestSweepGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestVerifyGoldenBytes:
+    """sha256 of verify stdout, recorded while two of its overlap checks
+    still evolved one state per point.
+
+    The worst values carry 12 significant digits, so these pin the oracle's
+    overlaps and integrals to the bit.  Recorded with numpy 2.4 on x86-64
+    Linux, on one CPU and on two.
+    """
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "dd13f8c29e1db10b63048007fae07218f085e232ba1e15df626b57f05edcbc52"),
+        (1, "6cd8a541c4622ed9203b7909acf5a7508cd0484e66e4565eabee06af07c0a8e0"),
+        (2, "02486b280f82f284ca7c64480e1250e9b013edc26412da98ab780c93099cc4bd"),
+        (3, "0756d72f53b77eca6c87651c5a0a49738c104bc930f6bd891b5cadf9e7ed69ad"),
+        (4, "a77359fdbf6a82f3d7dedcc35b2108abc05cb0e22cfe438667f0a310267375ba"),
+        (5, "4e364d5099d5f939f79aca16d9b7beea8fe1133f649a314018b5c027c031bfb5"),
+        (6, "b898d793eda1edccd7f61a929828ef8e2d546ccc8b407bd354b1e8ec1b32ae12"),
+        (7, "68a0f4481233e66fb9fe4ce0dd46e48f9f2f5816874766b9c195a2dd44cde117"),
+    ])
+    def test_stdout_digest(self, seed, digest, capsys):
+        assert main(["verify", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestDecomposeCommand:
     def run(self, prime, dbl, degrees=False):
         out = io.StringIO()
@@ -345,3 +373,51 @@ class TestMainEntry:
         assert result.returncode == 0
         assert result.stdout.startswith("gamma_c,entropy\n")
         assert result.stdout.endswith("\n")
+
+    @pytest.mark.parametrize("points,lines_read", [(200000, 1), (100, 0)],
+                             ids=["head-1", "closed-before-output"])
+    def test_closed_stdout_is_a_resource_error(self, points, lines_read):
+        # Buffered output (no PYTHONUNBUFFERED) must meet the closed pipe
+        # inside main too, not in the flush at interpreter exit.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tmsvphase.cli", "sweep", "--variable", "gamma_c",
+             "--start", "0", "--stop", "6", "--points", str(points)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 3
+        assert "Traceback" not in err
+        assert err.startswith("BROKEN_PIPE: ")
+        assert err.count("\n") == 1
+
+
+class TestPublicSurface:
+    NAMES = [
+        "CutoffExceededError", "CyclicPhase", "DecompositionTriple",
+        "DiagonalFockState", "ExpmNotConvergedError", "GroupElement",
+        "HamiltonianParams", "PhaseBreakdown", "R_MAX", "SqueezeParams",
+        "bogoliubov_residual", "c_matrix", "cutoff_for", "cyclic_geometric_phase",
+        "decompose_product", "dynamical_integral", "dynamical_term",
+        "entropy_from_cyclic_phase", "entropy_from_squeeze", "entropy_numeric",
+        "evolve", "geometric_phase", "geometric_phase_numeric", "inverse",
+        "multiply", "one_mode_cyclic_phase", "overlap_analytic", "reconstruct",
+        "rotation_conjugation_check", "schmidt_state", "squeeze_by_exponentiation",
+        "total_phase_factor", "two_mode_squeeze_operator",
+    ]
+
+    def test_package_exports_exactly_these_names(self):
+        assert len(self.NAMES) == 33
+        assert sorted(tmsvphase.__all__) == self.NAMES
+        assert [name for name in self.NAMES if not hasattr(tmsvphase, name)] == []
+
+    @pytest.mark.parametrize("name", ["overlap_numeric", "energy_expectation",
+                                      "CutoffMismatchError"])
+    def test_per_state_overlap_names_are_gone(self, name):
+        # Overlaps and energies over time come from the grid oracle alone.
+        for module in (tmsvphase, fock, errors):
+            assert not hasattr(module, name), module.__name__

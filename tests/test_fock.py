@@ -12,10 +12,7 @@ from scipy.linalg import expm
 
 from tmsvphase import fock, phases
 from tmsvphase.cli import circle_distance
-from tmsvphase.errors import (
-    CutoffExceededError,
-    CutoffMismatchError,
-)
+from tmsvphase.errors import CutoffExceededError
 from tmsvphase.fock import (
     FULL_SPACE_MAX_CUTOFF,
     DiagonalFockState,
@@ -23,11 +20,9 @@ from tmsvphase.fock import (
     bogoliubov_residual,
     cutoff_for,
     dynamical_integral,
-    energy_expectation,
     entropy_numeric,
     evolve,
     geometric_phase_numeric,
-    overlap_numeric,
     rotation_conjugation_check,
     schmidt_state,
     squeeze_by_exponentiation,
@@ -116,7 +111,7 @@ def _observed_error(observable, r, wt, N, accuracy):
     """Oracle error against the closed form, and the scale its rounding has."""
     if observable == "mass":
         state = schmidt_state(r, 0.3, N)
-        overlap = overlap_numeric(state, evolve(state, H_UNIT, wt))
+        overlap = _inner_product(state, evolve(state, H_UNIT, wt))
         return abs(overlap - phases.overlap_analytic(r, 1.0, wt)), 1.0
     if observable == "energy":
         exact = 2.0 * wt * math.sinh(r) ** 2
@@ -322,37 +317,39 @@ class TestEvolve:
         )
 
 
+def _grid_overlaps(state, ts):
+    """<psi(0)|psi(t)> under H_UNIT for each t, from the grid path at the state's cutoff."""
+    ts = np.asarray(ts, dtype=np.float64)
+    _, overlaps = fock._energy_integrals(state, H_UNIT, ts, [state.cutoff] * ts.size, 1, 0.0)
+    return [complex(overlap) for overlap in overlaps]
+
+
 class TestOverlapNumeric:
+    """The overlaps the grid path returns, the only oracle overlap there is."""
+
     def test_self_overlap_is_squared_norm(self):
         state = schmidt_state(1.0, 0.3, 50)
-        got = overlap_numeric(state, state)
+        (got,) = _grid_overlaps(state, [0.0])
         assert abs(got.imag) < 1e-16
         assert 1.0 - 1e-12 <= got.real <= 1.0
 
     def test_half_period_frozen(self):
         N = cutoff_for("mass", 1.0, 1e-12)
-        initial = schmidt_state(1.0, 0.0, N)
-        got = overlap_numeric(initial, evolve(initial, H_UNIT, math.pi / 2))
+        (got,) = _grid_overlaps(schmidt_state(1.0, 0.0, N), [math.pi / 2])
         assert abs(got - INV_COSH_2) < 1e-12
 
     def test_quarter_period_argument(self):
         N = cutoff_for("mass", 1.0, 1e-12)
-        initial = schmidt_state(1.0, 0.0, N)
-        got = overlap_numeric(initial, evolve(initial, H_UNIT, math.pi / 4))
+        (got,) = _grid_overlaps(schmidt_state(1.0, 0.0, N), [math.pi / 4])
         assert abs(np.angle(got) - TOTAL_PHASE_QUARTER) < 1e-12
-
-    def test_cutoff_mismatch(self):
-        with pytest.raises(CutoffMismatchError):
-            overlap_numeric(schmidt_state(1.0, 0.0, 10), schmidt_state(1.0, 0.0, 11))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     @pytest.mark.parametrize("r", [0.4, 1.0, 1.8])
     def test_agreement_scales_with_tolerance(self, r, tol):
         # the truncation tail bounds the overlap error at any tolerance
         N = cutoff_for("mass", r, tol)
-        initial = schmidt_state(r, 0.2, N)
-        for wt in (0.6, 2.4, 5.1):
-            numeric = overlap_numeric(initial, evolve(initial, H_UNIT, wt))
+        grid = (0.6, 2.4, 5.1)
+        for wt, numeric in zip(grid, _grid_overlaps(schmidt_state(r, 0.2, N), grid)):
             analytic = phases.overlap_analytic(r, 1.0, wt)
             assert abs(numeric - analytic) <= 10.0 * tol
 
@@ -361,44 +358,61 @@ class TestOverlapNumeric:
         # so the overlap collapses to the squared norm (zero total phase)
         for r in (0.5, 1.0, 2.0):
             state = schmidt_state(r, 0.3, cutoff_for("mass", r, 1e-12))
-            got = overlap_numeric(state, evolve(state, H_UNIT, TAU))
+            (got,) = _grid_overlaps(state, [TAU])
             assert abs(got - state.squared_norm()) < 1e-12
 
 
 class TestEnergyExpectation:
+    """The per-state energy reference the grid quadrature is checked against."""
+
     def test_vacuum(self):
-        assert energy_expectation(schmidt_state(0.0, 0.0, 5), H_UNIT) == 0.0
+        assert _expected_energy(schmidt_state(0.0, 0.0, 5), H_UNIT) == 0.0
 
     def test_unit_squeeze_frozen(self):
         state = schmidt_state(1.0, 0.0, cutoff_for("mass", 1.0, 1e-12))
-        got = energy_expectation(state, H_UNIT)
+        got = _expected_energy(state, H_UNIT)
         assert abs(got - ENERGY_R1) < 1e-9
 
     def test_tail_bound(self):
         # closed form minus truncated sum is the dropped-tail energy
         for r, N in ((0.5, 40), (1.0, 80)):
             state = schmidt_state(r, 0.0, N)
-            deficit = 2.0 * math.sinh(r) ** 2 - energy_expectation(state, H_UNIT)
+            deficit = 2.0 * math.sinh(r) ** 2 - _expected_energy(state, H_UNIT)
             n = np.arange(N + 1, N + 3000)
             tail = float(np.sum(2.0 * n * np.tanh(r) ** (2 * n) / np.cosh(r) ** 2))
             assert 0.0 <= deficit <= tail * (1.0 + 1e-9) + 1e-15
 
     def test_independent_of_phi_and_time(self):
         N = 50
-        base = energy_expectation(schmidt_state(1.0, 0.0, N), H_UNIT)
-        rotated = energy_expectation(schmidt_state(1.0, 1.1, N), H_UNIT)
-        evolved = energy_expectation(
+        base = _expected_energy(schmidt_state(1.0, 0.0, N), H_UNIT)
+        rotated = _expected_energy(schmidt_state(1.0, 1.1, N), H_UNIT)
+        evolved = _expected_energy(
             evolve(schmidt_state(1.0, 0.0, N), H_UNIT, 5.3), H_UNIT
         )
         assert abs(base - rotated) < 1e-12
         assert abs(base - evolved) < 1e-12
 
 
+def _inner_product(a, b):
+    """Per-state reference overlap: sum conj(a_n) b_n."""
+    return complex(np.vdot(a.coeffs, b.coeffs))
+
+
+def _expected_energy(state, h, shift=0.0):
+    """Per-state reference <H> = sum [Omega(n+n) + epsilon(n-n)] |c_n|^2 + shift.
+
+    The shift counts once, as for a normalized state, so the truncation
+    tail does not leak into gauge-invariance checks.
+    """
+    energies = fock._energies(h, state.cutoff)
+    return float(np.sum(energies * np.abs(state.coeffs) ** 2)) + shift
+
+
 def _energy_integral_by_loop(initial, h, t, steps, shift):
     """Reference for the array trapezoid: one evolved state per tau."""
     taus = np.linspace(0.0, t, steps + 1)
     values = np.array(
-        [energy_expectation(evolve(initial, h, tau, shift), h, shift) for tau in taus]
+        [_expected_energy(evolve(initial, h, tau, shift), h, shift) for tau in taus]
     )
     return float(np.trapezoid(values, taus))
 
@@ -416,7 +430,7 @@ def _geometric_phase_per_point(r, phi, h, t, accuracy, shift, steps):
     """Reference for the grid oracle: its own cutoff, state and evolved state."""
     N = cutoff_for("phase", r, accuracy, t=h.Omega * t)
     initial = schmidt_state(r, phi, N)
-    overlap = overlap_numeric(initial, evolve(initial, h, t, shift))
+    overlap = _inner_product(initial, evolve(initial, h, t, shift))
     total = math.atan2(overlap.imag, overlap.real)
     delta = _energy_integral_per_point(initial, h, t, steps, shift)
     gamma = (total + delta) % (2.0 * math.pi)
@@ -551,14 +565,32 @@ class TestGeometricPhaseNumeric:
         r, t, c = 0.8, 1.3, 0.9
         N = cutoff_for("mass", r, 1e-12)
         initial = schmidt_state(r, 0.0, N)
-        plain = overlap_numeric(initial, evolve(initial, H_UNIT, t))
-        shifted = overlap_numeric(initial, evolve(initial, H_UNIT, t, energy_shift=c))
+        plain = _inner_product(initial, evolve(initial, H_UNIT, t))
+        shifted = _inner_product(initial, evolve(initial, H_UNIT, t, energy_shift=c))
         assert circle_distance(
             float(np.angle(shifted)), float(np.angle(plain)) - c * t
         ) < 1e-12
         d_plain = dynamical_integral(r, 0.0, H_UNIT, t, steps=4)
         d_shift = dynamical_integral(r, 0.0, H_UNIT, t, steps=4, energy_shift=c)
         assert abs((d_shift - d_plain) - c * t) < 1e-12
+
+
+class TestEvolution:
+    """``fock._evolution``, the one route to every quantity over time."""
+
+    @pytest.mark.parametrize("observable", ["mass", "energy", "phase"])
+    def test_rows_keep_their_cutoff_and_per_state_overlap(self, observable):
+        h = HamiltonianParams(1.3, 0.4)
+        ts = np.linspace(0.0, 3 * TAU, 40)
+        route = dict(accuracy=1e-9, max_cutoff=4096, energy_shift=0.7)
+        _, overlaps, cutoffs = fock._evolution(observable, 1.2, 0.3, h, ts, steps=1, **route)
+        assert cutoffs == [cutoff_for(observable, 1.2, 1e-9, t=h.Omega * t) for t in ts]
+        for t, N, overlap in zip(ts, cutoffs, overlaps):
+            initial = schmidt_state(1.2, 0.3, N)
+            assert overlap == _inner_product(initial, evolve(initial, h, t, 0.7))
+        # The last tau is t itself, so the step count cannot move an overlap.
+        _, finer, _ = fock._evolution(observable, 1.2, 0.3, h, ts, steps=16, **route)
+        assert finer.tolist() == overlaps.tolist()
 
 
 class TestGeometricPhaseGrid:
