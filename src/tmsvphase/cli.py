@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -69,6 +70,10 @@ def circle_distance(a: float, b: float) -> float:
 # Sweep specification
 
 
+# The parameters a sweep holds fixed, with their defaults.
+_SWEEP_DEFAULTS = {"r": 1.0, "Omega": 1.0, "epsilon": 0.0, "phi": 0.0, "t": 1.0}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept variable over [start, stop] with the rest held fixed.
@@ -93,6 +98,8 @@ class SweepSpec:
         if self.points < 2:
             raise ValueError(f"points must be at least 2, got {self.points}")
         for key, value in self.fixed.items():
+            if key not in _SWEEP_DEFAULTS:
+                raise ValueError(f"unknown fixed parameter {key!r}")
             if not math.isfinite(float(value)):
                 raise ValueError(f"fixed parameter {key} must be finite")
 
@@ -122,55 +129,44 @@ def _gamma_numeric(r, phi, h, t, max_cutoff):
 
 
 def _phase_columns(r, Omega, t, gamma_numeric):
+    """One row's values of ``_PHASE_COLUMNS``, in that order."""
     breakdown = phases.geometric_phase(r, Omega, t)
-    return {
-        "re_overlap": breakdown.overlap.real,
-        "im_overlap": breakdown.overlap.imag,
-        "total_phase": breakdown.total_phase,
-        "delta": breakdown.dynamical_term_delta,
-        "gamma_mod_2pi": breakdown.geometric_phase,
-        "gamma_numeric": gamma_numeric,
-        "abs_error": circle_distance(gamma_numeric, breakdown.geometric_phase),
-    }
+    gamma = breakdown.geometric_phase
+    return (breakdown.overlap.real, breakdown.overlap.imag, breakdown.total_phase,
+            breakdown.dynamical_term_delta, gamma, gamma_numeric,
+            circle_distance(gamma_numeric, gamma))
 
 
 def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     """Evaluate the sweep grid; returns (headers, rows) with rows in grid order.
 
-    An ``omega_t`` sweep asks the oracle for the whole grid in one call; an
-    ``r`` sweep needs a new state per row and asks row by row.
+    The headers are the names in ``_COLUMNS[spec.variable]`` and each row
+    is a tuple of floats in that order.  An ``omega_t`` sweep asks the
+    oracle for the whole grid in one call; an ``r`` sweep needs a new state
+    per row and asks row by row.
     """
     grid = np.linspace(spec.start, spec.stop, spec.points)
-    fx = {"r": 1.0, "Omega": 1.0, "epsilon": 0.0, "phi": 0.0, "t": 1.0}
-    fx.update(spec.fixed)
+    fx = {**_SWEEP_DEFAULTS, **spec.fixed}
 
-    rows = []
     if spec.variable == "omega_t":
         h = HamiltonianParams(fx["Omega"], fx["epsilon"])
         ts = grid / fx["Omega"]
         numeric = _gamma_numeric(fx["r"], fx["phi"], h, ts, max_cutoff)
-        for wt, t, gamma in zip(grid, ts, numeric):
-            row = {"omega_t": float(wt)}
-            row.update(_phase_columns(fx["r"], fx["Omega"], float(t), float(gamma)))
-            rows.append(row)
+        rows = [
+            (wt, *_phase_columns(fx["r"], fx["Omega"], t, gamma))
+            for wt, t, gamma in zip(grid.tolist(), ts.tolist(), numeric.tolist())
+        ]
     elif spec.variable == "r":
         h = HamiltonianParams(fx["Omega"], fx["epsilon"])
-        for rv in grid:
-            rv = float(rv)
-            row = {"r": rv}
+        rows = []
+        for rv in grid.tolist():
             gamma = _gamma_numeric(rv, fx["phi"], h, fx["t"], max_cutoff)
-            row.update(_phase_columns(rv, fx["Omega"], fx["t"], gamma))
+            phase = _phase_columns(rv, fx["Omega"], fx["t"], gamma)
             cyclic = phases.cyclic_geometric_phase(rv)
-            row["gamma_c_unreduced"] = cyclic.unreduced
-            row["gamma_c_reduced"] = cyclic.reduced
-            row["entropy"] = phases.entropy_from_squeeze(rv)
-            rows.append(row)
+            rows.append((rv, *phase, cyclic.unreduced, cyclic.reduced,
+                         phases.entropy_from_squeeze(rv)))
     else:  # gamma_c
-        for g in grid:
-            rows.append({
-                "gamma_c": float(g),
-                "entropy": phases.entropy_from_cyclic_phase(float(g)),
-            })
+        rows = [(g, phases.entropy_from_cyclic_phase(g)) for g in grid.tolist()]
     return [name for name, _ in _COLUMNS[spec.variable]], rows
 
 
@@ -181,30 +177,29 @@ def cmd_sweep(
     degrees: bool = False,
     stream: TextIO | None = None,
 ) -> int:
-    """Emit the sweep table; nonzero exit if any oracle gap exceeds 1e-8."""
+    """Emit the sweep table; nonzero exit if any oracle gap exceeds 1e-8.
+
+    The table from ``sweep_rows`` is checked for non-finite values row by
+    row and printed as it is; ``--degrees`` scales each angle column of
+    ``_COLUMNS`` while formatting.
+    """
     out = stream if stream is not None else sys.stdout
     headers, rows = sweep_rows(spec, max_cutoff)
 
-    worst_gap = 0.0
     for row in rows:
-        worst_gap = max(worst_gap, row.get("abs_error", 0.0))
-        for key, value in row.items():
+        for name, value in zip(headers, row):
             if not math.isfinite(value):
-                print(f"non-finite value in column {key}", file=sys.stderr)
+                print(f"non-finite value in column {name}", file=sys.stderr)
                 return 1
+    # Only the phase sweeps have a gap column.
+    gaps = [i for i, name in enumerate(headers) if name == "abs_error"]
+    worst_gap = max((row[i] for i in gaps for row in rows), default=0.0)
 
-    display_rows = rows
-    if degrees:
-        angle_cols = {name for name, angle in _COLUMNS[spec.variable] if angle}
-        display_rows = [
-            {k: (v * _DEG if k in angle_cols else v) for k, v in row.items()}
-            for row in rows
-        ]
-
+    scales = [_DEG if degrees and angle else 1.0 for _, angle in _COLUMNS[spec.variable]]
     if fmt == "csv":
         out.write(",".join(headers) + "\n")
-        for row in display_rows:
-            out.write(",".join(format_number(row[h]) for h in headers) + "\n")
+        for row in rows:
+            out.write(",".join(map(format_number, map(operator.mul, row, scales))) + "\n")
     else:
         payload = {
             "spec": {
@@ -215,7 +210,7 @@ def cmd_sweep(
                 "fixed": dict(spec.fixed),
                 "degrees": degrees,
             },
-            "rows": display_rows,
+            "rows": [dict(zip(headers, map(operator.mul, row, scales))) for row in rows],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
 
@@ -605,16 +600,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--start", type=float, required=True)
     sweep.add_argument("--stop", type=float, required=True)
     sweep.add_argument("--points", type=int, required=True)
-    sweep.add_argument("--r", type=float, default=1.0,
-                       help="fixed squeeze factor (non-r sweeps), default 1")
-    sweep.add_argument("--omega", type=float, default=1.0,
-                       help="fixed carrier frequency, default 1")
-    sweep.add_argument("--epsilon", type=float, default=0.0,
-                       help="fixed modulation frequency, default 0")
-    sweep.add_argument("--phi", type=float, default=0.0,
-                       help="fixed squeeze phase angle, default 0")
-    sweep.add_argument("--t", type=float, default=1.0,
-                       help="fixed evolution time (r sweeps), default 1")
+    for key, text in zip(_SWEEP_DEFAULTS, (
+        "fixed squeeze factor (non-r sweeps)", "fixed carrier frequency",
+        "fixed modulation frequency", "fixed squeeze phase angle",
+        "fixed evolution time (r sweeps)",
+    )):
+        sweep.add_argument("--" + key.lower(), dest=key, type=float,
+                           default=_SWEEP_DEFAULTS[key], help=text + ", default %(default)g")
     sweep.add_argument("--max-cutoff", type=int, default=fock.DEFAULT_MAX_CUTOFF,
                        help=max_cutoff_help + ", which lets an r sweep at "
                             "Omega t = 1 reach r ~ 3.15 (exit 3 beyond)")
@@ -646,8 +638,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             code = cmd_verify(args.max_cutoff, seed=args.seed)
         elif args.command == "sweep":
-            fixed = {"r": args.r, "Omega": args.omega, "epsilon": args.epsilon,
-                     "phi": args.phi, "t": args.t}
+            fixed = {key: getattr(args, key) for key in _SWEEP_DEFAULTS}
             spec = SweepSpec(args.variable, args.start, args.stop, args.points, fixed)
             code = cmd_sweep(spec, fmt=args.format, max_cutoff=args.max_cutoff,
                              degrees=args.degrees)

@@ -401,15 +401,18 @@ def _energy_integrals(
         block_taus = taus[rows]
         shape = (rows.size, steps, N + 1)
         size = math.prod(shape)
-        evolved = np.multiply(
-            -1j * (block_energies + shift), block_taus[:, 1:, None],
-            out=spare[:size].reshape(shape),
-        )
-        np.exp(evolved, out=evolved)
-        np.multiply(initial, evolved, out=evolved)
-        weights = np.abs(evolved, out=real_spare[:size].reshape(shape))
-        np.square(weights, out=weights)
-        norms = weights[:, -1].sum(axis=-1)
+        # Overflowing input ends in the finite check below, not in warnings;
+        # the error state is set here because threads do not inherit it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            evolved = np.multiply(
+                -1j * (block_energies + shift), block_taus[:, 1:, None],
+                out=spare[:size].reshape(shape),
+            )
+            np.exp(evolved, out=evolved)
+            np.multiply(initial, evolved, out=evolved)
+            weights = np.abs(evolved, out=real_spare[:size].reshape(shape))
+            np.square(weights, out=weights)
+            norms = weights[:, -1].sum(axis=-1)
         if not np.isfinite(norms).all():
             raise ValueError("coefficients must be finite")
         if norms.max() > 1.0 + 1e-12:

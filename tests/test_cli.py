@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tmsvphase
-from tmsvphase import errors, fock
+from tmsvphase import cli, errors, fock
 from tmsvphase.cli import SweepSpec, cmd_decompose, cmd_sweep, format_number, main
 from tmsvphase.phases import TAU
 from tmsvphase.su11 import SqueezeParams
@@ -54,6 +54,8 @@ class TestSweepSpecValidation:
             dict(variable="r", start=2.0, stop=1.0, points=5),
             dict(variable="r", start=0.0, stop=1.0, points=1),
             dict(variable="r", start=float("inf"), stop=1.0, points=5),
+            dict(variable="omega_t", start=0.0, stop=1.0, points=3,
+                 fixed={"omega": 2.0}),
         ],
     )
     def test_rejects_bad_specs(self, kwargs):
@@ -176,7 +178,12 @@ class TestSweepGoldenBytes:
         (OMEGA_T + ["--format", "json"],
          "5cb451fd8efaaa51130f3de668d846320fe7bff2ab38e773372e1cfa0b449dca"),
         (R, "0495b283294dd7eec1519f7446c76c6658b9222d8f31975eecbee5823a2f5ee0"),
-    ], ids=["omega_t-csv", "omega_t-json", "r-csv"])
+        # Recorded while sweep rows were still dicts and --degrees copied them.
+        (OMEGA_T + ["--degrees"],
+         "94a92e7dbc0be17abdd9f8b269f558f70dfcccc26ff8e1b3847b1ef9c5b0e450"),
+        (R + ["--format", "json"],
+         "7898e98ee0d60cb18224236c2ebf7bbdefa7c40681f887e258881f4377be69e4"),
+    ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -312,6 +319,25 @@ class TestMainEntry:
                      "--stop", "1e308", "--points", "3"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[1:] == ["0,0", "5e+307,706.972037215", "1e+308,707.665184395"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_oracle_input_is_one_usage_line(self, capsys):
+        # Omega t = 1e308 overflows the oracle's phases; numpy stays quiet
+        # and the finite check reports it.
+        assert main(["sweep", "--variable", "omega_t", "--start", "0",
+                     "--stop", "1e308", "--points", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: coefficients must be finite\n"
+
+    def test_non_finite_cell_is_named_row_by_row(self, capsys, monkeypatch):
+        # The first row's entropy comes before the second row's gamma_c.
+        table = (["gamma_c", "entropy"], [(0.0, math.nan), (math.inf, 0.0)])
+        monkeypatch.setattr(cli, "sweep_rows", lambda spec, max_cutoff: table)
+        out = io.StringIO()
+        assert cmd_sweep(SweepSpec("gamma_c", 0.0, 1.0, 2), stream=out) == 1
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == "non-finite value in column entropy\n"
 
     def test_squeeze_beyond_cutoff_reach_is_resource_error(self, capsys):
         assert main(["sweep", "--variable", "omega_t", "--start", "0",

@@ -668,7 +668,7 @@ class TestGeometricPhaseGrid:
         with pytest.raises(ValueError, match="nonnegative"):
             geometric_phase_numeric(1.0, 0.0, H_UNIT, [0.5, -0.1, 2.0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_evolution_is_rejected(self):
         # The shifted phase overflows; each row's evolved state is checked.
         with pytest.raises(ValueError, match="finite"):
@@ -759,7 +759,7 @@ class TestParallelBlocks:
         ).tolist() == got.tolist()
         assert len(helpers) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_later_block_surfaces(self, monkeypatch):
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
         monkeypatch.setattr(fock, "_cpu_count", lambda: 4)
