@@ -352,17 +352,15 @@ def _overlap_agreement(accuracy, max_cutoff, rng):
             yield abs(complex(numeric) - analytic), f"r={r}, omega_t={wt:.4g}"
 
 
-@_invariant("geometric-phase-agreement", 1e-8)
+@_invariant("geometric-phase-agreement", SWEEP_PHASE_BOUND)
 def _phase_agreement(accuracy, max_cutoff, rng):
-    h = HamiltonianParams(1.0, 0.25)
-    grid = np.linspace(0.0, TAU, 63)
+    # The abs_error column of the omega_t sweep, so both report one gap.
     for r in _R_GRID:
-        numeric = fock.geometric_phase_numeric(
-            r, 0.4, h, grid, accuracy=accuracy, max_cutoff=max_cutoff, steps=4
-        )
-        for wt, gamma in zip(grid, numeric):
-            analytic = phases.geometric_phase(r, 1.0, float(wt)).geometric_phase
-            yield circle_distance(float(gamma), analytic), f"r={r}, omega_t={wt:.4g}"
+        spec = SweepSpec("omega_t", 0.0, TAU, 63, {"r": r, "phi": 0.4, "epsilon": 0.25})
+        headers, rows = sweep_rows(spec, max_cutoff)
+        gap = headers.index("abs_error")
+        for row in rows:
+            yield row[gap], f"r={r}, omega_t={row[0]:.4g}"
 
 
 @_invariant("dynamical-quadrature", 1e-10)

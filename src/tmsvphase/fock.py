@@ -53,8 +53,8 @@ from .su11 import _require_finite, check_squeeze_factor
 #: Default bound on diagonal-subspace cutoffs (vectors of this length).
 DEFAULT_MAX_CUTOFF = 4096
 
-#: Bound on full two-mode cutoffs; 2N + 1 sector blocks of at most N + 1 rows.
-FULL_SPACE_MAX_CUTOFF = 64
+#: Bound on full two-mode cutoffs, where :func:`two_mode_squeeze_operator` is accurate.
+FULL_SPACE_MAX_CUTOFF = 32
 
 #: Norm defect above which an exponentiated generator is considered broken.
 _EXPM_NORM_TOL = 1e-12
@@ -67,26 +67,28 @@ _BLOCK_ELEMENTS = 24576
 class DiagonalFockState:
     """Amplitudes c_0..c_N on the paired-number states |n>|n>.
 
-    The stored array is an immutable complex128 copy.  States never
+    The stored array is an immutable complex128 copy of a non-empty 1-D
+    ``coeffs``, whose length fixes the cutoff N.  States never
     over-normalize: sum |c_n|^2 <= 1 + 1e-12 (they may under-normalize by
     the dropped mass).
     """
 
-    cutoff: int
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.array(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size != self.cutoff + 1:
-            raise ValueError(
-                f"expected {self.cutoff + 1} coefficients, got shape {arr.shape}"
-            )
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError(f"expected a non-empty 1-D array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
         if self.squared_norm() > 1.0 + 1e-12:
             raise ValueError(f"state over-normalized: |psi|^2 = {self.squared_norm()}")
+
+    @property
+    def cutoff(self) -> int:
+        return self.coeffs.size - 1
 
     def squared_norm(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
@@ -96,24 +98,26 @@ class DiagonalFockState:
 class SectorBlockOperator:
     """An operator conserving d = n+ - n-, one block per sector d.
 
+    ``stack`` has shape (2N + 1, N + 1, N + 1), which fixes the cutoff N.
     ``stack[d + N]`` is indexed by n+ on both axes: sector d holds the
     states with n+ = max(d, 0) .. N + min(d, 0), so its block is a square of
     side N + 1 - |d| on the diagonal, with zeros around it.  The stored
     stack is an immutable complex128 copy.
     """
 
-    cutoff: int
     stack: np.ndarray
 
     def __post_init__(self) -> None:
-        N = self.cutoff
         arr = np.array(self.stack, dtype=np.complex128)
-        if arr.shape != (2 * N + 1, N + 1, N + 1):
-            raise ValueError(
-                f"expected a {2 * N + 1}x{N + 1}x{N + 1} stack, got {arr.shape}"
-            )
+        N = arr.shape[1] - 1 if arr.ndim == 3 else -1
+        if N < 0 or arr.shape != (2 * N + 1, N + 1, N + 1):
+            raise ValueError(f"expected a (2N+1, N+1, N+1) stack, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "stack", arr)
+
+    @property
+    def cutoff(self) -> int:
+        return self.stack.shape[1] - 1
 
     def block(self, d: int) -> np.ndarray:
         if abs(d) > self.cutoff:
@@ -250,7 +254,7 @@ def schmidt_state(r: float, phi: float, N: int) -> DiagonalFockState:
         raise ValueError("cutoff must be nonnegative")
     base = -np.exp(2j * phi) * np.tanh(r)
     coeffs = base ** np.arange(N + 1) / np.cosh(r)
-    return DiagonalFockState(cutoff=N, coeffs=coeffs)
+    return DiagonalFockState(coeffs)
 
 
 def squeeze_by_exponentiation(
@@ -294,7 +298,7 @@ def squeeze_by_exponentiation(
     # Guard against the norm sitting a few ulp above 1.
     if norm > 1.0:
         coeffs /= norm
-    return DiagonalFockState(cutoff=N, coeffs=coeffs)
+    return DiagonalFockState(coeffs)
 
 
 def _energies(h: HamiltonianParams, N: int) -> np.ndarray:
@@ -319,10 +323,7 @@ def evolve(
     t = _require_finite("t", t)
     shift = _require_finite("energy_shift", energy_shift)
     energies = _energies(h, state.cutoff) + shift
-    return DiagonalFockState(
-        cutoff=state.cutoff,
-        coeffs=state.coeffs * np.exp(-1j * energies * t),
-    )
+    return DiagonalFockState(state.coeffs * np.exp(-1j * energies * t))
 
 
 def _tau_grids(ts: np.ndarray, steps: int) -> np.ndarray:
@@ -569,16 +570,24 @@ def entropy_numeric(state: DiagonalFockState) -> float:
 # Full two-mode operators
 
 
+def _occupations(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sector layout: n+ per column, and n- = n+ - d at (d + N, column).
+
+    n- lies outside [0, N] on the slots outside a sector.
+    """
+    n_plus = np.arange(N + 1)
+    return n_plus, n_plus - np.arange(-N, N + 1)[:, None]
+
+
 def _kept_slots(N: int, margin: int) -> np.ndarray:
     """Which n+ (column) of sector d (row d + N) have 0 <= n+, n- <= N - margin.
 
-    n- = n+ - d; margin 0 marks the states that exist.
+    margin 0 marks the states that exist.
     """
     if not (0 <= margin <= N):
         raise ValueError(f"margin must lie in [0, {N}], got {margin}")
-    d = np.arange(-N, N + 1)[:, None]
-    n_plus = np.arange(N + 1)
-    return (n_plus >= d) & (np.maximum(n_plus, n_plus - d) <= N - margin)
+    n_plus, n_minus = _occupations(N)
+    return (n_minus >= 0) & (np.maximum(n_plus, n_minus) <= N - margin)
 
 
 def _max_kept(defect: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
@@ -586,9 +595,7 @@ def _max_kept(defect: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     return float(np.abs(defect[rows[:, :, None] & cols[:, None, :]]).max(initial=0.0))
 
 
-def two_mode_squeeze_operator(
-    r: float, eta: float, N: int, max_cutoff: int = FULL_SPACE_MAX_CUTOFF
-) -> SectorBlockOperator:
+def two_mode_squeeze_operator(r: float, eta: float, N: int) -> SectorBlockOperator:
     """The squeeze operator on the full product basis, with exact elements.
 
     Uses the normal-ordered factorization
@@ -605,21 +612,22 @@ def two_mode_squeeze_operator(
     small-N operator-identity checks meaningful.  Entry (j, i) sums
     min(j, i) + 1 terms of alternating sign, so its rounding error scales
     with the largest term: at r = 1 it is 4e-14 at N = 12, 2e-8 at N = 32
-    and above 1 at N = 64.
+    and above 1 at N = 64, and at |r| = R_MAX the diagonal factor overflows
+    above N = 37.  So an N above FULL_SPACE_MAX_CUTOFF = 32 raises
+    CutoffExceededError; at 32 every element is finite up to |r| = R_MAX.
     """
     r = check_squeeze_factor(r)
     eta = _require_finite("eta", eta)
     if N < 0:
         raise ValueError("cutoff must be nonnegative")
-    if N > max_cutoff:
+    if N > FULL_SPACE_MAX_CUTOFF:
         raise CutoffExceededError(
-            f"full-space cutoff {N} exceeds max_cutoff={max_cutoff}"
+            f"full-space cutoff {N} exceeds FULL_SPACE_MAX_CUTOFF={FULL_SPACE_MAX_CUTOFF}"
         )
-    d = np.arange(-N, N + 1)[:, None]
-    n = np.arange(N + 1)
+    n, n_minus = _occupations(N)
     exists = _kept_slots(N, 0)
     roots = np.sqrt(n.astype(np.float64))
-    weights = roots * roots[np.clip(n - d, 0, N)]
+    weights = roots * roots[np.clip(n_minus, 0, N)]
     p = np.cumprod(np.where(exists & (weights > 0.0), weights, 1.0), axis=1)
     # p_j / p_i within each sector, zero outside it, so the blocks stay apart.
     inside = exists[:, :, None] & exists[:, None, :]
@@ -633,9 +641,9 @@ def two_mode_squeeze_operator(
         return np.tril((c**n / factorials)[lag]) * ratios
 
     ascend = ladder_exp(-np.exp(2j * eta) * tanh_r)
-    middle = np.cosh(r) ** -(2.0 * n - d + 1.0)
+    middle = np.cosh(r) ** -(n + n_minus + 1.0)
     descend = ladder_exp(np.exp(-2j * eta) * tanh_r).transpose(0, 2, 1)
-    return SectorBlockOperator(cutoff=N, stack=(ascend * middle[:, None, :]) @ descend)
+    return SectorBlockOperator((ascend * middle[:, None, :]) @ descend)
 
 
 def _ladders(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -644,20 +652,14 @@ def _ladders(N: int) -> tuple[np.ndarray, np.ndarray]:
     On the n+ axis, a+ is the one-mode lowering matrix in every sector;
     a-^dag keeps n+ and scales by sqrt(n- + 1), dropping n- = N.
     """
-    n = np.arange(N + 1)
-    d = np.arange(1 - N, N + 1)[:, None]
-    on = _kept_slots(N, 0)[1:] & (n - d < N)
-    scale = np.where(on, np.sqrt(np.maximum(n - d + 1, 0).astype(np.float64)), 0.0)
+    n, n_minus = _occupations(N)
+    n_minus = n_minus[1:]
+    on = _kept_slots(N, 0)[1:] & (n_minus < N)
+    scale = np.where(on, np.sqrt(np.maximum(n_minus + 1, 0).astype(np.float64)), 0.0)
     return np.diag(np.sqrt(n[1:].astype(np.float64)), 1), scale[:, :, None] * np.eye(N + 1)
 
 
-def bogoliubov_residual(
-    r: float,
-    eta: float,
-    N: int,
-    margin: int,
-    max_cutoff: int = FULL_SPACE_MAX_CUTOFF,
-) -> float:
+def bogoliubov_residual(r: float, eta: float, N: int, margin: int) -> float:
     """Worst-case defect of the squeeze conjugation rules for a+ and a-.
 
     The rules S^dag a+ S = a+ cosh r - a-^dag e^{2i eta} sinh r (and the
@@ -675,7 +677,7 @@ def bogoliubov_residual(
     """
     if margin < 0:
         raise ValueError("margin must be nonnegative")
-    squeeze = two_mode_squeeze_operator(r, eta, N, max_cutoff)
+    squeeze = two_mode_squeeze_operator(r, eta, N)
     kept = _kept_slots(N, margin)
     cosh_r, sinh_r = math.cosh(r), math.sinh(r)
     phase = np.exp(2j * eta)
@@ -689,13 +691,7 @@ def bogoliubov_residual(
 
 
 def rotation_conjugation_check(
-    r: float,
-    phi: float,
-    theta: float,
-    epsilon_t: float,
-    N: int,
-    margin: int = 4,
-    max_cutoff: int = FULL_SPACE_MAX_CUTOFF,
+    r: float, phi: float, theta: float, epsilon_t: float, N: int, margin: int = 4
 ) -> RotationResiduals:
     """Verify the two diagonal conjugation identities of the squeeze operator.
 
@@ -707,11 +703,10 @@ def rotation_conjugation_check(
     """
     theta = _require_finite("theta", theta)
     epsilon_t = _require_finite("epsilon_t", epsilon_t)
-    squeeze = two_mode_squeeze_operator(r, phi, N, max_cutoff).stack
-    rotated_target = two_mode_squeeze_operator(r, phi - theta, N, max_cutoff).stack
+    squeeze = two_mode_squeeze_operator(r, phi, N).stack
+    rotated_target = two_mode_squeeze_operator(r, phi - theta, N).stack
     kept = _kept_slots(N, margin)
-    n_plus = np.arange(N + 1)
-    n_minus = n_plus - np.arange(-N, N + 1)[:, None]
+    n_plus, n_minus = _occupations(N)
 
     def conjugate_by_diagonal(diag_phase: np.ndarray) -> np.ndarray:
         return diag_phase[:, :, None] * squeeze * diag_phase.conj()[:, None, :]

@@ -44,11 +44,11 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def check_squeeze_factor(r: float, r_max: float = R_MAX) -> float:
-    """Validate a squeeze factor: finite and |r| <= r_max (overflow guard)."""
+def check_squeeze_factor(r: float) -> float:
+    """Validate a squeeze factor: finite and |r| <= R_MAX (overflow guard)."""
     r = _require_finite("squeeze factor r", r)
-    if abs(r) > r_max:
-        raise ValueError(f"|r| = {abs(r)} exceeds the overflow cap {r_max}")
+    if abs(r) > R_MAX:
+        raise ValueError(f"|r| = {abs(r)} exceeds the overflow cap {R_MAX}")
     return r
 
 
@@ -116,20 +116,23 @@ class DecompositionTriple:
     """Parameters (R, Phi, Theta) of the squeeze-times-rotation factorization.
 
     ``R >= 0`` by convention (signs are absorbed into Phi), ``Theta`` is the
-    principal rotation angle in (-pi, pi], and ``degenerate`` flags the
-    R = 0 case where Phi is unconstrained and canonically returned as 0.
+    principal rotation angle in (-pi, pi], and :attr:`degenerate` flags the
+    R = 0 case where Phi is unconstrained and canonically 0.
     """
 
     R: float
     Phi: float
     Theta: float
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         if self.R < 0.0:
             raise ValueError("R must be nonnegative by convention")
-        if self.R <= DEGENERATE_R and self.Phi != 0.0:
+        if self.degenerate and self.Phi != 0.0:
             raise ValueError("Phi is canonically 0 when R vanishes")
+
+    @property
+    def degenerate(self) -> bool:
+        return self.R <= DEGENERATE_R
 
 
 def c_matrix(p: SqueezeParams) -> GroupElement:
@@ -175,8 +178,8 @@ def decompose_product(
     Returns
     -------
     DecompositionTriple
-        With ``degenerate=True`` when R = 0 (within 1e-12), in which case
-        Phi carries no information; Theta is still meaningful.
+        Degenerate when R = 0 (within 1e-12), in which case Phi carries no
+        information; Theta is still meaningful.
     """
     a = c_matrix(doubleprime)
     b = c_matrix(SqueezeParams(-prime.r, prime.phi))
@@ -194,12 +197,11 @@ def decompose_product(
     # subnormal components (libm underflow reported as ERANGE).
     theta = math.atan2(m11.imag, m11.real)
     big_r = math.asinh(abs(m12))
-    degenerate = big_r <= DEGENERATE_R
-    if degenerate:
+    if big_r <= DEGENERATE_R:
         phi = 0.0
     else:
         phi = 0.5 * (math.atan2(m12.imag, m12.real) + theta)
-    return DecompositionTriple(R=big_r, Phi=phi, Theta=theta, degenerate=degenerate)
+    return DecompositionTriple(R=big_r, Phi=phi, Theta=theta)
 
 
 def reconstruct(triple: DecompositionTriple) -> GroupElement:

@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import tmsvphase
-from tmsvphase import cli, errors, fock
+from tmsvphase import cli, errors, fock, su11
 from tmsvphase.cli import SweepSpec, cmd_decompose, cmd_sweep, format_number, main
 from tmsvphase.phases import TAU
 from tmsvphase.su11 import SqueezeParams
@@ -440,6 +441,20 @@ class TestPublicSurface:
         assert len(self.NAMES) == 33
         assert sorted(tmsvphase.__all__) == self.NAMES
         assert [name for name in self.NAMES if not hasattr(tmsvphase, name)] == []
+
+    @pytest.mark.parametrize("owner,name", [
+        (fock.DiagonalFockState, "cutoff"),
+        (fock.SectorBlockOperator, "cutoff"),
+        (su11.DecompositionTriple, "degenerate"),
+        (fock.two_mode_squeeze_operator, "max_cutoff"),
+        (fock.bogoliubov_residual, "max_cutoff"),
+        (fock.rotation_conjugation_check, "max_cutoff"),
+        (su11.check_squeeze_factor, "r_max"),
+    ])
+    def test_derived_values_are_not_parameters(self, owner, name):
+        # Cutoffs follow from the arrays, degeneracy from R, and the caps
+        # are the module constants FULL_SPACE_MAX_CUTOFF and R_MAX.
+        assert name not in inspect.signature(owner).parameters
 
     @pytest.mark.parametrize("name", ["overlap_numeric", "energy_expectation",
                                       "CutoffMismatchError"])

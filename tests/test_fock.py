@@ -200,11 +200,23 @@ class TestSchmidtState:
 class TestStateValidation:
     def test_rejects_over_normalized(self):
         with pytest.raises(ValueError):
-            DiagonalFockState(cutoff=1, coeffs=[1.0, 0.5])
+            DiagonalFockState([1.0, 0.5])
 
     def test_rejects_wrong_length(self):
+        # The length is the cutoff, so only a 2-D or an empty array is wrong.
+        for coeffs in ([[1.0, 0.0]], []):
+            with pytest.raises(ValueError):
+                DiagonalFockState(coeffs)
+
+    def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            DiagonalFockState(cutoff=3, coeffs=[1.0, 0.0])
+            DiagonalFockState([0.5, float("nan")])
+
+    def test_cutoff_is_the_length(self):
+        assert DiagonalFockState([1.0]).cutoff == 0
+        assert schmidt_state(0.5, 0.0, 7).cutoff == 7
+        with pytest.raises(AttributeError):
+            schmidt_state(0.5, 0.0, 7).cutoff = 3
 
     def test_coeffs_are_immutable(self):
         state = schmidt_state(0.5, 0.0, 4)
@@ -1019,10 +1031,13 @@ class TestTwoModeSqueezeOperator:
         assert np.abs(op.block(0)[:, 0] - closed).max() < 1e-14
 
     def test_operator_shape_validation(self):
-        with pytest.raises(ValueError):
-            SectorBlockOperator(cutoff=2, stack=np.eye(4))
+        for shape in ((4, 4), (4, 2, 2), (3, 2, 3), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                SectorBlockOperator(np.zeros(shape))
+        assert SectorBlockOperator(np.zeros((1, 1, 1))).cutoff == 0
         stack = np.arange(12.0).reshape(3, 2, 2)
-        op = SectorBlockOperator(cutoff=1, stack=stack)
+        op = SectorBlockOperator(stack)
+        assert op.cutoff == 1
         assert op.block(0).tolist() == [[4.0, 5.0], [6.0, 7.0]]
         assert op.block(-1).tolist() == [[0.0]]  # |0>|1>: n+ = 0
         assert op.block(1).tolist() == [[11.0]]  # |1>|0>: n+ = 1
@@ -1081,6 +1096,17 @@ class TestBogoliubovResidual:
     def test_margin_validation(self):
         with pytest.raises(ValueError):
             bogoliubov_residual(0.5, 0.0, N=10, margin=11)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [-20.0, -13.5, -4.0, 0.5, 1.0, 7.25, 16.0, 19.5, 20.0])
+    def test_holds_up_to_r_max_at_the_cap(self, r):
+        # Above the cap the diagonal factor overflows at large |r| (nan at
+        # N = 48, r = 20) and the alternating sums lose their digits (a
+        # residual of 41 at N = 64, r = 1); at the cap neither happens.
+        N = FULL_SPACE_MAX_CUTOFF
+        for eta in (0.0, 0.3, 1.1):
+            assert np.isfinite(two_mode_squeeze_operator(r, eta, N).stack).all()
+            assert bogoliubov_residual(r, eta, N=N, margin=4) <= 1e-6
 
     @pytest.mark.parametrize("r,eta", [(0.25, 0.0), (0.8, 0.3), (-1.5, 2.2), (2.0, -0.7)])
     @pytest.mark.parametrize("N,margin", [(0, 0), (1, 1), (6, 0), (12, 4), (12, 11), (16, 2)])

@@ -9,7 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tmsvphase.su11 import (
+    DEGENERATE_R,
     IDENTITY,
+    DecompositionTriple,
     GroupElement,
     SqueezeParams,
     c_matrix,
@@ -158,6 +160,17 @@ class TestDecompose:
         assert abs(triple.R - 2.0) < 1e-12
         assert abs(triple.Theta) < 1e-12
         assert not triple.degenerate
+
+    def test_degenerate_follows_r(self):
+        assert DecompositionTriple(2.0, 0.1, 0.0).degenerate is False
+        assert DecompositionTriple(DEGENERATE_R, 0.0, 1.0).degenerate is True
+        with pytest.raises(TypeError):
+            DecompositionTriple(R=2.0, Phi=0.1, Theta=0.0, degenerate=True)
+        # Phi is canonically 0 when R vanishes; R is nonnegative.
+        with pytest.raises(ValueError):
+            DecompositionTriple(0.0, 0.1, 0.0)
+        with pytest.raises(ValueError):
+            DecompositionTriple(-1.0, 0.0, 0.0)
 
     def test_half_pi_matches_fock_overlap(self):
         # |<psi(0)|psi(t)>| = 1 / cosh R with Omega t = pi/2, r = 1
