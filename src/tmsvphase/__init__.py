@@ -12,7 +12,7 @@ The package has two independent computational routes and a front end:
 * :mod:`tmsvphase.cli` exposes ``verify``, ``sweep`` and ``decompose``.
 """
 
-from .errors import CutoffExceededError, ExpmNotConvergedError
+from .errors import CutoffExceededError, ExpmNotConvergedError, PrecisionExceededError
 from .fock import (
     DiagonalFockState,
     bogoliubov_residual,
@@ -62,6 +62,7 @@ __all__ = [
     "GroupElement",
     "HamiltonianParams",
     "PhaseBreakdown",
+    "PrecisionExceededError",
     "R_MAX",
     "SqueezeParams",
     "bogoliubov_residual",

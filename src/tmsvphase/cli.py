@@ -18,7 +18,8 @@ unless ``--degrees`` is given, which converts display only.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 resource
 limit (no Fock cutoff up to ``--max-cutoff`` reaches the needed accuracy,
-memory runs out, or the reader closes stdout early, as ``| head`` does).
+no double carries a swept phase to the sweep's bound, memory runs out, or
+the reader closes stdout early, as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import fock, phases, su11
-from .errors import CutoffExceededError
+from .errors import CutoffExceededError, PrecisionExceededError
 from .phases import TAU, HamiltonianParams
 from .su11 import SqueezeParams
 
@@ -120,14 +121,6 @@ _COLUMNS = {
 }
 
 
-def _gamma_numeric(r, phi, h, t, max_cutoff):
-    """The Fock oracle's geometric phase at t, a float or a 1-D grid."""
-    return fock.geometric_phase_numeric(
-        r, phi, h, t, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
-        max_cutoff=max_cutoff, steps=4,
-    )
-
-
 def _phase_columns(r, Omega, t, gamma_numeric):
     """One row's values of ``_PHASE_COLUMNS``, in that order."""
     breakdown = phases.geometric_phase(r, Omega, t)
@@ -141,33 +134,54 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     """Evaluate the sweep grid; returns (headers, rows) with rows in grid order.
 
     The headers are the names in ``_COLUMNS[spec.variable]`` and each row
-    is a tuple of floats in that order.  An ``omega_t`` sweep asks the
-    oracle for the whole grid in one call; an ``r`` sweep needs a new state
-    per row and asks row by row.
+    is a tuple of floats in that order.  A phase sweep asks the oracle for
+    all its (r, t) rows in one call: an ``omega_t`` sweep holds r fixed, so
+    the oracle builds one state, and an ``r`` sweep holds t fixed, so it
+    builds one state per row, a bounded number of coefficients at a time.
     """
     grid = np.linspace(spec.start, spec.stop, spec.points)
     fx = {**_SWEEP_DEFAULTS, **spec.fixed}
-
+    headers = [name for name, _ in _COLUMNS[spec.variable]]
+    if spec.variable == "gamma_c":
+        return headers, [(g, phases.entropy_from_cyclic_phase(g)) for g in grid.tolist()]
+    h = HamiltonianParams(fx["Omega"], fx["epsilon"])
     if spec.variable == "omega_t":
-        h = HamiltonianParams(fx["Omega"], fx["epsilon"])
-        ts = grid / fx["Omega"]
-        numeric = _gamma_numeric(fx["r"], fx["phi"], h, ts, max_cutoff)
-        rows = [
-            (wt, *_phase_columns(fx["r"], fx["Omega"], t, gamma))
-            for wt, t, gamma in zip(grid.tolist(), ts.tolist(), numeric.tolist())
-        ]
-    elif spec.variable == "r":
-        h = HamiltonianParams(fx["Omega"], fx["epsilon"])
-        rows = []
-        for rv in grid.tolist():
-            gamma = _gamma_numeric(rv, fx["phi"], h, fx["t"], max_cutoff)
-            phase = _phase_columns(rv, fx["Omega"], fx["t"], gamma)
+        rs, ts = np.full(grid.size, float(fx["r"])), grid / fx["Omega"]
+    else:
+        rs, ts = grid, np.full(grid.size, float(fx["t"]))
+    numeric = fock.geometric_phase_numeric(
+        rs, fx["phi"], h, ts, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
+        max_cutoff=max_cutoff, steps=4,
+    )
+    rows = []
+    for x, rv, t, gamma in zip(grid.tolist(), map(float, rs), map(float, ts), numeric.tolist()):
+        row = (x, *_phase_columns(rv, fx["Omega"], t, gamma))
+        if spec.variable == "r":
             cyclic = phases.cyclic_geometric_phase(rv)
-            rows.append((rv, *phase, cyclic.unreduced, cyclic.reduced,
-                         phases.entropy_from_squeeze(rv)))
-    else:  # gamma_c
-        rows = [(g, phases.entropy_from_cyclic_phase(g)) for g in grid.tolist()]
-    return [name for name, _ in _COLUMNS[spec.variable]], rows
+            row += (cyclic.unreduced, cyclic.reduced, phases.entropy_from_squeeze(rv))
+        rows.append(row)
+    return headers, rows
+
+
+def _require_precision(spec: SweepSpec) -> None:
+    """Raise PrecisionExceededError if a row's phase has cond eps above SWEEP_PHASE_BOUND.
+
+    cond = delta + 2 Omega t r sinh 2r + 1, with delta = 2 Omega t sinh^2 r, is
+    the condition number of gamma in (r, Omega t): rounding the inputs alone
+    moves gamma by about cond eps, so beyond the bound no double carries it.
+    """
+    fx = {**_SWEEP_DEFAULTS, **spec.fixed}
+    grid = np.linspace(spec.start, spec.stop, spec.points)
+    r, wt = (fx["r"], grid) if spec.variable == "omega_t" else (grid, fx["Omega"] * fx["t"])
+    rs, wts = np.broadcast_arrays(r, wt)
+    with np.errstate(over="ignore"):
+        cond = 2.0 * wts * (np.sinh(rs) ** 2 + rs * np.sinh(2.0 * rs)) + 1.0
+    over = np.flatnonzero(cond * np.finfo(np.float64).eps > SWEEP_PHASE_BOUND)
+    if over.size:
+        raise PrecisionExceededError(
+            f"no double carries the geometric phase at r={rs[over[0]]:g}, Omega t="
+            f"{wts[over[0]]:g}: cond * eps exceeds the sweep bound {SWEEP_PHASE_BOUND:.1e}"
+        )
 
 
 def cmd_sweep(
@@ -179,12 +193,15 @@ def cmd_sweep(
 ) -> int:
     """Emit the sweep table; nonzero exit if any oracle gap exceeds 1e-8.
 
-    The table from ``sweep_rows`` is checked for non-finite values row by
-    row and printed as it is; ``--degrees`` scales each angle column of
+    The table from ``sweep_rows`` is checked for phases no double carries
+    (PrecisionExceededError) and for non-finite values row by row, and
+    printed as it is; ``--degrees`` scales each angle column of
     ``_COLUMNS`` while formatting.
     """
     out = stream if stream is not None else sys.stdout
     headers, rows = sweep_rows(spec, max_cutoff)
+    if spec.variable != "gamma_c":
+        _require_precision(spec)
 
     for row in rows:
         for name, value in zip(headers, row):
@@ -340,16 +357,14 @@ _R_GRID = (0.1, 0.5, 1.0, 1.5, 2.0)
 
 @_invariant("overlap-agreement", 1e-9)
 def _overlap_agreement(accuracy, max_cutoff, rng):
-    h = HamiltonianParams(1.0, 0.25)
     grid = np.linspace(0.0, TAU, 63)
-    for r in _R_GRID:
-        _, overlaps, _ = fock._evolution(
-            "mass", r, 0.4, h, grid, accuracy=accuracy, max_cutoff=max_cutoff,
-            energy_shift=0.0, steps=1,
-        )
-        for wt, numeric in zip(grid, overlaps):
-            analytic = phases.overlap_analytic(r, 1.0, float(wt))
-            yield abs(complex(numeric) - analytic), f"r={r}, omega_t={wt:.4g}"
+    rs, wts = np.repeat(_R_GRID, grid.size), np.tile(grid, len(_R_GRID))
+    _, overlaps, _ = fock._evolution(
+        "mass", rs, 0.4, HamiltonianParams(1.0, 0.25), wts, accuracy=accuracy,
+        max_cutoff=max_cutoff, energy_shift=0.0, steps=1,
+    )
+    for r, wt, numeric in zip(rs.tolist(), wts.tolist(), overlaps.tolist()):
+        yield abs(numeric - phases.overlap_analytic(r, 1.0, wt)), f"r={r}, omega_t={wt:.4g}"
 
 
 @_invariant("geometric-phase-agreement", SWEEP_PHASE_BOUND)
@@ -365,46 +380,43 @@ def _phase_agreement(accuracy, max_cutoff, rng):
 
 @_invariant("dynamical-quadrature", 1e-10)
 def _dynamical_quadrature(accuracy, max_cutoff, rng):
-    omega = 1.3
-    grid = (0.3, math.pi / 4, 1.0, math.pi, TAU)
-    ts = [wt / omega for wt in grid]
-    eps_fracs, step_counts = (0.0, 0.37, 0.9), (1, 7, 200)
-    for r in (0.1, 0.5, 1.0, 1.5):
-        # One grid call per (epsilon, steps), then the samples in t order.
-        integrals = {
-            (eps_frac, steps): fock.dynamical_integral(
-                r, 0.2, HamiltonianParams(omega, eps_frac * omega), ts, steps,
-                accuracy=accuracy, max_cutoff=max_cutoff,
+    omega, grid, r_grid = 1.3, (0.3, math.pi / 4, 1.0, math.pi, TAU), (0.1, 0.5, 1.0, 1.5)
+    rs, wts = np.repeat(r_grid, len(grid)), np.tile(grid, len(r_grid))
+    ts = wts / omega
+    # One grid call per (epsilon, steps), then the samples in (r, t) order.
+    integrals = {
+        (eps_frac, steps): fock.dynamical_integral(
+            rs, 0.2, HamiltonianParams(omega, eps_frac * omega), ts, steps,
+            accuracy=accuracy, max_cutoff=max_cutoff,
+        ).tolist()
+        for eps_frac in (0.0, 0.37, 0.9)
+        for steps in (1, 7, 200)
+    }
+    for i, (r, wt, t) in enumerate(zip(rs.tolist(), wts.tolist(), ts.tolist())):
+        expected = 2.0 * omega * t * math.sinh(r) ** 2
+        results = [values[i] for values in integrals.values()]
+        for (eps_frac, steps), got in zip(integrals, results):
+            yield abs(got - expected), (
+                f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega, steps={steps}"
             )
-            for eps_frac in eps_fracs
-            for steps in step_counts
-        }
-        for i, (wt, t) in enumerate(zip(grid, ts)):
-            expected = 2.0 * omega * t * math.sinh(r) ** 2
-            results = [float(values[i]) for values in integrals.values()]
-            for (eps_frac, steps), got in zip(integrals, results):
-                yield abs(got - expected), (
-                    f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega, steps={steps}"
-                )
-            spread = max(results) - min(results)
-            yield spread, f"r={r}, omega_t={wt:.4g} (step/eps spread)"
+        yield max(results) - min(results), f"r={r}, omega_t={wt:.4g} (step/eps spread)"
 
 
 @_invariant("gauge-invariance", 1e-10)
 def _gauge_invariance(accuracy, max_cutoff, rng):
-    h = HamiltonianParams(1.0, 0.1)
-    grid, shifts = (math.pi / 4, 1.7, TAU), (-2.0, 0.7, 5.0)
-    for r in (0.5, 1.0, 1.5):
-        reference, *shifted = (
-            fock.geometric_phase_numeric(r, 0.2, h, grid, accuracy=accuracy,
-                                         max_cutoff=max_cutoff, energy_shift=shift)
-            for shift in (0.0,) + shifts
-        )
-        for i, wt in enumerate(grid):
-            for shift, values in zip(shifts, shifted):
-                yield circle_distance(float(values[i]), float(reference[i])), (
-                    f"r={r}, omega_t={wt:.4g}, shift={shift}"
-                )
+    grid, r_grid, shifts = (math.pi / 4, 1.7, TAU), (0.5, 1.0, 1.5), (-2.0, 0.7, 5.0)
+    rs, wts = np.repeat(r_grid, len(grid)), np.tile(grid, len(r_grid))
+    reference, *shifted = (
+        fock.geometric_phase_numeric(rs, 0.2, HamiltonianParams(1.0, 0.1), wts,
+                                     accuracy=accuracy, max_cutoff=max_cutoff,
+                                     energy_shift=shift).tolist()
+        for shift in (0.0,) + shifts
+    )
+    for i, (r, wt) in enumerate(zip(rs.tolist(), wts.tolist())):
+        for shift, values in zip(shifts, shifted):
+            yield circle_distance(values[i], reference[i]), (
+                f"r={r}, omega_t={wt:.4g}, shift={shift}"
+            )
 
 
 @_invariant("evolution-reparameterization", 1e-14)
@@ -426,7 +438,7 @@ def _evolution_reparameterization(accuracy, max_cutoff, rng):
 def _exponentiation_agreement(accuracy, max_cutoff, rng):
     for r in (0.5, 1.0, 2.0):
         N = fock.cutoff_for("expm", r, accuracy, max_cutoff=max_cutoff)
-        brute = fock.squeeze_by_exponentiation(r, 0.3, N, max_cutoff)
+        brute = fock.squeeze_by_exponentiation(r, 0.3, N)
         closed = fock.schmidt_state(r, 0.3, N)
         diff = float(np.abs(brute.coeffs - closed.coeffs).max())
         yield diff, f"r={r}, N={N}"
@@ -454,26 +466,21 @@ def _rotation_conjugation(accuracy, max_cutoff, rng):
 
 @_invariant("cyclic-total-phase", 1e-10)
 def _cyclic_total_phase(accuracy, max_cutoff, rng):
-    h = HamiltonianParams(1.0, 0.0)
-    for r in _R_GRID:
-        _, overlaps, _ = fock._evolution(
-            "mass", r, 0.3, h, np.array([TAU]), accuracy=accuracy,
-            max_cutoff=max_cutoff, energy_shift=0.0, steps=1,
-        )
-        overlap = complex(overlaps[0])
+    _, overlaps, _ = fock._evolution(
+        "mass", np.array(_R_GRID), 0.3, HamiltonianParams(1.0, 0.0), np.full(len(_R_GRID), TAU),
+        accuracy=accuracy, max_cutoff=max_cutoff, energy_shift=0.0, steps=1,
+    )
+    for r, overlap in zip(_R_GRID, overlaps.tolist()):
         yield abs(overlap / abs(overlap) - 1.0), f"r={r}, omega_t=2pi"
 
 
 @_invariant("cyclic-gamma", 1e-9)
 def _cyclic_gamma(accuracy, max_cutoff, rng):
-    h = HamiltonianParams(1.0, 0.0)
-    for r in _R_GRID:
-        numeric = fock.geometric_phase_numeric(
-            r, 0.3, h, TAU, accuracy=accuracy, max_cutoff=max_cutoff
-        )
-        yield circle_distance(
-            numeric, phases.cyclic_geometric_phase(r).reduced
-        ), f"r={r}"
+    numeric = fock.geometric_phase_numeric(
+        _R_GRID, 0.3, HamiltonianParams(1.0, 0.0), TAU, accuracy=accuracy, max_cutoff=max_cutoff
+    )
+    for r, gamma in zip(_R_GRID, numeric.tolist()):
+        yield circle_distance(gamma, phases.cyclic_geometric_phase(r).reduced), f"r={r}"
 
 
 @_invariant("one-mode-additivity", 0.0)
@@ -654,6 +661,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except CutoffExceededError as exc:
         print(f"CUTOFF_EXCEEDED: {exc}", file=sys.stderr)
+        return 3
+    except PrecisionExceededError as exc:
+        print(f"PRECISION_EXCEEDED: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"OUT_OF_MEMORY: {exc or 'an allocation failed'}", file=sys.stderr)

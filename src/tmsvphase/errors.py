@@ -8,6 +8,13 @@ class CutoffExceededError(RuntimeError):
     """
 
 
+class PrecisionExceededError(RuntimeError):
+    """No double carries a requested result to its documented accuracy.
+
+    Maps to the resource-limit exit code (3) in the command line front end.
+    """
+
+
 class ExpmNotConvergedError(RuntimeError):
     """A matrix exponential failed its accuracy contract.
 

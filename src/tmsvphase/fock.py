@@ -18,11 +18,12 @@ Two representations are used, chosen by what truncation does to them:
   so operators are 2N + 1 sector blocks (:class:`SectorBlockOperator`).
 
 Every quantity over time (overlap, energy integral, geometric phase) goes
-through one grid route, for one t or a whole ``omega_t`` sweep: one
-Schmidt state is built at the grid's largest cutoff, each row reads the
-prefix its own cutoff keeps, and rows sharing a cutoff are evolved and
-integrated together in small blocks, shared out to worker threads, with
-digits that depend neither on the grid nor on the number of CPUs.
+through one grid route over rows of (r, t), for one point or a whole
+``omega_t`` or ``r`` sweep.  Each slice of rows, with a bounded number of
+Schmidt coefficients, builds one state per distinct r at the largest cutoff
+its rows keep, and each row reads the prefix its own cutoff keeps.  Rows
+sharing a cutoff and a state are evolved and integrated together in small
+blocks on worker threads, with digits independent of the grid and the CPUs.
 :func:`evolve` is the standalone per-state evolution it is checked against.
 
 Truncation error policy: the Schmidt coefficient of |n>|n> is
@@ -62,6 +63,9 @@ _EXPM_NORM_TOL = 1e-12
 # Evolved coefficients per block of grid rows: 16 rows of 4 taus at N = 377.
 _BLOCK_ELEMENTS = 24576
 
+# Schmidt coefficients one slice of grid rows holds: 4 states at N = 4095.
+_STATE_ELEMENTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class DiagonalFockState:
@@ -79,7 +83,7 @@ class DiagonalFockState:
         arr = np.array(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"expected a non-empty 1-D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr.view(np.float64)).all():
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -91,7 +95,7 @@ class DiagonalFockState:
         return self.coeffs.size - 1
 
     def squared_norm(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        return float((np.abs(self.coeffs) ** 2).sum())
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ def cutoff_for(
         If the cutoff would exceed ``max_cutoff``, or if tanh r rounds to 1
         so that no finite cutoff drops a vanishing mass.
     """
-    return _cutoffs(observable, r, accuracy, [t], max_cutoff)[0]
+    return _cutoffs(observable, [(r, t)], accuracy, max_cutoff)[0]
 
 
 _OBSERVABLES = ("mass", "energy", "phase", "entropy", "expm")
@@ -197,34 +201,36 @@ def _tails(r: float) -> dict[str, Callable[[int, float], float]]:
 
 
 def _cutoffs(
-    observable: str, r: float, accuracy: float, wts: Iterable[float], max_cutoff: int
+    observable: str, pairs: Iterable[tuple[float, float]], accuracy: float, max_cutoff: int
 ) -> list[int]:
-    """:func:`cutoff_for` at each evolution angle Omega t in ``wts``.
+    """:func:`cutoff_for` at each (r, Omega t) in ``pairs``.
 
-    A row keeps the previous row's N while that is still the smallest,
-    tail(N) <= accuracy < tail(N - 1); otherwise it bisects, so a sorted
-    grid costs two tail evaluations per row between cutoff changes.
+    The tail is rebuilt only when r changes.  A row keeps the previous
+    row's N while that is still the smallest, tail(N) <= accuracy <
+    tail(N - 1); otherwise it bisects, so a grid sorted in r or in Omega t
+    costs two tail evaluations per row between cutoff changes.
     """
-    r = abs(check_squeeze_factor(r))
     if not (0.0 < accuracy < 1.0):
         raise ValueError(f"accuracy must lie in (0, 1), got {accuracy}")
     if max_cutoff < 0:
         raise ValueError("max_cutoff must be nonnegative")
     if observable not in _OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}, not in {list(_OBSERVABLES)}")
-    if math.tanh(r) == 1.0:
-        raise CutoffExceededError(f"tanh r rounds to 1 at r={r}: no cutoff is enough")
-    tail = _tails(r)[observable] if r > 0.0 else None
     cutoffs = []
-    N = -1
-    for wt in wts:
+    N, last = -1, None
+    for r, wt in pairs:
+        if r != last:
+            last, r_abs = r, abs(check_squeeze_factor(r))
+            if math.tanh(r_abs) == 1.0:
+                raise CutoffExceededError(f"tanh r rounds to 1 at r={r_abs}: no cutoff is enough")
+            tail = _tails(r_abs)[observable] if r_abs > 0.0 else None
         wt = abs(_require_finite("t", wt))
         if tail is None:
             N = 0
         elif N < 0 or tail(N, wt) > accuracy or (N > 0 and tail(N - 1, wt) <= accuracy):
             if tail(max_cutoff, wt) > accuracy:
                 raise CutoffExceededError(
-                    f"{observable} to {accuracy:g} at r={r}, Omega t={wt:g} needs a "
+                    f"{observable} to {accuracy:g} at r={r_abs}, Omega t={wt:g} needs a "
                     f"cutoff above max_cutoff={max_cutoff}"
                 )
             # Bisection keeps tail(lo) > accuracy >= tail(hi), with tail(-1) > accuracy.
@@ -257,9 +263,7 @@ def schmidt_state(r: float, phi: float, N: int) -> DiagonalFockState:
     return DiagonalFockState(coeffs)
 
 
-def squeeze_by_exponentiation(
-    r: float, phi: float, N: int, max_cutoff: int = DEFAULT_MAX_CUTOFF
-) -> DiagonalFockState:
+def squeeze_by_exponentiation(r: float, phi: float, N: int) -> DiagonalFockState:
     """Apply exp(generator) to the vacuum on the diagonal subspace.
 
     This is the brute-force route that :func:`schmidt_state` is checked
@@ -274,7 +278,7 @@ def squeeze_by_exponentiation(
     Raises
     ------
     CutoffExceededError
-        If N exceeds ``max_cutoff``.
+        If N exceeds DEFAULT_MAX_CUTOFF.
     ExpmNotConvergedError
         If the computed exponential fails to preserve the vacuum norm to
         1e-12, which indicates a broken exponential rather than truncation.
@@ -283,8 +287,8 @@ def squeeze_by_exponentiation(
     phi = _require_finite("phi", phi)
     if N < 0:
         raise ValueError("cutoff must be nonnegative")
-    if N > max_cutoff:
-        raise CutoffExceededError(f"cutoff {N} exceeds max_cutoff={max_cutoff}")
+    if N > DEFAULT_MAX_CUTOFF:
+        raise CutoffExceededError(f"cutoff {N} exceeds DEFAULT_MAX_CUTOFF={DEFAULT_MAX_CUTOFF}")
     off_diagonal = r * np.arange(1, N + 1, dtype=np.float64)
     w, v = np.linalg.eigh(np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
     rotated = np.exp(-1j * w) * v[0]
@@ -348,31 +352,29 @@ def _cpu_count() -> int:
 
 
 def _energy_integrals(
-    state: DiagonalFockState,
-    h: HamiltonianParams,
-    ts: np.ndarray,
-    cutoffs: list[int],
-    steps: int,
-    shift: float,
+    states: list[DiagonalFockState], which: list[int], h: HamiltonianParams, ts: np.ndarray,
+    cutoffs: list[int], steps: int, shift: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] for each t in ``ts``.
 
-    Row i starts from the first cutoffs[i] + 1 coefficients of ``state``.
-    Returns, in grid order, each row's integral and its overlap
-    <psi(0)|psi(t)>.  Element for element, psi(tau_k) is ``evolve(psi(0),
-    h, tau_k, shift)`` with psi(t) its last tau, and each value repeats
-    the per-state reference ``_expected_energy`` in ``tests/test_fock.py``;
-    at tau = 0 the phase factor exp(-0j) is exactly 1, so that value is
-    taken from psi(0) once per block.
+    Row i starts from the first cutoffs[i] + 1 coefficients of
+    states[which[i]]; :func:`_evolution` hands over slices of rows whose
+    states hold at most _STATE_ELEMENTS coefficients.  Returns, in grid
+    order, each row's integral and its overlap <psi(0)|psi(t)>.  Element
+    for element, psi(tau_k) is ``evolve(psi(0), h, tau_k, shift)`` with
+    psi(t) its last tau, and each value repeats the per-state reference
+    ``_expected_energy`` in ``tests/test_fock.py``; at tau = 0 the phase
+    factor exp(-0j) is exactly 1, so that value is taken from psi(0) once
+    per block.
 
-    Rows that share a cutoff go through together, as many as fit in
-    _BLOCK_ELEMENTS evolved coefficients (one at least).  A block's
+    Rows that share a cutoff and a state go through together, as many as
+    fit in _BLOCK_ELEMENTS evolved coefficients (one at least).  A block's
     reductions run along contiguous rows, so each row adds in the order a
     lone row would.  The blocks are shared out to the calling thread and up
     to one helper thread per further usable CPU; every block writes only
     its own rows, so the digits do not depend on how many threads run.
-    Workers call numpy alone: the tau grids and energies are built here
-    for the whole grid, and each block slices them.
+    Workers call numpy alone: the states, tau grids and energies are built
+    by the caller or here for the whole grid, and each block slices them.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -380,27 +382,30 @@ def _energy_integrals(
     if negative.size:
         raise ValueError(f"t must be nonnegative, got {negative[0]}")
     cutoffs = np.asarray(cutoffs)
-    order = np.argsort(cutoffs, kind="stable")
+    # Rows sorted by (cutoff, state), in grid order within each pair.
+    keys = cutoffs * len(states) + np.asarray(which, dtype=cutoffs.dtype)
+    order = np.argsort(keys, kind="stable")
     blocks = []
     done = 0
     while done < order.size:
-        N = int(cutoffs[order[done]])
+        key = keys[order[done]]
+        N, k = divmod(int(key), len(states))
         size = max(1, _BLOCK_ELEMENTS // (steps * (N + 1)))
         rows = order[done : done + size]
-        rows = rows[cutoffs[rows] == N]
+        rows = rows[keys[rows] == key]
         done += rows.size
-        blocks.append((rows, N))
+        blocks.append((rows, states[k].coeffs[: N + 1]))
     taus = _tau_grids(ts, steps)
     energies = _energies(h, int(cutoffs.max(initial=0)))
     integrals = np.empty(ts.size)
     overlaps = np.empty(ts.size, dtype=np.complex128)
 
-    def integrate(rows: np.ndarray, N: int, spare: np.ndarray, real_spare: np.ndarray):
+    def integrate(rows: np.ndarray, initial: np.ndarray, spare: np.ndarray,
+                  real_spare: np.ndarray):
         # The block's two large arrays are views of its thread's spare buffers.
-        initial = state.coeffs[: N + 1]
-        block_energies = energies[: N + 1]
+        block_energies = energies[: initial.size]
         block_taus = taus[rows]
-        shape = (rows.size, steps, N + 1)
+        shape = (rows.size, steps, initial.size)
         size = math.prod(shape)
         # Overflowing input ends in the finite check below, not in warnings;
         # the error state is set here because threads do not inherit it.
@@ -419,11 +424,11 @@ def _energy_integrals(
         if norms.max() > 1.0 + 1e-12:
             raise ValueError(f"state over-normalized: |psi|^2 = {norms.max()}")
         values = np.empty(block_taus.shape)
-        values[:, 0] = np.sum(block_energies * np.abs(initial) ** 2) + shift
+        values[:, 0] = (block_energies * np.abs(initial) ** 2).sum() + shift
         np.multiply(block_energies, weights, out=weights)
         values[:, 1:] = weights.sum(axis=-1) + shift
         # np.trapezoid's arithmetic, row by row.
-        widths = np.diff(block_taus, axis=-1)
+        widths = block_taus[:, 1:] - block_taus[:, :-1]
         integrals[rows] = (widths * (values[:, 1:] + values[:, :-1]) / 2.0).sum(axis=-1)
         overlaps[rows] = [np.vdot(initial, final) for final in evolved[:, -1]]
 
@@ -446,7 +451,7 @@ def _energy_integrals(
     # interpreter with it costs about a block, so each thread needs two
     # blocks' worth of work.  Spare buffers are allocated here, so no helper
     # keeps freed memory; the helpers end with this call.
-    sizes = [rows.size * steps * (N + 1) for rows, N in blocks]
+    sizes = [rows.size * steps * initial.size for rows, initial in blocks]
     workers = min(_cpu_count(), len(blocks), sum(sizes) // (2 * _BLOCK_ELEMENTS))
     largest = max(sizes, default=0)
     spares = [
@@ -464,42 +469,62 @@ def _energy_integrals(
     return integrals, overlaps
 
 
-def _time_grid(t: float | np.ndarray) -> tuple[np.ndarray, bool]:
-    """``t`` as a 1-D float array, and whether it was a scalar."""
-    ts = np.asarray(t, dtype=np.float64)
-    if ts.ndim > 1:
-        raise ValueError(f"t must be a float or a 1-D array, got shape {ts.shape}")
-    return ts.reshape(-1), ts.ndim == 0
+def _grid(t: float | np.ndarray, r: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``t`` and ``r`` as float arrays, ``t`` 1-D with a row per r; whether both were floats."""
+    ts, rs = np.asarray(t, dtype=np.float64), np.asarray(r, dtype=np.float64)
+    if max(ts.ndim, rs.ndim) > 1:
+        raise ValueError(f"t and r must be floats or 1-D arrays, got {ts.shape} and {rs.shape}")
+    scalar = ts.ndim == rs.ndim == 0
+    return np.full(rs.shape, ts) if ts.ndim < rs.ndim else ts.reshape(-1), rs, scalar
 
 
 def _evolution(
-    observable: str, r: float, phi: float, h: HamiltonianParams, ts: np.ndarray, *,
-    accuracy: float, max_cutoff: int, energy_shift: float, steps: int,
+    observable: str, r: float | np.ndarray, phi: float, h: HamiltonianParams, ts: np.ndarray,
+    *, accuracy: float, max_cutoff: int, energy_shift: float, steps: int,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Each row's energy integral, overlap <psi(0)|psi(t)> and cutoff, ts 1-D.
 
-    Row i keeps ``cutoff_for(observable, r, accuracy, t=Omega t[i])``, and
-    one Schmidt state is built at the largest.  The overlap does not depend
-    on ``steps``: the last tau of each row is t itself.
+    ``r`` is a float or one value per row; row i keeps ``cutoff_for(observable,
+    r[i], accuracy, t=Omega t[i])``.  Rows go to :func:`_energy_integrals` in
+    consecutive slices, each with one Schmidt state per distinct r at the
+    largest cutoff its rows keep, built here in the calling thread.  A slice
+    of more than one row holds at most _STATE_ELEMENTS coefficients, which
+    fits one state at any cutoff up to DEFAULT_MAX_CUTOFF.  The overlap does
+    not depend on ``steps``: the last tau of each row is t itself.
     """
+    rs = np.asarray(r, dtype=np.float64)
+    rs = rs.tolist() if rs.ndim else [rs.item()] * ts.size
     wts = (h.Omega * float(t) for t in ts)
-    cutoffs = _cutoffs(observable, r, accuracy, wts, max_cutoff)
-    state = schmidt_state(r, phi, max(cutoffs, default=0))
+    cutoffs = _cutoffs(observable, zip(rs, wts, strict=True), accuracy, max_cutoff)
     shift = _require_finite("energy_shift", energy_shift)
-    integrals, overlaps = _energy_integrals(state, h, ts, cutoffs, steps, shift)
+    integrals = np.empty(ts.size)
+    overlaps = np.empty(ts.size, dtype=np.complex128)
+    start = 0
+    while start < ts.size:
+        # Length of each distinct r's state, in order of first appearance.
+        lengths: dict[float, int] = {}
+        held, stop = 0, start
+        while stop < ts.size:
+            grow = cutoffs[stop] + 1 - lengths.get(rs[stop], 0)
+            if grow > 0:
+                if held + grow > _STATE_ELEMENTS and stop > start:
+                    break
+                lengths[rs[stop]] = cutoffs[stop] + 1
+                held += grow
+            stop += 1
+        index = {rv: k for k, rv in enumerate(lengths)}
+        rows = slice(start, stop)
+        integrals[rows], overlaps[rows] = _energy_integrals(
+            [schmidt_state(rv, phi, length - 1) for rv, length in lengths.items()],
+            [index[rv] for rv in rs[rows]], h, ts[rows], cutoffs[rows], steps, shift,
+        )
+        start = stop
     return integrals, overlaps, cutoffs
 
 
 def dynamical_integral(
-    r: float,
-    phi: float,
-    h: HamiltonianParams,
-    t: float | np.ndarray,
-    steps: int,
-    *,
-    accuracy: float = 1e-10,
-    max_cutoff: int = DEFAULT_MAX_CUTOFF,
-    energy_shift: float = 0.0,
+    r: float | np.ndarray, phi: float, h: HamiltonianParams, t: float | np.ndarray, steps: int,
+    *, accuracy: float = 1e-10, max_cutoff: int = DEFAULT_MAX_CUTOFF, energy_shift: float = 0.0,
 ) -> float | np.ndarray:
     """Composite trapezoid quadrature of <psi(tau)|H|psi(tau)> over [0, t].
 
@@ -508,26 +533,19 @@ def dynamical_integral(
     result equals 2 Omega t sinh^2 r within ``accuracy``, the energy tail
     the cutoff is chosen for.
 
-    ``t`` may be a 1-D array of times, as in :func:`geometric_phase_numeric`:
-    row i is bit for bit the value at t[i] alone.
+    ``t`` and ``r`` may be 1-D arrays, as in :func:`geometric_phase_numeric`.
     """
-    ts, scalar = _time_grid(t)
+    ts, rs, scalar = _grid(t, r)
     integrals, _, _ = _evolution(
-        "energy", r, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
+        "energy", rs, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
         energy_shift=energy_shift, steps=steps,
     )
     return float(integrals[0]) if scalar else integrals
 
 
 def geometric_phase_numeric(
-    r: float,
-    phi: float,
-    h: HamiltonianParams,
-    t: float | np.ndarray,
-    *,
-    accuracy: float = 1e-10,
-    max_cutoff: int = DEFAULT_MAX_CUTOFF,
-    energy_shift: float = 0.0,
+    r: float | np.ndarray, phi: float, h: HamiltonianParams, t: float | np.ndarray, *,
+    accuracy: float = 1e-10, max_cutoff: int = DEFAULT_MAX_CUTOFF, energy_shift: float = 0.0,
     steps: int = 16,
 ) -> float | np.ndarray:
     """Kinematic geometric phase arg<psi(0)|psi(t)> + integral, in [0, 2 pi).
@@ -537,18 +555,18 @@ def geometric_phase_numeric(
     :func:`tmsvphase.phases.geometric_phase` within ``accuracy``, the phase
     tail the cutoff is chosen for at each Omega t.
 
-    ``t`` may be a 1-D array of times; the result is then an array, row i
-    bit for bit the value at t[i] alone.
+    ``t`` and ``r`` may be 1-D arrays of one length, or one of them a float
+    that holds for every row; the result is then an array, row i bit for
+    bit the value at (r[i], t[i]) alone.
     """
-    ts, scalar = _time_grid(t)
+    ts, rs, scalar = _grid(t, r)
     deltas, overlaps, _ = _evolution(
-        "phase", r, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
+        "phase", rs, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
         energy_shift=energy_shift, steps=steps,
     )
-    gammas = np.empty(ts.size)
-    for i, (delta, overlap) in enumerate(zip(deltas, overlaps)):
-        gammas[i] = _reduce_angle(math.atan2(overlap.imag, overlap.real) + float(delta))
-    return float(gammas[0]) if scalar else gammas
+    gammas = [_reduce_angle(math.atan2(overlap.imag, overlap.real) + delta)
+              for delta, overlap in zip(deltas.tolist(), overlaps.tolist())]
+    return gammas[0] if scalar else np.array(gammas)
 
 
 def entropy_numeric(state: DiagonalFockState) -> float:

@@ -173,6 +173,9 @@ class TestSweepGoldenBytes:
                "--r", "2", "--phi", "0.7", "--epsilon", "0.3"]
     R = ["sweep", "--variable", "r", "--start", "0", "--stop", "2",
          "--points", "50", "--phi", "0.7", "--epsilon", "0.3"]
+    # Cutoffs from 0 to about 3000, one state per row.
+    R_WIDE = ["sweep", "--variable", "r", "--start", "0", "--stop", "3",
+              "--points", "200", "--phi", "0.7"]
 
     @pytest.mark.parametrize("argv,digest", [
         (OMEGA_T, "8e0472ddd8e1feb755bf78e612bae7ac04efea017694b3623224a41a361b73fc"),
@@ -184,7 +187,9 @@ class TestSweepGoldenBytes:
          "94a92e7dbc0be17abdd9f8b269f558f70dfcccc26ff8e1b3847b1ef9c5b0e450"),
         (R + ["--format", "json"],
          "7898e98ee0d60cb18224236c2ebf7bbdefa7c40681f887e258881f4377be69e4"),
-    ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json"])
+        # Recorded while an r sweep still called the oracle row by row.
+        (R_WIDE, "e8d2d70da905bc583aab69e69172a801230d7a5f0c0102f60cbd90440daa65d7"),
+    ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json", "r-wide"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -331,6 +336,19 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err == "usage error: coefficients must be finite\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--variable", "omega_t", "--start", "0", "--stop", "1e300", "--r", "0.1"],
+        ["--variable", "r", "--start", "0", "--stop", "1", "--t", "1e300"],
+    ], ids=["omega_t", "r"])
+    def test_phase_no_double_carries_is_a_resource_error(self, argv, capsys):
+        # cond eps reaches 1e284 here: the oracle/closed-form gap is noise,
+        # not a failed invariant.
+        assert main(["sweep", *argv, "--points", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("PRECISION_EXCEEDED: ")
+        assert captured.err.count("\n") == 1
+
     def test_non_finite_cell_is_named_row_by_row(self, capsys, monkeypatch):
         # The first row's entropy comes before the second row's gamma_c.
         table = (["gamma_c", "entropy"], [(0.0, math.nan), (math.inf, 0.0)])
@@ -427,7 +445,8 @@ class TestPublicSurface:
     NAMES = [
         "CutoffExceededError", "CyclicPhase", "DecompositionTriple",
         "DiagonalFockState", "ExpmNotConvergedError", "GroupElement",
-        "HamiltonianParams", "PhaseBreakdown", "R_MAX", "SqueezeParams",
+        "HamiltonianParams", "PhaseBreakdown", "PrecisionExceededError", "R_MAX",
+        "SqueezeParams",
         "bogoliubov_residual", "c_matrix", "cutoff_for", "cyclic_geometric_phase",
         "decompose_product", "dynamical_integral", "dynamical_term",
         "entropy_from_cyclic_phase", "entropy_from_squeeze", "entropy_numeric",
@@ -438,7 +457,7 @@ class TestPublicSurface:
     ]
 
     def test_package_exports_exactly_these_names(self):
-        assert len(self.NAMES) == 33
+        assert len(self.NAMES) == 34
         assert sorted(tmsvphase.__all__) == self.NAMES
         assert [name for name in self.NAMES if not hasattr(tmsvphase, name)] == []
 
@@ -449,11 +468,12 @@ class TestPublicSurface:
         (fock.two_mode_squeeze_operator, "max_cutoff"),
         (fock.bogoliubov_residual, "max_cutoff"),
         (fock.rotation_conjugation_check, "max_cutoff"),
+        (fock.squeeze_by_exponentiation, "max_cutoff"),
         (su11.check_squeeze_factor, "r_max"),
     ])
     def test_derived_values_are_not_parameters(self, owner, name):
-        # Cutoffs follow from the arrays, degeneracy from R, and the caps
-        # are the module constants FULL_SPACE_MAX_CUTOFF and R_MAX.
+        # Cutoffs follow from the arrays, degeneracy from R, and the caps are
+        # the module constants FULL_SPACE_MAX_CUTOFF, DEFAULT_MAX_CUTOFF and R_MAX.
         assert name not in inspect.signature(owner).parameters
 
     @pytest.mark.parametrize("name", ["overlap_numeric", "energy_expectation",
@@ -462,3 +482,35 @@ class TestPublicSurface:
         # Overlaps and energies over time come from the grid oracle alone.
         for module in (tmsvphase, fock, errors):
             assert not hasattr(module, name), module.__name__
+
+
+class TestOneOracleCall:
+    """Sweeps and verify checks ask the oracle for all their (r, t) rows at once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = fock._evolution
+
+        def counting(observable, r, *args, **kwargs):
+            seen.append(np.size(r))
+            return real(observable, r, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "_evolution", counting)
+        return seen
+
+    @pytest.mark.parametrize("variable,stop", [("r", 2.0), ("omega_t", TAU)])
+    def test_phase_sweep(self, calls, variable, stop):
+        cli.sweep_rows(SweepSpec(variable, 0.0, stop, 40))
+        assert calls == [40]
+
+    @pytest.mark.parametrize("check,sizes", [
+        (cli._overlap_agreement, [5 * 63]),
+        (cli._dynamical_quadrature, [4 * 5] * 9),
+        (cli._gauge_invariance, [3 * 3] * 4),
+        (cli._cyclic_total_phase, [5]),
+        (cli._cyclic_gamma, [5]),
+    ])
+    def test_verify_check(self, calls, check, sizes):
+        assert check(fock.DEFAULT_MAX_CUTOFF, np.random.default_rng(0)).passed
+        assert calls == sizes

@@ -1,7 +1,10 @@
 """Tests for the truncated Fock-space oracle."""
 
+import functools
 import math
 import threading
+import types
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +17,7 @@ from tmsvphase import fock, phases
 from tmsvphase.cli import circle_distance
 from tmsvphase.errors import CutoffExceededError
 from tmsvphase.fock import (
+    DEFAULT_MAX_CUTOFF,
     FULL_SPACE_MAX_CUTOFF,
     DiagonalFockState,
     SectorBlockOperator,
@@ -293,7 +297,7 @@ class TestSqueezeByExponentiation:
 
     def test_cutoff_exceeded(self):
         with pytest.raises(CutoffExceededError):
-            squeeze_by_exponentiation(1.0, 0.0, 100, max_cutoff=50)
+            squeeze_by_exponentiation(1.0, 0.0, DEFAULT_MAX_CUTOFF + 1)
 
 
 class TestEvolve:
@@ -332,7 +336,9 @@ class TestEvolve:
 def _grid_overlaps(state, ts):
     """<psi(0)|psi(t)> under H_UNIT for each t, from the grid path at the state's cutoff."""
     ts = np.asarray(ts, dtype=np.float64)
-    _, overlaps = fock._energy_integrals(state, H_UNIT, ts, [state.cutoff] * ts.size, 1, 0.0)
+    _, overlaps = fock._energy_integrals(
+        [state], [0] * ts.size, H_UNIT, ts, [state.cutoff] * ts.size, 1, 0.0
+    )
     return [complex(overlap) for overlap in overlaps]
 
 
@@ -463,6 +469,28 @@ def _t_grids(draw):
     return [t for t in ts for _ in (0, 1)][:60]
 
 
+@st.composite
+def _rt_rows(draw):
+    """1-40 rows of (r, t): r drawn from a few values, so states repeat, in
+    ascending, shuffled or pairwise repeated order; t one float for every
+    row or a grid of its own."""
+    pool = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+    rs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    order = draw(st.sampled_from(["ascending", "shuffled", "repeated"]))
+    if order == "ascending":
+        rs = sorted(rs)
+    elif order == "repeated":
+        rs = [r for r in rs for _ in (0, 1)][:40]
+    if draw(st.booleans()):
+        return rs, draw(st.floats(0.0, TAU))
+    return rs, draw(st.lists(st.floats(0.0, TAU), min_size=len(rs), max_size=len(rs)))
+
+
+def _per_row(rs, t):
+    """The (r, t) of each row, t repeated when it is one float."""
+    return list(zip(rs, t if isinstance(t, list) else [t] * len(rs)))
+
+
 class TestDynamicalIntegral:
     def test_vacuum(self):
         assert dynamical_integral(0.0, 0.0, H_UNIT, 3.0, steps=5) == 0.0
@@ -500,7 +528,7 @@ class TestDynamicalIntegral:
     def test_array_equals_per_tau_loop_bit_for_bit(self, r, t, h, shift, steps):
         initial = schmidt_state(r, 0.4, cutoff_for("mass", r, 1e-12))
         (got,), _ = fock._energy_integrals(
-            initial, h, np.array([t]), [initial.cutoff], steps, shift
+            [initial], [0], h, np.array([t]), [initial.cutoff], steps, shift
         )
         assert got == _energy_integral_by_loop(initial, h, t, steps, shift)
 
@@ -524,12 +552,38 @@ class TestDynamicalIntegral:
         scalar = dynamical_integral(r, 0.2, h, ts[0], steps, energy_shift=shift)
         assert isinstance(scalar, float) and scalar == want[0]
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        rows=_rt_rows(),
+        omega=st.floats(0.5, 2.0),
+        eps_frac=st.floats(-0.9, 0.9),
+        shift=st.sampled_from([0.0, -2.3]),
+        steps=st.sampled_from([1, 7, 200]),
+    )
+    def test_r_rows_equal_lone_calls_bit_for_bit(self, rows, omega, eps_frac, shift, steps):
+        rs, t = rows
+        h = HamiltonianParams(omega, eps_frac * omega)
+        route = dict(energy_shift=shift, accuracy=1e-10)
+        got = dynamical_integral(np.array(rs), 0.2, h, np.asarray(t), steps, **route)
+        pairs = _per_row(rs, t)
+        assert got.tolist() == [dynamical_integral(r, 0.2, h, t, steps, **route) for r, t in pairs]
+        _, _, cutoffs = fock._evolution(
+            "energy", np.array(rs), 0.2, h, np.array([t for _, t in pairs]), steps=steps,
+            max_cutoff=fock.DEFAULT_MAX_CUTOFF, **route,
+        )
+        assert cutoffs == [cutoff_for("energy", r, 1e-10, t=h.Omega * t) for r, t in pairs]
+
     def test_grid_shapes(self):
         assert dynamical_integral(1.0, 0.0, H_UNIT, np.array([]), 4).shape == (0,)
         with pytest.raises(ValueError):
             dynamical_integral(1.0, 0.0, H_UNIT, np.ones((2, 2)), 4)
         with pytest.raises(ValueError, match="nonnegative"):
             dynamical_integral(1.0, 0.0, H_UNIT, [0.5, -0.1], 4)
+        assert dynamical_integral([0.5, 1.0], 0.0, H_UNIT, 1.0, 4).shape == (2,)
+        with pytest.raises(ValueError):
+            dynamical_integral(np.ones((2, 2)), 0.0, H_UNIT, 1.0, 4)
+        with pytest.raises(ValueError):
+            dynamical_integral([0.5, 1.0, 1.5], 0.0, H_UNIT, [0.5, 1.0], 4)
 
 
 class TestGeometricPhaseNumeric:
@@ -639,6 +693,40 @@ class TestGeometricPhaseGrid:
             r, phi, h, ts[0], accuracy=1e-9, energy_shift=shift, steps=steps
         )
         assert scalar == want[0]
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows=_rt_rows(),
+        phi=st.floats(-math.pi, math.pi),
+        omega=st.floats(0.5, 2.0),
+        eps_frac=st.floats(-0.9, 0.9),
+        shift=st.sampled_from([0.0, -2.0, 5.0]),
+        steps=st.sampled_from([1, 4, 16]),
+    )
+    def test_r_rows_equal_lone_calls_bit_for_bit(self, rows, phi, omega, eps_frac, shift, steps):
+        rs, t = rows
+        h = HamiltonianParams(omega, eps_frac * omega)
+        route = dict(accuracy=1e-9, energy_shift=shift, steps=steps)
+        real_cutoffs = fock._cutoffs
+        seen = []
+
+        def spy(*args):
+            seen.append(real_cutoffs(*args))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fock, "_cutoffs", spy)
+            got = geometric_phase_numeric(np.array(rs), phi, h, np.asarray(t), **route)
+        pairs = _per_row(rs, t)
+        assert got.tolist() == [geometric_phase_numeric(r, phi, h, t, **route) for r, t in pairs]
+        assert seen == [[cutoff_for("phase", r, 1e-9, t=h.Omega * t) for r, t in pairs]]
+
+    def test_r_sweep_equals_per_point(self):
+        # One state per r, across cutoffs from 0 to several hundred.
+        rs = np.linspace(0.0, 2.5, 120)
+        got = geometric_phase_numeric(rs, 0.7, H_UNIT, 1.3, accuracy=1e-9, steps=4)
+        want = [_geometric_phase_per_point(r, 0.7, H_UNIT, 1.3, 1e-9, 0.0, 4) for r in rs]
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("r,steps", [(2.0, 4), (0.5, 16), (0.3, 7), (1.0, 1)])
     def test_sweep_grid_equals_per_point(self, r, steps):
@@ -795,9 +883,82 @@ class TestParallelBlocks:
         ts = np.linspace(0.1, 1.0, 12)
         before = threading.active_count()
         with pytest.raises(ValueError, match=r"over-normalized: \|psi\|\^2 = 1\.5"):
-            fock._energy_integrals(state, H_UNIT, ts, [3, 2, 1, 0] * 3, 4, 0.0)
+            fock._energy_integrals([state], [0] * 12, H_UNIT, ts, [3, 2, 1, 0] * 3, 4, 0.0)
         assert threading.active_count() == before
         assert len(helpers) == 3 and not any(h.is_alive() for h in helpers)
+
+
+def _entering_threads(mp):
+    """Wrap every function of ``fock`` as a tracer does; record who enters."""
+    entered = []
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            entered.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+
+        return traced
+
+    for name, obj in list(vars(fock).items()):
+        if isinstance(obj, types.FunctionType) and obj.__module__ == fock.__name__:
+            mp.setattr(fock, name, wrap(name, obj))
+    return entered
+
+
+class TestRRows:
+    """Grids of many r: states built in the calling thread, a bounded number at once."""
+
+    def test_no_fock_function_is_entered_off_the_main_thread(self, monkeypatch):
+        entered = _entering_threads(monkeypatch)
+        monkeypatch.setattr(fock, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 16)
+        monkeypatch.setattr(fock, "_STATE_ELEMENTS", 64)
+        helpers = _count_helpers(monkeypatch)
+        rs = np.repeat([0.0, 0.3, 1.0, 1.7], 10)
+        ts = np.tile(np.linspace(0.0, 2 * TAU, 10), 4)
+        geometric_phase_numeric(rs, 0.2, HamiltonianParams(1.0, 0.3), ts, steps=4)
+        dynamical_integral(rs, 0.2, H_UNIT, ts, 7)
+        assert len(helpers) >= 6
+        names = {name for name, _ in entered}
+        assert {"schmidt_state", "_energy_integrals", "_cutoffs"} <= names
+        assert [name for name, thread in entered if thread is not threading.main_thread()] == []
+
+    @pytest.mark.parametrize("bound", [1, 40, 300])
+    def test_live_states_stay_within_the_bound(self, monkeypatch, bound):
+        rs = np.linspace(0.0, 1.5, 60)
+        want = geometric_phase_numeric(rs, 0.4, H_UNIT, 2.0, steps=4).tolist()
+        live, peaks = [], []
+
+        def spy(r, phi, N):
+            state = schmidt_state(r, phi, N)
+            live.append(weakref.ref(state.coeffs))
+            held = [ref().size for ref in live if ref() is not None]
+            # A state longer than the bound goes through alone.
+            peaks.append(sum(held) if len(held) > 1 else 0)
+            return state
+
+        monkeypatch.setattr(fock, "_STATE_ELEMENTS", bound)
+        monkeypatch.setattr(fock, "schmidt_state", spy)
+        got = geometric_phase_numeric(rs, 0.4, H_UNIT, 2.0, steps=4).tolist()
+        assert got == want
+        assert len(live) == rs.size and max(peaks) <= bound
+
+    def test_one_state_per_distinct_r(self, monkeypatch):
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return schmidt_state(*args)
+
+        monkeypatch.setattr(fock, "schmidt_state", counting)
+        rs, ts = [1.0, 2.0, 1.0, 2.0, 1.0], [0.5, 0.5, 3.0, 0.1, 0.2]
+        geometric_phase_numeric(rs, 0.2, H_UNIT, ts, accuracy=1e-9)
+
+        def top(r):
+            return max(cutoff_for("phase", r, 1e-9, t=t) for rv, t in zip(rs, ts) if rv == r)
+
+        assert builds == [(1.0, 0.2, top(1.0)), (2.0, 0.2, top(2.0))]
 
 
 class TestEntropyNumeric:
