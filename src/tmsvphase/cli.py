@@ -17,9 +17,10 @@ are printed with 12 significant digits, scientific notation below 1e-4,
 unless ``--degrees`` is given, which converts display only.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 resource
-limit (no Fock cutoff up to ``--max-cutoff`` reaches the needed accuracy,
-no double carries a swept phase to the sweep's bound, memory runs out, or
-the reader closes stdout early, as ``| head`` does).
+limit (no Fock cutoff up to the bound reaches the needed accuracy, a
+sweep's own ``--max-cutoff`` or 4096 for ``verify``; no double carries a
+swept phase to the sweep's bound, which is checked before the oracle runs;
+memory runs out; or the reader closes stdout early, as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -138,6 +139,12 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     all its (r, t) rows in one call: an ``omega_t`` sweep holds r fixed, so
     the oracle builds one state, and an ``r`` sweep holds t fixed, so it
     builds one state per row, a bounded number of coefficients at a time.
+
+    Before that call, PrecisionExceededError refuses a table with a row
+    whose cond eps exceeds SWEEP_PHASE_BOUND.  cond = delta + 2 Omega t r
+    sinh 2r + 1, with delta = 2 Omega t sinh^2 r, is the condition number
+    of gamma in (r, Omega t): rounding the inputs alone moves gamma by
+    about cond eps, so beyond the bound no double carries it.
     """
     grid = np.linspace(spec.start, spec.stop, spec.points)
     fx = {**_SWEEP_DEFAULTS, **spec.fixed}
@@ -149,6 +156,19 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
         rs, ts = np.full(grid.size, float(fx["r"])), grid / fx["Omega"]
     else:
         rs, ts = grid, np.full(grid.size, float(fx["t"]))
+    # Only the offending rows' indices outlive the gate, not a cond per row.
+    # At Omega t = inf a row with r = 0 gives nan and passes; rows with r > 0 fail.
+    with np.errstate(over="ignore", invalid="ignore"):
+        over = np.flatnonzero(
+            (2.0 * fx["Omega"] * ts * (np.sinh(rs) ** 2 + rs * np.sinh(2.0 * rs)) + 1.0)
+            * np.finfo(np.float64).eps > SWEEP_PHASE_BOUND
+        )
+        if over.size:
+            raise PrecisionExceededError(
+                f"no double carries the geometric phase at r={rs[over[0]]:g}, Omega t="
+                f"{fx['Omega'] * ts[over[0]]:g}: cond * eps exceeds the sweep bound "
+                f"{SWEEP_PHASE_BOUND:.1e}"
+            )
     numeric = fock.geometric_phase_numeric(
         rs, fx["phi"], h, ts, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
         max_cutoff=max_cutoff, steps=4,
@@ -163,27 +183,6 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     return headers, rows
 
 
-def _require_precision(spec: SweepSpec) -> None:
-    """Raise PrecisionExceededError if a row's phase has cond eps above SWEEP_PHASE_BOUND.
-
-    cond = delta + 2 Omega t r sinh 2r + 1, with delta = 2 Omega t sinh^2 r, is
-    the condition number of gamma in (r, Omega t): rounding the inputs alone
-    moves gamma by about cond eps, so beyond the bound no double carries it.
-    """
-    fx = {**_SWEEP_DEFAULTS, **spec.fixed}
-    grid = np.linspace(spec.start, spec.stop, spec.points)
-    r, wt = (fx["r"], grid) if spec.variable == "omega_t" else (grid, fx["Omega"] * fx["t"])
-    rs, wts = np.broadcast_arrays(r, wt)
-    with np.errstate(over="ignore"):
-        cond = 2.0 * wts * (np.sinh(rs) ** 2 + rs * np.sinh(2.0 * rs)) + 1.0
-    over = np.flatnonzero(cond * np.finfo(np.float64).eps > SWEEP_PHASE_BOUND)
-    if over.size:
-        raise PrecisionExceededError(
-            f"no double carries the geometric phase at r={rs[over[0]]:g}, Omega t="
-            f"{wts[over[0]]:g}: cond * eps exceeds the sweep bound {SWEEP_PHASE_BOUND:.1e}"
-        )
-
-
 def cmd_sweep(
     spec: SweepSpec,
     fmt: str = "csv",
@@ -193,15 +192,12 @@ def cmd_sweep(
 ) -> int:
     """Emit the sweep table; nonzero exit if any oracle gap exceeds 1e-8.
 
-    The table from ``sweep_rows`` is checked for phases no double carries
-    (PrecisionExceededError) and for non-finite values row by row, and
-    printed as it is; ``--degrees`` scales each angle column of
+    The table from ``sweep_rows`` is checked for non-finite values row by
+    row and printed as it is; ``--degrees`` scales each angle column of
     ``_COLUMNS`` while formatting.
     """
     out = stream if stream is not None else sys.stdout
     headers, rows = sweep_rows(spec, max_cutoff)
-    if spec.variable != "gamma_c":
-        _require_precision(spec)
 
     for row in rows:
         for name, value in zip(headers, row):
@@ -547,22 +543,16 @@ _CHECKS: tuple[Callable, ...] = (
 )
 
 
-def run_invariant_suite(
-    max_cutoff: int = fock.DEFAULT_MAX_CUTOFF, seed: int = 0
-) -> list[CheckResult]:
+def run_invariant_suite(seed: int = 0) -> list[CheckResult]:
     """Run every invariant check; the seed affects sampling, never verdicts."""
     rng = np.random.default_rng(seed)
-    return [check(max_cutoff, rng) for check in _CHECKS]
+    return [check(fock.DEFAULT_MAX_CUTOFF, rng) for check in _CHECKS]
 
 
-def cmd_verify(
-    max_cutoff: int = fock.DEFAULT_MAX_CUTOFF,
-    seed: int = 0,
-    stream: TextIO | None = None,
-) -> int:
+def cmd_verify(seed: int = 0, stream: TextIO | None = None) -> int:
     """Print the invariant table; exit 0 iff every check passes."""
     out = stream if stream is not None else sys.stdout
-    results = run_invariant_suite(max_cutoff, seed)
+    results = run_invariant_suite(seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         out.write(
@@ -587,13 +577,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    max_cutoff_help = "hard bound on Fock cutoffs, default 4096"
     degrees_help = "display angles in degrees (I/O stays radians)"
 
     verify = sub.add_parser("verify",
                             help="run the invariant suite and print a pass/fail table")
-    verify.add_argument("--max-cutoff", type=int, default=fock.DEFAULT_MAX_CUTOFF,
-                        help=max_cutoff_help)
     verify.add_argument("--seed", type=int, default=0,
                         help="seed for randomized invariant sampling, default 0")
 
@@ -613,8 +600,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sweep.add_argument("--" + key.lower(), dest=key, type=float,
                            default=_SWEEP_DEFAULTS[key], help=text + ", default %(default)g")
     sweep.add_argument("--max-cutoff", type=int, default=fock.DEFAULT_MAX_CUTOFF,
-                       help=max_cutoff_help + ", which lets an r sweep at "
-                            "Omega t = 1 reach r ~ 3.15 (exit 3 beyond)")
+                       help="hard bound on Fock cutoffs, default 4096, which lets an r "
+                            "sweep at Omega t = 1 reach r ~ 3.15 (exit 3 beyond)")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="table format, default csv")
     sweep.add_argument("--degrees", action="store_true", help=degrees_help)
@@ -641,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "verify":
-            code = cmd_verify(args.max_cutoff, seed=args.seed)
+            code = cmd_verify(args.seed)
         elif args.command == "sweep":
             fixed = {key: getattr(args, key) for key in _SWEEP_DEFAULTS}
             spec = SweepSpec(args.variable, args.start, args.stop, args.points, fixed)

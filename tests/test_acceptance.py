@@ -198,7 +198,7 @@ def test_criterion_9_cli_verify_and_determinism():
     with criterion(9, "cmd_verify green under 60 s; sweep output byte-deterministic"):
         started = time.perf_counter()
         sink = io.StringIO()
-        assert cmd_verify(fock.DEFAULT_MAX_CUTOFF, seed=0, stream=sink) == 0
+        assert cmd_verify(seed=0, stream=sink) == 0
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
         assert "VERDICT: PASS" in sink.getvalue()

@@ -267,10 +267,6 @@ class TestMainEntry:
         assert main(["verify", "--seed", "7"]) == 0
         assert "VERDICT: PASS" in capsys.readouterr().out
 
-    def test_verify_forced_cutoff_failure(self, capsys):
-        assert main(["verify", "--max-cutoff", "2"]) == 3
-        assert "CUTOFF_EXCEEDED" in capsys.readouterr().err
-
     def test_sweep_usage_errors(self, capsys):
         assert main(["sweep", "--variable", "r", "--start", "0", "--stop", "1",
                      "--points", "1"]) == 2
@@ -287,6 +283,7 @@ class TestMainEntry:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_omega_t_sweep_rejects_zero_frequency(self, capsys):
         code = main(["sweep", "--variable", "omega_t", "--start", "0", "--stop", "1",
                      "--points", "3", "--omega", "0"])
@@ -306,6 +303,8 @@ class TestMainEntry:
          "--points", "3", "--tolerance", "1e-9"],
         ["decompose", "--tolerance", "5", "--seed", "3", "1", "0", "1", "0"],
         ["decompose", "--max-cutoff", "9", "1", "0", "1", "0"],
+        # verify always runs at fock.DEFAULT_MAX_CUTOFF.
+        ["verify", "--max-cutoff", "2"],
     ])
     def test_flags_belong_to_their_subcommand(self, argv, capsys):
         assert main(argv) == 2
@@ -327,22 +326,29 @@ class TestMainEntry:
         assert lines[1:] == ["0,0", "5e+307,706.972037215", "1e+308,707.665184395"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_oracle_input_is_one_usage_line(self, capsys):
-        # Omega t = 1e308 overflows the oracle's phases; numpy stays quiet
-        # and the finite check reports it.
+    def test_overflowing_oracle_input_is_one_precision_line(self, capsys):
+        # Omega t = 1e308 would overflow the oracle's phases; cond overflows
+        # quietly first and the precision gate refuses the table.
         assert main(["sweep", "--variable", "omega_t", "--start", "0",
-                     "--stop", "1e308", "--points", "3"]) == 2
+                     "--stop", "1e308", "--points", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "usage error: coefficients must be finite\n"
+        assert captured.err.startswith("PRECISION_EXCEEDED: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["--variable", "omega_t", "--start", "0", "--stop", "1e300", "--r", "0.1"],
         ["--variable", "r", "--start", "0", "--stop", "1", "--t", "1e300"],
-    ], ids=["omega_t", "r"])
-    def test_phase_no_double_carries_is_a_resource_error(self, argv, capsys):
+        ["--variable", "omega_t", "--start", "0", "--stop", "1e308", "--r", "0.1"],
+    ], ids=["omega_t", "r", "omega_t-1e308"])
+    def test_phase_no_double_carries_is_a_resource_error(self, argv, capsys, monkeypatch):
         # cond eps reaches 1e284 here: the oracle/closed-form gap is noise,
-        # not a failed invariant.
+        # not a failed invariant.  The gate refuses the table before the
+        # oracle would compute it, or overflow on it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran on a table the gate refuses")
+
+        monkeypatch.setattr(fock, "geometric_phase_numeric", refuse)
         assert main(["sweep", *argv, "--points", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -359,9 +365,14 @@ class TestMainEntry:
         assert capsys.readouterr().err == "non-finite value in column entropy\n"
 
     def test_squeeze_beyond_cutoff_reach_is_resource_error(self, capsys):
-        assert main(["sweep", "--variable", "omega_t", "--start", "0",
-                     "--stop", "1", "--points", "3", "--r", "19.5"]) == 3
-        assert "CUTOFF_EXCEEDED" in capsys.readouterr().err
+        argv = ["sweep", "--variable", "omega_t", "--start", "0", "--points", "3",
+                "--r", "19.5"]
+        # cond eps reaches about 190 at Omega t = 0.5.
+        assert main(argv + ["--stop", "1"]) == 3
+        assert capsys.readouterr().err.startswith("PRECISION_EXCEEDED: ")
+        # cond is about 1: the gate passes and tanh r rounds to 1.
+        assert main(argv + ["--stop", "1e-30"]) == 3
+        assert capsys.readouterr().err.startswith("CUTOFF_EXCEEDED: ")
 
     def test_r_sweep_reach_follows_max_cutoff(self, capsys):
         # At Omega t = 1 the oracle column needs N > 4096 above r ~ 3.15.
@@ -470,6 +481,8 @@ class TestPublicSurface:
         (fock.rotation_conjugation_check, "max_cutoff"),
         (fock.squeeze_by_exponentiation, "max_cutoff"),
         (su11.check_squeeze_factor, "r_max"),
+        (cli.run_invariant_suite, "max_cutoff"),
+        (cli.cmd_verify, "max_cutoff"),
     ])
     def test_derived_values_are_not_parameters(self, owner, name):
         # Cutoffs follow from the arrays, degeneracy from R, and the caps are
