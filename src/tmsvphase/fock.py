@@ -24,6 +24,11 @@ Schmidt coefficients, builds one state per distinct r at the largest cutoff
 its rows keep, and each row reads the prefix its own cutoff keeps.  Rows
 sharing a cutoff and a state are evolved and integrated together in small
 blocks on worker threads, with digits independent of the grid and the CPUs.
+A row evolves its state to each tau node of its energy quadrature, t being
+the last.  The integrand is constant in time, so the trapezoid over [0, t]
+is exact up to rounding at any step count (``verify``'s
+``dynamical-quadrature`` holds 1, 7 and 200 steps to one value), and a
+sweep asks for one step: each of its rows evolves its state once, to t.
 :func:`evolve` is the standalone per-state evolution it is checked against.
 
 Truncation error policy: the Schmidt coefficient of |n>|n> is
@@ -60,7 +65,7 @@ FULL_SPACE_MAX_CUTOFF = 32
 #: Norm defect above which an exponentiated generator is considered broken.
 _EXPM_NORM_TOL = 1e-12
 
-# Evolved coefficients per block of grid rows: 16 rows of 4 taus at N = 377.
+# Evolved coefficients per block of grid rows: 65 one-step sweep rows at N = 377.
 _BLOCK_ELEMENTS = 24576
 
 # Schmidt coefficients one slice of grid rows holds: 4 states at N = 4095.

@@ -68,6 +68,23 @@ class SqueezeParams:
         object.__setattr__(self, "phi", _require_finite("phase angle phi", self.phi))
 
 
+def _determinant(m11: complex, m12: complex) -> float:
+    """|m11|^2 - |m12|^2, factored to keep the cancellation mild for large entries."""
+    a, b = abs(m11), abs(m12)
+    return (a - b) * (a + b)
+
+
+def _defect(m11: complex, m12: complex) -> float:
+    """Normalized determinant defect |det - 1| / max(1, |m11|^2) of a pair."""
+    return abs(_determinant(m11, m12) - 1.0) / max(1.0, abs(m11) ** 2)
+
+
+def _product(a: tuple[complex, complex], b: tuple[complex, complex]) -> tuple[complex, complex]:
+    """(m11, m12) of the matrix product of two (m11, m12) pairs, unvalidated."""
+    (a11, a12), (b11, b12) = a, b
+    return a11 * b11 + a12 * b12.conjugate(), a11 * b12 + a12 * b11.conjugate()
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """The pair (m11, m12) representing [[m11, m12], [conj(m12), conj(m11)]].
@@ -85,19 +102,16 @@ class GroupElement:
         m12 = complex(self.m12)
         if not (cmath.isfinite(m11) and cmath.isfinite(m12)):
             raise ValueError("group element entries must be finite")
-        defect = abs(self.determinant() - 1.0)
-        if defect > DET_TOL * max(1.0, abs(m11) ** 2):
+        if _defect(m11, m12) > DET_TOL:
             raise ValueError(
                 f"not an SU(1,1)-with-phase element: |m11|^2 - |m12|^2 = "
-                f"{self.determinant()!r}"
+                f"{_determinant(m11, m12)!r}"
             )
         object.__setattr__(self, "m11", m11)
         object.__setattr__(self, "m12", m12)
 
     def determinant(self) -> float:
-        # Factored form keeps the cancellation mild for large entries.
-        a, b = abs(self.m11), abs(self.m12)
-        return (a - b) * (a + b)
+        return _determinant(self.m11, self.m12)
 
     def matrix(self) -> list[list[complex]]:
         """The full 2x2 matrix, reconstructed from the stored pair."""
@@ -145,10 +159,7 @@ def c_matrix(p: SqueezeParams) -> GroupElement:
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """Matrix product restricted to the (m11, m12) representation."""
-    return GroupElement(
-        a.m11 * b.m11 + a.m12 * b.m12.conjugate(),
-        a.m11 * b.m12 + a.m12 * b.m11.conjugate(),
-    )
+    return GroupElement(*_product((a.m11, a.m12), (b.m11, b.m12)))
 
 
 def inverse(a: GroupElement) -> GroupElement:

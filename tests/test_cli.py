@@ -161,11 +161,16 @@ class TestSweepJson:
 
 
 class TestSweepGoldenBytes:
-    """sha256 of sweep stdout, recorded while the oracle still ran point by point.
+    """sha256 of sweep stdout, recorded once each phase row was evolved to t alone.
 
     Every printed digit depends on the last bit of each oracle row, so the
-    grid evaluation must reproduce the per-point arithmetic exactly.
-    Recorded with numpy 2.4 on x86-64 Linux.
+    grid evaluation must reproduce the per-point arithmetic exactly.  The
+    digests were re-recorded when the sweep's energy quadrature went from
+    four trapezoid steps to one: against the four-step tables only
+    ``gamma_numeric`` and ``abs_error`` cells moved, each by at most
+    0.88 cond eps of its row, and each table kept its largest ``abs_error``
+    row (omega_t: 9.93111370917e-10 -> 9.93139792627e-10, 0.31 cond eps;
+    r and r-wide: unchanged).  Recorded with numpy 2.4 on x86-64 Linux.
     """
 
     OMEGA_T = ["sweep", "--variable", "omega_t", "--start", "0",
@@ -178,17 +183,15 @@ class TestSweepGoldenBytes:
               "--points", "200", "--phi", "0.7"]
 
     @pytest.mark.parametrize("argv,digest", [
-        (OMEGA_T, "8e0472ddd8e1feb755bf78e612bae7ac04efea017694b3623224a41a361b73fc"),
+        (OMEGA_T, "90a74185ea81683dd8e25ed71887a0f14a7d4cd884e2747ca7fd81dfb561efb1"),
         (OMEGA_T + ["--format", "json"],
-         "5cb451fd8efaaa51130f3de668d846320fe7bff2ab38e773372e1cfa0b449dca"),
-        (R, "0495b283294dd7eec1519f7446c76c6658b9222d8f31975eecbee5823a2f5ee0"),
-        # Recorded while sweep rows were still dicts and --degrees copied them.
+         "bfb5d82102bc4c2856fad695b4063ed501bf1e5c8789e51c11d485a22d6646eb"),
+        (R, "1352cb4e92fdf76f59e5d12861f14c0b5a7d375186e3b5c936fc1da06c639e46"),
         (OMEGA_T + ["--degrees"],
-         "94a92e7dbc0be17abdd9f8b269f558f70dfcccc26ff8e1b3847b1ef9c5b0e450"),
+         "320df968321230c5d591945b9473ea93ce2326b1583357d223ac9601c4f77b8b"),
         (R + ["--format", "json"],
-         "7898e98ee0d60cb18224236c2ebf7bbdefa7c40681f887e258881f4377be69e4"),
-        # Recorded while an r sweep still called the oracle row by row.
-        (R_WIDE, "e8d2d70da905bc583aab69e69172a801230d7a5f0c0102f60cbd90440daa65d7"),
+         "eacf6c57f4f77a9be749bc9642c95b9fd7b82cffb86989ed2ae19ea98015f5c0"),
+        (R_WIDE, "7f392140e5c12f8d7d725e9447e0f5b7b880d3a26d2c6b2fb491c484e7e80489"),
     ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json", "r-wide"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
@@ -289,6 +292,33 @@ class TestMainEntry:
                      "--points", "3", "--omega", "0"])
         assert code == 2
         assert "Omega must be positive" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_time_at_zero_squeeze_is_one_usage_line(self, capsys):
+        # t = grid / Omega overflows; at r = 0 cond is inf * 0, so the gate
+        # passes the row and the oracle refuses t = inf.
+        assert main(["sweep", "--variable", "omega_t", "--start", "0", "--stop", "1e300",
+                     "--points", "3", "--r", "0", "--omega", "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: t must be finite, got inf\n"
+
+    def test_drifting_su11_chain_fails_its_check(self, capsys, monkeypatch):
+        # GroupElement refuses a defect above DET_TOL, the check's own bound,
+        # so the check must measure the product before anything validates it.
+        real = su11._product
+
+        def drifting(a, b):
+            m11, m12 = real(a, b)
+            return m11 * (1.0 + 3e-10), m12
+
+        monkeypatch.setattr(su11, "_product", drifting)
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 18
+        assert sum(line.startswith(("PASS  ", "FAIL  ")) for line in lines) == 17
+        assert lines[0].startswith("FAIL  su11-closure ")
+        assert lines[-1].startswith("VERDICT: FAIL (")
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -498,7 +528,10 @@ class TestPublicSurface:
 
 
 class TestOneOracleCall:
-    """Sweeps and verify checks ask the oracle for all their (r, t) rows at once."""
+    """Sweeps and verify checks ask the oracle for all their (r, t) rows at once.
+
+    Each call is recorded as (rows, quadrature steps).
+    """
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -506,7 +539,7 @@ class TestOneOracleCall:
         real = fock._evolution
 
         def counting(observable, r, *args, **kwargs):
-            seen.append(np.size(r))
+            seen.append((np.size(r), kwargs["steps"]))
             return real(observable, r, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_evolution", counting)
@@ -514,15 +547,17 @@ class TestOneOracleCall:
 
     @pytest.mark.parametrize("variable,stop", [("r", 2.0), ("omega_t", TAU)])
     def test_phase_sweep(self, calls, variable, stop):
+        # The energy integrand is constant, so each row evolves once, to t.
         cli.sweep_rows(SweepSpec(variable, 0.0, stop, 40))
-        assert calls == [40]
+        assert calls == [(40, 1)]
 
     @pytest.mark.parametrize("check,sizes", [
-        (cli._overlap_agreement, [5 * 63]),
-        (cli._dynamical_quadrature, [4 * 5] * 9),
-        (cli._gauge_invariance, [3 * 3] * 4),
-        (cli._cyclic_total_phase, [5]),
-        (cli._cyclic_gamma, [5]),
+        (cli._overlap_agreement, [(5 * 63, 1)]),
+        (cli._dynamical_quadrature, [(4 * 5, steps) for _ in range(3) for steps in (1, 7, 200)]),
+        # geometric_phase_numeric's default keeps the multi-node quadrature in use.
+        (cli._gauge_invariance, [(3 * 3, 16)] * 4),
+        (cli._cyclic_total_phase, [(5, 1)]),
+        (cli._cyclic_gamma, [(5, 16)]),
     ])
     def test_verify_check(self, calls, check, sizes):
         assert check(fock.DEFAULT_MAX_CUTOFF, np.random.default_rng(0)).passed

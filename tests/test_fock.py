@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from tmsvphase import fock, phases
+from tmsvphase import cli, fock, phases
 from tmsvphase.cli import circle_distance
 from tmsvphase.errors import CutoffExceededError
 from tmsvphase.fock import (
@@ -737,6 +737,20 @@ class TestGeometricPhaseGrid:
         got = geometric_phase_numeric(r, 0.7, h, ts, accuracy=1e-9, steps=steps)
         want = [_geometric_phase_per_point(r, 0.7, h, t, 1e-9, 0.0, steps) for t in ts]
         assert got.tolist() == want
+
+    def test_one_step_sweep_within_cond_eps_of_sixteen_steps(self):
+        # A sweep evolves each row once, to t.  Over the 500-point golden
+        # omega_t grid it moves no gamma_numeric by more than rounding of
+        # the inputs could: cond eps, cond being the sweep gate's.
+        r, h = 2.0, HamiltonianParams(1.0, 0.3)
+        spec = cli.SweepSpec("omega_t", 0.0, TAU, 500, {"r": r, "phi": 0.7, "epsilon": 0.3})
+        headers, rows = cli.sweep_rows(spec)
+        wts = np.array([row[0] for row in rows])
+        want = geometric_phase_numeric(r, 0.7, h, wts / h.Omega, accuracy=1e-9, steps=16)
+        column = headers.index("gamma_numeric")
+        for wt, row, value in zip(wts.tolist(), rows, want.tolist()):
+            cond = 2.0 * wt * (math.sinh(r) ** 2 + r * math.sinh(2.0 * r)) + 1.0
+            assert circle_distance(row[column], value) <= cond * np.finfo(float).eps, wt
 
     def test_zero_and_subnormal_times_share_a_block(self):
         ts = np.array([0.0, 5e-324, 1e-320, 0.3, 2.9, -0.0])
