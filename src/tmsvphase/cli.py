@@ -248,11 +248,11 @@ def cmd_sweep(
 
 def _reconstruction_residual(prime, doubleprime, triple):
     """Largest entry gap between reconstruct(triple) and S(doubleprime) S(prime)^-1."""
-    target = su11.multiply(
-        su11.c_matrix(doubleprime), su11.c_matrix(SqueezeParams(-prime.r, prime.phi))
+    target = su11._product(
+        su11._c_pair(doubleprime.r, doubleprime.phi), su11._c_pair(-prime.r, prime.phi)
     )
-    rebuilt = su11.reconstruct(triple)
-    return max(abs(rebuilt.m11 - target.m11), abs(rebuilt.m12 - target.m12))
+    rebuilt = su11._reconstruct_pair(triple)
+    return max(abs(rebuilt[0] - target[0]), abs(rebuilt[1] - target[1]))
 
 
 def cmd_decompose(
@@ -313,19 +313,22 @@ def _invariant(name, bound):
 def _su11_closure(accuracy, max_cutoff, rng):
     # The running product stays an unvalidated pair: GroupElement would raise
     # at the defect this check bounds, before the check could report it.
-    for chain in range(60):
+    # One draw of (r, phi) rows takes the generator's doubles in the order a
+    # loop of scalar draws, r before phi, would.
+    draws = rng.uniform([-3, -math.pi], [3, math.pi], size=(60, 100, 2))
+    for chain, steps in enumerate(draws.tolist()):
         pair = (su11.IDENTITY.m11, su11.IDENTITY.m12)
-        for step in range(100):
-            c = su11.c_matrix(SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)))
-            pair = su11._product(pair, (c.m11, c.m12))
+        for step, (r, phi) in enumerate(steps):
+            pair = su11._product(pair, su11._c_pair(r, phi))
             yield su11._defect(*pair), f"chain {chain}, step {step}"
 
 
 @_invariant("su11-reconstruction", 1e-10)
 def _su11_reconstruction(accuracy, max_cutoff, rng):
-    for _ in range(1000):
-        prime = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
-        dbl = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+    # Rows (r', phi', r'', phi''), drawn as in su11-closure.
+    draws = rng.uniform([-3, -math.pi] * 2, [3, math.pi] * 2, size=(1000, 4))
+    for r1, phi1, r2, phi2 in draws.tolist():
+        prime, dbl = SqueezeParams(r1, phi1), SqueezeParams(r2, phi2)
         triple = su11.decompose_product(prime, dbl)
         yield _reconstruction_residual(prime, dbl, triple), (
             f"r'={prime.r:.4g}, phi'={prime.phi:.4g}, "
@@ -335,20 +338,17 @@ def _su11_reconstruction(accuracy, max_cutoff, rng):
 
 @_invariant("su11-matrix-consistency", 1e-10)
 def _su11_matrix_consistency(accuracy, max_cutoff, rng):
-    for r in np.arange(0.0, 2.0001, 0.25):
-        for wt in np.linspace(0.0, TAU, 63):
-            triple_m = su11.multiply(
-                su11.c_matrix(SqueezeParams(r, 0.3 - wt)),
-                su11.c_matrix(SqueezeParams(-r, 0.3)),
-            )
+    for r in np.arange(0.0, 2.0001, 0.25).tolist():
+        for wt in np.linspace(0.0, TAU, 63).tolist():
+            m11, _ = su11._product(su11._c_pair(r, 0.3 - wt), su11._c_pair(-r, 0.3))
             detail = f"r={r:.4g}, omega_t={wt:.4g}"
             modulus_closed = math.sqrt(
                 math.cos(wt) ** 2 + math.sin(wt) ** 2 * math.cosh(2 * r) ** 2
             )
-            yield abs(abs(triple_m.m11) - modulus_closed), detail
+            yield abs(abs(m11) - modulus_closed), detail
             tpf = phases.total_phase_factor(r, 1.0, wt)
             yield circle_distance(
-                math.atan2(triple_m.m11.imag, triple_m.m11.real),
+                math.atan2(m11.imag, m11.real),
                 -math.atan2(tpf.imag, tpf.real),
             ), detail
 

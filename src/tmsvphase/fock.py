@@ -2,10 +2,10 @@
 
 Everything the closed forms in :mod:`tmsvphase.phases` claim is recomputed
 here from first principles: states as coefficient vectors, squeezing by
-exponentiating the generator through its eigendecomposition, evolution as
-literal Hamiltonian phase factors, quadrature of the energy expectation,
-entropy of the Schmidt spectrum, and operator-identity residuals on the
-full two-mode space.
+exponentiating the generator through one SVD of its even-to-odd block,
+evolution as literal Hamiltonian phase factors, quadrature of the energy
+expectation, entropy of the Schmidt spectrum, and operator-identity
+residuals on the full two-mode space.
 
 Two representations are used, chosen by what truncation does to them:
 
@@ -275,9 +275,18 @@ def squeeze_by_exponentiation(r: float, phi: float, N: int) -> DiagonalFockState
     against.  The truncated generator G = r (a+ a- e^{-2i phi} - a+^dag
     a-^dag e^{2i phi}) has off-diagonals r e^{-2i phi} n and -r e^{2i phi} n,
     so with D = diag(theta^n), theta = -i e^{2i phi}, D^dag iG D = T is real
-    symmetric with off-diagonal r n, and T = V diag(w) V^T gives the unitary
-    exp(G)|0> = D V diag(e^{-iw}) V^T |0>.  What truncation costs is a
-    boundary reflection of order tanh^{N+1}|r|/cosh r in the coefficients.
+    symmetric with off-diagonal r n, and exp(G)|0> = D exp(-iT)|0>.
+
+    T has a zero diagonal, so it couples even n only to odd n: in that
+    order T = [[0, B^T], [B, 0]], where B has (N + 1) // 2 rows, N // 2 + 1
+    columns, B[j, j] = r (2j + 1) and B[j, j + 1] = r (2j + 2).  With the
+    full SVD B = U diag(s) W^T, exp(-iT)|0> has the real even part
+    W cos(s) W^T e_0 and the odd part -i U sin(s) W[:, :len(s)]^T e_0; for
+    even N, W's last column spans the null space of B and takes cos 0 = 1.
+    B is T's own nonzero entries, with T's last row and column included, so
+    this is the same truncated exponential as a diagonalisation of T from
+    one SVD of half its side, and no boundary term changes: what truncation
+    costs is a reflection of order tanh^{N+1}|r|/cosh r in the coefficients.
     Pick N with ``cutoff_for("expm", ...)`` for a componentwise accuracy.
 
     Raises
@@ -295,10 +304,18 @@ def squeeze_by_exponentiation(r: float, phi: float, N: int) -> DiagonalFockState
     if N > DEFAULT_MAX_CUTOFF:
         raise CutoffExceededError(f"cutoff {N} exceeds DEFAULT_MAX_CUTOFF={DEFAULT_MAX_CUTOFF}")
     off_diagonal = r * np.arange(1, N + 1, dtype=np.float64)
-    w, v = np.linalg.eigh(np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
-    rotated = np.exp(-1j * w) * v[0]
+    odd, even = (N + 1) // 2, N // 2 + 1
+    b = np.zeros((odd, even))
+    b[np.arange(odd), np.arange(odd)] = off_diagonal[0::2]
+    b[np.arange(N // 2), np.arange(1, even)] = off_diagonal[1::2]
+    u, s, w_t = np.linalg.svd(b)
+    cos_s = np.ones(even)
+    cos_s[: s.size] = np.cos(s)
+    amplitudes = np.empty(N + 1, dtype=np.complex128)
+    amplitudes[0::2] = w_t.T @ (cos_s * w_t[:, 0])
+    amplitudes[1::2] = -1j * (u @ (np.sin(s) * w_t[: s.size, 0]))
     theta = -1j * np.exp(2j * phi)
-    coeffs = theta ** np.arange(N + 1) * (v @ rotated.real + 1j * (v @ rotated.imag))
+    coeffs = theta ** np.arange(N + 1) * amplitudes
     norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > _EXPM_NORM_TOL:
         raise ExpmNotConvergedError(

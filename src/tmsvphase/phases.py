@@ -103,8 +103,12 @@ def overlap_analytic(r: float, Omega: float, t: float) -> complex:
     (cos^2 Wt + sin^2 Wt cosh^2 2r)^(-1/2); the value is 1 at Wt = 2 pi.
     """
     r, Omega, t = _check_args(r, Omega, t)
-    wt = Omega * t
-    s = 2.0 * math.sinh(r) ** 2 * math.sin(wt)
+    return _overlap(math.sinh(r) ** 2, Omega * t)
+
+
+def _overlap(sinh2: float, wt: float) -> complex:
+    """:func:`overlap_analytic` from sinh^2 r and Wt = Omega t."""
+    s = 2.0 * sinh2 * math.sin(wt)
     return 1.0 / complex(1.0 + s * math.sin(wt), s * math.cos(wt))
 
 
@@ -129,7 +133,12 @@ def dynamical_term(r: float, Omega: float, t: float) -> float:
     This is minus the dynamical phase; it grows without bound in t.
     """
     r, Omega, t = _check_args(r, Omega, t)
-    return 2.0 * Omega * t * math.sinh(r) ** 2
+    return _delta(math.sinh(r) ** 2, Omega, t)
+
+
+def _delta(sinh2: float, Omega: float, t: float) -> float:
+    """:func:`dynamical_term` from sinh^2 r."""
+    return 2.0 * Omega * t * sinh2
 
 
 def geometric_phase(r: float, Omega: float, t: float) -> PhaseBreakdown:
@@ -139,9 +148,11 @@ def geometric_phase(r: float, Omega: float, t: float) -> PhaseBreakdown:
     test suite, e^{i gamma} = e^{i Wt cosh 2r} (cos Wt - i sin Wt cosh 2r)
     / (cos^2 Wt + sin^2 Wt cosh^2 2r)^{1/2}.
     """
-    overlap = overlap_analytic(r, Omega, t)
+    r, Omega, t = _check_args(r, Omega, t)
+    sinh2 = math.sinh(r) ** 2
+    overlap = _overlap(sinh2, Omega * t)
     total = cmath.phase(overlap)
-    delta = dynamical_term(r, Omega, t)
+    delta = _delta(sinh2, Omega, t)
     unreduced = total + delta
     return PhaseBreakdown(
         overlap=overlap,

@@ -149,12 +149,14 @@ class DecompositionTriple:
         return self.R <= DEGENERATE_R
 
 
+def _c_pair(r: float, phi: float) -> tuple[complex, complex]:
+    """(m11, m12) of C(r, phi), unvalidated: (cosh r, e^{2i phi} sinh r)."""
+    return complex(math.cosh(r)), cmath.exp(2j * phi) * math.sinh(r)
+
+
 def c_matrix(p: SqueezeParams) -> GroupElement:
     """Bogoliubov matrix of one squeeze: m11 = cosh r, m12 = e^{2i phi} sinh r."""
-    return GroupElement(
-        complex(math.cosh(p.r)),
-        cmath.exp(2j * p.phi) * math.sinh(p.r),
-    )
+    return GroupElement(*_c_pair(p.r, p.phi))
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -192,10 +194,8 @@ def decompose_product(
         Degenerate when R = 0 (within 1e-12), in which case Phi carries no
         information; Theta is still meaningful.
     """
-    a = c_matrix(doubleprime)
-    b = c_matrix(SqueezeParams(-prime.r, prime.phi))
-    m11 = a.m11 * b.m11 + a.m12 * b.m12.conjugate()  # as in multiply
-    # multiply's m12 is the difference of two terms of size sinh r cosh r,
+    m11, _ = _product(_c_pair(doubleprime.r, doubleprime.phi), _c_pair(-prime.r, prime.phi))
+    # The product's m12 is the difference of two terms of size sinh r cosh r,
     # which loses all relative accuracy near the identity.  With
     # delta = phi'' - phi' the same entry is free of cancellation:
     delta = doubleprime.phi - prime.phi
@@ -215,9 +215,14 @@ def decompose_product(
     return DecompositionTriple(R=big_r, Phi=phi, Theta=theta)
 
 
-def reconstruct(triple: DecompositionTriple) -> GroupElement:
-    """Rebuild the group element C(R, Phi) e^{i Theta sigma_z} from a triple."""
-    return GroupElement(
+def _reconstruct_pair(triple: DecompositionTriple) -> tuple[complex, complex]:
+    """(m11, m12) of C(R, Phi) e^{i Theta sigma_z}, unvalidated."""
+    return (
         cmath.exp(1j * triple.Theta) * math.cosh(triple.R),
         cmath.exp(1j * (2.0 * triple.Phi - triple.Theta)) * math.sinh(triple.R),
     )
+
+
+def reconstruct(triple: DecompositionTriple) -> GroupElement:
+    """Rebuild the group element C(R, Phi) e^{i Theta sigma_z} from a triple."""
+    return GroupElement(*_reconstruct_pair(triple))

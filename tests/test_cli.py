@@ -200,28 +200,79 @@ class TestSweepGoldenBytes:
 
 
 class TestVerifyGoldenBytes:
-    """sha256 of verify stdout, recorded while two of its overlap checks
-    still evolved one state per point.
+    """sha256 of verify stdout, recorded when exponentiation-agreement's
+    squeeze exponential became one SVD of the generator's even-to-odd block.
 
-    The worst values carry 12 significant digits, so these pin the oracle's
-    overlaps and integrals to the bit.  Recorded with numpy 2.4 on x86-64
-    Linux, on one CPU and on two.
+    That moved only the exponentiation-agreement line, whose worst rose by
+    3.5e-17 (9.37492752361e-12 to 9.37496221803e-12 for every seed); the
+    other 17 lines are the bytes of the dense-eigh recording.  The worst
+    values carry 12 significant digits, so these pin the oracle's overlaps
+    and integrals to the bit.  Recorded with numpy 2.4 on x86-64 Linux, on
+    one CPU and on two, with OPENBLAS_NUM_THREADS 1 and 2.
     """
 
     @pytest.mark.parametrize("seed,digest", [
-        (0, "dd13f8c29e1db10b63048007fae07218f085e232ba1e15df626b57f05edcbc52"),
-        (1, "6cd8a541c4622ed9203b7909acf5a7508cd0484e66e4565eabee06af07c0a8e0"),
-        (2, "02486b280f82f284ca7c64480e1250e9b013edc26412da98ab780c93099cc4bd"),
-        (3, "0756d72f53b77eca6c87651c5a0a49738c104bc930f6bd891b5cadf9e7ed69ad"),
-        (4, "a77359fdbf6a82f3d7dedcc35b2108abc05cb0e22cfe438667f0a310267375ba"),
-        (5, "4e364d5099d5f939f79aca16d9b7beea8fe1133f649a314018b5c027c031bfb5"),
-        (6, "b898d793eda1edccd7f61a929828ef8e2d546ccc8b407bd354b1e8ec1b32ae12"),
-        (7, "68a0f4481233e66fb9fe4ce0dd46e48f9f2f5816874766b9c195a2dd44cde117"),
+        (0, "163a1d8bc9c8b4ae6d52002ea90d4d1ebe12e613d0a6c364a683db43a6ff1947"),
+        (1, "8866a5fa855ef13614ddd84805a2451c6720016b38573c35b4e2704f43e47324"),
+        (2, "139e48cfc27b0c7716aa4901df85adc53593ec84ffa4e863a505959316ee5e72"),
+        (3, "55bc700ad071baf1b3f92c8da40c58c0caac7fba7a2f61ab4cf41d4e17051abc"),
+        (4, "029938c0f6749593d9f2333763b7b79773eebd8cf5da64cda41210777d1428b0"),
+        (5, "0572ee5c88358990c27ebf30535ec15322fa5eb94fa4597a654a59f28cda59ce"),
+        (6, "c1df2d6d09cc5d5cb9fefa7b9f768adf06414e8ec14d33e8dc20aec439915f77"),
+        (7, "84b2e1219ad52d64cc7cf3c7e093816cac05eea7242069cbc46501f471635611"),
     ])
     def test_stdout_digest(self, seed, digest, capsys):
         assert main(["verify", "--seed", str(seed)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSu11BulkDraws:
+    """su11-closure and su11-reconstruction draw all their samples at once.
+
+    Each must consume the doubles a loop of scalar rng.uniform draws would,
+    r before phi, and leave the generator where that loop leaves it.
+    """
+
+    @staticmethod
+    def recorded_calls(monkeypatch, name, record):
+        seen = []
+        real = getattr(su11, name)
+
+        def recording(*args):
+            seen.append(record(*args))
+            return real(*args)
+
+        monkeypatch.setattr(su11, name, recording)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_closure(self, seed, monkeypatch):
+        seen = self.recorded_calls(monkeypatch, "_c_pair", lambda r, phi: (r, phi))
+        rng = np.random.default_rng(seed)
+        assert cli._su11_closure(fock.DEFAULT_MAX_CUTOFF, rng).passed
+        scalar = np.random.default_rng(seed)
+        expected = [
+            (scalar.uniform(-3, 3), scalar.uniform(-math.pi, math.pi)) for _ in range(6000)
+        ]
+        assert seen == expected
+        assert rng.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reconstruction(self, seed, monkeypatch):
+        seen = self.recorded_calls(
+            monkeypatch, "decompose_product", lambda p, d: (p.r, p.phi, d.r, d.phi)
+        )
+        rng = np.random.default_rng(seed)
+        assert cli._su11_reconstruction(fock.DEFAULT_MAX_CUTOFF, rng).passed
+        scalar = np.random.default_rng(seed)
+        expected = [
+            (scalar.uniform(-3, 3), scalar.uniform(-math.pi, math.pi),
+             scalar.uniform(-3, 3), scalar.uniform(-math.pi, math.pi))
+            for _ in range(1000)
+        ]
+        assert seen == expected
+        assert rng.bit_generator.state == scalar.bit_generator.state
 
 
 class TestDecomposeCommand:

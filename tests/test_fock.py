@@ -248,6 +248,20 @@ def _diagonal_generator(r, phi, N):
     return np.diag(r * np.exp(-2j * phi) * n, 1) + np.diag(-r * np.exp(2j * phi) * n, -1)
 
 
+def _eigh_squeeze(r, phi, N):
+    """exp(G)|0> from a dense eigh of the whole real tridiagonal T.
+
+    The route squeeze_by_exponentiation took before it factored T's
+    even-to-odd block: with D = diag(theta^n), theta = -i e^{2i phi}, and
+    T = V diag(w) V^T, exp(G)|0> = D V diag(e^{-iw}) V^T |0>.
+    """
+    off_diagonal = r * np.arange(1, N + 1, dtype=np.float64)
+    w, v = np.linalg.eigh(np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
+    rotated = np.exp(-1j * w) * v[0]
+    theta = -1j * np.exp(2j * phi)
+    return theta ** np.arange(N + 1) * (v @ rotated.real + 1j * (v @ rotated.imag))
+
+
 class TestSqueezeByExponentiation:
     def test_zero_squeeze_is_vacuum(self):
         state = squeeze_by_exponentiation(0.0, 0.4, 8)
@@ -275,11 +289,35 @@ class TestSqueezeByExponentiation:
     @pytest.mark.parametrize("r,N", [(1.0, 91), (2.0, 377), (2.0, 655)])
     def test_matches_pade_expm(self, r, N):
         # scipy's scaling-and-squaring expm of the complex generator as an
-        # independent reference for the real tridiagonal eigendecomposition,
-        # at the same truncation.
+        # independent reference for the SVD of the even-to-odd block, at the
+        # same truncation.
         reference = expm(_diagonal_generator(r, 0.3, N))[:, 0]
         brute = squeeze_by_exponentiation(r, 0.3, N)
         assert np.abs(brute.coeffs - reference).max() <= 1e-13
+
+    @given(
+        r=st.floats(-3.0, 3.0),
+        phi=st.floats(allow_nan=False, allow_infinity=False),
+        N=st.integers(0, 200),
+    )
+    @example(r=1.0, phi=0.3, N=0)
+    @example(r=-1.0, phi=0.3, N=1)
+    @example(r=2.5, phi=-1.2, N=2)
+    @example(r=0.0, phi=0.7, N=7)
+    @example(r=0.0, phi=0.7, N=8)
+    @example(r=1.0, phi=1e308, N=3)
+    @settings(deadline=None, max_examples=60)
+    def test_matches_dense_eigh_and_pade_expm(self, r, phi, N):
+        # Both parities of N: for even N the block is one column wider than
+        # tall, and its null vector must come back with cos 0 = 1.
+        if math.isinf(2.0 * phi):
+            # e^{2i phi} is NaN once 2 phi overflows, in every route.
+            with pytest.raises(ValueError, match="finite"):
+                squeeze_by_exponentiation(r, phi, N)
+            return
+        brute = squeeze_by_exponentiation(r, phi, N).coeffs
+        assert np.abs(brute - _eigh_squeeze(r, phi, N)).max() <= 1e-13
+        assert np.abs(brute - expm(_diagonal_generator(r, phi, N))[:, 0]).max() <= 1e-13
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, -2.2, 40.0])
     def test_matches_complex_eigendecomposition(self, phi):

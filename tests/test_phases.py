@@ -156,6 +156,24 @@ class TestGeometricPhase:
         breakdown = geometric_phase(1.0, 1.0, TAU)
         assert abs(breakdown.geometric_phase - GAMMA_CYCLE_REDUCED) < 1e-12
 
+    @given(
+        st.floats(-20.0, 20.0),
+        st.floats(-1e6, 1e6),
+        st.floats(0.0, 1e6),
+    )
+    def test_fields_are_the_lone_closed_forms_bit_for_bit(self, r, omega, t):
+        # geometric_phase validates once and shares sinh^2 r between the
+        # overlap and delta; the values must stay those of the lone calls.
+        b = geometric_phase(r, omega, t)
+        assert b.overlap == overlap_analytic(r, omega, t)
+        assert b.dynamical_term_delta == dynamical_term(r, omega, t)
+
+    @pytest.mark.parametrize("args", [(20.5, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -1.0)])
+    def test_rejects_what_the_lone_closed_forms_reject(self, args):
+        for f in (geometric_phase, overlap_analytic, dynamical_term):
+            with pytest.raises(ValueError):
+                f(*args)
+
     def test_breakdown_invariants(self):
         for r in (0.0, 0.4, 1.0, 2.0):
             for wt in np.linspace(0.0, 3 * TAU, 37):
