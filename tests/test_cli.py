@@ -17,6 +17,7 @@ from tmsvphase import cli, errors, fock, su11
 from tmsvphase.cli import SweepSpec, cmd_decompose, cmd_sweep, format_number, main
 from tmsvphase.phases import TAU
 from tmsvphase.su11 import SqueezeParams
+from test_fock import _eigh_squeeze
 
 ENTROPY_FIG1_END = 0.9547712524422192
 GAMMA_CYCLE_REDUCED = 4.789016767412264
@@ -200,16 +201,50 @@ class TestSweepGoldenBytes:
 
 
 class TestVerifyGoldenBytes:
-    """sha256 of verify stdout, recorded when exponentiation-agreement's
-    squeeze exponential became one SVD of the generator's even-to-odd block.
+    """sha256 of verify stdout, pinned twice.
 
-    That moved only the exponentiation-agreement line, whose worst rose by
-    3.5e-17 (9.37492752361e-12 to 9.37496221803e-12 for every seed); the
-    other 17 lines are the bytes of the dense-eigh recording.  The worst
+    ``test_stdout_digest`` holds the bytes recorded while
+    exponentiation-agreement's squeeze exponential was a dense eigh of the
+    whole tridiagonal generator, with that route swapped back in: every
+    other line of verify must still print those bytes.  ``test_svd_digest``
+    holds verify as it runs, with the exponential as one SVD of the
+    generator's even-to-odd block.  The SVD moved only the
+    exponentiation-agreement line, whose worst rose by 3.5e-17
+    (9.37492752361e-12 to 9.37496221803e-12 for every seed).  The worst
     values carry 12 significant digits, so these pin the oracle's overlaps
     and integrals to the bit.  Recorded with numpy 2.4 on x86-64 Linux, on
     one CPU and on two, with OPENBLAS_NUM_THREADS 1 and 2.
     """
+
+    @staticmethod
+    def digest(seed, capsys):
+        assert main(["verify", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "dd13f8c29e1db10b63048007fae07218f085e232ba1e15df626b57f05edcbc52"),
+        (1, "6cd8a541c4622ed9203b7909acf5a7508cd0484e66e4565eabee06af07c0a8e0"),
+        (2, "02486b280f82f284ca7c64480e1250e9b013edc26412da98ab780c93099cc4bd"),
+        (3, "0756d72f53b77eca6c87651c5a0a49738c104bc930f6bd891b5cadf9e7ed69ad"),
+        (4, "a77359fdbf6a82f3d7dedcc35b2108abc05cb0e22cfe438667f0a310267375ba"),
+        (5, "4e364d5099d5f939f79aca16d9b7beea8fe1133f649a314018b5c027c031bfb5"),
+        (6, "b898d793eda1edccd7f61a929828ef8e2d546ccc8b407bd354b1e8ec1b32ae12"),
+        (7, "68a0f4481233e66fb9fe4ce0dd46e48f9f2f5816874766b9c195a2dd44cde117"),
+    ])
+    def test_stdout_digest(self, seed, digest, capsys, monkeypatch):
+        real = fock.squeeze_by_exponentiation
+
+        def dense_eigh(r, phi, N):
+            real(r, phi, N)  # the same argument checks and errors
+            coeffs = _eigh_squeeze(r, phi, N)
+            norm = float(np.linalg.norm(coeffs))
+            if norm > 1.0:
+                coeffs /= norm
+            return fock.DiagonalFockState(coeffs)
+
+        monkeypatch.setattr(fock, "squeeze_by_exponentiation", dense_eigh)
+        assert self.digest(seed, capsys) == digest
 
     @pytest.mark.parametrize("seed,digest", [
         (0, "163a1d8bc9c8b4ae6d52002ea90d4d1ebe12e613d0a6c364a683db43a6ff1947"),
@@ -221,10 +256,8 @@ class TestVerifyGoldenBytes:
         (6, "c1df2d6d09cc5d5cb9fefa7b9f768adf06414e8ec14d33e8dc20aec439915f77"),
         (7, "84b2e1219ad52d64cc7cf3c7e093816cac05eea7242069cbc46501f471635611"),
     ])
-    def test_stdout_digest(self, seed, digest, capsys):
-        assert main(["verify", "--seed", str(seed)]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    def test_svd_digest(self, seed, digest, capsys):
+        assert self.digest(seed, capsys) == digest
 
 
 class TestSu11BulkDraws:
