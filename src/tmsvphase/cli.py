@@ -29,7 +29,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -51,16 +50,46 @@ _HEADROOM = 10.0
 _DEG = 180.0 / math.pi
 
 
+# How a finite number prints, indexed by _is_small: 12 significant digits,
+# which prints 0 as "0", or scientific notation with 12 digits.
+_FORMATS = ("%.12g", "%.11e")
+
+# Rows of a CSV table formatted per write, so that no string holds the table.
+_CSV_CHUNK_ROWS = 1024
+
+
+def _is_small(x):
+    """Whether a number prints in scientific notation: 0 < |x| < 1e-4.
+
+    ``x`` is a float or an array of them, checked element by element.
+    """
+    return (x != 0.0) & (abs(x) < 1e-4)
+
+
 def format_number(x: float) -> str:
-    """12 significant digits, scientific below 1e-4, deterministic."""
+    """12 significant digits, scientific below 1e-4, deterministic.
+
+    -0.0 prints as 0, as every zero does.
+    """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"refusing to format non-finite value {x!r}")
-    if x == 0.0:
-        return "0"
-    if abs(x) < 1e-4:
-        return f"{x:.11e}"
-    return f"{x:.12g}"
+    return _FORMATS[_is_small(x)] % (x + 0.0)
+
+
+def _csv_lines(rows: np.ndarray, scales: np.ndarray) -> str:
+    """CSV lines of the finite ``rows * scales``, each cell as format_number prints it.
+
+    Rows whose cells fall in the same _FORMATS classes share one format
+    string, and each row is one ``%``.
+    """
+    cells = rows * scales + 0.0  # -0.0 becomes 0.0, as in format_number
+    keys = (_is_small(cells) @ (1 << np.arange(cells.shape[1]))).tolist()
+    formats = {
+        key: ",".join(_FORMATS[key >> j & 1] for j in range(cells.shape[1])) + "\n"
+        for key in set(keys)
+    }
+    return "".join([formats[key] % tuple(row) for key, row in zip(keys, cells.tolist())])
 
 
 def circle_distance(a: float, b: float) -> float:
@@ -122,27 +151,28 @@ _COLUMNS = {
 }
 
 
-def _phase_columns(r, Omega, t, gamma_numeric):
-    """One row's values of ``_PHASE_COLUMNS``, in that order."""
-    breakdown = phases.geometric_phase(r, Omega, t)
-    gamma = breakdown.geometric_phase
-    return (breakdown.overlap.real, breakdown.overlap.imag, breakdown.total_phase,
-            breakdown.dynamical_term_delta, gamma, gamma_numeric,
-            circle_distance(gamma_numeric, gamma))
+# The closed-form fields of one phase row, as phases._phase_row returns them.
+_CLOSED_FORMS = np.dtype([("overlap", np.complex128), ("total", np.float64),
+                          ("delta", np.float64), ("gamma", np.float64),
+                          ("unreduced", np.float64)])
 
 
 def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
-    """Evaluate the sweep grid; returns (headers, rows) with rows in grid order.
+    """Evaluate the sweep grid; returns (headers, table), rows in grid order.
 
-    The headers are the names in ``_COLUMNS[spec.variable]`` and each row
-    is a tuple of floats in that order.  A phase sweep asks the oracle for
-    all its (r, t) rows in one call: an ``omega_t`` sweep holds r fixed, so
-    the oracle builds one state, and an ``r`` sweep holds t fixed, so it
-    builds one state per row, a bounded number of coefficients at a time.
-    Each row evolves its state once, to t: the energy integrand is constant
-    in time, so the one-step trapezoid over [0, t] is exact up to rounding,
-    as verify's ``dynamical-quadrature`` shows by holding 1, 7 and 200
-    steps to one value.
+    The headers are the names in ``_COLUMNS[spec.variable]`` and the table
+    is one (points, columns) float64 array in that column order.  A phase
+    sweep asks the oracle for all its (r, t) rows in one call: an
+    ``omega_t`` sweep holds r fixed, so the oracle builds one state, and an
+    ``r`` sweep holds t fixed, so it builds one state per row, a bounded
+    number of coefficients at a time.  Each row evolves its state once, to
+    t: the energy integrand is constant in time, so the one-step trapezoid
+    over [0, t] is exact up to rounding, as verify's
+    ``dynamical-quadrature`` shows by holding 1, 7 and 200 steps to one
+    value.  The oracle has validated every row's r and t by then, so the
+    closed-form columns come from ``phases._phase_row`` with sinh^2 r taken
+    once per distinct r; they stay scalar libm calls, bit for bit
+    ``phases.geometric_phase``.
 
     Before that call, PrecisionExceededError refuses a table with a row
     whose cond eps exceeds SWEEP_PHASE_BOUND.  cond = delta + 2 Omega t r
@@ -154,7 +184,10 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     fx = {**_SWEEP_DEFAULTS, **spec.fixed}
     headers = [name for name, _ in _COLUMNS[spec.variable]]
     if spec.variable == "gamma_c":
-        return headers, [(g, phases.entropy_from_cyclic_phase(g)) for g in grid.tolist()]
+        table = np.empty((grid.size, len(headers)))
+        table[:, 0] = grid
+        table[:, 1] = [phases.entropy_from_cyclic_phase(g) for g in grid.tolist()]
+        return headers, table
     h = HamiltonianParams(fx["Omega"], fx["epsilon"])
     # Overflow is quiet here; only the offending rows' indices outlive the
     # gate, not a cond per row.  At t or Omega t = inf a row with r = 0 gives
@@ -178,14 +211,26 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
         rs, fx["phi"], h, ts, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
         max_cutoff=max_cutoff, steps=1,
     )
-    rows = []
-    for x, rv, t, gamma in zip(grid.tolist(), map(float, rs), map(float, ts), numeric.tolist()):
-        row = (x, *_phase_columns(rv, fx["Omega"], t, gamma))
-        if spec.variable == "r":
-            cyclic = phases.cyclic_geometric_phase(rv)
-            row += (cyclic.unreduced, cyclic.reduced, phases.entropy_from_squeeze(rv))
-        rows.append(row)
-    return headers, rows
+    r_list = rs.tolist()
+    sinh2 = {rv: math.sinh(rv) ** 2 for rv in set(r_list)}
+    closed = np.fromiter(
+        (phases._phase_row(sinh2[rv], h.Omega, t) for rv, t in zip(r_list, ts.tolist())),
+        dtype=_CLOSED_FORMS, count=grid.size,
+    )
+    columns = (
+        grid, closed["overlap"].real, closed["overlap"].imag, closed["total"],
+        closed["delta"], closed["gamma"], numeric, circle_distance(numeric, closed["gamma"]),
+    )
+    # Allocated only now, so the table is not held while the oracle runs.
+    table = np.empty((grid.size, len(headers)))
+    for j, column in enumerate(columns):
+        table[:, j] = column
+    if spec.variable == "r":
+        table[:, len(columns):] = [
+            (*phases.cyclic_geometric_phase(rv), phases.entropy_from_squeeze(rv))
+            for rv in r_list
+        ]
+    return headers, table
 
 
 def cmd_sweep(
@@ -197,27 +242,28 @@ def cmd_sweep(
 ) -> int:
     """Emit the sweep table; nonzero exit if any oracle gap exceeds 1e-8.
 
-    The table from ``sweep_rows`` is checked for non-finite values row by
-    row and printed as it is; ``--degrees`` scales each angle column of
-    ``_COLUMNS`` while formatting.
+    The table from ``sweep_rows`` is checked for non-finite values in one
+    pass, which names the column of the first one in row-major order.
+    ``--degrees`` scales each angle column of ``_COLUMNS`` while
+    formatting.  CSV is formatted and written _CSV_CHUNK_ROWS rows at a
+    time, never as one string; JSON rows are objects of Python floats.
     """
     out = stream if stream is not None else sys.stdout
-    headers, rows = sweep_rows(spec, max_cutoff)
+    headers, table = sweep_rows(spec, max_cutoff)
 
-    for row in rows:
-        for name, value in zip(headers, row):
-            if not math.isfinite(value):
-                print(f"non-finite value in column {name}", file=sys.stderr)
-                return 1
+    bad = np.flatnonzero(~np.isfinite(table))
+    if bad.size:
+        print(f"non-finite value in column {headers[bad[0] % len(headers)]}", file=sys.stderr)
+        return 1
     # Only the phase sweeps have a gap column.
     gaps = [i for i, name in enumerate(headers) if name == "abs_error"]
-    worst_gap = max((row[i] for i in gaps for row in rows), default=0.0)
+    worst_gap = float(table[:, gaps].max(initial=0.0))
 
-    scales = [_DEG if degrees and angle else 1.0 for _, angle in _COLUMNS[spec.variable]]
+    scales = np.array([_DEG if degrees and angle else 1.0 for _, angle in _COLUMNS[spec.variable]])
     if fmt == "csv":
         out.write(",".join(headers) + "\n")
-        for row in rows:
-            out.write(",".join(map(format_number, map(operator.mul, row, scales))) + "\n")
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            out.write(_csv_lines(table[start : start + _CSV_CHUNK_ROWS], scales))
     else:
         payload = {
             "spec": {
@@ -228,7 +274,7 @@ def cmd_sweep(
                 "fixed": dict(spec.fixed),
                 "degrees": degrees,
             },
-            "rows": [dict(zip(headers, map(operator.mul, row, scales))) for row in rows],
+            "rows": [dict(zip(headers, row)) for row in (table * scales).tolist()],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
 
@@ -373,10 +419,9 @@ def _phase_agreement(accuracy, max_cutoff, rng):
     # The abs_error column of the omega_t sweep, so both report one gap.
     for r in _R_GRID:
         spec = SweepSpec("omega_t", 0.0, TAU, 63, {"r": r, "phi": 0.4, "epsilon": 0.25})
-        headers, rows = sweep_rows(spec, max_cutoff)
-        gap = headers.index("abs_error")
-        for row in rows:
-            yield row[gap], f"r={r}, omega_t={row[0]:.4g}"
+        headers, table = sweep_rows(spec, max_cutoff)
+        for wt, gap in table[:, [0, headers.index("abs_error")]].tolist():
+            yield gap, f"r={r}, omega_t={wt:.4g}"
 
 
 @_invariant("dynamical-quadrature", 1e-10)

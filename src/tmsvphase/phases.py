@@ -149,18 +149,19 @@ def geometric_phase(r: float, Omega: float, t: float) -> PhaseBreakdown:
     / (cos^2 Wt + sin^2 Wt cosh^2 2r)^{1/2}.
     """
     r, Omega, t = _check_args(r, Omega, t)
-    sinh2 = math.sinh(r) ** 2
+    return PhaseBreakdown(*_phase_row(math.sinh(r) ** 2, Omega, t))
+
+
+def _phase_row(sinh2: float, Omega: float, t: float) -> tuple[complex, float, float, float, float]:
+    """:func:`geometric_phase` from sinh^2 r, unvalidated, in PhaseBreakdown's field order.
+
+    (overlap, total phase, delta, gamma in [0, 2 pi), unreduced gamma).
+    """
     overlap = _overlap(sinh2, Omega * t)
     total = cmath.phase(overlap)
     delta = _delta(sinh2, Omega, t)
     unreduced = total + delta
-    return PhaseBreakdown(
-        overlap=overlap,
-        total_phase=total,
-        dynamical_term_delta=delta,
-        geometric_phase=_reduce_angle(unreduced),
-        geometric_phase_unreduced=unreduced,
-    )
+    return overlap, total, delta, _reduce_angle(unreduced), unreduced
 
 
 def one_mode_cyclic_phase(r: float) -> float:

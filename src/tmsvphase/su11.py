@@ -149,9 +149,21 @@ class DecompositionTriple:
         return self.R <= DEGENERATE_R
 
 
+def _exp2i(phi: float) -> complex:
+    """e^{2i phi} for any finite phi.
+
+    Once 2 phi overflows (|phi| > DBL_MAX / 2), exp(2j * phi) is NaN; there
+    it is (e^{i phi})^2, since libm reduces any finite argument exactly.
+    """
+    if math.isinf(2.0 * phi):
+        half = cmath.exp(1j * phi)
+        return half * half
+    return cmath.exp(2j * phi)
+
+
 def _c_pair(r: float, phi: float) -> tuple[complex, complex]:
     """(m11, m12) of C(r, phi), unvalidated: (cosh r, e^{2i phi} sinh r)."""
-    return complex(math.cosh(r)), cmath.exp(2j * phi) * math.sinh(r)
+    return complex(math.cosh(r)), _exp2i(phi) * math.sinh(r)
 
 
 def c_matrix(p: SqueezeParams) -> GroupElement:
@@ -199,7 +211,7 @@ def decompose_product(
     # which loses all relative accuracy near the identity.  With
     # delta = phi'' - phi' the same entry is free of cancellation:
     delta = doubleprime.phi - prime.phi
-    m12 = cmath.exp(2j * prime.phi) * (
+    m12 = _exp2i(prime.phi) * (
         2j * cmath.exp(1j * delta) * math.sin(delta)
         * math.sinh(doubleprime.r) * math.cosh(prime.r)
         + math.sinh(doubleprime.r - prime.r)

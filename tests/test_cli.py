@@ -11,9 +11,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import tmsvphase
-from tmsvphase import cli, errors, fock, su11
+from tmsvphase import cli, errors, fock, phases, su11
 from tmsvphase.cli import SweepSpec, cmd_decompose, cmd_sweep, format_number, main
 from tmsvphase.phases import TAU
 from tmsvphase.su11 import SqueezeParams
@@ -21,6 +23,27 @@ from test_fock import _eigh_squeeze
 
 ENTROPY_FIG1_END = 0.9547712524422192
 GAMMA_CYCLE_REDUCED = 4.789016767412264
+
+_DEG = 180.0 / math.pi
+_FLOAT_MIN = 2.2250738585072014e-308
+# Cells at the edges of format_number's rule: signed zeros, both sides of
+# |x| = 1e-4 before and after the degree scale, subnormals, and |x| >= 1e16.
+_EDGE_CELLS = [
+    0.0, -0.0,
+    *(math.nextafter(sign * edge, toward) for sign in (1.0, -1.0)
+      for edge in (1e-4, 1e-4 / _DEG) for toward in (0.0, sign)),
+    1e-4, -1e-4, 1e-4 / _DEG,
+    5e-324, -5e-324, math.nextafter(_FLOAT_MIN, 0.0), -math.nextafter(_FLOAT_MIN, 0.0),
+    _FLOAT_MIN,
+    1e16, -1e16, math.nextafter(1e16, 0.0), 123456789012345678.0, -9.87654321e250,
+]
+
+
+def _by_format_number(rows, scales):
+    """CSV lines of rows * scales, formatted one cell at a time."""
+    return "".join(
+        ",".join(format_number(x * s) for x, s in zip(row, scales)) + "\n" for row in rows
+    )
 
 
 class TestFormatNumber:
@@ -41,6 +64,33 @@ class TestFormatNumber:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             format_number(float("nan"))
+
+
+class TestTableFormatter:
+    """The chunked CSV formatter prints each cell as format_number does."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        cells=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=11),
+        degrees=st.booleans(),
+    )
+    @example(cells=_EDGE_CELLS, degrees=False)
+    @example(cells=_EDGE_CELLS, degrees=True)
+    def test_agrees_with_format_number_cell_for_cell(self, cells, degrees):
+        scale = _DEG if degrees else 1.0
+        cells = [x for x in cells if math.isfinite(x * scale)]
+        assume(cells)
+        scales = [scale] * len(cells)
+        got = cli._csv_lines(np.array([cells]), np.array(scales))
+        assert got.split(",") == _by_format_number([cells], scales).split(",")
+
+    def test_rows_of_mixed_classes(self):
+        # One format string per class pattern: rows with different patterns
+        # in one chunk must each keep their own.
+        rows = [_EDGE_CELLS, _EDGE_CELLS[::-1], [1.0] * len(_EDGE_CELLS), _EDGE_CELLS]
+        scales = [_DEG, 1.0] * (len(_EDGE_CELLS) // 2) + [1.0] * (len(_EDGE_CELLS) % 2)
+        assert cli._csv_lines(np.array(rows), np.array(scales)) == _by_format_number(rows, scales)
 
 
 class TestSweepSpecValidation:
@@ -198,6 +248,54 @@ class TestSweepGoldenBytes:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSweepTable:
+    """sweep_rows returns one float64 table, and cmd_sweep prints it in chunks."""
+
+    OMEGA_T = SweepSpec("omega_t", 0.0, TAU, 500, {"r": 2.0, "phi": 0.7, "epsilon": 0.3})
+    R = SweepSpec("r", 0.0, 2.0, 50, {"phi": 0.7, "epsilon": 0.3})
+
+    @pytest.mark.parametrize("spec", [OMEGA_T, R], ids=["omega_t", "r"])
+    def test_closed_forms_are_geometric_phase_fields(self, spec):
+        # Bit for bit, signed zeros included: the golden grids' closed-form
+        # columns are what phases.geometric_phase gives row by row.
+        headers, table = cli.sweep_rows(spec)
+        assert table.dtype == np.float64
+        assert table.shape == (spec.points, len(headers))
+        expected = []
+        for row in table.tolist():
+            r, t = (2.0, row[0] / 1.0) if spec.variable == "omega_t" else (row[0], 1.0)
+            b = phases.geometric_phase(r, 1.0, t)
+            cells = [row[0], b.overlap.real, b.overlap.imag, b.total_phase,
+                     b.dynamical_term_delta, b.geometric_phase, row[6],
+                     cli.circle_distance(row[6], b.geometric_phase)]
+            if spec.variable == "r":
+                cells += [*phases.cyclic_geometric_phase(r), phases.entropy_from_squeeze(r)]
+            expected.append(cells)
+        assert table.tobytes() == np.array(expected).tobytes()
+
+    # More rows than one chunk holds, so a chunk boundary falls inside each.
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("omega_t", 0.0, TAU, 1500, {"r": 1.3, "phi": 0.7, "epsilon": 0.3}),
+        SweepSpec("r", 0.0, 1.0, 1100, {"phi": 0.7, "t": 0.9}),
+    ], ids=["omega_t", "r"])
+    @pytest.mark.parametrize("degrees", [False, True], ids=["radians", "degrees"])
+    def test_multi_chunk_table_prints_format_number_cells(self, spec, degrees, monkeypatch):
+        assert spec.points > cli._CSV_CHUNK_ROWS
+        real, tables = cli.sweep_rows, []
+
+        def recording(*args):
+            tables.append(real(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(cli, "sweep_rows", recording)
+        out = io.StringIO()
+        assert cmd_sweep(spec, degrees=degrees, stream=out) == 0
+        (headers, table), = tables
+        scales = [_DEG if degrees and angle else 1.0 for _, angle in cli._COLUMNS[spec.variable]]
+        want = ",".join(headers) + "\n" + _by_format_number(table.tolist(), scales)
+        assert out.getvalue() == want
 
 
 class TestVerifyGoldenBytes:
@@ -496,6 +594,20 @@ class TestMainEntry:
         assert "CUTOFF_EXCEEDED" in capsys.readouterr().err
         assert main(argv + ["--max-cutoff", "30000"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--variable", "omega_t", "--start", "0", "--stop", "1", "--points", "3",
+         "--r", "0.5", "--phi", "1e308"],
+        ["decompose", "1", "1e308", "1", "0"],
+    ], ids=["sweep", "decompose"])
+    def test_phase_angle_beyond_half_dbl_max(self, argv, capsys):
+        # 2 phi overflows, but phi is finite and accepted: e^{2i phi} is
+        # (e^{i phi})^2, with no warning and no usage error.
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "nan" not in captured.out
 
     def test_sweep_degrees_scales_angles(self, capsys):
         argv = ["sweep", "--variable", "gamma_c", "--start", "0",

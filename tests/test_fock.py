@@ -310,12 +310,15 @@ class TestSqueezeByExponentiation:
     def test_matches_dense_eigh_and_pade_expm(self, r, phi, N):
         # Both parities of N: for even N the block is one column wider than
         # tall, and its null vector must come back with cos 0 = 1.
-        if math.isinf(2.0 * phi):
-            # e^{2i phi} is NaN once 2 phi overflows, in every route.
-            with pytest.raises(ValueError, match="finite"):
-                squeeze_by_exponentiation(r, phi, N)
-            return
         brute = squeeze_by_exponentiation(r, phi, N).coeffs
+        if math.isinf(2.0 * phi):
+            # Both references form e^{2i phi}, NaN once 2 phi overflows; the
+            # state's moduli do not depend on phi.
+            assert np.isfinite(brute).all()
+            assert abs(np.linalg.norm(brute) - 1.0) <= 1e-12
+            moduli = np.abs(squeeze_by_exponentiation(r, 0.0, N).coeffs)
+            assert np.abs(np.abs(brute) - moduli).max() <= 1e-13
+            return
         assert np.abs(brute - _eigh_squeeze(r, phi, N)).max() <= 1e-13
         assert np.abs(brute - expm(_diagonal_generator(r, phi, N))[:, 0]).max() <= 1e-13
 
@@ -408,6 +411,16 @@ class TestOverlapNumeric:
         for wt, numeric in zip(grid, _grid_overlaps(schmidt_state(r, 0.2, N), grid)):
             analytic = phases.overlap_analytic(r, 1.0, wt)
             assert abs(numeric - analytic) <= 10.0 * tol
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 7, 64, 655, 4095])
+    def test_block_overlaps_equal_per_row_vdot(self, N):
+        # A block takes its rows' overlaps in one np.vecdot, which calls the
+        # same BLAS zdotc per row as np.vdot.  40 rows fill one block up to
+        # N = 655 and seven blocks at N = 4095.
+        state = schmidt_state(1.5, 0.4, N)
+        ts = np.linspace(0.0, 2.0 * TAU, 40)
+        want = [np.vdot(state.coeffs, evolve(state, H_UNIT, t).coeffs) for t in ts.tolist()]
+        assert np.array(_grid_overlaps(state, ts)).tobytes() == np.array(want).tobytes()
 
     def test_cyclic_overlap_equals_squared_norm(self):
         # at Omega t = 2 pi the evolved state coincides with the initial one,
@@ -1215,6 +1228,14 @@ class TestTwoModeSqueezeOperator:
         off_diagonal = column - np.diag(np.diagonal(column))
         assert np.abs(off_diagonal).max() == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vacuum_column_at_overflowing_angle(self):
+        # 2 eta overflows for eta = 1e308; both routes still form e^{2i eta}.
+        N = 12
+        column = _assemble(two_mode_squeeze_operator(1.0, 1e308, N))[:, 0]
+        closed = schmidt_state(1.0, 1e308, N).coeffs
+        assert np.abs(column.reshape(N + 1, N + 1).diagonal() - closed).max() < 1e-14
+
     def test_matches_generator_exponential_deep_inside(self):
         # Cross-validation of the normal-ordered factorization against a
         # plain expm of the truncated generator, on entries far enough from
@@ -1281,8 +1302,10 @@ class TestBogoliubovResidual:
     def test_zero_squeeze(self):
         assert bogoliubov_residual(0.0, 0.3, N=10, margin=2) < 1e-15
 
+    # 1e308: 2 eta overflows, yet e^{2i eta} is formed without a warning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
-    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.1])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.1, 1e308])
     def test_contract_at_spec_point(self, r, eta):
         assert bogoliubov_residual(r, eta, N=12, margin=4) <= 1e-6
 

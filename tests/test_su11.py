@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from tmsvphase.su11 import (
     DEGENERATE_R,
+    _exp2i,
     IDENTITY,
     DecompositionTriple,
     GroupElement,
@@ -260,3 +262,35 @@ class TestMatrixConsistency:
                 assert (
                     circle_distance(cmath.phase(m.m11), -cmath.phase(tpf)) < 1e-10
                 )
+
+
+class TestExp2i:
+    """e^{2i phi} for every finite phi, from one helper."""
+
+    HALF_MAX = sys.float_info.max / 2.0
+
+    @given(phi=st.floats(allow_nan=False, allow_infinity=False))
+    @example(phi=0.0)
+    @example(phi=-0.0)
+    @example(phi=HALF_MAX)
+    @example(phi=math.nextafter(HALF_MAX, math.inf))
+    @example(phi=-1e308)
+    @example(phi=sys.float_info.max)
+    def test_finite_for_every_finite_angle(self, phi):
+        got = _exp2i(phi)
+        if math.isinf(2.0 * phi):
+            half = cmath.exp(1j * phi)
+            assert got == half * half
+            assert abs(abs(got) - 1.0) <= 4 * sys.float_info.epsilon
+        else:
+            # The bits su11 (cmath) and fock (numpy) formed before the helper.
+            assert got == cmath.exp(2j * phi) == complex(np.exp(2j * phi))
+
+    def test_decompose_huge_angle(self):
+        # 2 phi' overflows in both factors that carry phi'.
+        triple = decompose_product(params(1.0, 1e308), params(1.0, 0.0))
+        assert all(map(math.isfinite, (triple.R, triple.Phi, triple.Theta)))
+        target = multiply(c_matrix(params(1.0, 0.0)), c_matrix(params(-1.0, 1e308)))
+        rebuilt = reconstruct(triple)
+        assert abs(rebuilt.m11 - target.m11) < 1e-10
+        assert abs(rebuilt.m12 - target.m12) < 1e-10
