@@ -162,11 +162,9 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
 
     The headers are the names in ``_COLUMNS[spec.variable]`` and the table
     is one (points, columns) float64 array in that column order.  A phase
-    sweep asks the oracle for all its (r, t) rows in one call: an
-    ``omega_t`` sweep holds r fixed, so the oracle builds one state, and an
-    ``r`` sweep holds t fixed, so it builds one state per row, a bounded
-    number of coefficients at a time.  Each row evolves its state once, to
-    t: the energy integrand is constant in time, so the one-step trapezoid
+    sweep asks the oracle for all its (r, t) rows in one call, which groups
+    them by cutoff, whether r or t varies.  Each row evolves its state once,
+    to t: the energy integrand is constant in time, so the one-step trapezoid
     over [0, t] is exact up to rounding, as verify's
     ``dynamical-quadrature`` shows by holding 1, 7 and 200 steps to one
     value.  The oracle has validated every row's r and t by then, so the
@@ -338,17 +336,25 @@ def _invariant(name, bound):
 
     The generator gets ``(bound / _HEADROOM, max_cutoff, rng)``, the first
     being the accuracy it asks of the Fock oracle; the check reports its
-    worst pair against ``bound``.
+    worst pair against ``bound``.  It fails closed: the first non-finite
+    value becomes the worst and fails the check, as does an empty generator;
+    the generator runs to its end, so ``rng`` moves as on a passing check.
     """
 
     def decorate(samples):
         @functools.wraps(samples)
         def check(max_cutoff, rng):
-            worst, where = 0.0, ""
+            worst, where, count = 0.0, "", 0
             for value, detail in samples(bound / _HEADROOM, max_cutoff, rng):
-                if value > worst:
+                count += 1
+                # Also true for nan; a non-finite worst is kept.
+                if math.isfinite(worst) and not value <= worst:
                     worst, where = value, detail
-            return CheckResult(name, worst <= bound, worst, bound, where)
+            if not count:
+                where = "no samples"
+            elif not math.isfinite(worst):
+                where = f"non-finite sample at {where}"
+            return CheckResult(name, count > 0 and worst <= bound, worst, bound, where)
 
         return check
 
@@ -605,8 +611,10 @@ def cmd_verify(seed: int = 0, stream: TextIO | None = None) -> int:
     results = run_invariant_suite(seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
+        # A failed check's nan or inf worst prints as such.
+        worst = format_number(res.worst) if math.isfinite(res.worst) else repr(res.worst)
         out.write(
-            f"{status}  {res.name:<28s} worst {format_number(res.worst):>17s}"
+            f"{status}  {res.name:<28s} worst {worst:>17s}"
             f"  bound {format_number(res.bound):>8s}  [{res.detail}]\n"
         )
     passed = sum(res.passed for res in results)

@@ -19,16 +19,15 @@ Two representations are used, chosen by what truncation does to them:
 
 Every quantity over time (overlap, energy integral, geometric phase) goes
 through one grid route over rows of (r, t), for one point or a whole
-``omega_t`` or ``r`` sweep.  Each slice of rows, with a bounded number of
-Schmidt coefficients, builds one state per distinct r at the largest cutoff
-its rows keep, and each row reads the prefix its own cutoff keeps.  Rows
-sharing a cutoff and a state are evolved and integrated together in small
-blocks on worker threads, with digits independent of the grid and the CPUs.
-A row evolves its state to each tau node of its energy quadrature, t being
-the last.  The integrand is constant in time, so the trapezoid over [0, t]
-is exact up to rounding at any step count (``verify``'s
-``dynamical-quadrature`` holds 1, 7 and 200 steps to one value), and a
-sweep asks for one step: each of its rows evolves its state once, to t.
+``omega_t`` or ``r`` sweep.  Rows sharing a cutoff are evolved and
+integrated together in small blocks on worker threads, each block forming
+its rows' Schmidt coefficients from the closed form below, with digits
+independent of the grid and the CPUs.  A row evolves its state to each tau
+node of its energy quadrature, t being the last.  The integrand is
+constant in time, so the trapezoid over [0, t] is exact up to rounding at
+any step count (``verify``'s ``dynamical-quadrature`` holds 1, 7 and 200
+steps to one value), and a sweep asks for one step: each of its rows
+evolves its state once, to t.
 :func:`evolve` is the standalone per-state evolution it is checked against.
 
 Truncation error policy: the Schmidt coefficient of |n>|n> is
@@ -67,9 +66,6 @@ _EXPM_NORM_TOL = 1e-12
 
 # Evolved coefficients per block of grid rows: 65 one-step sweep rows at N = 377.
 _BLOCK_ELEMENTS = 24576
-
-# Schmidt coefficients one slice of grid rows holds: 4 states at N = 4095.
-_STATE_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -374,29 +370,27 @@ def _cpu_count() -> int:
 
 
 def _energy_integrals(
-    states: list[DiagonalFockState], which: list[int], h: HamiltonianParams, ts: np.ndarray,
+    rs: np.ndarray, phi: float, h: HamiltonianParams, ts: np.ndarray,
     cutoffs: list[int], steps: int, shift: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] for each t in ``ts``.
+    """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] for each row (r, t).
 
-    Row i starts from the first cutoffs[i] + 1 coefficients of
-    states[which[i]]; :func:`_evolution` hands over slices of rows whose
-    states hold at most _STATE_ELEMENTS coefficients.  Returns, in grid
-    order, each row's integral and its overlap <psi(0)|psi(t)>.  Element
-    for element, psi(tau_k) is ``evolve(psi(0), h, tau_k, shift)`` with
-    psi(t) its last tau, and each value repeats the per-state reference
-    ``_expected_energy`` in ``tests/test_fock.py``; at tau = 0 the phase
-    factor exp(-0j) is exactly 1, so that value is taken from psi(0) once
-    per block.
+    Row i starts from c_n = (-e^{2i phi} tanh r)^n / cosh r, r = rs[i] and
+    n = 0 .. cutoffs[i].  Returns, in grid order, each row's integral and
+    overlap <psi(0)|psi(t)>.  Element for element, psi(0) is
+    ``schmidt_state(r, phi, N)``, psi(tau_k) is ``evolve(psi(0), h, tau_k,
+    shift)`` with psi(t) its last tau, and each value repeats the per-state
+    reference ``_expected_energy`` in ``tests/test_fock.py``; at tau = 0 the
+    phase factor exp(-0j) is exactly 1, so that value is taken from psi(0).
 
-    Rows that share a cutoff and a state go through together, as many as
-    fit in _BLOCK_ELEMENTS evolved coefficients (one at least).  A block's
-    reductions run along contiguous rows, so each row adds in the order a
-    lone row would.  The blocks are shared out to the calling thread and up
-    to one helper thread per further usable CPU; every block writes only
-    its own rows, so the digits do not depend on how many threads run.
-    Workers call numpy alone: the states, tau grids and energies are built
-    by the caller or here for the whole grid, and each block slices them.
+    Rows that share a cutoff go through together, in grid order, as many as
+    fit in _BLOCK_ELEMENTS evolved coefficients (one at least).  The calling
+    thread plans each block with the bases -e^{2i phi} tanh r and cosh r of
+    its r, one per row unless all rows share it; the block raises them to
+    the powers 0 .. N.  Reductions run along contiguous rows, so each row
+    adds in the order a lone row would.  Blocks go to the calling thread and
+    up to one helper per further usable CPU; each writes only its own rows,
+    so the digits do not depend on the threads.  Workers call numpy alone.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -404,31 +398,44 @@ def _energy_integrals(
     if negative.size:
         raise ValueError(f"t must be nonnegative, got {negative[0]}")
     cutoffs = np.asarray(cutoffs)
-    # Rows sorted by (cutoff, state), in grid order within each pair.
-    keys = cutoffs * len(states) + np.asarray(which, dtype=cutoffs.dtype)
-    order = np.argsort(keys, kind="stable")
+    # Rows sorted by cutoff, in grid order within each cutoff.
+    order = np.argsort(cutoffs, kind="stable")
+    phase = -_exp2i(phi)
     blocks = []
     done = 0
     while done < order.size:
-        key = keys[order[done]]
-        N, k = divmod(int(key), len(states))
+        N = int(cutoffs[order[done]])
         size = max(1, _BLOCK_ELEMENTS // (steps * (N + 1)))
         rows = order[done : done + size]
-        rows = rows[keys[rows] == key]
+        rows = rows[cutoffs[rows] == N]
         done += rows.size
-        blocks.append((rows, states[k].coeffs[: N + 1]))
+        block_rs = rs[rows]
+        block_rs = block_rs[:1] if (block_rs == block_rs[0]).all() else block_rs
+        blocks.append((rows, N, phase * np.tanh(block_rs), np.cosh(block_rs)))
     taus = _tau_grids(ts, steps)
-    energies = _energies(h, int(cutoffs.max(initial=0)))
+    powers = np.arange(int(cutoffs.max(initial=0)) + 1)
+    energies = _energies(h, powers.size - 1)
     integrals = np.empty(ts.size)
     overlaps = np.empty(ts.size, dtype=np.complex128)
 
-    def integrate(rows: np.ndarray, initial: np.ndarray, spare: np.ndarray,
-                  real_spare: np.ndarray):
-        # The block's two large arrays are views of its thread's spare buffers.
-        block_energies = energies[: initial.size]
-        block_taus = taus[rows]
-        shape = (rows.size, steps, initial.size)
+    def integrate(rows: np.ndarray, N: int, bases: np.ndarray, coshes: np.ndarray,
+                  spare: np.ndarray, real_spare: np.ndarray, row: np.ndarray, held: list):
+        # Arrays are views of the thread's spares, initial rows after evolved
+        # ones.  A lone r broadcasts over the rows, and its powers extend those
+        # ``held`` in ``row`` for the same base, as cutoffs grow in plan order.
+        shape = (rows.size, steps, N + 1)
         size = math.prod(shape)
+        initial = spare[size : size + bases.size * (N + 1)].reshape(bases.size, N + 1)
+        if bases.size > 1:
+            np.power(bases[:, None], powers[: N + 1], out=initial)
+        else:
+            if held[0] != bases[0]:
+                held[:] = bases[0], 0
+            np.power(bases, powers[held[1] : N + 1], out=row[held[1] : N + 1])
+            held[1], initial[0] = max(held[1], N + 1), row[: N + 1]
+        np.divide(initial, coshes[:, None], out=initial)
+        block_energies = energies[: N + 1]
+        block_taus = taus[rows]
         # Overflowing input ends in the finite check below, not in warnings;
         # the error state is set here because threads do not inherit it.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -437,7 +444,7 @@ def _energy_integrals(
                 out=spare[:size].reshape(shape),
             )
             np.exp(evolved, out=evolved)
-            np.multiply(initial, evolved, out=evolved)
+            np.multiply(initial[:, None], evolved, out=evolved)
             weights = np.abs(evolved, out=real_spare[:size].reshape(shape))
             np.square(weights, out=weights)
             norms = weights[:, -1].sum(axis=-1)
@@ -446,7 +453,7 @@ def _energy_integrals(
         if norms.max() > 1.0 + 1e-12:
             raise ValueError(f"state over-normalized: |psi|^2 = {norms.max()}")
         values = np.empty(block_taus.shape)
-        values[:, 0] = (block_energies * np.abs(initial) ** 2).sum() + shift
+        values[:, 0] = (block_energies * np.abs(initial) ** 2).sum(axis=-1) + shift
         np.multiply(block_energies, weights, out=weights)
         values[:, 1:] = weights.sum(axis=-1) + shift
         # np.trapezoid's arithmetic, row by row.
@@ -461,12 +468,13 @@ def _energy_integrals(
     claims = iter(range(len(blocks)))
     failures: list[tuple[int, BaseException]] = []
 
-    def drain(spare: np.ndarray, real_spare: np.ndarray) -> None:
+    def drain(spare: np.ndarray, real_spare: np.ndarray, row: np.ndarray) -> None:
+        held = [None, 0]
         for k in claims:
             if any(j < k for j, _ in failures):
                 return
             try:
-                integrate(*blocks[k], spare, real_spare)
+                integrate(*blocks[k], spare, real_spare, row, held)
             except BaseException as exc:
                 failures.append((k, exc))
 
@@ -474,11 +482,12 @@ def _energy_integrals(
     # interpreter with it costs about a block, so each thread needs two
     # blocks' worth of work.  Spare buffers are allocated here, so no helper
     # keeps freed memory; the helpers end with this call.
-    sizes = [rows.size * steps * initial.size for rows, initial in blocks]
+    sizes = [rows.size * steps * (N + 1) for rows, N, *_ in blocks]
     workers = min(_cpu_count(), len(blocks), sum(sizes) // (2 * _BLOCK_ELEMENTS))
     largest = max(sizes, default=0)
     spares = [
-        (np.empty(largest, dtype=np.complex128), np.empty(largest))
+        (np.empty(2 * largest, dtype=np.complex128), np.empty(largest),
+         np.empty(powers.size, dtype=np.complex128))
         for _ in range(max(1, workers))
     ]
     helpers = [threading.Thread(target=drain, args=spare) for spare in spares[1:]]
@@ -508,41 +517,17 @@ def _evolution(
     """Each row's energy integral, overlap <psi(0)|psi(t)> and cutoff, ts 1-D.
 
     ``r`` is a float or one value per row; row i keeps ``cutoff_for(observable,
-    r[i], accuracy, t=Omega t[i])``.  Rows go to :func:`_energy_integrals` in
-    consecutive slices, each with one Schmidt state per distinct r at the
-    largest cutoff its rows keep, built here in the calling thread.  A slice
-    of more than one row holds at most _STATE_ELEMENTS coefficients, which
-    fits one state at any cutoff up to DEFAULT_MAX_CUTOFF.  The overlap does
-    not depend on ``steps``: the last tau of each row is t itself.
+    r[i], accuracy, t=Omega t[i])``.  The overlap does not depend on ``steps``:
+    the last tau of each row is t itself.
     """
     rs = np.asarray(r, dtype=np.float64)
-    rs = rs.tolist() if rs.ndim else [rs.item()] * ts.size
+    r_rows = rs.tolist() if rs.ndim else [rs.item()] * ts.size
     wts = (h.Omega * float(t) for t in ts)
-    cutoffs = _cutoffs(observable, zip(rs, wts, strict=True), accuracy, max_cutoff)
+    cutoffs = _cutoffs(observable, zip(r_rows, wts, strict=True), accuracy, max_cutoff)
+    phi = _require_finite("phi", phi)
     shift = _require_finite("energy_shift", energy_shift)
-    integrals = np.empty(ts.size)
-    overlaps = np.empty(ts.size, dtype=np.complex128)
-    start = 0
-    while start < ts.size:
-        # Length of each distinct r's state, in order of first appearance.
-        lengths: dict[float, int] = {}
-        held, stop = 0, start
-        while stop < ts.size:
-            grow = cutoffs[stop] + 1 - lengths.get(rs[stop], 0)
-            if grow > 0:
-                if held + grow > _STATE_ELEMENTS and stop > start:
-                    break
-                lengths[rs[stop]] = cutoffs[stop] + 1
-                held += grow
-            stop += 1
-        index = {rv: k for k, rv in enumerate(lengths)}
-        rows = slice(start, stop)
-        integrals[rows], overlaps[rows] = _energy_integrals(
-            [schmidt_state(rv, phi, length - 1) for rv, length in lengths.items()],
-            [index[rv] for rv in rs[rows]], h, ts[rows], cutoffs[rows], steps, shift,
-        )
-        start = stop
-    return integrals, overlaps, cutoffs
+    rs = np.broadcast_to(rs, ts.shape)
+    return (*_energy_integrals(rs, phi, h, ts, cutoffs, steps, shift), cutoffs)
 
 
 def dynamical_integral(

@@ -209,10 +209,16 @@ def decompose_product(
     m11, _ = _product(_c_pair(doubleprime.r, doubleprime.phi), _c_pair(-prime.r, prime.phi))
     # The product's m12 is the difference of two terms of size sinh r cosh r,
     # which loses all relative accuracy near the identity.  With
-    # delta = phi'' - phi' the same entry is free of cancellation:
+    # delta = phi'' - phi' the same entry is free of cancellation.  Where delta
+    # overflows, e^{i delta} = e^{i phi''} e^{-i phi'}, with sin delta its imag:
     delta = doubleprime.phi - prime.phi
+    if math.isinf(delta):
+        turn = cmath.exp(1j * doubleprime.phi) * cmath.exp(-1j * prime.phi)
+        sin_delta = turn.imag
+    else:
+        turn, sin_delta = cmath.exp(1j * delta), math.sin(delta)
     m12 = _exp2i(prime.phi) * (
-        2j * cmath.exp(1j * delta) * math.sin(delta)
+        2j * turn * sin_delta
         * math.sinh(doubleprime.r) * math.cosh(prime.r)
         + math.sinh(doubleprime.r - prime.r)
     )

@@ -39,9 +39,8 @@ def test_criterion_1_overlap_equivalence():
             N = fock.cutoff_for("mass", r, 1e-12)
             if r <= 1.0:
                 assert N <= 60  # tail bound keeps small squeezes tiny
-            initial = fock.schmidt_state(r, 0.3, N)
             _, overlaps = fock._energy_integrals(
-                [initial], [0] * WT_GRID.size, H_UNIT, WT_GRID, [N] * WT_GRID.size, 1, 0.0
+                np.full(WT_GRID.size, r), 0.3, H_UNIT, WT_GRID, [N] * WT_GRID.size, 1, 0.0
             )
             for wt, numeric in zip(WT_GRID, overlaps):
                 analytic = phases.overlap_analytic(r, 1.0, float(wt))
@@ -72,9 +71,8 @@ def test_criterion_3_cyclic_phase():
     with criterion(3, "cyclic evolution: unit total phase factor, 4 pi sinh^2 r, additivity"):
         for r in R_GRID:
             N = fock.cutoff_for("mass", r, 1e-12)
-            initial = fock.schmidt_state(r, 0.3, N)
             _, (overlap,) = fock._energy_integrals(
-                [initial], [0], H_UNIT, np.array([TAU]), [N], 1, 0.0
+                np.array([r]), 0.3, H_UNIT, np.array([TAU]), [N], 1, 0.0
             )
             overlap = complex(overlap)
             assert abs(overlap / abs(overlap) - 1.0) <= 1e-10

@@ -229,9 +229,13 @@ class TestSweepGoldenBytes:
                "--r", "2", "--phi", "0.7", "--epsilon", "0.3"]
     R = ["sweep", "--variable", "r", "--start", "0", "--stop", "2",
          "--points", "50", "--phi", "0.7", "--epsilon", "0.3"]
-    # Cutoffs from 0 to about 3000, one state per row.
+    # Cutoffs from 0 to about 3000, one r per row.
     R_WIDE = ["sweep", "--variable", "r", "--start", "0", "--stop", "3",
               "--points", "200", "--phi", "0.7"]
+    # 47 cutoffs for 10^4 rows, so blocks hold many r each.  Recorded
+    # while every row still had a block and a Schmidt state of its own.
+    R_DENSE = ["sweep", "--variable", "r", "--start", "0", "--stop", "1",
+               "--points", "10000"]
 
     @pytest.mark.parametrize("argv,digest", [
         (OMEGA_T, "90a74185ea81683dd8e25ed71887a0f14a7d4cd884e2747ca7fd81dfb561efb1"),
@@ -243,7 +247,9 @@ class TestSweepGoldenBytes:
         (R + ["--format", "json"],
          "eacf6c57f4f77a9be749bc9642c95b9fd7b82cffb86989ed2ae19ea98015f5c0"),
         (R_WIDE, "7f392140e5c12f8d7d725e9447e0f5b7b880d3a26d2c6b2fb491c484e7e80489"),
-    ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json", "r-wide"])
+        (R_DENSE, "075b57ba9afe475e6138598269526a81304cbefa925f3bef7360b45462d0027b"),
+    ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json", "r-wide",
+            "r-dense"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -502,6 +508,28 @@ class TestMainEntry:
         assert lines[0].startswith("FAIL  su11-closure ")
         assert lines[-1].startswith("VERDICT: FAIL (")
 
+    @pytest.mark.parametrize("values,detail", [
+        ([1e-12, math.nan, 2.0], "non-finite sample at sample 1"),
+        ([1e-12, math.inf, math.nan], "non-finite sample at sample 1"),
+        ([], "no samples"),
+    ], ids=["nan", "inf", "empty"])
+    def test_probe_check_fails_closed(self, values, detail, capsys, monkeypatch):
+        # A check must show evidence to pass: a non-finite sample or no
+        # sample at all fails its line, which still prints, and verify exits 1.
+        @cli._invariant("probe", 1e-9)
+        def probe(accuracy, max_cutoff, rng):
+            for k, value in enumerate(values):
+                yield value, f"sample {k}"
+
+        monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS + (probe,))
+        assert main(["verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 19
+        assert lines[17].startswith("FAIL  probe ") and lines[17].endswith(f"[{detail}]")
+        assert lines[-1] == "VERDICT: FAIL (17/18 invariants)"
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
@@ -608,6 +636,19 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "nan" not in captured.out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phase_difference_beyond_dbl_max(self, capsys):
+        # phi'' - phi' overflows for these finite angles; e^{i delta} is
+        # still formed, and the triple reproduces the product.
+        assert main(["decompose", "--", "1", "1e308", "1", "-1e308"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values = dict(line.split(" = ") for line in captured.out.splitlines())
+        assert float(values["reconstruction_residual"]) < 1e-10
+        assert main(["decompose", "--", "1", "-1e308", "1", "1e308"]) == 0
+        mirrored = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert float(mirrored["Theta"]) == -float(values["Theta"])
 
     def test_sweep_degrees_scales_angles(self, capsys):
         argv = ["sweep", "--variable", "gamma_c", "--start", "0",

@@ -4,8 +4,6 @@ import functools
 import math
 import threading
 import types
-import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from tmsvphase import cli, fock, phases
+from tmsvphase import cli, fock, phases, su11
 from tmsvphase.cli import circle_distance
 from tmsvphase.errors import CutoffExceededError
 from tmsvphase.fock import (
@@ -374,11 +372,11 @@ class TestEvolve:
         )
 
 
-def _grid_overlaps(state, ts):
-    """<psi(0)|psi(t)> under H_UNIT for each t, from the grid path at the state's cutoff."""
+def _grid_overlaps(r, phi, N, ts):
+    """<psi(0)|psi(t)> under H_UNIT for each t, from the grid path at cutoff N."""
     ts = np.asarray(ts, dtype=np.float64)
     _, overlaps = fock._energy_integrals(
-        [state], [0] * ts.size, H_UNIT, ts, [state.cutoff] * ts.size, 1, 0.0
+        np.full(ts.size, r), phi, H_UNIT, ts, [N] * ts.size, 1, 0.0
     )
     return [complex(overlap) for overlap in overlaps]
 
@@ -387,19 +385,18 @@ class TestOverlapNumeric:
     """The overlaps the grid path returns, the only oracle overlap there is."""
 
     def test_self_overlap_is_squared_norm(self):
-        state = schmidt_state(1.0, 0.3, 50)
-        (got,) = _grid_overlaps(state, [0.0])
+        (got,) = _grid_overlaps(1.0, 0.3, 50, [0.0])
         assert abs(got.imag) < 1e-16
         assert 1.0 - 1e-12 <= got.real <= 1.0
 
     def test_half_period_frozen(self):
         N = cutoff_for("mass", 1.0, 1e-12)
-        (got,) = _grid_overlaps(schmidt_state(1.0, 0.0, N), [math.pi / 2])
+        (got,) = _grid_overlaps(1.0, 0.0, N, [math.pi / 2])
         assert abs(got - INV_COSH_2) < 1e-12
 
     def test_quarter_period_argument(self):
         N = cutoff_for("mass", 1.0, 1e-12)
-        (got,) = _grid_overlaps(schmidt_state(1.0, 0.0, N), [math.pi / 4])
+        (got,) = _grid_overlaps(1.0, 0.0, N, [math.pi / 4])
         assert abs(np.angle(got) - TOTAL_PHASE_QUARTER) < 1e-12
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
@@ -408,7 +405,7 @@ class TestOverlapNumeric:
         # the truncation tail bounds the overlap error at any tolerance
         N = cutoff_for("mass", r, tol)
         grid = (0.6, 2.4, 5.1)
-        for wt, numeric in zip(grid, _grid_overlaps(schmidt_state(r, 0.2, N), grid)):
+        for wt, numeric in zip(grid, _grid_overlaps(r, 0.2, N, grid)):
             analytic = phases.overlap_analytic(r, 1.0, wt)
             assert abs(numeric - analytic) <= 10.0 * tol
 
@@ -420,14 +417,14 @@ class TestOverlapNumeric:
         state = schmidt_state(1.5, 0.4, N)
         ts = np.linspace(0.0, 2.0 * TAU, 40)
         want = [np.vdot(state.coeffs, evolve(state, H_UNIT, t).coeffs) for t in ts.tolist()]
-        assert np.array(_grid_overlaps(state, ts)).tobytes() == np.array(want).tobytes()
+        assert np.array(_grid_overlaps(1.5, 0.4, N, ts)).tobytes() == np.array(want).tobytes()
 
     def test_cyclic_overlap_equals_squared_norm(self):
         # at Omega t = 2 pi the evolved state coincides with the initial one,
         # so the overlap collapses to the squared norm (zero total phase)
         for r in (0.5, 1.0, 2.0):
             state = schmidt_state(r, 0.3, cutoff_for("mass", r, 1e-12))
-            (got,) = _grid_overlaps(state, [TAU])
+            (got,) = _grid_overlaps(r, 0.3, state.cutoff, [TAU])
             assert abs(got - state.squared_norm()) < 1e-12
 
 
@@ -579,7 +576,7 @@ class TestDynamicalIntegral:
     def test_array_equals_per_tau_loop_bit_for_bit(self, r, t, h, shift, steps):
         initial = schmidt_state(r, 0.4, cutoff_for("mass", r, 1e-12))
         (got,), _ = fock._energy_integrals(
-            [initial], [0], h, np.array([t]), [initial.cutoff], steps, shift
+            np.array([r]), 0.4, h, np.array([t]), [initial.cutoff], steps, shift
         )
         assert got == _energy_integral_by_loop(initial, h, t, steps, shift)
 
@@ -640,17 +637,6 @@ class TestDynamicalIntegral:
 class TestGeometricPhaseNumeric:
     def test_vacuum(self):
         assert geometric_phase_numeric(0.0, 0.0, H_UNIT, 4.2) == 0.0
-
-    def test_builds_one_state(self, monkeypatch):
-        builds = []
-
-        def counting(*args):
-            builds.append(args)
-            return schmidt_state(*args)
-
-        monkeypatch.setattr(fock, "schmidt_state", counting)
-        geometric_phase_numeric(1.0, 0.2, H_UNIT, 1.3)
-        assert len(builds) == 1
 
     def test_quarter_period(self):
         got = geometric_phase_numeric(1.0, 0.0, H_UNIT, math.pi / 4)
@@ -773,7 +759,7 @@ class TestGeometricPhaseGrid:
         assert seen == [[cutoff_for("phase", r, 1e-9, t=h.Omega * t) for r, t in pairs]]
 
     def test_r_sweep_equals_per_point(self):
-        # One state per r, across cutoffs from 0 to several hundred.
+        # One r per row, across cutoffs from 0 to several hundred.
         rs = np.linspace(0.0, 2.5, 120)
         got = geometric_phase_numeric(rs, 0.7, H_UNIT, 1.3, accuracy=1e-9, steps=4)
         want = [_geometric_phase_per_point(r, 0.7, H_UNIT, 1.3, 1e-9, 0.0, 4) for r in rs]
@@ -808,18 +794,6 @@ class TestGeometricPhaseGrid:
         got = geometric_phase_numeric(0.4, 0.1, H_UNIT, ts, steps=16)
         want = [_geometric_phase_per_point(0.4, 0.1, H_UNIT, t, 1e-10, 0.0, 16) for t in ts]
         assert got.tolist() == want
-
-    def test_builds_one_state_at_the_largest_cutoff(self, monkeypatch):
-        builds = []
-
-        def counting(*args):
-            builds.append(args)
-            return schmidt_state(*args)
-
-        monkeypatch.setattr(fock, "schmidt_state", counting)
-        ts = np.linspace(0.0, 3 * TAU, 50)
-        geometric_phase_numeric(2.0, 0.2, H_UNIT, ts, accuracy=1e-9)
-        assert builds == [(2.0, 0.2, cutoff_for("phase", 2.0, 1e-9, t=ts[-1]))]
 
     def test_shapes(self):
         assert isinstance(geometric_phase_numeric(1.0, 0.0, H_UNIT, 1.3), float)
@@ -938,17 +912,20 @@ class TestParallelBlocks:
         assert len(helpers) == 3
 
     def test_first_over_normalized_block_in_plan_order_surfaces(self, monkeypatch):
-        # Prefixes of length 1 and 2 hold 0.36 and 0.72; lengths 3 and 4 hold
-        # 1.53 and 2.34, each row its own block, so the first failure in plan
-        # order is a cutoff-2 row.
+        # At r = ln 3, 1 / cosh^2 r = 0.36 and tanh r = 0.8; with |e^{2i phi}|
+        # made 1.25 every |c_n|^2 is 0.36, so prefixes of length 1 and 2 hold
+        # 0.36 and 0.72 and lengths 3 and 4 hold 1.08 and 1.44.  Each row is
+        # its own block, so the first failure in plan order is a cutoff-2 row.
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
         monkeypatch.setattr(fock, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(fock, "_exp2i", lambda phi: 1.25 * su11._exp2i(phi))
         helpers = _count_helpers(monkeypatch)
-        state = SimpleNamespace(coeffs=np.array([0.6, 0.6, 0.9, 0.9], dtype=np.complex128))
         ts = np.linspace(0.1, 1.0, 12)
         before = threading.active_count()
-        with pytest.raises(ValueError, match=r"over-normalized: \|psi\|\^2 = 1\.5"):
-            fock._energy_integrals([state], [0] * 12, H_UNIT, ts, [3, 2, 1, 0] * 3, 4, 0.0)
+        with pytest.raises(ValueError, match=r"over-normalized: \|psi\|\^2 = 1\.08"):
+            fock._energy_integrals(
+                np.full(12, math.log(3.0)), 0.0, H_UNIT, ts, [3, 2, 1, 0] * 3, 4, 0.0
+            )
         assert threading.active_count() == before
         assert len(helpers) == 3 and not any(h.is_alive() for h in helpers)
 
@@ -972,13 +949,12 @@ def _entering_threads(mp):
 
 
 class TestRRows:
-    """Grids of many r: states built in the calling thread, a bounded number at once."""
+    """Grids of many r: blocks planned in the calling thread, numpy alone in the workers."""
 
     def test_no_fock_function_is_entered_off_the_main_thread(self, monkeypatch):
         entered = _entering_threads(monkeypatch)
         monkeypatch.setattr(fock, "_cpu_count", lambda: 4)
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 16)
-        monkeypatch.setattr(fock, "_STATE_ELEMENTS", 64)
         helpers = _count_helpers(monkeypatch)
         rs = np.repeat([0.0, 0.3, 1.0, 1.7], 10)
         ts = np.tile(np.linspace(0.0, 2 * TAU, 10), 4)
@@ -986,44 +962,8 @@ class TestRRows:
         dynamical_integral(rs, 0.2, H_UNIT, ts, 7)
         assert len(helpers) >= 6
         names = {name for name, _ in entered}
-        assert {"schmidt_state", "_energy_integrals", "_cutoffs"} <= names
+        assert {"_energy_integrals", "_cutoffs"} <= names
         assert [name for name, thread in entered if thread is not threading.main_thread()] == []
-
-    @pytest.mark.parametrize("bound", [1, 40, 300])
-    def test_live_states_stay_within_the_bound(self, monkeypatch, bound):
-        rs = np.linspace(0.0, 1.5, 60)
-        want = geometric_phase_numeric(rs, 0.4, H_UNIT, 2.0, steps=4).tolist()
-        live, peaks = [], []
-
-        def spy(r, phi, N):
-            state = schmidt_state(r, phi, N)
-            live.append(weakref.ref(state.coeffs))
-            held = [ref().size for ref in live if ref() is not None]
-            # A state longer than the bound goes through alone.
-            peaks.append(sum(held) if len(held) > 1 else 0)
-            return state
-
-        monkeypatch.setattr(fock, "_STATE_ELEMENTS", bound)
-        monkeypatch.setattr(fock, "schmidt_state", spy)
-        got = geometric_phase_numeric(rs, 0.4, H_UNIT, 2.0, steps=4).tolist()
-        assert got == want
-        assert len(live) == rs.size and max(peaks) <= bound
-
-    def test_one_state_per_distinct_r(self, monkeypatch):
-        builds = []
-
-        def counting(*args):
-            builds.append(args)
-            return schmidt_state(*args)
-
-        monkeypatch.setattr(fock, "schmidt_state", counting)
-        rs, ts = [1.0, 2.0, 1.0, 2.0, 1.0], [0.5, 0.5, 3.0, 0.1, 0.2]
-        geometric_phase_numeric(rs, 0.2, H_UNIT, ts, accuracy=1e-9)
-
-        def top(r):
-            return max(cutoff_for("phase", r, 1e-9, t=t) for rv, t in zip(rs, ts) if rv == r)
-
-        assert builds == [(1.0, 0.2, top(1.0)), (2.0, 0.2, top(2.0))]
 
 
 class TestEntropyNumeric:
