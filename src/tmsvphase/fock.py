@@ -20,9 +20,11 @@ Two representations are used, chosen by what truncation does to them:
 Every quantity over time (overlap, energy integral, geometric phase) goes
 through one grid route over rows of (r, t), for one point or a whole
 ``omega_t`` or ``r`` sweep.  Rows sharing a cutoff are evolved and
-integrated together in small blocks on worker threads, each block forming
-its rows' Schmidt coefficients from the closed form below, with digits
-independent of the grid and the CPUs.  A row evolves its state to each tau
+integrated together in small blocks, each block forming its rows' Schmidt
+coefficients from the closed form below, with digits independent of the
+grid.  On |n>|n> the energies are linear in n, so the phases
+e^{-i tau (E_n + shift)} come from tables of about 2 sqrt(N) exponentials
+(:func:`_phases`).  A row evolves its state to each tau
 node of its energy quadrature, t being the last.  The integrand is
 constant in time, so the trapezoid over [0, t] is exact up to rounding at
 any step count (``verify``'s ``dynamical-quadrature`` holds 1, 7 and 200
@@ -37,15 +39,14 @@ one place that turns an observable's accuracy target into N.  Operator
 identities are asserted only on entries a ``margin`` away from the cutoff,
 where the constructions used here keep them exact up to rounding.
 
-No state outlives a call: workspaces and worker threads belong to the
-call that made them, and results depend only on the arguments.
+No state outlives a call: workspaces belong to the call that made them,
+and results depend only on the arguments.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -175,30 +176,37 @@ def cutoff_for(
 
 _OBSERVABLES = ("mass", "energy", "phase", "entropy", "expm")
 
+# (slope, intercept) of tail(-1): no cutoff below 0 meets any accuracy.
+_INFINITE_TAIL = (0.0, math.inf)
 
-def _tails(r: float) -> dict[str, Callable[[int, float], float]]:
-    """The tails :func:`cutoff_for` documents, as functions of (N, |Omega t|), r > 0."""
+
+def _tail(observable: str, r: float) -> Callable[[int], tuple[float, float]]:
+    """``observable``'s tail as :func:`cutoff_for` documents it, for r > 0.
+
+    Every tail is affine in |Omega t|, tail(N, wt) = slope * wt + intercept,
+    and the returned function gives (slope, intercept) for N >= 0: the
+    factors that do not depend on Omega t (the mass m, the energy weight),
+    which a caller can keep while N stays.  The tail keeps the documented
+    expression and its order: energy is (m weight) wt, phase
+    (m weight) wt + cosh 2r m; a zero slope or intercept adds an exact zero.
+    """
     log_tanh = math.log(math.tanh(r))
-    one_minus_x = 1.0 / math.cosh(r) ** 2
+    cosh_r, cosh_2r = math.cosh(r), math.cosh(2.0 * r)
+    one_minus_x = 1.0 / cosh_r ** 2
 
-    def mass(N: int, wt: float) -> float:
-        return math.exp(2.0 * (N + 1) * log_tanh)
-
-    def energy(N: int, wt: float) -> float:
-        weight = 2.0 * ((N + 1) * one_minus_x + 1.0 - one_minus_x) / one_minus_x
-        return mass(N, wt) * weight * wt
-
-    def entropy(N: int, wt: float) -> float:
+    def line(N: int) -> tuple[float, float]:
+        if observable == "expm":
+            return 0.0, math.exp((N + 1) * log_tanh) / cosh_r
         log_mass = 2.0 * (N + 1) * log_tanh
-        return math.exp(log_mass) * (1.0 - log_mass) / -math.expm1(log_mass)
+        mass = math.exp(log_mass)
+        if observable == "mass":
+            return 0.0, mass
+        if observable == "entropy":
+            return 0.0, mass * (1.0 - log_mass) / -math.expm1(log_mass)
+        weight = 2.0 * ((N + 1) * one_minus_x + 1.0 - one_minus_x) / one_minus_x
+        return mass * weight, cosh_2r * mass if observable == "phase" else 0.0
 
-    return {
-        "mass": mass,
-        "energy": energy,
-        "phase": lambda N, wt: energy(N, wt) + math.cosh(2.0 * r) * mass(N, wt),
-        "entropy": entropy,
-        "expm": lambda N, wt: math.exp((N + 1) * log_tanh) / math.cosh(r),
-    }
+    return line
 
 
 def _cutoffs(
@@ -208,8 +216,10 @@ def _cutoffs(
 
     The tail is rebuilt only when r changes.  A row keeps the previous
     row's N while that is still the smallest, tail(N) <= accuracy <
-    tail(N - 1); otherwise it bisects, so a grid sorted in r or in Omega t
-    costs two tail evaluations per row between cutoff changes.
+    tail(N - 1); otherwise it bisects.  The (slope, intercept) pairs of N
+    and N - 1 are held while N and r stay, so a grid sorted in Omega t costs
+    two multiply-adds per row between cutoff changes, and one sorted in r
+    two tails per row.
     """
     if not (0.0 < accuracy < 1.0):
         raise ValueError(f"accuracy must lie in (0, 1), got {accuracy}")
@@ -217,6 +227,15 @@ def _cutoffs(
         raise ValueError("max_cutoff must be nonnegative")
     if observable not in _OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}, not in {list(_OBSERVABLES)}")
+
+    def tail(N: int, wt: float) -> float:
+        slope, intercept = line(N)
+        return slope * wt + intercept
+
+    def bracket(N: int) -> tuple[float, float, float, float]:
+        """(slope, intercept) of tail(N), then of tail(N - 1)."""
+        return line(N) + (line(N - 1) if N else _INFINITE_TAIL)
+
     cutoffs = []
     N, last = -1, None
     for r, wt in pairs:
@@ -224,24 +243,27 @@ def _cutoffs(
             last, r_abs = r, abs(check_squeeze_factor(r))
             if math.tanh(r_abs) == 1.0:
                 raise CutoffExceededError(f"tanh r rounds to 1 at r={r_abs}: no cutoff is enough")
-            tail = _tails(r_abs)[observable] if r_abs > 0.0 else None
+            line = _tail(observable, r_abs) if r_abs > 0.0 else None
+            held = bracket(N) if line is not None and N >= 0 else None
         wt = abs(_require_finite("t", wt))
-        if tail is None:
+        if line is None:
             N = 0
-        elif N < 0 or tail(N, wt) > accuracy or (N > 0 and tail(N - 1, wt) <= accuracy):
-            if tail(max_cutoff, wt) > accuracy:
-                raise CutoffExceededError(
-                    f"{observable} to {accuracy:g} at r={r_abs}, Omega t={wt:g} needs a "
-                    f"cutoff above max_cutoff={max_cutoff}"
-                )
-            # Bisection keeps tail(lo) > accuracy >= tail(hi), with tail(-1) > accuracy.
-            lo, N = -1, max_cutoff
-            while N - lo > 1:
-                mid = (lo + N) // 2
-                if tail(mid, wt) <= accuracy:
-                    N = mid
-                else:
-                    lo = mid
+        else:
+            if held is None or not held[0] * wt + held[1] <= accuracy < held[2] * wt + held[3]:
+                if tail(max_cutoff, wt) > accuracy:
+                    raise CutoffExceededError(
+                        f"{observable} to {accuracy:g} at r={r_abs}, Omega t={wt:g} needs a "
+                        f"cutoff above max_cutoff={max_cutoff}"
+                    )
+                # Bisection keeps tail(lo) > accuracy >= tail(hi), with tail(-1) > accuracy.
+                lo, N = -1, max_cutoff
+                while N - lo > 1:
+                    mid = (lo + N) // 2
+                    if tail(mid, wt) <= accuracy:
+                        N = mid
+                    else:
+                        lo = mid
+                held = bracket(N)
         cutoffs.append(N)
     return cutoffs
 
@@ -329,6 +351,31 @@ def _energies(h: HamiltonianParams, N: int) -> np.ndarray:
     return h.Omega * (n + n) + h.epsilon * (n - n)
 
 
+def _phases(
+    energies: np.ndarray, taus: np.ndarray, shift: float, spare: np.ndarray | None = None,
+) -> np.ndarray:
+    """e^{-i tau (E_n + shift)} for each tau in ``taus``, shape taus.shape + (N + 1,).
+
+    ``energies`` is E_0 .. E_N of :func:`_energies`, linear in n since
+    epsilon cancels, so with P = isqrt(N) + 1 and n = qP + p the phase is
+    e^{-i tau E_{qP}} e^{-i tau (E_p + shift)}: an outer product of two
+    tables, P + ceil((N + 1) / P) exponentials per tau instead of N + 1.
+    The exponents round differently from the literal one, so a phase
+    differs from np.exp(-1j * (E_n + shift) * tau) by at most
+    5 eps (1 + tau (E_N + |shift|)).  The result is a view of the table,
+    which is written to the front of the flat complex ``spare`` when one is
+    given (at least taus.size * P * ceil((N + 1) / P) long).
+    """
+    side = math.isqrt(energies.size - 1) + 1
+    taus = taus[..., None]
+    hi = np.exp(-1j * energies[::side] * taus)
+    lo = np.exp(-1j * (energies[:side] + shift) * taus)
+    shape = (*hi.shape, side)
+    table = None if spare is None else spare[: math.prod(shape)].reshape(shape)
+    table = np.multiply(hi[..., :, None], lo[..., None, :], out=table)
+    return table.reshape(*taus.shape[:-1], -1)[..., : energies.size]
+
+
 def evolve(
     state: DiagonalFockState,
     h: HamiltonianParams,
@@ -337,15 +384,17 @@ def evolve(
 ) -> DiagonalFockState:
     """Evolve under H = Omega(n+ + n-) + epsilon(n+ - n-) + energy_shift.
 
-    On |n>|n> both occupations equal n, so the phase is written literally
-    as e^{-i [Omega(n+n) + epsilon(n-n) + shift] t}.  ``energy_shift``
-    adds a multiple of the identity, which is the gauge transformation the
-    geometric phase must not see.
+    On |n>|n> both occupations equal n, so the energies are Omega(n+n) +
+    epsilon(n-n), and each coefficient takes the phase e^{-i [E_n + shift] t}
+    that :func:`_phases` forms from its square-root table; the phases are
+    formed first and then multiply the coefficients, as in the grid oracle.
+    ``energy_shift`` adds a multiple of the identity, which is the gauge
+    transformation the geometric phase must not see.
     """
     t = _require_finite("t", t)
     shift = _require_finite("energy_shift", energy_shift)
-    energies = _energies(h, state.cutoff) + shift
-    return DiagonalFockState(state.coeffs * np.exp(-1j * energies * t))
+    phases = _phases(_energies(h, state.cutoff), np.array(t), shift)
+    return DiagonalFockState(state.coeffs * phases)
 
 
 def _tau_grids(ts: np.ndarray, steps: int) -> np.ndarray:
@@ -361,14 +410,6 @@ def _tau_grids(ts: np.ndarray, steps: int) -> np.ndarray:
     return taus
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on, which bounds the grid's worker threads."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _energy_integrals(
     rs: np.ndarray, phi: float, h: HamiltonianParams, ts: np.ndarray,
     cutoffs: list[int], steps: int, shift: float,
@@ -379,18 +420,18 @@ def _energy_integrals(
     n = 0 .. cutoffs[i].  Returns, in grid order, each row's integral and
     overlap <psi(0)|psi(t)>.  Element for element, psi(0) is
     ``schmidt_state(r, phi, N)``, psi(tau_k) is ``evolve(psi(0), h, tau_k,
-    shift)`` with psi(t) its last tau, and each value repeats the per-state
-    reference ``_expected_energy`` in ``tests/test_fock.py``; at tau = 0 the
-    phase factor exp(-0j) is exactly 1, so that value is taken from psi(0).
+    shift)`` with psi(t) its last tau, the phases coming from the same
+    :func:`_phases` tables, and each value repeats the per-state reference
+    ``_expected_energy`` in ``tests/test_fock.py``; at tau = 0 the phase is
+    exactly 1, so that value is taken from psi(0).
 
     Rows that share a cutoff go through together, in grid order, as many as
-    fit in _BLOCK_ELEMENTS evolved coefficients (one at least).  The calling
-    thread plans each block with the bases -e^{2i phi} tanh r and cosh r of
-    its r, one per row unless all rows share it; the block raises them to
-    the powers 0 .. N.  Reductions run along contiguous rows, so each row
-    adds in the order a lone row would.  Blocks go to the calling thread and
-    up to one helper per further usable CPU; each writes only its own rows,
-    so the digits do not depend on the threads.  Workers call numpy alone.
+    fit in _BLOCK_ELEMENTS evolved coefficients (one at least).  A block
+    raises the bases -e^{2i phi} tanh r of its rows to the powers 0 .. N and
+    divides by cosh r; a block of one r extends the powers held for that r,
+    as cutoffs grow in plan order.  Reductions run along contiguous rows, so
+    each row adds in the order a lone row would.  Blocks run in plan order,
+    so the first block that fails raises.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -401,7 +442,19 @@ def _energy_integrals(
     # Rows sorted by cutoff, in grid order within each cutoff.
     order = np.argsort(cutoffs, kind="stable")
     phase = -_exp2i(phi)
-    blocks = []
+    taus = _tau_grids(ts, steps)
+    powers = np.arange(int(cutoffs.max(initial=0)) + 1)
+    energies = _energies(h, powers.size - 1)
+    values = np.empty(taus.shape)
+    overlaps = np.empty(ts.size, dtype=np.complex128)
+    # Powers 0 .. held - 1 of the last lone r's base.
+    row, held_base, held = np.empty(powers.size, dtype=np.complex128), None, 0
+    # One workspace for the call: a block has at most ``largest`` evolved
+    # coefficients and its phase table fewer than twice that.  Fresh arrays
+    # per block would fault their pages in again each time.
+    largest = min(max(_BLOCK_ELEMENTS, steps * powers.size), ts.size * steps * powers.size)
+    table_spare = np.empty(2 * largest, dtype=np.complex128)
+    evolved_spare, weights_spare = np.empty(largest, dtype=np.complex128), np.empty(largest)
     done = 0
     while done < order.size:
         N = int(cutoffs[order[done]])
@@ -411,94 +464,40 @@ def _energy_integrals(
         done += rows.size
         block_rs = rs[rows]
         block_rs = block_rs[:1] if (block_rs == block_rs[0]).all() else block_rs
-        blocks.append((rows, N, phase * np.tanh(block_rs), np.cosh(block_rs)))
-    taus = _tau_grids(ts, steps)
-    powers = np.arange(int(cutoffs.max(initial=0)) + 1)
-    energies = _energies(h, powers.size - 1)
-    integrals = np.empty(ts.size)
-    overlaps = np.empty(ts.size, dtype=np.complex128)
-
-    def integrate(rows: np.ndarray, N: int, bases: np.ndarray, coshes: np.ndarray,
-                  spare: np.ndarray, real_spare: np.ndarray, row: np.ndarray, held: list):
-        # Arrays are views of the thread's spares, initial rows after evolved
-        # ones.  A lone r broadcasts over the rows, and its powers extend those
-        # ``held`` in ``row`` for the same base, as cutoffs grow in plan order.
-        shape = (rows.size, steps, N + 1)
-        size = math.prod(shape)
-        initial = spare[size : size + bases.size * (N + 1)].reshape(bases.size, N + 1)
+        bases = phase * np.tanh(block_rs)
         if bases.size > 1:
-            np.power(bases[:, None], powers[: N + 1], out=initial)
+            initial = np.power(bases[:, None], powers[: N + 1])
         else:
-            if held[0] != bases[0]:
-                held[:] = bases[0], 0
-            np.power(bases, powers[held[1] : N + 1], out=row[held[1] : N + 1])
-            held[1], initial[0] = max(held[1], N + 1), row[: N + 1]
-        np.divide(initial, coshes[:, None], out=initial)
+            if held_base != bases[0]:
+                held_base, held = bases[0], 0
+            np.power(bases, powers[held : N + 1], out=row[held : N + 1])
+            held = max(held, N + 1)
+            initial = row[None, : N + 1]
+        initial = initial / np.cosh(block_rs)[:, None]
         block_energies = energies[: N + 1]
-        block_taus = taus[rows]
-        # Overflowing input ends in the finite check below, not in warnings;
-        # the error state is set here because threads do not inherit it.
+        shape = (rows.size, steps, N + 1)
+        elements = math.prod(shape)
+        # Overflowing input ends in the finite check below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
+            phases = _phases(block_energies, taus[rows, 1:], shift, table_spare)
             evolved = np.multiply(
-                -1j * (block_energies + shift), block_taus[:, 1:, None],
-                out=spare[:size].reshape(shape),
+                initial[:, None], phases, out=evolved_spare[:elements].reshape(shape)
             )
-            np.exp(evolved, out=evolved)
-            np.multiply(initial[:, None], evolved, out=evolved)
-            weights = np.abs(evolved, out=real_spare[:size].reshape(shape))
+            weights = np.abs(evolved, out=weights_spare[:elements].reshape(shape))
             np.square(weights, out=weights)
             norms = weights[:, -1].sum(axis=-1)
         if not np.isfinite(norms).all():
             raise ValueError("coefficients must be finite")
         if norms.max() > 1.0 + 1e-12:
             raise ValueError(f"state over-normalized: |psi|^2 = {norms.max()}")
-        values = np.empty(block_taus.shape)
-        values[:, 0] = (block_energies * np.abs(initial) ** 2).sum(axis=-1) + shift
+        values[rows, 0] = (block_energies * np.abs(initial) ** 2).sum(axis=-1) + shift
         np.multiply(block_energies, weights, out=weights)
-        values[:, 1:] = weights.sum(axis=-1) + shift
-        # np.trapezoid's arithmetic, row by row.
-        widths = block_taus[:, 1:] - block_taus[:, :-1]
-        integrals[rows] = (widths * (values[:, 1:] + values[:, :-1]) / 2.0).sum(axis=-1)
+        values[rows, 1:] = weights.sum(axis=-1) + shift
         # Per row the same BLAS zdotc as np.vdot(initial, final), in one call.
         overlaps[rows] = np.vecdot(initial, evolved[:, -1])
-
-    # Threads claim blocks in plan order.  Once a block fails, later blocks
-    # are skipped and the first failure in plan order is raised, the one a
-    # loop over the blocks would raise.
-    claims = iter(range(len(blocks)))
-    failures: list[tuple[int, BaseException]] = []
-
-    def drain(spare: np.ndarray, real_spare: np.ndarray, row: np.ndarray) -> None:
-        held = [None, 0]
-        for k in claims:
-            if any(j < k for j, _ in failures):
-                return
-            try:
-                integrate(*blocks[k], spare, real_spare, row, held)
-            except BaseException as exc:
-                failures.append((k, exc))
-
-    # The calling thread drains as well.  Starting a helper and sharing the
-    # interpreter with it costs about a block, so each thread needs two
-    # blocks' worth of work.  Spare buffers are allocated here, so no helper
-    # keeps freed memory; the helpers end with this call.
-    sizes = [rows.size * steps * (N + 1) for rows, N, *_ in blocks]
-    workers = min(_cpu_count(), len(blocks), sum(sizes) // (2 * _BLOCK_ELEMENTS))
-    largest = max(sizes, default=0)
-    spares = [
-        (np.empty(2 * largest, dtype=np.complex128), np.empty(largest),
-         np.empty(powers.size, dtype=np.complex128))
-        for _ in range(max(1, workers))
-    ]
-    helpers = [threading.Thread(target=drain, args=spare) for spare in spares[1:]]
-    for helper in helpers:
-        helper.start()
-    drain(*spares[0])
-    for helper in helpers:
-        helper.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return integrals, overlaps
+    # np.trapezoid's arithmetic, row by row.
+    widths = taus[:, 1:] - taus[:, :-1]
+    return (widths * (values[:, 1:] + values[:, :-1]) / 2.0).sum(axis=-1), overlaps
 
 
 def _grid(t: float | np.ndarray, r: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -717,6 +716,16 @@ def bogoliubov_residual(r: float, eta: float, N: int, margin: int) -> float:
     return max(_max_kept(down, kept[:-1], kept[1:]), _max_kept(up, kept[1:], kept[:-1]))
 
 
+def _unit_powers(angle: float, counts: np.ndarray) -> np.ndarray:
+    """e^{-i angle k} for each integer k in ``counts``, finite for any finite angle.
+
+    It is the power k of e^{-i angle}, which libm forms by exact argument
+    reduction, as su11._exp2i squares e^{i phi}; the literal exponent
+    angle k overflows once |angle k| > DBL_MAX.
+    """
+    return cmath.exp(-1j * angle) ** counts
+
+
 def rotation_conjugation_check(
     r: float, phi: float, theta: float, epsilon_t: float, N: int, margin: int = 4
 ) -> RotationResiduals:
@@ -727,21 +736,26 @@ def rotation_conjugation_check(
     e^{-i epsilon t (n+ - n-)} leaves S unchanged for any epsilon t.  Both
     conjugating operators are diagonal, so truncation does not disturb
     them and the residuals sit at rounding level when the identities hold.
+    Both phases are integer powers of e^{-i theta} and e^{-i epsilon t}, and
+    the target takes theta reduced to (-pi, pi] through e^{-i theta}, so
+    any finite angle gives a finite residual and phi keeps its digits.
     """
     theta = _require_finite("theta", theta)
     epsilon_t = _require_finite("epsilon_t", epsilon_t)
+    turn = cmath.exp(-1j * theta)
     squeeze = two_mode_squeeze_operator(r, phi, N).stack
-    rotated_target = two_mode_squeeze_operator(r, phi - theta, N).stack
+    rotated_target = two_mode_squeeze_operator(
+        r, phi + math.atan2(turn.imag, turn.real), N
+    ).stack
     kept = _kept_slots(N, margin)
     n_plus, n_minus = _occupations(N)
 
-    def conjugate_by_diagonal(diag_phase: np.ndarray) -> np.ndarray:
+    def conjugate_by_diagonal(angle: float, counts: np.ndarray) -> np.ndarray:
+        diag_phase = _unit_powers(angle, counts)
         return diag_phase[:, :, None] * squeeze * diag_phase.conj()[:, None, :]
 
-    rot = np.exp(-1j * theta * (n_plus + n_minus))
-    defect_rot = conjugate_by_diagonal(rot) - rotated_target
-    mod = np.exp(-1j * epsilon_t * (n_plus - n_minus))
-    defect_mod = conjugate_by_diagonal(mod) - squeeze
+    defect_rot = conjugate_by_diagonal(theta, n_plus + n_minus) - rotated_target
+    defect_mod = conjugate_by_diagonal(epsilon_t, n_plus - n_minus) - squeeze
     return RotationResiduals(
         rotation=_max_kept(defect_rot, kept, kept),
         modulation=_max_kept(defect_mod, kept, kept),

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -212,16 +213,18 @@ class TestSweepJson:
 
 
 class TestSweepGoldenBytes:
-    """sha256 of sweep stdout, recorded once each phase row was evolved to t alone.
+    """sha256 of sweep stdout, recorded once the oracle's phases came from square-root tables.
 
     Every printed digit depends on the last bit of each oracle row, so the
     grid evaluation must reproduce the per-point arithmetic exactly.  The
     digests were re-recorded when the sweep's energy quadrature went from
-    four trapezoid steps to one: against the four-step tables only
-    ``gamma_numeric`` and ``abs_error`` cells moved, each by at most
-    0.88 cond eps of its row, and each table kept its largest ``abs_error``
-    row (omega_t: 9.93111370917e-10 -> 9.93139792627e-10, 0.31 cond eps;
-    r and r-wide: unchanged).  Recorded with numpy 2.4 on x86-64 Linux.
+    four trapezoid steps to one (each moved cell within 0.88 cond eps of
+    its row), and again when ``fock._phases`` replaced one exponential per
+    coefficient by the outer product of two tables: against the literal
+    exponentials only ``gamma_numeric`` and ``abs_error`` cells moved, each
+    ``gamma_numeric`` by at most 0.36 cond eps (omega_t), 0.16 (r), 0.21
+    (r-wide) and 0.38 (r-dense), and every table kept its largest
+    ``abs_error`` to the bit.  Recorded with numpy 2.4 on x86-64 Linux.
     """
 
     OMEGA_T = ["sweep", "--variable", "omega_t", "--start", "0",
@@ -238,16 +241,16 @@ class TestSweepGoldenBytes:
                "--points", "10000"]
 
     @pytest.mark.parametrize("argv,digest", [
-        (OMEGA_T, "90a74185ea81683dd8e25ed71887a0f14a7d4cd884e2747ca7fd81dfb561efb1"),
+        (OMEGA_T, "1ec4a9e21bf2e9982e28e7a6aaa5945a18a3a2da565d2ac3c11d5e93bef257ce"),
         (OMEGA_T + ["--format", "json"],
-         "bfb5d82102bc4c2856fad695b4063ed501bf1e5c8789e51c11d485a22d6646eb"),
-        (R, "1352cb4e92fdf76f59e5d12861f14c0b5a7d375186e3b5c936fc1da06c639e46"),
+         "a73f17fcbd4c5f7a12e46a0aee4e6411976da40e278dddc80f743406d3504d8c"),
+        (R, "d26470fee66620a0f0bbb774f666536f8d22cbafb1830827e43479e54c01747d"),
         (OMEGA_T + ["--degrees"],
-         "320df968321230c5d591945b9473ea93ce2326b1583357d223ac9601c4f77b8b"),
+         "a9a16ccdcdc579105b081613cf43c30d0168ed38d31f509cafadaaef650be98c"),
         (R + ["--format", "json"],
-         "eacf6c57f4f77a9be749bc9642c95b9fd7b82cffb86989ed2ae19ea98015f5c0"),
-        (R_WIDE, "7f392140e5c12f8d7d725e9447e0f5b7b880d3a26d2c6b2fb491c484e7e80489"),
-        (R_DENSE, "075b57ba9afe475e6138598269526a81304cbefa925f3bef7360b45462d0027b"),
+         "ae74d93ac9ba5e2c122b6d2d128be1f334c90b898b0b0e022ff46a373ed8b636"),
+        (R_WIDE, "63a48dff00ba016b83d28d633562414011ce7599b427d0e78c21e5fa741f2a39"),
+        (R_DENSE, "db6eea4e7046a054c8612ad225444bdad437e87e42d6529f97c1204451b05ef8"),
     ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json", "r-wide",
             "r-dense"])
     def test_stdout_digest(self, argv, digest, capsys):
@@ -304,17 +307,33 @@ class TestSweepTable:
         assert out.getvalue() == want
 
 
-class TestVerifyGoldenBytes:
-    """sha256 of verify stdout, pinned twice.
+def _literal_phases(monkeypatch):
+    """Swap the literal exponentials back in for the oracle's phase helpers:
+    np.exp(-1j * (E + shift) * tau) for ``fock._phases`` and
+    np.exp(-1j * angle * k) for ``fock._unit_powers``."""
+    monkeypatch.setattr(fock, "_phases", lambda energies, taus, shift, spare=None: np.exp(
+        -1j * (energies + shift) * taus[..., None]))
+    monkeypatch.setattr(fock, "_unit_powers", lambda angle, counts: np.exp(-1j * angle * counts))
 
-    ``test_stdout_digest`` holds the bytes recorded while
-    exponentiation-agreement's squeeze exponential was a dense eigh of the
-    whole tridiagonal generator, with that route swapped back in: every
-    other line of verify must still print those bytes.  ``test_svd_digest``
-    holds verify as it runs, with the exponential as one SVD of the
-    generator's even-to-odd block.  The SVD moved only the
-    exponentiation-agreement line, whose worst rose by 3.5e-17
-    (9.37492752361e-12 to 9.37496221803e-12 for every seed).  The worst
+
+class TestVerifyGoldenBytes:
+    """sha256 of verify stdout, pinned three times.
+
+    ``test_digest`` holds verify as it runs.  The other two hold older
+    bytes with the older routes swapped back in, so every line those routes
+    do not reach must still print them.  Both run with the literal
+    exponentials of ``_literal_phases``: ``test_svd_digest`` holds the
+    bytes recorded while each phase was one exponential, and
+    ``test_stdout_digest`` also swaps back the dense eigh of the whole
+    tridiagonal generator that exponentiation-agreement's squeeze
+    exponential was before it became one SVD of the even-to-odd block.
+    The SVD moved only the exponentiation-agreement line, whose worst rose
+    by 3.5e-17 (9.37492752361e-12 to 9.37496221803e-12 for every seed).
+    The square-root phase tables moved four lines, the same for every seed:
+    geometric-phase-agreement 9.93750859379e-10 to 9.93757964807e-10,
+    evolution-reparameterization 9.29678432876e-15 to 8.05845509126e-15,
+    rotation-conjugation 5.10358185595e-15 to 5.08975858709e-15 and
+    cyclic-total-phase 7.18869408452e-15 to 1.11924358671e-14.  The worst
     values carry 12 significant digits, so these pin the oracle's overlaps
     and integrals to the bit.  Recorded with numpy 2.4 on x86-64 Linux, on
     one CPU and on two, with OPENBLAS_NUM_THREADS 1 and 2.
@@ -325,6 +344,19 @@ class TestVerifyGoldenBytes:
         assert main(["verify", "--seed", str(seed)]) == 0
         out = capsys.readouterr().out
         return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "f3642b2fa02d746b98b5120555a853841dbe889ec45f7b0473c89f7b29866e48"),
+        (1, "524c7ac34d400e9f099d0c99e1b4342862b81e7959b041e3620ec9ea4c74af77"),
+        (2, "69cda689e9eb5dff1bf9112441c18ad8c8a161fe5a74ff6e491020765f6da300"),
+        (3, "adcada4d4c566968c96c133a35d0561d780d071c0db370552db0b7415f0d26a0"),
+        (4, "316e04adc30fbc917817edcbd3a330337efe90c68d95337b64c50309d2b1688c"),
+        (5, "255d2829206fcbfc6f799fe4c0ae3b571399cbe617301f43654209dc32abffbc"),
+        (6, "469d9e314717993168f90c58979116a29d1ff322a457669396a16cab20c5c128"),
+        (7, "a03b13b3379ceee51d44607e356d75f333e672b2eccf5c2eb22eddd77e67972a"),
+    ])
+    def test_digest(self, seed, digest, capsys):
+        assert self.digest(seed, capsys) == digest
 
     @pytest.mark.parametrize("seed,digest", [
         (0, "dd13f8c29e1db10b63048007fae07218f085e232ba1e15df626b57f05edcbc52"),
@@ -348,6 +380,7 @@ class TestVerifyGoldenBytes:
             return fock.DiagonalFockState(coeffs)
 
         monkeypatch.setattr(fock, "squeeze_by_exponentiation", dense_eigh)
+        _literal_phases(monkeypatch)
         assert self.digest(seed, capsys) == digest
 
     @pytest.mark.parametrize("seed,digest", [
@@ -360,8 +393,40 @@ class TestVerifyGoldenBytes:
         (6, "c1df2d6d09cc5d5cb9fefa7b9f768adf06414e8ec14d33e8dc20aec439915f77"),
         (7, "84b2e1219ad52d64cc7cf3c7e093816cac05eea7242069cbc46501f471635611"),
     ])
-    def test_svd_digest(self, seed, digest, capsys):
+    def test_svd_digest(self, seed, digest, capsys, monkeypatch):
+        _literal_phases(monkeypatch)
         assert self.digest(seed, capsys) == digest
+
+
+def _mutant(fn, old, new):
+    """``fn`` recompiled from its own source with ``old`` replaced by ``new``.
+
+    The fault is one edit of the real code, in a copy of its module's
+    namespace, so it follows the code as it changes; ``old`` must occur once.
+    """
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+class TestVerifyMutants:
+    """One fault in the program each: verify must exit 1 and print FAIL on its check's line."""
+
+    @pytest.mark.parametrize("name,old,new,check", [
+        # A hi table of stride P - 1 puts E_{q(P-1)} where E_{qP} belongs.
+        ("_phases", "energies[::side]", "energies[:: side - 1]", "overlap-agreement"),
+        # A lo table without the shift drops the gauge from the overlap alone.
+        ("_phases", "(energies[:side] + shift)", "energies[:side]", "gauge-invariance"),
+    ], ids=["hi-table-stride", "lo-table-unshifted"])
+    def test_fault_fails_its_check(self, name, old, new, check, capsys, monkeypatch):
+        monkeypatch.setattr(fock, name, _mutant(getattr(fock, name), old, new))
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith(("PASS  ", "FAIL  ")) for line in lines) == 17
+        assert [line for line in lines if line.startswith(f"FAIL  {check} ")], lines
+        assert lines[-1].startswith("VERDICT: FAIL (")
 
 
 class TestSu11BulkDraws:
@@ -665,7 +730,7 @@ class TestMainEntry:
                 == degrees_out.strip().split("\n")[-1].split(",")[1])
 
     def test_import_loads_no_scipy(self):
-        # Nor concurrent.futures: the oracle's worker threads need only threading.
+        # Nor concurrent.futures: the oracle runs in the calling thread alone.
         result = subprocess.run(
             [sys.executable, "-c", "import sys, tmsvphase.cli; "
              "print(sorted(m for m in sys.modules "

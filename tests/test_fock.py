@@ -1,13 +1,10 @@
 """Tests for the truncated Fock-space oracle."""
 
-import functools
 import math
-import threading
-import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -172,6 +169,40 @@ class TestCutoffFor:
         observed, scale = _observed_error(observable, r, wt, N, accuracy)
         assert predicted <= accuracy
         assert observed <= predicted + 64 * np.finfo(float).eps * scale
+
+
+def _bisected_cutoffs(observable, pairs, accuracy):
+    """Per row, the smallest N in [0, DEFAULT_MAX_CUTOFF] whose documented
+    tail (``_predicted_tail``) is within ``accuracy``, by bisection."""
+    cutoffs = []
+    for r, wt in pairs:
+        lo, hi = -1, DEFAULT_MAX_CUTOFF
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _predicted_tail(observable, abs(r), abs(wt), mid) <= accuracy:
+                hi = mid
+            else:
+                lo = mid
+        cutoffs.append(hi)
+    return cutoffs
+
+
+class TestCutoffGrids:
+    """``fock._cutoffs`` over sweep-sized grids equals a row-by-row bisection."""
+
+    @pytest.mark.parametrize("observable", OBSERVABLES)
+    def test_r_sweep_grid(self, observable):
+        # 10^4 rows to r = 1 at Omega t = 1, a new r (and tail) on every row.
+        pairs = [(r, 1.0) for r in np.linspace(0.0, 1.0, 10_000).tolist()]
+        got = fock._cutoffs(observable, pairs, 1e-9, DEFAULT_MAX_CUTOFF)
+        assert got == _bisected_cutoffs(observable, pairs, 1e-9)
+
+    def test_omega_t_sweep_grid(self):
+        # The benchmark sweep's grid: r = 2, 10^4 rows over [0, 2 pi], 73 cutoffs.
+        pairs = [(2.0, wt) for wt in np.linspace(0.0, TAU, 10_000).tolist()]
+        got = fock._cutoffs("phase", pairs, 1e-9, DEFAULT_MAX_CUTOFF)
+        assert got == _bisected_cutoffs("phase", pairs, 1e-9)
+        assert len(set(got)) == 73
 
 
 class TestSchmidtState:
@@ -372,6 +403,42 @@ class TestEvolve:
         )
 
 
+class TestPhases:
+    """``fock._phases``, the square-root table every evolution takes its phases from."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        N=st.integers(0, 4096),
+        tau=st.floats(0.0, 20 * math.pi),
+        shift=st.sampled_from([0.0, -2.3, 5.0]),
+        omega=st.floats(0.5, 2.0),
+    )
+    @example(N=4096, tau=20 * math.pi, shift=5.0, omega=2.0)
+    def test_matches_literal_exponential(self, N, tau, shift, omega):
+        # With u = eps / 2, each route's exponent is within 3 u tau (E_N + |s|)
+        # of the exact tau (2 Omega n + s): the literal one rounds E_n, E_n + s
+        # and the product, the table rounds E_{qP} and its product, and E_p,
+        # E_p + s and their product.  Each libm exponential adds at most 2 u,
+        # and the table's complex product sqrt(5) u, so the two differ by at
+        # most 6 u tau (E_N + |s|) + (6 + sqrt(5)) u <= 5 eps (1 + tau (E_N + |s|)).
+        # Over 300 random draws the largest ratio to eps (1 + tau (E_N + |s|))
+        # was 1.74.
+        energies = fock._energies(HamiltonianParams(omega, 0.3 * omega), N)
+        got = fock._phases(energies, np.array(tau), shift)
+        want = np.exp(-1j * (energies + shift) * tau)
+        bound = 5 * np.finfo(float).eps * (1.0 + tau * (energies[-1] + abs(shift)))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= bound
+
+    def test_shape_follows_the_taus(self):
+        energies = fock._energies(H_UNIT, 10)
+        taus = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        got = fock._phases(energies, taus, 0.7)
+        assert got.shape == (2, 3, 11)
+        for index in np.ndindex(taus.shape):
+            assert got[index].tolist() == fock._phases(energies, taus[index], 0.7).tolist()
+
+
 def _grid_overlaps(r, phi, N, ts):
     """<psi(0)|psi(t)> under H_UNIT for each t, from the grid path at cutoff N."""
     ts = np.asarray(ts, dtype=np.float64)
@@ -484,10 +551,14 @@ def _energy_integral_by_loop(initial, h, t, steps, shift):
 
 
 def _energy_integral_per_point(initial, h, t, steps, shift):
-    """Reference for the grid quadrature: one point's (steps+1) x (N+1) block."""
+    """Reference for the grid quadrature: one point's (steps+1) x (N+1) block.
+
+    Its phases are ``fock._phases``, as ``evolve`` forms them; the helper is
+    held to the literal np.exp(-1j * (E + shift) * tau) in ``TestPhases``.
+    """
     taus = np.linspace(0.0, t, steps + 1)
     energies = fock._energies(h, initial.cutoff)
-    evolved = initial.coeffs * np.exp(-1j * (energies + shift) * taus[:, None])
+    evolved = initial.coeffs * fock._phases(energies, taus, shift)
     values = np.sum(energies * np.abs(evolved) ** 2, axis=1) + shift
     return float(np.trapezoid(values, taus))
 
@@ -816,100 +887,16 @@ class TestGeometricPhaseGrid:
             geometric_phase_numeric(0.0, 0.0, H_UNIT, 1e308, energy_shift=5.0)
 
 
-def _plan(cutoffs, steps, block):
-    """Blocks and evolved coefficients of the grid plan: per cutoff N, rows
-    go in blocks of max(1, block // (steps (N + 1)))."""
-    blocks = work = 0
-    for N in set(cutoffs):
-        rows = cutoffs.count(N)
-        blocks += -(-rows // max(1, block // (steps * (N + 1))))
-        work += rows * steps * (N + 1)
-    return blocks, work
-
-
-def _count_helpers(mp):
-    """Record every thread started while ``mp`` is active."""
-    started = []
-
-    class Counting(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    mp.setattr(fock.threading, "Thread", Counting)
-    return started
-
-
 class TestParallelBlocks:
-    """Blocks shared out over threads give, bit for bit, what one thread gives."""
-
-    def test_cpu_count_is_positive(self):
-        assert fock._cpu_count() >= 1
-
-    @settings(deadline=None, max_examples=40)
-    @given(
-        r=st.floats(0.3, 2.0),
-        phi=st.floats(-math.pi, math.pi),
-        eps_frac=st.floats(-0.9, 0.9),
-        shift=st.sampled_from([0.0, -2.0]),
-        steps=st.sampled_from([1, 4, 16]),
-        block=st.sampled_from([16, 64, 512]),
-        cpus=st.integers(2, 4),
-        ts=st.lists(st.floats(0.0, 3 * TAU), min_size=4, max_size=40),
-    )
-    def test_thread_count_does_not_move_a_bit(
-        self, r, phi, eps_frac, shift, steps, block, cpus, ts
-    ):
-        h = HamiltonianParams(1.0, eps_frac)
-        blocks, work = _plan([cutoff_for("phase", r, 1e-9, t=t) for t in ts], steps, block)
-        assume(blocks >= 3 and work >= 4 * block)
-        runs = []
-        for n in (1, cpus):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fock, "_BLOCK_ELEMENTS", block)
-                mp.setattr(fock, "_cpu_count", lambda: n)
-                helpers = _count_helpers(mp)
-                gammas = geometric_phase_numeric(
-                    r, phi, h, np.array(ts), accuracy=1e-9, energy_shift=shift, steps=steps
-                )
-            runs.append((gammas.tolist(), len(helpers)))
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fock, "_BLOCK_ELEMENTS", block)
-                mp.setattr(fock, "_cpu_count", lambda: n)
-                runs.append(dynamical_integral(
-                    r, phi, h, np.array(ts), steps, energy_shift=shift
-                ).tolist())
-        (gammas_1, helpers_1), integrals_1, (gammas_n, helpers_n), integrals_n = runs
-        assert gammas_n == gammas_1 and integrals_n == integrals_1
-        # Threads: one per CPU, per block and per two blocks' worth of work,
-        # the calling thread among them.
-        assert helpers_1 == 0
-        assert helpers_n == min(cpus, blocks, work // (2 * block)) - 1 > 0
-
-    def test_large_grid_uses_every_cpu(self, monkeypatch):
-        monkeypatch.setattr(fock, "_cpu_count", lambda: 3)
-        helpers = _count_helpers(monkeypatch)
-        ts = np.linspace(0.0, TAU, 2000)
-        got = geometric_phase_numeric(2.0, 0.7, HamiltonianParams(1.0, 0.3), ts, steps=4)
-        assert len(helpers) == 2
-        monkeypatch.setattr(fock, "_cpu_count", lambda: 1)
-        assert geometric_phase_numeric(
-            2.0, 0.7, HamiltonianParams(1.0, 0.3), ts, steps=4
-        ).tolist() == got.tolist()
-        assert len(helpers) == 2
+    """Rows evolved side by side in blocks: the first block to fail, in plan order, raises."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_later_block_surfaces(self, monkeypatch):
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
-        monkeypatch.setattr(fock, "_cpu_count", lambda: 4)
-        helpers = _count_helpers(monkeypatch)
-        before = threading.active_count()
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             geometric_phase_numeric(
                 0.0, 0.0, H_UNIT, [1.0] * 7 + [1e308], energy_shift=5.0
             )
-        assert threading.active_count() == before
-        assert len(helpers) == 3
 
     def test_first_over_normalized_block_in_plan_order_surfaces(self, monkeypatch):
         # At r = ln 3, 1 / cosh^2 r = 0.36 and tanh r = 0.8; with |e^{2i phi}|
@@ -917,53 +904,12 @@ class TestParallelBlocks:
         # 0.36 and 0.72 and lengths 3 and 4 hold 1.08 and 1.44.  Each row is
         # its own block, so the first failure in plan order is a cutoff-2 row.
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
-        monkeypatch.setattr(fock, "_cpu_count", lambda: 4)
         monkeypatch.setattr(fock, "_exp2i", lambda phi: 1.25 * su11._exp2i(phi))
-        helpers = _count_helpers(monkeypatch)
         ts = np.linspace(0.1, 1.0, 12)
-        before = threading.active_count()
         with pytest.raises(ValueError, match=r"over-normalized: \|psi\|\^2 = 1\.08"):
             fock._energy_integrals(
                 np.full(12, math.log(3.0)), 0.0, H_UNIT, ts, [3, 2, 1, 0] * 3, 4, 0.0
             )
-        assert threading.active_count() == before
-        assert len(helpers) == 3 and not any(h.is_alive() for h in helpers)
-
-
-def _entering_threads(mp):
-    """Wrap every function of ``fock`` as a tracer does; record who enters."""
-    entered = []
-
-    def wrap(name, fn):
-        @functools.wraps(fn)
-        def traced(*args, **kwargs):
-            entered.append((name, threading.current_thread()))
-            return fn(*args, **kwargs)
-
-        return traced
-
-    for name, obj in list(vars(fock).items()):
-        if isinstance(obj, types.FunctionType) and obj.__module__ == fock.__name__:
-            mp.setattr(fock, name, wrap(name, obj))
-    return entered
-
-
-class TestRRows:
-    """Grids of many r: blocks planned in the calling thread, numpy alone in the workers."""
-
-    def test_no_fock_function_is_entered_off_the_main_thread(self, monkeypatch):
-        entered = _entering_threads(monkeypatch)
-        monkeypatch.setattr(fock, "_cpu_count", lambda: 4)
-        monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 16)
-        helpers = _count_helpers(monkeypatch)
-        rs = np.repeat([0.0, 0.3, 1.0, 1.7], 10)
-        ts = np.tile(np.linspace(0.0, 2 * TAU, 10), 4)
-        geometric_phase_numeric(rs, 0.2, HamiltonianParams(1.0, 0.3), ts, steps=4)
-        dynamical_integral(rs, 0.2, H_UNIT, ts, 7)
-        assert len(helpers) >= 6
-        names = {name for name, _ in entered}
-        assert {"_energy_integrals", "_cutoffs"} <= names
-        assert [name for name, thread in entered if thread is not threading.main_thread()] == []
 
 
 class TestEntropyNumeric:
@@ -1320,3 +1266,10 @@ class TestRotationConjugation:
         dense = _dense_rotation_check(0.5, 0.2, theta, eps_t, N, margin)
         assert abs(blocks.rotation - dense[0]) <= 1e-13
         assert abs(blocks.modulation - dense[1]) <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta,eps_t", [(1e308, 0.3), (0.3, 1e308)])
+    def test_overflowing_angle_products_stay_finite(self, theta, eps_t):
+        # theta (n+ + n-) and eps_t (n+ - n-) overflow, e^{-i theta} does not.
+        res = rotation_conjugation_check(0.5, 0.2, theta, eps_t, 6, 2)
+        assert all(math.isfinite(value) and value < 1e-6 for value in res), res
