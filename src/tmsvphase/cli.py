@@ -54,8 +54,9 @@ _DEG = 180.0 / math.pi
 # which prints 0 as "0", or scientific notation with 12 digits.
 _FORMATS = ("%.12g", "%.11e")
 
-# Rows of a CSV table formatted per write, so that no string holds the table.
-_CSV_CHUNK_ROWS = 1024
+# Rows per chunk of a sweep table: its closed forms are written and its CSV
+# formatted this many rows at a time, so that no list or string holds the table.
+_CHUNK_ROWS = 1024
 
 
 def _is_small(x):
@@ -163,13 +164,14 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     The headers are the names in ``_COLUMNS[spec.variable]`` and the table
     is one (points, columns) float64 array in that column order.  A phase
     sweep asks the oracle for all its (r, t) rows in one call, which groups
-    them by cutoff, whether r or t varies.  Each row evolves its state once,
-    to t: the energy integrand is constant in time, so the one-step trapezoid
+    them by cutoff, whether r or t varies.  Each row asks for one step, to t
+    alone: the energy integrand is constant in time, so the one-step trapezoid
     over [0, t] is exact up to rounding, as verify's
     ``dynamical-quadrature`` shows by holding 1, 7 and 200 steps to one
     value.  The oracle has validated every row's r and t by then, so the
-    closed-form columns come from ``phases._phase_row`` with sinh^2 r taken
-    once per distinct r; they stay scalar libm calls, bit for bit
+    closed-form columns come from ``phases._phase_row``, written into the
+    table _CHUNK_ROWS rows at a time with sinh^2 r taken once per distinct r
+    of a chunk; they stay scalar libm calls, bit for bit
     ``phases.geometric_phase``.
 
     Before that call, PrecisionExceededError refuses a table with a row
@@ -209,25 +211,28 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
         rs, fx["phi"], h, ts, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
         max_cutoff=max_cutoff, steps=1,
     )
-    r_list = rs.tolist()
-    sinh2 = {rv: math.sinh(rv) ** 2 for rv in set(r_list)}
-    closed = np.fromiter(
-        (phases._phase_row(sinh2[rv], h.Omega, t) for rv, t in zip(r_list, ts.tolist())),
-        dtype=_CLOSED_FORMS, count=grid.size,
-    )
-    columns = (
-        grid, closed["overlap"].real, closed["overlap"].imag, closed["total"],
-        closed["delta"], closed["gamma"], numeric, circle_distance(numeric, closed["gamma"]),
-    )
     # Allocated only now, so the table is not held while the oracle runs.
     table = np.empty((grid.size, len(headers)))
-    for j, column in enumerate(columns):
-        table[:, j] = column
-    if spec.variable == "r":
-        table[:, len(columns):] = [
-            (*phases.cyclic_geometric_phase(rv), phases.entropy_from_squeeze(rv))
-            for rv in r_list
-        ]
+    for start in range(0, grid.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        r_list = rs[rows].tolist()
+        sinh2 = {rv: math.sinh(rv) ** 2 for rv in set(r_list)}
+        closed = np.fromiter(
+            (phases._phase_row(sinh2[rv], h.Omega, t) for rv, t in zip(r_list, ts[rows].tolist())),
+            dtype=_CLOSED_FORMS, count=len(r_list),
+        )
+        columns = (
+            grid[rows], closed["overlap"].real, closed["overlap"].imag, closed["total"],
+            closed["delta"], closed["gamma"], numeric[rows],
+            circle_distance(numeric[rows], closed["gamma"]),
+        )
+        for j, column in enumerate(columns):
+            table[rows, j] = column
+        if spec.variable == "r":
+            table[rows, len(columns):] = [
+                (*phases.cyclic_geometric_phase(rv), phases.entropy_from_squeeze(rv))
+                for rv in r_list
+            ]
     return headers, table
 
 
@@ -243,7 +248,7 @@ def cmd_sweep(
     The table from ``sweep_rows`` is checked for non-finite values in one
     pass, which names the column of the first one in row-major order.
     ``--degrees`` scales each angle column of ``_COLUMNS`` while
-    formatting.  CSV is formatted and written _CSV_CHUNK_ROWS rows at a
+    formatting.  CSV is formatted and written _CHUNK_ROWS rows at a
     time, never as one string; JSON rows are objects of Python floats.
     """
     out = stream if stream is not None else sys.stdout
@@ -260,8 +265,8 @@ def cmd_sweep(
     scales = np.array([_DEG if degrees and angle else 1.0 for _, angle in _COLUMNS[spec.variable]])
     if fmt == "csv":
         out.write(",".join(headers) + "\n")
-        for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            out.write(_csv_lines(table[start : start + _CSV_CHUNK_ROWS], scales))
+        for start in range(0, len(table), _CHUNK_ROWS):
+            out.write(_csv_lines(table[start : start + _CHUNK_ROWS], scales))
     else:
         payload = {
             "spec": {

@@ -19,18 +19,20 @@ Two representations are used, chosen by what truncation does to them:
 
 Every quantity over time (overlap, energy integral, geometric phase) goes
 through one grid route over rows of (r, t), for one point or a whole
-``omega_t`` or ``r`` sweep.  Rows sharing a cutoff are evolved and
-integrated together in small blocks, each block forming its rows' Schmidt
-coefficients from the closed form below, with digits independent of the
-grid.  On |n>|n> the energies are linear in n, so the phases
-e^{-i tau (E_n + shift)} come from tables of about 2 sqrt(N) exponentials
-(:func:`_phases`).  A row evolves its state to each tau
-node of its energy quadrature, t being the last.  The integrand is
-constant in time, so the trapezoid over [0, t] is exact up to rounding at
-any step count (``verify``'s ``dynamical-quadrature`` holds 1, 7 and 200
-steps to one value), and a sweep asks for one step: each of its rows
-evolves its state once, to t.
-:func:`evolve` is the standalone per-state evolution it is checked against.
+``omega_t`` or ``r`` sweep.  Rows sharing a cutoff are evaluated together
+in small blocks, each block forming its rows' Schmidt coefficients from
+the closed form below, with digits independent of the grid.  On |n>|n>
+the energies are linear in n, so the phase e^{-i tau (E_n + shift)} is
+the product hi_q lo_p of two tables of about sqrt(N) exponentials each
+(:func:`_phases`), n = qP + p.  Evolution only multiplies c_n by that
+phase, so a row's overlap, norm and energy at each tau node of its
+quadrature, t being the last, are contractions of the two tables against
+tables of |c_n|^2 (:func:`_moments`), and no row forms its evolved state.
+The integrand is constant in time, so the trapezoid over [0, t] is exact
+up to rounding at any step count (``verify``'s ``dynamical-quadrature``
+holds 1, 7 and 200 steps to one value), and a sweep asks for one step.
+:func:`evolve` forms the evolved state literally, from the outer product
+of the same tables; it is what the contractions are checked against.
 
 Truncation error policy: the Schmidt coefficient of |n>|n> is
 (-e^{2i phi} tanh r)^n / cosh r, so every truncation error has a
@@ -65,8 +67,14 @@ FULL_SPACE_MAX_CUTOFF = 32
 #: Norm defect above which an exponentiated generator is considered broken.
 _EXPM_NORM_TOL = 1e-12
 
-# Evolved coefficients per block of grid rows: 65 one-step sweep rows at N = 377.
+# Rows per block of the grid oracle: as many as stand for this many evolved
+# coefficients, rows x steps x (N + 1), so 65 one-step sweep rows at N = 377.
+# A block's phase tables hold about 2 sqrt(N + 1) entries per row and tau.
 _BLOCK_ELEMENTS = 24576
+
+# Rows whose phases are reduced per list of Python floats, so that no such
+# list holds a whole grid: their objects would stay resident after the call.
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -353,27 +361,70 @@ def _energies(h: HamiltonianParams, N: int) -> np.ndarray:
 
 def _phases(
     energies: np.ndarray, taus: np.ndarray, shift: float, spare: np.ndarray | None = None,
-) -> np.ndarray:
-    """e^{-i tau (E_n + shift)} for each tau in ``taus``, shape taus.shape + (N + 1,).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tables hi = e^{-i tau E_{qP}} and lo = e^{-i tau (E_p + shift)} for each tau.
 
     ``energies`` is E_0 .. E_N of :func:`_energies`, linear in n since
-    epsilon cancels, so with P = isqrt(N) + 1 and n = qP + p the phase is
-    e^{-i tau E_{qP}} e^{-i tau (E_p + shift)}: an outer product of two
-    tables, P + ceil((N + 1) / P) exponentials per tau instead of N + 1.
-    The exponents round differently from the literal one, so a phase
-    differs from np.exp(-1j * (E_n + shift) * tau) by at most
-    5 eps (1 + tau (E_N + |shift|)).  The result is a view of the table,
-    which is written to the front of the flat complex ``spare`` when one is
-    given (at least taus.size * P * ceil((N + 1) / P) long).
+    epsilon cancels, so with P = isqrt(N) + 1, Q = ceil((N + 1) / P) and
+    n = qP + p the phase e^{-i tau (E_n + shift)} is hi_q lo_p: P + Q
+    exponentials per tau instead of N + 1.  hi has shape taus.shape + (Q,)
+    and lo taus.shape + (P,); the outer product of the two, cut to N + 1
+    entries, differs from np.exp(-1j * (E_n + shift) * tau) by at most
+    5 eps (1 + tau (E_N + |shift|)).  Both tables are written to the front
+    of the flat complex ``spare`` when one is given (at least
+    taus.size * (P + Q) long).
     """
     side = math.isqrt(energies.size - 1) + 1
     taus = taus[..., None]
-    hi = np.exp(-1j * energies[::side] * taus)
-    lo = np.exp(-1j * (energies[:side] + shift) * taus)
-    shape = (*hi.shape, side)
-    table = None if spare is None else spare[: math.prod(shape)].reshape(shape)
-    table = np.multiply(hi[..., :, None], lo[..., None, :], out=table)
-    return table.reshape(*taus.shape[:-1], -1)[..., : energies.size]
+    tables, used = [], 0
+    for exponents in (-1j * energies[::side], -1j * (energies[:side] + shift)):
+        out = None
+        if spare is not None:
+            size = taus.size * exponents.size
+            out = spare[used : used + size].reshape(*taus.shape[:-1], exponents.size)
+            used += size
+        tables.append(np.exp(np.multiply(exponents, taus, out=out), out=out))
+    hi, lo = tables
+    return hi, lo
+
+
+def _moments(
+    coeffs: np.ndarray, energies: np.ndarray, taus: np.ndarray, shift: float,
+    spare: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy, squared norm and overlap of each row of taus from the phase tables.
+
+    ``coeffs`` holds c_0 .. c_N: one state, shape (1, N + 1), for every row
+    of ``taus`` (rows, steps), or one per row.  A row's state at tau is
+    c_n e^{-i tau (E_n + shift)} = c_n hi_q lo_p (:func:`_phases`), and with
+    the (Q, P) tables W of |c_n|^2 and V of E_n |c_n|^2, zero past N,
+
+        <psi(0)|psi(tau)> = hi . (W lo),   |psi(tau)|^2 = |hi|^2 . (W |lo|^2),
+        <psi(tau)|H|psi(tau)> = |hi|^2 . (V |lo|^2) + shift,
+
+    so no row forms an (N + 1)-long phase or evolved row.  Returns, per row,
+    the energies at tau = 0 (the sum of V, as the phase there is exactly 1)
+    and at each tau, shape (rows, steps + 1), and the squared norm and the
+    overlap at the last tau.  Every product is a matrix product or a dot of
+    one row and tau, so a row's digits do not depend on the rows and taus
+    beside it.  ``spare`` is passed to :func:`_phases`.
+    """
+    hi, lo = _phases(energies, taus, shift, spare)
+    count, side = hi.shape[-1], lo.shape[-1]
+    moduli = np.zeros((2, coeffs.shape[0], count * side))
+    np.square(np.abs(coeffs), out=moduli[0, :, : energies.size])
+    np.multiply(energies, moduli[0, :, : energies.size], out=moduli[1, :, : energies.size])
+    weights, energy_weights = moduli.reshape(2, -1, count, side)
+    hi_sq, lo_sq = np.square(np.abs(hi)), np.square(np.abs(lo))
+    values = np.empty((taus.shape[0], taus.shape[1] + 1))
+    values[:, 0] = energy_weights.sum(axis=(-2, -1))
+    values[:, 1:] = (hi_sq[..., None, :] @ (energy_weights[:, None] @ lo_sq[..., None]))[..., 0, 0]
+    values += shift
+    norms = (hi_sq[:, -1, None, :] @ (weights @ lo_sq[:, -1, :, None]))[:, 0, 0]
+    # W lo as a real product with lo's real and imaginary parts side by side.
+    half = (weights @ lo[:, -1].view(np.float64).reshape(-1, side, 2)).view(np.complex128)
+    overlaps = (hi[:, -1, None, :] @ half)[:, 0, 0]
+    return values, norms, overlaps
 
 
 def evolve(
@@ -385,15 +436,17 @@ def evolve(
     """Evolve under H = Omega(n+ + n-) + epsilon(n+ - n-) + energy_shift.
 
     On |n>|n> both occupations equal n, so the energies are Omega(n+n) +
-    epsilon(n-n), and each coefficient takes the phase e^{-i [E_n + shift] t}
-    that :func:`_phases` forms from its square-root table; the phases are
-    formed first and then multiply the coefficients, as in the grid oracle.
+    epsilon(n-n), and each coefficient takes the phase e^{-i [E_n + shift] t},
+    formed as the outer product of the two tables of :func:`_phases` and
+    then multiplied in: the literal evolved state, which the grid oracle's
+    contractions (:func:`_moments`) are checked against.
     ``energy_shift`` adds a multiple of the identity, which is the gauge
     transformation the geometric phase must not see.
     """
     t = _require_finite("t", t)
     shift = _require_finite("energy_shift", energy_shift)
-    phases = _phases(_energies(h, state.cutoff), np.array(t), shift)
+    hi, lo = _phases(_energies(h, state.cutoff), np.array(t), shift)
+    phases = np.multiply.outer(hi, lo).reshape(-1)[: state.coeffs.size]
     return DiagonalFockState(state.coeffs * phases)
 
 
@@ -419,19 +472,20 @@ def _energy_integrals(
     Row i starts from c_n = (-e^{2i phi} tanh r)^n / cosh r, r = rs[i] and
     n = 0 .. cutoffs[i].  Returns, in grid order, each row's integral and
     overlap <psi(0)|psi(t)>.  Element for element, psi(0) is
-    ``schmidt_state(r, phi, N)``, psi(tau_k) is ``evolve(psi(0), h, tau_k,
-    shift)`` with psi(t) its last tau, the phases coming from the same
-    :func:`_phases` tables, and each value repeats the per-state reference
-    ``_expected_energy`` in ``tests/test_fock.py``; at tau = 0 the phase is
-    exactly 1, so that value is taken from psi(0).
+    ``schmidt_state(r, phi, N)``, and a row's energies at its taus and its
+    overlap at t are what :func:`_moments` gives for that state alone, the
+    contraction of the phase tables of ``evolve(psi(0), h, tau, shift)``
+    against |c_n|^2 tables.
 
     Rows that share a cutoff go through together, in grid order, as many as
-    fit in _BLOCK_ELEMENTS evolved coefficients (one at least).  A block
-    raises the bases -e^{2i phi} tanh r of its rows to the powers 0 .. N and
-    divides by cosh r; a block of one r extends the powers held for that r,
-    as cutoffs grow in plan order.  Reductions run along contiguous rows, so
-    each row adds in the order a lone row would.  Blocks run in plan order,
-    so the first block that fails raises.
+    _BLOCK_ELEMENTS allows (one at least).  A block raises the bases
+    -e^{2i phi} tanh r of its rows to the powers 0 .. N and divides by
+    cosh r, so its weight tables are built once per r: a block of one r
+    shares one pair and extends the powers held for that r, as cutoffs grow
+    in plan order, and a block of several r holds a pair per row.  Every
+    contraction is a call per row and tau, so each row adds in the order a
+    lone row would.  Blocks run in plan order, so the first block whose
+    norms are not finite or exceed 1 + 1e-12 raises.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -449,12 +503,12 @@ def _energy_integrals(
     overlaps = np.empty(ts.size, dtype=np.complex128)
     # Powers 0 .. held - 1 of the last lone r's base.
     row, held_base, held = np.empty(powers.size, dtype=np.complex128), None, 0
-    # One workspace for the call: a block has at most ``largest`` evolved
-    # coefficients and its phase table fewer than twice that.  Fresh arrays
-    # per block would fault their pages in again each time.
+    # One workspace for the call, which the phase tables of every block are
+    # carved from: a block stands for at most ``largest`` evolved
+    # coefficients, and its tables hold at most twice that.  Fresh arrays
+    # per block would stay resident in the heap after the call.
     largest = min(max(_BLOCK_ELEMENTS, steps * powers.size), ts.size * steps * powers.size)
-    table_spare = np.empty(2 * largest, dtype=np.complex128)
-    evolved_spare, weights_spare = np.empty(largest, dtype=np.complex128), np.empty(largest)
+    spare = np.empty(2 * largest, dtype=np.complex128)
     done = 0
     while done < order.size:
         N = int(cutoffs[order[done]])
@@ -474,27 +528,15 @@ def _energy_integrals(
             held = max(held, N + 1)
             initial = row[None, : N + 1]
         initial = initial / np.cosh(block_rs)[:, None]
-        block_energies = energies[: N + 1]
-        shape = (rows.size, steps, N + 1)
-        elements = math.prod(shape)
         # Overflowing input ends in the finite check below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            phases = _phases(block_energies, taus[rows, 1:], shift, table_spare)
-            evolved = np.multiply(
-                initial[:, None], phases, out=evolved_spare[:elements].reshape(shape)
+            values[rows], norms, overlaps[rows] = _moments(
+                initial, energies[: N + 1], taus[rows, 1:], shift, spare
             )
-            weights = np.abs(evolved, out=weights_spare[:elements].reshape(shape))
-            np.square(weights, out=weights)
-            norms = weights[:, -1].sum(axis=-1)
         if not np.isfinite(norms).all():
             raise ValueError("coefficients must be finite")
         if norms.max() > 1.0 + 1e-12:
             raise ValueError(f"state over-normalized: |psi|^2 = {norms.max()}")
-        values[rows, 0] = (block_energies * np.abs(initial) ** 2).sum(axis=-1) + shift
-        np.multiply(block_energies, weights, out=weights)
-        values[rows, 1:] = weights.sum(axis=-1) + shift
-        # Per row the same BLAS zdotc as np.vdot(initial, final), in one call.
-        overlaps[rows] = np.vecdot(initial, evolved[:, -1])
     # np.trapezoid's arithmetic, row by row.
     widths = taus[:, 1:] - taus[:, :-1]
     return (widths * (values[:, 1:] + values[:, :-1]) / 2.0).sum(axis=-1), overlaps
@@ -571,9 +613,12 @@ def geometric_phase_numeric(
         "phase", rs, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
         energy_shift=energy_shift, steps=steps,
     )
-    gammas = [_reduce_angle(math.atan2(overlap.imag, overlap.real) + delta)
-              for delta, overlap in zip(deltas.tolist(), overlaps.tolist())]
-    return gammas[0] if scalar else np.array(gammas)
+    gammas = np.empty(ts.size)
+    for start in range(0, ts.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        gammas[rows] = [_reduce_angle(math.atan2(overlap.imag, overlap.real) + delta)
+                        for delta, overlap in zip(deltas[rows].tolist(), overlaps[rows].tolist())]
+    return float(gammas[0]) if scalar else gammas
 
 
 def entropy_numeric(state: DiagonalFockState) -> float:

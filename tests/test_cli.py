@@ -20,7 +20,7 @@ from tmsvphase import cli, errors, fock, phases, su11
 from tmsvphase.cli import SweepSpec, cmd_decompose, cmd_sweep, format_number, main
 from tmsvphase.phases import TAU
 from tmsvphase.su11 import SqueezeParams
-from test_fock import _eigh_squeeze
+from test_fock import _eigh_squeeze, _phase_table
 
 ENTROPY_FIG1_END = 0.9547712524422192
 GAMMA_CYCLE_REDUCED = 4.789016767412264
@@ -213,18 +213,22 @@ class TestSweepJson:
 
 
 class TestSweepGoldenBytes:
-    """sha256 of sweep stdout, recorded once the oracle's phases came from square-root tables.
+    """sha256 of sweep stdout, recorded once the oracle contracted its phase tables.
 
     Every printed digit depends on the last bit of each oracle row, so the
     grid evaluation must reproduce the per-point arithmetic exactly.  The
     digests were re-recorded when the sweep's energy quadrature went from
     four trapezoid steps to one (each moved cell within 0.88 cond eps of
-    its row), and again when ``fock._phases`` replaced one exponential per
-    coefficient by the outer product of two tables: against the literal
-    exponentials only ``gamma_numeric`` and ``abs_error`` cells moved, each
-    ``gamma_numeric`` by at most 0.36 cond eps (omega_t), 0.16 (r), 0.21
-    (r-wide) and 0.38 (r-dense), and every table kept its largest
-    ``abs_error`` to the bit.  Recorded with numpy 2.4 on x86-64 Linux.
+    its row), when ``fock._phases`` replaced one exponential per
+    coefficient by the outer product of two tables (each moved
+    ``gamma_numeric`` within 0.38 cond eps), and again when
+    ``fock._moments`` contracted the two tables against tables of |c_n|^2
+    instead of forming evolved rows: only ``gamma_numeric`` and
+    ``abs_error`` cells moved, each ``gamma_numeric`` by at most 0.35 cond
+    eps (omega_t, 161/500 cells), 0.54 (r, 28/50), 0.57 (r-wide, 128/200)
+    and 0.92 (r-dense, 6340/10^4), and only r-wide's largest ``abs_error``
+    moved (9.689813396e-10 to 9.690097613e-10).  Recorded with numpy 2.4
+    on x86-64 Linux.
     """
 
     OMEGA_T = ["sweep", "--variable", "omega_t", "--start", "0",
@@ -241,22 +245,31 @@ class TestSweepGoldenBytes:
                "--points", "10000"]
 
     @pytest.mark.parametrize("argv,digest", [
-        (OMEGA_T, "1ec4a9e21bf2e9982e28e7a6aaa5945a18a3a2da565d2ac3c11d5e93bef257ce"),
+        (OMEGA_T, "8072494f4262d66cf6718a098d25b445a5b8e4cb40fed27537e7a84c8b4037d4"),
         (OMEGA_T + ["--format", "json"],
-         "a73f17fcbd4c5f7a12e46a0aee4e6411976da40e278dddc80f743406d3504d8c"),
-        (R, "d26470fee66620a0f0bbb774f666536f8d22cbafb1830827e43479e54c01747d"),
+         "ffe552f368eb4822dc2189f5fdc24dd83010753aec2c685305f4a9b175fe97b7"),
+        (R, "60a3a5478f91369051fdb419f420cb0a90f9d47691eeb0530c801b07fdf71e80"),
         (OMEGA_T + ["--degrees"],
-         "a9a16ccdcdc579105b081613cf43c30d0168ed38d31f509cafadaaef650be98c"),
+         "695eaf587dd5da8b4de9b62481f8eead174e0136b651124cb0d0243b025d1b6d"),
         (R + ["--format", "json"],
-         "ae74d93ac9ba5e2c122b6d2d128be1f334c90b898b0b0e022ff46a373ed8b636"),
-        (R_WIDE, "63a48dff00ba016b83d28d633562414011ce7599b427d0e78c21e5fa741f2a39"),
-        (R_DENSE, "db6eea4e7046a054c8612ad225444bdad437e87e42d6529f97c1204451b05ef8"),
+         "e77702c9a646d37ec07bd7774c0a484958b556ff11631408618e783cc476f44f"),
+        (R_WIDE, "670366e50eec95917cf6381e93a37822807ea3160f818c7e6105cae05f95c951"),
+        (R_DENSE, "8fad53b5031ba792b6a151816dda9b1b838066ef6a40e80229ecd8fc1cd7b0dd"),
     ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json", "r-wide",
             "r-dense"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_block_size_moves_no_byte(self, capsys, monkeypatch):
+        # A row's contractions are calls of their own, so one-row blocks
+        # print what the default blocks of 65 rows at N = 377 print.
+        assert main(self.OMEGA_T) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
+        assert main(self.OMEGA_T) == 0
+        assert capsys.readouterr().out == default
 
 
 class TestSweepTable:
@@ -291,7 +304,7 @@ class TestSweepTable:
     ], ids=["omega_t", "r"])
     @pytest.mark.parametrize("degrees", [False, True], ids=["radians", "degrees"])
     def test_multi_chunk_table_prints_format_number_cells(self, spec, degrees, monkeypatch):
-        assert spec.points > cli._CSV_CHUNK_ROWS
+        assert spec.points > cli._CHUNK_ROWS
         real, tables = cli.sweep_rows, []
 
         def recording(*args):
@@ -307,23 +320,52 @@ class TestSweepTable:
         assert out.getvalue() == want
 
 
+def _evolved_rows(phase_table):
+    """A ``fock._moments`` that runs the kernel the grid ran before it
+    contracted tables: evolved rows c_n phase_n, with the phases of
+    ``phase_table(energies, taus, shift)``, their |.|^2 summed along each
+    row, and np.vecdot for the overlap."""
+    def moments(coeffs, energies, taus, shift, spare=None):
+        evolved = coeffs[:, None] * phase_table(energies, taus, shift)
+        weights = np.abs(evolved) ** 2
+        values = np.empty((taus.shape[0], taus.shape[1] + 1))
+        values[:, 0] = (energies * np.abs(coeffs) ** 2).sum(axis=-1) + shift
+        values[:, 1:] = (energies * weights).sum(axis=-1) + shift
+        return values, weights[:, -1].sum(axis=-1), np.vecdot(coeffs, evolved[:, -1])
+
+    return moments
+
+
+def _literal_exponentials(energies, taus, shift):
+    return np.exp(-1j * (energies + shift) * taus[..., None])
+
+
 def _literal_phases(monkeypatch):
-    """Swap the literal exponentials back in for the oracle's phase helpers:
-    np.exp(-1j * (E + shift) * tau) for ``fock._phases`` and
-    np.exp(-1j * angle * k) for ``fock._unit_powers``."""
-    monkeypatch.setattr(fock, "_phases", lambda energies, taus, shift, spare=None: np.exp(
-        -1j * (energies + shift) * taus[..., None]))
+    """Swap the literal exponentials back in for the oracle's phase helpers.
+
+    ``fock._phases`` gives np.exp(-1j * (E + shift) * tau) as its hi table
+    with a lo table of ones, so ``evolve``'s outer product is that row; the
+    grid's ``fock._moments`` forms evolved rows from the same exponentials
+    (``_evolved_rows``); and ``fock._unit_powers`` gives
+    np.exp(-1j * angle * k).
+    """
+    monkeypatch.setattr(fock, "_phases", lambda energies, taus, shift, spare=None: (
+        _literal_exponentials(energies, taus, shift), np.ones((*taus.shape, 1))))
+    monkeypatch.setattr(fock, "_moments", _evolved_rows(_literal_exponentials))
     monkeypatch.setattr(fock, "_unit_powers", lambda angle, counts: np.exp(-1j * angle * counts))
 
 
 class TestVerifyGoldenBytes:
-    """sha256 of verify stdout, pinned three times.
+    """sha256 of verify stdout, pinned four times.
 
-    ``test_digest`` holds verify as it runs.  The other two hold older
-    bytes with the older routes swapped back in, so every line those routes
-    do not reach must still print them.  Both run with the literal
-    exponentials of ``_literal_phases``: ``test_svd_digest`` holds the
-    bytes recorded while each phase was one exponential, and
+    ``test_contraction_digest`` holds verify as it runs.  The other three
+    hold older bytes with the older routes swapped back in, so every line
+    those routes do not reach must still print them.  ``test_digest`` holds
+    the bytes of the square-root phase tables while the grid still formed
+    evolved rows from their outer product (``_evolved_rows``).  The other
+    two run with the literal exponentials of ``_literal_phases``:
+    ``test_svd_digest`` holds the bytes recorded while each phase was one
+    exponential, and
     ``test_stdout_digest`` also swaps back the dense eigh of the whole
     tridiagonal generator that exponentiation-agreement's squeeze
     exponential was before it became one SVD of the even-to-odd block.
@@ -333,7 +375,14 @@ class TestVerifyGoldenBytes:
     geometric-phase-agreement 9.93750859379e-10 to 9.93757964807e-10,
     evolution-reparameterization 9.29678432876e-15 to 8.05845509126e-15,
     rotation-conjugation 5.10358185595e-15 to 5.08975858709e-15 and
-    cyclic-total-phase 7.18869408452e-15 to 1.11924358671e-14.  The worst
+    cyclic-total-phase 7.18869408452e-15 to 1.11924358671e-14.  Contracting
+    the tables against |c_n|^2 tables (``fock._moments``) moved three worst
+    values, the same for every seed: geometric-phase-agreement back to
+    9.93750859379e-10, dynamical-quadrature 9.91118298543e-12 to
+    9.91207116385e-12 and cyclic-total-phase to 1.11993155728e-14;
+    gauge-invariance kept its worst, with its argmax at shift -2.0, not 5.0.
+    ``_literal_phases`` swaps the evolved-row kernel back in for the
+    contraction, so the two older digests hold unchanged.  The worst
     values carry 12 significant digits, so these pin the oracle's overlaps
     and integrals to the bit.  Recorded with numpy 2.4 on x86-64 Linux, on
     one CPU and on two, with OPENBLAS_NUM_THREADS 1 and 2.
@@ -355,7 +404,21 @@ class TestVerifyGoldenBytes:
         (6, "469d9e314717993168f90c58979116a29d1ff322a457669396a16cab20c5c128"),
         (7, "a03b13b3379ceee51d44607e356d75f333e672b2eccf5c2eb22eddd77e67972a"),
     ])
-    def test_digest(self, seed, digest, capsys):
+    def test_digest(self, seed, digest, capsys, monkeypatch):
+        monkeypatch.setattr(fock, "_moments", _evolved_rows(_phase_table))
+        assert self.digest(seed, capsys) == digest
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "fea47ae9640a756b3ed2b52fcc445217de55a71ea97ef0dc8c0f5bf070240d62"),
+        (1, "a5c7c3b5a87bc5731311e202d789e3a28430c9c3c1060545e0e71f8b4ba62233"),
+        (2, "ec4b8c67d58837f4580076bace009bfb96f0a24323bcb6ea039ccf5aced3a67a"),
+        (3, "b4062ed687437f2803ced62c10897fbeb80339d1d3ad87df1c52033f0ea30e2e"),
+        (4, "175151af56474d47b51d64b4d3b3977a85b450c196fef102d44f6359b582f469"),
+        (5, "713ebb57b802f9771f9deb8192c2d0314a52cb55433af5d76da0dfa175018aff"),
+        (6, "6244f7638efa243cebb3bf467831a67ae609dbf9944604ebac789a6e94c10c18"),
+        (7, "032a935c380564158df3e0d217a2443098b9f91c71ce88db574f261a1e1ea4c9"),
+    ])
+    def test_contraction_digest(self, seed, digest, capsys):
         assert self.digest(seed, capsys) == digest
 
     @pytest.mark.parametrize("seed,digest", [
@@ -419,7 +482,13 @@ class TestVerifyMutants:
         ("_phases", "energies[::side]", "energies[:: side - 1]", "overlap-agreement"),
         # A lo table without the shift drops the gauge from the overlap alone.
         ("_phases", "(energies[:side] + shift)", "energies[:side]", "gauge-invariance"),
-    ], ids=["hi-table-stride", "lo-table-unshifted"])
+        # |c_n|^2 laid out p-major, n = pQ + q, meets hi_q lo_p at the wrong n.
+        ("_moments", "moduli.reshape(2, -1, count, side)",
+         "moduli.reshape(2, -1, side, count).swapaxes(-1, -2)", "overlap-agreement"),
+        # An energy table of |c_n|^2 alone integrates the norm, not <H>.
+        ("_moments", "np.multiply(energies, moduli[0", "np.multiply(1.0, moduli[0",
+         "dynamical-quadrature"),
+    ], ids=["hi-table-stride", "lo-table-unshifted", "weights-p-major", "energy-table-no-E"])
     def test_fault_fails_its_check(self, name, old, new, check, capsys, monkeypatch):
         monkeypatch.setattr(fock, name, _mutant(getattr(fock, name), old, new))
         assert main(["verify"]) == 1

@@ -403,8 +403,16 @@ class TestEvolve:
         )
 
 
+def _phase_table(energies, taus, shift):
+    """e^{-i tau (E_n + shift)} as ``evolve`` forms it: the outer product of
+    the two tables of ``fock._phases``, cut to N + 1 entries."""
+    hi, lo = fock._phases(energies, taus, shift)
+    table = hi[..., :, None] * lo[..., None, :]
+    return table.reshape(*hi.shape[:-1], -1)[..., : energies.size]
+
+
 class TestPhases:
-    """``fock._phases``, the square-root table every evolution takes its phases from."""
+    """``fock._phases``, the square-root tables every evolution takes its phases from."""
 
     @settings(deadline=None, max_examples=80)
     @given(
@@ -424,7 +432,7 @@ class TestPhases:
         # Over 300 random draws the largest ratio to eps (1 + tau (E_N + |s|))
         # was 1.74.
         energies = fock._energies(HamiltonianParams(omega, 0.3 * omega), N)
-        got = fock._phases(energies, np.array(tau), shift)
+        got = _phase_table(energies, np.array(tau), shift)
         want = np.exp(-1j * (energies + shift) * tau)
         bound = 5 * np.finfo(float).eps * (1.0 + tau * (energies[-1] + abs(shift)))
         assert got.shape == want.shape
@@ -433,10 +441,65 @@ class TestPhases:
     def test_shape_follows_the_taus(self):
         energies = fock._energies(H_UNIT, 10)
         taus = np.linspace(0.0, 1.0, 6).reshape(2, 3)
-        got = fock._phases(energies, taus, 0.7)
+        hi, lo = fock._phases(energies, taus, 0.7)
+        assert (hi.shape, lo.shape) == ((2, 3, 3), (2, 3, 4))
+        got = _phase_table(energies, taus, 0.7)
         assert got.shape == (2, 3, 11)
         for index in np.ndindex(taus.shape):
-            assert got[index].tolist() == fock._phases(energies, taus[index], 0.7).tolist()
+            assert got[index].tolist() == _phase_table(energies, taus[index], 0.7).tolist()
+        state = DiagonalFockState(np.full(11, 0.3))
+        assert evolve(state, H_UNIT, 0.9, 0.7).coeffs.tolist() == (
+            state.coeffs * _phase_table(energies, np.array(0.9), 0.7)
+        ).tolist()
+
+
+class TestMoments:
+    """``fock._moments``, the contraction of the phase tables against |c_n|^2 tables."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        N=st.integers(0, 4096),
+        tau=st.floats(0.0, 20 * math.pi),
+        shift=st.sampled_from([0.0, -2.3, 5.0]),
+        omega=st.floats(0.5, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(N=0, tau=1.0, shift=5.0, omega=1.0, seed=0)
+    @example(N=4096, tau=20 * math.pi, shift=5.0, omega=2.0, seed=1)
+    def test_matches_literal_evolution(self, N, tau, shift, omega, seed):
+        # Both routes sum |c_n|^2 phi_n, phi_n = hi_q lo_p, in two orders.
+        # With u = eps / 2, the literal overlap rounds phi_n and c_n phi_n
+        # (sqrt(5) u each, complex products) and adds N + 1 complex terms
+        # (sqrt(2) gamma_{N+3}, Higham's bound for a complex inner product);
+        # the contraction rounds |c_n|^2 (5 u: hypot, then the square), adds
+        # P real-times-complex terms per q (sqrt(2) gamma_P) and Q complex
+        # terms (sqrt(2) gamma_{Q+2}).  As |hi|, |lo| <= 1 + 2 u and
+        # P + Q <= N + 2, the two differ by at most
+        # (2 sqrt(5) + 5 + sqrt(2) (2N + 7)) u <= 10 (N + 1) eps sum |c_n|^2.
+        # An energy sums E_n |c_n|^2 |phi_n|^2 >= 0: the literal route rounds
+        # c_n phi_n as above, its modulus and square and the product with
+        # E_n ((4 sqrt(5) + 6) u), then adds N + 1 terms (gamma_N); the
+        # contraction rounds |c_n|^2, E_n |c_n|^2, |lo_p|^2, |hi_q|^2 and two
+        # products (18 u), then adds P and Q terms.  So they differ by at
+        # most (4 sqrt(5) + 24 + 2N) u <= 17 (N + 1) eps sum E_n |c_n|^2, the
+        # norms (E_n = 1) likewise, and adding the shift costs each route
+        # u |E + shift|.  Over 400 random draws, N in [0, 4096], the largest
+        # gaps were 1.5 (overlap), 2.0 (norm) and 1.2 (energy) (N + 1) eps
+        # times the sum, all at N <= 1.
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+        state = DiagonalFockState(coeffs / (np.linalg.norm(coeffs) * (1.0 + 1e-15)))
+        h = HamiltonianParams(omega, 0.3 * omega)
+        energies = fock._energies(h, N)
+        evolved = evolve(state, h, tau, shift).coeffs
+        values, norm, overlap = _state_moments(state, h, [tau], shift)
+        eps, mass = np.finfo(float).eps, np.abs(state.coeffs) ** 2
+        energy, evolved_energy = (float(np.sum(energies * m)) for m in (mass, abs(evolved) ** 2))
+        slack = 17 * (N + 1) * eps * energy
+        assert abs(overlap - np.vdot(state.coeffs, evolved)) <= 10 * (N + 1) * eps * mass.sum()
+        assert abs(norm - np.sum(abs(evolved) ** 2)) <= 17 * (N + 1) * eps * mass.sum()
+        assert abs(values[0] - (energy + shift)) <= slack + eps * abs(energy + shift)
+        assert abs(values[1] - (evolved_energy + shift)) <= slack + eps * abs(evolved_energy + shift)
 
 
 def _grid_overlaps(r, phi, N, ts):
@@ -478,12 +541,12 @@ class TestOverlapNumeric:
 
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 7, 64, 655, 4095])
     def test_block_overlaps_equal_per_row_vdot(self, N):
-        # A block takes its rows' overlaps in one np.vecdot, which calls the
-        # same BLAS zdotc per row as np.vdot.  40 rows fill one block up to
-        # N = 655 and seven blocks at N = 4095.
+        # A block contracts its rows' tables by one matrix product and one
+        # dot per row, as the per-state helper does for a lone row.  40 rows
+        # fill one block up to N = 655 and seven blocks at N = 4095.
         state = schmidt_state(1.5, 0.4, N)
         ts = np.linspace(0.0, 2.0 * TAU, 40)
-        want = [np.vdot(state.coeffs, evolve(state, H_UNIT, t).coeffs) for t in ts.tolist()]
+        want = [_state_moments(state, H_UNIT, [t], 0.0)[2] for t in ts.tolist()]
         assert np.array(_grid_overlaps(1.5, 0.4, N, ts)).tobytes() == np.array(want).tobytes()
 
     def test_cyclic_overlap_equals_squared_norm(self):
@@ -541,33 +604,40 @@ def _expected_energy(state, h, shift=0.0):
     return float(np.sum(energies * np.abs(state.coeffs) ** 2)) + shift
 
 
-def _energy_integral_by_loop(initial, h, t, steps, shift):
-    """Reference for the array trapezoid: one evolved state per tau."""
-    taus = np.linspace(0.0, t, steps + 1)
-    values = np.array(
-        [_expected_energy(evolve(initial, h, tau, shift), h, shift) for tau in taus]
+def _state_moments(state, h, taus, shift):
+    """``fock._moments`` of one state at ``taus`` (tau_1 ..): its energies at
+    0 and each tau, and its squared norm and overlap at the last tau.
+
+    It is the helper the grid contracts each block with, so a grid row must
+    repeat it bit for bit; ``TestMoments`` holds it to the literal
+    np.vdot(c, evolve(c)) and sum E |evolve(c)|^2.
+    """
+    values, norms, overlaps = fock._moments(
+        state.coeffs[None], fock._energies(h, state.cutoff), np.array([taus], dtype=float), shift
     )
+    return values[0], float(norms[0]), complex(overlaps[0])
+
+
+def _energy_integral_by_loop(initial, h, t, steps, shift):
+    """Reference for the array trapezoid: one helper call per tau."""
+    taus = np.linspace(0.0, t, steps + 1)
+    calls = [_state_moments(initial, h, [tau], shift)[0] for tau in taus[1:]]
+    values = [calls[0][0]] + [values[-1] for values in calls]
     return float(np.trapezoid(values, taus))
 
 
 def _energy_integral_per_point(initial, h, t, steps, shift):
-    """Reference for the grid quadrature: one point's (steps+1) x (N+1) block.
-
-    Its phases are ``fock._phases``, as ``evolve`` forms them; the helper is
-    held to the literal np.exp(-1j * (E + shift) * tau) in ``TestPhases``.
-    """
+    """Reference for the grid quadrature: one point's taus in one helper call."""
     taus = np.linspace(0.0, t, steps + 1)
-    energies = fock._energies(h, initial.cutoff)
-    evolved = initial.coeffs * fock._phases(energies, taus, shift)
-    values = np.sum(energies * np.abs(evolved) ** 2, axis=1) + shift
+    values, _, _ = _state_moments(initial, h, taus[1:], shift)
     return float(np.trapezoid(values, taus))
 
 
 def _geometric_phase_per_point(r, phi, h, t, accuracy, shift, steps):
-    """Reference for the grid oracle: its own cutoff, state and evolved state."""
+    """Reference for the grid oracle: its own cutoff, state and helper calls."""
     N = cutoff_for("phase", r, accuracy, t=h.Omega * t)
     initial = schmidt_state(r, phi, N)
-    overlap = _inner_product(initial, evolve(initial, h, t, shift))
+    _, _, overlap = _state_moments(initial, h, [t], shift)
     total = math.atan2(overlap.imag, overlap.real)
     delta = _energy_integral_per_point(initial, h, t, steps, shift)
     gamma = (total + delta) % (2.0 * math.pi)
@@ -761,7 +831,7 @@ class TestEvolution:
         assert cutoffs == [cutoff_for(observable, 1.2, 1e-9, t=h.Omega * t) for t in ts]
         for t, N, overlap in zip(ts, cutoffs, overlaps):
             initial = schmidt_state(1.2, 0.3, N)
-            assert overlap == _inner_product(initial, evolve(initial, h, t, 0.7))
+            assert overlap == _state_moments(initial, h, [t], 0.7)[2]
         # The last tau is t itself, so the step count cannot move an overlap.
         _, finer, _ = fock._evolution(observable, 1.2, 0.3, h, ts, steps=16, **route)
         assert finer.tolist() == overlaps.tolist()
