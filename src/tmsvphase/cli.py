@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -81,8 +80,8 @@ def format_number(x: float) -> str:
 def _csv_lines(rows: np.ndarray, scales: np.ndarray) -> str:
     """CSV lines of the finite ``rows * scales``, each cell as format_number prints it.
 
-    Rows whose cells fall in the same _FORMATS classes share one format
-    string, and each row is one ``%``.
+    Rows whose cells fall in the same _FORMATS classes share one row format,
+    and the row formats, joined in row order, take all the cells in one ``%``.
     """
     cells = rows * scales + 0.0  # -0.0 becomes 0.0, as in format_number
     keys = (_is_small(cells) @ (1 << np.arange(cells.shape[1]))).tolist()
@@ -90,7 +89,7 @@ def _csv_lines(rows: np.ndarray, scales: np.ndarray) -> str:
         key: ",".join(_FORMATS[key >> j & 1] for j in range(cells.shape[1])) + "\n"
         for key in set(keys)
     }
-    return "".join([formats[key] % tuple(row) for key, row in zip(keys, cells.tolist())])
+    return "".join([formats[key] for key in keys]) % tuple(cells.ravel().tolist())
 
 
 def circle_distance(a: float, b: float) -> float:
@@ -164,7 +163,9 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     The headers are the names in ``_COLUMNS[spec.variable]`` and the table
     is one (points, columns) float64 array in that column order.  A phase
     sweep asks the oracle for all its (r, t) rows in one call, which groups
-    them by cutoff, whether r or t varies.  Each row asks for one step, to t
+    them by cutoff, whether r or t varies, into blocks of as many rows as
+    hold ``fock._BLOCK_ELEMENTS`` phase-table entries (614 rows at N = 399,
+    fewer when the rows differ in r).  Each row asks for one step, to t
     alone: the energy integrand is constant in time, so the one-step trapezoid
     over [0, t] is exact up to rounding, as verify's
     ``dynamical-quadrature`` shows by holding 1, 7 and 200 steps to one
@@ -268,6 +269,8 @@ def cmd_sweep(
         for start in range(0, len(table), _CHUNK_ROWS):
             out.write(_csv_lines(table[start : start + _CHUNK_ROWS], scales))
     else:
+        import json  # here alone: verify and CSV sweeps skip its import
+
         payload = {
             "spec": {
                 "variable": spec.variable,

@@ -20,8 +20,9 @@ Two representations are used, chosen by what truncation does to them:
 Every quantity over time (overlap, energy integral, geometric phase) goes
 through one grid route over rows of (r, t), for one point or a whole
 ``omega_t`` or ``r`` sweep.  Rows sharing a cutoff are evaluated together
-in small blocks, each block forming its rows' Schmidt coefficients from
-the closed form below, with digits independent of the grid.  On |n>|n>
+in blocks sized by the table entries each row holds (:func:`_row_entries`),
+each block forming its rows' Schmidt coefficients from the closed form
+below, with digits independent of the grid.  On |n>|n>
 the energies are linear in n, so the phase e^{-i tau (E_n + shift)} is
 the product hi_q lo_p of two tables of about sqrt(N) exponentials each
 (:func:`_phases`), n = qP + p.  Evolution only multiplies c_n by that
@@ -50,7 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,9 +68,10 @@ FULL_SPACE_MAX_CUTOFF = 32
 #: Norm defect above which an exponentiated generator is considered broken.
 _EXPM_NORM_TOL = 1e-12
 
-# Rows per block of the grid oracle: as many as stand for this many evolved
-# coefficients, rows x steps x (N + 1), so 65 one-step sweep rows at N = 377.
-# A block's phase tables hold about 2 sqrt(N + 1) entries per row and tau.
+# Rows per block of the grid oracle: as many as hold this many entries
+# (:func:`_row_entries`), steps x (P + Q) phase-table entries per row, so 630
+# one-step sweep rows at N = 377, and in a block of several r also a power row
+# and two (Q, P) weight tables per row, so 20 rows of one step at N = 377.
 _BLOCK_ELEMENTS = 24576
 
 # Rows whose phases are reduced per list of Python floats, so that no such
@@ -179,7 +181,8 @@ def cutoff_for(
         If the cutoff would exceed ``max_cutoff``, or if tanh r rounds to 1
         so that no finite cutoff drops a vanishing mass.
     """
-    return _cutoffs(observable, [(r, t)], accuracy, max_cutoff)[0]
+    r_row, t_row = np.array([float(r)]), np.array([float(t)])
+    return _cutoffs(observable, r_row, t_row, accuracy, max_cutoff)[0]
 
 
 _OBSERVABLES = ("mass", "energy", "phase", "entropy", "expm")
@@ -218,16 +221,19 @@ def _tail(observable: str, r: float) -> Callable[[int], tuple[float, float]]:
 
 
 def _cutoffs(
-    observable: str, pairs: Iterable[tuple[float, float]], accuracy: float, max_cutoff: int
+    observable: str, rs: np.ndarray, wts: np.ndarray, accuracy: float, max_cutoff: int
 ) -> list[int]:
-    """:func:`cutoff_for` at each (r, Omega t) in ``pairs``.
+    """:func:`cutoff_for` at each row (rs[i], Omega t = wts[i]) of two 1-D float arrays.
 
     The tail is rebuilt only when r changes.  A row keeps the previous
     row's N while that is still the smallest, tail(N) <= accuracy <
     tail(N - 1); otherwise it bisects.  The (slope, intercept) pairs of N
     and N - 1 are held while N and r stay, so a grid sorted in Omega t costs
     two multiply-adds per row between cutoff changes, and one sorted in r
-    two tails per row.
+    two tails per row.  Rows go through _CHUNK_ROWS at a time, each chunk's
+    |Omega t| checked finite in one pass, so no Python list holds the grid;
+    a row that is not finite raises after the rows before it, as it would
+    alone.
     """
     if not (0.0 < accuracy < 1.0):
         raise ValueError(f"accuracy must lie in (0, 1), got {accuracy}")
@@ -246,34 +252,48 @@ def _cutoffs(
 
     cutoffs = []
     N, last = -1, None
-    for r, wt in pairs:
-        if r != last:
-            last, r_abs = r, abs(check_squeeze_factor(r))
-            if math.tanh(r_abs) == 1.0:
-                raise CutoffExceededError(f"tanh r rounds to 1 at r={r_abs}: no cutoff is enough")
-            line = _tail(observable, r_abs) if r_abs > 0.0 else None
-            held = bracket(N) if line is not None and N >= 0 else None
-        wt = abs(_require_finite("t", wt))
-        if line is None:
-            N = 0
-        else:
-            if held is None or not held[0] * wt + held[1] <= accuracy < held[2] * wt + held[3]:
-                if tail(max_cutoff, wt) > accuracy:
-                    raise CutoffExceededError(
-                        f"{observable} to {accuracy:g} at r={r_abs}, Omega t={wt:g} needs a "
-                        f"cutoff above max_cutoff={max_cutoff}"
-                    )
-                # Bisection keeps tail(lo) > accuracy >= tail(hi), with tail(-1) > accuracy.
-                lo, N = -1, max_cutoff
-                while N - lo > 1:
-                    mid = (lo + N) // 2
-                    if tail(mid, wt) <= accuracy:
-                        N = mid
-                    else:
-                        lo = mid
-                held = bracket(N)
-        cutoffs.append(N)
+    for start in range(0, wts.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        chunk = np.abs(wts[rows])
+        bad = np.flatnonzero(~np.isfinite(chunk))
+        for r, wt in zip(rs[rows].tolist(), chunk[: bad[0] if bad.size else None].tolist()):
+            if r != last:
+                last, r_abs = r, _squeeze_magnitude(r)
+                line = _tail(observable, r_abs) if r_abs > 0.0 else None
+                held = bracket(N) if line is not None and N >= 0 else None
+            if line is None:
+                N = 0
+            else:
+                if held is None or not held[0] * wt + held[1] <= accuracy < held[2] * wt + held[3]:
+                    if tail(max_cutoff, wt) > accuracy:
+                        raise CutoffExceededError(
+                            f"{observable} to {accuracy:g} at r={r_abs}, Omega t={wt:g} needs a "
+                            f"cutoff above max_cutoff={max_cutoff}"
+                        )
+                    # Bisection keeps tail(lo) > accuracy >= tail(hi), with tail(-1) > accuracy.
+                    lo, N = -1, max_cutoff
+                    while N - lo > 1:
+                        mid = (lo + N) // 2
+                        if tail(mid, wt) <= accuracy:
+                            N = mid
+                        else:
+                            lo = mid
+                    held = bracket(N)
+            cutoffs.append(N)
+        if bad.size:
+            # That row's r is checked first, as in the loop; its Omega t then raises.
+            if rs[start + bad[0]] != last:
+                _squeeze_magnitude(float(rs[start + bad[0]]))
+            _require_finite("t", wts[start + bad[0]])
     return cutoffs
+
+
+def _squeeze_magnitude(r: float) -> float:
+    """|r| of a valid squeeze factor r; CutoffExceededError if tanh |r| rounds to 1."""
+    r_abs = abs(check_squeeze_factor(r))
+    if math.tanh(r_abs) == 1.0:
+        raise CutoffExceededError(f"tanh r rounds to 1 at r={r_abs}: no cutoff is enough")
+    return r_abs
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +379,35 @@ def _energies(h: HamiltonianParams, N: int) -> np.ndarray:
     return h.Omega * (n + n) + h.epsilon * (n - n)
 
 
+def _sides(N: int) -> tuple[int, int]:
+    """P = isqrt(N) + 1 and Q = ceil((N + 1) / P): the lo and hi table lengths at cutoff N."""
+    side = math.isqrt(N) + 1
+    return side, -(-(N + 1) // side)
+
+
+def _row_entries(N: int, steps: int, several: bool) -> int:
+    """Entries one row of a grid-oracle block at cutoff N holds.
+
+    steps x (P + Q) phase-table entries (:func:`_sides`), and in a block
+    of several r also its power row, N + 1 long, and its two (Q, P) weight
+    tables; a block of one r shares those.
+    """
+    side, count = _sides(N)
+    return steps * (side + count) + (N + 1 + 2 * count * side if several else 0)
+
+
+def _carve(
+    spare: np.ndarray | None, shape: tuple[int, ...], dtype: type = np.float64,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """An uninitialised array of ``shape`` from the front of the flat float64
+    ``spare``, and the rest of ``spare``; a fresh array, and ``spare`` as it
+    was, when ``spare`` is None or too short."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize // 8
+    if spare is None or size > spare.size:
+        return np.empty(shape, dtype), spare
+    return spare[:size].view(dtype).reshape(shape), spare[size:]
+
+
 def _phases(
     energies: np.ndarray, taus: np.ndarray, shift: float, spare: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -370,19 +419,14 @@ def _phases(
     exponentials per tau instead of N + 1.  hi has shape taus.shape + (Q,)
     and lo taus.shape + (P,); the outer product of the two, cut to N + 1
     entries, differs from np.exp(-1j * (E_n + shift) * tau) by at most
-    5 eps (1 + tau (E_N + |shift|)).  Both tables are written to the front
-    of the flat complex ``spare`` when one is given (at least
-    taus.size * (P + Q) long).
+    5 eps (1 + tau (E_N + |shift|)).  Both tables are carved, hi first,
+    from the front of the flat float64 ``spare`` (:func:`_carve`).
     """
-    side = math.isqrt(energies.size - 1) + 1
+    side, _ = _sides(energies.size - 1)
     taus = taus[..., None]
-    tables, used = [], 0
+    tables = []
     for exponents in (-1j * energies[::side], -1j * (energies[:side] + shift)):
-        out = None
-        if spare is not None:
-            size = taus.size * exponents.size
-            out = spare[used : used + size].reshape(*taus.shape[:-1], exponents.size)
-            used += size
+        out, spare = _carve(spare, taus.shape[:-1] + exponents.shape, np.complex128)
         tables.append(np.exp(np.multiply(exponents, taus, out=out), out=out))
     hi, lo = tables
     return hi, lo
@@ -407,23 +451,38 @@ def _moments(
     and at each tau, shape (rows, steps + 1), and the squared norm and the
     overlap at the last tau.  Every product is a matrix product or a dot of
     one row and tau, so a row's digits do not depend on the rows and taus
-    beside it.  ``spare`` is passed to :func:`_phases`.
+    beside it.  The tables, the weight tables, |hi|^2, |lo|^2 and the
+    intermediate products are carved from the flat float64 ``spare``
+    (:func:`_carve`), the tables first, by :func:`_phases`; each product
+    reuses the room of one no longer needed.  What is returned is fresh.
     """
     hi, lo = _phases(energies, taus, shift, spare)
-    count, side = hi.shape[-1], lo.shape[-1]
-    moduli = np.zeros((2, coeffs.shape[0], count * side))
-    np.square(np.abs(coeffs), out=moduli[0, :, : energies.size])
+    if spare is not None:  # past the tables
+        spare = spare[2 * (hi.size + lo.size) :]
+    rows, count, side = taus.shape[0], hi.shape[-1], lo.shape[-1]
+    moduli, spare = _carve(spare, (2, coeffs.shape[0], count * side))
+    moduli[:, :, energies.size :] = 0.0
+    np.abs(coeffs, out=moduli[0, :, : energies.size])
+    np.square(moduli[0, :, : energies.size], out=moduli[0, :, : energies.size])
     np.multiply(energies, moduli[0, :, : energies.size], out=moduli[1, :, : energies.size])
     weights, energy_weights = moduli.reshape(2, -1, count, side)
-    hi_sq, lo_sq = np.square(np.abs(hi)), np.square(np.abs(lo))
-    values = np.empty((taus.shape[0], taus.shape[1] + 1))
-    values[:, 0] = energy_weights.sum(axis=(-2, -1))
-    values[:, 1:] = (hi_sq[..., None, :] @ (energy_weights[:, None] @ lo_sq[..., None]))[..., 0, 0]
-    values += shift
-    norms = (hi_sq[:, -1, None, :] @ (weights @ lo_sq[:, -1, :, None]))[:, 0, 0]
     # W lo as a real product with lo's real and imaginary parts side by side.
-    half = (weights @ lo[:, -1].view(np.float64).reshape(-1, side, 2)).view(np.complex128)
-    overlaps = (hi[:, -1, None, :] @ half)[:, 0, 0]
+    half, _ = _carve(spare, (rows, count, 2))
+    np.matmul(weights, lo[:, -1].view(np.float64).reshape(-1, side, 2), out=half)
+    overlaps = (hi[:, -1, None, :] @ half.view(np.complex128))[:, 0, 0]
+    hi_sq, rest = _carve(spare, hi.shape)
+    lo_sq, rest = _carve(rest, lo.shape)
+    for table, square in ((hi, hi_sq), (lo, lo_sq)):
+        np.square(np.abs(table, out=square), out=square)
+    values = np.empty((rows, taus.shape[1] + 1))
+    values[:, 0] = energy_weights.sum(axis=(-2, -1))
+    product, _ = _carve(rest, (*taus.shape, count, 1))
+    np.matmul(energy_weights[:, None], lo_sq[..., None], out=product)
+    values[:, 1:] = (hi_sq[..., None, :] @ product)[..., 0, 0]
+    values += shift
+    product, _ = _carve(rest, (rows, count, 1))
+    np.matmul(weights, lo_sq[:, -1, :, None], out=product)
+    norms = (hi_sq[:, -1, None, :] @ product)[:, 0, 0]
     return values, norms, overlaps
 
 
@@ -478,14 +537,19 @@ def _energy_integrals(
     against |c_n|^2 tables.
 
     Rows that share a cutoff go through together, in grid order, as many as
-    _BLOCK_ELEMENTS allows (one at least).  A block raises the bases
-    -e^{2i phi} tanh r of its rows to the powers 0 .. N and divides by
-    cosh r, so its weight tables are built once per r: a block of one r
-    shares one pair and extends the powers held for that r, as cutoffs grow
-    in plan order, and a block of several r holds a pair per row.  Every
-    contraction is a call per row and tau, so each row adds in the order a
-    lone row would.  Blocks run in plan order, so the first block whose
-    norms are not finite or exceed 1 + 1e-12 raises.
+    hold _BLOCK_ELEMENTS entries as :func:`_row_entries` counts them (one
+    row at least): steps x (P + Q) phase-table entries per row, and, when
+    the rows differ in r, each row's power row and pair of weight tables
+    too, so a block of several r holds fewer rows than one of one r.  A
+    block raises the bases -e^{2i phi} tanh r of its rows to the powers
+    0 .. N and divides by cosh r, so its weight tables are built once per
+    r: a block of one r shares one pair and extends the powers held for
+    that r, as cutoffs grow in plan order, and a block of several r holds a
+    pair per row.  A block forms its rows' tau grids, contracts them with
+    :func:`_moments` in the call's one workspace and integrates them; every
+    step is a call per row and tau or elementwise, so each row adds in the
+    order a lone row would.  Blocks run in plan order, so the first block
+    whose norms are not finite or exceed 1 + 1e-12 raises.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -496,50 +560,58 @@ def _energy_integrals(
     # Rows sorted by cutoff, in grid order within each cutoff.
     order = np.argsort(cutoffs, kind="stable")
     phase = -_exp2i(phi)
-    taus = _tau_grids(ts, steps)
     powers = np.arange(int(cutoffs.max(initial=0)) + 1)
     energies = _energies(h, powers.size - 1)
-    values = np.empty(taus.shape)
+    integrals = np.empty(ts.size)
     overlaps = np.empty(ts.size, dtype=np.complex128)
     # Powers 0 .. held - 1 of the last lone r's base.
     row, held_base, held = np.empty(powers.size, dtype=np.complex128), None, 0
-    # One workspace for the call, which the phase tables of every block are
-    # carved from: a block stands for at most ``largest`` evolved
-    # coefficients, and its tables hold at most twice that.  Fresh arrays
-    # per block would stay resident in the heap after the call.
-    largest = min(max(_BLOCK_ELEMENTS, steps * powers.size), ts.size * steps * powers.size)
-    spare = np.empty(2 * largest, dtype=np.complex128)
+    # One float64 workspace for the call, which every block's arrays are
+    # carved from (_carve).  A block holds at most ``largest`` entries, a row
+    # of several r being the heaviest kind: four floats per entry hold its
+    # phase tables, |hi|^2, |lo|^2 and products and, if its rows differ in r,
+    # their powers and weight tables, to which a block of one r adds its one
+    # power row and pair of weight tables.  Fresh arrays per block would
+    # stay resident in the heap after the call.
+    side, count = _sides(powers.size - 1)
+    heaviest = _row_entries(powers.size - 1, steps, several=True)
+    largest = min(max(_BLOCK_ELEMENTS, heaviest), ts.size * heaviest)
+    spare = np.empty(4 * largest + 2 * (powers.size + count * side))
     done = 0
     while done < order.size:
         N = int(cutoffs[order[done]])
-        size = max(1, _BLOCK_ELEMENTS // (steps * (N + 1)))
-        rows = order[done : done + size]
+        rows = order[done : done + max(1, _BLOCK_ELEMENTS // _row_entries(N, steps, False))]
         rows = rows[cutoffs[rows] == N]
+        if (rs[rows] != rs[rows[0]]).any():
+            rows = rows[: max(1, _BLOCK_ELEMENTS // _row_entries(N, steps, True))]
         done += rows.size
         block_rs = rs[rows]
         block_rs = block_rs[:1] if (block_rs == block_rs[0]).all() else block_rs
         bases = phase * np.tanh(block_rs)
+        initial, rest = _carve(spare, (bases.size, N + 1), np.complex128)
         if bases.size > 1:
-            initial = np.power(bases[:, None], powers[: N + 1])
+            source = np.power(bases[:, None], powers[: N + 1], out=initial)
         else:
             if held_base != bases[0]:
                 held_base, held = bases[0], 0
             np.power(bases, powers[held : N + 1], out=row[held : N + 1])
             held = max(held, N + 1)
-            initial = row[None, : N + 1]
-        initial = initial / np.cosh(block_rs)[:, None]
+            source = row[None, : N + 1]
+        np.divide(source, np.cosh(block_rs)[:, None], out=initial)
+        taus = _tau_grids(ts[rows], steps)
         # Overflowing input ends in the finite check below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            values[rows], norms, overlaps[rows] = _moments(
-                initial, energies[: N + 1], taus[rows, 1:], shift, spare
+            values, norms, overlaps[rows] = _moments(
+                initial, energies[: N + 1], taus[:, 1:], shift, rest
             )
         if not np.isfinite(norms).all():
             raise ValueError("coefficients must be finite")
         if norms.max() > 1.0 + 1e-12:
             raise ValueError(f"state over-normalized: |psi|^2 = {norms.max()}")
-    # np.trapezoid's arithmetic, row by row.
-    widths = taus[:, 1:] - taus[:, :-1]
-    return (widths * (values[:, 1:] + values[:, :-1]) / 2.0).sum(axis=-1), overlaps
+        # np.trapezoid's arithmetic, row by row.
+        widths = taus[:, 1:] - taus[:, :-1]
+        integrals[rows] = (widths * (values[:, 1:] + values[:, :-1]) / 2.0).sum(axis=-1)
+    return integrals, overlaps
 
 
 def _grid(t: float | np.ndarray, r: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -561,13 +633,12 @@ def _evolution(
     r[i], accuracy, t=Omega t[i])``.  The overlap does not depend on ``steps``:
     the last tau of each row is t itself.
     """
-    rs = np.asarray(r, dtype=np.float64)
-    r_rows = rs.tolist() if rs.ndim else [rs.item()] * ts.size
-    wts = (h.Omega * float(t) for t in ts)
-    cutoffs = _cutoffs(observable, zip(r_rows, wts, strict=True), accuracy, max_cutoff)
+    rs = np.broadcast_to(np.asarray(r, dtype=np.float64), ts.shape)
+    # An overflowing or undefined Omega t is refused by _cutoffs, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cutoffs = _cutoffs(observable, rs, h.Omega * ts, accuracy, max_cutoff)
     phi = _require_finite("phi", phi)
     shift = _require_finite("energy_shift", energy_shift)
-    rs = np.broadcast_to(rs, ts.shape)
     return (*_energy_integrals(rs, phi, h, ts, cutoffs, steps, shift), cutoffs)
 
 

@@ -244,8 +244,11 @@ class TestSweepGoldenBytes:
     R_DENSE = ["sweep", "--variable", "r", "--start", "0", "--stop", "1",
                "--points", "10000"]
 
+    OMEGA_T_DIGEST = "8072494f4262d66cf6718a098d25b445a5b8e4cb40fed27537e7a84c8b4037d4"
+    R_DENSE_DIGEST = "8fad53b5031ba792b6a151816dda9b1b838066ef6a40e80229ecd8fc1cd7b0dd"
+
     @pytest.mark.parametrize("argv,digest", [
-        (OMEGA_T, "8072494f4262d66cf6718a098d25b445a5b8e4cb40fed27537e7a84c8b4037d4"),
+        (OMEGA_T, OMEGA_T_DIGEST),
         (OMEGA_T + ["--format", "json"],
          "ffe552f368eb4822dc2189f5fdc24dd83010753aec2c685305f4a9b175fe97b7"),
         (R, "60a3a5478f91369051fdb419f420cb0a90f9d47691eeb0530c801b07fdf71e80"),
@@ -254,7 +257,7 @@ class TestSweepGoldenBytes:
         (R + ["--format", "json"],
          "e77702c9a646d37ec07bd7774c0a484958b556ff11631408618e783cc476f44f"),
         (R_WIDE, "670366e50eec95917cf6381e93a37822807ea3160f818c7e6105cae05f95c951"),
-        (R_DENSE, "8fad53b5031ba792b6a151816dda9b1b838066ef6a40e80229ecd8fc1cd7b0dd"),
+        (R_DENSE, R_DENSE_DIGEST),
     ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json", "r-wide",
             "r-dense"])
     def test_stdout_digest(self, argv, digest, capsys):
@@ -262,14 +265,19 @@ class TestSweepGoldenBytes:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_block_size_moves_no_byte(self, capsys, monkeypatch):
-        # A row's contractions are calls of their own, so one-row blocks
-        # print what the default blocks of 65 rows at N = 377 print.
-        assert main(self.OMEGA_T) == 0
-        default = capsys.readouterr().out
-        monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
-        assert main(self.OMEGA_T) == 0
-        assert capsys.readouterr().out == default
+    @pytest.mark.parametrize("elements", [1, fock._BLOCK_ELEMENTS, 10**7],
+                             ids=["one-row", "default", "whole-cutoff"])
+    @pytest.mark.parametrize("argv,digest", [(OMEGA_T, OMEGA_T_DIGEST),
+                                             (R_DENSE, R_DENSE_DIGEST)],
+                             ids=["omega_t", "r-dense"])
+    def test_block_size_moves_no_byte(self, argv, digest, elements, capsys, monkeypatch):
+        # A row's contractions are calls of their own, so one-row blocks,
+        # the default ones and blocks of all of a cutoff's rows print the
+        # same bytes (test_fock.py's TestBlockPlan checks the default plan).
+        monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", elements)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSweepTable:
@@ -488,7 +496,18 @@ class TestVerifyMutants:
         # An energy table of |c_n|^2 alone integrates the norm, not <H>.
         ("_moments", "np.multiply(energies, moduli[0", "np.multiply(1.0, moduli[0",
          "dynamical-quadrature"),
-    ], ids=["hi-table-stride", "lo-table-unshifted", "weights-p-major", "energy-table-no-E"])
+        # Odd amplitudes of the opposite sign keep the norm but not the state.
+        ("squeeze_by_exponentiation", "-1j * (u @", "1j * (u @", "exponentiation-agreement"),
+        # An entropy in bits, not nats.
+        ("entropy_numeric", "np.log(p)", "np.log2(p)", "entropy-numeric-agreement"),
+        # cosh r and sinh r swapped in the conjugation rules.
+        ("bogoliubov_residual", "cosh_r, sinh_r = math.cosh(r), math.sinh(r)",
+         "sinh_r, cosh_r = math.cosh(r), math.sinh(r)", "bogoliubov-identities"),
+        # A target rotated by +theta where the conjugation rotates by -theta.
+        ("rotation_conjugation_check", "phi + math.atan2(", "phi - math.atan2(",
+         "rotation-conjugation"),
+    ], ids=["hi-table-stride", "lo-table-unshifted", "weights-p-major", "energy-table-no-E",
+            "odd-amplitude-sign", "entropy-in-bits", "cosh-sinh-swapped", "rotation-sign"])
     def test_fault_fails_its_check(self, name, old, new, check, capsys, monkeypatch):
         monkeypatch.setattr(fock, name, _mutant(getattr(fock, name), old, new))
         assert main(["verify"]) == 1
@@ -808,6 +827,19 @@ class TestMainEntry:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_verify_and_csv_sweep_load_no_json(self):
+        # json costs about 3 ms of import, and numpy does not load it; only
+        # a JSON sweep may.
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom tmsvphase import cli\n"
+             "codes = [cli.main(['verify']), cli.main(['sweep', '--variable', 'r', '--start', "
+             "'0', '--stop', '1', '--points', '5'])]\n"
+             "print(codes, 'json' in sys.modules, file=sys.stderr)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "[0, 0] False\n"
 
     def test_out_of_memory_is_a_resource_error(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

@@ -193,16 +193,72 @@ class TestCutoffGrids:
     @pytest.mark.parametrize("observable", OBSERVABLES)
     def test_r_sweep_grid(self, observable):
         # 10^4 rows to r = 1 at Omega t = 1, a new r (and tail) on every row.
-        pairs = [(r, 1.0) for r in np.linspace(0.0, 1.0, 10_000).tolist()]
-        got = fock._cutoffs(observable, pairs, 1e-9, DEFAULT_MAX_CUTOFF)
-        assert got == _bisected_cutoffs(observable, pairs, 1e-9)
+        rs = np.linspace(0.0, 1.0, 10_000)
+        got = fock._cutoffs(observable, rs, np.ones(rs.size), 1e-9, DEFAULT_MAX_CUTOFF)
+        assert got == _bisected_cutoffs(observable, [(r, 1.0) for r in rs.tolist()], 1e-9)
 
     def test_omega_t_sweep_grid(self):
         # The benchmark sweep's grid: r = 2, 10^4 rows over [0, 2 pi], 73 cutoffs.
-        pairs = [(2.0, wt) for wt in np.linspace(0.0, TAU, 10_000).tolist()]
-        got = fock._cutoffs("phase", pairs, 1e-9, DEFAULT_MAX_CUTOFF)
-        assert got == _bisected_cutoffs("phase", pairs, 1e-9)
+        wts = np.linspace(0.0, TAU, 10_000)
+        got = fock._cutoffs("phase", np.full(wts.size, 2.0), wts, 1e-9, DEFAULT_MAX_CUTOFF)
+        assert got == _bisected_cutoffs("phase", [(2.0, wt) for wt in wts.tolist()], 1e-9)
         assert len(set(got)) == 73
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        observable=st.sampled_from(OBSERVABLES),
+        r=st.floats(0.0, 2.0),
+        r_span=st.sampled_from([0.0, 0.3, 0.5]),
+        wt=st.floats(0.0, 20 * math.pi),
+        sign=st.sampled_from([1.0, -1.0]),
+        points=st.integers(1, 2600),
+        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    @example(observable="phase", r=2.0, r_span=0.0, wt=TAU, sign=1.0, points=2600, seed=None)
+    @example(observable="energy", r=0.0, r_span=0.5, wt=TAU, sign=-1.0, points=2600, seed=7)
+    def test_equals_cutoff_for_row_by_row(self, observable, r, r_span, wt, sign, points, seed):
+        # Sorted grids over r and Omega t, which hold N between rows, or the
+        # same rows shuffled (seed not None), across chunks of _CHUNK_ROWS.
+        rs = np.linspace(r, r + r_span, points)
+        wts = sign * np.linspace(0.0, wt, points)
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            rs, wts = rs[rng.permutation(points)], wts[rng.permutation(points)]
+        got = fock._cutoffs(observable, rs, wts, 1e-9, DEFAULT_MAX_CUTOFF)
+        rows = zip(rs.tolist(), wts.tolist())
+        assert got == [cutoff_for(observable, r_i, 1e-9, t=wt_i) for r_i, wt_i in rows]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_t_mid_chunk_is_named_as_alone(self, bad):
+        # Row 1500 lies inside the second chunk of _CHUNK_ROWS = 1024 rows.
+        wts = np.linspace(0.0, TAU, 3000)
+        wts[1500] = bad
+        with pytest.raises(ValueError) as alone:
+            cutoff_for("phase", 1.0, 1e-9, t=bad)
+        assert str(alone.value) == f"t must be finite, got {bad!r}"
+        with pytest.raises(ValueError) as grid:
+            fock._cutoffs("phase", np.full(wts.size, 1.0), wts, 1e-9, DEFAULT_MAX_CUTOFF)
+        assert str(grid.value) == str(alone.value)
+        # Through the oracle, Omega t = 2 t overflows to inf on that row alone.
+        ts = wts / 2.0
+        ts[1500] = 1e308 if bad == math.inf else bad / 2.0
+        with pytest.raises(ValueError) as oracle:
+            geometric_phase_numeric(1.0, 0.3, HamiltonianParams(2.0, 0.0), ts, accuracy=1e-9)
+        assert str(oracle.value) == str(alone.value)
+
+    @pytest.mark.parametrize("r_bad,error", [
+        (math.nan, "squeeze factor r must be finite, got nan"),
+        (19.5, "tanh r rounds to 1 at r=19.5: no cutoff is enough"),
+    ])
+    @pytest.mark.parametrize("row", [1499, 1500])
+    def test_rows_before_a_non_finite_omega_t_raise_first(self, r_bad, error, row):
+        # A bad r on an earlier row, or on the non-finite row itself, is
+        # named before that row's Omega t, as row-by-row evaluation names it.
+        rs, wts = np.full(3000, 1.0), np.linspace(0.0, TAU, 3000)
+        rs[row], wts[1500] = r_bad, math.nan
+        with pytest.raises((ValueError, CutoffExceededError)) as caught:
+            fock._cutoffs("phase", rs, wts, 1e-9, DEFAULT_MAX_CUTOFF)
+        assert str(caught.value) == error
 
 
 class TestSchmidtState:
@@ -980,6 +1036,59 @@ class TestParallelBlocks:
             fock._energy_integrals(
                 np.full(12, math.log(3.0)), 0.0, H_UNIT, ts, [3, 2, 1, 0] * 3, 4, 0.0
             )
+
+
+def _block_plan(monkeypatch, rs, ts):
+    """(rows, N, whether its rows differ in r) of each block, in plan order,
+    of one ``geometric_phase_numeric`` call over rows (rs, ts), and its result."""
+    real, blocks = fock._moments, []
+
+    def spy(coeffs, energies, taus, shift, spare=None):
+        blocks.append((taus.shape[0], energies.size - 1, coeffs.shape[0] > 1))
+        return real(coeffs, energies, taus, shift, spare)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fock, "_moments", spy)
+        gammas = geometric_phase_numeric(rs, 0.3, HamiltonianParams(1.0, 0.2), ts,
+                                         accuracy=1e-9, steps=1)
+    return blocks, gammas
+
+
+class TestBlockPlan:
+    """Blocks fill up to _BLOCK_ELEMENTS entries as ``fock._row_entries`` counts them."""
+
+    @staticmethod
+    def check_filled(blocks):
+        for i, (rows, N, several) in enumerate(blocks):
+            capacity = max(1, fock._BLOCK_ELEMENTS // fock._row_entries(N, 1, several))
+            assert rows <= capacity
+            # A block that leaves rows of its cutoff to the next one is full.
+            if i + 1 < len(blocks) and blocks[i + 1][1] == N:
+                assert rows == capacity
+
+    def test_omega_t_grid_runs_about_one_block_per_cutoff(self, monkeypatch):
+        # The benchmark sweep's grid, 73 cutoffs from N = 327 to 399 with up
+        # to 656 rows each: blocks of up to 614 rows (40 entries a row at
+        # N = 399), not the 203 blocks of at most 66 rows of N + 1 entries.
+        blocks, _ = _block_plan(monkeypatch, 2.0, np.linspace(0.0, TAU, 10_000))
+        self.check_filled(blocks)
+        assert sum(rows for rows, _, _ in blocks) == 10_000
+        assert not any(several for _, _, several in blocks)
+        assert len({N for _, N, _ in blocks}) == 73
+        assert len(blocks) == 74
+
+    def test_r_grid_blocks_count_powers_and_weight_tables(self, monkeypatch):
+        # About 500 rows per cutoff near N = 45, each row its own r: blocks
+        # count a power row and two weight tables per row, so they hold no
+        # more rows than N + 1 entries a row would allow.
+        rs = np.linspace(0.9, 1.0, 3000)
+        blocks, gammas = _block_plan(monkeypatch, rs, 1.0)
+        self.check_filled(blocks)
+        assert all(several or rows == 1 for rows, _, several in blocks)
+        assert all(rows <= fock._BLOCK_ELEMENTS // (N + 1) for rows, N, _ in blocks)
+        assert len(blocks) == 24
+        monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
+        assert _block_plan(monkeypatch, rs, 1.0)[1].tolist() == gammas.tolist()
 
 
 class TestEntropyNumeric:
