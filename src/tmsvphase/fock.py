@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CutoffExceededError, ExpmNotConvergedError
-from .phases import HamiltonianParams, _reduce_angle
+from .phases import TAU, HamiltonianParams
 from .su11 import _exp2i, _require_finite, check_squeeze_factor
 
 #: Default bound on diagonal-subspace cutoffs (vectors of this length).
@@ -74,8 +74,9 @@ _EXPM_NORM_TOL = 1e-12
 # and two (Q, P) weight tables per row, so 20 rows of one step at N = 377.
 _BLOCK_ELEMENTS = 24576
 
-# Rows whose phases are reduced per list of Python floats, so that no such
-# list holds a whole grid: their objects would stay resident after the call.
+# Rows per list of Python floats (each row's Omega t for its cutoff, its
+# overlap for its phase), so that no such list holds a whole grid: their
+# objects would stay resident after the call.
 _CHUNK_ROWS = 1024
 
 
@@ -545,11 +546,11 @@ def _energy_integrals(
     0 .. N and divides by cosh r, so its weight tables are built once per
     r: a block of one r shares one pair and extends the powers held for
     that r, as cutoffs grow in plan order, and a block of several r holds a
-    pair per row.  A block forms its rows' tau grids, contracts them with
-    :func:`_moments` in the call's one workspace and integrates them; every
-    step is a call per row and tau or elementwise, so each row adds in the
-    order a lone row would.  Blocks run in plan order, so the first block
-    whose norms are not finite or exceed 1 + 1e-12 raises.
+    pair per row.  A block contracts its rows' tau grids with
+    :func:`_moments` in the call's one workspace and integrates its own
+    energies; every step is a call per row and tau or elementwise, so each
+    row adds in the order a lone row would.  Blocks run in plan order, so
+    the first block whose norms are not finite or exceed 1 + 1e-12 raises.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -560,6 +561,7 @@ def _energy_integrals(
     # Rows sorted by cutoff, in grid order within each cutoff.
     order = np.argsort(cutoffs, kind="stable")
     phase = -_exp2i(phi)
+    taus = _tau_grids(ts, steps)
     powers = np.arange(int(cutoffs.max(initial=0)) + 1)
     energies = _energies(h, powers.size - 1)
     integrals = np.empty(ts.size)
@@ -598,18 +600,18 @@ def _energy_integrals(
             held = max(held, N + 1)
             source = row[None, : N + 1]
         np.divide(source, np.cosh(block_rs)[:, None], out=initial)
-        taus = _tau_grids(ts[rows], steps)
+        block_taus = taus[rows]
         # Overflowing input ends in the finite check below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             values, norms, overlaps[rows] = _moments(
-                initial, energies[: N + 1], taus[:, 1:], shift, rest
+                initial, energies[: N + 1], block_taus[:, 1:], shift, rest
             )
         if not np.isfinite(norms).all():
             raise ValueError("coefficients must be finite")
         if norms.max() > 1.0 + 1e-12:
             raise ValueError(f"state over-normalized: |psi|^2 = {norms.max()}")
         # np.trapezoid's arithmetic, row by row.
-        widths = taus[:, 1:] - taus[:, :-1]
+        widths = block_taus[:, 1:] - block_taus[:, :-1]
         integrals[rows] = (widths * (values[:, 1:] + values[:, :-1]) / 2.0).sum(axis=-1)
     return integrals, overlaps
 
@@ -684,11 +686,16 @@ def geometric_phase_numeric(
         "phase", rs, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
         energy_shift=energy_shift, steps=steps,
     )
+    # arg<psi(0)|psi(t)> is libm's atan2 through cmath.phase, row by row
+    # (numpy's arctan2 differs in the last bit); adding delta and reducing
+    # to [0, 2 pi) as phases._reduce_angle does are exact elementwise.
     gammas = np.empty(ts.size)
     for start in range(0, ts.size, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        gammas[rows] = [_reduce_angle(math.atan2(overlap.imag, overlap.real) + delta)
-                        for delta, overlap in zip(deltas[rows].tolist(), overlaps[rows].tolist())]
+        gammas[rows] = list(map(cmath.phase, overlaps[rows].tolist()))
+    gammas += deltas
+    np.remainder(gammas, TAU, out=gammas)
+    gammas[gammas >= TAU] = 0.0
     return float(gammas[0]) if scalar else gammas
 
 
