@@ -26,6 +26,7 @@ memory runs out; or the reader closes stdout early, as ``| head`` does).
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import os
@@ -151,12 +152,6 @@ _COLUMNS = {
 }
 
 
-# The closed-form fields of one phase row, as phases._phase_row returns them.
-_CLOSED_FORMS = np.dtype([("overlap", np.complex128), ("total", np.float64),
-                          ("delta", np.float64), ("gamma", np.float64),
-                          ("unreduced", np.float64)])
-
-
 def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     """Evaluate the sweep grid; returns (headers, table), rows in grid order.
 
@@ -170,9 +165,11 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     over [0, t] is exact up to rounding, as verify's
     ``dynamical-quadrature`` shows by holding 1, 7 and 200 steps to one
     value.  The oracle has validated every row's r and t by then, so the
-    closed-form columns come from ``phases._phase_row``, written into the
-    table _CHUNK_ROWS rows at a time with sinh^2 r taken once per distinct r
-    of a chunk; they stay scalar libm calls, bit for bit
+    closed-form columns are written into the table _CHUNK_ROWS rows at a
+    time, with sinh^2 r taken once per distinct r of a chunk: the overlap
+    (``phases._overlap``) and its argument (``cmath.phase``) stay scalar
+    libm calls per row, and delta, the sum and its reduction to [0, 2 pi)
+    are exact elementwise, so every cell is bit for bit
     ``phases.geometric_phase``.
 
     Before that call, PrecisionExceededError refuses a table with a row
@@ -218,14 +215,16 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
         rows = slice(start, start + _CHUNK_ROWS)
         r_list = rs[rows].tolist()
         sinh2 = {rv: math.sinh(rv) ** 2 for rv in set(r_list)}
-        closed = np.fromiter(
-            (phases._phase_row(sinh2[rv], h.Omega, t) for rv, t in zip(r_list, ts[rows].tolist())),
-            dtype=_CLOSED_FORMS, count=len(r_list),
-        )
+        sinh2 = np.array([sinh2[rv] for rv in r_list])
+        # phases._phase_row's arithmetic, with Omega t and delta elementwise.
+        wts = (h.Omega * ts[rows]).tolist()
+        overlap = np.array(list(map(phases._overlap, sinh2.tolist(), wts)))
+        total = np.array(list(map(cmath.phase, overlap.tolist())))
+        delta = 2.0 * h.Omega * ts[rows] * sinh2
+        gamma = phases._reduce_angles(total + delta)
         columns = (
-            grid[rows], closed["overlap"].real, closed["overlap"].imag, closed["total"],
-            closed["delta"], closed["gamma"], numeric[rows],
-            circle_distance(numeric[rows], closed["gamma"]),
+            grid[rows], overlap.real, overlap.imag, total, delta, gamma, numeric[rows],
+            circle_distance(numeric[rows], gamma),
         )
         for j, column in enumerate(columns):
             table[rows, j] = column

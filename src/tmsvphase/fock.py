@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CutoffExceededError, ExpmNotConvergedError
-from .phases import TAU, HamiltonianParams
+from .phases import HamiltonianParams, _reduce_angles
 from .su11 import _exp2i, _require_finite, check_squeeze_factor
 
 #: Default bound on diagonal-subspace cutoffs (vectors of this length).
@@ -687,15 +687,13 @@ def geometric_phase_numeric(
         energy_shift=energy_shift, steps=steps,
     )
     # arg<psi(0)|psi(t)> is libm's atan2 through cmath.phase, row by row
-    # (numpy's arctan2 differs in the last bit); adding delta and reducing
-    # to [0, 2 pi) as phases._reduce_angle does are exact elementwise.
+    # (numpy's arctan2 differs in the last bit); the sum and its reduction
+    # are exact elementwise.
     gammas = np.empty(ts.size)
     for start in range(0, ts.size, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         gammas[rows] = list(map(cmath.phase, overlaps[rows].tolist()))
-    gammas += deltas
-    np.remainder(gammas, TAU, out=gammas)
-    gammas[gammas >= TAU] = 0.0
+    gammas = _reduce_angles(gammas + deltas)
     return float(gammas[0]) if scalar else gammas
 
 

@@ -39,6 +39,16 @@ def _reduce_angle(x: float) -> float:
     return 0.0 if y >= TAU else y
 
 
+def _reduce_angles(x):
+    """:func:`_reduce_angle` of each entry of the float64 array ``x``, in place.
+
+    numpy's remainder is Python's float ``%``, so every entry keeps its bits.
+    """
+    x %= TAU
+    x[x >= TAU] = 0.0
+    return x
+
+
 @dataclass(frozen=True)
 class HamiltonianParams:
     """Carrier frequency Omega and modulation frequency epsilon (radians/time).
