@@ -400,13 +400,14 @@ def _row_entries(N: int, steps: int, several: bool) -> int:
 def _carve(
     spare: np.ndarray | None, shape: tuple[int, ...], dtype: type = np.float64,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """An uninitialised array of ``shape`` from the front of the flat float64
-    ``spare``, and the rest of ``spare``; a fresh array, and ``spare`` as it
-    was, when ``spare`` is None or too short."""
-    size = math.prod(shape) * np.dtype(dtype).itemsize // 8
+    """An uninitialised float64 or complex128 array of ``shape`` from the
+    front of the flat float64 ``spare``, and the rest of ``spare``; a fresh
+    array, and ``spare`` as it was, when ``spare`` is None or too short."""
+    size = math.prod(shape) * (2 if dtype is np.complex128 else 1)
     if spare is None or size > spare.size:
         return np.empty(shape, dtype), spare
-    return spare[:size].view(dtype).reshape(shape), spare[size:]
+    head = spare[:size] if dtype is np.float64 else spare[:size].view(dtype)
+    return head.reshape(shape), spare[size:]
 
 
 def _phases(
