@@ -214,8 +214,8 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     for start in range(0, grid.size, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         r_list = rs[rows].tolist()
-        sinh2 = {rv: math.sinh(rv) ** 2 for rv in set(r_list)}
-        sinh2 = np.array([sinh2[rv] for rv in r_list])
+        by_r = {rv: math.sinh(rv) ** 2 for rv in set(r_list)}
+        sinh2 = np.array([by_r[rv] for rv in r_list])
         # phases._phase_row's arithmetic, with Omega t and delta elementwise.
         wts = (h.Omega * ts[rows]).tolist()
         overlap = np.array(list(map(phases._overlap, sinh2.tolist(), wts)))
