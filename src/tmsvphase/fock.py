@@ -38,7 +38,9 @@ of the same tables; it is what the contractions are checked against.
 Truncation error policy: the Schmidt coefficient of |n>|n> is
 (-e^{2i phi} tanh r)^n / cosh r, so every truncation error has a
 closed-form geometric tail in the cutoff N, and :func:`cutoff_for` is the
-one place that turns an observable's accuracy target into N.  Operator
+one place that turns an observable's accuracy target into N.  A grid's
+cutoffs come from one bisection over its rows at once (:func:`_cutoffs`),
+exact because every tail is strictly decreasing in N.  Operator
 identities are asserted only on entries a ``margin`` away from the cutoff,
 where the constructions used here keep them exact up to rounding.
 
@@ -51,13 +53,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CutoffExceededError, ExpmNotConvergedError
 from .phases import HamiltonianParams, _reduce_angles
-from .su11 import _exp2i, _require_finite, check_squeeze_factor
+from .su11 import R_MAX, _exp2i, _require_finite, check_squeeze_factor
 
 #: Default bound on diagonal-subspace cutoffs (vectors of this length).
 DEFAULT_MAX_CUTOFF = 4096
@@ -74,7 +76,8 @@ _EXPM_NORM_TOL = 1e-12
 # and two (Q, P) weight tables per row, so 20 rows of one step at N = 377.
 _BLOCK_ELEMENTS = 24576
 
-# Rows per list of Python floats (each row's Omega t for its cutoff, its
+# Rows per chunk of a grid whose cutoffs are bisected together, which keeps
+# the bisection's arrays small, and per list of Python floats (each row's
 # overlap for its phase), so that no such list holds a whole grid: their
 # objects would stay resident after the call.
 _CHUNK_ROWS = 1024
@@ -163,7 +166,8 @@ def cutoff_for(
     """Smallest cutoff N whose truncation error for ``observable`` is <= accuracy.
 
     With x = tanh^2 r, m = x^{N+1} the dropped mass and ``t`` the evolution
-    angle Omega t, each error is a closed-form tail, strictly decreasing in N:
+    angle Omega t, each error is a closed-form tail (:func:`_tails`),
+    strictly decreasing in N:
 
     * ``mass``: m, which also bounds the error of any overlap;
     * ``energy``: the energy integral misses
@@ -176,65 +180,65 @@ def cutoff_for(
     * ``expm``: the first dropped amplitude tanh^{N+1}|r| / cosh r, the
       boundary reflection of the exponentiated truncated generator.
 
+    So a bisection over N finds the smallest N exactly; this is the
+    one-row case of :func:`_cutoffs`.
+
     Raises
     ------
     CutoffExceededError
         If the cutoff would exceed ``max_cutoff``, or if tanh r rounds to 1
-        so that no finite cutoff drops a vanishing mass.
+        (in numpy, as in the oracle's Schmidt bases) so that no finite
+        cutoff drops a vanishing mass.
     """
     r_row, t_row = np.array([float(r)]), np.array([float(t)])
-    return _cutoffs(observable, r_row, t_row, accuracy, max_cutoff)[0]
+    return int(_cutoffs(observable, r_row, t_row, accuracy, max_cutoff)[0])
 
 
 _OBSERVABLES = ("mass", "energy", "phase", "entropy", "expm")
 
-# (slope, intercept) of tail(-1): no cutoff below 0 meets any accuracy.
-_INFINITE_TAIL = (0.0, math.inf)
+# Top of the bisection's bracket when max_cutoff is larger, so that lo + hi
+# fits in int64: no row needing more could be allocated anyway.
+_BRACKET_TOP = 2**62
 
 
-def _tail(observable: str, r: float) -> Callable[[int], tuple[float, float]]:
-    """``observable``'s tail as :func:`cutoff_for` documents it, for r > 0.
+def _tails(observable: str, r: np.ndarray, wt: np.ndarray, N: np.ndarray | int) -> np.ndarray:
+    """``observable``'s tail as :func:`cutoff_for` documents it, elementwise
+    at squeezes r >= 0, angles wt = |Omega t| and cutoffs N >= 0.
 
-    Every tail is affine in |Omega t|, tail(N, wt) = slope * wt + intercept,
-    and the returned function gives (slope, intercept) for N >= 0: the
-    factors that do not depend on Omega t (the mass m, the energy weight),
-    which a caller can keep while N stays.  The tail keeps the documented
-    expression and its order: energy is (m weight) wt, phase
-    (m weight) wt + cosh 2r m; a zero slope or intercept adds an exact zero.
+    Each keeps the documented expression and its order: energy is
+    (m weight) wt and phase (m weight) wt + cosh 2r m.  At r = 0 every tail
+    is 0, but entropy's, 0 (1 + inf), is nan.
     """
-    log_tanh = math.log(math.tanh(r))
-    cosh_r, cosh_2r = math.cosh(r), math.cosh(2.0 * r)
-    one_minus_x = 1.0 / cosh_r ** 2
-
-    def line(N: int) -> tuple[float, float]:
-        if observable == "expm":
-            return 0.0, math.exp((N + 1) * log_tanh) / cosh_r
-        log_mass = 2.0 * (N + 1) * log_tanh
-        mass = math.exp(log_mass)
-        if observable == "mass":
-            return 0.0, mass
-        if observable == "entropy":
-            return 0.0, mass * (1.0 - log_mass) / -math.expm1(log_mass)
-        weight = 2.0 * ((N + 1) * one_minus_x + 1.0 - one_minus_x) / one_minus_x
-        return mass * weight, cosh_2r * mass if observable == "phase" else 0.0
-
-    return line
+    log_tanh = np.log(np.tanh(r))
+    if observable == "expm":
+        return np.exp((N + 1) * log_tanh) / np.cosh(r)
+    log_mass = 2.0 * (N + 1) * log_tanh
+    mass = np.exp(log_mass)
+    if observable == "mass":
+        return mass
+    if observable == "entropy":
+        return mass * (1.0 - log_mass) / -np.expm1(log_mass)
+    one_minus_x = 1.0 / np.cosh(r) ** 2
+    weight = 2.0 * ((N + 1) * one_minus_x + 1.0 - one_minus_x) / one_minus_x
+    energy = mass * weight * wt
+    return energy + np.cosh(2.0 * r) * mass if observable == "phase" else energy
 
 
 def _cutoffs(
     observable: str, rs: np.ndarray, wts: np.ndarray, accuracy: float, max_cutoff: int
-) -> list[int]:
+) -> np.ndarray:
     """:func:`cutoff_for` at each row (rs[i], Omega t = wts[i]) of two 1-D float arrays.
 
-    The tail is rebuilt only when r changes.  A row keeps the previous
-    row's N while that is still the smallest, tail(N) <= accuracy <
-    tail(N - 1); otherwise it bisects.  The (slope, intercept) pairs of N
-    and N - 1 are held while N and r stay, so a grid sorted in Omega t costs
-    two multiply-adds per row between cutoff changes, and one sorted in r
-    two tails per row.  Rows go through _CHUNK_ROWS at a time, each chunk's
-    |Omega t| checked finite in one pass, so no Python list holds the grid;
-    a row that is not finite raises after the rows before it, as it would
-    alone.
+    Rows go _CHUNK_ROWS at a time, through arrays allocated once per call.
+    A chunk's rows are checked in one pass each (r valid, tanh r below 1,
+    Omega t finite, the tail at the top of the bracket within ``accuracy``),
+    and the first row in grid order that fails one raises the error it
+    raises alone.  Then one bisection, from the bracket lo = -1,
+    hi = max_cutoff (at most _BRACKET_TOP), keeps
+    tail(lo) > accuracy >= tail(hi) on every row of the chunk at once; the
+    tails being strictly decreasing in N, hi ends at the smallest N.  A row
+    whose bracket has closed probes max(lo, 0), which keeps it.  A nan tail
+    (only entropy's, at r = 0) counts as within ``accuracy``: N = 0.
     """
     if not (0.0 < accuracy < 1.0):
         raise ValueError(f"accuracy must lie in (0, 1), got {accuracy}")
@@ -242,59 +246,41 @@ def _cutoffs(
         raise ValueError("max_cutoff must be nonnegative")
     if observable not in _OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}, not in {list(_OBSERVABLES)}")
-
-    def tail(N: int, wt: float) -> float:
-        slope, intercept = line(N)
-        return slope * wt + intercept
-
-    def bracket(N: int) -> tuple[float, float, float, float]:
-        """(slope, intercept) of tail(N), then of tail(N - 1)."""
-        return line(N) + (line(N - 1) if N else _INFINITE_TAIL)
-
-    cutoffs = []
-    N, last = -1, None
+    top = min(max_cutoff, _BRACKET_TOP)
+    cutoffs = np.empty(wts.size, dtype=np.int64)
+    # Each chunk's |r| and |Omega t|, and its lo and mid, overwrite these.
+    floats = np.empty((2, min(wts.size, _CHUNK_ROWS)))
+    ints = np.empty(floats.shape, dtype=np.int64)
     for start in range(0, wts.size, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        chunk = np.abs(wts[rows])
-        bad = np.flatnonzero(~np.isfinite(chunk))
-        for r, wt in zip(rs[rows].tolist(), chunk[: bad[0] if bad.size else None].tolist()):
-            if r != last:
-                last, r_abs = r, _squeeze_magnitude(r)
-                line = _tail(observable, r_abs) if r_abs > 0.0 else None
-                held = bracket(N) if line is not None and N >= 0 else None
-            if line is None:
-                N = 0
-            else:
-                if held is None or not held[0] * wt + held[1] <= accuracy < held[2] * wt + held[3]:
-                    if tail(max_cutoff, wt) > accuracy:
-                        raise CutoffExceededError(
-                            f"{observable} to {accuracy:g} at r={r_abs}, Omega t={wt:g} needs a "
-                            f"cutoff above max_cutoff={max_cutoff}"
-                        )
-                    # Bisection keeps tail(lo) > accuracy >= tail(hi), with tail(-1) > accuracy.
-                    lo, N = -1, max_cutoff
-                    while N - lo > 1:
-                        mid = (lo + N) // 2
-                        if tail(mid, wt) <= accuracy:
-                            N = mid
-                        else:
-                            lo = mid
-                    held = bracket(N)
-            cutoffs.append(N)
-        if bad.size:
-            # That row's r is checked first, as in the loop; its Omega t then raises.
-            if rs[start + bad[0]] != last:
-                _squeeze_magnitude(float(rs[start + bad[0]]))
-            _require_finite("t", wts[start + bad[0]])
+        hi = cutoffs[start : start + _CHUNK_ROWS]
+        (r, wt), (lo, mid) = floats[:, : hi.size], ints[:, : hi.size]
+        np.abs(rs[start : start + hi.size], out=r)
+        np.abs(wts[start : start + hi.size], out=wt)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            refused = np.flatnonzero(
+                ~(r <= R_MAX) | (np.tanh(r) == 1.0) | ~np.isfinite(wt)
+                | (_tails(observable, r, wt, top) > accuracy)
+            )
+            if refused.size:
+                row = start + refused[0]
+                r_abs = abs(check_squeeze_factor(rs[row]))
+                if np.tanh(r_abs) == 1.0:
+                    raise CutoffExceededError(
+                        f"tanh r rounds to 1 at r={r_abs}: no cutoff is enough"
+                    )
+                _require_finite("t", wts[row])
+                raise CutoffExceededError(
+                    f"{observable} to {accuracy:g} at r={r_abs}, Omega t={abs(wts[row]):g} "
+                    f"needs a cutoff above max_cutoff={max_cutoff}"
+                )
+            lo.fill(-1)
+            hi.fill(top)
+            while (np.subtract(hi, lo, out=mid) > 1).any():
+                np.right_shift(np.add(lo, hi, out=mid), 1, out=mid)
+                over = _tails(observable, r, wt, np.maximum(mid, 0, out=mid)) > accuracy
+                np.copyto(lo, mid, where=over)
+                np.copyto(hi, mid, where=~over)
     return cutoffs
-
-
-def _squeeze_magnitude(r: float) -> float:
-    """|r| of a valid squeeze factor r; CutoffExceededError if tanh |r| rounds to 1."""
-    r_abs = abs(check_squeeze_factor(r))
-    if math.tanh(r_abs) == 1.0:
-        raise CutoffExceededError(f"tanh r rounds to 1 at r={r_abs}: no cutoff is enough")
-    return r_abs
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +512,7 @@ def _tau_grids(ts: np.ndarray, steps: int) -> np.ndarray:
 
 def _energy_integrals(
     rs: np.ndarray, phi: float, h: HamiltonianParams, ts: np.ndarray,
-    cutoffs: list[int], steps: int, shift: float,
+    cutoffs: np.ndarray | list[int], steps: int, shift: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] for each row (r, t).
 
@@ -629,7 +615,7 @@ def _grid(t: float | np.ndarray, r: float | np.ndarray) -> tuple[np.ndarray, np.
 def _evolution(
     observable: str, r: float | np.ndarray, phi: float, h: HamiltonianParams, ts: np.ndarray,
     *, accuracy: float, max_cutoff: int, energy_shift: float, steps: int,
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's energy integral, overlap <psi(0)|psi(t)> and cutoff, ts 1-D.
 
     ``r`` is a float or one value per row; row i keeps ``cutoff_for(observable,

@@ -141,6 +141,12 @@ class TestCutoffFor:
         with pytest.raises(CutoffExceededError):
             cutoff_for(observable, 19.5, 1e-9, t=1.0)
 
+    @pytest.mark.parametrize("observable", OBSERVABLES)
+    def test_max_cutoff_beyond_int64(self, observable):
+        # The bisection's bracket is bounded, so no int64 needs to hold max_cutoff.
+        unbounded = cutoff_for(observable, 2.0, 1e-9, t=1.0, max_cutoff=10**20)
+        assert unbounded == cutoff_for(observable, 2.0, 1e-9, t=1.0)
+
     @pytest.mark.parametrize("r,wt,accuracy", [(0.5, 0.7, 1e-8), (2.0, 62.83, 1e-9)])
     def test_energy_minimal_against_summed_tail(self, r, wt, accuracy):
         N = cutoff_for("energy", r, accuracy, t=wt)
@@ -194,13 +200,13 @@ class TestCutoffGrids:
     def test_r_sweep_grid(self, observable):
         # 10^4 rows to r = 1 at Omega t = 1, a new r (and tail) on every row.
         rs = np.linspace(0.0, 1.0, 10_000)
-        got = fock._cutoffs(observable, rs, np.ones(rs.size), 1e-9, DEFAULT_MAX_CUTOFF)
+        got = fock._cutoffs(observable, rs, np.ones(rs.size), 1e-9, DEFAULT_MAX_CUTOFF).tolist()
         assert got == _bisected_cutoffs(observable, [(r, 1.0) for r in rs.tolist()], 1e-9)
 
     def test_omega_t_sweep_grid(self):
         # The benchmark sweep's grid: r = 2, 10^4 rows over [0, 2 pi], 73 cutoffs.
         wts = np.linspace(0.0, TAU, 10_000)
-        got = fock._cutoffs("phase", np.full(wts.size, 2.0), wts, 1e-9, DEFAULT_MAX_CUTOFF)
+        got = fock._cutoffs("phase", np.full(wts.size, 2.0), wts, 1e-9, DEFAULT_MAX_CUTOFF).tolist()
         assert got == _bisected_cutoffs("phase", [(2.0, wt) for wt in wts.tolist()], 1e-9)
         assert len(set(got)) == 73
 
@@ -224,9 +230,18 @@ class TestCutoffGrids:
         if seed is not None:
             rng = np.random.default_rng(seed)
             rs, wts = rs[rng.permutation(points)], wts[rng.permutation(points)]
-        got = fock._cutoffs(observable, rs, wts, 1e-9, DEFAULT_MAX_CUTOFF)
+        got = fock._cutoffs(observable, rs, wts, 1e-9, DEFAULT_MAX_CUTOFF).tolist()
         rows = zip(rs.tolist(), wts.tolist())
         assert got == [cutoff_for(observable, r_i, 1e-9, t=wt_i) for r_i, wt_i in rows]
+
+    @pytest.mark.parametrize("observable,r", [
+        ("mass", 0.6), ("energy", 0.45), ("phase", 0.45), ("entropy", 0.45), ("expm", 0.3),
+    ])
+    def test_closed_bracket_keeps_its_cutoff(self, observable, r):
+        # From the bracket (-1, 5], r = 0 closes at N = 0 a step before the
+        # row that needs N = 5, and keeps N = 0 while that row bisects on.
+        got = fock._cutoffs(observable, np.array([0.0, r]), np.ones(2), 1e-3, 5).tolist()
+        assert got == [cutoff_for(observable, r_i, 1e-3, t=1.0) for r_i in (0.0, r)] == [0, 5]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_omega_t_mid_chunk_is_named_as_alone(self, bad):
@@ -249,13 +264,19 @@ class TestCutoffGrids:
     @pytest.mark.parametrize("r_bad,error", [
         (math.nan, "squeeze factor r must be finite, got nan"),
         (19.5, "tanh r rounds to 1 at r=19.5: no cutoff is enough"),
+        (3.5, None),  # needs a cutoff above 4096: the error cutoff_for raises alone
     ])
     @pytest.mark.parametrize("row", [1499, 1500])
     def test_rows_before_a_non_finite_omega_t_raise_first(self, r_bad, error, row):
         # A bad r on an earlier row, or on the non-finite row itself, is
-        # named before that row's Omega t, as row-by-row evaluation names it.
+        # named before that row's Omega t, as row-by-row evaluation names it;
+        # a row needing more than max_cutoff is named after its own Omega t.
         rs, wts = np.full(3000, 1.0), np.linspace(0.0, TAU, 3000)
         rs[row], wts[1500] = r_bad, math.nan
+        if error is None:
+            with pytest.raises((ValueError, CutoffExceededError)) as alone:
+                cutoff_for("phase", r_bad, 1e-9, t=wts[row])
+            error = str(alone.value)
         with pytest.raises((ValueError, CutoffExceededError)) as caught:
             fock._cutoffs("phase", rs, wts, 1e-9, DEFAULT_MAX_CUTOFF)
         assert str(caught.value) == error
@@ -816,7 +837,7 @@ class TestDynamicalIntegral:
             "energy", np.array(rs), 0.2, h, np.array([t for _, t in pairs]), steps=steps,
             max_cutoff=fock.DEFAULT_MAX_CUTOFF, **route,
         )
-        assert cutoffs == [cutoff_for("energy", r, 1e-10, t=h.Omega * t) for r, t in pairs]
+        assert cutoffs.tolist() == [cutoff_for("energy", r, 1e-10, t=h.Omega * t) for r, t in pairs]
 
     def test_grid_shapes(self):
         assert dynamical_integral(1.0, 0.0, H_UNIT, np.array([]), 4).shape == (0,)
@@ -884,7 +905,7 @@ class TestEvolution:
         ts = np.linspace(0.0, 3 * TAU, 40)
         route = dict(accuracy=1e-9, max_cutoff=4096, energy_shift=0.7)
         _, overlaps, cutoffs = fock._evolution(observable, 1.2, 0.3, h, ts, steps=1, **route)
-        assert cutoffs == [cutoff_for(observable, 1.2, 1e-9, t=h.Omega * t) for t in ts]
+        assert cutoffs.tolist() == [cutoff_for(observable, 1.2, 1e-9, t=h.Omega * t) for t in ts]
         for t, N, overlap in zip(ts, cutoffs, overlaps):
             initial = schmidt_state(1.2, 0.3, N)
             assert overlap == _state_moments(initial, h, [t], 0.7)[2]
@@ -922,7 +943,9 @@ class TestGeometricPhaseGrid:
             )
         want = [_geometric_phase_per_point(r, phi, h, t, 1e-9, shift, steps) for t in ts]
         assert got.tolist() == want
-        assert seen == [[cutoff_for("phase", r, 1e-9, t=h.Omega * t) for t in ts]]
+        assert [cutoffs.tolist() for cutoffs in seen] == [
+            [cutoff_for("phase", r, 1e-9, t=h.Omega * t) for t in ts]
+        ]
         scalar = geometric_phase_numeric(
             r, phi, h, ts[0], accuracy=1e-9, energy_shift=shift, steps=steps
         )
@@ -953,7 +976,9 @@ class TestGeometricPhaseGrid:
             got = geometric_phase_numeric(np.array(rs), phi, h, np.asarray(t), **route)
         pairs = _per_row(rs, t)
         assert got.tolist() == [geometric_phase_numeric(r, phi, h, t, **route) for r, t in pairs]
-        assert seen == [[cutoff_for("phase", r, 1e-9, t=h.Omega * t) for r, t in pairs]]
+        assert [cutoffs.tolist() for cutoffs in seen] == [
+            [cutoff_for("phase", r, 1e-9, t=h.Omega * t) for r, t in pairs]
+        ]
 
     def test_r_sweep_equals_per_point(self):
         # One r per row, across cutoffs from 0 to several hundred.
