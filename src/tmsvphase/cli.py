@@ -37,7 +37,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import fock, phases, su11
-from .errors import CutoffExceededError, PrecisionExceededError
+from .errors import CutoffExceededError, ExpmNotConvergedError, PrecisionExceededError
 from .phases import TAU, HamiltonianParams
 from .su11 import SqueezeParams
 
@@ -497,10 +497,11 @@ def _evolution_reparameterization(accuracy, max_cutoff, rng):
 def _exponentiation_agreement(accuracy, max_cutoff, rng):
     for r in (0.5, 1.0, 2.0):
         N = fock.cutoff_for("expm", r, accuracy, max_cutoff=max_cutoff)
-        brute = fock.squeeze_by_exponentiation(r, 0.3, N)
-        closed = fock.schmidt_state(r, 0.3, N)
-        diff = float(np.abs(brute.coeffs - closed.coeffs).max())
-        yield diff, f"r={r}, N={N}"
+        try:
+            brute = fock.squeeze_by_exponentiation(r, 0.3, N).coeffs
+        except ExpmNotConvergedError:  # a broken exponential fails this check, not the run
+            brute = np.nan
+        yield float(np.abs(brute - fock.schmidt_state(r, 0.3, N).coeffs).max()), f"r={r}, N={N}"
 
 
 @_invariant("bogoliubov-identities", 1e-6)

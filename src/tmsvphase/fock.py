@@ -2,7 +2,7 @@
 
 Everything the closed forms in :mod:`tmsvphase.phases` claim is recomputed
 here from first principles: states as coefficient vectors, squeezing by
-exponentiating the generator through one SVD of its even-to-odd block,
+a Chebyshev series of the generator's exponential on the vacuum,
 evolution as literal Hamiltonian phase factors, quadrature of the energy
 expectation, entropy of the Schmidt spectrum, and operator-identity
 residuals on the full two-mode space.
@@ -19,21 +19,12 @@ Two representations are used, chosen by what truncation does to them:
 
 Every quantity over time (overlap, energy integral, geometric phase) goes
 through one grid route over rows of (r, t), for one point or a whole
-``omega_t`` or ``r`` sweep.  Rows sharing a cutoff are evaluated together
-in blocks sized by the table entries each row holds (:func:`_row_entries`),
-each block forming its rows' Schmidt coefficients from the closed form
-below, with digits independent of the grid.  On |n>|n>
-the energies are linear in n, so the phase e^{-i tau (E_n + shift)} is
-the product hi_q lo_p of two tables of about sqrt(N) exponentials each
-(:func:`_phases`), n = qP + p.  Evolution only multiplies c_n by that
-phase, so a row's overlap, norm and energy at each tau node of its
-quadrature, t being the last, are contractions of the two tables against
-tables of |c_n|^2 (:func:`_moments`), and no row forms its evolved state.
-The integrand is constant in time, so the trapezoid over [0, t] is exact
-up to rounding at any step count (``verify``'s ``dynamical-quadrature``
-holds 1, 7 and 200 steps to one value), and a sweep asks for one step.
-:func:`evolve` forms the evolved state literally, from the outer product
-of the same tables; it is what the contractions are checked against.
+sweep, in blocks of rows sharing a cutoff (:func:`_energy_integrals`),
+with digits independent of the grid.  The phase e^{-i tau (E_n + shift)}
+is the product of two tables of about sqrt(N) exponentials each
+(:func:`_phases`), and a row's overlap, norm and energy are contractions
+of those tables against tables of |c_n|^2 (:func:`_moments`), checked
+against the literal evolved state of :func:`evolve`.
 
 Truncation error policy: the Schmidt coefficient of |n>|n> is
 (-e^{2i phi} tanh r)^n / cosh r, so every truncation error has a
@@ -70,16 +61,13 @@ FULL_SPACE_MAX_CUTOFF = 32
 #: Norm defect above which an exponentiated generator is considered broken.
 _EXPM_NORM_TOL = 1e-12
 
-# Rows per block of the grid oracle: as many as hold this many entries
-# (:func:`_row_entries`), steps x (P + Q) phase-table entries per row, so 630
-# one-step sweep rows at N = 377, and in a block of several r also a power row
-# and two (Q, P) weight tables per row, so 20 rows of one step at N = 377.
+# Entries a block of the grid oracle holds (:func:`_row_entries`): 630 one-step
+# sweep rows at N = 377, or 20 such rows when they differ in r.
 _BLOCK_ELEMENTS = 24576
 
-# Rows per chunk of a grid whose cutoffs are bisected together, which keeps
-# the bisection's arrays small, and per list of Python floats (each row's
-# overlap for its phase), so that no such list holds a whole grid: their
-# objects would stay resident after the call.
+# Rows per chunk of a grid's cutoff bisection and per list of Python floats
+# (each row's overlap, for its phase): small arrays, and no list of a whole
+# grid, whose objects would stay resident after the call.
 _CHUNK_ROWS = 1024
 
 
@@ -201,27 +189,29 @@ _OBSERVABLES = ("mass", "energy", "phase", "entropy", "expm")
 _BRACKET_TOP = 2**62
 
 
-def _tails(observable: str, r: np.ndarray, wt: np.ndarray, N: np.ndarray | int) -> np.ndarray:
+def _tails(
+    observable: str, factors: np.ndarray, wt: np.ndarray, N: np.ndarray | int
+) -> np.ndarray:
     """``observable``'s tail as :func:`cutoff_for` documents it, elementwise
-    at squeezes r >= 0, angles wt = |Omega t| and cutoffs N >= 0.
+    at angles wt = |Omega t| and cutoffs N >= 0, from the rows log tanh r,
+    cosh r, 1 / cosh^2 r = 1 - x and cosh 2r of ``factors`` at squeezes r >= 0.
 
     Each keeps the documented expression and its order: energy is
     (m weight) wt and phase (m weight) wt + cosh 2r m.  At r = 0 every tail
     is 0, but entropy's, 0 (1 + inf), is nan.
     """
-    log_tanh = np.log(np.tanh(r))
+    log_tanh, cosh_r, one_minus_x, cosh_2r = factors
     if observable == "expm":
-        return np.exp((N + 1) * log_tanh) / np.cosh(r)
+        return np.exp((N + 1) * log_tanh) / cosh_r
     log_mass = 2.0 * (N + 1) * log_tanh
     mass = np.exp(log_mass)
     if observable == "mass":
         return mass
     if observable == "entropy":
         return mass * (1.0 - log_mass) / -np.expm1(log_mass)
-    one_minus_x = 1.0 / np.cosh(r) ** 2
     weight = 2.0 * ((N + 1) * one_minus_x + 1.0 - one_minus_x) / one_minus_x
     energy = mass * weight * wt
-    return energy + np.cosh(2.0 * r) * mass if observable == "phase" else energy
+    return energy + cosh_2r * mass if observable == "phase" else energy
 
 
 def _cutoffs(
@@ -233,12 +223,12 @@ def _cutoffs(
     A chunk's rows are checked in one pass each (r valid, tanh r below 1,
     Omega t finite, the tail at the top of the bracket within ``accuracy``),
     and the first row in grid order that fails one raises the error it
-    raises alone.  Then one bisection, from the bracket lo = -1,
-    hi = max_cutoff (at most _BRACKET_TOP), keeps
-    tail(lo) > accuracy >= tail(hi) on every row of the chunk at once; the
-    tails being strictly decreasing in N, hi ends at the smallest N.  A row
-    whose bracket has closed probes max(lo, 0), which keeps it.  A nan tail
-    (only entropy's, at r = 0) counts as within ``accuracy``: N = 0.
+    raises alone.  Then one bisection, from the bracket lo = -1, hi =
+    max_cutoff (at most _BRACKET_TOP), keeps tail(lo) > accuracy >= tail(hi)
+    on every row of the chunk at once; the tails being strictly decreasing
+    in N, hi ends at the smallest N.  A row whose bracket has closed probes
+    max(lo, 0), which keeps it.  A nan tail (only entropy's, at r = 0)
+    counts as within ``accuracy``: N = 0.
     """
     if not (0.0 < accuracy < 1.0):
         raise ValueError(f"accuracy must lie in (0, 1), got {accuracy}")
@@ -248,18 +238,23 @@ def _cutoffs(
         raise ValueError(f"unknown observable {observable!r}, not in {list(_OBSERVABLES)}")
     top = min(max_cutoff, _BRACKET_TOP)
     cutoffs = np.empty(wts.size, dtype=np.int64)
-    # Each chunk's |r| and |Omega t|, and its lo and mid, overwrite these.
-    floats = np.empty((2, min(wts.size, _CHUNK_ROWS)))
-    ints = np.empty(floats.shape, dtype=np.int64)
+    # Each chunk's |r|, |Omega t|, factors of r for every round, lo and mid.
+    floats = np.empty((6, min(wts.size, _CHUNK_ROWS)))
+    ints = np.empty((2, floats.shape[1]), dtype=np.int64)
     for start in range(0, wts.size, _CHUNK_ROWS):
         hi = cutoffs[start : start + _CHUNK_ROWS]
-        (r, wt), (lo, mid) = floats[:, : hi.size], ints[:, : hi.size]
+        (r, wt, *factors), (lo, mid) = floats[:, : hi.size], ints[:, : hi.size]
+        log_tanh, cosh_r, one_minus_x, cosh_2r = factors
         np.abs(rs[start : start + hi.size], out=r)
         np.abs(wts[start : start + hi.size], out=wt)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.log(np.tanh(r, out=log_tanh), out=log_tanh)
+            np.divide(1.0, np.square(np.cosh(r, out=cosh_r), out=one_minus_x), out=one_minus_x)
+            np.cosh(np.multiply(2.0, r, out=cosh_2r), out=cosh_2r)
+            # log tanh r is 0 exactly where tanh r rounds to 1.
             refused = np.flatnonzero(
-                ~(r <= R_MAX) | (np.tanh(r) == 1.0) | ~np.isfinite(wt)
-                | (_tails(observable, r, wt, top) > accuracy)
+                ~(r <= R_MAX) | (log_tanh == 0.0) | ~np.isfinite(wt)
+                | (_tails(observable, factors, wt, top) > accuracy)
             )
             if refused.size:
                 row = start + refused[0]
@@ -277,7 +272,7 @@ def _cutoffs(
             hi.fill(top)
             while (np.subtract(hi, lo, out=mid) > 1).any():
                 np.right_shift(np.add(lo, hi, out=mid), 1, out=mid)
-                over = _tails(observable, r, wt, np.maximum(mid, 0, out=mid)) > accuracy
+                over = _tails(observable, factors, wt, np.maximum(mid, 0, out=mid)) > accuracy
                 np.copyto(lo, mid, where=over)
                 np.copyto(hi, mid, where=~over)
     return cutoffs
@@ -310,16 +305,15 @@ def squeeze_by_exponentiation(r: float, phi: float, N: int) -> DiagonalFockState
     so with D = diag(theta^n), theta = -i e^{2i phi}, D^dag iG D = T is real
     symmetric with off-diagonal r n, and exp(G)|0> = D exp(-iT)|0>.
 
-    T has a zero diagonal, so it couples even n only to odd n: in that
-    order T = [[0, B^T], [B, 0]], where B has (N + 1) // 2 rows, N // 2 + 1
-    columns, B[j, j] = r (2j + 1) and B[j, j + 1] = r (2j + 2).  With the
-    full SVD B = U diag(s) W^T, exp(-iT)|0> has the real even part
-    W cos(s) W^T e_0 and the odd part -i U sin(s) W[:, :len(s)]^T e_0; for
-    even N, W's last column spans the null space of B and takes cos 0 = 1.
-    B is T's own nonzero entries, with T's last row and column included, so
-    this is the same truncated exponential as a diagonalisation of T from
-    one SVD of half its side, and no boundary term changes: what truncation
-    costs is a reflection of order tanh^{N+1}|r|/cosh r in the coefficients.
+    exp(-iT)|0> is the Chebyshev series exp(-i rho x) = J_0(rho) + 2 sum_k
+    (-i)^k J_k(rho) T_k(x) at x = T / rho (Tal-Ezer and Kosloff, J. Chem.
+    Phys. 81, 3967, 1984), rho = |r| (2N - 1) being T's Gershgorin bound,
+    cut after rho + 12 rho^{1/3} + 30 terms; the J_k come from Miller's
+    backward recurrence of J_k / J_{k-1}, normalised by J_0 + 2 sum J_{2k} =
+    1.  T couples even n only to odd n, so T_k(x)|0> lives on the n of k's
+    parity: each step of the three-term recurrence updates one half-length
+    real vector in place, and exp(-iT)|0> is real on even n, -i times real
+    on odd n.  Truncation costs a reflection of order tanh^{N+1}|r|/cosh r.
     Pick N with ``cutoff_for("expm", ...)`` for a componentwise accuracy.
 
     Raises
@@ -336,19 +330,34 @@ def squeeze_by_exponentiation(r: float, phi: float, N: int) -> DiagonalFockState
         raise ValueError("cutoff must be nonnegative")
     if N > DEFAULT_MAX_CUTOFF:
         raise CutoffExceededError(f"cutoff {N} exceeds DEFAULT_MAX_CUTOFF={DEFAULT_MAX_CUTOFF}")
-    off_diagonal = r * np.arange(1, N + 1, dtype=np.float64)
-    odd, even = (N + 1) // 2, N // 2 + 1
-    b = np.zeros((odd, even))
-    b[np.arange(odd), np.arange(odd)] = off_diagonal[0::2]
-    b[np.arange(N // 2), np.arange(1, even)] = off_diagonal[1::2]
-    u, s, w_t = np.linalg.svd(b)
-    cos_s = np.ones(even)
-    cos_s[: s.size] = np.cos(s)
-    amplitudes = np.empty(N + 1, dtype=np.complex128)
-    amplitudes[0::2] = w_t.T @ (cos_s * w_t[:, 0])
-    amplitudes[1::2] = -1j * (u @ (np.sin(s) * w_t[: s.size, 0]))
-    theta = -1j * _exp2i(phi)
-    coeffs = theta ** np.arange(N + 1) * amplitudes
+    rho = abs(r) * max(2 * N - 1, 1)
+    terms = int(rho + 12.0 * rho ** (1 / 3)) + 30
+    ratio, bessel = 0.0, [1.0] * terms  # J_k / J_{k-1}, then J_k / J_0
+    for k in range(terms - 1, 0, -1):
+        ratio = bessel[k] = rho / (2 * k - rho * ratio)
+    for k in range(1, terms):
+        bessel[k] *= bessel[k - 1]
+    j0 = 1.0 / (1.0 + 2.0 * math.fsum(bessel[2::2]))
+    # 2x couples n - 1 and n by 2 r n / rho: even[j] (n = 2j) to odd[j + 1]
+    # (n = 2j + 1) by above[j], to odd[j] (n = 2j - 1) by below[j]; zeros pad.
+    half = (N + 1) // 2
+    coupling = np.arange(1, N + 1) * (math.copysign(2.0, r) / max(2 * N - 1, 1))
+    above, below, product, term = np.zeros((4, half + 1))
+    above[:half], below[1 : N // 2 + 1] = coupling[0::2], coupling[1::2]
+    even, odd = np.zeros(half + 1), np.zeros(half + 2)  # odd[0], odd[-1] pad
+    even[0], odd[1:-1][:1] = 1.0, coupling[:1] / 2.0
+    sums = [j0 * even, 2.0 * j0 * bessel[1] * odd[1:-1]]
+    steps = ((even, below, above, odd[:-1], odd[1:], product, term),
+             (odd[1:-1], above[:-1], below[1:], even[:-1], even[1:], product[:half], term[:half]))
+    for k in range(2, terms):
+        # T_k(x)|0> = 2x T_{k-1}(x)|0> - T_{k-2}(x)|0>, weighted by 2 (-i)^k J_k.
+        target, lo, hi, left, right, p, t = steps[k & 1]
+        np.add(np.multiply(lo, left, out=p), np.multiply(hi, right, out=t), out=p)
+        np.subtract(p, target, out=target)
+        sums[k & 1] += np.multiply(target, (-2.0 if k & 2 else 2.0) * j0 * bessel[k], out=t)
+    coeffs = (-1j * _exp2i(phi)) ** np.arange(N + 1)  # theta^n
+    coeffs[0::2] *= sums[0][: N // 2 + 1]
+    coeffs[1::2] *= -1j * sums[1]
     norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > _EXPM_NORM_TOL:
         raise ExpmNotConvergedError(
@@ -439,10 +448,9 @@ def _moments(
     and at each tau, shape (rows, steps + 1), and the squared norm and the
     overlap at the last tau.  Every product is a matrix product or a dot of
     one row and tau, so a row's digits do not depend on the rows and taus
-    beside it.  The tables, the weight tables, |hi|^2, |lo|^2 and the
-    intermediate products are carved from the flat float64 ``spare``
-    (:func:`_carve`), the tables first, by :func:`_phases`; each product
-    reuses the room of one no longer needed.  What is returned is fresh.
+    beside it.  Every temporary is carved from the flat float64 ``spare``
+    (:func:`_carve`), the tables first, by :func:`_phases`, each product in
+    the room of one no longer needed; what is returned is fresh.
     """
     hi, lo = _phases(energies, taus, shift, spare)
     if spare is not None:  # past the tables
@@ -486,9 +494,8 @@ def evolve(
     epsilon(n-n), and each coefficient takes the phase e^{-i [E_n + shift] t},
     formed as the outer product of the two tables of :func:`_phases` and
     then multiplied in: the literal evolved state, which the grid oracle's
-    contractions (:func:`_moments`) are checked against.
-    ``energy_shift`` adds a multiple of the identity, which is the gauge
-    transformation the geometric phase must not see.
+    contractions (:func:`_moments`) are checked against.  ``energy_shift``
+    adds a multiple of the identity, the gauge the geometric phase must not see.
     """
     t = _require_finite("t", t)
     shift = _require_finite("energy_shift", energy_shift)
@@ -526,18 +533,13 @@ def _energy_integrals(
 
     Rows that share a cutoff go through together, in grid order, as many as
     hold _BLOCK_ELEMENTS entries as :func:`_row_entries` counts them (one
-    row at least): steps x (P + Q) phase-table entries per row, and, when
-    the rows differ in r, each row's power row and pair of weight tables
-    too, so a block of several r holds fewer rows than one of one r.  A
-    block raises the bases -e^{2i phi} tanh r of its rows to the powers
-    0 .. N and divides by cosh r, so its weight tables are built once per
-    r: a block of one r shares one pair and extends the powers held for
-    that r, as cutoffs grow in plan order, and a block of several r holds a
-    pair per row.  A block contracts its rows' tau grids with
-    :func:`_moments` in the call's one workspace and integrates its own
-    energies; every step is a call per row and tau or elementwise, so each
-    row adds in the order a lone row would.  Blocks run in plan order, so
-    the first block whose norms are not finite or exceed 1 + 1e-12 raises.
+    row at least).  A block raises the bases -e^{2i phi} tanh r of its rows
+    to the powers 0 .. N and divides by cosh r: a block of one r shares one
+    power row, extended as cutoffs grow in plan order, and one pair of
+    weight tables.  Every step of :func:`_moments` and of the quadrature is
+    a call per row and tau or elementwise, so each row adds in the order a
+    lone row would.  Blocks run in plan order, so the first block whose
+    norms are not finite or exceed 1 + 1e-12 raises.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -556,12 +558,10 @@ def _energy_integrals(
     # Powers 0 .. held - 1 of the last lone r's base.
     row, held_base, held = np.empty(powers.size, dtype=np.complex128), None, 0
     # One float64 workspace for the call, which every block's arrays are
-    # carved from (_carve).  A block holds at most ``largest`` entries, a row
-    # of several r being the heaviest kind: four floats per entry hold its
-    # phase tables, |hi|^2, |lo|^2 and products and, if its rows differ in r,
-    # their powers and weight tables, to which a block of one r adds its one
-    # power row and pair of weight tables.  Fresh arrays per block would
-    # stay resident in the heap after the call.
+    # carved from (_carve): four floats per entry of the largest block, a row
+    # of several r being the heaviest, and one power row and pair of weight
+    # tables for a block of one r.  Fresh arrays per block would stay
+    # resident in the heap after the call.
     side, count = _sides(powers.size - 1)
     heaviest = _row_entries(powers.size - 1, steps, several=True)
     largest = min(max(_BLOCK_ELEMENTS, heaviest), ts.size * heaviest)

@@ -20,7 +20,7 @@ from tmsvphase import cli, errors, fock, phases, su11
 from tmsvphase.cli import SweepSpec, cmd_decompose, cmd_sweep, format_number, main
 from tmsvphase.phases import TAU
 from tmsvphase.su11 import SqueezeParams
-from test_fock import _eigh_squeeze, _phase_table
+from test_fock import _eigh_squeeze, _phase_table, _svd_squeeze
 
 ENTROPY_FIG1_END = 0.9547712524422192
 GAMMA_CYCLE_REDUCED = 4.789016767412264
@@ -364,19 +364,23 @@ def _literal_phases(monkeypatch):
 
 
 class TestVerifyGoldenBytes:
-    """sha256 of verify stdout, pinned four times.
+    """sha256 of verify stdout, pinned five times.
 
-    ``test_contraction_digest`` holds verify as it runs.  The other three
-    hold older bytes with the older routes swapped back in, so every line
-    those routes do not reach must still print them.  ``test_digest`` holds
-    the bytes of the square-root phase tables while the grid still formed
-    evolved rows from their outer product (``_evolved_rows``).  The other
-    two run with the literal exponentials of ``_literal_phases``:
-    ``test_svd_digest`` holds the bytes recorded while each phase was one
-    exponential, and
-    ``test_stdout_digest`` also swaps back the dense eigh of the whole
-    tridiagonal generator that exponentiation-agreement's squeeze
-    exponential was before it became one SVD of the even-to-odd block.
+    ``test_chebyshev_digest`` holds verify as it runs.  The other four hold
+    older bytes with the older routes swapped back in, so every line those
+    routes do not reach must still print them.  Each swaps back an older
+    squeeze exponential for exponentiation-agreement (``_squeeze_by``).
+    Three take the SVD of the even-to-odd block (``_svd_squeeze``), which
+    the Chebyshev series replaced; the series moved only that line, the
+    same for every seed, from 9.37496221803e-12 to 9.37497402834e-12.
+    ``test_contraction_digest`` holds the bytes of the contraction as it
+    runs, and ``test_digest`` the bytes of the square-root phase tables
+    while the grid still formed evolved rows from their outer product
+    (``_evolved_rows``).  The other two run with the literal exponentials
+    of ``_literal_phases``: ``test_svd_digest`` holds the bytes recorded
+    while each phase was one exponential, and ``test_stdout_digest`` takes
+    the dense eigh of the whole tridiagonal generator that the squeeze
+    exponential was before the SVD (``_eigh_squeeze``).
     The SVD moved only the exponentiation-agreement line, whose worst rose
     by 3.5e-17 (9.37492752361e-12 to 9.37496221803e-12 for every seed).
     The square-root phase tables moved four lines, the same for every seed:
@@ -413,6 +417,7 @@ class TestVerifyGoldenBytes:
         (7, "a03b13b3379ceee51d44607e356d75f333e672b2eccf5c2eb22eddd77e67972a"),
     ])
     def test_digest(self, seed, digest, capsys, monkeypatch):
+        _squeeze_by(monkeypatch, _svd_squeeze)
         monkeypatch.setattr(fock, "_moments", _evolved_rows(_phase_table))
         assert self.digest(seed, capsys) == digest
 
@@ -426,7 +431,8 @@ class TestVerifyGoldenBytes:
         (6, "6244f7638efa243cebb3bf467831a67ae609dbf9944604ebac789a6e94c10c18"),
         (7, "032a935c380564158df3e0d217a2443098b9f91c71ce88db574f261a1e1ea4c9"),
     ])
-    def test_contraction_digest(self, seed, digest, capsys):
+    def test_contraction_digest(self, seed, digest, capsys, monkeypatch):
+        _squeeze_by(monkeypatch, _svd_squeeze)
         assert self.digest(seed, capsys) == digest
 
     @pytest.mark.parametrize("seed,digest", [
@@ -440,17 +446,7 @@ class TestVerifyGoldenBytes:
         (7, "68a0f4481233e66fb9fe4ce0dd46e48f9f2f5816874766b9c195a2dd44cde117"),
     ])
     def test_stdout_digest(self, seed, digest, capsys, monkeypatch):
-        real = fock.squeeze_by_exponentiation
-
-        def dense_eigh(r, phi, N):
-            real(r, phi, N)  # the same argument checks and errors
-            coeffs = _eigh_squeeze(r, phi, N)
-            norm = float(np.linalg.norm(coeffs))
-            if norm > 1.0:
-                coeffs /= norm
-            return fock.DiagonalFockState(coeffs)
-
-        monkeypatch.setattr(fock, "squeeze_by_exponentiation", dense_eigh)
+        _squeeze_by(monkeypatch, _eigh_squeeze)
         _literal_phases(monkeypatch)
         assert self.digest(seed, capsys) == digest
 
@@ -465,8 +461,39 @@ class TestVerifyGoldenBytes:
         (7, "84b2e1219ad52d64cc7cf3c7e093816cac05eea7242069cbc46501f471635611"),
     ])
     def test_svd_digest(self, seed, digest, capsys, monkeypatch):
+        _squeeze_by(monkeypatch, _svd_squeeze)
         _literal_phases(monkeypatch)
         assert self.digest(seed, capsys) == digest
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "e7be88b192a9257b04f4b2e28a93be51b9bf88cd67ad166bb53a463ff2abe3ea"),
+        (1, "8ded4c6e589f2498ca46e47fb7e5c52c01ad74dd0c82c6679a16549421dd4919"),
+        (2, "9f4c8a99263ffd43e6e1b43e2f97f6c3caa17cb950030694b17cf86f28655f61"),
+        (3, "2bc2977f68ef89cf881c72bb8d55b45a524e32519dff544178c961d6e9f14b9d"),
+        (4, "8a5f4f5e6173c8be61fe9f0c430cc434612aeec6677469481f645c8afc9f4e0f"),
+        (5, "0a80d9ea5e881654364a3aabe6ba402d5b0995f543f417a0dc7278ee4c0036fd"),
+        (6, "c7601f7273ee91879a2d2fd96fe138f9b54d9b96a5d61f0a651f4c0cff85875d"),
+        (7, "19231cb8ad2316d154356e9c86c103b43d6ca88e4959d90905495cc2b6a7df55"),
+    ])
+    def test_chebyshev_digest(self, seed, digest, capsys):
+        assert self.digest(seed, capsys) == digest
+
+
+def _squeeze_by(monkeypatch, route):
+    """Swap ``route(r, phi, N)``, the coefficients of exp(G)|0>, in for
+    ``fock.squeeze_by_exponentiation``, behind the real function's argument
+    checks and with its rescaling of a norm a few ulp above 1."""
+    real = fock.squeeze_by_exponentiation
+
+    def swapped(r, phi, N):
+        real(r, phi, N)  # the same argument checks and errors
+        coeffs = route(r, phi, N)
+        norm = float(np.linalg.norm(coeffs))
+        if norm > 1.0:
+            coeffs /= norm
+        return fock.DiagonalFockState(coeffs)
+
+    monkeypatch.setattr(fock, "squeeze_by_exponentiation", swapped)
 
 
 def _mutant(fn, old, new):
@@ -497,7 +524,12 @@ class TestVerifyMutants:
         ("_moments", "np.multiply(energies, moduli[0", "np.multiply(1.0, moduli[0",
          "dynamical-quadrature"),
         # Odd amplitudes of the opposite sign keep the norm but not the state.
-        ("squeeze_by_exponentiation", "-1j * (u @", "1j * (u @", "exponentiation-agreement"),
+        ("squeeze_by_exponentiation", "-1j * sums[1]", "1j * sums[1]",
+         "exponentiation-agreement"),
+        # A Chebyshev series cut after about rho / 2 terms loses the norm, and
+        # the check, not the run, fails on the broken exponential.
+        ("squeeze_by_exponentiation", "int(rho + 12.0 * rho ** (1 / 3))", "int(rho / 2)",
+         "exponentiation-agreement"),
         # An entropy in bits, not nats.
         ("entropy_numeric", "np.log(p)", "np.log2(p)", "entropy-numeric-agreement"),
         # cosh r and sinh r swapped in the conjugation rules.
@@ -507,7 +539,8 @@ class TestVerifyMutants:
         ("rotation_conjugation_check", "phi + math.atan2(", "phi - math.atan2(",
          "rotation-conjugation"),
     ], ids=["hi-table-stride", "lo-table-unshifted", "weights-p-major", "energy-table-no-E",
-            "odd-amplitude-sign", "entropy-in-bits", "cosh-sinh-swapped", "rotation-sign"])
+            "odd-amplitude-sign", "series-cut-short", "entropy-in-bits", "cosh-sinh-swapped",
+            "rotation-sign"])
     def test_fault_fails_its_check(self, name, old, new, check, capsys, monkeypatch):
         monkeypatch.setattr(fock, name, _mutant(getattr(fock, name), old, new))
         assert main(["verify"]) == 1

@@ -1,10 +1,12 @@
 """Tests for the truncated Fock-space oracle."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -177,12 +179,12 @@ class TestCutoffFor:
         assert observed <= predicted + 64 * np.finfo(float).eps * scale
 
 
-def _bisected_cutoffs(observable, pairs, accuracy):
-    """Per row, the smallest N in [0, DEFAULT_MAX_CUTOFF] whose documented
-    tail (``_predicted_tail``) is within ``accuracy``, by bisection."""
+def _bisected_cutoffs(observable, pairs, accuracy, top=DEFAULT_MAX_CUTOFF):
+    """Per row, the smallest N in [0, top] whose documented tail
+    (``_predicted_tail``) is within ``accuracy``, by bisection; top if none."""
     cutoffs = []
     for r, wt in pairs:
-        lo, hi = -1, DEFAULT_MAX_CUTOFF
+        lo, hi = -1, top
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if _predicted_tail(observable, abs(r), abs(wt), mid) <= accuracy:
@@ -233,6 +235,41 @@ class TestCutoffGrids:
         got = fock._cutoffs(observable, rs, wts, 1e-9, DEFAULT_MAX_CUTOFF).tolist()
         rows = zip(rs.tolist(), wts.tolist())
         assert got == [cutoff_for(observable, r_i, 1e-9, t=wt_i) for r_i, wt_i in rows]
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        observable=st.sampled_from(OBSERVABLES),
+        rows=st.lists(
+            st.tuples(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), st.floats(-TAU, TAU)),
+            min_size=1, max_size=40,
+        ),
+        max_cutoff=st.integers(0, DEFAULT_MAX_CUTOFF),
+    )
+    @example(observable="mass", rows=[(0.0, 1.0), (2.0, 1.0), (0.3, -5.0)], max_cutoff=1000)
+    @example(observable="entropy", rows=[(2.0, 0.0), (0.0, 0.0)], max_cutoff=1000)
+    def test_random_rows_equal_bisection(self, observable, rows, max_cutoff):
+        # Rows in any order whose brackets close in different rounds: from
+        # (-1, 1000], r = 0 closes at N = 0 after 9 rounds and then probes
+        # max(lo, 0) while r = 2 (N = 282 for mass) takes a 10th.  From
+        # (-1, 4096] only N = 4096 takes a 13th, so max_cutoff varies too.
+        expected = _bisected_cutoffs(observable, rows, 1e-9, max_cutoff)
+        # Not a tail within rounding of the accuracy, as at r = 1e-9 for
+        # expm, which may fall on either side of it in fock's exp/log form of
+        # the tail and in the reference's powers.
+        assume(all(
+            abs(_predicted_tail(observable, abs(r), abs(wt), N) / 1e-9 - 1.0) > 1e-12
+            for (r, wt), cutoff in zip(rows, expected) for N in (cutoff - 1, cutoff) if N >= 0
+        ))
+        rs, wts = np.array(rows).reshape(-1, 2).T.copy()
+        rows_over = [
+            _predicted_tail(observable, abs(r), abs(wt), cutoff) > 1e-9
+            for (r, wt), cutoff in zip(rows, expected)
+        ]
+        if any(rows_over):  # some row needs more than max_cutoff
+            with pytest.raises(CutoffExceededError, match="needs a cutoff above"):
+                fock._cutoffs(observable, rs, wts, 1e-9, max_cutoff)
+        else:
+            assert fock._cutoffs(observable, rs, wts, 1e-9, max_cutoff).tolist() == expected
 
     @pytest.mark.parametrize("observable,r", [
         ("mass", 0.6), ("energy", 0.45), ("phase", 0.45), ("entropy", 0.45), ("expm", 0.3),
@@ -357,15 +394,40 @@ def _diagonal_generator(r, phi, N):
 def _eigh_squeeze(r, phi, N):
     """exp(G)|0> from a dense eigh of the whole real tridiagonal T.
 
-    The route squeeze_by_exponentiation took before it factored T's
-    even-to-odd block: with D = diag(theta^n), theta = -i e^{2i phi}, and
-    T = V diag(w) V^T, exp(G)|0> = D V diag(e^{-iw}) V^T |0>.
+    The route squeeze_by_exponentiation took before ``_svd_squeeze``: with
+    D = diag(theta^n), theta = -i e^{2i phi}, and T = V diag(w) V^T,
+    exp(G)|0> = D V diag(e^{-iw}) V^T |0>.
     """
     off_diagonal = r * np.arange(1, N + 1, dtype=np.float64)
     w, v = np.linalg.eigh(np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
     rotated = np.exp(-1j * w) * v[0]
     theta = -1j * np.exp(2j * phi)
     return theta ** np.arange(N + 1) * (v @ rotated.real + 1j * (v @ rotated.imag))
+
+
+def _svd_squeeze(r, phi, N):
+    """exp(G)|0> from one full SVD of T's even-to-odd block.
+
+    The route squeeze_by_exponentiation took before its Chebyshev series,
+    operation for operation.  T = [[0, B^T], [B, 0]] in even/odd order, with
+    B[j, j] = r (2j + 1) and B[j, j + 1] = r (2j + 2); with B = U diag(s) W^T,
+    exp(-iT)|0> has the even part W cos(s) W^T e_0 and the odd part
+    -i U sin(s) W[:, :len(s)]^T e_0, and for even N, W's last column spans
+    the null space of B and takes cos 0 = 1.
+    """
+    off_diagonal = r * np.arange(1, N + 1, dtype=np.float64)
+    odd, even = (N + 1) // 2, N // 2 + 1
+    b = np.zeros((odd, even))
+    b[np.arange(odd), np.arange(odd)] = off_diagonal[0::2]
+    b[np.arange(N // 2), np.arange(1, even)] = off_diagonal[1::2]
+    u, s, w_t = np.linalg.svd(b)
+    cos_s = np.ones(even)
+    cos_s[: s.size] = np.cos(s)
+    amplitudes = np.empty(N + 1, dtype=np.complex128)
+    amplitudes[0::2] = w_t.T @ (cos_s * w_t[:, 0])
+    amplitudes[1::2] = -1j * (u @ (np.sin(s) * w_t[: s.size, 0]))
+    theta = -1j * su11._exp2i(phi)
+    return theta ** np.arange(N + 1) * amplitudes
 
 
 class TestSqueezeByExponentiation:
@@ -395,8 +457,8 @@ class TestSqueezeByExponentiation:
     @pytest.mark.parametrize("r,N", [(1.0, 91), (2.0, 377), (2.0, 655)])
     def test_matches_pade_expm(self, r, N):
         # scipy's scaling-and-squaring expm of the complex generator as an
-        # independent reference for the SVD of the even-to-odd block, at the
-        # same truncation.
+        # independent reference for the Chebyshev series, at the same
+        # truncation.
         reference = expm(_diagonal_generator(r, 0.3, N))[:, 0]
         brute = squeeze_by_exponentiation(r, 0.3, N)
         assert np.abs(brute.coeffs - reference).max() <= 1e-13
@@ -412,10 +474,12 @@ class TestSqueezeByExponentiation:
     @example(r=0.0, phi=0.7, N=7)
     @example(r=0.0, phi=0.7, N=8)
     @example(r=1.0, phi=1e308, N=3)
+    @example(r=1.35e-124, phi=0.3, N=3)  # the unscaled Miller recurrence overflows
     @settings(deadline=None, max_examples=60)
     def test_matches_dense_eigh_and_pade_expm(self, r, phi, N):
-        # Both parities of N: for even N the block is one column wider than
-        # tall, and its null vector must come back with cos 0 = 1.
+        # Both parities of N: the even half is one longer for even N, and for
+        # the SVD the block is then one column wider than tall, its null
+        # vector coming back with cos 0 = 1.
         brute = squeeze_by_exponentiation(r, phi, N).coeffs
         if math.isinf(2.0 * phi):
             # Both references form e^{2i phi}, NaN once 2 phi overflows; the
@@ -426,6 +490,7 @@ class TestSqueezeByExponentiation:
             assert np.abs(np.abs(brute) - moduli).max() <= 1e-13
             return
         assert np.abs(brute - _eigh_squeeze(r, phi, N)).max() <= 1e-13
+        assert np.abs(brute - _svd_squeeze(r, phi, N)).max() <= 1e-13
         assert np.abs(brute - expm(_diagonal_generator(r, phi, N))[:, 0]).max() <= 1e-13
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, -2.2, 40.0])
@@ -445,6 +510,36 @@ class TestSqueezeByExponentiation:
     def test_cutoff_exceeded(self):
         with pytest.raises(CutoffExceededError):
             squeeze_by_exponentiation(1.0, 0.0, DEFAULT_MAX_CUTOFF + 1)
+
+    def test_runs_without_a_dense_factorisation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("squeeze_by_exponentiation factored a matrix")
+
+        for name in ("svd", "eigh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        brute = squeeze_by_exponentiation(2.0, 0.3, 655)
+        assert np.abs(brute.coeffs - schmidt_state(2.0, 0.3, 655).coeffs).max() <= 1e-10
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_peak_memory_grows_by_vectors_only(self):
+        # The SVD of the 328 x 329 block at N = 655 grew the peak RSS by
+        # about 10 MB; the series holds a few vectors of N / 2 floats.  Read
+        # as VmHWM in a fresh process: a child's ru_maxrss starts at this
+        # process's peak, which it keeps through fork and exec.
+        code = (
+            "from tmsvphase import fock\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(x.split()[1]) for x in status if x.startswith('VmHWM:'))\n"
+            "before = peak()\n"
+            "fock.squeeze_by_exponentiation(2.0, 0.3, 655)\n"
+            "print(peak() - before)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 2 * 1024
 
 
 class TestEvolve:
