@@ -160,12 +160,11 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     sweep asks the oracle for all its (r, t) rows in one call, which groups
     them by cutoff, whether r or t varies, into blocks of as many rows as
     hold ``fock._BLOCK_ELEMENTS`` phase-table entries (614 rows at N = 399,
-    fewer when the rows differ in r).  Each row asks for one step, to t
-    alone: the energy integrand is constant in time, so the one-step trapezoid
-    over [0, t] is exact up to rounding, as verify's
-    ``dynamical-quadrature`` shows by holding 1, 7 and 200 steps to one
-    value.  The oracle has validated every row's r and t by then, so the
-    closed-form columns are written into the table _CHUNK_ROWS rows at a
+    fewer when the rows differ in r).  Each row is evolved to t alone: the
+    energy expectation is constant in time, so the oracle's delta is
+    t <H>_0, which verify's ``dynamical-quadrature`` holds to 2 Omega t
+    sinh^2 r.  The oracle has validated every row's r and t by then, so
+    the closed-form columns are written into the table _CHUNK_ROWS rows at a
     time, with sinh^2 r taken once per distinct r of a chunk: the overlap
     (``phases._overlap``) and its argument (``cmath.phase``) stay scalar
     libm calls per row, and delta, the sum and its reduction to [0, 2 pi)
@@ -207,7 +206,7 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
             )
     numeric = fock.geometric_phase_numeric(
         rs, fx["phi"], h, ts, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
-        max_cutoff=max_cutoff, steps=1,
+        max_cutoff=max_cutoff,
     )
     # Allocated only now, so the table is not held while the oracle runs.
     table = np.empty((grid.size, len(headers)))
@@ -373,11 +372,12 @@ def _su11_closure(accuracy, max_cutoff, rng):
     # The running product stays an unvalidated pair: GroupElement would raise
     # at the defect this check bounds, before the check could report it.
     # One draw of (r, phi) rows takes the generator's doubles in the order a
-    # loop of scalar draws, r before phi, would.
+    # loop of scalar draws, r before phi, would; one chain at a time becomes
+    # Python floats, 200 of them rather than all 12000.
     draws = rng.uniform([-3, -math.pi], [3, math.pi], size=(60, 100, 2))
-    for chain, steps in enumerate(draws.tolist()):
+    for chain, steps in enumerate(draws):
         pair = (su11.IDENTITY.m11, su11.IDENTITY.m12)
-        for step, (r, phi) in enumerate(steps):
+        for step, (r, phi) in enumerate(steps.tolist()):
             pair = su11._product(pair, su11._c_pair(r, phi))
             yield su11._defect(*pair), f"chain {chain}, step {step}"
 
@@ -421,7 +421,7 @@ def _overlap_agreement(accuracy, max_cutoff, rng):
     rs, wts = np.repeat(_R_GRID, grid.size), np.tile(grid, len(_R_GRID))
     _, overlaps, _ = fock._evolution(
         "mass", rs, 0.4, HamiltonianParams(1.0, 0.25), wts, accuracy=accuracy,
-        max_cutoff=max_cutoff, energy_shift=0.0, steps=1,
+        max_cutoff=max_cutoff, energy_shift=0.0,
     )
     for r, wt, numeric in zip(rs.tolist(), wts.tolist(), overlaps.tolist()):
         yield abs(numeric - phases.overlap_analytic(r, 1.0, wt)), f"r={r}, omega_t={wt:.4g}"
@@ -442,23 +442,20 @@ def _dynamical_quadrature(accuracy, max_cutoff, rng):
     omega, grid, r_grid = 1.3, (0.3, math.pi / 4, 1.0, math.pi, TAU), (0.1, 0.5, 1.0, 1.5)
     rs, wts = np.repeat(r_grid, len(grid)), np.tile(grid, len(r_grid))
     ts = wts / omega
-    # One grid call per (epsilon, steps), then the samples in (r, t) order.
+    # One grid call per epsilon, then the samples in (r, t) order.
     integrals = {
-        (eps_frac, steps): fock.dynamical_integral(
-            rs, 0.2, HamiltonianParams(omega, eps_frac * omega), ts, steps,
+        eps_frac: fock.dynamical_integral(
+            rs, 0.2, HamiltonianParams(omega, eps_frac * omega), ts,
             accuracy=accuracy, max_cutoff=max_cutoff,
         ).tolist()
         for eps_frac in (0.0, 0.37, 0.9)
-        for steps in (1, 7, 200)
     }
     for i, (r, wt, t) in enumerate(zip(rs.tolist(), wts.tolist(), ts.tolist())):
         expected = 2.0 * omega * t * math.sinh(r) ** 2
         results = [values[i] for values in integrals.values()]
-        for (eps_frac, steps), got in zip(integrals, results):
-            yield abs(got - expected), (
-                f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega, steps={steps}"
-            )
-        yield max(results) - min(results), f"r={r}, omega_t={wt:.4g} (step/eps spread)"
+        for eps_frac, got in zip(integrals, results):
+            yield abs(got - expected), f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega"
+        yield max(results) - min(results), f"r={r}, omega_t={wt:.4g} (eps spread)"
 
 
 @_invariant("gauge-invariance", 1e-10)
@@ -528,7 +525,7 @@ def _rotation_conjugation(accuracy, max_cutoff, rng):
 def _cyclic_total_phase(accuracy, max_cutoff, rng):
     _, overlaps, _ = fock._evolution(
         "mass", np.array(_R_GRID), 0.3, HamiltonianParams(1.0, 0.0), np.full(len(_R_GRID), TAU),
-        accuracy=accuracy, max_cutoff=max_cutoff, energy_shift=0.0, steps=1,
+        accuracy=accuracy, max_cutoff=max_cutoff, energy_shift=0.0,
     )
     for r, overlap in zip(_R_GRID, overlaps.tolist()):
         yield abs(overlap / abs(overlap) - 1.0), f"r={r}, omega_t=2pi"

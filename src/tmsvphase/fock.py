@@ -3,9 +3,9 @@
 Everything the closed forms in :mod:`tmsvphase.phases` claim is recomputed
 here from first principles: states as coefficient vectors, squeezing by
 a Chebyshev series of the generator's exponential on the vacuum,
-evolution as literal Hamiltonian phase factors, quadrature of the energy
-expectation, entropy of the Schmidt spectrum, and operator-identity
-residuals on the full two-mode space.
+evolution as literal Hamiltonian phase factors, the dynamical term as t
+times the conserved energy expectation, entropy of the Schmidt spectrum,
+and operator-identity residuals on the full two-mode space.
 
 Two representations are used, chosen by what truncation does to them:
 
@@ -20,18 +20,20 @@ Two representations are used, chosen by what truncation does to them:
 Every quantity over time (overlap, energy integral, geometric phase) goes
 through one grid route over rows of (r, t), for one point or a whole
 sweep, in blocks of rows sharing a cutoff (:func:`_energy_integrals`),
-with digits independent of the grid.  The phase e^{-i tau (E_n + shift)}
+with digits independent of the grid.  The phase e^{-i t (E_n + shift)}
 is the product of two tables of about sqrt(N) exponentials each
-(:func:`_phases`), and a row's overlap, norm and energy are contractions
-of those tables against tables of |c_n|^2 (:func:`_moments`), checked
-against the literal evolved state of :func:`evolve`.
+(:func:`_phases`), and a row's overlap is a contraction of those tables
+against a table of |c_n|^2 (:func:`_moments`), checked against the
+literal evolved state of :func:`evolve`.  Evolution keeps every |c_n|,
+so the energy integral over [0, t] is t <H>_0, read off the same tables.
 
 Truncation error policy: the Schmidt coefficient of |n>|n> is
 (-e^{2i phi} tanh r)^n / cosh r, so every truncation error has a
 closed-form geometric tail in the cutoff N, and :func:`cutoff_for` is the
 one place that turns an observable's accuracy target into N.  A grid's
-cutoffs come from one bisection over its rows at once (:func:`_cutoffs`),
-exact because every tail is strictly decreasing in N.  Operator
+cutoffs come from one bisection over its rows at once (:func:`_cutoffs`):
+each is the smallest N whose tail is within the accuracy, but for ties
+within the tail's rounding, where N can be one off either way.  Operator
 identities are asserted only on entries a ``margin`` away from the cutoff,
 where the constructions used here keep them exact up to rounding.
 
@@ -61,8 +63,8 @@ FULL_SPACE_MAX_CUTOFF = 32
 #: Norm defect above which an exponentiated generator is considered broken.
 _EXPM_NORM_TOL = 1e-12
 
-# Entries a block of the grid oracle holds (:func:`_row_entries`): 630 one-step
-# sweep rows at N = 377, or 20 such rows when they differ in r.
+# Entries a block of the grid oracle holds (:func:`_row_entries`): 630 sweep
+# rows at N = 377, or 20 such rows when they differ in r.
 _BLOCK_ELEMENTS = 24576
 
 # Rows per chunk of a grid's cutoff bisection and per list of Python floats
@@ -168,8 +170,12 @@ def cutoff_for(
     * ``expm``: the first dropped amplitude tanh^{N+1}|r| / cosh r, the
       boundary reflection of the exponentiated truncated generator.
 
-    So a bisection over N finds the smallest N exactly; this is the
-    one-row case of :func:`_cutoffs`.
+    A bisection over N finds where the computed tail crosses ``accuracy``;
+    this is the one-row case of :func:`_cutoffs`.  The computed tail is
+    off by rounding (up to about 4e-14 relative against mpmath for
+    r <= 10, N < 300), so where the exact tail at N or N - 1 lies that
+    close to ``accuracy``, N can be one above or one below the exact
+    smallest: ``cutoff_for("expm", 1e-9, 1e-9)`` is 1 where 0 is.
 
     Raises
     ------
@@ -225,10 +231,11 @@ def _cutoffs(
     and the first row in grid order that fails one raises the error it
     raises alone.  Then one bisection, from the bracket lo = -1, hi =
     max_cutoff (at most _BRACKET_TOP), keeps tail(lo) > accuracy >= tail(hi)
-    on every row of the chunk at once; the tails being strictly decreasing
-    in N, hi ends at the smallest N.  A row whose bracket has closed probes
-    max(lo, 0), which keeps it.  A nan tail (only entropy's, at r = 0)
-    counts as within ``accuracy``: N = 0.
+    on every row of the chunk at once, so hi ends where the computed tail
+    crosses ``accuracy``: the smallest N, up to the ties :func:`cutoff_for`
+    describes.  A row whose bracket has closed probes max(lo, 0), which
+    keeps it.  A nan tail (only entropy's, at r = 0) counts as within
+    ``accuracy``: N = 0.
     """
     if not (0.0 < accuracy < 1.0):
         raise ValueError(f"accuracy must lie in (0, 1), got {accuracy}")
@@ -381,15 +388,15 @@ def _sides(N: int) -> tuple[int, int]:
     return side, -(-(N + 1) // side)
 
 
-def _row_entries(N: int, steps: int, several: bool) -> int:
+def _row_entries(N: int, several: bool) -> int:
     """Entries one row of a grid-oracle block at cutoff N holds.
 
-    steps x (P + Q) phase-table entries (:func:`_sides`), and in a block
-    of several r also its power row, N + 1 long, and its two (Q, P) weight
-    tables; a block of one r shares those.
+    P + Q phase-table entries (:func:`_sides`), and in a block of several r
+    also its power row, N + 1 long, and its (Q, P) tables of |c_n|^2 and
+    E_n |c_n|^2; a block of one r shares those.
     """
     side, count = _sides(N)
-    return steps * (side + count) + (N + 1 + 2 * count * side if several else 0)
+    return side + count + (N + 1 + 2 * count * side if several else 0)
 
 
 def _carve(
@@ -406,56 +413,54 @@ def _carve(
 
 
 def _phases(
-    energies: np.ndarray, taus: np.ndarray, shift: float, spare: np.ndarray | None = None,
+    energies: np.ndarray, ts: np.ndarray, shift: float, spare: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The tables hi = e^{-i tau E_{qP}} and lo = e^{-i tau (E_p + shift)} for each tau.
+    """The tables hi = e^{-i t E_{qP}} and lo = e^{-i t (E_p + shift)} for each t.
 
     ``energies`` is E_0 .. E_N of :func:`_energies`, linear in n since
     epsilon cancels, so with P = isqrt(N) + 1, Q = ceil((N + 1) / P) and
-    n = qP + p the phase e^{-i tau (E_n + shift)} is hi_q lo_p: P + Q
-    exponentials per tau instead of N + 1.  hi has shape taus.shape + (Q,)
-    and lo taus.shape + (P,); the outer product of the two, cut to N + 1
-    entries, differs from np.exp(-1j * (E_n + shift) * tau) by at most
-    5 eps (1 + tau (E_N + |shift|)).  Both tables are carved, hi first,
+    n = qP + p the phase e^{-i t (E_n + shift)} is hi_q lo_p: P + Q
+    exponentials per t instead of N + 1.  hi has shape ts.shape + (Q,)
+    and lo ts.shape + (P,); the outer product of the two, cut to N + 1
+    entries, differs from np.exp(-1j * (E_n + shift) * t) by at most
+    5 eps (1 + t (E_N + |shift|)).  Both tables are carved, hi first,
     from the front of the flat float64 ``spare`` (:func:`_carve`).
     """
     side, _ = _sides(energies.size - 1)
-    taus = taus[..., None]
+    ts = ts[..., None]
     tables = []
     for exponents in (-1j * energies[::side], -1j * (energies[:side] + shift)):
-        out, spare = _carve(spare, taus.shape[:-1] + exponents.shape, np.complex128)
-        tables.append(np.exp(np.multiply(exponents, taus, out=out), out=out))
+        out, spare = _carve(spare, ts.shape[:-1] + exponents.shape, np.complex128)
+        tables.append(np.exp(np.multiply(exponents, ts, out=out), out=out))
     hi, lo = tables
     return hi, lo
 
 
 def _moments(
-    coeffs: np.ndarray, energies: np.ndarray, taus: np.ndarray, shift: float,
+    coeffs: np.ndarray, energies: np.ndarray, ts: np.ndarray, shift: float,
     spare: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energy, squared norm and overlap of each row of taus from the phase tables.
+    """Energy and squared norm of each state, and the overlap of each row of ``ts``.
 
-    ``coeffs`` holds c_0 .. c_N: one state, shape (1, N + 1), for every row
-    of ``taus`` (rows, steps), or one per row.  A row's state at tau is
-    c_n e^{-i tau (E_n + shift)} = c_n hi_q lo_p (:func:`_phases`), and with
-    the (Q, P) tables W of |c_n|^2 and V of E_n |c_n|^2, zero past N,
+    ``coeffs`` holds c_0 .. c_N: one state, shape (1, N + 1), for every
+    entry of the 1-D ``ts``, or one per entry.  A row's state at t is
+    c_n e^{-i t (E_n + shift)} = c_n hi_q lo_p (:func:`_phases`), so with
+    W and V the (Q, P) tables of |c_n|^2 and E_n |c_n|^2, zero past N,
 
-        <psi(0)|psi(tau)> = hi . (W lo),   |psi(tau)|^2 = |hi|^2 . (W |lo|^2),
-        <psi(tau)|H|psi(tau)> = |hi|^2 . (V |lo|^2) + shift,
+        <psi(0)|psi(t)> = hi . (W lo),   |psi(t)|^2 = sum W,
+        <psi(t)|H|psi(t)> = sum V + shift,
 
-    so no row forms an (N + 1)-long phase or evolved row.  Returns, per row,
-    the energies at tau = 0 (the sum of V, as the phase there is exactly 1)
-    and at each tau, shape (rows, steps + 1), and the squared norm and the
-    overlap at the last tau.  Every product is a matrix product or a dot of
-    one row and tau, so a row's digits do not depend on the rows and taus
-    beside it.  Every temporary is carved from the flat float64 ``spare``
-    (:func:`_carve`), the tables first, by :func:`_phases`, each product in
-    the room of one no longer needed; what is returned is fresh.
+    the last two at every t, since evolution keeps every |c_n|; no row
+    forms an (N + 1)-long phase or evolved row.  Returns sum V and sum W
+    per state and the overlap per row, a matrix product and a dot of the
+    row's own, so its digits do not depend on the rows beside it.  Every
+    temporary is carved from the flat float64 ``spare`` (:func:`_carve`),
+    the tables first, by :func:`_phases`; what is returned is fresh.
     """
-    hi, lo = _phases(energies, taus, shift, spare)
+    hi, lo = _phases(energies, ts, shift, spare)
     if spare is not None:  # past the tables
         spare = spare[2 * (hi.size + lo.size) :]
-    rows, count, side = taus.shape[0], hi.shape[-1], lo.shape[-1]
+    count, side = hi.shape[-1], lo.shape[-1]
     moduli, spare = _carve(spare, (2, coeffs.shape[0], count * side))
     moduli[:, :, energies.size :] = 0.0
     np.abs(coeffs, out=moduli[0, :, : energies.size])
@@ -463,23 +468,10 @@ def _moments(
     np.multiply(energies, moduli[0, :, : energies.size], out=moduli[1, :, : energies.size])
     weights, energy_weights = moduli.reshape(2, -1, count, side)
     # W lo as a real product with lo's real and imaginary parts side by side.
-    half, _ = _carve(spare, (rows, count, 2))
-    np.matmul(weights, lo[:, -1].view(np.float64).reshape(-1, side, 2), out=half)
-    overlaps = (hi[:, -1, None, :] @ half.view(np.complex128))[:, 0, 0]
-    hi_sq, rest = _carve(spare, hi.shape)
-    lo_sq, rest = _carve(rest, lo.shape)
-    for table, square in ((hi, hi_sq), (lo, lo_sq)):
-        np.square(np.abs(table, out=square), out=square)
-    values = np.empty((rows, taus.shape[1] + 1))
-    values[:, 0] = energy_weights.sum(axis=(-2, -1))
-    product, _ = _carve(rest, (*taus.shape, count, 1))
-    np.matmul(energy_weights[:, None], lo_sq[..., None], out=product)
-    values[:, 1:] = (hi_sq[..., None, :] @ product)[..., 0, 0]
-    values += shift
-    product, _ = _carve(rest, (rows, count, 1))
-    np.matmul(weights, lo_sq[:, -1, :, None], out=product)
-    norms = (hi_sq[:, -1, None, :] @ product)[:, 0, 0]
-    return values, norms, overlaps
+    half, _ = _carve(spare, (ts.size, count, 2))
+    np.matmul(weights, lo.view(np.float64).reshape(-1, side, 2), out=half)
+    overlaps = (hi[:, None, :] @ half.view(np.complex128))[:, 0, 0]
+    return energy_weights.sum(axis=(-2, -1)), weights.sum(axis=(-2, -1)), overlaps
 
 
 def evolve(
@@ -504,45 +496,31 @@ def evolve(
     return DiagonalFockState(state.coeffs * phases)
 
 
-def _tau_grids(ts: np.ndarray, steps: int) -> np.ndarray:
-    """Row i is np.linspace(0.0, ts[i], steps + 1), element for element.
-
-    One linspace over all rows would differ: if any row's step t / steps is
-    zero, numpy forms every row as (k / steps) t instead of k (t / steps).
-    """
-    k = np.arange(steps + 1, dtype=np.float64)
-    step = ts[:, None] / steps
-    taus = np.where(step == 0.0, k / steps * ts[:, None], k * step) + 0.0
-    taus[:, -1] = ts
-    return taus
-
-
 def _energy_integrals(
     rs: np.ndarray, phi: float, h: HamiltonianParams, ts: np.ndarray,
-    cutoffs: np.ndarray | list[int], steps: int, shift: float,
+    cutoffs: np.ndarray | list[int], shift: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite trapezoid of <psi(tau)|H|psi(tau)> over [0, t] for each row (r, t).
+    """Integral of <psi(tau)|H|psi(tau)> over [0, t], and overlap, for each row (r, t).
 
     Row i starts from c_n = (-e^{2i phi} tanh r)^n / cosh r, r = rs[i] and
-    n = 0 .. cutoffs[i].  Returns, in grid order, each row's integral and
-    overlap <psi(0)|psi(t)>.  Element for element, psi(0) is
-    ``schmidt_state(r, phi, N)``, and a row's energies at its taus and its
-    overlap at t are what :func:`_moments` gives for that state alone, the
-    contraction of the phase tables of ``evolve(psi(0), h, tau, shift)``
-    against |c_n|^2 tables.
+    n = 0 .. cutoffs[i].  Evolution keeps every |c_n|, so the integrand is
+    constant and the integral is t (E + shift), E the energy :func:`_moments`
+    gives.  Returns, in grid order, each row's integral and overlap
+    <psi(0)|psi(t)>.  Element for element, psi(0) is ``schmidt_state(r, phi,
+    N)``, and a row's energy and overlap are what :func:`_moments` gives for
+    that state alone at t, the contraction of the phase tables of
+    ``evolve(psi(0), h, t, shift)`` against |c_n|^2 tables.
 
     Rows that share a cutoff go through together, in grid order, as many as
     hold _BLOCK_ELEMENTS entries as :func:`_row_entries` counts them (one
     row at least).  A block raises the bases -e^{2i phi} tanh r of its rows
     to the powers 0 .. N and divides by cosh r: a block of one r shares one
     power row, extended as cutoffs grow in plan order, and one pair of
-    weight tables.  Every step of :func:`_moments` and of the quadrature is
-    a call per row and tau or elementwise, so each row adds in the order a
-    lone row would.  Blocks run in plan order, so the first block whose
-    norms are not finite or exceed 1 + 1e-12 raises.
+    weight tables.  Every step is a call per row or elementwise, so each
+    row adds in the order a lone row would.  Blocks run in plan order, so
+    the first block whose squared norms, overlaps or integrals are not
+    finite, or whose squared norms exceed 1 + 1e-12, raises.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
     negative = ts[ts < 0.0]
     if negative.size:
         raise ValueError(f"t must be nonnegative, got {negative[0]}")
@@ -550,7 +528,6 @@ def _energy_integrals(
     # Rows sorted by cutoff, in grid order within each cutoff.
     order = np.argsort(cutoffs, kind="stable")
     phase = -_exp2i(phi)
-    taus = _tau_grids(ts, steps)
     powers = np.arange(int(cutoffs.max(initial=0)) + 1)
     energies = _energies(h, powers.size - 1)
     integrals = np.empty(ts.size)
@@ -558,21 +535,25 @@ def _energy_integrals(
     # Powers 0 .. held - 1 of the last lone r's base.
     row, held_base, held = np.empty(powers.size, dtype=np.complex128), None, 0
     # One float64 workspace for the call, which every block's arrays are
-    # carved from (_carve): four floats per entry of the largest block, a row
-    # of several r being the heaviest, and one power row and pair of weight
-    # tables for a block of one r.  Fresh arrays per block would stay
-    # resident in the heap after the call.
+    # carved from (_carve): four floats per entry of the largest block, and
+    # one power row and pair of weight tables for a block of one r.  Fresh
+    # arrays per block would stay resident in the heap after the call.  A
+    # row's carves take three floats per entry at most (2 (P + Q) + 2Q,
+    # Q <= P, and two for a row of several r), but glibc raises its mmap
+    # threshold to the largest block freed, and the benchmark sweep's 640 KB
+    # table reuses freed heap only after a larger one: 0.2-0.3 MB less peak
+    # RSS than at three floats.
     side, count = _sides(powers.size - 1)
-    heaviest = _row_entries(powers.size - 1, steps, several=True)
+    heaviest = _row_entries(powers.size - 1, several=True)
     largest = min(max(_BLOCK_ELEMENTS, heaviest), ts.size * heaviest)
     spare = np.empty(4 * largest + 2 * (powers.size + count * side))
     done = 0
     while done < order.size:
         N = int(cutoffs[order[done]])
-        rows = order[done : done + max(1, _BLOCK_ELEMENTS // _row_entries(N, steps, False))]
+        rows = order[done : done + max(1, _BLOCK_ELEMENTS // _row_entries(N, False))]
         rows = rows[cutoffs[rows] == N]
         if (rs[rows] != rs[rows[0]]).any():
-            rows = rows[: max(1, _BLOCK_ELEMENTS // _row_entries(N, steps, True))]
+            rows = rows[: max(1, _BLOCK_ELEMENTS // _row_entries(N, True))]
         done += rows.size
         block_rs = rs[rows]
         block_rs = block_rs[:1] if (block_rs == block_rs[0]).all() else block_rs
@@ -587,19 +568,17 @@ def _energy_integrals(
             held = max(held, N + 1)
             source = row[None, : N + 1]
         np.divide(source, np.cosh(block_rs)[:, None], out=initial)
-        block_taus = taus[rows]
         # Overflowing input ends in the finite check below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            values, norms, overlaps[rows] = _moments(
-                initial, energies[: N + 1], block_taus[:, 1:], shift, rest
+            energy, norms, overlaps[rows] = _moments(
+                initial, energies[: N + 1], ts[rows], shift, rest
             )
-        if not np.isfinite(norms).all():
+            integrals[rows] = ts[rows] * (energy + shift)
+        if not (np.isfinite(norms).all() and np.isfinite(overlaps[rows]).all()
+                and np.isfinite(integrals[rows]).all()):
             raise ValueError("coefficients must be finite")
         if norms.max() > 1.0 + 1e-12:
             raise ValueError(f"state over-normalized: |psi|^2 = {norms.max()}")
-        # np.trapezoid's arithmetic, row by row.
-        widths = block_taus[:, 1:] - block_taus[:, :-1]
-        integrals[rows] = (widths * (values[:, 1:] + values[:, :-1]) / 2.0).sum(axis=-1)
     return integrals, overlaps
 
 
@@ -614,13 +593,12 @@ def _grid(t: float | np.ndarray, r: float | np.ndarray) -> tuple[np.ndarray, np.
 
 def _evolution(
     observable: str, r: float | np.ndarray, phi: float, h: HamiltonianParams, ts: np.ndarray,
-    *, accuracy: float, max_cutoff: int, energy_shift: float, steps: int,
+    *, accuracy: float, max_cutoff: int, energy_shift: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's energy integral, overlap <psi(0)|psi(t)> and cutoff, ts 1-D.
 
     ``r`` is a float or one value per row; row i keeps ``cutoff_for(observable,
-    r[i], accuracy, t=Omega t[i])``.  The overlap does not depend on ``steps``:
-    the last tau of each row is t itself.
+    r[i], accuracy, t=Omega t[i])``.
     """
     rs = np.broadcast_to(np.asarray(r, dtype=np.float64), ts.shape)
     # An overflowing or undefined Omega t is refused by _cutoffs, not warned about.
@@ -628,26 +606,26 @@ def _evolution(
         cutoffs = _cutoffs(observable, rs, h.Omega * ts, accuracy, max_cutoff)
     phi = _require_finite("phi", phi)
     shift = _require_finite("energy_shift", energy_shift)
-    return (*_energy_integrals(rs, phi, h, ts, cutoffs, steps, shift), cutoffs)
+    return (*_energy_integrals(rs, phi, h, ts, cutoffs, shift), cutoffs)
 
 
 def dynamical_integral(
-    r: float | np.ndarray, phi: float, h: HamiltonianParams, t: float | np.ndarray, steps: int,
+    r: float | np.ndarray, phi: float, h: HamiltonianParams, t: float | np.ndarray,
     *, accuracy: float = 1e-10, max_cutoff: int = DEFAULT_MAX_CUTOFF, energy_shift: float = 0.0,
 ) -> float | np.ndarray:
-    """Composite trapezoid quadrature of <psi(tau)|H|psi(tau)> over [0, t].
+    """Integral of <psi(tau)|H|psi(tau)> over [0, t], the dynamical term delta.
 
-    The integrand is constant in time (evolution preserves every |c_n|),
-    so the trapezoid rule is exact up to rounding for any step count; the
-    result equals 2 Omega t sinh^2 r within ``accuracy``, the energy tail
-    the cutoff is chosen for.
+    Evolution preserves every |c_n|, so the integrand is constant and the
+    integral is t <H>_0, from the truncated state at tau = 0; it equals
+    2 Omega t sinh^2 r within ``accuracy``, the energy tail the cutoff is
+    chosen for.
 
     ``t`` and ``r`` may be 1-D arrays, as in :func:`geometric_phase_numeric`.
     """
     ts, rs, scalar = _grid(t, r)
     integrals, _, _ = _evolution(
         "energy", rs, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
-        energy_shift=energy_shift, steps=steps,
+        energy_shift=energy_shift,
     )
     return float(integrals[0]) if scalar else integrals
 
@@ -655,12 +633,11 @@ def dynamical_integral(
 def geometric_phase_numeric(
     r: float | np.ndarray, phi: float, h: HamiltonianParams, t: float | np.ndarray, *,
     accuracy: float = 1e-10, max_cutoff: int = DEFAULT_MAX_CUTOFF, energy_shift: float = 0.0,
-    steps: int = 16,
 ) -> float | np.ndarray:
     """Kinematic geometric phase arg<psi(0)|psi(t)> + integral, in [0, 2 pi).
 
-    Computed entirely from truncated states: overlap by summation, energy
-    integral by quadrature.  Agrees with
+    Computed entirely from truncated states: the overlap by summation, the
+    energy integral as t <H>_0 (:func:`dynamical_integral`).  Agrees with
     :func:`tmsvphase.phases.geometric_phase` within ``accuracy``, the phase
     tail the cutoff is chosen for at each Omega t.
 
@@ -671,7 +648,7 @@ def geometric_phase_numeric(
     ts, rs, scalar = _grid(t, r)
     deltas, overlaps, _ = _evolution(
         "phase", rs, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
-        energy_shift=energy_shift, steps=steps,
+        energy_shift=energy_shift,
     )
     # arg<psi(0)|psi(t)> is libm's atan2 through cmath.phase, row by row
     # (numpy's arctan2 differs in the last bit); the sum and its reduction

@@ -40,7 +40,7 @@ def test_criterion_1_overlap_equivalence():
             if r <= 1.0:
                 assert N <= 60  # tail bound keeps small squeezes tiny
             _, overlaps = fock._energy_integrals(
-                np.full(WT_GRID.size, r), 0.3, H_UNIT, WT_GRID, [N] * WT_GRID.size, 1, 0.0
+                np.full(WT_GRID.size, r), 0.3, H_UNIT, WT_GRID, [N] * WT_GRID.size, 0.0
             )
             for wt, numeric in zip(WT_GRID, overlaps):
                 analytic = phases.overlap_analytic(r, 1.0, float(wt))
@@ -56,7 +56,7 @@ def test_criterion_2_geometric_phase_closed_form():
         for r in R_GRID:
             for wt in WT_GRID:
                 r, wt = float(r), float(wt)
-                numeric = fock.geometric_phase_numeric(r, 0.3, H_UNIT, wt, steps=4)
+                numeric = fock.geometric_phase_numeric(r, 0.3, H_UNIT, wt)
                 # closed form: gamma = Wt cosh 2r + arg(cos Wt - i sin Wt cosh 2r)
                 c2r = math.cosh(2.0 * r)
                 closed = wt * c2r + math.atan2(-math.sin(wt) * c2r, math.cos(wt))
@@ -72,7 +72,7 @@ def test_criterion_3_cyclic_phase():
         for r in R_GRID:
             N = fock.cutoff_for("mass", r, 1e-12)
             _, (overlap,) = fock._energy_integrals(
-                np.array([r]), 0.3, H_UNIT, np.array([TAU]), [N], 1, 0.0
+                np.array([r]), 0.3, H_UNIT, np.array([TAU]), [N], 0.0
             )
             overlap = complex(overlap)
             assert abs(overlap / abs(overlap) - 1.0) <= 1e-10
@@ -87,28 +87,21 @@ def test_criterion_3_cyclic_phase():
 
 
 def test_criterion_4_dynamical_term():
-    with criterion(4, "quadrature equals 2 Omega t sinh^2 r to 1e-10, steps/epsilon free"):
+    with criterion(4, "t <H> equals 2 Omega t sinh^2 r to 1e-10, epsilon free"):
         for r in R_GRID:
             for wt in (0.3, math.pi / 4, TAU):
                 omega = 1.3
                 t = wt / omega
                 expected = 2.0 * omega * t * math.sinh(r) ** 2
-                step_results = []
-                for steps in (1, 7, 1000):
-                    got = fock.dynamical_integral(
-                        r, 0.1, HamiltonianParams(omega, 0.0), t, steps,
-                        accuracy=1e-11,
-                    )
-                    step_results.append(got)
-                    assert abs(got - expected) <= 1e-10
-                assert max(step_results) - min(step_results) <= 1e-12
+                got = fock.dynamical_integral(
+                    r, 0.1, HamiltonianParams(omega, 0.0), t, accuracy=1e-11,
+                )
+                assert abs(got - expected) <= 1e-10
                 # three epsilon values: the term cancels arithmetically
                 for eps in (0.2, 0.37, -0.9):
-                    got = fock.dynamical_integral(
-                        r, 0.1, HamiltonianParams(omega, eps * omega), t, 7,
-                        accuracy=1e-11,
+                    assert got == fock.dynamical_integral(
+                        r, 0.1, HamiltonianParams(omega, eps * omega), t, accuracy=1e-11,
                     )
-                    assert got == step_results[1]
 
 
 def test_criterion_5_decomposition_fidelity():

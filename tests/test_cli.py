@@ -213,7 +213,7 @@ class TestSweepJson:
 
 
 class TestSweepGoldenBytes:
-    """sha256 of sweep stdout, recorded once the oracle contracted its phase tables.
+    """sha256 of sweep stdout, recorded once delta became t <H>_0.
 
     Every printed digit depends on the last bit of each oracle row, so the
     grid evaluation must reproduce the per-point arithmetic exactly.  The
@@ -227,8 +227,14 @@ class TestSweepGoldenBytes:
     ``abs_error`` cells moved, each ``gamma_numeric`` by at most 0.35 cond
     eps (omega_t, 161/500 cells), 0.54 (r, 28/50), 0.57 (r-wide, 128/200)
     and 0.92 (r-dense, 6340/10^4), and only r-wide's largest ``abs_error``
-    moved (9.689813396e-10 to 9.690097613e-10).  Recorded with numpy 2.4
-    on x86-64 Linux.
+    moved (9.689813396e-10 to 9.690097613e-10).  They were re-recorded when
+    delta became t <H>_0 instead of a one-step trapezoid of the energy at 0
+    and at t: only ``gamma_numeric`` and ``abs_error`` moved, each
+    ``gamma_numeric`` by at most 0.25 cond eps (omega_t, 68/500), 0.24
+    (r, 17/50), 0.41 (r-wide, 77/200) and 0.50 (r-dense, 2971/10^4), and
+    none of them as printed in CSV; only r's largest ``abs_error`` moved
+    (9.593890127e-10 to 9.593872363e-10).  Recorded with numpy 2.4 on
+    x86-64 Linux.
     """
 
     OMEGA_T = ["sweep", "--variable", "omega_t", "--start", "0",
@@ -244,19 +250,19 @@ class TestSweepGoldenBytes:
     R_DENSE = ["sweep", "--variable", "r", "--start", "0", "--stop", "1",
                "--points", "10000"]
 
-    OMEGA_T_DIGEST = "8072494f4262d66cf6718a098d25b445a5b8e4cb40fed27537e7a84c8b4037d4"
-    R_DENSE_DIGEST = "8fad53b5031ba792b6a151816dda9b1b838066ef6a40e80229ecd8fc1cd7b0dd"
+    OMEGA_T_DIGEST = "f9bb2a29b6b2f56a3d322392614accbc0539cc3a733f4f2c3f16753a849725d4"
+    R_DENSE_DIGEST = "6eb0cea803ae5b87230bf7c908126c5fd48e429b3fc48ddd105aafb9bad28f76"
 
     @pytest.mark.parametrize("argv,digest", [
         (OMEGA_T, OMEGA_T_DIGEST),
         (OMEGA_T + ["--format", "json"],
-         "ffe552f368eb4822dc2189f5fdc24dd83010753aec2c685305f4a9b175fe97b7"),
-        (R, "60a3a5478f91369051fdb419f420cb0a90f9d47691eeb0530c801b07fdf71e80"),
+         "f19496604b2f2fa0642d779dacc5f50b53ba12bf41ea159a45f4201b4ec1cf9b"),
+        (R, "8458df5a9f13761cae211fb7750ce868755beb161dee9f1cc65f901a6cdc0fea"),
         (OMEGA_T + ["--degrees"],
-         "695eaf587dd5da8b4de9b62481f8eead174e0136b651124cb0d0243b025d1b6d"),
+         "da53fad911c402bd6f0202fdca16d53d3da03d6eab186142151deb444b8db578"),
         (R + ["--format", "json"],
-         "e77702c9a646d37ec07bd7774c0a484958b556ff11631408618e783cc476f44f"),
-        (R_WIDE, "670366e50eec95917cf6381e93a37822807ea3160f818c7e6105cae05f95c951"),
+         "2df9ffaf02d5ca2cc5ec71f1a476700b6529ec91660cbb86d3201ff7c5a37c18"),
+        (R_WIDE, "bc5a3e52768384ff11854bbf83ff69c65fa910908f145e84e077ac06351916f7"),
         (R_DENSE, R_DENSE_DIGEST),
     ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json", "r-wide",
             "r-dense"])
@@ -331,21 +337,18 @@ class TestSweepTable:
 def _evolved_rows(phase_table):
     """A ``fock._moments`` that runs the kernel the grid ran before it
     contracted tables: evolved rows c_n phase_n, with the phases of
-    ``phase_table(energies, taus, shift)``, their |.|^2 summed along each
+    ``phase_table(energies, ts, shift)``, their |.|^2 summed along each
     row, and np.vecdot for the overlap."""
-    def moments(coeffs, energies, taus, shift, spare=None):
-        evolved = coeffs[:, None] * phase_table(energies, taus, shift)
-        weights = np.abs(evolved) ** 2
-        values = np.empty((taus.shape[0], taus.shape[1] + 1))
-        values[:, 0] = (energies * np.abs(coeffs) ** 2).sum(axis=-1) + shift
-        values[:, 1:] = (energies * weights).sum(axis=-1) + shift
-        return values, weights[:, -1].sum(axis=-1), np.vecdot(coeffs, evolved[:, -1])
+    def moments(coeffs, energies, ts, shift, spare=None):
+        evolved = coeffs * phase_table(energies, ts, shift)
+        energy = (energies * np.abs(coeffs) ** 2).sum(axis=-1)
+        return energy, (np.abs(evolved) ** 2).sum(axis=-1), np.vecdot(coeffs, evolved)
 
     return moments
 
 
-def _literal_exponentials(energies, taus, shift):
-    return np.exp(-1j * (energies + shift) * taus[..., None])
+def _literal_exponentials(energies, ts, shift):
+    return np.exp(-1j * (energies + shift) * ts[..., None])
 
 
 def _literal_phases(monkeypatch):
@@ -357,10 +360,34 @@ def _literal_phases(monkeypatch):
     (``_evolved_rows``); and ``fock._unit_powers`` gives
     np.exp(-1j * angle * k).
     """
-    monkeypatch.setattr(fock, "_phases", lambda energies, taus, shift, spare=None: (
-        _literal_exponentials(energies, taus, shift), np.ones((*taus.shape, 1))))
+    monkeypatch.setattr(fock, "_phases", lambda energies, ts, shift, spare=None: (
+        _literal_exponentials(energies, ts, shift), np.ones((*ts.shape, 1))))
     monkeypatch.setattr(fock, "_moments", _evolved_rows(_literal_exponentials))
     monkeypatch.setattr(fock, "_unit_powers", lambda angle, counts: np.exp(-1j * angle * counts))
+
+
+# The two verify lines delta = t <H>_0 moved, as they print now, and as the
+# trapezoid printed them before, by the kernel that contracted the energy.
+_DELTA_LINES = (
+    "PASS  dynamical-quadrature         worst 9.91118298543e-12  bound 1.00000000000e-10"
+    "  [r=0.5, omega_t=6.283, eps=0.0*Omega]",
+    "PASS  gauge-invariance             worst 3.55271367880e-15  bound 1.00000000000e-10"
+    "  [r=1.0, omega_t=6.283, shift=5.0]",
+)
+_TRAPEZOID_LINES = {
+    "contraction": (
+        "PASS  dynamical-quadrature         worst 9.91207116385e-12  bound 1.00000000000e-10"
+        "  [r=0.5, omega_t=6.283, eps=0.0*Omega, steps=200]",
+        "PASS  gauge-invariance             worst 7.10542735760e-15  bound 1.00000000000e-10"
+        "  [r=1.5, omega_t=6.283, shift=-2.0]",
+    ),
+    "evolved rows": (
+        "PASS  dynamical-quadrature         worst 9.91118298543e-12  bound 1.00000000000e-10"
+        "  [r=0.5, omega_t=6.283, eps=0.0*Omega, steps=1]",
+        "PASS  gauge-invariance             worst 7.10542735760e-15  bound 1.00000000000e-10"
+        "  [r=1.5, omega_t=6.283, shift=5.0]",
+    ),
+}
 
 
 class TestVerifyGoldenBytes:
@@ -394,16 +421,31 @@ class TestVerifyGoldenBytes:
     9.91207116385e-12 and cyclic-total-phase to 1.11993155728e-14;
     gauge-invariance kept its worst, with its argmax at shift -2.0, not 5.0.
     ``_literal_phases`` swaps the evolved-row kernel back in for the
-    contraction, so the two older digests hold unchanged.  The worst
-    values carry 12 significant digits, so these pin the oracle's overlaps
-    and integrals to the bit.  Recorded with numpy 2.4 on x86-64 Linux, on
-    one CPU and on two, with OPENBLAS_NUM_THREADS 1 and 2.
+    contraction, so the two older digests held unchanged.  The worst values
+    carry 12 significant digits, so these pin the oracle's overlaps and
+    integrals to the bit.  Recorded with numpy 2.4 on x86-64 Linux, on one
+    CPU and on two, with OPENBLAS_NUM_THREADS 1 and 2.
+
+    When delta became t <H>_0 instead of a trapezoid of the energy, two
+    lines moved under every route, the same for every seed (``_DELTA_LINES``):
+    gauge-invariance from 7.10542735760e-15 to 3.55271367880e-15, and
+    dynamical-quadrature, which lost its step count from its detail, from
+    9.91207116385e-12 to 9.91118298543e-12 under the contraction and not at
+    all under the evolved rows.  Each test pins those two lines as they print
+    now and hashes its output with them put back as the trapezoid printed
+    them (``_TRAPEZOID_LINES``), so the recorded digests still hold every
+    other line to its bytes.
     """
 
     @staticmethod
-    def digest(seed, capsys):
+    def digest(seed, capsys, kernel):
+        """sha256 of verify's stdout with ``_DELTA_LINES`` put back as
+        ``kernel``'s trapezoid printed them; each must print once."""
         assert main(["verify", "--seed", str(seed)]) == 0
         out = capsys.readouterr().out
+        for line, trapezoid_line in zip(_DELTA_LINES, _TRAPEZOID_LINES[kernel]):
+            assert out.count(f"\n{line}\n") == 1, line
+            out = out.replace(f"\n{line}\n", f"\n{trapezoid_line}\n")
         return hashlib.sha256(out.encode()).hexdigest()
 
     @pytest.mark.parametrize("seed,digest", [
@@ -419,7 +461,7 @@ class TestVerifyGoldenBytes:
     def test_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _svd_squeeze)
         monkeypatch.setattr(fock, "_moments", _evolved_rows(_phase_table))
-        assert self.digest(seed, capsys) == digest
+        assert self.digest(seed, capsys, "evolved rows") == digest
 
     @pytest.mark.parametrize("seed,digest", [
         (0, "fea47ae9640a756b3ed2b52fcc445217de55a71ea97ef0dc8c0f5bf070240d62"),
@@ -433,7 +475,7 @@ class TestVerifyGoldenBytes:
     ])
     def test_contraction_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _svd_squeeze)
-        assert self.digest(seed, capsys) == digest
+        assert self.digest(seed, capsys, "contraction") == digest
 
     @pytest.mark.parametrize("seed,digest", [
         (0, "dd13f8c29e1db10b63048007fae07218f085e232ba1e15df626b57f05edcbc52"),
@@ -448,7 +490,7 @@ class TestVerifyGoldenBytes:
     def test_stdout_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _eigh_squeeze)
         _literal_phases(monkeypatch)
-        assert self.digest(seed, capsys) == digest
+        assert self.digest(seed, capsys, "evolved rows") == digest
 
     @pytest.mark.parametrize("seed,digest", [
         (0, "163a1d8bc9c8b4ae6d52002ea90d4d1ebe12e613d0a6c364a683db43a6ff1947"),
@@ -463,7 +505,7 @@ class TestVerifyGoldenBytes:
     def test_svd_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _svd_squeeze)
         _literal_phases(monkeypatch)
-        assert self.digest(seed, capsys) == digest
+        assert self.digest(seed, capsys, "evolved rows") == digest
 
     @pytest.mark.parametrize("seed,digest", [
         (0, "e7be88b192a9257b04f4b2e28a93be51b9bf88cd67ad166bb53a463ff2abe3ea"),
@@ -476,7 +518,7 @@ class TestVerifyGoldenBytes:
         (7, "19231cb8ad2316d154356e9c86c103b43d6ca88e4959d90905495cc2b6a7df55"),
     ])
     def test_chebyshev_digest(self, seed, digest, capsys):
-        assert self.digest(seed, capsys) == digest
+        assert self.digest(seed, capsys, "contraction") == digest
 
 
 def _squeeze_by(monkeypatch, route):
@@ -517,6 +559,11 @@ class TestVerifyMutants:
         ("_phases", "energies[::side]", "energies[:: side - 1]", "overlap-agreement"),
         # A lo table without the shift drops the gauge from the overlap alone.
         ("_phases", "(energies[:side] + shift)", "energies[:side]", "gauge-invariance"),
+        # An integral without the shift drops the gauge from delta alone.
+        ("_energy_integrals", "ts[rows] * (energy + shift)", "ts[rows] * energy",
+         "gauge-invariance"),
+        # delta subtracted from arg<psi(0)|psi(t)> instead of added.
+        ("geometric_phase_numeric", "gammas + deltas", "gammas - deltas", "cyclic-gamma"),
         # |c_n|^2 laid out p-major, n = pQ + q, meets hi_q lo_p at the wrong n.
         ("_moments", "moduli.reshape(2, -1, count, side)",
          "moduli.reshape(2, -1, side, count).swapaxes(-1, -2)", "overlap-agreement"),
@@ -538,9 +585,9 @@ class TestVerifyMutants:
         # A target rotated by +theta where the conjugation rotates by -theta.
         ("rotation_conjugation_check", "phi + math.atan2(", "phi - math.atan2(",
          "rotation-conjugation"),
-    ], ids=["hi-table-stride", "lo-table-unshifted", "weights-p-major", "energy-table-no-E",
-            "odd-amplitude-sign", "series-cut-short", "entropy-in-bits", "cosh-sinh-swapped",
-            "rotation-sign"])
+    ], ids=["hi-table-stride", "lo-table-unshifted", "integral-unshifted", "delta-subtracted",
+            "weights-p-major", "energy-table-no-E", "odd-amplitude-sign", "series-cut-short",
+            "entropy-in-bits", "cosh-sinh-swapped", "rotation-sign"])
     def test_fault_fails_its_check(self, name, old, new, check, capsys, monkeypatch):
         monkeypatch.setattr(fock, name, _mutant(getattr(fock, name), old, new))
         assert main(["verify"]) == 1
@@ -966,7 +1013,7 @@ class TestPublicSurface:
 class TestOneOracleCall:
     """Sweeps and verify checks ask the oracle for all their (r, t) rows at once.
 
-    Each call is recorded as (rows, quadrature steps).
+    Each call is recorded by its row count.
     """
 
     @pytest.fixture
@@ -975,7 +1022,7 @@ class TestOneOracleCall:
         real = fock._evolution
 
         def counting(observable, r, *args, **kwargs):
-            seen.append((np.size(r), kwargs["steps"]))
+            seen.append(np.size(r))
             return real(observable, r, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_evolution", counting)
@@ -983,17 +1030,16 @@ class TestOneOracleCall:
 
     @pytest.mark.parametrize("variable,stop", [("r", 2.0), ("omega_t", TAU)])
     def test_phase_sweep(self, calls, variable, stop):
-        # The energy integrand is constant, so each row evolves once, to t.
         cli.sweep_rows(SweepSpec(variable, 0.0, stop, 40))
-        assert calls == [(40, 1)]
+        assert calls == [40]
 
     @pytest.mark.parametrize("check,sizes", [
-        (cli._overlap_agreement, [(5 * 63, 1)]),
-        (cli._dynamical_quadrature, [(4 * 5, steps) for _ in range(3) for steps in (1, 7, 200)]),
-        # geometric_phase_numeric's default keeps the multi-node quadrature in use.
-        (cli._gauge_invariance, [(3 * 3, 16)] * 4),
-        (cli._cyclic_total_phase, [(5, 1)]),
-        (cli._cyclic_gamma, [(5, 16)]),
+        (cli._overlap_agreement, [5 * 63]),
+        # One call per epsilon.
+        (cli._dynamical_quadrature, [4 * 5] * 3),
+        (cli._gauge_invariance, [3 * 3] * 4),
+        (cli._cyclic_total_phase, [5]),
+        (cli._cyclic_gamma, [5]),
     ])
     def test_verify_check(self, calls, check, sizes):
         assert check(fock.DEFAULT_MAX_CUTOFF, np.random.default_rng(0)).passed

@@ -4,13 +4,14 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from tmsvphase import cli, fock, phases, su11
+from tmsvphase import fock, phases, su11
 from tmsvphase.cli import circle_distance
 from tmsvphase.errors import CutoffExceededError
 from tmsvphase.fock import (
@@ -108,6 +109,28 @@ def _predicted_tail(observable, r, wt, N):
     }[observable]
 
 
+def _exact_tail(observable, r, wt, N):
+    """``_predicted_tail`` in 60-digit mpmath at the double r and wt."""
+    with mpmath.workdps(60):
+        r, wt = mpmath.mpf(r), mpmath.mpf(wt)
+        x = mpmath.tanh(r) ** 2
+        m = x ** (N + 1)
+        energy = 2 * m * ((N + 1) * (1 - x) + x) / (1 - x) * wt
+        return {
+            "mass": m,
+            "energy": energy,
+            "phase": energy + mpmath.cosh(2 * r) * m,
+            "entropy": m * (1 - mpmath.log(m)) / (1 - m) if m else mpmath.mpf(0),
+            "expm": mpmath.tanh(r) ** (N + 1) / mpmath.cosh(r),
+        }[observable]
+
+
+def _tie(observable, r, wt, N, accuracy):
+    """|exact tail / accuracy - 1| at cutoff N, to 60 digits."""
+    with mpmath.workdps(60):
+        return float(abs(_exact_tail(observable, r, wt, N) / accuracy - 1))
+
+
 def _observed_error(observable, r, wt, N, accuracy):
     """Oracle error against the closed form, and the scale its rounding has."""
     if observable == "mass":
@@ -116,11 +139,11 @@ def _observed_error(observable, r, wt, N, accuracy):
         return abs(overlap - phases.overlap_analytic(r, 1.0, wt)), 1.0
     if observable == "energy":
         exact = 2.0 * wt * math.sinh(r) ** 2
-        got = dynamical_integral(r, 0.3, H_UNIT, wt, steps=2, accuracy=accuracy)
+        got = dynamical_integral(r, 0.3, H_UNIT, wt, accuracy=accuracy)
         return abs(got - exact), exact
     if observable == "phase":
         breakdown = phases.geometric_phase(r, 1.0, wt)
-        got = geometric_phase_numeric(r, 0.3, H_UNIT, wt, accuracy=accuracy, steps=2)
+        got = geometric_phase_numeric(r, 0.3, H_UNIT, wt, accuracy=accuracy)
         scale = breakdown.dynamical_term_delta + 1.0
         return circle_distance(got, breakdown.geometric_phase), scale
     if observable == "entropy":
@@ -178,16 +201,45 @@ class TestCutoffFor:
         assert predicted <= accuracy
         assert observed <= predicted + 64 * np.finfo(float).eps * scale
 
+    @pytest.mark.parametrize("observable,r,accuracy,got,exact", [
+        # The tail at N = 0, tanh r / cosh r = (1 - 8e-19) r, computes a few ulp above r.
+        ("expm", 1e-9, 1e-9, 1, 0),
+        # The tail at N = 41 exceeds accuracy by 5e-17 relative and computes 8e-15 below it.
+        ("mass", 0.8865228660735175, 3.08210399665157e-13, 41, 42),
+    ], ids=["above", "below"])
+    def test_tie_within_rounding_moves_n_by_one(self, observable, r, accuracy, got, exact):
+        assert cutoff_for(observable, r, accuracy) == got
+        assert _bisected_cutoffs(observable, [(r, 0.0)], accuracy, tail=_exact_tail) == [exact]
+        assert _tie(observable, r, 0.0, min(got, exact), accuracy) < 1e-16
 
-def _bisected_cutoffs(observable, pairs, accuracy, top=DEFAULT_MAX_CUTOFF):
+    @settings(deadline=None, max_examples=60)
+    @given(
+        observable=st.sampled_from(OBSERVABLES),
+        r=st.floats(0.0, 2.0),
+        wt=st.floats(0.0, 20.0),
+        log_accuracy=st.floats(-13.0, -2.0),
+    )
+    def test_exact_smallest_but_for_ties(self, observable, r, wt, log_accuracy):
+        # Against mpmath, N is the smallest cutoff whose exact tail is within
+        # accuracy, unless that tail at N or N - 1 ties accuracy to 1e-12.
+        accuracy = 10.0**log_accuracy
+        got = cutoff_for(observable, r, accuracy, t=wt)
+        (exact,) = _bisected_cutoffs(observable, [(r, wt)], accuracy, tail=_exact_tail)
+        if got != exact:
+            assert abs(got - exact) == 1
+            assert _tie(observable, r, wt, min(got, exact), accuracy) < 1e-12
+
+
+def _bisected_cutoffs(observable, pairs, accuracy, top=DEFAULT_MAX_CUTOFF, tail=_predicted_tail):
     """Per row, the smallest N in [0, top] whose documented tail
-    (``_predicted_tail``) is within ``accuracy``, by bisection; top if none."""
+    (``_predicted_tail``, or ``tail``) is within ``accuracy``, by bisection;
+    top if none."""
     cutoffs = []
     for r, wt in pairs:
         lo, hi = -1, top
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _predicted_tail(observable, abs(r), abs(wt), mid) <= accuracy:
+            if tail(observable, abs(r), abs(wt), mid) <= accuracy:
                 hi = mid
             else:
                 lo = mid
@@ -648,37 +700,33 @@ class TestMoments:
         # terms (sqrt(2) gamma_{Q+2}).  As |hi|, |lo| <= 1 + 2 u and
         # P + Q <= N + 2, the two differ by at most
         # (2 sqrt(5) + 5 + sqrt(2) (2N + 7)) u <= 10 (N + 1) eps sum |c_n|^2.
-        # An energy sums E_n |c_n|^2 |phi_n|^2 >= 0: the literal route rounds
-        # c_n phi_n as above, its modulus and square and the product with
-        # E_n ((4 sqrt(5) + 6) u), then adds N + 1 terms (gamma_N); the
-        # contraction rounds |c_n|^2, E_n |c_n|^2, |lo_p|^2, |hi_q|^2 and two
-        # products (18 u), then adds P and Q terms.  So they differ by at
-        # most (4 sqrt(5) + 24 + 2N) u <= 17 (N + 1) eps sum E_n |c_n|^2, the
-        # norms (E_n = 1) likewise, and adding the shift costs each route
-        # u |E + shift|.  Over 400 random draws, N in [0, 4096], the largest
-        # gaps were 1.5 (overlap), 2.0 (norm) and 1.2 (energy) (N + 1) eps
-        # times the sum, all at N <= 1.
+        # The energy sum E_n |c_n|^2 of the state at tau = 0 against the
+        # literal sum E_n |c_n phi_n|^2 of the evolved state: the literal
+        # route rounds c_n phi_n as above, its modulus and square and the
+        # product with E_n ((4 sqrt(5) + 6) u), and |phi_n|^2 is 1 within 4 u;
+        # the contraction rounds |c_n|^2 and E_n |c_n|^2 (6 u); each adds at
+        # most QP <= N + 1 + P terms.  So they differ by at most
+        # (4 sqrt(5) + 16 + 4N) u <= 17 (N + 1) eps sum E_n |c_n|^2, and the
+        # norms (E_n = 1) likewise.
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
         state = DiagonalFockState(coeffs / (np.linalg.norm(coeffs) * (1.0 + 1e-15)))
         h = HamiltonianParams(omega, 0.3 * omega)
         energies = fock._energies(h, N)
         evolved = evolve(state, h, tau, shift).coeffs
-        values, norm, overlap = _state_moments(state, h, [tau], shift)
+        energy, norm, overlap = _state_moments(state, h, tau, shift)
         eps, mass = np.finfo(float).eps, np.abs(state.coeffs) ** 2
-        energy, evolved_energy = (float(np.sum(energies * m)) for m in (mass, abs(evolved) ** 2))
-        slack = 17 * (N + 1) * eps * energy
+        evolved_energy = float(np.sum(energies * abs(evolved) ** 2))
         assert abs(overlap - np.vdot(state.coeffs, evolved)) <= 10 * (N + 1) * eps * mass.sum()
         assert abs(norm - np.sum(abs(evolved) ** 2)) <= 17 * (N + 1) * eps * mass.sum()
-        assert abs(values[0] - (energy + shift)) <= slack + eps * abs(energy + shift)
-        assert abs(values[1] - (evolved_energy + shift)) <= slack + eps * abs(evolved_energy + shift)
+        assert abs(energy - evolved_energy) <= 17 * (N + 1) * eps * evolved_energy
 
 
 def _grid_overlaps(r, phi, N, ts):
     """<psi(0)|psi(t)> under H_UNIT for each t, from the grid path at cutoff N."""
     ts = np.asarray(ts, dtype=np.float64)
     _, overlaps = fock._energy_integrals(
-        np.full(ts.size, r), phi, H_UNIT, ts, [N] * ts.size, 1, 0.0
+        np.full(ts.size, r), phi, H_UNIT, ts, [N] * ts.size, 0.0
     )
     return [complex(overlap) for overlap in overlaps]
 
@@ -718,7 +766,7 @@ class TestOverlapNumeric:
         # fill one block up to N = 655 and seven blocks at N = 4095.
         state = schmidt_state(1.5, 0.4, N)
         ts = np.linspace(0.0, 2.0 * TAU, 40)
-        want = [_state_moments(state, H_UNIT, [t], 0.0)[2] for t in ts.tolist()]
+        want = [_state_moments(state, H_UNIT, t, 0.0)[2] for t in ts.tolist()]
         assert np.array(_grid_overlaps(1.5, 0.4, N, ts)).tobytes() == np.array(want).tobytes()
 
     def test_cyclic_overlap_equals_squared_norm(self):
@@ -731,7 +779,7 @@ class TestOverlapNumeric:
 
 
 class TestEnergyExpectation:
-    """The per-state energy reference the grid quadrature is checked against."""
+    """The per-state energy reference the grid's energy integral is checked against."""
 
     def test_vacuum(self):
         assert _expected_energy(schmidt_state(0.0, 0.0, 5), H_UNIT) == 0.0
@@ -776,42 +824,32 @@ def _expected_energy(state, h, shift=0.0):
     return float(np.sum(energies * np.abs(state.coeffs) ** 2)) + shift
 
 
-def _state_moments(state, h, taus, shift):
-    """``fock._moments`` of one state at ``taus`` (tau_1 ..): its energies at
-    0 and each tau, and its squared norm and overlap at the last tau.
+def _state_moments(state, h, t, shift):
+    """``fock._moments`` of one state at time ``t``: its energy <H> - shift,
+    its squared norm and its overlap <psi(0)|psi(t)>.
 
     It is the helper the grid contracts each block with, so a grid row must
     repeat it bit for bit; ``TestMoments`` holds it to the literal
     np.vdot(c, evolve(c)) and sum E |evolve(c)|^2.
     """
-    values, norms, overlaps = fock._moments(
-        state.coeffs[None], fock._energies(h, state.cutoff), np.array([taus], dtype=float), shift
+    energies, norms, overlaps = fock._moments(
+        state.coeffs[None], fock._energies(h, state.cutoff), np.array([t], dtype=float), shift
     )
-    return values[0], float(norms[0]), complex(overlaps[0])
+    return float(energies[0]), float(norms[0]), complex(overlaps[0])
 
 
-def _energy_integral_by_loop(initial, h, t, steps, shift):
-    """Reference for the array trapezoid: one helper call per tau."""
-    taus = np.linspace(0.0, t, steps + 1)
-    calls = [_state_moments(initial, h, [tau], shift)[0] for tau in taus[1:]]
-    values = [calls[0][0]] + [values[-1] for values in calls]
-    return float(np.trapezoid(values, taus))
+def _energy_integral_per_point(initial, h, t, shift):
+    """Reference for the grid's energy integral: t (E + shift), E from one helper call."""
+    return t * (_state_moments(initial, h, t, shift)[0] + shift)
 
 
-def _energy_integral_per_point(initial, h, t, steps, shift):
-    """Reference for the grid quadrature: one point's taus in one helper call."""
-    taus = np.linspace(0.0, t, steps + 1)
-    values, _, _ = _state_moments(initial, h, taus[1:], shift)
-    return float(np.trapezoid(values, taus))
-
-
-def _geometric_phase_per_point(r, phi, h, t, accuracy, shift, steps):
+def _geometric_phase_per_point(r, phi, h, t, accuracy, shift):
     """Reference for the grid oracle: its own cutoff, state and helper calls."""
     N = cutoff_for("phase", r, accuracy, t=h.Omega * t)
     initial = schmidt_state(r, phi, N)
-    _, _, overlap = _state_moments(initial, h, [t], shift)
+    _, _, overlap = _state_moments(initial, h, t, shift)
     total = math.atan2(overlap.imag, overlap.real)
-    delta = _energy_integral_per_point(initial, h, t, steps, shift)
+    delta = _energy_integral_per_point(initial, h, t, shift)
     gamma = (total + delta) % (2.0 * math.pi)
     return 0.0 if gamma >= 2.0 * math.pi else gamma
 
@@ -854,44 +892,43 @@ def _per_row(rs, t):
 
 class TestDynamicalIntegral:
     def test_vacuum(self):
-        assert dynamical_integral(0.0, 0.0, H_UNIT, 3.0, steps=5) == 0.0
+        assert dynamical_integral(0.0, 0.0, H_UNIT, 3.0) == 0.0
 
     def test_quarter_period_frozen(self):
-        got = dynamical_integral(1.0, 0.0, H_UNIT, math.pi / 4, steps=16)
+        got = dynamical_integral(1.0, 0.0, H_UNIT, math.pi / 4)
         assert abs(got - DELTA_QUARTER) < 1e-9
 
-    def test_step_count_irrelevant(self):
-        results = [
-            dynamical_integral(1.0, 0.2, H_UNIT, 1.8, steps=s) for s in (1, 7, 1000)
-        ]
-        assert max(results) - min(results) < 1e-12
-
     def test_epsilon_cancels_bit_for_bit(self):
-        base = dynamical_integral(1.0, 0.2, HamiltonianParams(1.0, 0.0), 1.8, steps=9)
+        base = dynamical_integral(1.0, 0.2, HamiltonianParams(1.0, 0.0), 1.8)
         for eps in (0.37, -0.9):
-            got = dynamical_integral(1.0, 0.2, HamiltonianParams(1.0, eps), 1.8, steps=9)
+            got = dynamical_integral(1.0, 0.2, HamiltonianParams(1.0, eps), 1.8)
             assert got == base
 
     def test_matches_formula_at_tight_tolerance(self):
         for r in (0.1, 0.5, 1.0, 1.5, 2.0):
             for wt in (0.3, math.pi / 4, TAU):
-                got = dynamical_integral(r, 0.1, H_UNIT, wt, steps=3, accuracy=1e-11)
+                got = dynamical_integral(r, 0.1, H_UNIT, wt, accuracy=1e-11)
                 assert abs(got - 2.0 * wt * math.sinh(r) ** 2) < 1e-10
 
-    def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
-            dynamical_integral(1.0, 0.0, H_UNIT, 1.0, steps=0)
+    @pytest.mark.parametrize("oracle", [dynamical_integral, geometric_phase_numeric])
+    def test_steps_is_not_a_parameter(self, oracle):
+        # The integrand is constant: there is no quadrature to refine.
+        with pytest.raises(TypeError):
+            oracle(1.0, 0.0, H_UNIT, 1.0, steps=16)
 
-    @pytest.mark.parametrize("steps", [1, 4, 200])
+    @pytest.mark.parametrize("taus", [1, 4, 200])
     @pytest.mark.parametrize("shift", [0.0, -2.3])
     @pytest.mark.parametrize("h", [H_UNIT, HamiltonianParams(1.3, 0.9)])
     @pytest.mark.parametrize("r,t", [(0.5, 0.7), (2.0, 48.3)])
-    def test_array_equals_per_tau_loop_bit_for_bit(self, r, t, h, shift, steps):
+    def test_array_equals_per_tau_loop_bit_for_bit(self, r, t, h, shift, taus):
+        # One block of rows at the taus of [0, t], against one call per tau.
         initial = schmidt_state(r, 0.4, cutoff_for("mass", r, 1e-12))
-        (got,), _ = fock._energy_integrals(
-            np.array([r]), 0.4, h, np.array([t]), [initial.cutoff], steps, shift
+        grid = np.linspace(0.0, t, taus + 1)[1:]
+        got, _ = fock._energy_integrals(
+            np.full(taus, r), 0.4, h, grid, [initial.cutoff] * taus, shift
         )
-        assert got == _energy_integral_by_loop(initial, h, t, steps, shift)
+        want = [_energy_integral_per_point(initial, h, tau, shift) for tau in grid.tolist()]
+        assert got.tolist() == want
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -899,18 +936,17 @@ class TestDynamicalIntegral:
         omega=st.floats(0.5, 2.0),
         eps_frac=st.floats(-0.9, 0.9),
         shift=st.sampled_from([0.0, -2.3]),
-        steps=st.sampled_from([1, 7, 200]),
         ts=_t_grids(),
     )
-    def test_grid_equals_per_point_bit_for_bit(self, r, omega, eps_frac, shift, steps, ts):
+    def test_grid_equals_per_point_bit_for_bit(self, r, omega, eps_frac, shift, ts):
         h = HamiltonianParams(omega, eps_frac * omega)
-        got = dynamical_integral(r, 0.2, h, np.array(ts), steps, energy_shift=shift)
+        got = dynamical_integral(r, 0.2, h, np.array(ts), energy_shift=shift)
         want = []
         for t in ts:
             N = cutoff_for("energy", r, 1e-10, t=h.Omega * t)
-            want.append(_energy_integral_per_point(schmidt_state(r, 0.2, N), h, t, steps, shift))
+            want.append(_energy_integral_per_point(schmidt_state(r, 0.2, N), h, t, shift))
         assert got.tolist() == want
-        scalar = dynamical_integral(r, 0.2, h, ts[0], steps, energy_shift=shift)
+        scalar = dynamical_integral(r, 0.2, h, ts[0], energy_shift=shift)
         assert isinstance(scalar, float) and scalar == want[0]
 
     @settings(deadline=None, max_examples=40)
@@ -919,32 +955,31 @@ class TestDynamicalIntegral:
         omega=st.floats(0.5, 2.0),
         eps_frac=st.floats(-0.9, 0.9),
         shift=st.sampled_from([0.0, -2.3]),
-        steps=st.sampled_from([1, 7, 200]),
     )
-    def test_r_rows_equal_lone_calls_bit_for_bit(self, rows, omega, eps_frac, shift, steps):
+    def test_r_rows_equal_lone_calls_bit_for_bit(self, rows, omega, eps_frac, shift):
         rs, t = rows
         h = HamiltonianParams(omega, eps_frac * omega)
         route = dict(energy_shift=shift, accuracy=1e-10)
-        got = dynamical_integral(np.array(rs), 0.2, h, np.asarray(t), steps, **route)
+        got = dynamical_integral(np.array(rs), 0.2, h, np.asarray(t), **route)
         pairs = _per_row(rs, t)
-        assert got.tolist() == [dynamical_integral(r, 0.2, h, t, steps, **route) for r, t in pairs]
+        assert got.tolist() == [dynamical_integral(r, 0.2, h, t, **route) for r, t in pairs]
         _, _, cutoffs = fock._evolution(
-            "energy", np.array(rs), 0.2, h, np.array([t for _, t in pairs]), steps=steps,
+            "energy", np.array(rs), 0.2, h, np.array([t for _, t in pairs]),
             max_cutoff=fock.DEFAULT_MAX_CUTOFF, **route,
         )
         assert cutoffs.tolist() == [cutoff_for("energy", r, 1e-10, t=h.Omega * t) for r, t in pairs]
 
     def test_grid_shapes(self):
-        assert dynamical_integral(1.0, 0.0, H_UNIT, np.array([]), 4).shape == (0,)
+        assert dynamical_integral(1.0, 0.0, H_UNIT, np.array([])).shape == (0,)
         with pytest.raises(ValueError):
-            dynamical_integral(1.0, 0.0, H_UNIT, np.ones((2, 2)), 4)
+            dynamical_integral(1.0, 0.0, H_UNIT, np.ones((2, 2)))
         with pytest.raises(ValueError, match="nonnegative"):
-            dynamical_integral(1.0, 0.0, H_UNIT, [0.5, -0.1], 4)
-        assert dynamical_integral([0.5, 1.0], 0.0, H_UNIT, 1.0, 4).shape == (2,)
+            dynamical_integral(1.0, 0.0, H_UNIT, [0.5, -0.1])
+        assert dynamical_integral([0.5, 1.0], 0.0, H_UNIT, 1.0).shape == (2,)
         with pytest.raises(ValueError):
-            dynamical_integral(np.ones((2, 2)), 0.0, H_UNIT, 1.0, 4)
+            dynamical_integral(np.ones((2, 2)), 0.0, H_UNIT, 1.0)
         with pytest.raises(ValueError):
-            dynamical_integral([0.5, 1.0, 1.5], 0.0, H_UNIT, [0.5, 1.0], 4)
+            dynamical_integral([0.5, 1.0, 1.5], 0.0, H_UNIT, [0.5, 1.0])
 
 
 class TestGeometricPhaseNumeric:
@@ -962,7 +997,7 @@ class TestGeometricPhaseNumeric:
     def test_agrees_with_analytic_on_grid(self):
         for r in (0.1, 0.5, 1.0, 1.5, 2.0):
             for wt in np.linspace(0.0, TAU, 21):
-                numeric = geometric_phase_numeric(r, 0.4, H_UNIT, float(wt), steps=4)
+                numeric = geometric_phase_numeric(r, 0.4, H_UNIT, float(wt))
                 analytic = phases.geometric_phase(r, 1.0, float(wt)).geometric_phase
                 assert circle_distance(numeric, analytic) < 1e-8
 
@@ -986,8 +1021,8 @@ class TestGeometricPhaseNumeric:
         assert circle_distance(
             float(np.angle(shifted)), float(np.angle(plain)) - c * t
         ) < 1e-12
-        d_plain = dynamical_integral(r, 0.0, H_UNIT, t, steps=4)
-        d_shift = dynamical_integral(r, 0.0, H_UNIT, t, steps=4, energy_shift=c)
+        d_plain = dynamical_integral(r, 0.0, H_UNIT, t)
+        d_shift = dynamical_integral(r, 0.0, H_UNIT, t, energy_shift=c)
         assert abs((d_shift - d_plain) - c * t) < 1e-12
 
 
@@ -999,14 +1034,12 @@ class TestEvolution:
         h = HamiltonianParams(1.3, 0.4)
         ts = np.linspace(0.0, 3 * TAU, 40)
         route = dict(accuracy=1e-9, max_cutoff=4096, energy_shift=0.7)
-        _, overlaps, cutoffs = fock._evolution(observable, 1.2, 0.3, h, ts, steps=1, **route)
+        integrals, overlaps, cutoffs = fock._evolution(observable, 1.2, 0.3, h, ts, **route)
         assert cutoffs.tolist() == [cutoff_for(observable, 1.2, 1e-9, t=h.Omega * t) for t in ts]
-        for t, N, overlap in zip(ts, cutoffs, overlaps):
+        for t, N, integral, overlap in zip(ts.tolist(), cutoffs, integrals, overlaps):
             initial = schmidt_state(1.2, 0.3, N)
-            assert overlap == _state_moments(initial, h, [t], 0.7)[2]
-        # The last tau is t itself, so the step count cannot move an overlap.
-        _, finer, _ = fock._evolution(observable, 1.2, 0.3, h, ts, steps=16, **route)
-        assert finer.tolist() == overlaps.tolist()
+            assert overlap == _state_moments(initial, h, t, 0.7)[2]
+            assert integral == _energy_integral_per_point(initial, h, t, 0.7)
 
 
 class TestGeometricPhaseGrid:
@@ -1019,10 +1052,9 @@ class TestGeometricPhaseGrid:
         omega=st.floats(0.5, 2.0),
         eps_frac=st.floats(-0.9, 0.9),
         shift=st.sampled_from([0.0, -2.0, 5.0]),
-        steps=st.sampled_from([1, 4, 7, 16, 200]),
         ts=_t_grids(),
     )
-    def test_equals_per_point_bit_for_bit(self, r, phi, omega, eps_frac, shift, steps, ts):
+    def test_equals_per_point_bit_for_bit(self, r, phi, omega, eps_frac, shift, ts):
         h = HamiltonianParams(omega, eps_frac * omega)
         real_cutoffs = fock._cutoffs
         seen = []
@@ -1033,17 +1065,13 @@ class TestGeometricPhaseGrid:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fock, "_cutoffs", spy)
-            got = geometric_phase_numeric(
-                r, phi, h, np.array(ts), accuracy=1e-9, energy_shift=shift, steps=steps
-            )
-        want = [_geometric_phase_per_point(r, phi, h, t, 1e-9, shift, steps) for t in ts]
+            got = geometric_phase_numeric(r, phi, h, np.array(ts), accuracy=1e-9, energy_shift=shift)
+        want = [_geometric_phase_per_point(r, phi, h, t, 1e-9, shift) for t in ts]
         assert got.tolist() == want
         assert [cutoffs.tolist() for cutoffs in seen] == [
             [cutoff_for("phase", r, 1e-9, t=h.Omega * t) for t in ts]
         ]
-        scalar = geometric_phase_numeric(
-            r, phi, h, ts[0], accuracy=1e-9, energy_shift=shift, steps=steps
-        )
+        scalar = geometric_phase_numeric(r, phi, h, ts[0], accuracy=1e-9, energy_shift=shift)
         assert scalar == want[0]
 
     @settings(deadline=None, max_examples=60)
@@ -1053,12 +1081,11 @@ class TestGeometricPhaseGrid:
         omega=st.floats(0.5, 2.0),
         eps_frac=st.floats(-0.9, 0.9),
         shift=st.sampled_from([0.0, -2.0, 5.0]),
-        steps=st.sampled_from([1, 4, 16]),
     )
-    def test_r_rows_equal_lone_calls_bit_for_bit(self, rows, phi, omega, eps_frac, shift, steps):
+    def test_r_rows_equal_lone_calls_bit_for_bit(self, rows, phi, omega, eps_frac, shift):
         rs, t = rows
         h = HamiltonianParams(omega, eps_frac * omega)
-        route = dict(accuracy=1e-9, energy_shift=shift, steps=steps)
+        route = dict(accuracy=1e-9, energy_shift=shift)
         real_cutoffs = fock._cutoffs
         seen = []
 
@@ -1078,38 +1105,25 @@ class TestGeometricPhaseGrid:
     def test_r_sweep_equals_per_point(self):
         # One r per row, across cutoffs from 0 to several hundred.
         rs = np.linspace(0.0, 2.5, 120)
-        got = geometric_phase_numeric(rs, 0.7, H_UNIT, 1.3, accuracy=1e-9, steps=4)
-        want = [_geometric_phase_per_point(r, 0.7, H_UNIT, 1.3, 1e-9, 0.0, 4) for r in rs]
+        got = geometric_phase_numeric(rs, 0.7, H_UNIT, 1.3, accuracy=1e-9)
+        want = [_geometric_phase_per_point(r, 0.7, H_UNIT, 1.3, 1e-9, 0.0) for r in rs]
         assert got.tolist() == want
 
-    @pytest.mark.parametrize("r,steps", [(2.0, 4), (0.5, 16), (0.3, 7), (1.0, 1)])
-    def test_sweep_grid_equals_per_point(self, r, steps):
-        # (0.5, 16) packs about 11 rows of 17 taus into a block, where a 2-D
-        # trapezoid would move the last bit of most rows.
+    @pytest.mark.parametrize("r,rows", [(2.0, 4), (0.5, 16), (0.3, 7), (1.0, 1)])
+    def test_sweep_grid_equals_per_point(self, r, rows, monkeypatch):
+        # Blocks of ``rows`` rows at the grid's largest cutoff, more at smaller ones.
         h = HamiltonianParams(1.0, 0.3)
         ts = np.linspace(0.0, TAU, 200)
-        got = geometric_phase_numeric(r, 0.7, h, ts, accuracy=1e-9, steps=steps)
-        want = [_geometric_phase_per_point(r, 0.7, h, t, 1e-9, 0.0, steps) for t in ts]
+        N = cutoff_for("phase", r, 1e-9, t=TAU)
+        monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", rows * fock._row_entries(N, False))
+        got = geometric_phase_numeric(r, 0.7, h, ts, accuracy=1e-9)
+        want = [_geometric_phase_per_point(r, 0.7, h, t, 1e-9, 0.0) for t in ts]
         assert got.tolist() == want
-
-    def test_one_step_sweep_within_cond_eps_of_sixteen_steps(self):
-        # A sweep evolves each row once, to t.  Over the 500-point golden
-        # omega_t grid it moves no gamma_numeric by more than rounding of
-        # the inputs could: cond eps, cond being the sweep gate's.
-        r, h = 2.0, HamiltonianParams(1.0, 0.3)
-        spec = cli.SweepSpec("omega_t", 0.0, TAU, 500, {"r": r, "phi": 0.7, "epsilon": 0.3})
-        headers, rows = cli.sweep_rows(spec)
-        wts = np.array([row[0] for row in rows])
-        want = geometric_phase_numeric(r, 0.7, h, wts / h.Omega, accuracy=1e-9, steps=16)
-        column = headers.index("gamma_numeric")
-        for wt, row, value in zip(wts.tolist(), rows, want.tolist()):
-            cond = 2.0 * wt * (math.sinh(r) ** 2 + r * math.sinh(2.0 * r)) + 1.0
-            assert circle_distance(row[column], value) <= cond * np.finfo(float).eps, wt
 
     def test_zero_and_subnormal_times_share_a_block(self):
         ts = np.array([0.0, 5e-324, 1e-320, 0.3, 2.9, -0.0])
-        got = geometric_phase_numeric(0.4, 0.1, H_UNIT, ts, steps=16)
-        want = [_geometric_phase_per_point(0.4, 0.1, H_UNIT, t, 1e-10, 0.0, 16) for t in ts]
+        got = geometric_phase_numeric(0.4, 0.1, H_UNIT, ts)
+        want = [_geometric_phase_per_point(0.4, 0.1, H_UNIT, t, 1e-10, 0.0) for t in ts]
         assert got.tolist() == want
 
     def test_shapes(self):
@@ -1154,7 +1168,7 @@ class TestParallelBlocks:
         ts = np.linspace(0.1, 1.0, 12)
         with pytest.raises(ValueError, match=r"over-normalized: \|psi\|\^2 = 1\.08"):
             fock._energy_integrals(
-                np.full(12, math.log(3.0)), 0.0, H_UNIT, ts, [3, 2, 1, 0] * 3, 4, 0.0
+                np.full(12, math.log(3.0)), 0.0, H_UNIT, ts, [3, 2, 1, 0] * 3, 0.0
             )
 
 
@@ -1163,14 +1177,13 @@ def _block_plan(monkeypatch, rs, ts):
     of one ``geometric_phase_numeric`` call over rows (rs, ts), and its result."""
     real, blocks = fock._moments, []
 
-    def spy(coeffs, energies, taus, shift, spare=None):
-        blocks.append((taus.shape[0], energies.size - 1, coeffs.shape[0] > 1))
-        return real(coeffs, energies, taus, shift, spare)
+    def spy(coeffs, energies, ts, shift, spare=None):
+        blocks.append((ts.size, energies.size - 1, coeffs.shape[0] > 1))
+        return real(coeffs, energies, ts, shift, spare)
 
     with monkeypatch.context() as mp:
         mp.setattr(fock, "_moments", spy)
-        gammas = geometric_phase_numeric(rs, 0.3, HamiltonianParams(1.0, 0.2), ts,
-                                         accuracy=1e-9, steps=1)
+        gammas = geometric_phase_numeric(rs, 0.3, HamiltonianParams(1.0, 0.2), ts, accuracy=1e-9)
     return blocks, gammas
 
 
@@ -1180,7 +1193,7 @@ class TestBlockPlan:
     @staticmethod
     def check_filled(blocks):
         for i, (rows, N, several) in enumerate(blocks):
-            capacity = max(1, fock._BLOCK_ELEMENTS // fock._row_entries(N, 1, several))
+            capacity = max(1, fock._BLOCK_ELEMENTS // fock._row_entries(N, several))
             assert rows <= capacity
             # A block that leaves rows of its cutoff to the next one is full.
             if i + 1 < len(blocks) and blocks[i + 1][1] == N:
