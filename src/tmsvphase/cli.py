@@ -420,7 +420,7 @@ def _overlap_agreement(accuracy, max_cutoff, rng):
     grid = np.linspace(0.0, TAU, 63)
     rs, wts = np.repeat(_R_GRID, grid.size), np.tile(grid, len(_R_GRID))
     _, overlaps, _ = fock._evolution(
-        "mass", rs, 0.4, HamiltonianParams(1.0, 0.25), wts, accuracy=accuracy,
+        "mass", rs, HamiltonianParams(1.0, 0.25), wts, accuracy=accuracy,
         max_cutoff=max_cutoff, energy_shift=0.0,
     )
     for r, wt, numeric in zip(rs.tolist(), wts.tolist(), overlaps.tolist()):
@@ -524,7 +524,7 @@ def _rotation_conjugation(accuracy, max_cutoff, rng):
 @_invariant("cyclic-total-phase", 1e-10)
 def _cyclic_total_phase(accuracy, max_cutoff, rng):
     _, overlaps, _ = fock._evolution(
-        "mass", np.array(_R_GRID), 0.3, HamiltonianParams(1.0, 0.0), np.full(len(_R_GRID), TAU),
+        "mass", np.array(_R_GRID), HamiltonianParams(1.0, 0.0), np.full(len(_R_GRID), TAU),
         accuracy=accuracy, max_cutoff=max_cutoff, energy_shift=0.0,
     )
     for r, overlap in zip(_R_GRID, overlaps.tolist()):

@@ -25,17 +25,17 @@ is the product of two tables of about sqrt(N) exponentials each
 (:func:`_phases`), and a row's overlap is a contraction of those tables
 against a table of |c_n|^2 (:func:`_moments`), checked against the
 literal evolved state of :func:`evolve`.  Evolution keeps every |c_n|,
-so the energy integral over [0, t] is t <H>_0, read off the same tables.
+so the energy integral over [0, t] is t <H>_0, and nothing over time
+depends on phi: the grid reads only the real moduli of :func:`_moduli`.
 
-Truncation error policy: the Schmidt coefficient of |n>|n> is
-(-e^{2i phi} tanh r)^n / cosh r, so every truncation error has a
-closed-form geometric tail in the cutoff N, and :func:`cutoff_for` is the
-one place that turns an observable's accuracy target into N.  A grid's
-cutoffs come from one bisection over its rows at once (:func:`_cutoffs`):
-each is the smallest N whose tail is within the accuracy, but for ties
-within the tail's rounding, where N can be one off either way.  Operator
-identities are asserted only on entries a ``margin`` away from the cutoff,
-where the constructions used here keep them exact up to rounding.
+Truncation error policy: |c_n|^2 = tanh^{2n} r / cosh^2 r, so every
+truncation error has a closed-form geometric tail in the cutoff N, and
+:func:`cutoff_for` is the one place that turns an observable's accuracy
+target into N.  A grid's cutoffs come from one bisection over its rows
+at once (:func:`_cutoffs`): each is the smallest N whose tail is within
+the accuracy, up to ties within the tail's rounding.  Operator identities
+are asserted only on entries a ``margin`` away from the cutoff, where the
+constructions used here keep them exact up to rounding.
 
 No state outlives a call: workspaces belong to the call that made them,
 and results depend only on the arguments.
@@ -181,8 +181,7 @@ def cutoff_for(
     ------
     CutoffExceededError
         If the cutoff would exceed ``max_cutoff``, or if tanh r rounds to 1
-        (in numpy, as in the oracle's Schmidt bases) so that no finite
-        cutoff drops a vanishing mass.
+        (in numpy) so that no finite cutoff drops a vanishing mass.
     """
     r_row, t_row = np.array([float(r)]), np.array([float(t)])
     return int(_cutoffs(observable, r_row, t_row, accuracy, max_cutoff)[0])
@@ -289,18 +288,39 @@ def _cutoffs(
 # Diagonal-subspace states
 
 
+def _moduli(rs: np.ndarray, N: int, spare: np.ndarray | None = None) -> np.ndarray:
+    """|c_n| = tanh^n |r| / cosh r, n = 0 .. N, a row per r of ``rs``.
+
+    tanh^n |r| = exp(n L), L = log(tanh |r|) below |r| = 0.5, else log1p(-2 /
+    (e^{2|r|} + 1)) (Goldberg, ACM Computing Surveys 23(1), 1991, Theorem 4),
+    in long double (tanh 0 raised to its least value: a row 1, 0, 0, ...),
+    carried as L_hi + L_lo so that no rounding of L biases a row: within 2^-60
+    of L on x86-64, L_lo = 0 where long double is float64.  Python floats carry
+    values across, as numpy's casts there are code nothing else runs (64 KB RSS).
+    """
+    r = np.array(np.abs(rs).tolist(), dtype=np.longdouble)
+    with np.errstate(divide="ignore"):  # log1p(-1), in the branch not taken at r = 0
+        tanh = np.maximum(np.tanh(r), np.finfo(r.dtype).smallest_subnormal)
+        L = np.where(r < 0.5, np.log(tanh), np.log1p(-2.0 / (np.exp(2.0 * r) + 1.0)))
+    L_hi = list(map(float, L))
+    L_lo = list(map(float, L - np.array(L_hi, dtype=np.longdouble)))
+    moduli, low = _carve(spare, (2, rs.size, N + 1))[0]
+    np.multiply(np.arange(N + 1), np.array(L_lo)[:, None], out=low)
+    np.add(np.multiply(np.arange(N + 1), np.array(L_hi)[:, None], out=moduli), low, out=moduli)
+    return np.divide(moduli, np.cosh(np.abs(rs))[:, None], out=np.exp(moduli, out=moduli))
+
+
 def schmidt_state(r: float, phi: float, N: int) -> DiagonalFockState:
     """Two-mode squeezed vacuum in Schmidt form, truncated at N.
 
-    c_n = (-e^{2i phi} tanh r)^n / cosh r.
+    c_n = (-e^{2i phi} tanh r)^n / cosh r, the moduli of :func:`_moduli` times phases.
     """
     r = check_squeeze_factor(r)
     phi = _require_finite("phi", phi)
     if N < 0:
         raise ValueError("cutoff must be nonnegative")
-    base = -_exp2i(phi) * np.tanh(r)
-    coeffs = base ** np.arange(N + 1) / np.cosh(r)
-    return DiagonalFockState(coeffs)
+    turn = _exp2i(phi) if r < 0.0 else -_exp2i(phi)
+    return DiagonalFockState(_moduli(np.array([r]), N)[0] * turn ** np.arange(N + 1))
 
 
 def squeeze_by_exponentiation(r: float, phi: float, N: int) -> DiagonalFockState:
@@ -392,8 +412,8 @@ def _row_entries(N: int, several: bool) -> int:
     """Entries one row of a grid-oracle block at cutoff N holds.
 
     P + Q phase-table entries (:func:`_sides`), and in a block of several r
-    also its power row, N + 1 long, and its (Q, P) tables of |c_n|^2 and
-    E_n |c_n|^2; a block of one r shares those.
+    also its row of moduli (:func:`_moduli`), N + 1 long, and its (Q, P)
+    tables of |c_n|^2 and E_n |c_n|^2; a block of one r shares those.
     """
     side, count = _sides(N)
     return side + count + (N + 1 + 2 * count * side if several else 0)
@@ -437,12 +457,12 @@ def _phases(
 
 
 def _moments(
-    coeffs: np.ndarray, energies: np.ndarray, ts: np.ndarray, shift: float,
+    moduli: np.ndarray, energies: np.ndarray, ts: np.ndarray, shift: float,
     spare: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy and squared norm of each state, and the overlap of each row of ``ts``.
 
-    ``coeffs`` holds c_0 .. c_N: one state, shape (1, N + 1), for every
+    ``moduli`` holds |c_0| .. |c_N|: one state, shape (1, N + 1), for every
     entry of the 1-D ``ts``, or one per entry.  A row's state at t is
     c_n e^{-i t (E_n + shift)} = c_n hi_q lo_p (:func:`_phases`), so with
     W and V the (Q, P) tables of |c_n|^2 and E_n |c_n|^2, zero past N,
@@ -461,12 +481,11 @@ def _moments(
     if spare is not None:  # past the tables
         spare = spare[2 * (hi.size + lo.size) :]
     count, side = hi.shape[-1], lo.shape[-1]
-    moduli, spare = _carve(spare, (2, coeffs.shape[0], count * side))
-    moduli[:, :, energies.size :] = 0.0
-    np.abs(coeffs, out=moduli[0, :, : energies.size])
-    np.square(moduli[0, :, : energies.size], out=moduli[0, :, : energies.size])
-    np.multiply(energies, moduli[0, :, : energies.size], out=moduli[1, :, : energies.size])
-    weights, energy_weights = moduli.reshape(2, -1, count, side)
+    tables, spare = _carve(spare, (2, moduli.shape[0], count * side))
+    tables[:, :, energies.size :] = 0.0
+    np.square(moduli, out=tables[0, :, : energies.size])
+    np.multiply(energies, tables[0, :, : energies.size], out=tables[1, :, : energies.size])
+    weights, energy_weights = tables.reshape(2, -1, count, side)
     # W lo as a real product with lo's real and imaginary parts side by side.
     half, _ = _carve(spare, (ts.size, count, 2))
     np.matmul(weights, lo.view(np.float64).reshape(-1, side, 2), out=half)
@@ -497,29 +516,23 @@ def evolve(
 
 
 def _energy_integrals(
-    rs: np.ndarray, phi: float, h: HamiltonianParams, ts: np.ndarray,
-    cutoffs: np.ndarray | list[int], shift: float,
+    rs: np.ndarray, h: HamiltonianParams, ts: np.ndarray, cutoffs: np.ndarray, shift: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integral of <psi(tau)|H|psi(tau)> over [0, t], and overlap, for each row (r, t).
 
-    Row i starts from c_n = (-e^{2i phi} tanh r)^n / cosh r, r = rs[i] and
+    Row i starts from the moduli |c_n| of :func:`_moduli`, r = rs[i] and
     n = 0 .. cutoffs[i].  Evolution keeps every |c_n|, so the integrand is
     constant and the integral is t (E + shift), E the energy :func:`_moments`
     gives.  Returns, in grid order, each row's integral and overlap
-    <psi(0)|psi(t)>.  Element for element, psi(0) is ``schmidt_state(r, phi,
-    N)``, and a row's energy and overlap are what :func:`_moments` gives for
-    that state alone at t, the contraction of the phase tables of
-    ``evolve(psi(0), h, t, shift)`` against |c_n|^2 tables.
+    <psi(0)|psi(t)>: bit for bit what :func:`_moments` gives for the row's
+    moduli alone at t, contracting the phase tables of ``evolve``.
 
     Rows that share a cutoff go through together, in grid order, as many as
     hold _BLOCK_ELEMENTS entries as :func:`_row_entries` counts them (one
-    row at least).  A block raises the bases -e^{2i phi} tanh r of its rows
-    to the powers 0 .. N and divides by cosh r: a block of one r shares one
-    power row, extended as cutoffs grow in plan order, and one pair of
-    weight tables.  Every step is a call per row or elementwise, so each
-    row adds in the order a lone row would.  Blocks run in plan order, so
-    the first block whose squared norms, overlaps or integrals are not
-    finite, or whose squared norms exceed 1 + 1e-12, raises.
+    row at least), with a row of moduli per row, or one when all have one r.
+    Every step is a call per row or elementwise, so each row adds in the
+    order a lone row would.  Blocks run in plan order; the first whose
+    overlaps or integrals are not finite, or squared norms exceed 1 + 1e-12, raises.
     """
     negative = ts[ts < 0.0]
     if negative.size:
@@ -527,26 +540,23 @@ def _energy_integrals(
     cutoffs = np.asarray(cutoffs)
     # Rows sorted by cutoff, in grid order within each cutoff.
     order = np.argsort(cutoffs, kind="stable")
-    phase = -_exp2i(phi)
-    powers = np.arange(int(cutoffs.max(initial=0)) + 1)
-    energies = _energies(h, powers.size - 1)
+    top = int(cutoffs.max(initial=0))
+    energies = _energies(h, top)
     integrals = np.empty(ts.size)
     overlaps = np.empty(ts.size, dtype=np.complex128)
-    # Powers 0 .. held - 1 of the last lone r's base.
-    row, held_base, held = np.empty(powers.size, dtype=np.complex128), None, 0
     # One float64 workspace for the call, which every block's arrays are
     # carved from (_carve): four floats per entry of the largest block, and
-    # one power row and pair of weight tables for a block of one r.  Fresh
-    # arrays per block would stay resident in the heap after the call.  A
-    # row's carves take three floats per entry at most (2 (P + Q) + 2Q,
-    # Q <= P, and two for a row of several r), but glibc raises its mmap
-    # threshold to the largest block freed, and the benchmark sweep's 640 KB
-    # table reuses freed heap only after a larger one: 0.2-0.3 MB less peak
-    # RSS than at three floats.
-    side, count = _sides(powers.size - 1)
-    heaviest = _row_entries(powers.size - 1, several=True)
+    # 2 (N + 1 + QP) for one r's moduli and weight tables.  Fresh arrays per
+    # block would stay resident in the heap after the call.  A row's carves
+    # take three floats per entry at most (2 (P + Q) + 2Q, Q <= P, and one
+    # for a row of several r, whose n L_lo is spent before the rest), but
+    # glibc raises its mmap threshold to the largest block freed, and the
+    # benchmark sweep's 640 KB table reuses freed heap only after a larger
+    # one: 0.2-0.3 MB less peak RSS than at three floats.
+    side, count = _sides(top)
+    heaviest = _row_entries(top, several=True)
     largest = min(max(_BLOCK_ELEMENTS, heaviest), ts.size * heaviest)
-    spare = np.empty(4 * largest + 2 * (powers.size + count * side))
+    spare = np.empty(4 * largest + 2 * (top + 1 + count * side))
     done = 0
     while done < order.size:
         N = int(cutoffs[order[done]])
@@ -557,26 +567,15 @@ def _energy_integrals(
         done += rows.size
         block_rs = rs[rows]
         block_rs = block_rs[:1] if (block_rs == block_rs[0]).all() else block_rs
-        bases = phase * np.tanh(block_rs)
-        initial, rest = _carve(spare, (bases.size, N + 1), np.complex128)
-        if bases.size > 1:
-            source = np.power(bases[:, None], powers[: N + 1], out=initial)
-        else:
-            if held_base != bases[0]:
-                held_base, held = bases[0], 0
-            np.power(bases, powers[held : N + 1], out=row[held : N + 1])
-            held = max(held, N + 1)
-            source = row[None, : N + 1]
-        np.divide(source, np.cosh(block_rs)[:, None], out=initial)
+        moduli = _moduli(block_rs, N, spare)
         # Overflowing input ends in the finite check below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             energy, norms, overlaps[rows] = _moments(
-                initial, energies[: N + 1], ts[rows], shift, rest
+                moduli, energies[: N + 1], ts[rows], shift, spare[moduli.size :]
             )
             integrals[rows] = ts[rows] * (energy + shift)
-        if not (np.isfinite(norms).all() and np.isfinite(overlaps[rows]).all()
-                and np.isfinite(integrals[rows]).all()):
-            raise ValueError("coefficients must be finite")
+        if not (np.isfinite(overlaps[rows]).all() and np.isfinite(integrals[rows]).all()):
+            raise ValueError("evolution overflows: t (E_n + shift) is not finite")
         if norms.max() > 1.0 + 1e-12:
             raise ValueError(f"state over-normalized: |psi|^2 = {norms.max()}")
     return integrals, overlaps
@@ -592,7 +591,7 @@ def _grid(t: float | np.ndarray, r: float | np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _evolution(
-    observable: str, r: float | np.ndarray, phi: float, h: HamiltonianParams, ts: np.ndarray,
+    observable: str, r: float | np.ndarray, h: HamiltonianParams, ts: np.ndarray,
     *, accuracy: float, max_cutoff: int, energy_shift: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's energy integral, overlap <psi(0)|psi(t)> and cutoff, ts 1-D.
@@ -604,9 +603,8 @@ def _evolution(
     # An overflowing or undefined Omega t is refused by _cutoffs, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         cutoffs = _cutoffs(observable, rs, h.Omega * ts, accuracy, max_cutoff)
-    phi = _require_finite("phi", phi)
     shift = _require_finite("energy_shift", energy_shift)
-    return (*_energy_integrals(rs, phi, h, ts, cutoffs, shift), cutoffs)
+    return (*_energy_integrals(rs, h, ts, cutoffs, shift), cutoffs)
 
 
 def dynamical_integral(
@@ -618,13 +616,14 @@ def dynamical_integral(
     Evolution preserves every |c_n|, so the integrand is constant and the
     integral is t <H>_0, from the truncated state at tau = 0; it equals
     2 Omega t sinh^2 r within ``accuracy``, the energy tail the cutoff is
-    chosen for.
+    chosen for.  ``phi``, on which nothing depends, must be finite.
 
     ``t`` and ``r`` may be 1-D arrays, as in :func:`geometric_phase_numeric`.
     """
+    _require_finite("phi", phi)
     ts, rs, scalar = _grid(t, r)
     integrals, _, _ = _evolution(
-        "energy", rs, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
+        "energy", rs, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
         energy_shift=energy_shift,
     )
     return float(integrals[0]) if scalar else integrals
@@ -643,11 +642,12 @@ def geometric_phase_numeric(
 
     ``t`` and ``r`` may be 1-D arrays of one length, or one of them a float
     that holds for every row; the result is then an array, row i bit for
-    bit the value at (r[i], t[i]) alone.
+    bit the value at (r[i], t[i]) alone.  ``phi`` must be finite.
     """
+    _require_finite("phi", phi)
     ts, rs, scalar = _grid(t, r)
     deltas, overlaps, _ = _evolution(
-        "phase", rs, phi, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
+        "phase", rs, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
         energy_shift=energy_shift,
     )
     # arg<psi(0)|psi(t)> is libm's atan2 through cmath.phase, row by row

@@ -40,7 +40,7 @@ def test_criterion_1_overlap_equivalence():
             if r <= 1.0:
                 assert N <= 60  # tail bound keeps small squeezes tiny
             _, overlaps = fock._energy_integrals(
-                np.full(WT_GRID.size, r), 0.3, H_UNIT, WT_GRID, [N] * WT_GRID.size, 0.0
+                np.full(WT_GRID.size, r), H_UNIT, WT_GRID, [N] * WT_GRID.size, 0.0
             )
             for wt, numeric in zip(WT_GRID, overlaps):
                 analytic = phases.overlap_analytic(r, 1.0, float(wt))
@@ -72,7 +72,7 @@ def test_criterion_3_cyclic_phase():
         for r in R_GRID:
             N = fock.cutoff_for("mass", r, 1e-12)
             _, (overlap,) = fock._energy_integrals(
-                np.array([r]), 0.3, H_UNIT, np.array([TAU]), [N], 0.0
+                np.array([r]), H_UNIT, np.array([TAU]), [N], 0.0
             )
             overlap = complex(overlap)
             assert abs(overlap / abs(overlap) - 1.0) <= 1e-10

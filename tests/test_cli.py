@@ -213,7 +213,7 @@ class TestSweepJson:
 
 
 class TestSweepGoldenBytes:
-    """sha256 of sweep stdout, recorded once delta became t <H>_0.
+    """sha256 of sweep stdout, recorded once the moduli became one real table.
 
     Every printed digit depends on the last bit of each oracle row, so the
     grid evaluation must reproduce the per-point arithmetic exactly.  The
@@ -233,8 +233,14 @@ class TestSweepGoldenBytes:
     ``gamma_numeric`` by at most 0.25 cond eps (omega_t, 68/500), 0.24
     (r, 17/50), 0.41 (r-wide, 77/200) and 0.50 (r-dense, 2971/10^4), and
     none of them as printed in CSV; only r's largest ``abs_error`` moved
-    (9.593890127e-10 to 9.593872363e-10).  Recorded with numpy 2.4 on
-    x86-64 Linux.
+    (9.593890127e-10 to 9.593872363e-10).  They were re-recorded when the
+    oracle's moduli became one real log-domain table (``fock._moduli``):
+    again only ``gamma_numeric`` and ``abs_error`` moved, each
+    ``gamma_numeric`` by at most 1.37 cond eps (omega_t, 499/500), 4.35
+    (r, 41/50), 21.27 (r-wide, 177/200) and 1.31 (r-dense, 6723/10^4).  Of
+    the 20 largest moves of each grid, all 100 came closer to a 40-digit
+    mpmath sum of the same truncated series.  Recorded with numpy 2.4 on
+    x86-64 Linux, whose 64-bit long double carries log tanh r.
     """
 
     OMEGA_T = ["sweep", "--variable", "omega_t", "--start", "0",
@@ -250,19 +256,19 @@ class TestSweepGoldenBytes:
     R_DENSE = ["sweep", "--variable", "r", "--start", "0", "--stop", "1",
                "--points", "10000"]
 
-    OMEGA_T_DIGEST = "f9bb2a29b6b2f56a3d322392614accbc0539cc3a733f4f2c3f16753a849725d4"
-    R_DENSE_DIGEST = "6eb0cea803ae5b87230bf7c908126c5fd48e429b3fc48ddd105aafb9bad28f76"
+    OMEGA_T_DIGEST = "f871a5a7433e86cf901ebec3153e9d60a1840cbd5d9d104ab382c08e592f8378"
+    R_DENSE_DIGEST = "d860ec96db9e7a907fa135f8e7fa1786be68222951a5496589e712970f56832a"
 
     @pytest.mark.parametrize("argv,digest", [
         (OMEGA_T, OMEGA_T_DIGEST),
         (OMEGA_T + ["--format", "json"],
-         "f19496604b2f2fa0642d779dacc5f50b53ba12bf41ea159a45f4201b4ec1cf9b"),
-        (R, "8458df5a9f13761cae211fb7750ce868755beb161dee9f1cc65f901a6cdc0fea"),
+         "2c7f6cc582bba82853216b6081d5d054b8be0c7431ee601b02ecd51ca636b04f"),
+        (R, "e692738e975b580cd34fd204a64bfcf842b3122c791a13901a6ecd2ccb784a71"),
         (OMEGA_T + ["--degrees"],
-         "da53fad911c402bd6f0202fdca16d53d3da03d6eab186142151deb444b8db578"),
+         "2d6a957cb701dc444f6d12ca7fd63a05bfccee4dc6b05382d49950b34abc1570"),
         (R + ["--format", "json"],
-         "2df9ffaf02d5ca2cc5ec71f1a476700b6529ec91660cbb86d3201ff7c5a37c18"),
-        (R_WIDE, "bc5a3e52768384ff11854bbf83ff69c65fa910908f145e84e077ac06351916f7"),
+         "bc148d93a809764b0acf2cb335c4ea29f5b01be0482676f112b8676d65de7ce9"),
+        (R_WIDE, "062f7bf86358855c896825d7522b0c7ec443224020005573e026bc62469e091e"),
         (R_DENSE, R_DENSE_DIGEST),
     ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json", "r-wide",
             "r-dense"])
@@ -336,13 +342,13 @@ class TestSweepTable:
 
 def _evolved_rows(phase_table):
     """A ``fock._moments`` that runs the kernel the grid ran before it
-    contracted tables: evolved rows c_n phase_n, with the phases of
+    contracted tables: evolved rows |c_n| phase_n, with the phases of
     ``phase_table(energies, ts, shift)``, their |.|^2 summed along each
     row, and np.vecdot for the overlap."""
-    def moments(coeffs, energies, ts, shift, spare=None):
-        evolved = coeffs * phase_table(energies, ts, shift)
-        energy = (energies * np.abs(coeffs) ** 2).sum(axis=-1)
-        return energy, (np.abs(evolved) ** 2).sum(axis=-1), np.vecdot(coeffs, evolved)
+    def moments(moduli, energies, ts, shift, spare=None):
+        evolved = moduli * phase_table(energies, ts, shift)
+        energy = (energies * moduli ** 2).sum(axis=-1)
+        return energy, (np.abs(evolved) ** 2).sum(axis=-1), np.vecdot(moduli, evolved)
 
     return moments
 
@@ -366,159 +372,119 @@ def _literal_phases(monkeypatch):
     monkeypatch.setattr(fock, "_unit_powers", lambda angle, counts: np.exp(-1j * angle * counts))
 
 
-# The two verify lines delta = t <H>_0 moved, as they print now, and as the
-# trapezoid printed them before, by the kernel that contracted the energy.
-_DELTA_LINES = (
-    "PASS  dynamical-quadrature         worst 9.91118298543e-12  bound 1.00000000000e-10"
-    "  [r=0.5, omega_t=6.283, eps=0.0*Omega]",
-    "PASS  gauge-invariance             worst 3.55271367880e-15  bound 1.00000000000e-10"
-    "  [r=1.0, omega_t=6.283, shift=5.0]",
-)
-_TRAPEZOID_LINES = {
-    "contraction": (
-        "PASS  dynamical-quadrature         worst 9.91207116385e-12  bound 1.00000000000e-10"
-        "  [r=0.5, omega_t=6.283, eps=0.0*Omega, steps=200]",
-        "PASS  gauge-invariance             worst 7.10542735760e-15  bound 1.00000000000e-10"
-        "  [r=1.5, omega_t=6.283, shift=-2.0]",
-    ),
-    "evolved rows": (
-        "PASS  dynamical-quadrature         worst 9.91118298543e-12  bound 1.00000000000e-10"
-        "  [r=0.5, omega_t=6.283, eps=0.0*Omega, steps=1]",
-        "PASS  gauge-invariance             worst 7.10542735760e-15  bound 1.00000000000e-10"
-        "  [r=1.5, omega_t=6.283, shift=5.0]",
-    ),
-}
+_SEEDS = [str(seed) for seed in range(8)]
 
 
 class TestVerifyGoldenBytes:
-    """sha256 of verify stdout, pinned five times.
+    """sha256 of verify stdout, pinned five times; each test is named by its seed.
 
     ``test_chebyshev_digest`` holds verify as it runs.  The other four hold
-    older bytes with the older routes swapped back in, so every line those
-    routes do not reach must still print them.  Each swaps back an older
-    squeeze exponential for exponentiation-agreement (``_squeeze_by``).
-    Three take the SVD of the even-to-odd block (``_svd_squeeze``), which
-    the Chebyshev series replaced; the series moved only that line, the
-    same for every seed, from 9.37496221803e-12 to 9.37497402834e-12.
-    ``test_contraction_digest`` holds the bytes of the contraction as it
-    runs, and ``test_digest`` the bytes of the square-root phase tables
-    while the grid still formed evolved rows from their outer product
-    (``_evolved_rows``).  The other two run with the literal exponentials
-    of ``_literal_phases``: ``test_svd_digest`` holds the bytes recorded
-    while each phase was one exponential, and ``test_stdout_digest`` takes
-    the dense eigh of the whole tridiagonal generator that the squeeze
-    exponential was before the SVD (``_eigh_squeeze``).
-    The SVD moved only the exponentiation-agreement line, whose worst rose
-    by 3.5e-17 (9.37492752361e-12 to 9.37496221803e-12 for every seed).
-    The square-root phase tables moved four lines, the same for every seed:
-    geometric-phase-agreement 9.93750859379e-10 to 9.93757964807e-10,
-    evolution-reparameterization 9.29678432876e-15 to 8.05845509126e-15,
-    rotation-conjugation 5.10358185595e-15 to 5.08975858709e-15 and
-    cyclic-total-phase 7.18869408452e-15 to 1.11924358671e-14.  Contracting
-    the tables against |c_n|^2 tables (``fock._moments``) moved three worst
-    values, the same for every seed: geometric-phase-agreement back to
-    9.93750859379e-10, dynamical-quadrature 9.91118298543e-12 to
-    9.91207116385e-12 and cyclic-total-phase to 1.11993155728e-14;
-    gauge-invariance kept its worst, with its argmax at shift -2.0, not 5.0.
-    ``_literal_phases`` swaps the evolved-row kernel back in for the
-    contraction, so the two older digests held unchanged.  The worst values
-    carry 12 significant digits, so these pin the oracle's overlaps and
-    integrals to the bit.  Recorded with numpy 2.4 on x86-64 Linux, on one
-    CPU and on two, with OPENBLAS_NUM_THREADS 1 and 2.
+    verify with older routes swapped back in, so every line those routes do
+    not reach must still print as it runs.  ``test_contraction_digest``
+    takes the SVD of the even-to-odd block (``_svd_squeeze``) for the
+    squeeze exponential; ``test_digest`` takes that SVD and forms evolved
+    rows from the square-root phase tables (``_evolved_rows``);
+    ``test_svd_digest`` takes it with the literal exponentials of
+    ``_literal_phases``; ``test_stdout_digest`` takes those exponentials
+    and the dense eigh of the whole tridiagonal generator
+    (``_eigh_squeeze``).  The worst values carry 12 significant digits, so
+    these pin the oracle's overlaps and integrals to the bit.
 
-    When delta became t <H>_0 instead of a trapezoid of the energy, two
-    lines moved under every route, the same for every seed (``_DELTA_LINES``):
-    gauge-invariance from 7.10542735760e-15 to 3.55271367880e-15, and
-    dynamical-quadrature, which lost its step count from its detail, from
-    9.91207116385e-12 to 9.91118298543e-12 under the contraction and not at
-    all under the evolved rows.  Each test pins those two lines as they print
-    now and hashes its output with them put back as the trapezoid printed
-    them (``_TRAPEZOID_LINES``), so the recorded digests still hold every
-    other line to its bytes.
+    Each change of route moved these lines, the same for every seed: the
+    SVD exponentiation-agreement by 3.5e-17, and the Chebyshev series that
+    line again, 9.37496221803e-12 to 9.37497402834e-12; the square-root
+    phase tables four lines and their contraction against |c_n|^2 tables
+    three; delta = t <H>_0 two, gauge-invariance 7.10542735760e-15 to
+    3.55271367880e-15 and dynamical-quadrature, which lost its step count.
+    All five were re-recorded when the oracle's moduli became one real
+    log-domain table (``fock._moduli``) instead of complex power rows; as
+    verify runs, six lines moved: geometric-phase-agreement
+    9.93750859379e-10 to 9.93829019080e-10, dynamical-quadrature
+    9.91118298543e-12 to 9.91207116385e-12, gauge-invariance
+    3.55271367880e-15 to 7.10542735760e-15, evolution-reparameterization
+    8.05845509126e-15 to 7.83794063298e-15, cyclic-gamma 9.30242549657e-11
+    to 9.33368937694e-11 and entropy-numeric-agreement 9.98134908059e-12 to
+    9.98268134822e-12.  Recorded with numpy 2.4 on x86-64 Linux, whose
+    64-bit long double carries log tanh r, on one CPU and on two, with
+    OPENBLAS_NUM_THREADS 1 and 2.
     """
 
     @staticmethod
-    def digest(seed, capsys, kernel):
-        """sha256 of verify's stdout with ``_DELTA_LINES`` put back as
-        ``kernel``'s trapezoid printed them; each must print once."""
+    def digest(seed, capsys):
         assert main(["verify", "--seed", str(seed)]) == 0
-        out = capsys.readouterr().out
-        for line, trapezoid_line in zip(_DELTA_LINES, _TRAPEZOID_LINES[kernel]):
-            assert out.count(f"\n{line}\n") == 1, line
-            out = out.replace(f"\n{line}\n", f"\n{trapezoid_line}\n")
-        return hashlib.sha256(out.encode()).hexdigest()
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
-    @pytest.mark.parametrize("seed,digest", [
-        (0, "f3642b2fa02d746b98b5120555a853841dbe889ec45f7b0473c89f7b29866e48"),
-        (1, "524c7ac34d400e9f099d0c99e1b4342862b81e7959b041e3620ec9ea4c74af77"),
-        (2, "69cda689e9eb5dff1bf9112441c18ad8c8a161fe5a74ff6e491020765f6da300"),
-        (3, "adcada4d4c566968c96c133a35d0561d780d071c0db370552db0b7415f0d26a0"),
-        (4, "316e04adc30fbc917817edcbd3a330337efe90c68d95337b64c50309d2b1688c"),
-        (5, "255d2829206fcbfc6f799fe4c0ae3b571399cbe617301f43654209dc32abffbc"),
-        (6, "469d9e314717993168f90c58979116a29d1ff322a457669396a16cab20c5c128"),
-        (7, "a03b13b3379ceee51d44607e356d75f333e672b2eccf5c2eb22eddd77e67972a"),
-    ])
+    @pytest.mark.parametrize("seed,digest", enumerate([
+        "2e2d53c7d4eab76fa5b6990315ee2a09aa2840319d0cf1d809258ca58f9e10a8",
+        "a1fe5cc4779d9e612dbb46c7d4ef45f7f29043085d0ba8e791c0946084ca4c21",
+        "26075885a149a86e7ed25d30c1c7cd5f82584d1e7d27c6c6f2e4dfe655b6a99e",
+        "1831983c30611e5942ac53f12977703cf30a0981b5c5b5a7f1b7df7ef73038f0",
+        "7994e2bc4039a9c57c93dd925f48c08a0b094db52b18eb797b576a5467f76ccf",
+        "1426645c38e2edf5aa8e3d9dc85ffbbf0187d9b04bbb8716c7d01aa9d6adb2ba",
+        "ee68422e005a7c261c9977a0296806831d973af6a1739987b25d83d05d5ca0f6",
+        "f4e705bc482f7556d5e9c8b6faae8bbcbd0aa67948becf031e9d94e877b61b13",
+    ]), ids=_SEEDS)
     def test_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _svd_squeeze)
         monkeypatch.setattr(fock, "_moments", _evolved_rows(_phase_table))
-        assert self.digest(seed, capsys, "evolved rows") == digest
+        assert self.digest(seed, capsys) == digest
 
-    @pytest.mark.parametrize("seed,digest", [
-        (0, "fea47ae9640a756b3ed2b52fcc445217de55a71ea97ef0dc8c0f5bf070240d62"),
-        (1, "a5c7c3b5a87bc5731311e202d789e3a28430c9c3c1060545e0e71f8b4ba62233"),
-        (2, "ec4b8c67d58837f4580076bace009bfb96f0a24323bcb6ea039ccf5aced3a67a"),
-        (3, "b4062ed687437f2803ced62c10897fbeb80339d1d3ad87df1c52033f0ea30e2e"),
-        (4, "175151af56474d47b51d64b4d3b3977a85b450c196fef102d44f6359b582f469"),
-        (5, "713ebb57b802f9771f9deb8192c2d0314a52cb55433af5d76da0dfa175018aff"),
-        (6, "6244f7638efa243cebb3bf467831a67ae609dbf9944604ebac789a6e94c10c18"),
-        (7, "032a935c380564158df3e0d217a2443098b9f91c71ce88db574f261a1e1ea4c9"),
-    ])
+    @pytest.mark.parametrize("seed,digest", enumerate([
+        "f2e103a51d3cbc767737a1d15c96004a07a91c60947b065103c4f5b12f8c46fa",
+        "feb6a4e8067744027e8fde2fa633065ea0a939af27da8476b71e8bc4b7de83da",
+        "8d62f1fad67d1043261d2adfd725d12a0425dcc38f8c4d2ce28cc606da354d9d",
+        "3706754e367c8d46a0f0198fda2c292c4a79eb6b72848e8dff96c5c95fb03b46",
+        "4cd50044397fc2a725771f3073060d27695db9cd758e62c833fd2584cfe822b6",
+        "b787d8455f289e8fb38e8928e3d5a11d7ce8a774313457809c96615358e4aef8",
+        "d9c4cb5b3121135ba18c7488b19d137c0cf91a40df955f2ebaa870aa95354bc5",
+        "d004e09ee588fb523fc8d0ee10ca90714ef1555670cf6f584e35bf6b0df9a57b",
+    ]), ids=_SEEDS)
     def test_contraction_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _svd_squeeze)
-        assert self.digest(seed, capsys, "contraction") == digest
+        assert self.digest(seed, capsys) == digest
 
-    @pytest.mark.parametrize("seed,digest", [
-        (0, "dd13f8c29e1db10b63048007fae07218f085e232ba1e15df626b57f05edcbc52"),
-        (1, "6cd8a541c4622ed9203b7909acf5a7508cd0484e66e4565eabee06af07c0a8e0"),
-        (2, "02486b280f82f284ca7c64480e1250e9b013edc26412da98ab780c93099cc4bd"),
-        (3, "0756d72f53b77eca6c87651c5a0a49738c104bc930f6bd891b5cadf9e7ed69ad"),
-        (4, "a77359fdbf6a82f3d7dedcc35b2108abc05cb0e22cfe438667f0a310267375ba"),
-        (5, "4e364d5099d5f939f79aca16d9b7beea8fe1133f649a314018b5c027c031bfb5"),
-        (6, "b898d793eda1edccd7f61a929828ef8e2d546ccc8b407bd354b1e8ec1b32ae12"),
-        (7, "68a0f4481233e66fb9fe4ce0dd46e48f9f2f5816874766b9c195a2dd44cde117"),
-    ])
+    @pytest.mark.parametrize("seed,digest", enumerate([
+        "e319a26115a9d8137a9a11402042b703a0f0979d9fbdd2a72ca4b30311a38c87",
+        "76e07f77301a95680756f23cc83288bdd96ff7cb99a5e6f85816ec3b8eb06931",
+        "4fbb3f44cac85b7bf1adb6fd3768ceb702a3057d0b84ab66d69d3151e37fb786",
+        "b3dd8f64499819ed1a2ad0f9a83e70d9241a19c18224c0174537b64a64b873f7",
+        "887ed40748aa217b72c6f401920b95ddcc10d03b95ef6d3a2a0d678572461d2c",
+        "a3a0f612922928b9877b54836b7e1fb5569925b24d747b9bd8744b5016bb2196",
+        "8cca1d2337dbb120ad561d379348526adfd1fa81ad878addf35de1c97dfc0f24",
+        "a68c6463e9456248523f6c1cccb38dbd835cac0eb29b02fc9dc720264e5b0976",
+    ]), ids=_SEEDS)
     def test_stdout_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _eigh_squeeze)
         _literal_phases(monkeypatch)
-        assert self.digest(seed, capsys, "evolved rows") == digest
+        assert self.digest(seed, capsys) == digest
 
-    @pytest.mark.parametrize("seed,digest", [
-        (0, "163a1d8bc9c8b4ae6d52002ea90d4d1ebe12e613d0a6c364a683db43a6ff1947"),
-        (1, "8866a5fa855ef13614ddd84805a2451c6720016b38573c35b4e2704f43e47324"),
-        (2, "139e48cfc27b0c7716aa4901df85adc53593ec84ffa4e863a505959316ee5e72"),
-        (3, "55bc700ad071baf1b3f92c8da40c58c0caac7fba7a2f61ab4cf41d4e17051abc"),
-        (4, "029938c0f6749593d9f2333763b7b79773eebd8cf5da64cda41210777d1428b0"),
-        (5, "0572ee5c88358990c27ebf30535ec15322fa5eb94fa4597a654a59f28cda59ce"),
-        (6, "c1df2d6d09cc5d5cb9fefa7b9f768adf06414e8ec14d33e8dc20aec439915f77"),
-        (7, "84b2e1219ad52d64cc7cf3c7e093816cac05eea7242069cbc46501f471635611"),
-    ])
+    @pytest.mark.parametrize("seed,digest", enumerate([
+        "f12e7bdc2d48d842fbab686f03cae7cbbc95e6132fa098689fd196e595054cd9",
+        "982cf60610f8f91dd5b668f0c49ba7833a1e9e86ac46eab5886851c0ee1ffc6c",
+        "f68fd9b69ceeaa51cc2d786b019b8158d76b8a20737e9cb9d676e7dab723df49",
+        "480a9c4678520f1010dae2e730a06ba45fbcd426effba58d59b9a36709e1fc52",
+        "8c64fb3c7dd5a3c5ce91d7d185f20a4ef6b489baa95689051c9ad8f52bc31ba0",
+        "ab34d5765ede223bda6193ac9720f5e404b7637516c3a1d30e0d51e357218726",
+        "d7bbfb8cc0cbf58fae03c0b7cdf43edd3f89eca59c575b600d4aee0124d1bef9",
+        "57fbf74269e2318adb655cc6c4e09d51a5876015830cb0b26c338ed8323836b2",
+    ]), ids=_SEEDS)
     def test_svd_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _svd_squeeze)
         _literal_phases(monkeypatch)
-        assert self.digest(seed, capsys, "evolved rows") == digest
+        assert self.digest(seed, capsys) == digest
 
-    @pytest.mark.parametrize("seed,digest", [
-        (0, "e7be88b192a9257b04f4b2e28a93be51b9bf88cd67ad166bb53a463ff2abe3ea"),
-        (1, "8ded4c6e589f2498ca46e47fb7e5c52c01ad74dd0c82c6679a16549421dd4919"),
-        (2, "9f4c8a99263ffd43e6e1b43e2f97f6c3caa17cb950030694b17cf86f28655f61"),
-        (3, "2bc2977f68ef89cf881c72bb8d55b45a524e32519dff544178c961d6e9f14b9d"),
-        (4, "8a5f4f5e6173c8be61fe9f0c430cc434612aeec6677469481f645c8afc9f4e0f"),
-        (5, "0a80d9ea5e881654364a3aabe6ba402d5b0995f543f417a0dc7278ee4c0036fd"),
-        (6, "c7601f7273ee91879a2d2fd96fe138f9b54d9b96a5d61f0a651f4c0cff85875d"),
-        (7, "19231cb8ad2316d154356e9c86c103b43d6ca88e4959d90905495cc2b6a7df55"),
-    ])
+    @pytest.mark.parametrize("seed,digest", enumerate([
+        "b6d601a2ce6a795aacda9489796bdc3b95d8a823d459e3820716d90c4014590e",
+        "d6c6751f95c37e708f4e9e902195e058d974e239cd295946c53c0e441852346d",
+        "c72651adad8d008eaea75b9fc02d35751ff6ce1a942c11e095de04b3da97d28c",
+        "0e8cef098f3974b47d8fdc71df20fd8b822d7d9a68b8b1b11c8c520cbd8c5ee2",
+        "1e7113afdaf64e3abcf7bab1ca823624d828d2230930dc0f3d7282bf2fe263c5",
+        "1b8cb08a87f3de0bf442a6d7e7340f35a4815c428b69b5a7d50ed00212d11ccc",
+        "cff906409b26b379faa024767251a0582b868eb094449b340370fac6f148aeb8",
+        "7c4d67aa6b5f17988891417da7f15584d24a40e0d0862b8384fba1dae69f7f19",
+    ]), ids=_SEEDS)
     def test_chebyshev_digest(self, seed, digest, capsys):
-        assert self.digest(seed, capsys, "contraction") == digest
+        assert self.digest(seed, capsys) == digest
 
 
 def _squeeze_by(monkeypatch, route):
@@ -565,11 +531,14 @@ class TestVerifyMutants:
         # delta subtracted from arg<psi(0)|psi(t)> instead of added.
         ("geometric_phase_numeric", "gammas + deltas", "gammas - deltas", "cyclic-gamma"),
         # |c_n|^2 laid out p-major, n = pQ + q, meets hi_q lo_p at the wrong n.
-        ("_moments", "moduli.reshape(2, -1, count, side)",
-         "moduli.reshape(2, -1, side, count).swapaxes(-1, -2)", "overlap-agreement"),
+        ("_moments", "tables.reshape(2, -1, count, side)",
+         "tables.reshape(2, -1, side, count).swapaxes(-1, -2)", "overlap-agreement"),
         # An energy table of |c_n|^2 alone integrates the norm, not <H>.
-        ("_moments", "np.multiply(energies, moduli[0", "np.multiply(1.0, moduli[0",
+        ("_moments", "np.multiply(energies, tables[0", "np.multiply(1.0, tables[0",
          "dynamical-quadrature"),
+        # tanh r read as 1 - 2 / (e^r + 1) above r = 0.5: every |c_n| shrinks, so
+        # no state over-normalizes, but the oracle's overlaps go wrong.
+        ("_moduli", "np.exp(2.0 * r)", "np.exp(r)", "overlap-agreement"),
         # Odd amplitudes of the opposite sign keep the norm but not the state.
         ("squeeze_by_exponentiation", "-1j * sums[1]", "1j * sums[1]",
          "exponentiation-agreement"),
@@ -586,7 +555,8 @@ class TestVerifyMutants:
         ("rotation_conjugation_check", "phi + math.atan2(", "phi - math.atan2(",
          "rotation-conjugation"),
     ], ids=["hi-table-stride", "lo-table-unshifted", "integral-unshifted", "delta-subtracted",
-            "weights-p-major", "energy-table-no-E", "odd-amplitude-sign", "series-cut-short",
+            "weights-p-major", "energy-table-no-E", "moduli-half-exponent", "odd-amplitude-sign",
+            "series-cut-short",
             "entropy-in-bits", "cosh-sinh-swapped", "rotation-sign"])
     def test_fault_fails_its_check(self, name, old, new, check, capsys, monkeypatch):
         monkeypatch.setattr(fock, name, _mutant(getattr(fock, name), old, new))

@@ -45,6 +45,9 @@ TOTAL_PHASE_QUARTER = -0.5256029929681379
 
 H_UNIT = HamiltonianParams(1.0, 0.0)
 
+# What the grid oracle raises when a phase or an energy integral overflows.
+_OVERFLOW = r"^evolution overflows: t \(E_n \+ shift\) is not finite$"
+
 
 def _tail_by_summation(r, N, terms=4000):
     """Brute-force tail mass sum_{n>N} tanh^{2n} r / cosh^2 r."""
@@ -396,6 +399,82 @@ class TestSchmidtState:
         assert abs((1.0 - state.squared_norm()) - math.tanh(1.0) ** (2 * (N + 1))) < 1e-14
 
 
+class TestModuli:
+    """``fock._moduli``, the one table of |c_n| the grid and ``schmidt_state`` share."""
+
+    R = [*np.logspace(-300, -1, 12).tolist(), math.nextafter(0.5, 0.0), 0.5,
+         *np.linspace(0.1, 20.0, 28).tolist()]
+
+    @pytest.mark.parametrize("r", R)
+    def test_against_60_digits(self, r):
+        # Each |c_n| in the normal range within 2 (1 + n |log tanh r|) eps:
+        # exp(n L) turns an error in L into one n times larger.
+        N = 4096
+        ns = np.unique(np.r_[np.arange(64), np.geomspace(64, N, 40).astype(int)]).tolist()
+        got = fock._moduli(np.array([r, -r]), N)
+        assert got[0].tobytes() == got[1].tobytes()
+        eps = np.finfo(float).eps
+        with mpmath.workdps(60):
+            tanh, cosh = mpmath.tanh(mpmath.mpf(r)), mpmath.cosh(mpmath.mpf(r))
+            log_tanh = float(abs(mpmath.log(tanh)))
+            for n in ns:
+                exact = tanh**n / cosh
+                if exact >= np.finfo(float).tiny:
+                    error = abs((mpmath.mpf(got[0, n]) - exact) / exact)
+                    assert error <= 2 * (1 + n * log_tanh) * eps, (n, float(error / eps))
+
+    # The last four are where a float64 log tanh r is 0.8 to 1.4 eps off.
+    @pytest.mark.parametrize("r", R + [0.3665, 0.692, 1.7276, 3.0994])
+    def test_log_tanh_rounds_once(self, r):
+        # At n = 2^k the exponent n L_hi + n L_lo rounds to n L_hi, so |c_n|
+        # is off by n |L - L_hi| plus about 3 eps (exp, cosh r, the division):
+        # within half an ulp of n |L| + 4 eps only if L_hi is L correctly
+        # rounded, which one rounded float64 L, biasing the whole row, is not.
+        got = fock._moduli(np.array([r]), 4096)[0]
+        eps = np.finfo(float).eps
+        with mpmath.workdps(60):
+            tanh, cosh = mpmath.tanh(mpmath.mpf(r)), mpmath.cosh(mpmath.mpf(r))
+            log_tanh = float(abs(mpmath.log(tanh)))
+            for n in 2 ** np.arange(13):
+                exact = tanh ** int(n) / cosh
+                if exact >= np.finfo(float).tiny:
+                    error = float(abs((mpmath.mpf(got[n]) - exact) / exact))
+                    assert error <= np.spacing(n * log_tanh) / 2 + 4 * eps, (n, error / eps)
+
+    @pytest.mark.parametrize("accuracy", [1e-9, 1e-10])
+    @pytest.mark.parametrize("r", [3.15, 4.0, 5.0])
+    def test_large_squeeze_within_accuracy(self, r, accuracy):
+        # Within accuracy + 8 eps delta of the 40-digit closed forms: moduli
+        # from a rounded tanh r would move n-bar = sinh^2 r by up to
+        # eps n-bar (1 + n-bar), and delta at r = 5 by several times 1e-8.
+        wts = np.array([0.3, 1.0, 2.5, TAU])
+        route = dict(accuracy=accuracy, max_cutoff=2**18)
+        gammas = geometric_phase_numeric(r, 0.3, H_UNIT, wts, **route).tolist()
+        deltas = dynamical_integral(r, 0.3, H_UNIT, wts, **route).tolist()
+        with mpmath.workdps(40):
+            sinh2, cosh2 = mpmath.sinh(mpmath.mpf(r)) ** 2, mpmath.cosh(mpmath.mpf(r)) ** 2
+            for wt, gamma, delta in zip(wts.tolist(), gammas, deltas):
+                exact = 2 * mpmath.mpf(wt) * sinh2
+                overlap = 1 / (cosh2 - sinh2 * mpmath.expj(-2 * mpmath.mpf(wt)))
+                gap = (mpmath.mpf(gamma) - mpmath.arg(overlap) - exact) % (2 * mpmath.pi)
+                bound = accuracy + 8 * np.finfo(float).eps * float(exact)
+                assert abs(delta - exact) <= bound
+                assert min(gap, 2 * mpmath.pi - gap) <= bound
+
+    @pytest.mark.parametrize("phi", [0.0, 0.37, -2.9])
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
+    def test_negative_squeeze_keeps_its_phase_sign(self, r, phi):
+        # tanh(-r) < 0, so c_n = (e^{2i phi} tanh r)^n / cosh r, as the power
+        # formula gives it, whose complex power rounds about once per n.
+        N = 40
+        got = schmidt_state(-r, phi, N).coeffs
+        n = np.arange(N + 1)
+        moduli = fock._moduli(np.array([r]), N)[0]
+        assert got.tobytes() == (moduli * su11._exp2i(phi) ** n).tobytes()
+        powers = (-su11._exp2i(phi) * np.tanh(-r)) ** n / np.cosh(-r)
+        assert (np.abs(got - powers) <= 2 * (n + 1) * np.finfo(float).eps * np.abs(powers)).all()
+
+
 class TestStateValidation:
     def test_rejects_over_normalized(self):
         with pytest.raises(ValueError):
@@ -714,7 +793,7 @@ class TestMoments:
         h = HamiltonianParams(omega, 0.3 * omega)
         energies = fock._energies(h, N)
         evolved = evolve(state, h, tau, shift).coeffs
-        energy, norm, overlap = _state_moments(state, h, tau, shift)
+        energy, norm, overlap = _state_moments(np.abs(state.coeffs), h, tau, shift)
         eps, mass = np.finfo(float).eps, np.abs(state.coeffs) ** 2
         evolved_energy = float(np.sum(energies * abs(evolved) ** 2))
         assert abs(overlap - np.vdot(state.coeffs, evolved)) <= 10 * (N + 1) * eps * mass.sum()
@@ -722,12 +801,10 @@ class TestMoments:
         assert abs(energy - evolved_energy) <= 17 * (N + 1) * eps * evolved_energy
 
 
-def _grid_overlaps(r, phi, N, ts):
+def _grid_overlaps(r, N, ts):
     """<psi(0)|psi(t)> under H_UNIT for each t, from the grid path at cutoff N."""
     ts = np.asarray(ts, dtype=np.float64)
-    _, overlaps = fock._energy_integrals(
-        np.full(ts.size, r), phi, H_UNIT, ts, [N] * ts.size, 0.0
-    )
+    _, overlaps = fock._energy_integrals(np.full(ts.size, r), H_UNIT, ts, [N] * ts.size, 0.0)
     return [complex(overlap) for overlap in overlaps]
 
 
@@ -735,18 +812,18 @@ class TestOverlapNumeric:
     """The overlaps the grid path returns, the only oracle overlap there is."""
 
     def test_self_overlap_is_squared_norm(self):
-        (got,) = _grid_overlaps(1.0, 0.3, 50, [0.0])
+        (got,) = _grid_overlaps(1.0, 50, [0.0])
         assert abs(got.imag) < 1e-16
         assert 1.0 - 1e-12 <= got.real <= 1.0
 
     def test_half_period_frozen(self):
         N = cutoff_for("mass", 1.0, 1e-12)
-        (got,) = _grid_overlaps(1.0, 0.0, N, [math.pi / 2])
+        (got,) = _grid_overlaps(1.0, N, [math.pi / 2])
         assert abs(got - INV_COSH_2) < 1e-12
 
     def test_quarter_period_argument(self):
         N = cutoff_for("mass", 1.0, 1e-12)
-        (got,) = _grid_overlaps(1.0, 0.0, N, [math.pi / 4])
+        (got,) = _grid_overlaps(1.0, N, [math.pi / 4])
         assert abs(np.angle(got) - TOTAL_PHASE_QUARTER) < 1e-12
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
@@ -755,7 +832,7 @@ class TestOverlapNumeric:
         # the truncation tail bounds the overlap error at any tolerance
         N = cutoff_for("mass", r, tol)
         grid = (0.6, 2.4, 5.1)
-        for wt, numeric in zip(grid, _grid_overlaps(r, 0.2, N, grid)):
+        for wt, numeric in zip(grid, _grid_overlaps(r, N, grid)):
             analytic = phases.overlap_analytic(r, 1.0, wt)
             assert abs(numeric - analytic) <= 10.0 * tol
 
@@ -764,17 +841,17 @@ class TestOverlapNumeric:
         # A block contracts its rows' tables by one matrix product and one
         # dot per row, as the per-state helper does for a lone row.  40 rows
         # fill one block up to N = 655 and seven blocks at N = 4095.
-        state = schmidt_state(1.5, 0.4, N)
+        moduli = _schmidt_moduli(1.5, N)
         ts = np.linspace(0.0, 2.0 * TAU, 40)
-        want = [_state_moments(state, H_UNIT, t, 0.0)[2] for t in ts.tolist()]
-        assert np.array(_grid_overlaps(1.5, 0.4, N, ts)).tobytes() == np.array(want).tobytes()
+        want = [_state_moments(moduli, H_UNIT, t, 0.0)[2] for t in ts.tolist()]
+        assert np.array(_grid_overlaps(1.5, N, ts)).tobytes() == np.array(want).tobytes()
 
     def test_cyclic_overlap_equals_squared_norm(self):
         # at Omega t = 2 pi the evolved state coincides with the initial one,
         # so the overlap collapses to the squared norm (zero total phase)
         for r in (0.5, 1.0, 2.0):
             state = schmidt_state(r, 0.3, cutoff_for("mass", r, 1e-12))
-            (got,) = _grid_overlaps(r, 0.3, state.cutoff, [TAU])
+            (got,) = _grid_overlaps(r, state.cutoff, [TAU])
             assert abs(got - state.squared_norm()) < 1e-12
 
 
@@ -790,13 +867,25 @@ class TestEnergyExpectation:
         assert abs(got - ENERGY_R1) < 1e-9
 
     def test_tail_bound(self):
-        # closed form minus truncated sum is the dropped-tail energy
+        # The 40-digit closed form minus the truncated sum is the dropped-tail
+        # energy, up to the sum's rounding: each |c_n| is within
+        # 2 (1 + n |log tanh r|) eps (TestModuli), each term 2n |c_n|^2
+        # within twice that and one rounding more, and numpy's pairwise sum
+        # within ceil(log2(N + 1)) eps of the sum of its terms.
+        eps = np.finfo(float).eps
         for r, N in ((0.5, 40), (1.0, 80)):
             state = schmidt_state(r, 0.0, N)
-            deficit = 2.0 * math.sinh(r) ** 2 - _expected_energy(state, H_UNIT)
-            n = np.arange(N + 1, N + 3000)
-            tail = float(np.sum(2.0 * n * np.tanh(r) ** (2 * n) / np.cosh(r) ** 2))
-            assert 0.0 <= deficit <= tail * (1.0 + 1e-9) + 1e-15
+            with mpmath.workdps(40):
+                exact = 2 * mpmath.sinh(mpmath.mpf(r)) ** 2
+                deficit = float(exact - _expected_energy(state, H_UNIT))
+                log_tanh = float(-mpmath.log(mpmath.tanh(mpmath.mpf(r))))
+            n = np.arange(N + 1)
+            terms = 2.0 * n * np.abs(state.coeffs) ** 2
+            per_term = 4 * (1 + n * log_tanh) + 1 + math.ceil(math.log2(N + 1))
+            rounding = eps * float(np.sum(terms * per_term))
+            m = np.arange(N + 1, N + 3000)
+            tail = float(np.sum(2.0 * m * np.tanh(r) ** (2 * m) / np.cosh(r) ** 2))
+            assert -rounding <= deficit <= tail * (1.0 + 1e-9) + 1e-15
 
     def test_independent_of_phi_and_time(self):
         N = 50
@@ -824,32 +913,37 @@ def _expected_energy(state, h, shift=0.0):
     return float(np.sum(energies * np.abs(state.coeffs) ** 2)) + shift
 
 
-def _state_moments(state, h, t, shift):
-    """``fock._moments`` of one state at time ``t``: its energy <H> - shift,
-    its squared norm and its overlap <psi(0)|psi(t)>.
+def _schmidt_moduli(r, N):
+    """|c_0| .. |c_N| of the squeezed vacuum at r, the one row the grid forms for r."""
+    return fock._moduli(np.array([r], dtype=float), N)[0]
+
+
+def _state_moments(moduli, h, t, shift):
+    """``fock._moments`` of one state's moduli at time ``t``: its energy
+    <H> - shift, its squared norm and its overlap <psi(0)|psi(t)>.
 
     It is the helper the grid contracts each block with, so a grid row must
     repeat it bit for bit; ``TestMoments`` holds it to the literal
     np.vdot(c, evolve(c)) and sum E |evolve(c)|^2.
     """
     energies, norms, overlaps = fock._moments(
-        state.coeffs[None], fock._energies(h, state.cutoff), np.array([t], dtype=float), shift
+        moduli[None], fock._energies(h, moduli.size - 1), np.array([t], dtype=float), shift
     )
     return float(energies[0]), float(norms[0]), complex(overlaps[0])
 
 
-def _energy_integral_per_point(initial, h, t, shift):
+def _energy_integral_per_point(moduli, h, t, shift):
     """Reference for the grid's energy integral: t (E + shift), E from one helper call."""
-    return t * (_state_moments(initial, h, t, shift)[0] + shift)
+    return t * (_state_moments(moduli, h, t, shift)[0] + shift)
 
 
-def _geometric_phase_per_point(r, phi, h, t, accuracy, shift):
-    """Reference for the grid oracle: its own cutoff, state and helper calls."""
+def _geometric_phase_per_point(r, h, t, accuracy, shift):
+    """Reference for the grid oracle: its own cutoff, moduli and helper calls."""
     N = cutoff_for("phase", r, accuracy, t=h.Omega * t)
-    initial = schmidt_state(r, phi, N)
-    _, _, overlap = _state_moments(initial, h, t, shift)
+    moduli = _schmidt_moduli(r, N)
+    _, _, overlap = _state_moments(moduli, h, t, shift)
     total = math.atan2(overlap.imag, overlap.real)
-    delta = _energy_integral_per_point(initial, h, t, shift)
+    delta = _energy_integral_per_point(moduli, h, t, shift)
     gamma = (total + delta) % (2.0 * math.pi)
     return 0.0 if gamma >= 2.0 * math.pi else gamma
 
@@ -922,12 +1016,11 @@ class TestDynamicalIntegral:
     @pytest.mark.parametrize("r,t", [(0.5, 0.7), (2.0, 48.3)])
     def test_array_equals_per_tau_loop_bit_for_bit(self, r, t, h, shift, taus):
         # One block of rows at the taus of [0, t], against one call per tau.
-        initial = schmidt_state(r, 0.4, cutoff_for("mass", r, 1e-12))
+        N = cutoff_for("mass", r, 1e-12)
         grid = np.linspace(0.0, t, taus + 1)[1:]
-        got, _ = fock._energy_integrals(
-            np.full(taus, r), 0.4, h, grid, [initial.cutoff] * taus, shift
-        )
-        want = [_energy_integral_per_point(initial, h, tau, shift) for tau in grid.tolist()]
+        got, _ = fock._energy_integrals(np.full(taus, r), h, grid, [N] * taus, shift)
+        moduli = _schmidt_moduli(r, N)
+        want = [_energy_integral_per_point(moduli, h, tau, shift) for tau in grid.tolist()]
         assert got.tolist() == want
 
     @settings(deadline=None, max_examples=40)
@@ -944,7 +1037,7 @@ class TestDynamicalIntegral:
         want = []
         for t in ts:
             N = cutoff_for("energy", r, 1e-10, t=h.Omega * t)
-            want.append(_energy_integral_per_point(schmidt_state(r, 0.2, N), h, t, shift))
+            want.append(_energy_integral_per_point(_schmidt_moduli(r, N), h, t, shift))
         assert got.tolist() == want
         scalar = dynamical_integral(r, 0.2, h, ts[0], energy_shift=shift)
         assert isinstance(scalar, float) and scalar == want[0]
@@ -964,7 +1057,7 @@ class TestDynamicalIntegral:
         pairs = _per_row(rs, t)
         assert got.tolist() == [dynamical_integral(r, 0.2, h, t, **route) for r, t in pairs]
         _, _, cutoffs = fock._evolution(
-            "energy", np.array(rs), 0.2, h, np.array([t for _, t in pairs]),
+            "energy", np.array(rs), h, np.array([t for _, t in pairs]),
             max_cutoff=fock.DEFAULT_MAX_CUTOFF, **route,
         )
         assert cutoffs.tolist() == [cutoff_for("energy", r, 1e-10, t=h.Omega * t) for r, t in pairs]
@@ -1034,12 +1127,12 @@ class TestEvolution:
         h = HamiltonianParams(1.3, 0.4)
         ts = np.linspace(0.0, 3 * TAU, 40)
         route = dict(accuracy=1e-9, max_cutoff=4096, energy_shift=0.7)
-        integrals, overlaps, cutoffs = fock._evolution(observable, 1.2, 0.3, h, ts, **route)
+        integrals, overlaps, cutoffs = fock._evolution(observable, 1.2, h, ts, **route)
         assert cutoffs.tolist() == [cutoff_for(observable, 1.2, 1e-9, t=h.Omega * t) for t in ts]
         for t, N, integral, overlap in zip(ts.tolist(), cutoffs, integrals, overlaps):
-            initial = schmidt_state(1.2, 0.3, N)
-            assert overlap == _state_moments(initial, h, t, 0.7)[2]
-            assert integral == _energy_integral_per_point(initial, h, t, 0.7)
+            moduli = _schmidt_moduli(1.2, N)
+            assert overlap == _state_moments(moduli, h, t, 0.7)[2]
+            assert integral == _energy_integral_per_point(moduli, h, t, 0.7)
 
 
 class TestGeometricPhaseGrid:
@@ -1066,7 +1159,7 @@ class TestGeometricPhaseGrid:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fock, "_cutoffs", spy)
             got = geometric_phase_numeric(r, phi, h, np.array(ts), accuracy=1e-9, energy_shift=shift)
-        want = [_geometric_phase_per_point(r, phi, h, t, 1e-9, shift) for t in ts]
+        want = [_geometric_phase_per_point(r, h, t, 1e-9, shift) for t in ts]
         assert got.tolist() == want
         assert [cutoffs.tolist() for cutoffs in seen] == [
             [cutoff_for("phase", r, 1e-9, t=h.Omega * t) for t in ts]
@@ -1106,7 +1199,7 @@ class TestGeometricPhaseGrid:
         # One r per row, across cutoffs from 0 to several hundred.
         rs = np.linspace(0.0, 2.5, 120)
         got = geometric_phase_numeric(rs, 0.7, H_UNIT, 1.3, accuracy=1e-9)
-        want = [_geometric_phase_per_point(r, 0.7, H_UNIT, 1.3, 1e-9, 0.0) for r in rs]
+        want = [_geometric_phase_per_point(r, H_UNIT, 1.3, 1e-9, 0.0) for r in rs]
         assert got.tolist() == want
 
     @pytest.mark.parametrize("r,rows", [(2.0, 4), (0.5, 16), (0.3, 7), (1.0, 1)])
@@ -1117,13 +1210,13 @@ class TestGeometricPhaseGrid:
         N = cutoff_for("phase", r, 1e-9, t=TAU)
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", rows * fock._row_entries(N, False))
         got = geometric_phase_numeric(r, 0.7, h, ts, accuracy=1e-9)
-        want = [_geometric_phase_per_point(r, 0.7, h, t, 1e-9, 0.0) for t in ts]
+        want = [_geometric_phase_per_point(r, h, t, 1e-9, 0.0) for t in ts]
         assert got.tolist() == want
 
     def test_zero_and_subnormal_times_share_a_block(self):
         ts = np.array([0.0, 5e-324, 1e-320, 0.3, 2.9, -0.0])
         got = geometric_phase_numeric(0.4, 0.1, H_UNIT, ts)
-        want = [_geometric_phase_per_point(0.4, 0.1, H_UNIT, t, 1e-10, 0.0) for t in ts]
+        want = [_geometric_phase_per_point(0.4, H_UNIT, t, 1e-10, 0.0) for t in ts]
         assert got.tolist() == want
 
     def test_shapes(self):
@@ -1140,10 +1233,11 @@ class TestGeometricPhaseGrid:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_evolution_is_rejected(self):
-        # The shifted phase overflows; each row's evolved state is checked.
-        with pytest.raises(ValueError, match="finite"):
+        # The shifted phase overflows, though every |c_n| is finite: the
+        # message names the evolution, not the coefficients.
+        with pytest.raises(ValueError, match=_OVERFLOW):
             geometric_phase_numeric(0.0, 0.0, H_UNIT, [1.0, 1e308], energy_shift=5.0)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=_OVERFLOW):
             geometric_phase_numeric(0.0, 0.0, H_UNIT, 1e308, energy_shift=5.0)
 
 
@@ -1153,23 +1247,29 @@ class TestParallelBlocks:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_later_block_surfaces(self, monkeypatch):
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
-        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        with pytest.raises(ValueError, match=_OVERFLOW):
             geometric_phase_numeric(
                 0.0, 0.0, H_UNIT, [1.0] * 7 + [1e308], energy_shift=5.0
             )
 
     def test_first_over_normalized_block_in_plan_order_surfaces(self, monkeypatch):
-        # At r = ln 3, 1 / cosh^2 r = 0.36 and tanh r = 0.8; with |e^{2i phi}|
-        # made 1.25 every |c_n|^2 is 0.36, so prefixes of length 1 and 2 hold
-        # 0.36 and 0.72 and lengths 3 and 4 hold 1.08 and 1.44.  Each row is
-        # its own block, so the first failure in plan order is a cutoff-2 row.
+        # At r = ln 3, 1 / cosh^2 r = 0.36 and tanh r = 0.8; with each |c_n|
+        # inflated by 1.25^n every |c_n|^2 is 0.36, so prefixes of length 1
+        # and 2 hold 0.36 and 0.72 and lengths 3 and 4 hold 1.08 and 1.44.
+        # Each row is its own block, so the first failure in plan order is a
+        # cutoff-2 row.
+        real = fock._moduli
+
+        def inflated(rs, N, spare=None):
+            moduli = real(rs, N, spare)
+            moduli *= 1.25 ** np.arange(N + 1)
+            return moduli
+
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
-        monkeypatch.setattr(fock, "_exp2i", lambda phi: 1.25 * su11._exp2i(phi))
+        monkeypatch.setattr(fock, "_moduli", inflated)
         ts = np.linspace(0.1, 1.0, 12)
         with pytest.raises(ValueError, match=r"over-normalized: \|psi\|\^2 = 1\.08"):
-            fock._energy_integrals(
-                np.full(12, math.log(3.0)), 0.0, H_UNIT, ts, [3, 2, 1, 0] * 3, 0.0
-            )
+            fock._energy_integrals(np.full(12, math.log(3.0)), H_UNIT, ts, [3, 2, 1, 0] * 3, 0.0)
 
 
 def _block_plan(monkeypatch, rs, ts):

@@ -180,8 +180,7 @@ class TestDecompose:
 
         triple = decompose_product(params(1.0, 0.0), params(1.0, -math.pi / 2))
         _, (overlap,) = fock._energy_integrals(
-            np.array([1.0]), 0.0, phases.HamiltonianParams(1.0), np.array([math.pi / 2]), [60],
-            0.0,
+            np.array([1.0]), phases.HamiltonianParams(1.0), np.array([math.pi / 2]), [60], 0.0,
         )
         assert abs(abs(overlap) - 1.0 / math.cosh(triple.R)) < 1e-9
 
