@@ -37,8 +37,7 @@ the accuracy, up to ties within the tail's rounding.  Operator identities
 are asserted only on entries a ``margin`` away from the cutoff, where the
 constructions used here keep them exact up to rounding.
 
-No state outlives a call: workspaces belong to the call that made them,
-and results depend only on the arguments.
+No state outlives a call: results depend only on the arguments.
 """
 
 from __future__ import annotations
@@ -288,25 +287,24 @@ def _cutoffs(
 # Diagonal-subspace states
 
 
-def _moduli(rs: np.ndarray, N: int, spare: np.ndarray | None = None) -> np.ndarray:
+def _moduli(rs: np.ndarray, N: int) -> np.ndarray:
     """|c_n| = tanh^n |r| / cosh r, n = 0 .. N, a row per r of ``rs``.
 
     tanh^n |r| = exp(n L), L = log(tanh |r|) below |r| = 0.5, else log1p(-2 /
     (e^{2|r|} + 1)) (Goldberg, ACM Computing Surveys 23(1), 1991, Theorem 4),
     in long double (tanh 0 raised to its least value: a row 1, 0, 0, ...),
     carried as L_hi + L_lo so that no rounding of L biases a row: within 2^-60
-    of L on x86-64, L_lo = 0 where long double is float64.  Python floats carry
-    values across, as numpy's casts there are code nothing else runs (64 KB RSS).
+    of L on x86-64, L_lo = 0 where long double is float64.
     """
-    r = np.array(np.abs(rs).tolist(), dtype=np.longdouble)
+    r = np.abs(rs).astype(np.longdouble)
     with np.errstate(divide="ignore"):  # log1p(-1), in the branch not taken at r = 0
         tanh = np.maximum(np.tanh(r), np.finfo(r.dtype).smallest_subnormal)
         L = np.where(r < 0.5, np.log(tanh), np.log1p(-2.0 / (np.exp(2.0 * r) + 1.0)))
-    L_hi = list(map(float, L))
-    L_lo = list(map(float, L - np.array(L_hi, dtype=np.longdouble)))
-    moduli, low = _carve(spare, (2, rs.size, N + 1))[0]
-    np.multiply(np.arange(N + 1), np.array(L_lo)[:, None], out=low)
-    np.add(np.multiply(np.arange(N + 1), np.array(L_hi)[:, None], out=moduli), low, out=moduli)
+    L_hi = L.astype(np.float64)
+    L_lo = (L - L_hi).astype(np.float64)
+    n = np.arange(N + 1)
+    moduli = n * L_hi[:, None]
+    moduli += n * L_lo[:, None]
     return np.divide(moduli, np.cosh(np.abs(rs))[:, None], out=np.exp(moduli, out=moduli))
 
 
@@ -419,22 +417,7 @@ def _row_entries(N: int, several: bool) -> int:
     return side + count + (N + 1 + 2 * count * side if several else 0)
 
 
-def _carve(
-    spare: np.ndarray | None, shape: tuple[int, ...], dtype: type = np.float64,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """An uninitialised float64 or complex128 array of ``shape`` from the
-    front of the flat float64 ``spare``, and the rest of ``spare``; a fresh
-    array, and ``spare`` as it was, when ``spare`` is None or too short."""
-    size = math.prod(shape) * (2 if dtype is np.complex128 else 1)
-    if spare is None or size > spare.size:
-        return np.empty(shape, dtype), spare
-    head = spare[:size] if dtype is np.float64 else spare[:size].view(dtype)
-    return head.reshape(shape), spare[size:]
-
-
-def _phases(
-    energies: np.ndarray, ts: np.ndarray, shift: float, spare: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _phases(energies: np.ndarray, ts: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
     """The tables hi = e^{-i t E_{qP}} and lo = e^{-i t (E_p + shift)} for each t.
 
     ``energies`` is E_0 .. E_N of :func:`_energies`, linear in n since
@@ -443,22 +426,20 @@ def _phases(
     exponentials per t instead of N + 1.  hi has shape ts.shape + (Q,)
     and lo ts.shape + (P,); the outer product of the two, cut to N + 1
     entries, differs from np.exp(-1j * (E_n + shift) * t) by at most
-    5 eps (1 + t (E_N + |shift|)).  Both tables are carved, hi first,
-    from the front of the flat float64 ``spare`` (:func:`_carve`).
+    5 eps (1 + t (E_N + |shift|)).
     """
     side, _ = _sides(energies.size - 1)
     ts = ts[..., None]
     tables = []
     for exponents in (-1j * energies[::side], -1j * (energies[:side] + shift)):
-        out, spare = _carve(spare, ts.shape[:-1] + exponents.shape, np.complex128)
-        tables.append(np.exp(np.multiply(exponents, ts, out=out), out=out))
+        table = np.multiply(exponents, ts)
+        tables.append(np.exp(table, out=table))
     hi, lo = tables
     return hi, lo
 
 
 def _moments(
     moduli: np.ndarray, energies: np.ndarray, ts: np.ndarray, shift: float,
-    spare: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy and squared norm of each state, and the overlap of each row of ``ts``.
 
@@ -473,22 +454,17 @@ def _moments(
     the last two at every t, since evolution keeps every |c_n|; no row
     forms an (N + 1)-long phase or evolved row.  Returns sum V and sum W
     per state and the overlap per row, a matrix product and a dot of the
-    row's own, so its digits do not depend on the rows beside it.  Every
-    temporary is carved from the flat float64 ``spare`` (:func:`_carve`),
-    the tables first, by :func:`_phases`; what is returned is fresh.
+    row's own, so its digits do not depend on the rows beside it.
     """
-    hi, lo = _phases(energies, ts, shift, spare)
-    if spare is not None:  # past the tables
-        spare = spare[2 * (hi.size + lo.size) :]
+    hi, lo = _phases(energies, ts, shift)
     count, side = hi.shape[-1], lo.shape[-1]
-    tables, spare = _carve(spare, (2, moduli.shape[0], count * side))
+    tables = np.empty((2, moduli.shape[0], count * side))
     tables[:, :, energies.size :] = 0.0
     np.square(moduli, out=tables[0, :, : energies.size])
     np.multiply(energies, tables[0, :, : energies.size], out=tables[1, :, : energies.size])
     weights, energy_weights = tables.reshape(2, -1, count, side)
     # W lo as a real product with lo's real and imaginary parts side by side.
-    half, _ = _carve(spare, (ts.size, count, 2))
-    np.matmul(weights, lo.view(np.float64).reshape(-1, side, 2), out=half)
+    half = np.matmul(weights, lo.view(np.float64).reshape(-1, side, 2))
     overlaps = (hi[:, None, :] @ half.view(np.complex128))[:, 0, 0]
     return energy_weights.sum(axis=(-2, -1)), weights.sum(axis=(-2, -1)), overlaps
 
@@ -544,19 +520,6 @@ def _energy_integrals(
     energies = _energies(h, top)
     integrals = np.empty(ts.size)
     overlaps = np.empty(ts.size, dtype=np.complex128)
-    # One float64 workspace for the call, which every block's arrays are
-    # carved from (_carve): four floats per entry of the largest block, and
-    # 2 (N + 1 + QP) for one r's moduli and weight tables.  Fresh arrays per
-    # block would stay resident in the heap after the call.  A row's carves
-    # take three floats per entry at most (2 (P + Q) + 2Q, Q <= P, and one
-    # for a row of several r, whose n L_lo is spent before the rest), but
-    # glibc raises its mmap threshold to the largest block freed, and the
-    # benchmark sweep's 640 KB table reuses freed heap only after a larger
-    # one: 0.2-0.3 MB less peak RSS than at three floats.
-    side, count = _sides(top)
-    heaviest = _row_entries(top, several=True)
-    largest = min(max(_BLOCK_ELEMENTS, heaviest), ts.size * heaviest)
-    spare = np.empty(4 * largest + 2 * (top + 1 + count * side))
     done = 0
     while done < order.size:
         N = int(cutoffs[order[done]])
@@ -567,12 +530,10 @@ def _energy_integrals(
         done += rows.size
         block_rs = rs[rows]
         block_rs = block_rs[:1] if (block_rs == block_rs[0]).all() else block_rs
-        moduli = _moduli(block_rs, N, spare)
+        moduli = _moduli(block_rs, N)
         # Overflowing input ends in the finite check below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            energy, norms, overlaps[rows] = _moments(
-                moduli, energies[: N + 1], ts[rows], shift, spare[moduli.size :]
-            )
+            energy, norms, overlaps[rows] = _moments(moduli, energies[: N + 1], ts[rows], shift)
             integrals[rows] = ts[rows] * (energy + shift)
         if not (np.isfinite(overlaps[rows]).all() and np.isfinite(integrals[rows]).all()):
             raise ValueError("evolution overflows: t (E_n + shift) is not finite")

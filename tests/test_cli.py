@@ -345,7 +345,7 @@ def _evolved_rows(phase_table):
     contracted tables: evolved rows |c_n| phase_n, with the phases of
     ``phase_table(energies, ts, shift)``, their |.|^2 summed along each
     row, and np.vecdot for the overlap."""
-    def moments(moduli, energies, ts, shift, spare=None):
+    def moments(moduli, energies, ts, shift):
         evolved = moduli * phase_table(energies, ts, shift)
         energy = (energies * moduli ** 2).sum(axis=-1)
         return energy, (np.abs(evolved) ** 2).sum(axis=-1), np.vecdot(moduli, evolved)
@@ -366,7 +366,7 @@ def _literal_phases(monkeypatch):
     (``_evolved_rows``); and ``fock._unit_powers`` gives
     np.exp(-1j * angle * k).
     """
-    monkeypatch.setattr(fock, "_phases", lambda energies, ts, shift, spare=None: (
+    monkeypatch.setattr(fock, "_phases", lambda energies, ts, shift: (
         _literal_exponentials(energies, ts, shift), np.ones((*ts.shape, 1))))
     monkeypatch.setattr(fock, "_moments", _evolved_rows(_literal_exponentials))
     monkeypatch.setattr(fock, "_unit_powers", lambda angle, counts: np.exp(-1j * angle * counts))

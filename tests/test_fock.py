@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -1260,8 +1261,8 @@ class TestParallelBlocks:
         # cutoff-2 row.
         real = fock._moduli
 
-        def inflated(rs, N, spare=None):
-            moduli = real(rs, N, spare)
+        def inflated(rs, N):
+            moduli = real(rs, N)
             moduli *= 1.25 ** np.arange(N + 1)
             return moduli
 
@@ -1277,9 +1278,9 @@ def _block_plan(monkeypatch, rs, ts):
     of one ``geometric_phase_numeric`` call over rows (rs, ts), and its result."""
     real, blocks = fock._moments, []
 
-    def spy(coeffs, energies, ts, shift, spare=None):
+    def spy(coeffs, energies, ts, shift):
         blocks.append((ts.size, energies.size - 1, coeffs.shape[0] > 1))
-        return real(coeffs, energies, ts, shift, spare)
+        return real(coeffs, energies, ts, shift)
 
     with monkeypatch.context() as mp:
         mp.setattr(fock, "_moments", spy)
@@ -1312,7 +1313,7 @@ class TestBlockPlan:
 
     def test_r_grid_blocks_count_powers_and_weight_tables(self, monkeypatch):
         # About 500 rows per cutoff near N = 45, each row its own r: blocks
-        # count a power row and two weight tables per row, so they hold no
+        # count a row of moduli and two weight tables per row, so they hold no
         # more rows than N + 1 entries a row would allow.
         rs = np.linspace(0.9, 1.0, 3000)
         blocks, gammas = _block_plan(monkeypatch, rs, 1.0)
@@ -1322,6 +1323,37 @@ class TestBlockPlan:
         assert len(blocks) == 24
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
         assert _block_plan(monkeypatch, rs, 1.0)[1].tolist() == gammas.tolist()
+
+
+class TestOracleMemory:
+    """One grid-oracle call holds its per-row arrays and one block, no more."""
+
+    @pytest.mark.parametrize("rs, ts", [
+        pytest.param(2.0, np.linspace(0.0, TAU, 10_000), id="omega_t-sweep"),
+        pytest.param(np.linspace(0.0, 3.1, 3000), 1.0, id="r-to-3.1"),
+    ])
+    def test_peak_is_rows_plus_one_block(self, rs, ts):
+        # Per row of the grid, at most seven 8-byte values live at once: t,
+        # the cutoff, the plan order, delta, the overlap's two parts, gamma,
+        # and then gamma + delta (the order is freed before gamma is formed).
+        # A block of E entries (fock._row_entries) holds 16 B for each P + Q
+        # phase-table entry, 16 B per Q of the W lo product (Q <= P, so at
+        # most 8 B an entry), and in a block of several r 8 B per entry of
+        # its moduli and weight tables: at most 24 B an entry, E at most
+        # _BLOCK_ELEMENTS on these grids.  The overlaps' argument takes one
+        # chunk of _CHUNK_ROWS rows at a time as Python complex and float
+        # objects with their lists, about 72 B a row.
+        rows = np.broadcast(rs, ts).size
+        bound = 56 * rows + 24 * fock._BLOCK_ELEMENTS + 72 * fock._CHUNK_ROWS
+        h = HamiltonianParams(1.0, 0.2)
+        geometric_phase_numeric(rs, 0.3, h, ts, accuracy=1e-9)  # first-call caches
+        tracemalloc.start()
+        try:
+            geometric_phase_numeric(rs, 0.3, h, ts, accuracy=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestEntropyNumeric:
