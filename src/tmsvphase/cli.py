@@ -342,9 +342,11 @@ def _invariant(name, bound):
 
     The generator gets ``(bound / _HEADROOM, max_cutoff, rng)``, the first
     being the accuracy it asks of the Fock oracle; the check reports its
-    worst pair against ``bound``.  It fails closed: the first non-finite
-    value becomes the worst and fails the check, as does an empty generator;
-    the generator runs to its end, so ``rng`` moves as on a passing check.
+    worst pair against ``bound``.  The first pair sets the worst, so a check
+    whose every value is 0 still names its first sample.  It fails closed:
+    the first non-finite value becomes the worst and fails the check, as
+    does an empty generator; the generator runs to its end, so ``rng`` moves
+    as on a passing check.
     """
 
     def decorate(samples):
@@ -354,7 +356,7 @@ def _invariant(name, bound):
             for value, detail in samples(bound / _HEADROOM, max_cutoff, rng):
                 count += 1
                 # Also true for nan; a non-finite worst is kept.
-                if math.isfinite(worst) and not value <= worst:
+                if count == 1 or math.isfinite(worst) and not value <= worst:
                     worst, where = value, detail
             if not count:
                 where = "no samples"
@@ -371,23 +373,19 @@ def _invariant(name, bound):
 def _su11_closure(accuracy, max_cutoff, rng):
     # The running product stays an unvalidated pair: GroupElement would raise
     # at the defect this check bounds, before the check could report it.
-    # One draw of (r, phi) rows takes the generator's doubles in the order a
-    # loop of scalar draws, r before phi, would; one chain at a time becomes
-    # Python floats, 200 of them rather than all 12000.
-    draws = rng.uniform([-3, -math.pi], [3, math.pi], size=(60, 100, 2))
-    for chain, steps in enumerate(draws):
+    for chain in range(60):
         pair = (su11.IDENTITY.m11, su11.IDENTITY.m12)
-        for step, (r, phi) in enumerate(steps.tolist()):
+        for step in range(100):
+            r, phi = rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)
             pair = su11._product(pair, su11._c_pair(r, phi))
             yield su11._defect(*pair), f"chain {chain}, step {step}"
 
 
 @_invariant("su11-reconstruction", 1e-10)
 def _su11_reconstruction(accuracy, max_cutoff, rng):
-    # Rows (r', phi', r'', phi''), drawn as in su11-closure.
-    draws = rng.uniform([-3, -math.pi] * 2, [3, math.pi] * 2, size=(1000, 4))
-    for r1, phi1, r2, phi2 in draws.tolist():
-        prime, dbl = SqueezeParams(r1, phi1), SqueezeParams(r2, phi2)
+    for _ in range(1000):
+        prime = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+        dbl = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
         triple = su11.decompose_product(prime, dbl)
         yield _reconstruction_residual(prime, dbl, triple), (
             f"r'={prime.r:.4g}, phi'={prime.phi:.4g}, "
@@ -605,8 +603,18 @@ _CHECKS: tuple[Callable, ...] = (
 
 
 def run_invariant_suite(seed: int = 0) -> list[CheckResult]:
-    """Run every invariant check; the seed affects sampling, never verdicts."""
-    rng = np.random.default_rng(seed)
+    """Run every invariant check; the seed affects sampling, never verdicts.
+
+    ``seed`` is a non-negative int seeding the stdlib's ``random.Random``,
+    which draws the su11-closure and su11-reconstruction samples.  Anything
+    else is a ValueError: ``random.Random`` would take a negative seed as
+    abs(seed), and would hash a float or a string.
+    """
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    import random  # here, as json in cmd_sweep: importing cli loads nothing more
+
+    rng = random.Random(seed)
     return [check(fock.DEFAULT_MAX_CUTOFF, rng) for check in _CHECKS]
 
 
@@ -645,7 +653,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify",
                             help="run the invariant suite and print a pass/fail table")
     verify.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized invariant sampling, default 0")
+                        help="non-negative seed of random.Random, which draws the "
+                             "SU(1,1) samples, default 0")
 
     sweep = sub.add_parser("sweep",
                            help="emit a CSV/JSON table along a parameter grid")

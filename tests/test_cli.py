@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -404,8 +405,13 @@ class TestVerifyGoldenBytes:
     3.55271367880e-15 to 7.10542735760e-15, evolution-reparameterization
     8.05845509126e-15 to 7.83794063298e-15, cyclic-gamma 9.30242549657e-11
     to 9.33368937694e-11 and entropy-numeric-agreement 9.98134908059e-12 to
-    9.98268134822e-12.  Recorded with numpy 2.4 on x86-64 Linux, whose
-    64-bit long double carries log tanh r, on one CPU and on two, with
+    9.98268134822e-12.  All five were re-recorded when su11-closure and
+    su11-reconstruction drew their samples from the stdlib's
+    ``random.Random(seed)`` instead of numpy's PCG64, and the first sample
+    began to set a check's worst; for every seed and route three lines
+    moved: those two checks (worst and detail) and the one-mode-additivity
+    detail, ``[]`` to ``[r=0]``.  Recorded with numpy 2.4 on x86-64 Linux,
+    whose 64-bit long double carries log tanh r, on one CPU and on two, with
     OPENBLAS_NUM_THREADS 1 and 2.
     """
 
@@ -415,14 +421,14 @@ class TestVerifyGoldenBytes:
         return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
     @pytest.mark.parametrize("seed,digest", enumerate([
-        "2e2d53c7d4eab76fa5b6990315ee2a09aa2840319d0cf1d809258ca58f9e10a8",
-        "a1fe5cc4779d9e612dbb46c7d4ef45f7f29043085d0ba8e791c0946084ca4c21",
-        "26075885a149a86e7ed25d30c1c7cd5f82584d1e7d27c6c6f2e4dfe655b6a99e",
-        "1831983c30611e5942ac53f12977703cf30a0981b5c5b5a7f1b7df7ef73038f0",
-        "7994e2bc4039a9c57c93dd925f48c08a0b094db52b18eb797b576a5467f76ccf",
-        "1426645c38e2edf5aa8e3d9dc85ffbbf0187d9b04bbb8716c7d01aa9d6adb2ba",
-        "ee68422e005a7c261c9977a0296806831d973af6a1739987b25d83d05d5ca0f6",
-        "f4e705bc482f7556d5e9c8b6faae8bbcbd0aa67948becf031e9d94e877b61b13",
+        "d6d2915a6746e59b7b50e9675d072454df17a10eea21c6ec3cfed55d0c4750ae",
+        "c7ea76b4816c0e369ced740215d4f8bd9facb57f664029fd5b94032f818df073",
+        "806a4b4fe3231777c61b9b5df151b481d4390a625428b670d5b44c238721e5b5",
+        "f3e37bd441096518d4f5e67968115ac57d2baf48bfc85ccff6978c223656e456",
+        "d0648d8c7a3261946a40c3a266328bcd460d8ed59ca80632614881ce047ea563",
+        "c65c200e481f6ffcfa1d44e7851543bb0d00f517f214b9cf4baefac84c53fc59",
+        "52788562706085358f5777779940850a0b65776c07986654a5047ce1db5387cd",
+        "a1c20291e2e19e604a331ace2dc5b58545afc87e5bf9daa608c2c131fd5b0e64",
     ]), ids=_SEEDS)
     def test_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _svd_squeeze)
@@ -430,28 +436,28 @@ class TestVerifyGoldenBytes:
         assert self.digest(seed, capsys) == digest
 
     @pytest.mark.parametrize("seed,digest", enumerate([
-        "f2e103a51d3cbc767737a1d15c96004a07a91c60947b065103c4f5b12f8c46fa",
-        "feb6a4e8067744027e8fde2fa633065ea0a939af27da8476b71e8bc4b7de83da",
-        "8d62f1fad67d1043261d2adfd725d12a0425dcc38f8c4d2ce28cc606da354d9d",
-        "3706754e367c8d46a0f0198fda2c292c4a79eb6b72848e8dff96c5c95fb03b46",
-        "4cd50044397fc2a725771f3073060d27695db9cd758e62c833fd2584cfe822b6",
-        "b787d8455f289e8fb38e8928e3d5a11d7ce8a774313457809c96615358e4aef8",
-        "d9c4cb5b3121135ba18c7488b19d137c0cf91a40df955f2ebaa870aa95354bc5",
-        "d004e09ee588fb523fc8d0ee10ca90714ef1555670cf6f584e35bf6b0df9a57b",
+        "97fc7adb7b85a53f6a2ca055a355b35cf7eb999875443af6685779a82d1d5ee9",
+        "e5016ead1f897db2da53c408c0db383d83976c302d91b055a4ac23fd8163d379",
+        "76cdaf8482aabe222e1c12e83247efdea9d4c25f49934cbafa4b19226ab5b1ae",
+        "f6f5dc94df97bfaf6cf78208f5bcfa00ca8defc491150f8640070332b96ff743",
+        "40bf50e3a9432c10a4818cb77fe74b42dcaeab272d71980f970f998846202eef",
+        "7bd88b6b568689d80194df2cf67b534ffddca0441339295dd64423d1220219ae",
+        "9a14da949389b3d56a6afd901effe1947278e8ad66dcef1b421c96d17389a479",
+        "e9eb9324329a4c90da0e9ee223e45d08b4d4377524294cfc471b607971788086",
     ]), ids=_SEEDS)
     def test_contraction_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _svd_squeeze)
         assert self.digest(seed, capsys) == digest
 
     @pytest.mark.parametrize("seed,digest", enumerate([
-        "e319a26115a9d8137a9a11402042b703a0f0979d9fbdd2a72ca4b30311a38c87",
-        "76e07f77301a95680756f23cc83288bdd96ff7cb99a5e6f85816ec3b8eb06931",
-        "4fbb3f44cac85b7bf1adb6fd3768ceb702a3057d0b84ab66d69d3151e37fb786",
-        "b3dd8f64499819ed1a2ad0f9a83e70d9241a19c18224c0174537b64a64b873f7",
-        "887ed40748aa217b72c6f401920b95ddcc10d03b95ef6d3a2a0d678572461d2c",
-        "a3a0f612922928b9877b54836b7e1fb5569925b24d747b9bd8744b5016bb2196",
-        "8cca1d2337dbb120ad561d379348526adfd1fa81ad878addf35de1c97dfc0f24",
-        "a68c6463e9456248523f6c1cccb38dbd835cac0eb29b02fc9dc720264e5b0976",
+        "a8e57321ffc548ddef67bc4ec034b1b143ca0db3ec702e114ae0c92f9d3315aa",
+        "bab549aa60adffaaedefbd801b2b75d90c88f6beea164d8ec075eb31771f5574",
+        "1c3d0435b0d11cf874e6c8b624f86f691c42e412071d5a6cdc63e9a3dfd530f0",
+        "9941029caf7df1540414282c3c4bf015162847742d8897c9e9d58ff0ce8c7a6e",
+        "e882f61f20888fe51ca95e7177fdeb822670f27e75c85d1156646d699936f97d",
+        "6cf2c7413bc623a50f1437c9f5588a01ab9f17299dd68f27b57f0d64ee2013bc",
+        "59c189fbcc33b824b7269ad0efefbb9171459c5ca0e57968c7babc3b10005762",
+        "9649b4193cdf79051f170cb6cb0bffc7c00fd321b7c2f3446d77b6d64a0ee82f",
     ]), ids=_SEEDS)
     def test_stdout_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _eigh_squeeze)
@@ -459,14 +465,14 @@ class TestVerifyGoldenBytes:
         assert self.digest(seed, capsys) == digest
 
     @pytest.mark.parametrize("seed,digest", enumerate([
-        "f12e7bdc2d48d842fbab686f03cae7cbbc95e6132fa098689fd196e595054cd9",
-        "982cf60610f8f91dd5b668f0c49ba7833a1e9e86ac46eab5886851c0ee1ffc6c",
-        "f68fd9b69ceeaa51cc2d786b019b8158d76b8a20737e9cb9d676e7dab723df49",
-        "480a9c4678520f1010dae2e730a06ba45fbcd426effba58d59b9a36709e1fc52",
-        "8c64fb3c7dd5a3c5ce91d7d185f20a4ef6b489baa95689051c9ad8f52bc31ba0",
-        "ab34d5765ede223bda6193ac9720f5e404b7637516c3a1d30e0d51e357218726",
-        "d7bbfb8cc0cbf58fae03c0b7cdf43edd3f89eca59c575b600d4aee0124d1bef9",
-        "57fbf74269e2318adb655cc6c4e09d51a5876015830cb0b26c338ed8323836b2",
+        "fee0224752577c2e7fcff2d3f0d8a7a6c9b91ac5582272ff0ff330376296e5f2",
+        "e2c88976ebc6eecd70128b356d6076a439eceb6b145c3bb4285de316b2213359",
+        "1e4da80cb00edaff25e47dcd7a43bac7a7c7bf74d036ad2ca41de1e34acc4d7d",
+        "0b61ade8e179b2985e85b8380c7f0f4a27e5b454a45e51d5b9aa0a3dfcb9f8b8",
+        "f30fd28b5749e3e5d60a342e4c7363d364cb00cba71e9d7b18c3437f26bf33ea",
+        "e674eb66ec7c3fcba4f3264ca80d4be3c4b5d58faac7ae12d25ab6c0ed8aa248",
+        "2b68d8c03ebb61d32d9c41c24f50e03b2abeee67a0a630bc75d702c61586cceb",
+        "453f3b75bee4e4f03908fec44e52b71e88c3e4086239c14a3a85a18e05718c1d",
     ]), ids=_SEEDS)
     def test_svd_digest(self, seed, digest, capsys, monkeypatch):
         _squeeze_by(monkeypatch, _svd_squeeze)
@@ -474,14 +480,14 @@ class TestVerifyGoldenBytes:
         assert self.digest(seed, capsys) == digest
 
     @pytest.mark.parametrize("seed,digest", enumerate([
-        "b6d601a2ce6a795aacda9489796bdc3b95d8a823d459e3820716d90c4014590e",
-        "d6c6751f95c37e708f4e9e902195e058d974e239cd295946c53c0e441852346d",
-        "c72651adad8d008eaea75b9fc02d35751ff6ce1a942c11e095de04b3da97d28c",
-        "0e8cef098f3974b47d8fdc71df20fd8b822d7d9a68b8b1b11c8c520cbd8c5ee2",
-        "1e7113afdaf64e3abcf7bab1ca823624d828d2230930dc0f3d7282bf2fe263c5",
-        "1b8cb08a87f3de0bf442a6d7e7340f35a4815c428b69b5a7d50ed00212d11ccc",
-        "cff906409b26b379faa024767251a0582b868eb094449b340370fac6f148aeb8",
-        "7c4d67aa6b5f17988891417da7f15584d24a40e0d0862b8384fba1dae69f7f19",
+        "699772a5176806622076ef5c94338e46bd98ae202d22584954c8b2ff77574dea",
+        "096b98a9f471b18146ff37c95de21e3c95f05abeda5a9fa8f83da5ca8bbe48b7",
+        "1017bf36f0defbade3e1ded90d175ff97c30938a1fc91fc3dc2d3a4525d27577",
+        "c0435be6693407bc74e8b748c909525769b873b33a972e7cd3ee175d47a0330e",
+        "e788a33bc7fa7c0fbed0d37fcac406af7240eb8fd925fffc2ee2629944af868d",
+        "0a46203514ec2c4f37fd2b08f10a29acf1477c77b9c55e97dbdff3578be38721",
+        "35547e14787810290957b84d60a698eb60b8096eb16c75b63c8e5ed25b5b73e3",
+        "4aff070183a365eab6ecd2d310a447f5998f44e5e0b6a1d1ce9593f5f72673e9",
     ]), ids=_SEEDS)
     def test_chebyshev_digest(self, seed, digest, capsys):
         assert self.digest(seed, capsys) == digest
@@ -568,10 +574,11 @@ class TestVerifyMutants:
 
 
 class TestSu11BulkDraws:
-    """su11-closure and su11-reconstruction draw all their samples at once.
+    """su11-closure and su11-reconstruction draw from the stdlib generator.
 
-    Each must consume the doubles a loop of scalar rng.uniform draws would,
-    r before phi, and leave the generator where that loop leaves it.
+    Each must take the values a loop of scalar ``random.Random(seed).uniform``
+    draws gives, r before phi, and leave the generator where that loop
+    leaves it.
     """
 
     @staticmethod
@@ -589,30 +596,30 @@ class TestSu11BulkDraws:
     @pytest.mark.parametrize("seed", range(8))
     def test_closure(self, seed, monkeypatch):
         seen = self.recorded_calls(monkeypatch, "_c_pair", lambda r, phi: (r, phi))
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         assert cli._su11_closure(fock.DEFAULT_MAX_CUTOFF, rng).passed
-        scalar = np.random.default_rng(seed)
+        scalar = random.Random(seed)
         expected = [
             (scalar.uniform(-3, 3), scalar.uniform(-math.pi, math.pi)) for _ in range(6000)
         ]
         assert seen == expected
-        assert rng.bit_generator.state == scalar.bit_generator.state
+        assert rng.getstate() == scalar.getstate()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_reconstruction(self, seed, monkeypatch):
         seen = self.recorded_calls(
             monkeypatch, "decompose_product", lambda p, d: (p.r, p.phi, d.r, d.phi)
         )
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         assert cli._su11_reconstruction(fock.DEFAULT_MAX_CUTOFF, rng).passed
-        scalar = np.random.default_rng(seed)
+        scalar = random.Random(seed)
         expected = [
             (scalar.uniform(-3, 3), scalar.uniform(-math.pi, math.pi),
              scalar.uniform(-3, 3), scalar.uniform(-math.pi, math.pi))
             for _ in range(1000)
         ]
         assert seen == expected
-        assert rng.bit_generator.state == scalar.bit_generator.state
+        assert rng.getstate() == scalar.getstate()
 
 
 class TestDecomposeCommand:
@@ -660,6 +667,19 @@ class TestMainEntry:
     def test_verify_seed_changes_sampling_not_verdict(self, capsys):
         assert main(["verify", "--seed", "7"]) == 0
         assert "VERDICT: PASS" in capsys.readouterr().out
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        # random.Random would seed with abs(seed) and print seed 1's table.
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("seed", [1.0, "1"])
+    def test_suite_refuses_non_int_seeds(self, seed):
+        # random.Random would hash them.
+        with pytest.raises(ValueError, match="non-negative integer"):
+            cli.run_invariant_suite(seed)
 
     def test_sweep_usage_errors(self, capsys):
         assert main(["sweep", "--variable", "r", "--start", "0", "--stop", "1",
@@ -732,6 +752,19 @@ class TestMainEntry:
         assert len(lines) == 19
         assert lines[17].startswith("FAIL  probe ") and lines[17].endswith(f"[{detail}]")
         assert lines[-1] == "VERDICT: FAIL (17/18 invariants)"
+
+    def test_all_zero_probe_names_its_first_sample(self, capsys, monkeypatch):
+        # A worst of 0 is the first sample's, so the line names where it is.
+        @cli._invariant("probe", 0.0)
+        def probe(accuracy, max_cutoff, rng):
+            for k in range(3):
+                yield 0.0, f"sample {k}"
+
+        monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS + (probe,))
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[17].startswith("PASS  probe ") and lines[17].endswith("[sample 0]")
+        assert lines[-1] == "VERDICT: PASS (18/18 invariants)"
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -891,6 +924,20 @@ class TestMainEntry:
         assert result.returncode == 0, result.stderr
         assert result.stderr == "[0, 0] False\n"
 
+    def test_verify_and_csv_sweep_load_no_numpy_random(self):
+        # numpy.random loads secrets, hmac and OpenSSL through _hashlib,
+        # about 5.6 MB of RSS; verify's samples come from random.Random.
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom tmsvphase import cli\n"
+             "codes = [cli.main(['verify']), cli.main(['sweep', '--variable', 'r', '--start', "
+             "'0', '--stop', '1', '--points', '5'])]\n"
+             "names = ('numpy.random', 'secrets', 'hashlib', '_hashlib')\n"
+             "print(codes, [m for m in names if m in sys.modules], file=sys.stderr)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "[0, 0] []\n"
+
     def test_out_of_memory_is_a_resource_error(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 74.5 GiB for an array with "
@@ -1012,5 +1059,5 @@ class TestOneOracleCall:
         (cli._cyclic_gamma, [5]),
     ])
     def test_verify_check(self, calls, check, sizes):
-        assert check(fock.DEFAULT_MAX_CUTOFF, np.random.default_rng(0)).passed
+        assert check(fock.DEFAULT_MAX_CUTOFF, random.Random(0)).passed
         assert calls == sizes
