@@ -170,11 +170,12 @@ def cutoff_for(
       boundary reflection of the exponentiated truncated generator.
 
     A bisection over N finds where the computed tail crosses ``accuracy``;
-    this is the one-row case of :func:`_cutoffs`.  The computed tail is
-    off by rounding (up to about 4e-14 relative against mpmath for
-    r <= 10, N < 300), so where the exact tail at N or N - 1 lies that
-    close to ``accuracy``, N can be one above or one below the exact
-    smallest: ``cutoff_for("expm", 1e-9, 1e-9)`` is 1 where 0 is.
+    this is the one-row case of :func:`_cutoffs`.  The computed tail is off
+    by rounding: against 60-digit mpmath, over 4500 random rows with r <= 18.99,
+    N <= 10^9 and Omega t <= 20, by at most 6 (1 + |ln tail|) eps relative, and
+    1.4e-13 for r <= 10, N < 300.  So where the exact tail at N or N - 1 lies
+    that close to ``accuracy``, N can be one above or one below the exact smallest:
+    ``cutoff_for("expm", 1e-9, 1e-9)`` is 1 where 0 is.
 
     Raises
     ------
@@ -200,9 +201,8 @@ def _tails(
     at angles wt = |Omega t| and cutoffs N >= 0, from the rows log tanh r,
     cosh r, 1 / cosh^2 r = 1 - x and cosh 2r of ``factors`` at squeezes r >= 0.
 
-    Each keeps the documented expression and its order: energy is
-    (m weight) wt and phase (m weight) wt + cosh 2r m.  At r = 0 every tail
-    is 0, but entropy's, 0 (1 + inf), is nan.
+    Each keeps the documented expression and its order: energy is (m weight)
+    wt and phase (m weight) wt + cosh 2r m.  At r = 0 every tail is 0.
     """
     log_tanh, cosh_r, one_minus_x, cosh_2r = factors
     if observable == "expm":
@@ -223,17 +223,16 @@ def _cutoffs(
 ) -> np.ndarray:
     """:func:`cutoff_for` at each row (rs[i], Omega t = wts[i]) of two 1-D float arrays.
 
-    Rows go _CHUNK_ROWS at a time, through arrays allocated once per call.
-    A chunk's rows are checked in one pass each (r valid, tanh r below 1,
-    Omega t finite, the tail at the top of the bracket within ``accuracy``),
-    and the first row in grid order that fails one raises the error it
-    raises alone.  Then one bisection, from the bracket lo = -1, hi =
-    max_cutoff (at most _BRACKET_TOP), keeps tail(lo) > accuracy >= tail(hi)
-    on every row of the chunk at once, so hi ends where the computed tail
-    crosses ``accuracy``: the smallest N, up to the ties :func:`cutoff_for`
-    describes.  A row whose bracket has closed probes max(lo, 0), which
-    keeps it.  A nan tail (only entropy's, at r = 0) counts as within
-    ``accuracy``: N = 0.
+    Rows go _CHUNK_ROWS at a time, each tail from the L_hi of
+    :func:`_log_tanh` that the moduli it truncates read.  A chunk's rows are
+    checked in one pass each (r valid, numpy's float64 tanh r below 1, Omega t
+    finite, the tail at the top of the bracket within ``accuracy``), and the
+    first row in grid order that fails one raises the error it raises alone.
+    Then one bisection, from the bracket lo = -1, hi = max_cutoff (at most
+    _BRACKET_TOP), keeps tail(lo) > accuracy >= tail(hi) on every row of the
+    chunk at once, so hi ends where the computed tail crosses ``accuracy``:
+    the smallest N, up to the ties :func:`cutoff_for` describes.  A row whose
+    bracket has closed probes max(lo, 0), which keeps it.
     """
     if not (0.0 < accuracy < 1.0):
         raise ValueError(f"accuracy must lie in (0, 1), got {accuracy}")
@@ -243,22 +242,15 @@ def _cutoffs(
         raise ValueError(f"unknown observable {observable!r}, not in {list(_OBSERVABLES)}")
     top = min(max_cutoff, _BRACKET_TOP)
     cutoffs = np.empty(wts.size, dtype=np.int64)
-    # Each chunk's |r|, |Omega t|, factors of r for every round, lo and mid.
-    floats = np.empty((6, min(wts.size, _CHUNK_ROWS)))
-    ints = np.empty((2, floats.shape[1]), dtype=np.int64)
     for start in range(0, wts.size, _CHUNK_ROWS):
-        hi = cutoffs[start : start + _CHUNK_ROWS]
-        (r, wt, *factors), (lo, mid) = floats[:, : hi.size], ints[:, : hi.size]
-        log_tanh, cosh_r, one_minus_x, cosh_2r = factors
-        np.abs(rs[start : start + hi.size], out=r)
-        np.abs(wts[start : start + hi.size], out=wt)
+        rows = slice(start, start + _CHUNK_ROWS)
+        r, wt = np.abs(rs[rows]), np.abs(wts[rows])
+        # Refused rows (r or Omega t huge or not finite) may overflow or divide by zero.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.log(np.tanh(r, out=log_tanh), out=log_tanh)
-            np.divide(1.0, np.square(np.cosh(r, out=cosh_r), out=one_minus_x), out=one_minus_x)
-            np.cosh(np.multiply(2.0, r, out=cosh_2r), out=cosh_2r)
-            # log tanh r is 0 exactly where tanh r rounds to 1.
+            cosh_r = np.cosh(r)
+            factors = (_log_tanh(r)[0], cosh_r, 1.0 / np.square(cosh_r), np.cosh(2.0 * r))
             refused = np.flatnonzero(
-                ~(r <= R_MAX) | (log_tanh == 0.0) | ~np.isfinite(wt)
+                ~(r <= R_MAX) | (np.tanh(r) == 1.0) | ~np.isfinite(wt)
                 | (_tails(observable, factors, wt, top) > accuracy)
             )
             if refused.size:
@@ -273,13 +265,12 @@ def _cutoffs(
                     f"{observable} to {accuracy:g} at r={r_abs}, Omega t={abs(wts[row]):g} "
                     f"needs a cutoff above max_cutoff={max_cutoff}"
                 )
-            lo.fill(-1)
-            hi.fill(top)
-            while (np.subtract(hi, lo, out=mid) > 1).any():
-                np.right_shift(np.add(lo, hi, out=mid), 1, out=mid)
-                over = _tails(observable, factors, wt, np.maximum(mid, 0, out=mid)) > accuracy
-                np.copyto(lo, mid, where=over)
-                np.copyto(hi, mid, where=~over)
+            lo, hi = np.full(r.size, -1), np.full(r.size, top)
+            while (hi - lo > 1).any():
+                mid = np.maximum((lo + hi) >> 1, 0)
+                over = _tails(observable, factors, wt, mid) > accuracy
+                lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
+        cutoffs[rows] = hi
     return cutoffs
 
 
@@ -287,21 +278,30 @@ def _cutoffs(
 # Diagonal-subspace states
 
 
+def _log_tanh(rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L = log tanh |r| for each r of ``rs``, as L_hi + L_lo in float64.
+
+    L is log(tanh |r|) below |r| = 0.5, else log1p(-2 / (e^{2|r|} + 1))
+    (Goldberg, ACM Computing Surveys 23(1), 1991, Theorem 4), each on its own
+    rows, in long double, with tanh 0 raised to its least value so that L is
+    finite at r = 0.  L_hi is L rounded to float64 and L_lo the rest: their
+    sum is within 2^-60 of L on x86-64, L_lo = 0 where long double is float64.
+    """
+    r = np.abs(rs).astype(np.longdouble)
+    near = r < 0.5
+    L = np.log1p(-2.0 / (np.exp(2.0 * r) + 1.0), where=~near, out=np.empty_like(r))
+    L[near] = np.log(np.maximum(np.tanh(r[near]), np.finfo(r.dtype).smallest_subnormal))
+    L_hi = L.astype(np.float64)
+    return L_hi, (L - L_hi).astype(np.float64)
+
+
 def _moduli(rs: np.ndarray, N: int) -> np.ndarray:
     """|c_n| = tanh^n |r| / cosh r, n = 0 .. N, a row per r of ``rs``.
 
-    tanh^n |r| = exp(n L), L = log(tanh |r|) below |r| = 0.5, else log1p(-2 /
-    (e^{2|r|} + 1)) (Goldberg, ACM Computing Surveys 23(1), 1991, Theorem 4),
-    in long double (tanh 0 raised to its least value: a row 1, 0, 0, ...),
-    carried as L_hi + L_lo so that no rounding of L biases a row: within 2^-60
-    of L on x86-64, L_lo = 0 where long double is float64.
+    tanh^n |r| = exp(n L) with L = L_hi + L_lo of :func:`_log_tanh`, so that
+    no rounding of L biases a row (a row 1, 0, 0, ... at r = 0).
     """
-    r = np.abs(rs).astype(np.longdouble)
-    with np.errstate(divide="ignore"):  # log1p(-1), in the branch not taken at r = 0
-        tanh = np.maximum(np.tanh(r), np.finfo(r.dtype).smallest_subnormal)
-        L = np.where(r < 0.5, np.log(tanh), np.log1p(-2.0 / (np.exp(2.0 * r) + 1.0)))
-    L_hi = L.astype(np.float64)
-    L_lo = (L - L_hi).astype(np.float64)
+    L_hi, L_lo = _log_tanh(rs)
     n = np.arange(N + 1)
     moduli = n * L_hi[:, None]
     moduli += n * L_lo[:, None]

@@ -524,52 +524,63 @@ def _mutant(fn, old, new):
 
 
 class TestVerifyMutants:
-    """One fault in the program each: verify must exit 1 and print FAIL on its check's line."""
+    """One fault in the program each: verify must exit 1 and print FAIL on its checks' lines."""
 
-    @pytest.mark.parametrize("name,old,new,check", [
+    @pytest.mark.parametrize("module,name,old,new,checks", [
         # A hi table of stride P - 1 puts E_{q(P-1)} where E_{qP} belongs.
-        ("_phases", "energies[::side]", "energies[:: side - 1]", "overlap-agreement"),
+        (fock, "_phases", "energies[::side]", "energies[:: side - 1]", "overlap-agreement"),
         # A lo table without the shift drops the gauge from the overlap alone.
-        ("_phases", "(energies[:side] + shift)", "energies[:side]", "gauge-invariance"),
+        (fock, "_phases", "(energies[:side] + shift)", "energies[:side]", "gauge-invariance"),
         # An integral without the shift drops the gauge from delta alone.
-        ("_energy_integrals", "ts[rows] * (energy + shift)", "ts[rows] * energy",
+        (fock, "_energy_integrals", "ts[rows] * (energy + shift)", "ts[rows] * energy",
          "gauge-invariance"),
         # delta subtracted from arg<psi(0)|psi(t)> instead of added.
-        ("geometric_phase_numeric", "gammas + deltas", "gammas - deltas", "cyclic-gamma"),
+        (fock, "geometric_phase_numeric", "gammas + deltas", "gammas - deltas", "cyclic-gamma"),
         # |c_n|^2 laid out p-major, n = pQ + q, meets hi_q lo_p at the wrong n.
-        ("_moments", "tables.reshape(2, -1, count, side)",
+        (fock, "_moments", "tables.reshape(2, -1, count, side)",
          "tables.reshape(2, -1, side, count).swapaxes(-1, -2)", "overlap-agreement"),
         # An energy table of |c_n|^2 alone integrates the norm, not <H>.
-        ("_moments", "np.multiply(energies, tables[0", "np.multiply(1.0, tables[0",
+        (fock, "_moments", "np.multiply(energies, tables[0", "np.multiply(1.0, tables[0",
          "dynamical-quadrature"),
         # tanh r read as 1 - 2 / (e^r + 1) above r = 0.5: every |c_n| shrinks, so
         # no state over-normalizes, but the oracle's overlaps go wrong.
-        ("_moduli", "np.exp(2.0 * r)", "np.exp(r)", "overlap-agreement"),
+        (fock, "_log_tanh", "np.exp(2.0 * r)", "np.exp(r)", "overlap-agreement"),
         # Odd amplitudes of the opposite sign keep the norm but not the state.
-        ("squeeze_by_exponentiation", "-1j * sums[1]", "1j * sums[1]",
+        (fock, "squeeze_by_exponentiation", "-1j * sums[1]", "1j * sums[1]",
          "exponentiation-agreement"),
         # A Chebyshev series cut after about rho / 2 terms loses the norm, and
         # the check, not the run, fails on the broken exponential.
-        ("squeeze_by_exponentiation", "int(rho + 12.0 * rho ** (1 / 3))", "int(rho / 2)",
+        (fock, "squeeze_by_exponentiation", "int(rho + 12.0 * rho ** (1 / 3))", "int(rho / 2)",
          "exponentiation-agreement"),
         # An entropy in bits, not nats.
-        ("entropy_numeric", "np.log(p)", "np.log2(p)", "entropy-numeric-agreement"),
+        (fock, "entropy_numeric", "np.log(p)", "np.log2(p)", "entropy-numeric-agreement"),
         # cosh r and sinh r swapped in the conjugation rules.
-        ("bogoliubov_residual", "cosh_r, sinh_r = math.cosh(r), math.sinh(r)",
+        (fock, "bogoliubov_residual", "cosh_r, sinh_r = math.cosh(r), math.sinh(r)",
          "sinh_r, cosh_r = math.cosh(r), math.sinh(r)", "bogoliubov-identities"),
         # A target rotated by +theta where the conjugation rotates by -theta.
-        ("rotation_conjugation_check", "phi + math.atan2(", "phi - math.atan2(",
+        (fock, "rotation_conjugation_check", "phi + math.atan2(", "phi - math.atan2(",
          "rotation-conjugation"),
+        # Theta of the opposite sign: the rebuilt product misses the real one.
+        (su11, "decompose_product", "theta = math.atan2(", "theta = -math.atan2(",
+         "su11-reconstruction"),
+        # cosh r for cosh 2r in the closed-form total phase factor.
+        (phases, "total_phase_factor", "math.cosh(2.0 * r)", "math.cosh(r)",
+         "su11-matrix-consistency"),
+        # x = gamma_c / 2 pi, twice sinh^2 r, moves the entropy curve off S(r).
+        (phases, "entropy_from_cyclic_phase", "g / (2.0 * TAU)", "g / TAU",
+         "entropy-identity entropy-curve"),
     ], ids=["hi-table-stride", "lo-table-unshifted", "integral-unshifted", "delta-subtracted",
             "weights-p-major", "energy-table-no-E", "moduli-half-exponent", "odd-amplitude-sign",
             "series-cut-short",
-            "entropy-in-bits", "cosh-sinh-swapped", "rotation-sign"])
-    def test_fault_fails_its_check(self, name, old, new, check, capsys, monkeypatch):
-        monkeypatch.setattr(fock, name, _mutant(getattr(fock, name), old, new))
+            "entropy-in-bits", "cosh-sinh-swapped", "rotation-sign",
+            "theta-sign", "total-phase-cosh-r", "entropy-twice-x"])
+    def test_fault_fails_its_check(self, module, name, old, new, checks, capsys, monkeypatch):
+        monkeypatch.setattr(module, name, _mutant(getattr(module, name), old, new))
         assert main(["verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.startswith(("PASS  ", "FAIL  ")) for line in lines) == 17
-        assert [line for line in lines if line.startswith(f"FAIL  {check} ")], lines
+        for check in checks.split():
+            assert [line for line in lines if line.startswith(f"FAIL  {check} ")], lines
         assert lines[-1].startswith("VERDICT: FAIL (")
 
 

@@ -208,8 +208,8 @@ class TestCutoffFor:
     @pytest.mark.parametrize("observable,r,accuracy,got,exact", [
         # The tail at N = 0, tanh r / cosh r = (1 - 8e-19) r, computes a few ulp above r.
         ("expm", 1e-9, 1e-9, 1, 0),
-        # The tail at N = 41 exceeds accuracy by 5e-17 relative and computes 8e-15 below it.
-        ("mass", 0.8865228660735175, 3.08210399665157e-13, 41, 42),
+        # The tail at N = 27 exceeds accuracy by 2.2e-17 relative and computes 8e-16 below it.
+        ("mass", 0.6649869074206249, 6.637465183712576e-14, 27, 28),
     ], ids=["above", "below"])
     def test_tie_within_rounding_moves_n_by_one(self, observable, r, accuracy, got, exact):
         assert cutoff_for(observable, r, accuracy) == got
@@ -373,6 +373,64 @@ class TestCutoffGrids:
         with pytest.raises((ValueError, CutoffExceededError)) as caught:
             fock._cutoffs("phase", rs, wts, 1e-9, DEFAULT_MAX_CUTOFF)
         assert str(caught.value) == error
+
+
+def _large_squeeze_cases():
+    """(observable, r, N, side) wherever the 60-digit tail at N is a normal
+    double below 1: 40 cases, each side 3e-12 relative off that tail."""
+    cases = []
+    for r in (4.0, 5.0, 10.0):
+        for observable in ("mass", "expm", "entropy"):
+            for N in (10**3, 10**5, 10**7, 10**9):
+                if np.finfo(float).tiny < _exact_tail(observable, r, 0.0, N) < 1:
+                    cases += [(observable, r, N, side) for side in (1.0, -1.0)]
+    return cases
+
+
+class TestCutoffsAtLargeSqueeze:
+    """Cutoffs at large r read the same log tanh r as the moduli they truncate."""
+
+    @pytest.mark.parametrize("observable,r,N,side", _large_squeeze_cases())
+    def test_exact_smallest_cutoff(self, observable, r, N, side):
+        # Accuracy 3e-12 above the exact tail at N makes N the smallest
+        # cutoff, 3e-12 below it N + 1: far from a tie, since the tail moves
+        # by at least 4e-9 relative per step of N here.
+        with mpmath.workdps(60):
+            accuracy = float(_exact_tail(observable, r, 0.0, N) * (1 + side * mpmath.mpf(3e-12)))
+        (exact,) = _bisected_cutoffs(observable, [(r, 0.0)], accuracy, 2**40, _exact_tail)
+        assert exact == (N if side > 0 else N + 1)
+        assert cutoff_for(observable, r, accuracy, max_cutoff=2**40) == exact
+
+    # The largest double at which numpy's float64 tanh r is below 1, and the next.
+    R_LAST, R_ROUNDS = 18.990341103219272, 18.990341103219276
+
+    def test_refusal_boundary(self):
+        assert np.tanh(self.R_LAST) < 1.0 == np.tanh(self.R_ROUNDS)
+        assert math.nextafter(self.R_LAST, math.inf) == self.R_ROUNDS
+        # The tail at N exceeds 1/2 by 9e-17 relative, under half an ulp, so
+        # N ties the exact smallest, N + 1.
+        N = 5414597406323421
+        with mpmath.workdps(60):
+            log_tanh = mpmath.log(mpmath.tanh(mpmath.mpf(self.R_LAST)))
+            assert int(mpmath.ceil(mpmath.log(0.5) / (2 * log_tanh))) - 1 == N + 1
+        assert _tie("mass", self.R_LAST, 0.0, N, 0.5) < 1e-16
+        assert cutoff_for("expm", self.R_LAST, 0.5) == 0
+        assert cutoff_for("mass", self.R_LAST, 0.5, max_cutoff=2**62) == N
+        rs = np.full(3000, 1.0)
+        rs[1500] = self.R_LAST
+        assert fock._cutoffs("mass", rs, np.zeros(rs.size), 0.5, 2**62)[1500] == N
+        assert fock._cutoffs("expm", rs, np.zeros(rs.size), 0.5, 2**62)[1500] == 0
+        rs[1500] = self.R_ROUNDS
+        for refused in (
+            lambda: cutoff_for("mass", self.R_ROUNDS, 0.5, max_cutoff=2**62),
+            lambda: fock._cutoffs("mass", rs, np.zeros(rs.size), 0.5, 2**62),
+            lambda: fock._cutoffs("expm", rs, np.zeros(rs.size), 0.5, 2**62),
+        ):
+            with pytest.raises(CutoffExceededError) as caught:
+                refused()
+            assert str(caught.value) == (
+                f"tanh r rounds to 1 at r={self.R_ROUNDS}: no cutoff is enough"
+            )
 
 
 class TestSchmidtState:
