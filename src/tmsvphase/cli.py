@@ -32,7 +32,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import Callable, NoReturn, TextIO
 
 import numpy as np
 
@@ -714,10 +714,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader left; the flush at interpreter exit must not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("BROKEN_PIPE: stdout was closed before the output ended", file=sys.stderr)
-        return 3
+        return _stdout_closed()
     except CutoffExceededError as exc:
         print(f"CUTOFF_EXCEEDED: {exc}", file=sys.stderr)
         return 3
@@ -732,5 +729,32 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _stdout_closed() -> int:
+    """Exit code 3 for a reader that left, with stdout sent to /dev/null."""
+    # Later flushes of what stdout still buffers must not fail again.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print("BROKEN_PIPE: stdout was closed before the output ended", file=sys.stderr)
+    return 3
+
+
+def entry(argv: list[str] | None = None) -> NoReturn:
+    """The ``tmsvphase`` command: :func:`main`, then exit without interpreter teardown.
+
+    stdout and stderr are flushed here, where a closed stdout (also after
+    ``--help``, which :func:`main` returns from unflushed) exits 3 as in
+    :func:`main`; then ``os._exit`` skips the module teardown, about 20 ms of
+    numpy's, that no command needs.  An exception escaping :func:`main`
+    takes the interpreter's own exit: its traceback and exit code 1.
+    In-process callers use :func:`main`, which returns its code.
+    """
+    code = main(argv)
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None if the fd was closed
+            stream.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

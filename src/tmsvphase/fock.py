@@ -19,14 +19,15 @@ Two representations are used, chosen by what truncation does to them:
 
 Every quantity over time (overlap, energy integral, geometric phase) goes
 through one grid route over rows of (r, t), for one point or a whole
-sweep, in blocks of rows sharing a cutoff (:func:`_energy_integrals`),
-with digits independent of the grid.  The phase e^{-i t (E_n + shift)}
-is the product of two tables of about sqrt(N) exponentials each
-(:func:`_phases`), and a row's overlap is a contraction of those tables
-against a table of |c_n|^2 (:func:`_moments`), checked against the
-literal evolved state of :func:`evolve`.  Evolution keeps every |c_n|,
-so the energy integral over [0, t] is t <H>_0, and nothing over time
-depends on phi: the grid reads only the real moduli of :func:`_moduli`.
+sweep, in blocks of rows sharing a cutoff, or the shape of its phase
+tables (:func:`_energy_integrals`), with digits independent of the grid.
+The phase e^{-i t (E_n + shift)} is the product of two tables of about
+sqrt(N) exponentials each (:func:`_phases`), and a row's overlap is a
+contraction of those tables against a table of |c_n|^2 (:func:`_moments`),
+checked against the literal evolved state of :func:`evolve`.  Evolution
+keeps every |c_n|, so the energy integral over [0, t] is t <H>_0, and
+nothing over time depends on phi: the grid reads only the real moduli of
+:func:`_moduli`.
 
 Truncation error policy: |c_n|^2 = tanh^{2n} r / cosh^2 r, so every
 truncation error has a closed-form geometric tail in the cutoff N, and
@@ -63,7 +64,7 @@ FULL_SPACE_MAX_CUTOFF = 32
 _EXPM_NORM_TOL = 1e-12
 
 # Entries a block of the grid oracle holds (:func:`_row_entries`): 630 sweep
-# rows at N = 377, or 20 such rows when they differ in r.
+# rows at N = 377, or 20 such rows when they differ in r or cutoff.
 _BLOCK_ELEMENTS = 24576
 
 # Rows per chunk of a grid's cutoff bisection and per list of Python floats
@@ -410,8 +411,10 @@ def _row_entries(N: int, several: bool) -> int:
     """Entries one row of a grid-oracle block at cutoff N holds.
 
     P + Q phase-table entries (:func:`_sides`), and in a block of several r
-    also its row of moduli (:func:`_moduli`), N + 1 long, and its (Q, P)
-    tables of |c_n|^2 and E_n |c_n|^2; a block of one r shares those.
+    or cutoffs also its row of moduli (:func:`_moduli`), N + 1 long, and its
+    (Q, P) tables of |c_n|^2 and E_n |c_n|^2; a block of one r and one
+    cutoff shares those.  A block of several cutoffs is counted at the
+    largest that shares its (P, Q), N = PQ - 1.
     """
     side, count = _sides(N)
     return side + count + (N + 1 + 2 * count * side if several else 0)
@@ -503,12 +506,17 @@ def _energy_integrals(
     <psi(0)|psi(t)>: bit for bit what :func:`_moments` gives for the row's
     moduli alone at t, contracting the phase tables of ``evolve``.
 
-    Rows that share a cutoff go through together, in grid order, as many as
-    hold _BLOCK_ELEMENTS entries as :func:`_row_entries` counts them (one
-    row at least), with a row of moduli per row, or one when all have one r.
-    Every step is a call per row or elementwise, so each row adds in the
-    order a lone row would.  Blocks run in plan order; the first whose
-    overlaps or integrals are not finite, or squared norms exceed 1 + 1e-12, raises.
+    Rows go through in blocks, sorted by cutoff and in grid order within
+    each, as many as hold _BLOCK_ELEMENTS entries as :func:`_row_entries`
+    counts them (one row at least).  Rows of one cutoff and one r share one
+    row of moduli.  Where a cutoff has one row, or its rows differ in r, the
+    block goes on over the following cutoffs whose phase tables have the
+    same (P, Q) (:func:`_sides`), with a row of moduli per row, zero past
+    the row's own cutoff: its tables, and so its sums and products, are
+    then those it has alone.  Every step is a call per row or elementwise,
+    so each row adds in the order a lone row would.  Blocks run in plan
+    order; the first whose overlaps or integrals are not finite, or squared
+    norms exceed 1 + 1e-12, raises.
     """
     negative = ts[ts < 0.0]
     if negative.size:
@@ -525,12 +533,23 @@ def _energy_integrals(
         N = int(cutoffs[order[done]])
         rows = order[done : done + max(1, _BLOCK_ELEMENTS // _row_entries(N, False))]
         rows = rows[cutoffs[rows] == N]
-        if (rs[rows] != rs[rows[0]]).any():
-            rows = rows[: max(1, _BLOCK_ELEMENTS // _row_entries(N, True))]
+        if rows.size == 1 or (rs[rows] != rs[rows[0]]).any():
+            # The cutoffs sharing N's (P, Q) are N .. PQ - 1, in sorted order.
+            side, count = _sides(N)
+            last = side * count - 1
+            rows = order[done : done + max(1, _BLOCK_ELEMENTS // _row_entries(last, True))]
+            rows = rows[cutoffs[rows] <= last]
         done += rows.size
+        block_cutoffs = cutoffs[rows]
+        N = int(block_cutoffs[-1])
         block_rs = rs[rows]
-        block_rs = block_rs[:1] if (block_rs == block_rs[0]).all() else block_rs
+        if (block_rs == block_rs[0]).all() and block_cutoffs[0] == N:
+            block_rs, block_cutoffs = block_rs[:1], block_cutoffs[:1]
         moduli = _moduli(block_rs, N)
+        # Past its own cutoff a row holds zeros, as its (Q, P) tables do alone;
+        # E_n 0 is 0 there unless E_N overflows, and then the grid's top row
+        # overflows too and the call raises as it would have.
+        moduli[np.arange(N + 1) > block_cutoffs[:, None]] = 0.0
         # Overflowing input ends in the finite check below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             energy, norms, overlaps[rows] = _moments(moduli, energies[: N + 1], ts[rows], shift)

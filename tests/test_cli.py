@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ ENTROPY_FIG1_END = 0.9547712524422192
 GAMMA_CYCLE_REDUCED = 4.789016767412264
 
 _DEG = 180.0 / math.pi
+_GAMMA_SWEEP = ["sweep", "--variable", "gamma_c", "--start", "0", "--stop", "6", "--points"]
+# The benchmark's sweep-omega_t command.
+_BENCH_SWEEP = ["sweep", "--variable", "omega_t", "--start", "0.0", "--stop",
+                "6.283185307179586", "--points", "10000", "--r", "2.0", "--phi", "0.3",
+                "--epsilon", "0.2"]
 _FLOAT_MIN = 2.2250738585072014e-308
 # Cells at the edges of format_number's rule: signed zeros, both sides of
 # |x| = 1e-4 before and after the degree scale, subnormals, and |x| >= 1e16.
@@ -971,15 +977,17 @@ class TestMainEntry:
         assert result.stdout.startswith("gamma_c,entropy\n")
         assert result.stdout.endswith("\n")
 
-    @pytest.mark.parametrize("points,lines_read", [(200000, 1), (100, 0)],
-                             ids=["head-1", "closed-before-output"])
-    def test_closed_stdout_is_a_resource_error(self, points, lines_read):
+    @pytest.mark.parametrize("args,lines_read", [
+        (_GAMMA_SWEEP + ["200000"], 1), (_GAMMA_SWEEP + ["100"], 0),
+        (["--help"], 0), (["sweep", "--help"], 0),
+    ], ids=["head-1", "closed-before-output", "help", "sweep-help"])
+    def test_closed_stdout_is_a_resource_error(self, args, lines_read):
         # Buffered output (no PYTHONUNBUFFERED) must meet the closed pipe
-        # inside main too, not in the flush at interpreter exit.
+        # before the process ends, not in the flush at interpreter exit; the
+        # help, which argparse prints and exits from, too.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "tmsvphase.cli", "sweep", "--variable", "gamma_c",
-             "--start", "0", "--stop", "6", "--points", str(points)],
+            [sys.executable, "-m", "tmsvphase.cli", *args],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
         for _ in range(lines_read):
@@ -991,6 +999,84 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert err.startswith("BROKEN_PIPE: ")
         assert err.count("\n") == 1
+
+
+class TestEntry:
+    """``cli.entry``, the ``tmsvphase`` command and ``python -m tmsvphase.cli``.
+
+    It flushes stdout and stderr itself and ends the process by
+    ``os._exit``, so each test runs it in a subprocess with buffered
+    output (no PYTHONUNBUFFERED) and reads what reached the pipes.
+    """
+
+    @staticmethod
+    def run(args, prelude=None):
+        """``python -m tmsvphase.cli ARGS``, or PRELUDE and then ``cli.entry()``."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        head = (["-m", "tmsvphase.cli"] if prelude is None
+                else ["-c", prelude + "from tmsvphase import cli\ncli.entry()\n"])
+        return subprocess.run([sys.executable, *head, *args],
+                              capture_output=True, env=env, timeout=120)
+
+    def test_console_script_is_the_entry(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert '\ntmsvphase = "tmsvphase.cli:entry"\n' in pyproject
+
+    # The console script imports and calls entry, as the empty prelude does.
+    @pytest.mark.parametrize("prelude", [None, ""], ids=["module", "console-script"])
+    def test_sweep_bytes_match_in_process_main(self, prelude, capsys):
+        # The benchmark's 10^4-row sweep: every byte main wrote is flushed
+        # before os._exit.
+        assert main(_BENCH_SWEEP) == 0
+        expected = capsys.readouterr().out.encode()
+        result = self.run(_BENCH_SWEEP, prelude)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == expected
+
+    def test_invariant_failure_exits_one(self):
+        # The entropy-twice-x mutant of TestVerifyMutants, as a wrapper.
+        result = self.run(["verify"], (
+            "from tmsvphase import phases\n"
+            "real = phases.entropy_from_cyclic_phase\n"
+            "phases.entropy_from_cyclic_phase = lambda g: real(2.0 * g)\n"
+        ))
+        assert (result.returncode, result.stderr) == (1, b"")
+        lines = result.stdout.decode().splitlines()
+        assert [line.split()[1] for line in lines if line.startswith("FAIL  ")] == [
+            "entropy-identity", "entropy-curve"]
+        assert lines[-1].startswith("VERDICT: FAIL (")
+
+    @pytest.mark.parametrize("args,code,err", [
+        (["verify", "--seed", "-1"], 2,
+         b"usage error: seed must be a non-negative integer, got -1\n"),
+        (["sweep", "--variable", "r", "--start", "0", "--stop", "4", "--points", "3"], 3,
+         b"CUTOFF_EXCEEDED: phase to 1e-09 at r=4.0, Omega t=1 needs a cutoff above "
+         b"max_cutoff=4096\n"),
+    ], ids=["usage", "cutoff"])
+    def test_error_exits_keep_their_one_line(self, args, code, err):
+        result = self.run(args)
+        assert (result.returncode, result.stdout, result.stderr) == (code, b"", err)
+
+    def test_unexpected_exception_prints_its_traceback(self):
+        result = self.run(["decompose", "1", "0", "1", "0"], (
+            "from tmsvphase import cli\n"
+            "def broken(*args, **kwargs):\n"
+            "    raise RuntimeError('broken decompose')\n"
+            "cli.cmd_decompose = broken\n"
+        ))
+        err = result.stderr.decode()
+        assert result.returncode == 1
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: broken decompose\n")
+
+    def test_exit_skips_interpreter_teardown(self):
+        # os._exit runs no atexit handler: the teardown is what it skips.
+        result = self.run(["decompose", "1", "0", "1", "0"], (
+            "import atexit, sys\n"
+            "atexit.register(print, 'teardown', file=sys.stderr)\n"
+        ))
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.startswith(b"R = 0\n")
 
 
 class TestPublicSurface:

@@ -1332,8 +1332,9 @@ class TestParallelBlocks:
 
 
 def _block_plan(monkeypatch, rs, ts):
-    """(rows, N, whether its rows differ in r) of each block, in plan order,
-    of one ``geometric_phase_numeric`` call over rows (rs, ts), and its result."""
+    """(rows, N, whether it holds a row of moduli per row) of each block, in
+    plan order, of one ``geometric_phase_numeric`` call over rows (rs, ts),
+    N its largest cutoff, and the call's result."""
     real, blocks = fock._moments, []
 
     def spy(coeffs, energies, ts, shift):
@@ -1347,40 +1348,86 @@ def _block_plan(monkeypatch, rs, ts):
 
 
 class TestBlockPlan:
-    """Blocks fill up to _BLOCK_ELEMENTS entries as ``fock._row_entries`` counts them."""
+    """Blocks fill up to _BLOCK_ELEMENTS entries as ``fock._row_entries`` counts them.
+
+    A block of one r and one cutoff shares one row of moduli; a block of
+    several r or cutoffs holds a row per row, and its rows may come from
+    every cutoff of one phase-table shape (``fock._sides``), so it is
+    counted at the shape's largest cutoff, P Q - 1.
+    """
 
     @staticmethod
-    def check_filled(blocks):
+    def capacity(N, several):
+        if several:
+            side, count = fock._sides(N)
+            N = side * count - 1
+        return max(1, fock._BLOCK_ELEMENTS // fock._row_entries(N, several))
+
+    def check_filled(self, blocks):
         for i, (rows, N, several) in enumerate(blocks):
-            capacity = max(1, fock._BLOCK_ELEMENTS // fock._row_entries(N, several))
+            capacity = self.capacity(N, several)
             assert rows <= capacity
-            # A block that leaves rows of its cutoff to the next one is full.
-            if i + 1 < len(blocks) and blocks[i + 1][1] == N:
-                assert rows == capacity
+            # A block that leaves rows of its cutoff, or of its shape if it
+            # holds a row of moduli per row, to the next one is full.
+            if i + 1 < len(blocks):
+                following = blocks[i + 1][1]
+                if following == N or several and fock._sides(following) == fock._sides(N):
+                    assert rows == capacity
 
     def test_omega_t_grid_runs_about_one_block_per_cutoff(self, monkeypatch):
         # The benchmark sweep's grid, 73 cutoffs from N = 327 to 399 with up
         # to 656 rows each: blocks of up to 614 rows (40 entries a row at
         # N = 399), not the 203 blocks of at most 66 rows of N + 1 entries.
+        # Its first six cutoffs, N = 327 .. 332, one row each, share one
+        # block of the shape P = 19, Q = 18 (74 blocks when keyed on cutoff).
         blocks, _ = _block_plan(monkeypatch, 2.0, np.linspace(0.0, TAU, 10_000))
         self.check_filled(blocks)
         assert sum(rows for rows, _, _ in blocks) == 10_000
-        assert not any(several for _, _, several in blocks)
-        assert len({N for _, N, _ in blocks}) == 73
-        assert len(blocks) == 74
+        assert [block for block in blocks if block[2]] == [(23, 332, True)]
+        assert len({N for _, N, _ in blocks}) == 68
+        assert len(blocks) == 70
 
-    def test_r_grid_blocks_count_powers_and_weight_tables(self, monkeypatch):
+    def test_r_grid_blocks_count_moduli_and_weight_tables(self, monkeypatch):
         # About 500 rows per cutoff near N = 45, each row its own r: blocks
         # count a row of moduli and two weight tables per row, so they hold no
-        # more rows than N + 1 entries a row would allow.
+        # more rows than N + 1 entries a row would allow, and a block that
+        # reaches the next cutoff of its shape takes its rows (24 blocks when
+        # keyed on cutoff).
         rs = np.linspace(0.9, 1.0, 3000)
         blocks, gammas = _block_plan(monkeypatch, rs, 1.0)
         self.check_filled(blocks)
         assert all(several or rows == 1 for rows, _, several in blocks)
         assert all(rows <= fock._BLOCK_ELEMENTS // (N + 1) for rows, N, _ in blocks)
-        assert len(blocks) == 24
+        assert len(blocks) == 19
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
         assert _block_plan(monkeypatch, rs, 1.0)[1].tolist() == gammas.tolist()
+
+    def test_block_of_one_shape_gives_each_row_its_lone_bits(self, monkeypatch):
+        # An r grid of one row per cutoff, and rows of one r near Omega t = 0
+        # whose cutoffs differ: blocks take every cutoff of one (P, Q), each
+        # row's moduli zero past its own cutoff.
+        h = HamiltonianParams(1.0, 0.2)
+        rs = np.concatenate([np.linspace(0.5, 1.5, 40), np.full(6, 2.0)])
+        ts = np.concatenate([np.ones(40), np.linspace(0.0, 0.05, 6)])
+        route = dict(accuracy=1e-9, max_cutoff=DEFAULT_MAX_CUTOFF, energy_shift=0.7)
+        real, held = fock._moments, []
+
+        def spy(coeffs, energies, ts, shift):
+            # |c_n| > 0 up to N at these r, so a row's nonzero count is its N + 1.
+            held.append(sorted({int(np.count_nonzero(row)) - 1 for row in coeffs}))
+            return real(coeffs, energies, ts, shift)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(fock, "_moments", spy)
+            integrals, overlaps, cutoffs = fock._evolution("phase", rs, h, ts, **route)
+        assert [42, 45, 47] in held
+        assert [327, 331, 333, 335, 337, 339] in held
+        assert sorted(N for block in held for N in block) == sorted(cutoffs.tolist())
+        for i in range(rs.size):
+            lone = fock._evolution("phase", rs[i], h, ts[i : i + 1], **route)
+            assert lone[0].tobytes() == integrals[i : i + 1].tobytes()
+            assert lone[1].tobytes() == overlaps[i : i + 1].tobytes()
+            assert lone[2][0] == cutoffs[i]
 
 
 class TestOracleMemory:
