@@ -93,8 +93,8 @@ def _csv_lines(rows: np.ndarray, scales: np.ndarray) -> str:
     return "".join([formats[key] for key in keys]) % tuple(cells.ravel().tolist())
 
 
-def circle_distance(a: float, b: float) -> float:
-    """Distance between two angles on the circle, in [0, pi]."""
+def circle_distance(a, b):
+    """Distance between two angles on the circle, in [0, pi], elementwise for arrays."""
     return abs((a - b + math.pi) % TAU - math.pi)
 
 
@@ -296,13 +296,15 @@ def cmd_sweep(
 # Decompose
 
 
-def _reconstruction_residual(prime, doubleprime, triple):
-    """Largest entry gap between reconstruct(triple) and S(doubleprime) S(prime)^-1."""
-    target = su11._product(
-        su11._c_pair(doubleprime.r, doubleprime.phi), su11._c_pair(-prime.r, prime.phi)
-    )
-    rebuilt = su11._reconstruct_pair(triple)
-    return max(abs(rebuilt[0] - target[0]), abs(rebuilt[1] - target[1]))
+def _reconstruction_residual(r1, phi1, r2, phi2, triple):
+    """Largest entry gap between the rebuilt triple and C(r2, phi2) C(-r1, phi1).
+
+    ``triple`` is (R, Phi, Theta) of S(r1, phi1)^dag S(r2, phi2); every
+    argument is a float or an array, and so is the gap.
+    """
+    target = su11._product(su11._c_pair(r2, phi2), su11._c_pair(-r1, phi1))
+    rebuilt = su11._reconstruct_pair(*triple)
+    return np.maximum(abs(rebuilt[0] - target[0]), abs(rebuilt[1] - target[1]))
 
 
 def cmd_decompose(
@@ -314,7 +316,9 @@ def cmd_decompose(
     """Print the squeeze-plus-rotation factorization of S(prime)^dag S(doubleprime)."""
     out = stream if stream is not None else sys.stdout
     triple = su11.decompose_product(prime, doubleprime)
-    residual = _reconstruction_residual(prime, doubleprime, triple)
+    residual = _reconstruction_residual(
+        prime.r, prime.phi, doubleprime.r, doubleprime.phi, (triple.R, triple.Phi, triple.Theta)
+    )
     scale = _DEG if degrees else 1.0
     out.write(f"R = {format_number(triple.R)}\n")
     out.write(f"Phi = {format_number(triple.Phi * scale)}\n")
@@ -338,76 +342,115 @@ class CheckResult:
 
 
 def _invariant(name, bound):
-    """Make a verify check from a generator of (value, detail) pairs.
+    """Make a verify check from a generator of samples.
 
     The generator gets ``(bound / _HEADROOM, max_cutoff, rng)``, the first
-    being the accuracy it asks of the Fock oracle; the check reports its
-    worst pair against ``bound``.  The first pair sets the worst, so a check
-    whose every value is 0 still names its first sample.  It fails closed:
-    the first non-finite value becomes the worst and fails the check, as
-    does an empty generator; the generator runs to its end, so ``rng`` moves
-    as on a passing check.
+    being the accuracy it asks of the Fock oracle.  It yields one sample as
+    ``(value, detail)`` or a block of them as ``(values, describe)``: a
+    float64 array and a function that formats sample i's detail, called for
+    the worst sample alone.  The check reports its worst sample against
+    ``bound``.  The first sample sets the worst and only a larger one
+    replaces it, so a check whose every value is 0 names its first sample.
+    It fails closed: the first non-finite value becomes the worst and fails
+    the check, as does a generator without samples; the generator runs to
+    its end, so ``rng`` moves as on a passing check.
     """
 
     def decorate(samples):
         @functools.wraps(samples)
         def check(max_cutoff, rng):
-            worst, where, count = 0.0, "", 0
+            worst, where = 0.0, None
             for value, detail in samples(bound / _HEADROOM, max_cutoff, rng):
-                count += 1
+                if isinstance(value, np.ndarray):
+                    if not value.size:
+                        continue
+                    # The block's first non-finite value, else its first maximum.
+                    bad = ~np.isfinite(value)
+                    i = int((bad if bad.any() else value).argmax())
+                    value, detail = float(value[i]), functools.partial(detail, i)
                 # Also true for nan; a non-finite worst is kept.
-                if count == 1 or math.isfinite(worst) and not value <= worst:
+                if where is None or math.isfinite(worst) and not value <= worst:
                     worst, where = value, detail
-            if not count:
-                where = "no samples"
-            elif not math.isfinite(worst):
+            if where is None:
+                return CheckResult(name, False, worst, bound, "no samples")
+            if callable(where):
+                where = where()
+            if not math.isfinite(worst):
                 where = f"non-finite sample at {where}"
-            return CheckResult(name, count > 0 and worst <= bound, worst, bound, where)
+            return CheckResult(name, worst <= bound, worst, bound, where)
 
         return check
 
     return decorate
 
 
+def _uniform_draws(rng, count, *bounds):
+    """(count, len(bounds)) draws of ``rng.uniform(a, b)``, one column per (a, b).
+
+    Row by row, as a loop of uniform calls draws them: a + (b - a) * u is
+    random.uniform's own formula, so every value has that call's bits and
+    ``rng`` ends where the loop leaves it.
+    """
+    size = count * len(bounds)
+    # iter(f, None) calls f until fromiter has its size values.
+    u = np.fromiter(iter(rng.random, None), np.float64, size).reshape(count, len(bounds))
+    a, b = np.array(bounds, dtype=np.float64).T
+    u *= b - a
+    u += a
+    return u
+
+
 @_invariant("su11-closure", 1e-9)
 def _su11_closure(accuracy, max_cutoff, rng):
-    # The running product stays an unvalidated pair: GroupElement would raise
-    # at the defect this check bounds, before the check could report it.
-    for chain in range(60):
-        pair = (su11.IDENTITY.m11, su11.IDENTITY.m12)
-        for step in range(100):
-            r, phi = rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)
-            pair = su11._product(pair, su11._c_pair(r, phi))
-            yield su11._defect(*pair), f"chain {chain}, step {step}"
+    # 60 chains of 100 steps, each step's r before its phi, chain by chain;
+    # the chains step together, their factors formed 10 steps at a time: the
+    # temporaries of 600 samples stay near 10 KB each, and run faster than one
+    # call's of 6000.  The running products stay unvalidated pairs:
+    # GroupElement would raise at the defect this check bounds, before the
+    # check could report it.
+    chains, steps, block = 60, 100, 10
+    draws = _uniform_draws(rng, chains * steps, (-3, 3), (-math.pi, math.pi))
+    r, phi = draws.reshape(chains, steps, 2).T  # each (steps, chains)
+    defects = np.empty((steps, chains))
+    products = np.empty((2, block, chains), dtype=complex)
+    pair = (su11.IDENTITY.m11, su11.IDENTITY.m12)
+    for start in range(0, steps, block):
+        m11, m12 = su11._c_pair(r[start : start + block], phi[start : start + block])
+        for k in range(block):
+            pair = su11._product(pair, (m11[k], m12[k]))
+            products[:, k] = pair
+        defects[start : start + block] = su11._defect(*products)
+    yield defects.T.ravel(), lambda i: f"chain {i // steps}, step {i % steps}"
 
 
 @_invariant("su11-reconstruction", 1e-10)
 def _su11_reconstruction(accuracy, max_cutoff, rng):
-    for _ in range(1000):
-        prime = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
-        dbl = SqueezeParams(rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
-        triple = su11.decompose_product(prime, dbl)
-        yield _reconstruction_residual(prime, dbl, triple), (
-            f"r'={prime.r:.4g}, phi'={prime.phi:.4g}, "
-            f"r''={dbl.r:.4g}, phi''={dbl.phi:.4g}"
-        )
+    # Each sample draws r', phi', r'', phi'' in that order.
+    angle, factor = (-math.pi, math.pi), (-3, 3)
+    r1, phi1, r2, phi2 = _uniform_draws(rng, 1000, factor, angle, factor, angle).T
+    residual = _reconstruction_residual(r1, phi1, r2, phi2, su11._decompose(r1, phi1, r2, phi2))
+    yield residual, lambda i: (
+        f"r'={r1[i]:.4g}, phi'={phi1[i]:.4g}, r''={r2[i]:.4g}, phi''={phi2[i]:.4g}"
+    )
 
 
 @_invariant("su11-matrix-consistency", 1e-10)
 def _su11_matrix_consistency(accuracy, max_cutoff, rng):
-    for r in np.arange(0.0, 2.0001, 0.25).tolist():
-        for wt in np.linspace(0.0, TAU, 63).tolist():
-            m11, _ = su11._product(su11._c_pair(r, 0.3 - wt), su11._c_pair(-r, 0.3))
-            detail = f"r={r:.4g}, omega_t={wt:.4g}"
-            modulus_closed = math.sqrt(
-                math.cos(wt) ** 2 + math.sin(wt) ** 2 * math.cosh(2 * r) ** 2
-            )
-            yield abs(abs(m11) - modulus_closed), detail
-            tpf = phases.total_phase_factor(r, 1.0, wt)
-            yield circle_distance(
-                math.atan2(m11.imag, m11.real),
-                -math.atan2(tpf.imag, tpf.real),
-            ), detail
+    # Per (r, omega_t) sample, its modulus gap and then its phase gap.
+    grid = np.linspace(0.0, TAU, 63)
+    r_grid = np.arange(0.0, 2.0001, 0.25)
+    rs, wts = np.repeat(r_grid, grid.size), np.tile(grid, r_grid.size)
+    m11, _ = su11._product(su11._c_pair(rs, 0.3 - wts), su11._c_pair(-rs, 0.3))
+    modulus_closed = np.sqrt(np.cos(wts) ** 2 + np.sin(wts) ** 2 * np.cosh(2 * rs) ** 2)
+    # The library's scalar closed form, one call per sample.
+    tpf = np.array([
+        phases.total_phase_factor(r, 1.0, wt) for r, wt in zip(rs.tolist(), wts.tolist())
+    ])
+    gaps = np.stack([
+        abs(abs(m11) - modulus_closed),
+        circle_distance(np.arctan2(m11.imag, m11.real), -np.arctan2(tpf.imag, tpf.real)),
+    ], axis=1)
+    yield gaps.ravel(), lambda i: f"r={rs[i // 2]:.4g}, omega_t={wts[i // 2]:.4g}"
 
 
 _R_GRID = (0.1, 0.5, 1.0, 1.5, 2.0)
@@ -692,26 +735,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse reports usage errors with code 2
-        return int(exc.code or 0)
-
-    try:
-        if args.command == "verify":
-            code = cmd_verify(args.seed)
-        elif args.command == "sweep":
-            fixed = {key: getattr(args, key) for key in _SWEEP_DEFAULTS}
-            spec = SweepSpec(args.variable, args.start, args.stop, args.points, fixed)
-            code = cmd_sweep(spec, fmt=args.format, max_cutoff=args.max_cutoff,
-                             degrees=args.degrees)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+            code = int(exc.code or 0)
         else:
-            prime = SqueezeParams(args.r_prime, args.phi_prime)
-            doubleprime = SqueezeParams(args.r_doubleprime, args.phi_doubleprime)
-            code = cmd_decompose(prime, doubleprime, degrees=args.degrees)
+            code = _run(args)
         # Output still buffered would meet a closed pipe only at exit.
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except BrokenPipeError:
         return _stdout_closed()
@@ -729,6 +762,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command; exit 3 at once if stdout has no descriptor."""
+    if sys.stdout is None:  # started with descriptor 1 closed, as by >&-
+        print("BROKEN_PIPE: stdout was closed before the output began", file=sys.stderr)
+        return 3
+    if args.command == "verify":
+        return cmd_verify(args.seed)
+    if args.command == "sweep":
+        fixed = {key: getattr(args, key) for key in _SWEEP_DEFAULTS}
+        spec = SweepSpec(args.variable, args.start, args.stop, args.points, fixed)
+        return cmd_sweep(spec, fmt=args.format, max_cutoff=args.max_cutoff,
+                         degrees=args.degrees)
+    prime = SqueezeParams(args.r_prime, args.phi_prime)
+    doubleprime = SqueezeParams(args.r_doubleprime, args.phi_doubleprime)
+    return cmd_decompose(prime, doubleprime, degrees=args.degrees)
+
+
 def _stdout_closed() -> int:
     """Exit code 3 for a reader that left, with stdout sent to /dev/null."""
     # Later flushes of what stdout still buffers must not fail again.
@@ -740,8 +790,7 @@ def _stdout_closed() -> int:
 def entry(argv: list[str] | None = None) -> NoReturn:
     """The ``tmsvphase`` command: :func:`main`, then exit without interpreter teardown.
 
-    stdout and stderr are flushed here, where a closed stdout (also after
-    ``--help``, which :func:`main` returns from unflushed) exits 3 as in
+    stdout and stderr are flushed here, where a closed stdout exits 3 as in
     :func:`main`; then ``os._exit`` skips the module teardown, about 20 ms of
     numpy's, that no command needs.  An exception escaping :func:`main`
     takes the interpreter's own exit: its traceback and exit code 1.

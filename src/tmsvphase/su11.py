@@ -17,15 +17,22 @@ structure holds by construction.  The key operation is
 a single squeeze times a number rotation; the rotation angle is what
 carries the overlap phase of an evolving squeezed vacuum.
 
-Everything here is scalar, pure and stateless; values are immutable and
-safe to share between threads.
+The arithmetic is elementwise: each private kernel (``_c_pair``,
+``_product``, ``_defect``, ``_decompose``, ``_reconstruct_pair``) takes
+floats or numpy arrays through one numpy code path, so ``verify`` checks
+thousands of samples in a few array calls.  The public functions are thin
+wrappers over them that take and return validated scalars.  Everything is
+pure and stateless; values are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 #: Cap on |r| so that cosh/sinh (and their squares) stay representable.
 R_MAX = 20.0
@@ -68,18 +75,18 @@ class SqueezeParams:
         object.__setattr__(self, "phi", _require_finite("phase angle phi", self.phi))
 
 
-def _determinant(m11: complex, m12: complex) -> float:
+def _determinant(m11, m12):
     """|m11|^2 - |m12|^2, factored to keep the cancellation mild for large entries."""
     a, b = abs(m11), abs(m12)
     return (a - b) * (a + b)
 
 
-def _defect(m11: complex, m12: complex) -> float:
+def _defect(m11, m12):
     """Normalized determinant defect |det - 1| / max(1, |m11|^2) of a pair."""
-    return abs(_determinant(m11, m12) - 1.0) / max(1.0, abs(m11) ** 2)
+    return abs(_determinant(m11, m12) - 1.0) / np.maximum(1.0, abs(m11) ** 2)
 
 
-def _product(a: tuple[complex, complex], b: tuple[complex, complex]) -> tuple[complex, complex]:
+def _product(a, b):
     """(m11, m12) of the matrix product of two (m11, m12) pairs, unvalidated."""
     (a11, a12), (b11, b12) = a, b
     return a11 * b11 + a12 * b12.conjugate(), a11 * b12 + a12 * b11.conjugate()
@@ -149,21 +156,34 @@ class DecompositionTriple:
         return self.R <= DEGENERATE_R
 
 
-def _exp2i(phi: float) -> complex:
-    """e^{2i phi} for any finite phi.
+# Above this |phi|, 2 phi overflows; compared instead of formed, so no warning.
+_HALF_MAX = sys.float_info.max / 2.0
+
+
+def _select(condition, if_true, if_false):
+    """np.where, but a numpy scalar where every input is a scalar.
+
+    numpy scalars do arithmetic as Python floats and complexes do, so the
+    scalar API keeps their bits; a 0-d array would take the array loops,
+    whose complex products may differ in the last bit.
+    """
+    return np.where(condition, if_true, if_false)[()]
+
+
+def _exp2i(phi):
+    """e^{2i phi} for any finite phi, a numpy scalar for a float.
 
     Once 2 phi overflows (|phi| > DBL_MAX / 2), exp(2j * phi) is NaN; there
     it is (e^{i phi})^2, since libm reduces any finite argument exactly.
     """
-    if math.isinf(2.0 * phi):
-        half = cmath.exp(1j * phi)
-        return half * half
-    return cmath.exp(2j * phi)
+    big = abs(phi) > _HALF_MAX
+    half = np.exp(1j * phi)
+    return _select(big, half * half, np.exp(2j * _select(big, 0.0, phi)))
 
 
-def _c_pair(r: float, phi: float) -> tuple[complex, complex]:
-    """(m11, m12) of C(r, phi), unvalidated: (cosh r, e^{2i phi} sinh r)."""
-    return complex(math.cosh(r)), _exp2i(phi) * math.sinh(r)
+def _c_pair(r, phi):
+    """(m11, m12) of C(r, phi), unvalidated: (cosh r, e^{2i phi} sinh r), m11 real."""
+    return np.cosh(r), _exp2i(phi) * np.sinh(r)
 
 
 def c_matrix(p: SqueezeParams) -> GroupElement:
@@ -179,6 +199,31 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 def inverse(a: GroupElement) -> GroupElement:
     """Group inverse: m11 -> conj(m11), m12 -> -m12 (adjugate at det 1)."""
     return GroupElement(a.m11.conjugate(), -a.m12)
+
+
+def _decompose(r1, phi1, r2, phi2):
+    """(R, Phi, Theta) of C(r2, phi2) C(-r1, phi1), elementwise and unvalidated.
+
+    See :func:`decompose_product`, which wraps it for one pair of squeezes.
+    """
+    m11, _ = _product(_c_pair(r2, phi2), _c_pair(-r1, phi1))
+    # The product's m12 is the difference of two terms of size sinh r cosh r,
+    # which loses all relative accuracy near the identity.  With
+    # delta = phi'' - phi' the same entry is free of cancellation.  Where delta
+    # overflows, e^{i delta} = e^{i phi''} e^{-i phi'}; sin delta is its imag,
+    # which is libm's sin delta to the bit where delta is finite.
+    with np.errstate(over="ignore", invalid="ignore"):  # only where delta overflows
+        delta = np.subtract(phi2, phi1)
+        turn = np.exp(1j * delta)
+    turn = _select(np.isinf(delta), np.exp(1j * phi2) * np.exp(-1j * phi1), turn)
+    sin_delta = turn.imag
+    m12 = _exp2i(phi1) * (
+        2j * turn * sin_delta * np.sinh(r2) * np.cosh(r1) + np.sinh(r2 - r1)
+    )
+    theta = np.arctan2(m11.imag, m11.real)
+    big_r = np.arcsinh(abs(m12))
+    phi = _select(big_r <= DEGENERATE_R, 0.0, 0.5 * (np.arctan2(m12.imag, m12.real) + theta))
+    return big_r, phi, theta
 
 
 def decompose_product(
@@ -206,41 +251,15 @@ def decompose_product(
         Degenerate when R = 0 (within 1e-12), in which case Phi carries no
         information; Theta is still meaningful.
     """
-    m11, _ = _product(_c_pair(doubleprime.r, doubleprime.phi), _c_pair(-prime.r, prime.phi))
-    # The product's m12 is the difference of two terms of size sinh r cosh r,
-    # which loses all relative accuracy near the identity.  With
-    # delta = phi'' - phi' the same entry is free of cancellation.  Where delta
-    # overflows, e^{i delta} = e^{i phi''} e^{-i phi'}, with sin delta its imag:
-    delta = doubleprime.phi - prime.phi
-    if math.isinf(delta):
-        turn = cmath.exp(1j * doubleprime.phi) * cmath.exp(-1j * prime.phi)
-        sin_delta = turn.imag
-    else:
-        turn, sin_delta = cmath.exp(1j * delta), math.sin(delta)
-    m12 = _exp2i(prime.phi) * (
-        2j * turn * sin_delta
-        * math.sinh(doubleprime.r) * math.cosh(prime.r)
-        + math.sinh(doubleprime.r - prime.r)
-    )
-    # math.atan2 instead of cmath.phase: the latter raises OverflowError on
-    # subnormal components (libm underflow reported as ERANGE).
-    theta = math.atan2(m11.imag, m11.real)
-    big_r = math.asinh(abs(m12))
-    if big_r <= DEGENERATE_R:
-        phi = 0.0
-    else:
-        phi = 0.5 * (math.atan2(m12.imag, m12.real) + theta)
-    return DecompositionTriple(R=big_r, Phi=phi, Theta=theta)
+    triple = _decompose(prime.r, prime.phi, doubleprime.r, doubleprime.phi)
+    return DecompositionTriple(*map(float, triple))
 
 
-def _reconstruct_pair(triple: DecompositionTriple) -> tuple[complex, complex]:
-    """(m11, m12) of C(R, Phi) e^{i Theta sigma_z}, unvalidated."""
-    return (
-        cmath.exp(1j * triple.Theta) * math.cosh(triple.R),
-        cmath.exp(1j * (2.0 * triple.Phi - triple.Theta)) * math.sinh(triple.R),
-    )
+def _reconstruct_pair(R, Phi, Theta):
+    """(m11, m12) of C(R, Phi) e^{i Theta sigma_z}, elementwise and unvalidated."""
+    return np.exp(1j * Theta) * np.cosh(R), np.exp(1j * (2.0 * Phi - Theta)) * np.sinh(R)
 
 
 def reconstruct(triple: DecompositionTriple) -> GroupElement:
     """Rebuild the group element C(R, Phi) e^{i Theta sigma_z} from a triple."""
-    return GroupElement(*_reconstruct_pair(triple))
+    return GroupElement(*_reconstruct_pair(triple.R, triple.Phi, triple.Theta))

@@ -2,13 +2,16 @@
 
 import cmath
 import math
+import random
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tmsvphase import su11
 from tmsvphase.su11 import (
     DEGENERATE_R,
     _exp2i,
@@ -293,3 +296,97 @@ class TestExp2i:
         rebuilt = reconstruct(triple)
         assert abs(rebuilt.m11 - target.m11) < 1e-10
         assert abs(rebuilt.m12 - target.m12) < 1e-10
+
+
+EPS = sys.float_info.epsilon
+# Huge angles of TestExp2i and test_decompose_huge_angle, 2 phi overflowing
+# in some, and phi'' - phi' in the last.
+HUGE_ANGLES = [0.0, -0.0, TestExp2i.HALF_MAX, math.nextafter(TestExp2i.HALF_MAX, math.inf),
+               -1e308, 1e308, sys.float_info.max]
+
+
+class TestElementwiseKernels:
+    """Each su11 kernel on arrays agrees element by element with the scalar API.
+
+    The array loops round some complex products and transcendental functions
+    differently from numpy's scalars in the last bit, so agreement is within
+    a few ulp of each output's own scale: cosh r for a squeeze's entries, the
+    product of the factors' cosh r for a product's, and that over cosh R for
+    an angle read from a product (its condition number).
+    """
+
+    ULPS = 4
+
+    @staticmethod
+    def draws(count, seed):
+        rng = random.Random(seed)
+        return np.array([
+            (rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)) for _ in range(count)
+        ]).T
+
+    def test_c_pair(self):
+        r, phi = self.draws(2000, 1)
+        m11, m12 = su11._c_pair(r, phi)
+        for i, element in enumerate(map(c_matrix, map(params, r.tolist(), phi.tolist()))):
+            scale = self.ULPS * EPS * math.cosh(r[i])
+            assert abs(m11[i] - element.m11) <= scale
+            assert abs(m12[i] - element.m12) <= scale
+
+    def test_product_and_defect(self):
+        (r1, phi1), (r2, phi2) = self.draws(2000, 2), self.draws(2000, 3)
+        a = [c_matrix(params(*rp)) for rp in zip(r1.tolist(), phi1.tolist())]
+        b = [c_matrix(params(*rp)) for rp in zip(r2.tolist(), phi2.tolist())]
+        pairs = [np.array([(x.m11, x.m12) for x in elements]).T for elements in (a, b)]
+        m11, m12 = su11._product(*pairs)
+        defects = su11._defect(m11, m12)
+        for i, element in enumerate(map(multiply, a, b)):
+            scale = self.ULPS * EPS * math.cosh(r1[i]) * math.cosh(r2[i])
+            assert abs(m11[i] - element.m11) <= scale
+            assert abs(m12[i] - element.m12) <= scale
+        # The same pairs through the scalar defect: it is normalized by |m11|^2.
+        scalar = [su11._defect(*pair) for pair in zip(m11.tolist(), m12.tolist())]
+        assert np.abs(defects - scalar).max() <= 2 * self.ULPS * EPS
+
+    def test_decompose_and_reconstruct(self):
+        (r1, phi1), (r2, phi2) = self.draws(2000, 4), self.draws(2000, 5)
+        R, Phi, Theta = su11._decompose(r1, phi1, r2, phi2)
+        rebuilt = su11._reconstruct_pair(R, Phi, Theta)
+        for i in range(r1.size):
+            triple = decompose_product(params(r1[i], phi1[i]), params(r2[i], phi2[i]))
+            cond = 1.0 + math.cosh(r1[i]) * math.cosh(r2[i]) / math.cosh(triple.R)
+            assert abs(R[i] - triple.R) <= self.ULPS * EPS * cond
+            assert abs(Theta[i] - triple.Theta) <= self.ULPS * EPS * cond
+            # Phi is fixed modulo pi.
+            assert abs(cmath.exp(2j * Phi[i]) - cmath.exp(2j * triple.Phi)) <= (
+                self.ULPS * EPS * cond)
+            # Rebuilt from the same triple, the kernel is the scalar API's.
+            element = reconstruct(triple)
+            same = su11._reconstruct_pair(triple.R, triple.Phi, triple.Theta)
+            assert (same[0], same[1]) == (element.m11, element.m12)
+            assert abs(rebuilt[0][i] - element.m11) <= self.ULPS * EPS * cond * math.cosh(triple.R)
+
+    def test_huge_angles_warn_nothing(self):
+        phi = np.array(HUGE_ANGLES + [-a for a in HUGE_ANGLES])
+        pairs = [(1.0, a, 1.0, 0.0) for a in phi.tolist()] + [
+            (1.0, 1e308, 1.0, -1e308), (1.0, -1e308, 1.0, 1e308), (0.5, 1e308, -0.3, 1e308),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            turns = _exp2i(phi)
+            R, Phi, Theta = su11._decompose(*np.array(pairs).T)
+        for turn, angle in zip(turns.tolist(), phi.tolist()):
+            assert abs(turn - _exp2i(angle)) <= 2 * EPS
+        for i, (r1, phi1, r2, phi2) in enumerate(pairs):
+            triple = decompose_product(params(r1, phi1), params(r2, phi2))
+            cond = 1.0 + math.cosh(r1) * math.cosh(r2) / math.cosh(triple.R)
+            assert abs(R[i] - triple.R) <= self.ULPS * EPS * cond
+            assert abs(Theta[i] - triple.Theta) <= self.ULPS * EPS * cond
+            assert abs(cmath.exp(2j * Phi[i]) - cmath.exp(2j * triple.Phi)) <= (
+                self.ULPS * EPS * cond)
+
+    def test_scalars_in_scalars_out(self):
+        # A 0-d array would take numpy's array loops in the caller's arithmetic.
+        values = [_exp2i(0.3), _exp2i(1e308), *su11._decompose(1.0, 0.3, 0.5, 1e308)]
+        assert not any(isinstance(value, np.ndarray) for value in values)
+        triple = decompose_product(params(1.0, 0.3), params(0.5, -0.2))
+        assert all(type(value) is float for value in (triple.R, triple.Phi, triple.Theta))
