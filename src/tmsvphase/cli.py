@@ -26,7 +26,6 @@ memory runs out; or the reader closes stdout early, as ``| head`` does).
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import math
 import os
@@ -157,22 +156,17 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
 
     The headers are the names in ``_COLUMNS[spec.variable]`` and the table
     is one (points, columns) float64 array in that column order.  A phase
-    sweep asks the oracle for all its (r, t) rows in one call, which groups
-    them by cutoff, whether r or t varies, into blocks of as many rows as
-    hold ``fock._BLOCK_ELEMENTS`` phase-table entries (614 rows at N = 399,
-    fewer when the rows differ in r).  Each row is evolved to t alone: the
-    energy expectation is constant in time, so the oracle's delta is
-    t <H>_0, which verify's ``dynamical-quadrature`` holds to 2 Omega t
-    sinh^2 r.  The oracle has validated every row's r and t by then, so
-    the closed-form columns are written into the table _CHUNK_ROWS rows at a
-    time, with sinh^2 r taken once per distinct r of a chunk: the overlap
-    (``phases._overlap``) and its argument (``cmath.phase``) stay scalar
-    libm calls per row, and delta, the sum and its reduction to [0, 2 pi)
-    are exact elementwise, so every cell is bit for bit
-    ``phases.geometric_phase``.
+    sweep asks the oracle for all its (r, t) rows in one call, each row
+    evolved to t alone (its delta is t <H>_0, which verify's
+    ``dynamical-quadrature`` holds to 2 Omega t sinh^2 r).  The closed-form
+    columns are the scalar API's own kernels in ``phases``, called once per
+    column group on _CHUNK_ROWS rows at a time, so every cell is bit for bit
+    ``phases.geometric_phase``, ``cyclic_geometric_phase`` or
+    ``entropy_from_*`` at its row.  The oracle has validated r and t by
+    then; a gamma_c grid rises from its first row, whose check holds for all.
 
-    Before that call, PrecisionExceededError refuses a table with a row
-    whose cond eps exceeds SWEEP_PHASE_BOUND.  cond = delta + 2 Omega t r
+    Before the oracle runs, PrecisionExceededError refuses a table with a
+    row whose cond eps exceeds SWEEP_PHASE_BOUND.  cond = delta + 2 Omega t r
     sinh 2r + 1, with delta = 2 Omega t sinh^2 r, is the condition number
     of gamma in (r, Omega t): rounding the inputs alone moves gamma by
     about cond eps, so beyond the bound no double carries it.
@@ -181,57 +175,46 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     fx = {**_SWEEP_DEFAULTS, **spec.fixed}
     headers = [name for name, _ in _COLUMNS[spec.variable]]
     if spec.variable == "gamma_c":
-        table = np.empty((grid.size, len(headers)))
-        table[:, 0] = grid
-        table[:, 1] = [phases.entropy_from_cyclic_phase(g) for g in grid.tolist()]
-        return headers, table
-    h = HamiltonianParams(fx["Omega"], fx["epsilon"])
-    # Overflow is quiet here; only the offending rows' indices outlive the
-    # gate, not a cond per row.  At t or Omega t = inf a row with r = 0 gives
-    # nan and passes, to end in the oracle's usage error; rows with r > 0 fail.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.variable == "omega_t":
-            rs, ts = np.full(grid.size, float(fx["r"])), grid / fx["Omega"]
-        else:
-            rs, ts = grid, np.full(grid.size, float(fx["t"]))
-        over = np.flatnonzero(
-            (2.0 * fx["Omega"] * ts * (np.sinh(rs) ** 2 + rs * np.sinh(2.0 * rs)) + 1.0)
-            * np.finfo(np.float64).eps > SWEEP_PHASE_BOUND
-        )
-        if over.size:
-            raise PrecisionExceededError(
-                f"no double carries the geometric phase at r={rs[over[0]]:g}, Omega t="
-                f"{fx['Omega'] * ts[over[0]]:g}: cond * eps exceeds the sweep bound "
-                f"{SWEEP_PHASE_BOUND:.1e}"
+        phases.entropy_from_cyclic_phase(grid[0])  # the least row: its check holds for all
+    else:
+        h = HamiltonianParams(fx["Omega"], fx["epsilon"])
+        # Overflow is quiet here; only the offending rows' indices outlive the
+        # gate, not a cond per row.  At t or Omega t = inf a row with r = 0 gives
+        # nan and passes, to end in the oracle's usage error; rows with r > 0 fail.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.variable == "omega_t":
+                rs, ts = np.full(grid.size, float(fx["r"])), grid / fx["Omega"]
+            else:
+                rs, ts = grid, np.full(grid.size, float(fx["t"]))
+            over = np.flatnonzero(
+                (2.0 * fx["Omega"] * ts * (np.sinh(rs) ** 2 + rs * np.sinh(2.0 * rs)) + 1.0)
+                * np.finfo(np.float64).eps > SWEEP_PHASE_BOUND
             )
-    numeric = fock.geometric_phase_numeric(
-        rs, fx["phi"], h, ts, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
-        max_cutoff=max_cutoff,
-    )
+            if over.size:
+                raise PrecisionExceededError(
+                    f"no double carries the geometric phase at r={rs[over[0]]:g}, Omega t="
+                    f"{fx['Omega'] * ts[over[0]]:g}: cond * eps exceeds the sweep bound "
+                    f"{SWEEP_PHASE_BOUND:.1e}"
+                )
+        numeric = fock.geometric_phase_numeric(
+            rs, fx["phi"], h, ts, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
+            max_cutoff=max_cutoff,
+        )
     # Allocated only now, so the table is not held while the oracle runs.
     table = np.empty((grid.size, len(headers)))
     for start in range(0, grid.size, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        r_list = rs[rows].tolist()
-        by_r = {rv: math.sinh(rv) ** 2 for rv in set(r_list)}
-        sinh2 = np.array([by_r[rv] for rv in r_list])
-        # phases._phase_row's arithmetic, with Omega t and delta elementwise.
-        wts = (h.Omega * ts[rows]).tolist()
-        overlap = np.array(list(map(phases._overlap, sinh2.tolist(), wts)))
-        total = np.array(list(map(cmath.phase, overlap.tolist())))
-        delta = 2.0 * h.Omega * ts[rows] * sinh2
-        gamma = phases._reduce_angles(total + delta)
-        columns = (
-            grid[rows], overlap.real, overlap.imag, total, delta, gamma, numeric[rows],
-            circle_distance(numeric[rows], gamma),
-        )
+        if spec.variable == "gamma_c":
+            columns = (grid[rows], phases._cyclic_entropy(grid[rows]))
+        else:
+            sinh2 = phases._sinh2(rs[rows])
+            overlap, total, delta, gamma, _ = phases._phase_row(sinh2, h.Omega, ts[rows])
+            columns = (grid[rows], overlap.real, overlap.imag, total, delta, gamma,
+                       numeric[rows], circle_distance(numeric[rows], gamma))
+        if spec.variable == "r":
+            columns += (*phases._cyclic_phase(sinh2), phases._entropy(sinh2))
         for j, column in enumerate(columns):
             table[rows, j] = column
-        if spec.variable == "r":
-            table[rows, len(columns):] = [
-                (*phases.cyclic_geometric_phase(rv), phases.entropy_from_squeeze(rv))
-                for rv in r_list
-            ]
     return headers, table
 
 
@@ -492,7 +475,7 @@ def _dynamical_quadrature(accuracy, max_cutoff, rng):
         for eps_frac in (0.0, 0.37, 0.9)
     }
     for i, (r, wt, t) in enumerate(zip(rs.tolist(), wts.tolist(), ts.tolist())):
-        expected = 2.0 * omega * t * math.sinh(r) ** 2
+        expected = phases.dynamical_term(r, omega, t)
         results = [values[i] for values in integrals.values()]
         for eps_frac, got in zip(integrals, results):
             yield abs(got - expected), f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega"

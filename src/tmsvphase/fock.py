@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CutoffExceededError, ExpmNotConvergedError
-from .phases import HamiltonianParams, _reduce_angles
+from .phases import HamiltonianParams, _arg, _reduce_angle
 from .su11 import R_MAX, _exp2i, _require_finite, check_squeeze_factor
 
 #: Default bound on diagonal-subspace cutoffs (vectors of this length).
@@ -630,14 +630,13 @@ def geometric_phase_numeric(
         "phase", rs, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
         energy_shift=energy_shift,
     )
-    # arg<psi(0)|psi(t)> is libm's atan2 through cmath.phase, row by row
-    # (numpy's arctan2 differs in the last bit); the sum and its reduction
-    # are exact elementwise.
+    # arg<psi(0)|psi(t)> and the reduction are the closed forms' own, the
+    # arg per row (a chunk at a time, so no list holds every row).
     gammas = np.empty(ts.size)
     for start in range(0, ts.size, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        gammas[rows] = list(map(cmath.phase, overlaps[rows].tolist()))
-    gammas = _reduce_angles(gammas + deltas)
+        gammas[rows] = _arg(overlaps[rows])
+    gammas = _reduce_angle(gammas + deltas)
     return float(gammas[0]) if scalar else gammas
 
 

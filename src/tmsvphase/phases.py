@@ -18,35 +18,59 @@ it).
 
 Conventions: angles in radians throughout; entropies in nats; reduced
 phases live in [0, 2 pi).  All functions are pure and reentrant.
+
+The public functions validate floats; the private kernels behind them
+also take equal-length float64 arrays (a sweep's columns), entry by entry
+bit for bit the scalar call: real arithmetic (+, -, *, / and %) runs
+elementwise, where numpy rounds as Python does, and each step that calls
+libm or divides complex numbers runs per element (:func:`_per_element`).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .su11 import R_MAX, _require_finite, check_squeeze_factor
 
 TAU = 2.0 * math.pi
 
 
-def _reduce_angle(x: float) -> float:
-    """Reduce an angle to [0, 2 pi)."""
-    y = x % TAU
-    # x slightly below a multiple of 2 pi can round the remainder up to 2 pi.
-    return 0.0 if y >= TAU else y
+def _per_element(f):
+    """``f`` for floats; for float64 arrays, ``f`` of each entry, as an array.
 
-
-def _reduce_angles(x):
-    """:func:`_reduce_angle` of each entry of the float64 array ``x``, in place.
-
-    numpy's remainder is Python's float ``%``, so every entry keeps its bits.
+    This is the one place where floats and arrays take different code.
     """
-    x %= TAU
-    x[x >= TAU] = 0.0
-    return x
+    array = np.ndarray  # bound here: the scalar API pays for every lookup
+
+    @functools.wraps(f)
+    def each(*xs):
+        if isinstance(xs[0], array):
+            return np.array(list(map(f, *(x.tolist() for x in xs))))
+        return f(*xs)
+
+    return each
+
+
+_arg = _per_element(cmath.phase)
+
+
+@_per_element
+def _sinh2(r: float) -> float:
+    """sinh^2 r as Python forms it: libm's sinh, then pow (numpy would square)."""
+    return math.sinh(r) ** 2
+
+
+def _reduce_angle(x):
+    """Reduce an angle to [0, 2 pi); numpy's remainder is Python's float ``%``."""
+    # x slightly below a multiple of 2 pi can round x % 2 pi up to 2 pi,
+    # which the second % takes to 0; it keeps every other remainder.
+    return x % TAU % TAU
 
 
 @dataclass(frozen=True)
@@ -113,9 +137,10 @@ def overlap_analytic(r: float, Omega: float, t: float) -> complex:
     (cos^2 Wt + sin^2 Wt cosh^2 2r)^(-1/2); the value is 1 at Wt = 2 pi.
     """
     r, Omega, t = _check_args(r, Omega, t)
-    return _overlap(math.sinh(r) ** 2, Omega * t)
+    return _overlap(_sinh2(r), Omega * t)
 
 
+@_per_element
 def _overlap(sinh2: float, wt: float) -> complex:
     """:func:`overlap_analytic` from sinh^2 r and Wt = Omega t."""
     s = 2.0 * sinh2 * math.sin(wt)
@@ -143,10 +168,10 @@ def dynamical_term(r: float, Omega: float, t: float) -> float:
     This is minus the dynamical phase; it grows without bound in t.
     """
     r, Omega, t = _check_args(r, Omega, t)
-    return _delta(math.sinh(r) ** 2, Omega, t)
+    return _delta(_sinh2(r), Omega, t)
 
 
-def _delta(sinh2: float, Omega: float, t: float) -> float:
+def _delta(sinh2, Omega, t):
     """:func:`dynamical_term` from sinh^2 r."""
     return 2.0 * Omega * t * sinh2
 
@@ -159,16 +184,16 @@ def geometric_phase(r: float, Omega: float, t: float) -> PhaseBreakdown:
     / (cos^2 Wt + sin^2 Wt cosh^2 2r)^{1/2}.
     """
     r, Omega, t = _check_args(r, Omega, t)
-    return PhaseBreakdown(*_phase_row(math.sinh(r) ** 2, Omega, t))
+    return PhaseBreakdown(*_phase_row(_sinh2(r), Omega, t))
 
 
-def _phase_row(sinh2: float, Omega: float, t: float) -> tuple[complex, float, float, float, float]:
+def _phase_row(sinh2, Omega, t):
     """:func:`geometric_phase` from sinh^2 r, unvalidated, in PhaseBreakdown's field order.
 
     (overlap, total phase, delta, gamma in [0, 2 pi), unreduced gamma).
     """
     overlap = _overlap(sinh2, Omega * t)
-    total = cmath.phase(overlap)
+    total = _arg(overlap)
     delta = _delta(sinh2, Omega, t)
     unreduced = total + delta
     return overlap, total, delta, _reduce_angle(unreduced), unreduced
@@ -179,8 +204,12 @@ def one_mode_cyclic_phase(r: float) -> float:
 
     Returned unreduced; callers reduce mod 2 pi as needed.
     """
-    r = check_squeeze_factor(r)
-    return TAU * math.sinh(r) ** 2
+    return _one_mode_phase(_sinh2(check_squeeze_factor(r)))
+
+
+def _one_mode_phase(sinh2):
+    """:func:`one_mode_cyclic_phase` from sinh^2 r."""
+    return TAU * sinh2
 
 
 def cyclic_geometric_phase(r: float) -> CyclicPhase:
@@ -190,10 +219,16 @@ def cyclic_geometric_phase(r: float) -> CyclicPhase:
     :func:`one_mode_cyclic_phase` (bit-for-bit, doubling is exact in
     binary floating point), which is the additivity of the two modes.
     """
-    unreduced = 2.0 * one_mode_cyclic_phase(r)
-    return CyclicPhase(unreduced=unreduced, reduced=_reduce_angle(unreduced))
+    return _cyclic_phase(_sinh2(check_squeeze_factor(r)))
 
 
+def _cyclic_phase(sinh2):
+    """:func:`cyclic_geometric_phase` from sinh^2 r."""
+    unreduced = 2.0 * _one_mode_phase(sinh2)
+    return CyclicPhase(unreduced, _reduce_angle(unreduced))
+
+
+@_per_element
 def _entropy(x: float) -> float:
     """(1 + x) ln(1 + x) - x ln x, x >= 0, as log1p(x) + x log1p(1/x).
 
@@ -213,7 +248,7 @@ def entropy_from_squeeze(r: float) -> float:
     In nats; the r = 0 limit (0 ln 0 -> 0) is the product state with zero
     entropy.  Evaluated with x = sinh^2 r, a few ulp from exact for all |r|.
     """
-    return _entropy(math.sinh(check_squeeze_factor(r)) ** 2)
+    return _entropy(_sinh2(check_squeeze_factor(r)))
 
 
 def entropy_from_cyclic_phase(gamma_c_unreduced: float) -> float:
@@ -227,6 +262,11 @@ def entropy_from_cyclic_phase(gamma_c_unreduced: float) -> float:
     g = _require_finite("gamma_c_unreduced", gamma_c_unreduced)
     if g < 0.0:
         raise ValueError(f"gamma_c_unreduced must be nonnegative, got {g}")
+    return _cyclic_entropy(g)
+
+
+def _cyclic_entropy(g):
+    """:func:`entropy_from_cyclic_phase`, unvalidated."""
     return _entropy(g / (2.0 * TAU))
 
 

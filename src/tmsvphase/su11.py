@@ -173,12 +173,19 @@ def _select(condition, if_true, if_false):
 def _exp2i(phi):
     """e^{2i phi} for any finite phi, a numpy scalar for a float.
 
-    Once 2 phi overflows (|phi| > DBL_MAX / 2), exp(2j * phi) is NaN; there
-    it is (e^{i phi})^2, since libm reduces any finite argument exactly.
+    np.exp(2j * phi), but where 2 phi overflows (|phi| > DBL_MAX / 2) it is
+    (e^{i phi})^2, since libm reduces any finite argument exactly.
     """
     big = abs(phi) > _HALF_MAX
-    half = np.exp(1j * phi)
-    return _select(big, half * half, np.exp(2j * _select(big, 0.0, phi)))
+    if isinstance(phi, np.ndarray):
+        turn = np.exp(2j * np.where(big, 0.0, phi))
+        half = np.exp(1j * phi[big])
+        turn[big] = half * half
+        return turn
+    if big:
+        half = np.exp(1j * phi)
+        return half * half
+    return np.exp(2j * phi)
 
 
 def _c_pair(r, phi):

@@ -152,6 +152,14 @@ class TestSweepGammaC:
         values = [float(line.split(",")[1]) for line in text.strip().split("\n")[1:]]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_negative_grid_is_one_usage_line(self, capsys):
+        # The grid's first row is its least: -1 is refused before any output.
+        assert main(["sweep", "--variable", "gamma_c", "--start", "-1", "--stop", "6",
+                     "--points", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: gamma_c_unreduced must be nonnegative, got -1.0\n"
+
 
 class TestSweepOmegaT:
     def test_vacuum_has_zero_phase_columns(self):
@@ -304,16 +312,25 @@ class TestSweepTable:
 
     OMEGA_T = SweepSpec("omega_t", 0.0, TAU, 500, {"r": 2.0, "phi": 0.7, "epsilon": 0.3})
     R = SweepSpec("r", 0.0, 2.0, 50, {"phi": 0.7, "epsilon": 0.3})
+    # Two chunks of r in [-1e-160, 1e-160], r = 0 the middle row: sinh^2 r
+    # is subnormal (or rounds to 0) on every row, which takes _entropy's own
+    # branches.
+    TINY_R = SweepSpec("r", -1e-160, 1e-160, 1025, {"phi": 0.7, "epsilon": 0.3})
+    GAMMA_C = SweepSpec("gamma_c", 0.0, 50.0, 1500)
 
-    @pytest.mark.parametrize("spec", [OMEGA_T, R], ids=["omega_t", "r"])
+    @pytest.mark.parametrize("spec", [OMEGA_T, R, TINY_R, GAMMA_C],
+                             ids=["omega_t", "r", "tiny-r", "gamma_c"])
     def test_closed_forms_are_geometric_phase_fields(self, spec):
-        # Bit for bit, signed zeros included: the golden grids' closed-form
-        # columns are what phases.geometric_phase gives row by row.
+        # Bit for bit, signed zeros included: the closed-form columns are
+        # what the scalar API gives row by row.
         headers, table = cli.sweep_rows(spec)
         assert table.dtype == np.float64
         assert table.shape == (spec.points, len(headers))
         expected = []
         for row in table.tolist():
+            if spec.variable == "gamma_c":
+                expected.append([row[0], phases.entropy_from_cyclic_phase(row[0])])
+                continue
             r, t = (2.0, row[0] / 1.0) if spec.variable == "omega_t" else (row[0], 1.0)
             b = phases.geometric_phase(r, 1.0, t)
             cells = [row[0], b.overlap.real, b.overlap.imag, b.total_phase,
@@ -323,6 +340,13 @@ class TestSweepTable:
                 cells += [*phases.cyclic_geometric_phase(r), phases.entropy_from_squeeze(r)]
             expected.append(cells)
         assert table.tobytes() == np.array(expected).tobytes()
+
+    def test_tiny_r_grid_reaches_its_edge_cases(self):
+        grid = np.linspace(self.TINY_R.start, self.TINY_R.stop, self.TINY_R.points)
+        assert grid.size > cli._CHUNK_ROWS
+        assert grid[512] == 0.0 and grid[0] < 0.0
+        sinh2 = np.sinh(grid) ** 2
+        assert 0.0 < sinh2[0] < sys.float_info.min
 
     # More rows than one chunk holds, so a chunk boundary falls inside each.
     @pytest.mark.parametrize("spec", [
@@ -539,65 +563,86 @@ def _mutant(fn, old, new):
     return namespace[fn.__name__]
 
 
-class TestVerifyMutants:
-    """One fault in the program each: verify must exit 1 and print FAIL on its checks' lines."""
+# One fault in the program each, by test ID: (module, function, old text,
+# new text, the exact set of checks verify must then FAIL, space-separated).
+_FAULTS = {
+    # A hi table of stride P - 1 puts E_{q(P-1)} where E_{qP} belongs.
+    "hi-table-stride": (fock, "_phases", "energies[::side]", "energies[:: side - 1]",
+                        "overlap-agreement geometric-phase-agreement "
+                        "evolution-reparameterization"),
+    # A lo table without the shift drops the gauge from the overlap alone.
+    "lo-table-unshifted": (fock, "_phases", "(energies[:side] + shift)", "energies[:side]",
+                           "gauge-invariance"),
+    # An integral without the shift drops the gauge from delta alone.
+    "integral-unshifted": (fock, "_energy_integrals", "ts[rows] * (energy + shift)",
+                           "ts[rows] * energy", "gauge-invariance"),
+    # delta subtracted from arg<psi(0)|psi(t)> instead of added.
+    "delta-subtracted": (fock, "geometric_phase_numeric", "gammas + deltas", "gammas - deltas",
+                         "geometric-phase-agreement gauge-invariance cyclic-gamma"),
+    # |c_n|^2 laid out p-major, n = pQ + q, meets hi_q lo_p at the wrong n.
+    "weights-p-major": (fock, "_moments", "tables.reshape(2, -1, count, side)",
+                        "tables.reshape(2, -1, side, count).swapaxes(-1, -2)",
+                        "overlap-agreement geometric-phase-agreement"),
+    # An energy table of |c_n|^2 alone integrates the norm, not <H>.
+    "energy-table-no-E": (fock, "_moments", "np.multiply(energies, tables[0",
+                          "np.multiply(1.0, tables[0",
+                          "geometric-phase-agreement dynamical-quadrature cyclic-gamma"),
+    # tanh r read as 1 - 2 / (e^r + 1) above r = 0.5: every |c_n| shrinks, so
+    # no state over-normalizes, but the oracle's overlaps go wrong.
+    "moduli-half-exponent": (fock, "_log_tanh", "np.exp(2.0 * r)", "np.exp(r)",
+                             "overlap-agreement geometric-phase-agreement dynamical-quadrature "
+                             "exponentiation-agreement cyclic-gamma entropy-numeric-agreement"),
+    # Odd amplitudes of the opposite sign keep the norm but not the state.
+    "odd-amplitude-sign": (fock, "squeeze_by_exponentiation", "-1j * sums[1]", "1j * sums[1]",
+                           "exponentiation-agreement"),
+    # A Chebyshev series cut after about rho / 2 terms loses the norm, and
+    # the check, not the run, fails on the broken exponential.
+    "series-cut-short": (fock, "squeeze_by_exponentiation", "int(rho + 12.0 * rho ** (1 / 3))",
+                         "int(rho / 2)", "exponentiation-agreement"),
+    # An entropy in bits, not nats.
+    "entropy-in-bits": (fock, "entropy_numeric", "np.log(p)", "np.log2(p)",
+                        "entropy-numeric-agreement"),
+    # cosh r and sinh r swapped in the conjugation rules.
+    "cosh-sinh-swapped": (fock, "bogoliubov_residual",
+                          "cosh_r, sinh_r = math.cosh(r), math.sinh(r)",
+                          "sinh_r, cosh_r = math.cosh(r), math.sinh(r)", "bogoliubov-identities"),
+    # A target rotated by +theta where the conjugation rotates by -theta.
+    "rotation-sign": (fock, "rotation_conjugation_check", "phi + math.atan2(",
+                      "phi - math.atan2(", "rotation-conjugation"),
+    # Theta of the opposite sign: the rebuilt product misses the real one.
+    "theta-sign": (su11, "_decompose", "theta = np.arctan2(", "theta = -np.arctan2(",
+                   "su11-reconstruction"),
+    # cosh r for cosh 2r in the closed-form total phase factor.
+    "total-phase-cosh-r": (phases, "total_phase_factor", "math.cosh(2.0 * r)", "math.cosh(r)",
+                           "su11-matrix-consistency"),
+    # x = gamma_c / 2 pi, twice sinh^2 r, moves the entropy curve off S(r).
+    "entropy-twice-x": (phases, "_cyclic_entropy", "g / (2.0 * TAU)", "g / TAU",
+                        "entropy-identity entropy-curve"),
+}
 
-    @pytest.mark.parametrize("module,name,old,new,checks", [
-        # A hi table of stride P - 1 puts E_{q(P-1)} where E_{qP} belongs.
-        (fock, "_phases", "energies[::side]", "energies[:: side - 1]", "overlap-agreement"),
-        # A lo table without the shift drops the gauge from the overlap alone.
-        (fock, "_phases", "(energies[:side] + shift)", "energies[:side]", "gauge-invariance"),
-        # An integral without the shift drops the gauge from delta alone.
-        (fock, "_energy_integrals", "ts[rows] * (energy + shift)", "ts[rows] * energy",
-         "gauge-invariance"),
-        # delta subtracted from arg<psi(0)|psi(t)> instead of added.
-        (fock, "geometric_phase_numeric", "gammas + deltas", "gammas - deltas", "cyclic-gamma"),
-        # |c_n|^2 laid out p-major, n = pQ + q, meets hi_q lo_p at the wrong n.
-        (fock, "_moments", "tables.reshape(2, -1, count, side)",
-         "tables.reshape(2, -1, side, count).swapaxes(-1, -2)", "overlap-agreement"),
-        # An energy table of |c_n|^2 alone integrates the norm, not <H>.
-        (fock, "_moments", "np.multiply(energies, tables[0", "np.multiply(1.0, tables[0",
-         "dynamical-quadrature"),
-        # tanh r read as 1 - 2 / (e^r + 1) above r = 0.5: every |c_n| shrinks, so
-        # no state over-normalizes, but the oracle's overlaps go wrong.
-        (fock, "_log_tanh", "np.exp(2.0 * r)", "np.exp(r)", "overlap-agreement"),
-        # Odd amplitudes of the opposite sign keep the norm but not the state.
-        (fock, "squeeze_by_exponentiation", "-1j * sums[1]", "1j * sums[1]",
-         "exponentiation-agreement"),
-        # A Chebyshev series cut after about rho / 2 terms loses the norm, and
-        # the check, not the run, fails on the broken exponential.
-        (fock, "squeeze_by_exponentiation", "int(rho + 12.0 * rho ** (1 / 3))", "int(rho / 2)",
-         "exponentiation-agreement"),
-        # An entropy in bits, not nats.
-        (fock, "entropy_numeric", "np.log(p)", "np.log2(p)", "entropy-numeric-agreement"),
-        # cosh r and sinh r swapped in the conjugation rules.
-        (fock, "bogoliubov_residual", "cosh_r, sinh_r = math.cosh(r), math.sinh(r)",
-         "sinh_r, cosh_r = math.cosh(r), math.sinh(r)", "bogoliubov-identities"),
-        # A target rotated by +theta where the conjugation rotates by -theta.
-        (fock, "rotation_conjugation_check", "phi + math.atan2(", "phi - math.atan2(",
-         "rotation-conjugation"),
-        # Theta of the opposite sign: the rebuilt product misses the real one.
-        (su11, "_decompose", "theta = np.arctan2(", "theta = -np.arctan2(",
-         "su11-reconstruction"),
-        # cosh r for cosh 2r in the closed-form total phase factor.
-        (phases, "total_phase_factor", "math.cosh(2.0 * r)", "math.cosh(r)",
-         "su11-matrix-consistency"),
-        # x = gamma_c / 2 pi, twice sinh^2 r, moves the entropy curve off S(r).
-        (phases, "entropy_from_cyclic_phase", "g / (2.0 * TAU)", "g / TAU",
-         "entropy-identity entropy-curve"),
-    ], ids=["hi-table-stride", "lo-table-unshifted", "integral-unshifted", "delta-subtracted",
-            "weights-p-major", "energy-table-no-E", "moduli-half-exponent", "odd-amplitude-sign",
-            "series-cut-short",
-            "entropy-in-bits", "cosh-sinh-swapped", "rotation-sign",
-            "theta-sign", "total-phase-cosh-r", "entropy-twice-x"])
+
+class TestVerifyMutants:
+    """One fault in the program each: verify must exit 1 and FAIL exactly its checks."""
+
+    @pytest.mark.parametrize("module,name,old,new,checks", _FAULTS.values(), ids=_FAULTS)
     def test_fault_fails_its_check(self, module, name, old, new, checks, capsys, monkeypatch):
         monkeypatch.setattr(module, name, _mutant(getattr(module, name), old, new))
         assert main(["verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.startswith(("PASS  ", "FAIL  ")) for line in lines) == 17
-        for check in checks.split():
-            assert [line for line in lines if line.startswith(f"FAIL  {check} ")], lines
+        failed = {line.split()[1] for line in lines if line.startswith("FAIL  ")}
+        assert failed == set(checks.split()), lines
         assert lines[-1].startswith("VERDICT: FAIL (")
+
+    def test_every_check_outside_blind_has_a_fault(self):
+        # The ratchet: a check no fault of _FAULTS fails (su11-closure has
+        # test_drifting_su11_chain_fails_its_check) must be named here, so a
+        # new check without a fault fails this test.  BLIND may only shrink.
+        BLIND = {"cyclic-total-phase", "one-mode-additivity"}
+        names = [result.name for result in cli.run_invariant_suite()]
+        assert len(set(names)) == len(names) == 17
+        faulted = {check for *_, checks in _FAULTS.values() for check in checks.split()}
+        assert set(names) - faulted - {"su11-closure"} == BLIND
 
 
 class TestSu11BulkDraws:

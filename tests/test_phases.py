@@ -342,3 +342,44 @@ class TestEntropyAgainstMpmath:
         want = _entropy_mpmath(x)
         got = entropy_from_cyclic_phase(gamma_c)
         assert abs(got - want) <= ENTROPY_REL * want + ENTROPY_FLOOR
+
+
+class TestArrayKernels:
+    """The private kernels on float64 arrays give, entry by entry, the scalar API's bits."""
+
+    RS = [0.0, -0.0, 1e-160, -1e-160, 5e-324, 0.3, -1.7, 8.0, 18.0, -20.0]
+    WTS = [0.0, 1e-300, 0.7, math.pi, TAU, 1e6]
+
+    @staticmethod
+    def bits(values):
+        return np.array(values, dtype=complex if isinstance(values[0], complex) else float).tobytes()
+
+    @pytest.mark.parametrize("Omega", [1.0, -1.3])
+    def test_phase_row(self, Omega):
+        rs, wts = (np.array(v) for v in zip(*[(r, wt) for r in self.RS for wt in self.WTS]))
+        ts = abs(wts / Omega)
+        rows = phases._phase_row(phases._sinh2(rs), Omega, ts)
+        scalar = [geometric_phase(r, Omega, t) for r, t in zip(rs.tolist(), ts.tolist())]
+        for j, field in enumerate(("overlap", "total_phase", "dynamical_term_delta",
+                                   "geometric_phase", "geometric_phase_unreduced")):
+            assert rows[j].tobytes() == self.bits([getattr(b, field) for b in scalar]), field
+
+    def test_cyclic_pair_and_entropies(self):
+        rs = np.array(self.RS)
+        sinh2 = phases._sinh2(rs)
+        unreduced, reduced = phases._cyclic_phase(sinh2)
+        assert unreduced.tobytes() == self.bits([cyclic_geometric_phase(r)[0] for r in self.RS])
+        assert reduced.tobytes() == self.bits([cyclic_geometric_phase(r)[1] for r in self.RS])
+        assert phases._entropy(sinh2).tobytes() == self.bits(
+            [entropy_from_squeeze(r) for r in self.RS])
+        gs = np.array([0.0, -0.0, 5e-324, 1e-310, 1.0, TAU, 1e308])
+        assert phases._cyclic_entropy(gs).tobytes() == self.bits(
+            [entropy_from_cyclic_phase(g) for g in gs.tolist()])
+
+    def test_reduce_angle_on_floats_and_arrays(self):
+        # x a hair below 0 rounds x % 2 pi up to 2 pi, which reduces to 0.
+        xs = [-1e-300, -0.0, 0.0, TAU, -TAU, 7.0, 1e17]
+        got = phases._reduce_angle(np.array(xs))
+        assert got.tobytes() == self.bits([phases._reduce_angle(x) for x in xs])
+        assert phases._reduce_angle(-1e-300) == 0.0
+        assert type(phases._reduce_angle(7.0)) is float

@@ -288,6 +288,28 @@ class TestExp2i:
             # The bits su11 (cmath) and fock (numpy) formed before the helper.
             assert got == cmath.exp(2j * phi) == complex(np.exp(2j * phi))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ordinary_angles_are_numpy_exp_bit_for_bit(self):
+        phis = np.array([0.0, -0.0, 0.3, -2.5, 1e3, -7e15, 1e300, self.HALF_MAX])
+        got = _exp2i(phis)
+        assert got.tobytes() == np.exp(2j * phis).tobytes()
+        for phi in phis.tolist():
+            assert complex(_exp2i(phi)) == complex(np.exp(2j * phi))
+            assert isinstance(_exp2i(phi), np.complex128)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_angles_square_only_their_own_entries(self):
+        big = [math.nextafter(self.HALF_MAX, math.inf), -1e308, sys.float_info.max]
+        phis = np.array([0.3, *big, -2.5])
+        got = _exp2i(phis)
+        assert np.isfinite(got).all()
+        half = np.exp(1j * phis[1:4])
+        assert got[1:4].tobytes() == (half * half).tobytes()
+        assert got[[0, 4]].tobytes() == np.exp(2j * phis[[0, 4]]).tobytes()
+        for phi in big:
+            half = np.exp(1j * phi)
+            assert _exp2i(phi) == half * half
+
     def test_decompose_huge_angle(self):
         # 2 phi' overflows in both factors that carry phi'.
         triple = decompose_product(params(1.0, 1e308), params(1.0, 0.0))
