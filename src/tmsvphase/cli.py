@@ -547,8 +547,10 @@ def _rotation_conjugation(accuracy, max_cutoff, rng):
 
 @_invariant("cyclic-total-phase", 1e-10)
 def _cyclic_total_phase(accuracy, max_cutoff, rng):
+    # epsilon != 0: at epsilon = 0 every E_n t is a multiple of 2 pi here even
+    # with epsilon miscounted in the energies.
     _, overlaps, _ = fock._evolution(
-        "mass", np.array(_R_GRID), HamiltonianParams(1.0, 0.0), np.full(len(_R_GRID), TAU),
+        "mass", np.array(_R_GRID), HamiltonianParams(1.0, 0.37), np.full(len(_R_GRID), TAU),
         accuracy=accuracy, max_cutoff=max_cutoff, energy_shift=0.0,
     )
     for r, overlap in zip(_R_GRID, overlaps.tolist()):

@@ -19,8 +19,8 @@ Two representations are used, chosen by what truncation does to them:
 
 Every quantity over time (overlap, energy integral, geometric phase) goes
 through one grid route over rows of (r, t), for one point or a whole
-sweep, in blocks of rows sharing a cutoff, or the shape of its phase
-tables (:func:`_energy_integrals`), with digits independent of the grid.
+sweep, in blocks of rows sharing a cutoff (:func:`_energy_integrals`),
+with digits independent of the grid.
 The phase e^{-i t (E_n + shift)} is the product of two tables of about
 sqrt(N) exponentials each (:func:`_phases`), and a row's overlap is a
 contraction of those tables against a table of |c_n|^2 (:func:`_moments`),
@@ -34,7 +34,11 @@ truncation error has a closed-form geometric tail in the cutoff N, and
 :func:`cutoff_for` is the one place that turns an observable's accuracy
 target into N.  A grid's cutoffs come from one bisection over its rows
 at once (:func:`_cutoffs`): each is the smallest N whose tail is within
-the accuracy, up to ties within the tail's rounding.  Operator identities
+the accuracy, up to ties within the tail's rounding.  A row over time then
+runs at the largest cutoff its phase tables hold, P Q - 1 (:func:`_sides`),
+or at ``max_cutoff`` if less: its (Q, P) tables of |c_n|^2 hold P Q entries
+anyway, so its tail shrinks at no cost in the contraction, and rows whose
+tables have one shape share one cutoff.  Operator identities
 are asserted only on entries a ``margin`` away from the cutoff, where the
 constructions used here keep them exact up to rounding.
 
@@ -64,7 +68,7 @@ FULL_SPACE_MAX_CUTOFF = 32
 _EXPM_NORM_TOL = 1e-12
 
 # Entries a block of the grid oracle holds (:func:`_row_entries`): 630 sweep
-# rows at N = 377, or 20 such rows when they differ in r or cutoff.
+# rows at N = 379, or 20 such rows when they differ in r.
 _BLOCK_ELEMENTS = 24576
 
 # Rows per chunk of a grid's cutoff bisection and per list of Python floats
@@ -401,9 +405,14 @@ def _energies(h: HamiltonianParams, N: int) -> np.ndarray:
     return h.Omega * (n + n) + h.epsilon * (n - n)
 
 
-def _sides(N: int) -> tuple[int, int]:
-    """P = isqrt(N) + 1 and Q = ceil((N + 1) / P): the lo and hi table lengths at cutoff N."""
-    side = math.isqrt(N) + 1
+def _sides(N: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = isqrt(N) + 1 and Q = ceil((N + 1) / P), the lo and hi table lengths
+    at cutoff N, for an int or elementwise on int64, 0 <= N <= 2^62: isqrt is
+    the float square root, moved by one where it rounds across an integer."""
+    side = np.sqrt(N).astype(np.int64)
+    side -= side * side > N
+    side += (side + 1) * (side + 1) <= N
+    side += 1
     return side, -(-(N + 1) // side)
 
 
@@ -411,10 +420,8 @@ def _row_entries(N: int, several: bool) -> int:
     """Entries one row of a grid-oracle block at cutoff N holds.
 
     P + Q phase-table entries (:func:`_sides`), and in a block of several r
-    or cutoffs also its row of moduli (:func:`_moduli`), N + 1 long, and its
-    (Q, P) tables of |c_n|^2 and E_n |c_n|^2; a block of one r and one
-    cutoff shares those.  A block of several cutoffs is counted at the
-    largest that shares its (P, Q), N = PQ - 1.
+    also its row of moduli (:func:`_moduli`), N + 1 long, and its (Q, P)
+    tables of |c_n|^2 and E_n |c_n|^2; a block of one r shares those.
     """
     side, count = _sides(N)
     return side + count + (N + 1 + 2 * count * side if several else 0)
@@ -506,14 +513,10 @@ def _energy_integrals(
     <psi(0)|psi(t)>: bit for bit what :func:`_moments` gives for the row's
     moduli alone at t, contracting the phase tables of ``evolve``.
 
-    Rows go through in blocks, sorted by cutoff and in grid order within
-    each, as many as hold _BLOCK_ELEMENTS entries as :func:`_row_entries`
-    counts them (one row at least).  Rows of one cutoff and one r share one
-    row of moduli.  Where a cutoff has one row, or its rows differ in r, the
-    block goes on over the following cutoffs whose phase tables have the
-    same (P, Q) (:func:`_sides`), with a row of moduli per row, zero past
-    the row's own cutoff: its tables, and so its sums and products, are
-    then those it has alone.  Every step is a call per row or elementwise,
+    Rows go through in blocks of one cutoff, sorted by cutoff and in grid
+    order within each, as many as hold _BLOCK_ELEMENTS entries as
+    :func:`_row_entries` counts them (one row at least).  Rows of one r
+    share one row of moduli.  Every step is a call per row or elementwise,
     so each row adds in the order a lone row would.  Blocks run in plan
     order; the first whose overlaps or integrals are not finite, or squared
     norms exceed 1 + 1e-12, raises.
@@ -533,23 +536,13 @@ def _energy_integrals(
         N = int(cutoffs[order[done]])
         rows = order[done : done + max(1, _BLOCK_ELEMENTS // _row_entries(N, False))]
         rows = rows[cutoffs[rows] == N]
-        if rows.size == 1 or (rs[rows] != rs[rows[0]]).any():
-            # The cutoffs sharing N's (P, Q) are N .. PQ - 1, in sorted order.
-            side, count = _sides(N)
-            last = side * count - 1
-            rows = order[done : done + max(1, _BLOCK_ELEMENTS // _row_entries(last, True))]
-            rows = rows[cutoffs[rows] <= last]
+        if (rs[rows] != rs[rows[0]]).any():
+            rows = rows[: max(1, _BLOCK_ELEMENTS // _row_entries(N, True))]
         done += rows.size
-        block_cutoffs = cutoffs[rows]
-        N = int(block_cutoffs[-1])
         block_rs = rs[rows]
-        if (block_rs == block_rs[0]).all() and block_cutoffs[0] == N:
-            block_rs, block_cutoffs = block_rs[:1], block_cutoffs[:1]
+        if (block_rs == block_rs[0]).all():
+            block_rs = block_rs[:1]
         moduli = _moduli(block_rs, N)
-        # Past its own cutoff a row holds zeros, as its (Q, P) tables do alone;
-        # E_n 0 is 0 there unless E_N overflows, and then the grid's top row
-        # overflows too and the call raises as it would have.
-        moduli[np.arange(N + 1) > block_cutoffs[:, None]] = 0.0
         # Overflowing input ends in the finite check below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             energy, norms, overlaps[rows] = _moments(moduli, energies[: N + 1], ts[rows], shift)
@@ -576,13 +569,18 @@ def _evolution(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's energy integral, overlap <psi(0)|psi(t)> and cutoff, ts 1-D.
 
-    ``r`` is a float or one value per row; row i keeps ``cutoff_for(observable,
-    r[i], accuracy, t=Omega t[i])``.
+    ``r`` is a float or one value per row.  Row i runs at P Q - 1, the largest
+    cutoff with the phase tables (:func:`_sides`) of ``cutoff_for(observable,
+    r[i], accuracy, t=Omega t[i])``, or at ``max_cutoff`` if less.
     """
     rs = np.broadcast_to(np.asarray(r, dtype=np.float64), ts.shape)
     # An overflowing or undefined Omega t is refused by _cutoffs, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        cutoffs = _cutoffs(observable, rs, h.Omega * ts, accuracy, max_cutoff)
+        smallest = _cutoffs(observable, rs, h.Omega * ts, accuracy, max_cutoff)
+    # P Q - 1 per row; no other array of the grid's length outlives this step.
+    cutoffs = np.multiply(*_sides(smallest))
+    del smallest
+    np.minimum(cutoffs - 1, min(max_cutoff, _BRACKET_TOP), out=cutoffs)
     shift = _require_finite("energy_shift", energy_shift)
     return (*_energy_integrals(rs, h, ts, cutoffs, shift), cutoffs)
 

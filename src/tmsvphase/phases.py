@@ -98,8 +98,7 @@ class HamiltonianParams:
         object.__setattr__(self, "epsilon", eps)
 
 
-@dataclass(frozen=True)
-class PhaseBreakdown:
+class PhaseBreakdown(NamedTuple):
     """Overlap, total phase, dynamical term and geometric phase at one point.
 
     ``total_phase`` is arg of the overlap in (-pi, pi];

@@ -996,9 +996,17 @@ def _energy_integral_per_point(moduli, h, t, shift):
     return t * (_state_moments(moduli, h, t, shift)[0] + shift)
 
 
+def _padded(N, max_cutoff=DEFAULT_MAX_CUTOFF):
+    """The cutoff a grid row with smallest cutoff N runs at: P Q - 1, the largest
+    cutoff with N's phase tables, P = isqrt(N) + 1 and Q = ceil((N + 1) / P),
+    or ``max_cutoff`` if less."""
+    side = math.isqrt(N) + 1
+    return min(side * -(-(N + 1) // side) - 1, max_cutoff)
+
+
 def _geometric_phase_per_point(r, h, t, accuracy, shift):
     """Reference for the grid oracle: its own cutoff, moduli and helper calls."""
-    N = cutoff_for("phase", r, accuracy, t=h.Omega * t)
+    N = _padded(cutoff_for("phase", r, accuracy, t=h.Omega * t))
     moduli = _schmidt_moduli(r, N)
     _, _, overlap = _state_moments(moduli, h, t, shift)
     total = math.atan2(overlap.imag, overlap.real)
@@ -1095,7 +1103,7 @@ class TestDynamicalIntegral:
         got = dynamical_integral(r, 0.2, h, np.array(ts), energy_shift=shift)
         want = []
         for t in ts:
-            N = cutoff_for("energy", r, 1e-10, t=h.Omega * t)
+            N = _padded(cutoff_for("energy", r, 1e-10, t=h.Omega * t))
             want.append(_energy_integral_per_point(_schmidt_moduli(r, N), h, t, shift))
         assert got.tolist() == want
         scalar = dynamical_integral(r, 0.2, h, ts[0], energy_shift=shift)
@@ -1119,7 +1127,9 @@ class TestDynamicalIntegral:
             "energy", np.array(rs), h, np.array([t for _, t in pairs]),
             max_cutoff=fock.DEFAULT_MAX_CUTOFF, **route,
         )
-        assert cutoffs.tolist() == [cutoff_for("energy", r, 1e-10, t=h.Omega * t) for r, t in pairs]
+        assert cutoffs.tolist() == [
+            _padded(cutoff_for("energy", r, 1e-10, t=h.Omega * t)) for r, t in pairs
+        ]
 
     def test_grid_shapes(self):
         assert dynamical_integral(1.0, 0.0, H_UNIT, np.array([])).shape == (0,)
@@ -1187,11 +1197,65 @@ class TestEvolution:
         ts = np.linspace(0.0, 3 * TAU, 40)
         route = dict(accuracy=1e-9, max_cutoff=4096, energy_shift=0.7)
         integrals, overlaps, cutoffs = fock._evolution(observable, 1.2, h, ts, **route)
-        assert cutoffs.tolist() == [cutoff_for(observable, 1.2, 1e-9, t=h.Omega * t) for t in ts]
+        assert cutoffs.tolist() == [
+            _padded(cutoff_for(observable, 1.2, 1e-9, t=h.Omega * t)) for t in ts
+        ]
         for t, N, integral, overlap in zip(ts.tolist(), cutoffs, integrals, overlaps):
             moduli = _schmidt_moduli(1.2, N)
             assert overlap == _state_moments(moduli, h, t, 0.7)[2]
             assert integral == _energy_integral_per_point(moduli, h, t, 0.7)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        observable=st.sampled_from(["mass", "energy", "phase"]),
+        rs=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=8),
+        wt=st.floats(0.0, 3 * TAU),
+        slack=st.one_of(st.none(), st.integers(0, 40)),
+    )
+    def test_rows_run_at_their_shapes_largest_cutoff(self, observable, rs, wt, slack):
+        # max_cutoff the default or a little above the rows' largest smallest
+        # cutoff, where it binds on the rows of the top shape.
+        smallest = [cutoff_for(observable, r, 1e-9, t=wt) for r in rs]
+        max_cutoff = DEFAULT_MAX_CUTOFF if slack is None else max(smallest) + slack
+        _, _, cutoffs = fock._evolution(
+            observable, np.array(rs), H_UNIT, np.full(len(rs), wt),
+            accuracy=1e-9, max_cutoff=max_cutoff, energy_shift=0.0,
+        )
+        for low, N in zip(smallest, cutoffs.tolist()):
+            side, count = fock._sides(low)
+            assert low <= N <= max_cutoff
+            assert fock._sides(N) == (side, count)
+            assert N == side * count - 1 or N == max_cutoff < side * count - 1
+
+    def test_capped_rows_equal_lone_calls(self):
+        # r = 2 needs N = 374 for its phase; its tables hold N = 379, so a
+        # max_cutoff of 374 binds, and every row of that shape runs at 374.
+        h = HamiltonianParams(1.0, 0.2)
+        rs = np.linspace(1.9, 2.0, 30)
+        route = dict(accuracy=1e-9, max_cutoff=374, energy_shift=0.7)
+        integrals, overlaps, cutoffs = fock._evolution("phase", rs, h, np.ones(30), **route)
+        assert cutoffs.max() == 374 and (cutoffs == 374).sum() > 1
+        for i in range(rs.size):
+            lone = fock._evolution("phase", rs[i], h, np.ones(1), **route)
+            assert lone[0].tobytes() == integrals[i : i + 1].tobytes()
+            assert lone[1].tobytes() == overlaps[i : i + 1].tobytes()
+            assert lone[2][0] == cutoffs[i]
+
+
+class TestSides:
+    """``fock._sides``: the phase-table lengths, elementwise without a sort."""
+
+    def test_integer_square_root_is_exact(self):
+        # Both sides of each square k^2, small and near 2^52 and 2^62, where
+        # the float square root rounds across integers.
+        ks = [*range(1, 2000), *range(2**26 - 50, 2**26 + 50), *range(2**31 - 50, 2**31 + 1)]
+        N = np.array([0, *(k * k + d for k in ks for d in (-1, 0)), 2**52 + 1, 2**62 - 1, 2**62])
+        side, count = fock._sides(N)
+        assert (side - 1).tolist() == [math.isqrt(n) for n in N.tolist()]
+        assert count.tolist() == [-(-(n + 1) // (math.isqrt(n) + 1)) for n in N.tolist()]
+        assert [tuple(map(int, fock._sides(n))) for n in N[:50].tolist()] == list(
+            zip(side[:50].tolist(), count[:50].tolist())
+        )
 
 
 class TestGeometricPhaseGrid:
@@ -1266,7 +1330,7 @@ class TestGeometricPhaseGrid:
         # Blocks of ``rows`` rows at the grid's largest cutoff, more at smaller ones.
         h = HamiltonianParams(1.0, 0.3)
         ts = np.linspace(0.0, TAU, 200)
-        N = cutoff_for("phase", r, 1e-9, t=TAU)
+        N = _padded(cutoff_for("phase", r, 1e-9, t=TAU))
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", rows * fock._row_entries(N, False))
         got = geometric_phase_numeric(r, 0.7, h, ts, accuracy=1e-9)
         want = [_geometric_phase_per_point(r, h, t, 1e-9, 0.0) for t in ts]
@@ -1334,7 +1398,7 @@ class TestParallelBlocks:
 def _block_plan(monkeypatch, rs, ts):
     """(rows, N, whether it holds a row of moduli per row) of each block, in
     plan order, of one ``geometric_phase_numeric`` call over rows (rs, ts),
-    N its largest cutoff, and the call's result."""
+    N its cutoff, and the call's result."""
     real, blocks = fock._moments, []
 
     def spy(coeffs, energies, ts, shift):
@@ -1348,51 +1412,36 @@ def _block_plan(monkeypatch, rs, ts):
 
 
 class TestBlockPlan:
-    """Blocks fill up to _BLOCK_ELEMENTS entries as ``fock._row_entries`` counts them.
-
-    A block of one r and one cutoff shares one row of moduli; a block of
-    several r or cutoffs holds a row per row, and its rows may come from
-    every cutoff of one phase-table shape (``fock._sides``), so it is
-    counted at the shape's largest cutoff, P Q - 1.
-    """
-
-    @staticmethod
-    def capacity(N, several):
-        if several:
-            side, count = fock._sides(N)
-            N = side * count - 1
-        return max(1, fock._BLOCK_ELEMENTS // fock._row_entries(N, several))
+    """Blocks of one cutoff fill up to _BLOCK_ELEMENTS entries as
+    ``fock._row_entries`` counts them; a block of several r holds a row of
+    moduli per row."""
 
     def check_filled(self, blocks):
         for i, (rows, N, several) in enumerate(blocks):
-            capacity = self.capacity(N, several)
+            capacity = max(1, fock._BLOCK_ELEMENTS // fock._row_entries(N, several))
             assert rows <= capacity
-            # A block that leaves rows of its cutoff, or of its shape if it
-            # holds a row of moduli per row, to the next one is full.
-            if i + 1 < len(blocks):
-                following = blocks[i + 1][1]
-                if following == N or several and fock._sides(following) == fock._sides(N):
-                    assert rows == capacity
+            # A block that leaves rows of its cutoff to the next one is full.
+            if i + 1 < len(blocks) and blocks[i + 1][1] == N:
+                assert rows == capacity
 
     def test_omega_t_grid_runs_about_one_block_per_cutoff(self, monkeypatch):
-        # The benchmark sweep's grid, 73 cutoffs from N = 327 to 399 with up
-        # to 656 rows each: blocks of up to 614 rows (40 entries a row at
-        # N = 399), not the 203 blocks of at most 66 rows of N + 1 entries.
-        # Its first six cutoffs, N = 327 .. 332, one row each, share one
-        # block of the shape P = 19, Q = 18 (74 blocks when keyed on cutoff).
+        # The benchmark sweep's grid, whose smallest cutoffs run from N = 327
+        # to 399 with up to 656 rows each: its rows run at the four cutoffs
+        # P Q - 1 of their phase tables, in blocks of up to 630 rows (39
+        # entries a row at N = 379), not the 203 blocks of at most 66 rows of
+        # N + 1 entries (70 blocks when blocks took every cutoff of a shape).
         blocks, _ = _block_plan(monkeypatch, 2.0, np.linspace(0.0, TAU, 10_000))
         self.check_filled(blocks)
         assert sum(rows for rows, _, _ in blocks) == 10_000
-        assert [block for block in blocks if block[2]] == [(23, 332, True)]
-        assert len({N for _, N, _ in blocks}) == 68
-        assert len(blocks) == 70
+        assert not any(several for _, _, several in blocks)
+        assert sorted({N for _, N, _ in blocks}) == [341, 360, 379, 399]
+        assert len(blocks) == 18
 
     def test_r_grid_blocks_count_moduli_and_weight_tables(self, monkeypatch):
-        # About 500 rows per cutoff near N = 45, each row its own r: blocks
-        # count a row of moduli and two weight tables per row, so they hold no
-        # more rows than N + 1 entries a row would allow, and a block that
-        # reaches the next cutoff of its shape takes its rows (24 blocks when
-        # keyed on cutoff).
+        # About 500 rows per smallest cutoff near N = 45, each row its own r,
+        # at the two cutoffs 41 and 48 of their shapes: blocks count a row of
+        # moduli and two weight tables per row, so they hold no more rows
+        # than N + 1 entries a row would allow.
         rs = np.linspace(0.9, 1.0, 3000)
         blocks, gammas = _block_plan(monkeypatch, rs, 1.0)
         self.check_filled(blocks)
@@ -1402,10 +1451,11 @@ class TestBlockPlan:
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
         assert _block_plan(monkeypatch, rs, 1.0)[1].tolist() == gammas.tolist()
 
-    def test_block_of_one_shape_gives_each_row_its_lone_bits(self, monkeypatch):
-        # An r grid of one row per cutoff, and rows of one r near Omega t = 0
-        # whose cutoffs differ: blocks take every cutoff of one (P, Q), each
-        # row's moduli zero past its own cutoff.
+    def test_blocks_hold_one_cutoff_and_rows_keep_their_lone_bits(self, monkeypatch):
+        # An r grid of one row per smallest cutoff, and rows of one r near
+        # Omega t = 0 whose smallest cutoffs differ: every block's rows run at
+        # one cutoff, its moduli rows nonzero to its end, and each grid row
+        # equals its lone call.
         h = HamiltonianParams(1.0, 0.2)
         rs = np.concatenate([np.linspace(0.5, 1.5, 40), np.full(6, 2.0)])
         ts = np.concatenate([np.ones(40), np.linspace(0.0, 0.05, 6)])
@@ -1413,16 +1463,19 @@ class TestBlockPlan:
         real, held = fock._moments, []
 
         def spy(coeffs, energies, ts, shift):
-            # |c_n| > 0 up to N at these r, so a row's nonzero count is its N + 1.
-            held.append(sorted({int(np.count_nonzero(row)) - 1 for row in coeffs}))
+            # |c_n| > 0 up to N at these r, so a row's nonzero count is N + 1.
+            lengths = {int(np.count_nonzero(row)) for row in coeffs}
+            held.append((energies.size - 1, ts.size, lengths))
+            assert lengths == {energies.size}
             return real(coeffs, energies, ts, shift)
 
         with monkeypatch.context() as mp:
             mp.setattr(fock, "_moments", spy)
             integrals, overlaps, cutoffs = fock._evolution("phase", rs, h, ts, **route)
-        assert [42, 45, 47] in held
-        assert [327, 331, 333, 335, 337, 339] in held
-        assert sorted(N for block in held for N in block) == sorted(cutoffs.tolist())
+        # The rows whose smallest cutoffs are 42, 45 and 47 share N = 48, and
+        # the six at r = 2 (smallest 327 .. 339) one row of moduli at N = 341.
+        assert (48, 3, {49}) in held and (341, 6, {342}) in held
+        assert sorted(N for N, rows, _ in held for _ in range(rows)) == sorted(cutoffs.tolist())
         for i in range(rs.size):
             lone = fock._evolution("phase", rs[i], h, ts[i : i + 1], **route)
             assert lone[0].tobytes() == integrals[i : i + 1].tobytes()
