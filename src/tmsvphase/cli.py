@@ -126,6 +126,7 @@ class SweepSpec:
             raise ValueError("sweep bounds must be finite")
         if not self.start < self.stop:
             raise ValueError(f"start must be below stop, got [{self.start}, {self.stop}]")
+        object.__setattr__(self, "points", fock._count("points", self.points))
         if self.points < 2:
             raise ValueError(f"points must be at least 2, got {self.points}")
         for key, value in self.fixed.items():
@@ -325,14 +326,14 @@ class CheckResult:
 
 
 def _invariant(name, bound):
-    """Make a verify check from a generator of samples.
+    """Make a verify check from a generator of sample blocks.
 
     The generator gets ``(bound / _HEADROOM, max_cutoff, rng)``, the first
-    being the accuracy it asks of the Fock oracle.  It yields one sample as
-    ``(value, detail)`` or a block of them as ``(values, describe)``: a
-    float64 array and a function that formats sample i's detail, called for
-    the worst sample alone.  The check reports its worst sample against
-    ``bound``.  The first sample sets the worst and only a larger one
+    being the accuracy it asks of the Fock oracle.  It yields its samples in
+    blocks ``(values, describe)``: a 1-D float64 array and a function that
+    formats sample i's detail, called for the worst sample alone.  The check
+    reports its worst sample, a Python float, against ``bound``.  The samples
+    are read in order: the first sets the worst and only a larger one
     replaces it, so a check whose every value is 0 names its first sample.
     It fails closed: the first non-finite value becomes the worst and fails
     the check, as does a generator without samples; the generator runs to
@@ -343,24 +344,19 @@ def _invariant(name, bound):
         @functools.wraps(samples)
         def check(max_cutoff, rng):
             worst, where = 0.0, None
-            for value, detail in samples(bound / _HEADROOM, max_cutoff, rng):
-                if isinstance(value, np.ndarray):
-                    if not value.size:
-                        continue
-                    # The block's first non-finite value, else its first maximum.
-                    bad = ~np.isfinite(value)
-                    i = int((bad if bad.any() else value).argmax())
-                    value, detail = float(value[i]), functools.partial(detail, i)
+            for values, describe in samples(bound / _HEADROOM, max_cutoff, rng):
+                if not values.size:
+                    continue
+                # The block's first non-finite value, else its first maximum.
+                bad = ~np.isfinite(values)
+                i = int((bad if bad.any() else values).argmax())
                 # Also true for nan; a non-finite worst is kept.
-                if where is None or math.isfinite(worst) and not value <= worst:
-                    worst, where = value, detail
-            if where is None:
-                return CheckResult(name, False, worst, bound, "no samples")
-            if callable(where):
-                where = where()
+                if where is None or math.isfinite(worst) and not values[i] <= worst:
+                    worst, where = float(values[i]), functools.partial(describe, i)
+            detail = "no samples" if where is None else where()
             if not math.isfinite(worst):
-                where = f"non-finite sample at {where}"
-            return CheckResult(name, worst <= bound, worst, bound, where)
+                detail = f"non-finite sample at {detail}"
+            return CheckResult(name, where is not None and worst <= bound, worst, bound, detail)
 
         return check
 
@@ -447,8 +443,9 @@ def _overlap_agreement(accuracy, max_cutoff, rng):
         "mass", rs, HamiltonianParams(1.0, 0.25), wts, accuracy=accuracy,
         max_cutoff=max_cutoff, energy_shift=0.0,
     )
-    for r, wt, numeric in zip(rs.tolist(), wts.tolist(), overlaps.tolist()):
-        yield abs(numeric - phases.overlap_analytic(r, 1.0, wt)), f"r={r}, omega_t={wt:.4g}"
+    rs, wts, overlaps = rs.tolist(), wts.tolist(), overlaps.tolist()
+    gaps = [abs(z - phases.overlap_analytic(r, 1.0, wt)) for r, wt, z in zip(rs, wts, overlaps)]
+    yield np.array(gaps), lambda i: f"r={rs[i]}, omega_t={wts[i]:.4g}"
 
 
 @_invariant("geometric-phase-agreement", SWEEP_PHASE_BOUND)
@@ -457,29 +454,29 @@ def _phase_agreement(accuracy, max_cutoff, rng):
     for r in _R_GRID:
         spec = SweepSpec("omega_t", 0.0, TAU, 63, {"r": r, "phi": 0.4, "epsilon": 0.25})
         headers, table = sweep_rows(spec, max_cutoff)
-        for wt, gap in table[:, [0, headers.index("abs_error")]].tolist():
-            yield gap, f"r={r}, omega_t={wt:.4g}"
+        yield table[:, headers.index("abs_error")], (
+            lambda i, r=r, wts=table[:, 0].tolist(): f"r={r}, omega_t={wts[i]:.4g}"
+        )
 
 
 @_invariant("dynamical-quadrature", 1e-10)
 def _dynamical_quadrature(accuracy, max_cutoff, rng):
     omega, grid, r_grid = 1.3, (0.3, math.pi / 4, 1.0, math.pi, TAU), (0.1, 0.5, 1.0, 1.5)
+    fractions = (0.0, 0.37, 0.9)
     rs, wts = np.repeat(r_grid, len(grid)), np.tile(grid, len(r_grid))
     ts = wts / omega
-    # One grid call per epsilon, then the samples in (r, t) order.
-    integrals = {
-        eps_frac: fock.dynamical_integral(
-            rs, 0.2, HamiltonianParams(omega, eps_frac * omega), ts,
-            accuracy=accuracy, max_cutoff=max_cutoff,
-        ).tolist()
-        for eps_frac in (0.0, 0.37, 0.9)
-    }
-    for i, (r, wt, t) in enumerate(zip(rs.tolist(), wts.tolist(), ts.tolist())):
-        expected = phases.dynamical_term(r, omega, t)
-        results = [values[i] for values in integrals.values()]
-        for eps_frac, got in zip(integrals, results):
-            yield abs(got - expected), f"r={r}, omega_t={wt:.4g}, eps={eps_frac}*Omega"
-        yield max(results) - min(results), f"r={r}, omega_t={wt:.4g} (eps spread)"
+    # One grid call per epsilon, a column each.
+    integrals = np.stack([
+        fock.dynamical_integral(rs, 0.2, HamiltonianParams(omega, eps_frac * omega), ts,
+                                accuracy=accuracy, max_cutoff=max_cutoff)
+        for eps_frac in fractions
+    ], axis=1)
+    rs, wts = rs.tolist(), wts.tolist()
+    expected = np.array([phases.dynamical_term(r, omega, t) for r, t in zip(rs, ts.tolist())])
+    # Per (r, t) sample, its gap at each epsilon and then their spread.
+    samples = np.column_stack([abs(integrals - expected[:, None]), np.ptp(integrals, axis=1)])
+    labels = [f", eps={eps_frac}*Omega" for eps_frac in fractions] + [" (eps spread)"]
+    yield samples.ravel(), lambda i: f"r={rs[i // 4]}, omega_t={wts[i // 4]:.4g}" + labels[i % 4]
 
 
 @_invariant("gauge-invariance", 1e-10)
@@ -489,20 +486,22 @@ def _gauge_invariance(accuracy, max_cutoff, rng):
     reference, *shifted = (
         fock.geometric_phase_numeric(rs, 0.2, HamiltonianParams(1.0, 0.1), wts,
                                      accuracy=accuracy, max_cutoff=max_cutoff,
-                                     energy_shift=shift).tolist()
+                                     energy_shift=shift)
         for shift in (0.0,) + shifts
     )
-    for i, (r, wt) in enumerate(zip(rs.tolist(), wts.tolist())):
-        for shift, values in zip(shifts, shifted):
-            yield circle_distance(values[i], reference[i]), (
-                f"r={r}, omega_t={wt:.4g}, shift={shift}"
-            )
+    # Per (r, omega_t) sample, its distance at each shift.
+    distances = circle_distance(np.stack(shifted, axis=1), reference[:, None])
+    rs, wts = rs.tolist(), wts.tolist()
+    yield distances.ravel(), lambda i: (
+        f"r={rs[i // 3]}, omega_t={wts[i // 3]:.4g}, shift={shifts[i % 3]}"
+    )
 
 
 @_invariant("evolution-reparameterization", 1e-14)
 def _evolution_reparameterization(accuracy, max_cutoff, rng):
     omega = 1.3
     h = HamiltonianParams(omega, 0.4)
+    diffs, grid = [], []
     for r in (0.3, 1.0, 2.0):
         N = fock.cutoff_for("mass", r, accuracy, max_cutoff=max_cutoff)
         for phi in (0.0, 1.1):
@@ -510,39 +509,43 @@ def _evolution_reparameterization(accuracy, max_cutoff, rng):
             for wt in (0.7, 3.1, TAU):
                 evolved = fock.evolve(initial, h, wt / omega)
                 target = fock.schmidt_state(r, phi - wt, N)
-                diff = float(np.abs(evolved.coeffs - target.coeffs).max())
-                yield diff, f"r={r}, phi={phi}, omega_t={wt:.4g}"
+                diffs.append(float(np.abs(evolved.coeffs - target.coeffs).max()))
+                grid.append((r, phi, wt))
+    yield np.array(diffs), lambda i: "r={}, phi={}, omega_t={:.4g}".format(*grid[i])
 
 
 @_invariant("exponentiation-agreement", 1e-10)
 def _exponentiation_agreement(accuracy, max_cutoff, rng):
-    for r in (0.5, 1.0, 2.0):
+    rs, cutoffs, gaps = (0.5, 1.0, 2.0), [], []
+    for r in rs:
         N = fock.cutoff_for("expm", r, accuracy, max_cutoff=max_cutoff)
         try:
             brute = fock.squeeze_by_exponentiation(r, 0.3, N).coeffs
         except ExpmNotConvergedError:  # a broken exponential fails this check, not the run
             brute = np.nan
-        yield float(np.abs(brute - fock.schmidt_state(r, 0.3, N).coeffs).max()), f"r={r}, N={N}"
+        gaps.append(float(np.abs(brute - fock.schmidt_state(r, 0.3, N).coeffs).max()))
+        cutoffs.append(N)
+    yield np.array(gaps), lambda i: f"r={rs[i]}, N={cutoffs[i]}"
 
 
 @_invariant("bogoliubov-identities", 1e-6)
 def _bogoliubov_identities(accuracy, max_cutoff, rng):
-    for r in (0.25, 0.5, 1.0):
-        for eta in (0.0, 0.3, 1.1):
-            residual = fock.bogoliubov_residual(r, eta, N=12, margin=4)
-            yield residual, f"r={r}, eta={eta}, N=12, margin=4"
+    grid = [(r, eta) for r in (0.25, 0.5, 1.0) for eta in (0.0, 0.3, 1.1)]
+    residuals = [fock.bogoliubov_residual(r, eta, N=12, margin=4) for r, eta in grid]
+    yield np.array(residuals), lambda i: "r={}, eta={}, N=12, margin=4".format(*grid[i])
 
 
 @_invariant("rotation-conjugation", 1e-6)
 def _rotation_conjugation(accuracy, max_cutoff, rng):
-    for theta in (0.0, 0.9, 2.5):
-        for eps_t in (0.37, 1.9):
-            res = fock.rotation_conjugation_check(
-                0.5, 0.2, theta, eps_t, N=12, margin=4
-            )
-            detail = f"theta={theta}, eps_t={eps_t}, N=12, margin=4"
-            yield res.rotation, detail + " (rotation)"
-            yield res.modulation, detail + " (modulation)"
+    grid = [(theta, eps_t) for theta in (0.0, 0.9, 2.5) for eps_t in (0.37, 1.9)]
+    # Per (theta, eps_t), its rotation residual and then its modulation residual.
+    residuals = [
+        fock.rotation_conjugation_check(0.5, 0.2, theta, eps_t, N=12, margin=4)
+        for theta, eps_t in grid
+    ]
+    yield np.array(residuals).ravel(), lambda i: "theta={}, eps_t={}, N=12, margin=4 ({})".format(
+        *grid[i // 2], ("rotation", "modulation")[i % 2]
+    )
 
 
 @_invariant("cyclic-total-phase", 1e-10)
@@ -553,8 +556,8 @@ def _cyclic_total_phase(accuracy, max_cutoff, rng):
         "mass", np.array(_R_GRID), HamiltonianParams(1.0, 0.37), np.full(len(_R_GRID), TAU),
         accuracy=accuracy, max_cutoff=max_cutoff, energy_shift=0.0,
     )
-    for r, overlap in zip(_R_GRID, overlaps.tolist()):
-        yield abs(overlap / abs(overlap) - 1.0), f"r={r}, omega_t=2pi"
+    gaps = [abs(overlap / abs(overlap) - 1.0) for overlap in overlaps.tolist()]
+    yield np.array(gaps), lambda i: f"r={_R_GRID[i]}, omega_t=2pi"
 
 
 @_invariant("cyclic-gamma", 1e-9)
@@ -562,51 +565,46 @@ def _cyclic_gamma(accuracy, max_cutoff, rng):
     numeric = fock.geometric_phase_numeric(
         _R_GRID, 0.3, HamiltonianParams(1.0, 0.0), TAU, accuracy=accuracy, max_cutoff=max_cutoff
     )
-    for r, gamma in zip(_R_GRID, numeric.tolist()):
-        yield circle_distance(gamma, phases.cyclic_geometric_phase(r).reduced), f"r={r}"
+    reduced = np.array([phases.cyclic_geometric_phase(r).reduced for r in _R_GRID])
+    yield circle_distance(numeric, reduced), lambda i: f"r={_R_GRID[i]}"
 
 
 @_invariant("one-mode-additivity", 0.0)
 def _additivity(accuracy, max_cutoff, rng):
-    for r in np.linspace(0.0, 3.0, 31):
-        cyclic = phases.cyclic_geometric_phase(float(r))
-        defect = abs(cyclic.unreduced - 2.0 * phases.one_mode_cyclic_phase(float(r)))
-        yield defect, f"r={r:.4g}"
+    rs = np.linspace(0.0, 3.0, 31).tolist()
+    cyclic = np.array([phases.cyclic_geometric_phase(r).unreduced for r in rs])
+    one_mode = np.array([phases.one_mode_cyclic_phase(r) for r in rs])
+    yield abs(cyclic - 2.0 * one_mode), lambda i: f"r={rs[i]:.4g}"
 
 
 @_invariant("entropy-identity", 1e-12)
 def _entropy_identity(accuracy, max_cutoff, rng):
-    for r in np.linspace(0.0, 3.0, 301):
-        r = float(r)
-        gap = abs(
-            phases.entropy_from_squeeze(r)
-            - phases.entropy_from_cyclic_phase(phases.cyclic_geometric_phase(r).unreduced)
-        )
-        yield gap, f"r={r:.4g}"
+    rs = np.linspace(0.0, 3.0, 301).tolist()
+    from_r = np.array([phases.entropy_from_squeeze(r) for r in rs])
+    cyclic = [phases.cyclic_geometric_phase(r).unreduced for r in rs]
+    from_phase = np.array([phases.entropy_from_cyclic_phase(g) for g in cyclic])
+    yield abs(from_r - from_phase), lambda i: f"r={rs[i]:.4g}"
 
 
 @_invariant("entropy-numeric-agreement", 1e-10)
 def _entropy_numeric_agreement(accuracy, max_cutoff, rng):
-    for r in _R_GRID:
-        N = fock.cutoff_for("entropy", r, accuracy, max_cutoff=max_cutoff)
-        numeric = fock.entropy_numeric(fock.schmidt_state(r, 0.7, N))
-        yield abs(numeric - phases.entropy_from_squeeze(r)), f"r={r}"
+    cutoffs = [fock.cutoff_for("entropy", r, accuracy, max_cutoff=max_cutoff) for r in _R_GRID]
+    numeric = np.array([fock.entropy_numeric(fock.schmidt_state(r, 0.7, N))
+                        for r, N in zip(_R_GRID, cutoffs)])
+    closed = np.array([phases.entropy_from_squeeze(r) for r in _R_GRID])
+    yield abs(numeric - closed), lambda i: f"r={_R_GRID[i]}"
 
 
-def _entropy_curve(max_cutoff, rng):
+@_invariant("entropy-curve", 1e-12)
+def _entropy_curve(accuracy, max_cutoff, rng):
     grid = np.linspace(0.0, TAU, 1000)
     values = np.array([phases.entropy_from_cyclic_phase(float(g)) for g in grid])
-    min_slope = float(np.diff(values).min())
-    end_gap = abs(values[-1] - 0.9547712524422192)
-    worst = max(abs(values[0]), end_gap)
-    passed = worst <= 1e-12 and min_slope > 0.0
-    return CheckResult(
-        "entropy-curve",
-        passed,
-        worst,
-        1e-12,
-        f"endpoints (0, 2pi); min slope {min_slope:.3e} over 1000 points",
-    )
+    slopes = np.diff(values)
+    detail = f"endpoints (0, 2pi); min slope {slopes.min():.3e} over 1000 points"
+    # S(0) = 0 and S(2 pi), the entropy at sinh^2 r = 1/2; then each step that
+    # does not rise counts 1, so a curve not strictly increasing fails.
+    yield np.array([abs(values[0]), abs(values[-1] - 0.9547712524422192)]), lambda i: detail
+    yield (~(slopes > 0.0)).astype(np.float64), lambda i: detail
 
 
 _CHECKS: tuple[Callable, ...] = (

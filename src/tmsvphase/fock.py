@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -143,6 +144,20 @@ class SectorBlockOperator:
 class RotationResiduals(NamedTuple):
     rotation: float
     modulation: float
+
+
+def _count(name: str, value, top=math.inf, over=ValueError) -> int:
+    """A cutoff or margin read through ``operator.index``, so 3.0 is refused: a
+    ValueError below 0 or not an integer, an ``over`` above ``top``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    if value > top:
+        raise over(f"{name} {value} exceeds {top}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +256,7 @@ def _cutoffs(
     """
     if not (0.0 < accuracy < 1.0):
         raise ValueError(f"accuracy must lie in (0, 1), got {accuracy}")
-    if max_cutoff < 0:
-        raise ValueError("max_cutoff must be nonnegative")
+    max_cutoff = _count("max_cutoff", max_cutoff)
     if observable not in _OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}, not in {list(_OBSERVABLES)}")
     top = min(max_cutoff, _BRACKET_TOP)
@@ -320,8 +334,7 @@ def schmidt_state(r: float, phi: float, N: int) -> DiagonalFockState:
     """
     r = check_squeeze_factor(r)
     phi = _require_finite("phi", phi)
-    if N < 0:
-        raise ValueError("cutoff must be nonnegative")
+    N = _count("cutoff", N)
     turn = _exp2i(phi) if r < 0.0 else -_exp2i(phi)
     return DiagonalFockState(_moduli(np.array([r]), N)[0] * turn ** np.arange(N + 1))
 
@@ -356,10 +369,7 @@ def squeeze_by_exponentiation(r: float, phi: float, N: int) -> DiagonalFockState
     """
     r = check_squeeze_factor(r)
     phi = _require_finite("phi", phi)
-    if N < 0:
-        raise ValueError("cutoff must be nonnegative")
-    if N > DEFAULT_MAX_CUTOFF:
-        raise CutoffExceededError(f"cutoff {N} exceeds DEFAULT_MAX_CUTOFF={DEFAULT_MAX_CUTOFF}")
+    N = _count("cutoff", N, DEFAULT_MAX_CUTOFF, CutoffExceededError)
     rho = abs(r) * max(2 * N - 1, 1)
     terms = int(rho + 12.0 * rho ** (1 / 3)) + 30
     ratio, bessel = 0.0, [1.0] * terms  # J_k / J_{k-1}, then J_k / J_0
@@ -671,8 +681,7 @@ def _kept_slots(N: int, margin: int) -> np.ndarray:
 
     margin 0 marks the states that exist.
     """
-    if not (0 <= margin <= N):
-        raise ValueError(f"margin must lie in [0, {N}], got {margin}")
+    margin = _count("margin", margin, N)
     n_plus, n_minus = _occupations(N)
     return (n_minus >= 0) & (np.maximum(n_plus, n_minus) <= N - margin)
 
@@ -705,12 +714,7 @@ def two_mode_squeeze_operator(r: float, eta: float, N: int) -> SectorBlockOperat
     """
     r = check_squeeze_factor(r)
     eta = _require_finite("eta", eta)
-    if N < 0:
-        raise ValueError("cutoff must be nonnegative")
-    if N > FULL_SPACE_MAX_CUTOFF:
-        raise CutoffExceededError(
-            f"full-space cutoff {N} exceeds FULL_SPACE_MAX_CUTOFF={FULL_SPACE_MAX_CUTOFF}"
-        )
+    N = _count("full-space cutoff", N, FULL_SPACE_MAX_CUTOFF, CutoffExceededError)
     n, n_minus = _occupations(N)
     exists = _kept_slots(N, 0)
     roots = np.sqrt(n.astype(np.float64))
@@ -763,8 +767,6 @@ def bogoliubov_residual(r: float, eta: float, N: int, margin: int) -> float:
     holds, order one when it does not).  At margin = 0 the edge rows
     dominate and the residual is large.
     """
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
     squeeze = two_mode_squeeze_operator(r, eta, N)
     kept = _kept_slots(N, margin)
     cosh_r, sinh_r = math.cosh(r), math.sinh(r)

@@ -113,6 +113,8 @@ class TestSweepSpecValidation:
             dict(variable="r", start=1.0, stop=1.0, points=5),
             dict(variable="r", start=2.0, stop=1.0, points=5),
             dict(variable="r", start=0.0, stop=1.0, points=1),
+            dict(variable="r", start=0.0, stop=1.0, points=2.5),
+            dict(variable="r", start=0.0, stop=1.0, points=3.0),
             dict(variable="r", start=float("inf"), stop=1.0, points=5),
             dict(variable="omega_t", start=0.0, stop=1.0, points=3,
                  fixed={"omega": 2.0}),
@@ -121,6 +123,14 @@ class TestSweepSpecValidation:
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(ValueError):
             SweepSpec(**kwargs)
+
+    def test_numpy_points_become_an_int(self):
+        # An int, so that a JSON sweep can print its spec.
+        spec = SweepSpec("gamma_c", 0.0, 1.0, np.int64(3))
+        assert type(spec.points) is int
+        out = io.StringIO()
+        assert cmd_sweep(spec, fmt="json", stream=out) == 0
+        assert json.loads(out.getvalue())["spec"]["points"] == 3
 
 
 class TestSweepGammaC:
@@ -839,8 +849,7 @@ class TestMainEntry:
         # sample at all fails its line, which still prints, and verify exits 1.
         @cli._invariant("probe", 1e-9)
         def probe(accuracy, max_cutoff, rng):
-            for k, value in enumerate(values):
-                yield value, f"sample {k}"
+            yield np.array(values, dtype=np.float64), "sample {}".format
 
         monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS + (probe,))
         assert main(["verify"]) == 1
@@ -855,8 +864,7 @@ class TestMainEntry:
         # A worst of 0 is the first sample's, so the line names where it is.
         @cli._invariant("probe", 0.0)
         def probe(accuracy, max_cutoff, rng):
-            for k in range(3):
-                yield 0.0, f"sample {k}"
+            yield np.zeros(3), "sample {}".format
 
         monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS + (probe,))
         assert main(["verify"]) == 0
@@ -892,16 +900,25 @@ class TestMainEntry:
         assert result.worst == worst or math.isnan(worst) and math.isnan(result.worst)
         assert len(described) == (detail != "no samples")
 
-    def test_blocks_and_single_samples_mix(self):
-        # The scalar pair and the block obey one rule: the first maximum wins.
-        @cli._invariant("probe", 1e-9)
-        def probe(accuracy, max_cutoff, rng):
-            yield 2e-12, "single 0"
-            yield np.array([1e-12, 2e-12, 3e-12]), "block sample {}".format
-            yield 3e-12, "single 1"
+    @pytest.fixture
+    def dipping_curve(self, monkeypatch):
+        # Both endpoints stay within 2e-16 of S: only the slope condition fails.
+        real = phases.entropy_from_cyclic_phase
+        monkeypatch.setattr(phases, "entropy_from_cyclic_phase",
+                            lambda g: real(g) - 0.5 * math.sin(g))
 
-        result = probe(fock.DEFAULT_MAX_CUTOFF, None)
-        assert (result.worst, result.detail, result.passed) == (3e-12, "block sample 2", True)
+    def test_entropy_curve_fails_on_a_dip_alone(self, dipping_curve):
+        result = cli._entropy_curve(fock.DEFAULT_MAX_CUTOFF, random.Random(0))
+        assert not result.passed
+        assert "min slope -2.595e-03" in result.detail
+
+    def test_entropy_curve_dip_is_its_worst(self, dipping_curve, capsys):
+        # A step that does not rise is a sample of 1, so the FAIL line's
+        # worst, not a hidden condition, explains the verdict.
+        assert main(["verify"]) == 1
+        line = capsys.readouterr().out.splitlines()[16]
+        assert line.split()[:6] == [
+            "FAIL", "entropy-curve", "worst", "1", "bound", format_number(1e-12)]
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -534,6 +534,40 @@ class TestModuli:
         assert (np.abs(got - powers) <= 2 * (n + 1) * np.finfo(float).eps * np.abs(powers)).all()
 
 
+# Each oracle entry point with one integer argument left open, by that argument.
+_INTEGER_ARGUMENTS = {
+    "schmidt_state-N": lambda n: schmidt_state(1.0, 0.0, n),
+    "squeeze_by_exponentiation-N": lambda n: squeeze_by_exponentiation(1.0, 0.0, n),
+    "two_mode_squeeze_operator-N": lambda n: two_mode_squeeze_operator(1.0, 0.0, n),
+    "bogoliubov_residual-N": lambda n: bogoliubov_residual(0.5, 0.2, n, 1),
+    "bogoliubov_residual-margin": lambda m: bogoliubov_residual(0.5, 0.2, 12, m),
+    "rotation_conjugation_check-N": lambda n: rotation_conjugation_check(0.5, 0.2, 0.9, 0.4, n, 1),
+    "rotation_conjugation_check-margin": lambda m: rotation_conjugation_check(
+        0.5, 0.2, 0.9, 0.4, 12, m),
+    "cutoff_for-max_cutoff": lambda n: cutoff_for("mass", 0.01, 1e-9, max_cutoff=n),
+}
+
+
+class TestIntegerArguments:
+    """Cutoffs and margins are read through operator.index, as one validator does."""
+
+    @pytest.mark.parametrize("call", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS)
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), -1, "3", None])
+    def test_rejects_non_integers(self, call, value):
+        # A float is not rounded, nor does it end in an IndexError or TypeError.
+        with pytest.raises(ValueError):
+            call(value)
+
+    @pytest.mark.parametrize("call", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS)
+    def test_numpy_integers_keep_working(self, call):
+        def plain(result):  # a state's or an operator's array, else the result
+            return np.asarray(getattr(result, "coeffs", getattr(result, "stack", result)))
+
+        expected = plain(call(4))
+        for value in (np.int64(4), np.int32(4)):
+            assert np.array_equal(plain(call(value)), expected)
+
+
 class TestStateValidation:
     def test_rejects_over_normalized(self):
         with pytest.raises(ValueError):
