@@ -53,8 +53,8 @@ _DEG = 180.0 / math.pi
 # which prints 0 as "0", or scientific notation with 12 digits.
 _FORMATS = ("%.12g", "%.11e")
 
-# Rows per chunk of a sweep table: its closed forms are written and its CSV
-# formatted this many rows at a time, so that no list or string holds the table.
+# Rows per chunk of a sweep table's CSV, formatted and written this many rows
+# at a time, so that no list or string holds the table.
 _CHUNK_ROWS = 1024
 
 
@@ -122,18 +122,24 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in ("r", "omega_t", "gamma_c"):
             raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        # Python floats and an int, which a JSON sweep prints as given.
+        start, stop = float(self.start), float(self.stop)
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("sweep bounds must be finite")
-        if not self.start < self.stop:
-            raise ValueError(f"start must be below stop, got [{self.start}, {self.stop}]")
-        object.__setattr__(self, "points", fock._count("points", self.points))
-        if self.points < 2:
-            raise ValueError(f"points must be at least 2, got {self.points}")
+        if not start < stop:
+            raise ValueError(f"start must be below stop, got [{start}, {stop}]")
+        points = fock._count("points", self.points)
+        if points < 2:
+            raise ValueError(f"points must be at least 2, got {points}")
+        fixed = {}
         for key, value in self.fixed.items():
             if key not in _SWEEP_DEFAULTS:
                 raise ValueError(f"unknown fixed parameter {key!r}")
-            if not math.isfinite(float(value)):
+            fixed[key] = float(value)
+            if not math.isfinite(fixed[key]):
                 raise ValueError(f"fixed parameter {key} must be finite")
+        for name, value in (("start", start), ("stop", stop), ("points", points), ("fixed", fixed)):
+            object.__setattr__(self, name, value)
 
 
 # Output columns of each sweep in order, each flagged True when it is an
@@ -160,11 +166,12 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     sweep asks the oracle for all its (r, t) rows in one call, each row
     evolved to t alone (its delta is t <H>_0, which verify's
     ``dynamical-quadrature`` holds to 2 Omega t sinh^2 r).  The closed-form
-    columns are the scalar API's own kernels in ``phases``, called once per
-    column group on _CHUNK_ROWS rows at a time, so every cell is bit for bit
+    columns are the scalar API's own kernels in ``phases``, each column group
+    one call over the whole grid, so every cell is bit for bit
     ``phases.geometric_phase``, ``cyclic_geometric_phase`` or
-    ``entropy_from_*`` at its row.  The oracle has validated r and t by
-    then; a gamma_c grid rises from its first row, whose check holds for all.
+    ``entropy_from_*`` at its row; the columns are then stacked.  The oracle
+    has validated r and t by then; a gamma_c grid rises from its first row,
+    whose check holds for all.
 
     Before the oracle runs, PrecisionExceededError refuses a table with a
     row whose cond eps exceeds SWEEP_PHASE_BOUND.  cond = delta + 2 Omega t r
@@ -184,9 +191,9 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
         # nan and passes, to end in the oracle's usage error; rows with r > 0 fail.
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.variable == "omega_t":
-                rs, ts = np.full(grid.size, float(fx["r"])), grid / fx["Omega"]
+                rs, ts = np.full(grid.size, fx["r"]), grid / fx["Omega"]
             else:
-                rs, ts = grid, np.full(grid.size, float(fx["t"]))
+                rs, ts = grid, np.full(grid.size, fx["t"])
             over = np.flatnonzero(
                 (2.0 * fx["Omega"] * ts * (np.sinh(rs) ** 2 + rs * np.sinh(2.0 * rs)) + 1.0)
                 * np.finfo(np.float64).eps > SWEEP_PHASE_BOUND
@@ -198,25 +205,18 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
                     f"{SWEEP_PHASE_BOUND:.1e}"
                 )
         numeric = fock.geometric_phase_numeric(
-            rs, fx["phi"], h, ts, accuracy=SWEEP_PHASE_BOUND / _HEADROOM,
-            max_cutoff=max_cutoff,
+            rs, h, ts, accuracy=SWEEP_PHASE_BOUND / _HEADROOM, max_cutoff=max_cutoff,
         )
-    # Allocated only now, so the table is not held while the oracle runs.
-    table = np.empty((grid.size, len(headers)))
-    for start in range(0, grid.size, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        if spec.variable == "gamma_c":
-            columns = (grid[rows], phases._cyclic_entropy(grid[rows]))
-        else:
-            sinh2 = phases._sinh2(rs[rows])
-            overlap, total, delta, gamma, _ = phases._phase_row(sinh2, h.Omega, ts[rows])
-            columns = (grid[rows], overlap.real, overlap.imag, total, delta, gamma,
-                       numeric[rows], circle_distance(numeric[rows], gamma))
-        if spec.variable == "r":
-            columns += (*phases._cyclic_phase(sinh2), phases._entropy(sinh2))
-        for j, column in enumerate(columns):
-            table[rows, j] = column
-    return headers, table
+    if spec.variable == "gamma_c":
+        columns = (grid, phases._cyclic_entropy(grid))
+    else:
+        sinh2 = phases._sinh2(rs)
+        overlap, total, delta, gamma, _ = phases._phase_row(sinh2, h.Omega, ts)
+        columns = (grid, overlap.real, overlap.imag, total, delta, gamma,
+                   numeric, circle_distance(numeric, gamma))
+    if spec.variable == "r":
+        columns += (*phases._cyclic_phase(sinh2), phases._entropy(sinh2))
+    return headers, np.column_stack(columns)
 
 
 def cmd_sweep(
@@ -467,7 +467,7 @@ def _dynamical_quadrature(accuracy, max_cutoff, rng):
     ts = wts / omega
     # One grid call per epsilon, a column each.
     integrals = np.stack([
-        fock.dynamical_integral(rs, 0.2, HamiltonianParams(omega, eps_frac * omega), ts,
+        fock.dynamical_integral(rs, HamiltonianParams(omega, eps_frac * omega), ts,
                                 accuracy=accuracy, max_cutoff=max_cutoff)
         for eps_frac in fractions
     ], axis=1)
@@ -484,7 +484,7 @@ def _gauge_invariance(accuracy, max_cutoff, rng):
     grid, r_grid, shifts = (math.pi / 4, 1.7, TAU), (0.5, 1.0, 1.5), (-2.0, 0.7, 5.0)
     rs, wts = np.repeat(r_grid, len(grid)), np.tile(grid, len(r_grid))
     reference, *shifted = (
-        fock.geometric_phase_numeric(rs, 0.2, HamiltonianParams(1.0, 0.1), wts,
+        fock.geometric_phase_numeric(rs, HamiltonianParams(1.0, 0.1), wts,
                                      accuracy=accuracy, max_cutoff=max_cutoff,
                                      energy_shift=shift)
         for shift in (0.0,) + shifts
@@ -563,7 +563,7 @@ def _cyclic_total_phase(accuracy, max_cutoff, rng):
 @_invariant("cyclic-gamma", 1e-9)
 def _cyclic_gamma(accuracy, max_cutoff, rng):
     numeric = fock.geometric_phase_numeric(
-        _R_GRID, 0.3, HamiltonianParams(1.0, 0.0), TAU, accuracy=accuracy, max_cutoff=max_cutoff
+        _R_GRID, HamiltonianParams(1.0, 0.0), TAU, accuracy=accuracy, max_cutoff=max_cutoff
     )
     reduced = np.array([phases.cyclic_geometric_phase(r).reduced for r in _R_GRID])
     yield circle_distance(numeric, reduced), lambda i: f"r={_R_GRID[i]}"
@@ -718,19 +718,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code, with stdout and stderr flushed.
+
+    A reader that closes stdout early, as ``| head`` does, gets exit code 3,
+    and stdout goes to /dev/null.
+    """
     try:
-        try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
-            code = int(exc.code or 0)
-        else:
-            code = _run(args)
+        code = _run(argv)
         # Output still buffered would meet a closed pipe only at exit.
-        if sys.stdout is not None:
-            sys.stdout.flush()
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None if the fd was closed
+            stream.flush()
         return code
     except BrokenPipeError:
-        return _stdout_closed()
+        # Later flushes of what stdout still buffers must not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("BROKEN_PIPE: stdout was closed before the output ended", file=sys.stderr, flush=True)
+        return 3
+
+
+def _run(argv: list[str] | None) -> int:
+    """Parse and run one command; a typed error is one stderr line and its exit code."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return int(exc.code or 0)
+    if sys.stdout is None:  # started with descriptor 1 closed, as by >&-
+        print("BROKEN_PIPE: stdout was closed before the output began", file=sys.stderr)
+        return 3
+    try:
+        if args.command == "verify":
+            return cmd_verify(args.seed)
+        if args.command == "sweep":
+            fixed = {key: getattr(args, key) for key in _SWEEP_DEFAULTS}
+            spec = SweepSpec(args.variable, args.start, args.stop, args.points, fixed)
+            return cmd_sweep(spec, fmt=args.format, max_cutoff=args.max_cutoff,
+                             degrees=args.degrees)
+        prime = SqueezeParams(args.r_prime, args.phi_prime)
+        doubleprime = SqueezeParams(args.r_doubleprime, args.phi_doubleprime)
+        return cmd_decompose(prime, doubleprime, degrees=args.degrees)
     except CutoffExceededError as exc:
         print(f"CUTOFF_EXCEEDED: {exc}", file=sys.stderr)
         return 3
@@ -745,47 +770,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _run(args: argparse.Namespace) -> int:
-    """Run the parsed command; exit 3 at once if stdout has no descriptor."""
-    if sys.stdout is None:  # started with descriptor 1 closed, as by >&-
-        print("BROKEN_PIPE: stdout was closed before the output began", file=sys.stderr)
-        return 3
-    if args.command == "verify":
-        return cmd_verify(args.seed)
-    if args.command == "sweep":
-        fixed = {key: getattr(args, key) for key in _SWEEP_DEFAULTS}
-        spec = SweepSpec(args.variable, args.start, args.stop, args.points, fixed)
-        return cmd_sweep(spec, fmt=args.format, max_cutoff=args.max_cutoff,
-                         degrees=args.degrees)
-    prime = SqueezeParams(args.r_prime, args.phi_prime)
-    doubleprime = SqueezeParams(args.r_doubleprime, args.phi_doubleprime)
-    return cmd_decompose(prime, doubleprime, degrees=args.degrees)
-
-
-def _stdout_closed() -> int:
-    """Exit code 3 for a reader that left, with stdout sent to /dev/null."""
-    # Later flushes of what stdout still buffers must not fail again.
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    print("BROKEN_PIPE: stdout was closed before the output ended", file=sys.stderr)
-    return 3
-
-
 def entry(argv: list[str] | None = None) -> NoReturn:
     """The ``tmsvphase`` command: :func:`main`, then exit without interpreter teardown.
 
-    stdout and stderr are flushed here, where a closed stdout exits 3 as in
-    :func:`main`; then ``os._exit`` skips the module teardown, about 20 ms of
-    numpy's, that no command needs.  An exception escaping :func:`main`
-    takes the interpreter's own exit: its traceback and exit code 1.
-    In-process callers use :func:`main`, which returns its code.
+    :func:`main` has flushed stdout and stderr, so ``os._exit`` loses no
+    output and skips the module teardown, about 20 ms of numpy's, that no
+    command needs.  An exception escaping :func:`main` takes the
+    interpreter's own exit: its traceback and exit code 1.
     """
-    code = main(argv)
-    try:
-        for stream in filter(None, (sys.stdout, sys.stderr)):  # None if the fd was closed
-            stream.flush()
-    except BrokenPipeError:
-        code = _stdout_closed()
-    os._exit(code)
+    os._exit(main(argv))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ sqrt(N) exponentials each (:func:`_phases`), and a row's overlap is a
 contraction of those tables against a table of |c_n|^2 (:func:`_moments`),
 checked against the literal evolved state of :func:`evolve`.  Evolution
 keeps every |c_n|, so the energy integral over [0, t] is t <H>_0, and
-nothing over time depends on phi: the grid reads only the real moduli of
+no function over time takes phi: the grid reads only the real moduli of
 :func:`_moduli`.
 
 Truncation error policy: |c_n|^2 = tanh^{2n} r / cosh^2 r, so every
@@ -72,9 +72,7 @@ _EXPM_NORM_TOL = 1e-12
 # rows at N = 379, or 20 such rows when they differ in r.
 _BLOCK_ELEMENTS = 24576
 
-# Rows per chunk of a grid's cutoff bisection and per list of Python floats
-# (each row's overlap, for its phase): small arrays, and no list of a whole
-# grid, whose objects would stay resident after the call.
+# Rows per chunk of a grid's cutoff bisection: its arrays stay small.
 _CHUNK_ROWS = 1024
 
 
@@ -596,7 +594,7 @@ def _evolution(
 
 
 def dynamical_integral(
-    r: float | np.ndarray, phi: float, h: HamiltonianParams, t: float | np.ndarray,
+    r: float | np.ndarray, h: HamiltonianParams, t: float | np.ndarray,
     *, accuracy: float = 1e-10, max_cutoff: int = DEFAULT_MAX_CUTOFF, energy_shift: float = 0.0,
 ) -> float | np.ndarray:
     """Integral of <psi(tau)|H|psi(tau)> over [0, t], the dynamical term delta.
@@ -604,11 +602,10 @@ def dynamical_integral(
     Evolution preserves every |c_n|, so the integrand is constant and the
     integral is t <H>_0, from the truncated state at tau = 0; it equals
     2 Omega t sinh^2 r within ``accuracy``, the energy tail the cutoff is
-    chosen for.  ``phi``, on which nothing depends, must be finite.
+    chosen for.
 
     ``t`` and ``r`` may be 1-D arrays, as in :func:`geometric_phase_numeric`.
     """
-    _require_finite("phi", phi)
     ts, rs, scalar = _grid(t, r)
     integrals, _, _ = _evolution(
         "energy", rs, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
@@ -618,7 +615,7 @@ def dynamical_integral(
 
 
 def geometric_phase_numeric(
-    r: float | np.ndarray, phi: float, h: HamiltonianParams, t: float | np.ndarray, *,
+    r: float | np.ndarray, h: HamiltonianParams, t: float | np.ndarray, *,
     accuracy: float = 1e-10, max_cutoff: int = DEFAULT_MAX_CUTOFF, energy_shift: float = 0.0,
 ) -> float | np.ndarray:
     """Kinematic geometric phase arg<psi(0)|psi(t)> + integral, in [0, 2 pi).
@@ -630,20 +627,15 @@ def geometric_phase_numeric(
 
     ``t`` and ``r`` may be 1-D arrays of one length, or one of them a float
     that holds for every row; the result is then an array, row i bit for
-    bit the value at (r[i], t[i]) alone.  ``phi`` must be finite.
+    bit the value at (r[i], t[i]) alone.
     """
-    _require_finite("phi", phi)
     ts, rs, scalar = _grid(t, r)
     deltas, overlaps, _ = _evolution(
         "phase", rs, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
         energy_shift=energy_shift,
     )
-    # arg<psi(0)|psi(t)> and the reduction are the closed forms' own, the
-    # arg per row (a chunk at a time, so no list holds every row).
-    gammas = np.empty(ts.size)
-    for start in range(0, ts.size, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        gammas[rows] = _arg(overlaps[rows])
+    # arg<psi(0)|psi(t)> and the reduction are the closed forms' own.
+    gammas = _arg(overlaps)
     gammas = _reduce_angle(gammas + deltas)
     return float(gammas[0]) if scalar else gammas
 

@@ -41,18 +41,32 @@ from .su11 import R_MAX, _require_finite, check_squeeze_factor
 TAU = 2.0 * math.pi
 
 
+# Entries of one list of Python numbers in _per_element: no list of a whole
+# grid, whose objects would stay resident after the call.
+_LIST_ENTRIES = 1024
+
+
 def _per_element(f):
     """``f`` for floats; for float64 arrays, ``f`` of each entry, as an array.
 
-    This is the one place where floats and arrays take different code.
+    This is the one place where floats and arrays take different code.  The
+    entries go through ``f`` in lists of at most _LIST_ENTRIES Python floats,
+    into one preallocated array (float64 if there are none).
     """
     array = np.ndarray  # bound here: the scalar API pays for every lookup
 
     @functools.wraps(f)
     def each(*xs):
-        if isinstance(xs[0], array):
-            return np.array(list(map(f, *(x.tolist() for x in xs))))
-        return f(*xs)
+        if not isinstance(xs[0], array):
+            return f(*xs)
+        out = np.empty(0)
+        for start in range(0, xs[0].size, _LIST_ENTRIES):
+            rows = slice(start, start + _LIST_ENTRIES)
+            values = list(map(f, *(x[rows].tolist() for x in xs)))
+            if not start:  # the first value fixes the dtype
+                out = np.empty(xs[0].size, type(values[0]))
+            out[rows] = values
+        return out
 
     return each
 

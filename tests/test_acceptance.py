@@ -8,7 +8,8 @@ import io
 import math
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def test_criterion_2_geometric_phase_closed_form():
         for r in R_GRID:
             for wt in WT_GRID:
                 r, wt = float(r), float(wt)
-                numeric = fock.geometric_phase_numeric(r, 0.3, H_UNIT, wt)
+                numeric = fock.geometric_phase_numeric(r, H_UNIT, wt)
                 # closed form: gamma = Wt cosh 2r + arg(cos Wt - i sin Wt cosh 2r)
                 c2r = math.cosh(2.0 * r)
                 closed = wt * c2r + math.atan2(-math.sin(wt) * c2r, math.cos(wt))
@@ -77,7 +78,7 @@ def test_criterion_3_cyclic_phase():
             overlap = complex(overlap)
             assert abs(overlap / abs(overlap) - 1.0) <= 1e-10
             numeric = fock.geometric_phase_numeric(
-                r, 0.3, H_UNIT, TAU, accuracy=1e-10
+                r, H_UNIT, TAU, accuracy=1e-10
             )
             expected = (4.0 * math.pi * math.sinh(r) ** 2) % TAU
             assert circle_distance(numeric, expected) <= 1e-9
@@ -94,13 +95,13 @@ def test_criterion_4_dynamical_term():
                 t = wt / omega
                 expected = 2.0 * omega * t * math.sinh(r) ** 2
                 got = fock.dynamical_integral(
-                    r, 0.1, HamiltonianParams(omega, 0.0), t, accuracy=1e-11,
+                    r, HamiltonianParams(omega, 0.0), t, accuracy=1e-11,
                 )
                 assert abs(got - expected) <= 1e-10
                 # three epsilon values: the term cancels arithmetically
                 for eps in (0.2, 0.37, -0.9):
                     assert got == fock.dynamical_integral(
-                        r, 0.1, HamiltonianParams(omega, eps * omega), t, accuracy=1e-11,
+                        r, HamiltonianParams(omega, eps * omega), t, accuracy=1e-11,
                     )
 
 
@@ -177,10 +178,10 @@ def test_criterion_8_gauge_invariance():
     with criterion(8, "geometric phase unchanged under H -> H + c to 1e-10"):
         for r in (0.5, 1.0, 1.5):
             for wt in (math.pi / 4, 1.7, TAU):
-                reference = fock.geometric_phase_numeric(r, 0.2, H_UNIT, wt)
+                reference = fock.geometric_phase_numeric(r, H_UNIT, wt)
                 for shift in (-2.0, 0.7, 5.0):
                     shifted = fock.geometric_phase_numeric(
-                        r, 0.2, H_UNIT, wt, energy_shift=shift
+                        r, H_UNIT, wt, energy_shift=shift
                     )
                     assert circle_distance(shifted, reference) <= 1e-10
 
@@ -201,3 +202,18 @@ def test_criterion_9_cli_verify_and_determinism():
             assert cmd_sweep(spec, fmt="csv", stream=out) == 0
             runs.append(out.getvalue())
         assert runs[0] == runs[1]
+
+
+def test_readme_library_use():
+    with criterion("README", "the Library use block runs as written; oracle within 1e-10"):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library use\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        out = io.StringIO()
+        scope = {}
+        with redirect_stdout(out):
+            exec(compile(code, "README.md", "exec"), scope)
+        closed, numeric = out.getvalue().splitlines()
+        assert closed == "1.643820429753291"
+        assert abs(float(numeric) - float(closed)) <= 1e-10
+        assert scope["gammas"].shape == scope["rs"].shape == (1000,)

@@ -132,6 +132,20 @@ class TestSweepSpecValidation:
         assert cmd_sweep(spec, fmt="json", stream=out) == 0
         assert json.loads(out.getvalue())["spec"]["points"] == 3
 
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("gamma_c", np.float32(0.0), 1.0, 3),
+        SweepSpec("omega_t", 0.0, np.float32(1.0), 3, {"r": np.float32(0.5)}),
+    ], ids=["bound", "fixed"])
+    def test_numpy_floats_become_python_floats(self, spec):
+        # Python floats, so that a JSON sweep can print its spec.
+        assert type(spec.start) is type(spec.stop) is float
+        assert all(type(value) is float for value in spec.fixed.values())
+        out = io.StringIO()
+        assert cmd_sweep(spec, fmt="json", stream=out) == 0
+        printed = json.loads(out.getvalue())["spec"]
+        assert (printed["start"], printed["stop"], printed["fixed"]) == (
+            spec.start, spec.stop, spec.fixed)
+
 
 class TestSweepGammaC:
     def run(self, points=101):
@@ -1141,8 +1155,8 @@ class TestMainEntry:
 class TestEntry:
     """``cli.entry``, the ``tmsvphase`` command and ``python -m tmsvphase.cli``.
 
-    It flushes stdout and stderr itself and ends the process by
-    ``os._exit``, so each test runs it in a subprocess with buffered
+    :func:`cli.main` flushes stdout and stderr and ``entry`` ends the process
+    by ``os._exit``, so each test runs it in a subprocess with buffered
     output (no PYTHONUNBUFFERED) and reads what reached the pipes.
     """
 

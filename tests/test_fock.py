@@ -1,5 +1,6 @@
 """Tests for the truncated Fock-space oracle."""
 
+import inspect
 import math
 import subprocess
 import sys
@@ -143,11 +144,11 @@ def _observed_error(observable, r, wt, N, accuracy):
         return abs(overlap - phases.overlap_analytic(r, 1.0, wt)), 1.0
     if observable == "energy":
         exact = 2.0 * wt * math.sinh(r) ** 2
-        got = dynamical_integral(r, 0.3, H_UNIT, wt, accuracy=accuracy)
+        got = dynamical_integral(r, H_UNIT, wt, accuracy=accuracy)
         return abs(got - exact), exact
     if observable == "phase":
         breakdown = phases.geometric_phase(r, 1.0, wt)
-        got = geometric_phase_numeric(r, 0.3, H_UNIT, wt, accuracy=accuracy)
+        got = geometric_phase_numeric(r, H_UNIT, wt, accuracy=accuracy)
         scale = breakdown.dynamical_term_delta + 1.0
         return circle_distance(got, breakdown.geometric_phase), scale
     if observable == "entropy":
@@ -351,7 +352,7 @@ class TestCutoffGrids:
         ts = wts / 2.0
         ts[1500] = 1e308 if bad == math.inf else bad / 2.0
         with pytest.raises(ValueError) as oracle:
-            geometric_phase_numeric(1.0, 0.3, HamiltonianParams(2.0, 0.0), ts, accuracy=1e-9)
+            geometric_phase_numeric(1.0, HamiltonianParams(2.0, 0.0), ts, accuracy=1e-9)
         assert str(oracle.value) == str(alone.value)
 
     @pytest.mark.parametrize("r_bad,error", [
@@ -508,8 +509,8 @@ class TestModuli:
         # eps n-bar (1 + n-bar), and delta at r = 5 by several times 1e-8.
         wts = np.array([0.3, 1.0, 2.5, TAU])
         route = dict(accuracy=accuracy, max_cutoff=2**18)
-        gammas = geometric_phase_numeric(r, 0.3, H_UNIT, wts, **route).tolist()
-        deltas = dynamical_integral(r, 0.3, H_UNIT, wts, **route).tolist()
+        gammas = geometric_phase_numeric(r, H_UNIT, wts, **route).tolist()
+        deltas = dynamical_integral(r, H_UNIT, wts, **route).tolist()
         with mpmath.workdps(40):
             sinh2, cosh2 = mpmath.sinh(mpmath.mpf(r)) ** 2, mpmath.cosh(mpmath.mpf(r)) ** 2
             for wt, gamma, delta in zip(wts.tolist(), gammas, deltas):
@@ -1087,29 +1088,37 @@ def _per_row(rs, t):
 
 class TestDynamicalIntegral:
     def test_vacuum(self):
-        assert dynamical_integral(0.0, 0.0, H_UNIT, 3.0) == 0.0
+        assert dynamical_integral(0.0, H_UNIT, 3.0) == 0.0
 
     def test_quarter_period_frozen(self):
-        got = dynamical_integral(1.0, 0.0, H_UNIT, math.pi / 4)
+        got = dynamical_integral(1.0, H_UNIT, math.pi / 4)
         assert abs(got - DELTA_QUARTER) < 1e-9
 
     def test_epsilon_cancels_bit_for_bit(self):
-        base = dynamical_integral(1.0, 0.2, HamiltonianParams(1.0, 0.0), 1.8)
+        base = dynamical_integral(1.0, HamiltonianParams(1.0, 0.0), 1.8)
         for eps in (0.37, -0.9):
-            got = dynamical_integral(1.0, 0.2, HamiltonianParams(1.0, eps), 1.8)
+            got = dynamical_integral(1.0, HamiltonianParams(1.0, eps), 1.8)
             assert got == base
 
     def test_matches_formula_at_tight_tolerance(self):
         for r in (0.1, 0.5, 1.0, 1.5, 2.0):
             for wt in (0.3, math.pi / 4, TAU):
-                got = dynamical_integral(r, 0.1, H_UNIT, wt, accuracy=1e-11)
+                got = dynamical_integral(r, H_UNIT, wt, accuracy=1e-11)
                 assert abs(got - 2.0 * wt * math.sinh(r) ** 2) < 1e-10
 
     @pytest.mark.parametrize("oracle", [dynamical_integral, geometric_phase_numeric])
     def test_steps_is_not_a_parameter(self, oracle):
         # The integrand is constant: there is no quadrature to refine.
         with pytest.raises(TypeError):
-            oracle(1.0, 0.0, H_UNIT, 1.0, steps=16)
+            oracle(1.0, H_UNIT, 1.0, steps=16)
+
+    @pytest.mark.parametrize("oracle", [dynamical_integral, geometric_phase_numeric])
+    def test_phi_is_not_a_parameter(self, oracle):
+        # Nothing over time depends on phi: the oracle reads only the moduli.
+        assert list(inspect.signature(oracle).parameters)[:3] == ["r", "h", "t"]
+        assert "phi" not in inspect.signature(oracle).parameters
+        with pytest.raises(TypeError):
+            oracle(1.0, 0.3, H_UNIT, 1.0)
 
     @pytest.mark.parametrize("taus", [1, 4, 200])
     @pytest.mark.parametrize("shift", [0.0, -2.3])
@@ -1134,13 +1143,13 @@ class TestDynamicalIntegral:
     )
     def test_grid_equals_per_point_bit_for_bit(self, r, omega, eps_frac, shift, ts):
         h = HamiltonianParams(omega, eps_frac * omega)
-        got = dynamical_integral(r, 0.2, h, np.array(ts), energy_shift=shift)
+        got = dynamical_integral(r, h, np.array(ts), energy_shift=shift)
         want = []
         for t in ts:
             N = _padded(cutoff_for("energy", r, 1e-10, t=h.Omega * t))
             want.append(_energy_integral_per_point(_schmidt_moduli(r, N), h, t, shift))
         assert got.tolist() == want
-        scalar = dynamical_integral(r, 0.2, h, ts[0], energy_shift=shift)
+        scalar = dynamical_integral(r, h, ts[0], energy_shift=shift)
         assert isinstance(scalar, float) and scalar == want[0]
 
     @settings(deadline=None, max_examples=40)
@@ -1154,9 +1163,9 @@ class TestDynamicalIntegral:
         rs, t = rows
         h = HamiltonianParams(omega, eps_frac * omega)
         route = dict(energy_shift=shift, accuracy=1e-10)
-        got = dynamical_integral(np.array(rs), 0.2, h, np.asarray(t), **route)
+        got = dynamical_integral(np.array(rs), h, np.asarray(t), **route)
         pairs = _per_row(rs, t)
-        assert got.tolist() == [dynamical_integral(r, 0.2, h, t, **route) for r, t in pairs]
+        assert got.tolist() == [dynamical_integral(r, h, t, **route) for r, t in pairs]
         _, _, cutoffs = fock._evolution(
             "energy", np.array(rs), h, np.array([t for _, t in pairs]),
             max_cutoff=fock.DEFAULT_MAX_CUTOFF, **route,
@@ -1166,44 +1175,44 @@ class TestDynamicalIntegral:
         ]
 
     def test_grid_shapes(self):
-        assert dynamical_integral(1.0, 0.0, H_UNIT, np.array([])).shape == (0,)
+        assert dynamical_integral(1.0, H_UNIT, np.array([])).shape == (0,)
         with pytest.raises(ValueError):
-            dynamical_integral(1.0, 0.0, H_UNIT, np.ones((2, 2)))
+            dynamical_integral(1.0, H_UNIT, np.ones((2, 2)))
         with pytest.raises(ValueError, match="nonnegative"):
-            dynamical_integral(1.0, 0.0, H_UNIT, [0.5, -0.1])
-        assert dynamical_integral([0.5, 1.0], 0.0, H_UNIT, 1.0).shape == (2,)
+            dynamical_integral(1.0, H_UNIT, [0.5, -0.1])
+        assert dynamical_integral([0.5, 1.0], H_UNIT, 1.0).shape == (2,)
         with pytest.raises(ValueError):
-            dynamical_integral(np.ones((2, 2)), 0.0, H_UNIT, 1.0)
+            dynamical_integral(np.ones((2, 2)), H_UNIT, 1.0)
         with pytest.raises(ValueError):
-            dynamical_integral([0.5, 1.0, 1.5], 0.0, H_UNIT, [0.5, 1.0])
+            dynamical_integral([0.5, 1.0, 1.5], H_UNIT, [0.5, 1.0])
 
 
 class TestGeometricPhaseNumeric:
     def test_vacuum(self):
-        assert geometric_phase_numeric(0.0, 0.0, H_UNIT, 4.2) == 0.0
+        assert geometric_phase_numeric(0.0, H_UNIT, 4.2) == 0.0
 
     def test_quarter_period(self):
-        got = geometric_phase_numeric(1.0, 0.0, H_UNIT, math.pi / 4)
+        got = geometric_phase_numeric(1.0, H_UNIT, math.pi / 4)
         assert circle_distance(got, GAMMA_QUARTER) < 1e-8
 
     def test_full_cycle(self):
-        got = geometric_phase_numeric(1.0, 0.0, H_UNIT, TAU, accuracy=1e-10)
+        got = geometric_phase_numeric(1.0, H_UNIT, TAU, accuracy=1e-10)
         assert circle_distance(got, GAMMA_CYCLE_REDUCED) < 1e-9
 
     def test_agrees_with_analytic_on_grid(self):
         for r in (0.1, 0.5, 1.0, 1.5, 2.0):
             for wt in np.linspace(0.0, TAU, 21):
-                numeric = geometric_phase_numeric(r, 0.4, H_UNIT, float(wt))
+                numeric = geometric_phase_numeric(r, H_UNIT, float(wt))
                 analytic = phases.geometric_phase(r, 1.0, float(wt)).geometric_phase
                 assert circle_distance(numeric, analytic) < 1e-8
 
     def test_gauge_invariance(self):
         for r in (0.5, 1.0, 1.5):
             for wt in (math.pi / 4, 1.7, TAU):
-                reference = geometric_phase_numeric(r, 0.2, H_UNIT, wt)
+                reference = geometric_phase_numeric(r, H_UNIT, wt)
                 for shift in (-2.0, 0.7, 5.0):
                     shifted = geometric_phase_numeric(
-                        r, 0.2, H_UNIT, wt, energy_shift=shift
+                        r, H_UNIT, wt, energy_shift=shift
                     )
                     assert circle_distance(shifted, reference) < 1e-10
 
@@ -1217,8 +1226,8 @@ class TestGeometricPhaseNumeric:
         assert circle_distance(
             float(np.angle(shifted)), float(np.angle(plain)) - c * t
         ) < 1e-12
-        d_plain = dynamical_integral(r, 0.0, H_UNIT, t)
-        d_shift = dynamical_integral(r, 0.0, H_UNIT, t, energy_shift=c)
+        d_plain = dynamical_integral(r, H_UNIT, t)
+        d_shift = dynamical_integral(r, H_UNIT, t, energy_shift=c)
         assert abs((d_shift - d_plain) - c * t) < 1e-12
 
 
@@ -1298,13 +1307,12 @@ class TestGeometricPhaseGrid:
     @settings(deadline=None, max_examples=60)
     @given(
         r=st.floats(0.05, 2.5),
-        phi=st.floats(-math.pi, math.pi),
         omega=st.floats(0.5, 2.0),
         eps_frac=st.floats(-0.9, 0.9),
         shift=st.sampled_from([0.0, -2.0, 5.0]),
         ts=_t_grids(),
     )
-    def test_equals_per_point_bit_for_bit(self, r, phi, omega, eps_frac, shift, ts):
+    def test_equals_per_point_bit_for_bit(self, r, omega, eps_frac, shift, ts):
         h = HamiltonianParams(omega, eps_frac * omega)
         real_cutoffs = fock._cutoffs
         seen = []
@@ -1315,24 +1323,23 @@ class TestGeometricPhaseGrid:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fock, "_cutoffs", spy)
-            got = geometric_phase_numeric(r, phi, h, np.array(ts), accuracy=1e-9, energy_shift=shift)
+            got = geometric_phase_numeric(r, h, np.array(ts), accuracy=1e-9, energy_shift=shift)
         want = [_geometric_phase_per_point(r, h, t, 1e-9, shift) for t in ts]
         assert got.tolist() == want
         assert [cutoffs.tolist() for cutoffs in seen] == [
             [cutoff_for("phase", r, 1e-9, t=h.Omega * t) for t in ts]
         ]
-        scalar = geometric_phase_numeric(r, phi, h, ts[0], accuracy=1e-9, energy_shift=shift)
+        scalar = geometric_phase_numeric(r, h, ts[0], accuracy=1e-9, energy_shift=shift)
         assert scalar == want[0]
 
     @settings(deadline=None, max_examples=60)
     @given(
         rows=_rt_rows(),
-        phi=st.floats(-math.pi, math.pi),
         omega=st.floats(0.5, 2.0),
         eps_frac=st.floats(-0.9, 0.9),
         shift=st.sampled_from([0.0, -2.0, 5.0]),
     )
-    def test_r_rows_equal_lone_calls_bit_for_bit(self, rows, phi, omega, eps_frac, shift):
+    def test_r_rows_equal_lone_calls_bit_for_bit(self, rows, omega, eps_frac, shift):
         rs, t = rows
         h = HamiltonianParams(omega, eps_frac * omega)
         route = dict(accuracy=1e-9, energy_shift=shift)
@@ -1345,9 +1352,9 @@ class TestGeometricPhaseGrid:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fock, "_cutoffs", spy)
-            got = geometric_phase_numeric(np.array(rs), phi, h, np.asarray(t), **route)
+            got = geometric_phase_numeric(np.array(rs), h, np.asarray(t), **route)
         pairs = _per_row(rs, t)
-        assert got.tolist() == [geometric_phase_numeric(r, phi, h, t, **route) for r, t in pairs]
+        assert got.tolist() == [geometric_phase_numeric(r, h, t, **route) for r, t in pairs]
         assert [cutoffs.tolist() for cutoffs in seen] == [
             [cutoff_for("phase", r, 1e-9, t=h.Omega * t) for r, t in pairs]
         ]
@@ -1355,7 +1362,7 @@ class TestGeometricPhaseGrid:
     def test_r_sweep_equals_per_point(self):
         # One r per row, across cutoffs from 0 to several hundred.
         rs = np.linspace(0.0, 2.5, 120)
-        got = geometric_phase_numeric(rs, 0.7, H_UNIT, 1.3, accuracy=1e-9)
+        got = geometric_phase_numeric(rs, H_UNIT, 1.3, accuracy=1e-9)
         want = [_geometric_phase_per_point(r, H_UNIT, 1.3, 1e-9, 0.0) for r in rs]
         assert got.tolist() == want
 
@@ -1366,36 +1373,36 @@ class TestGeometricPhaseGrid:
         ts = np.linspace(0.0, TAU, 200)
         N = _padded(cutoff_for("phase", r, 1e-9, t=TAU))
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", rows * fock._row_entries(N, False))
-        got = geometric_phase_numeric(r, 0.7, h, ts, accuracy=1e-9)
+        got = geometric_phase_numeric(r, h, ts, accuracy=1e-9)
         want = [_geometric_phase_per_point(r, h, t, 1e-9, 0.0) for t in ts]
         assert got.tolist() == want
 
     def test_zero_and_subnormal_times_share_a_block(self):
         ts = np.array([0.0, 5e-324, 1e-320, 0.3, 2.9, -0.0])
-        got = geometric_phase_numeric(0.4, 0.1, H_UNIT, ts)
+        got = geometric_phase_numeric(0.4, H_UNIT, ts)
         want = [_geometric_phase_per_point(0.4, H_UNIT, t, 1e-10, 0.0) for t in ts]
         assert got.tolist() == want
 
     def test_shapes(self):
-        assert isinstance(geometric_phase_numeric(1.0, 0.0, H_UNIT, 1.3), float)
-        grid = geometric_phase_numeric(1.0, 0.0, H_UNIT, [1.3, 0.2])
+        assert isinstance(geometric_phase_numeric(1.0, H_UNIT, 1.3), float)
+        grid = geometric_phase_numeric(1.0, H_UNIT, [1.3, 0.2])
         assert isinstance(grid, np.ndarray) and grid.shape == (2,)
-        assert geometric_phase_numeric(1.0, 0.0, H_UNIT, np.array([])).shape == (0,)
+        assert geometric_phase_numeric(1.0, H_UNIT, np.array([])).shape == (0,)
         with pytest.raises(ValueError):
-            geometric_phase_numeric(1.0, 0.0, H_UNIT, np.ones((2, 2)))
+            geometric_phase_numeric(1.0, H_UNIT, np.ones((2, 2)))
 
     def test_rejects_a_negative_time_anywhere(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            geometric_phase_numeric(1.0, 0.0, H_UNIT, [0.5, -0.1, 2.0])
+            geometric_phase_numeric(1.0, H_UNIT, [0.5, -0.1, 2.0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_evolution_is_rejected(self):
         # The shifted phase overflows, though every |c_n| is finite: the
         # message names the evolution, not the coefficients.
         with pytest.raises(ValueError, match=_OVERFLOW):
-            geometric_phase_numeric(0.0, 0.0, H_UNIT, [1.0, 1e308], energy_shift=5.0)
+            geometric_phase_numeric(0.0, H_UNIT, [1.0, 1e308], energy_shift=5.0)
         with pytest.raises(ValueError, match=_OVERFLOW):
-            geometric_phase_numeric(0.0, 0.0, H_UNIT, 1e308, energy_shift=5.0)
+            geometric_phase_numeric(0.0, H_UNIT, 1e308, energy_shift=5.0)
 
 
 class TestParallelBlocks:
@@ -1406,7 +1413,7 @@ class TestParallelBlocks:
         monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", 1)
         with pytest.raises(ValueError, match=_OVERFLOW):
             geometric_phase_numeric(
-                0.0, 0.0, H_UNIT, [1.0] * 7 + [1e308], energy_shift=5.0
+                0.0, H_UNIT, [1.0] * 7 + [1e308], energy_shift=5.0
             )
 
     def test_first_over_normalized_block_in_plan_order_surfaces(self, monkeypatch):
@@ -1441,7 +1448,7 @@ def _block_plan(monkeypatch, rs, ts):
 
     with monkeypatch.context() as mp:
         mp.setattr(fock, "_moments", spy)
-        gammas = geometric_phase_numeric(rs, 0.3, HamiltonianParams(1.0, 0.2), ts, accuracy=1e-9)
+        gammas = geometric_phase_numeric(rs, HamiltonianParams(1.0, 0.2), ts, accuracy=1e-9)
     return blocks, gammas
 
 
@@ -1533,15 +1540,15 @@ class TestOracleMemory:
         # most 8 B an entry), and in a block of several r 8 B per entry of
         # its moduli and weight tables: at most 24 B an entry, E at most
         # _BLOCK_ELEMENTS on these grids.  The overlaps' argument takes one
-        # chunk of _CHUNK_ROWS rows at a time as Python complex and float
+        # list of _LIST_ENTRIES rows at a time as Python complex and float
         # objects with their lists, about 72 B a row.
         rows = np.broadcast(rs, ts).size
-        bound = 56 * rows + 24 * fock._BLOCK_ELEMENTS + 72 * fock._CHUNK_ROWS
+        bound = 56 * rows + 24 * fock._BLOCK_ELEMENTS + 72 * phases._LIST_ENTRIES
         h = HamiltonianParams(1.0, 0.2)
-        geometric_phase_numeric(rs, 0.3, h, ts, accuracy=1e-9)  # first-call caches
+        geometric_phase_numeric(rs, h, ts, accuracy=1e-9)  # first-call caches
         tracemalloc.start()
         try:
-            geometric_phase_numeric(rs, 0.3, h, ts, accuracy=1e-9)
+            geometric_phase_numeric(rs, h, ts, accuracy=1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

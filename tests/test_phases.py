@@ -376,6 +376,55 @@ class TestArrayKernels:
         assert phases._cyclic_entropy(gs).tobytes() == self.bits(
             [entropy_from_cyclic_phase(g) for g in gs.tolist()])
 
+    # Around and across the list bound of _per_element, phases._LIST_ENTRIES = 1024.
+    SIZES = [0, 1, 1023, 1024, 1025, 2500]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_kernels_across_the_list_bound(self, size):
+        assert phases._LIST_ENTRIES == 1024
+        rng = np.random.default_rng(size)
+        xs = rng.uniform(-3.0, 3.0, size)
+        ys = rng.uniform(-3.0, 3.0, size)
+        sinh2 = phases._sinh2(xs)
+        cases = [
+            (phases._arg, (xs + 1j * ys,)), (phases._arg, (xs,)),
+            (phases._overlap, (sinh2, 5.0 * ys)), (phases._sinh2, (xs,)),
+            (phases._entropy, (sinh2,)),
+        ]
+        for kernel, args in cases:
+            got = kernel(*args)
+            scalar = [kernel(*row) for row in zip(*(a.tolist() for a in args))]
+            assert got.shape == (size,)
+            if size:
+                assert got.tobytes() == self.bits(scalar), kernel.__name__
+            else:
+                assert got.dtype == np.float64
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_no_list_is_longer_than_the_bound(self, size):
+        # A probe kernel on probe arrays: each tolist is one list of entries,
+        # and the kernel's calls after it fill one list of values.
+        lists, calls = [], []
+
+        class Probe(np.ndarray):
+            def tolist(self):
+                lists.append(self.size)
+                calls.append(0)
+                return super().tolist()
+
+        @phases._per_element
+        def probe(x):
+            calls[-1] += 1
+            return -x
+
+        xs = np.arange(size, dtype=np.float64)
+        got = probe(xs.view(Probe))
+        assert np.asarray(got).tobytes() == (-xs).tobytes()
+        assert max(lists, default=0) <= phases._LIST_ENTRIES
+        assert max(calls, default=0) <= phases._LIST_ENTRIES
+        assert sum(lists) == sum(calls) == size
+        assert len(lists) == -(-size // phases._LIST_ENTRIES)
+
     def test_reduce_angle_on_floats_and_arrays(self):
         # x a hair below 0 rounds x % 2 pi up to 2 pi, which reduces to 0.
         xs = [-1e-300, -0.0, 0.0, TAU, -TAU, 7.0, 1e17]
