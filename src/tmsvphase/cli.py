@@ -11,10 +11,12 @@ Subcommands:
 * ``decompose`` factors a product of two squeezes and prints the
   squeeze-plus-rotation parameters with the reconstruction residual.
 
-Output contract: identical flags produce byte-identical output.  Numbers
-are printed with 12 significant digits, scientific notation below 1e-4,
-"." as the decimal separator, no locale dependence.  Angles are radians
-unless ``--degrees`` is given, which converts display only.
+Output contract: identical flags produce byte-identical output.  CSV
+sweeps, ``verify`` and ``decompose`` print numbers with 12 significant
+digits, scientific notation below 1e-4, "." as the decimal separator, no
+locale dependence; JSON cells print Python's shortest round-trip ``repr``,
+as ``json`` does, and -0.0 as -0.0.  Angles are radians unless
+``--degrees`` is given, which converts display only.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 resource
 limit (no Fock cutoff up to the bound reaches the needed accuracy, a
@@ -30,8 +32,8 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, NoReturn, TextIO
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -53,8 +55,8 @@ _DEG = 180.0 / math.pi
 # which prints 0 as "0", or scientific notation with 12 digits.
 _FORMATS = ("%.12g", "%.11e")
 
-# Rows per chunk of a sweep table's CSV, formatted and written this many rows
-# at a time, so that no list or string holds the table.
+# Rows per chunk of a sweep table, formatted and written this many rows at a
+# time, so that no list or string holds the table.
 _CHUNK_ROWS = 1024
 
 
@@ -77,19 +79,18 @@ def format_number(x: float) -> str:
     return _FORMATS[_is_small(x)] % (x + 0.0)
 
 
-def _csv_lines(rows: np.ndarray, scales: np.ndarray) -> str:
-    """CSV lines of the finite ``rows * scales``, each cell as format_number prints it.
+def _csv_formats(cells: np.ndarray) -> list[str]:
+    """Each CSV line's format for the finite ``cells``, a cell as format_number prints it.
 
-    Rows whose cells fall in the same _FORMATS classes share one row format,
-    and the row formats, joined in row order, take all the cells in one ``%``.
+    Rows whose cells fall in the same _FORMATS classes share one format.
+    The caller adds 0.0 to the cells first, or -0.0 would print as -0.
     """
-    cells = rows * scales + 0.0  # -0.0 becomes 0.0, as in format_number
     keys = (_is_small(cells) @ (1 << np.arange(cells.shape[1]))).tolist()
     formats = {
-        key: ",".join(_FORMATS[key >> j & 1] for j in range(cells.shape[1])) + "\n"
+        key: ",".join(_FORMATS[key >> j & 1] for j in range(cells.shape[1]))
         for key in set(keys)
     }
-    return "".join([formats[key] for key in keys]) % tuple(cells.ravel().tolist())
+    return [formats[key] for key in keys]
 
 
 def circle_distance(a, b):
@@ -219,22 +220,22 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
     return headers, np.column_stack(columns)
 
 
-def cmd_sweep(
-    spec: SweepSpec,
-    fmt: str = "csv",
-    max_cutoff: int = fock.DEFAULT_MAX_CUTOFF,
-    degrees: bool = False,
-    stream: TextIO | None = None,
-) -> int:
-    """Emit the sweep table; nonzero exit if any oracle gap exceeds 1e-8.
+def cmd_sweep(spec: SweepSpec, fmt: str = "csv", max_cutoff: int = fock.DEFAULT_MAX_CUTOFF,
+              degrees: bool = False) -> int:
+    """Print the sweep table; nonzero exit if any oracle gap exceeds 1e-8.
 
-    The table from ``sweep_rows`` is checked for non-finite values in one
-    pass, which names the column of the first one in row-major order.
-    ``--degrees`` scales each angle column of ``_COLUMNS`` while
-    formatting.  CSV is formatted and written _CHUNK_ROWS rows at a
-    time, never as one string; JSON rows are objects of Python floats.
+    ``fmt`` is ``csv`` or ``json``, else a ValueError before the grid is
+    evaluated.  A non-finite cell is named by its column, the first in
+    row-major order.  One writer serves both formats: a head, then
+    _CHUNK_ROWS rows of ``table * scales`` at a time (``--degrees`` scales
+    the angle columns of ``_COLUMNS``), each chunk one ``%`` over its row
+    formats joined by a separator, then a tail, so no list or string holds
+    the table.  A CSV row's format follows its cells' _FORMATS classes; a
+    JSON row is an object of ``%r`` cells, as ``json`` prints a finite
+    float, inside the spec as ``json.dumps`` prints it.
     """
-    out = stream if stream is not None else sys.stdout
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
     headers, table = sweep_rows(spec, max_cutoff)
 
     bad = np.flatnonzero(~np.isfinite(table))
@@ -247,24 +248,28 @@ def cmd_sweep(
 
     scales = np.array([_DEG if degrees and angle else 1.0 for _, angle in _COLUMNS[spec.variable]])
     if fmt == "csv":
-        out.write(",".join(headers) + "\n")
-        for start in range(0, len(table), _CHUNK_ROWS):
-            out.write(_csv_lines(table[start : start + _CHUNK_ROWS], scales))
+        head, sep, tail = ",".join(headers) + "\n", "\n", "\n"
     else:
         import json  # here alone: verify and CSV sweeps skip its import
 
-        payload = {
-            "spec": {
-                "variable": spec.variable,
-                "start": spec.start,
-                "stop": spec.stop,
-                "points": spec.points,
-                "fixed": dict(spec.fixed),
-                "degrees": degrees,
-            },
-            "rows": [dict(zip(headers, row)) for row in (table * scales).tolist()],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        # The spec nested one level, as json.dumps(indent=2) nests it.
+        spec_text = json.dumps({**asdict(spec), "degrees": degrees}, indent=2).replace("\n", "\n  ")
+        head, sep, tail = '{\n  "spec": %s,\n  "rows": [\n' % spec_text, ",\n", "\n  ]\n}\n"
+        row = "    {\n" + ",\n".join(f'      "{name}": %r' for name in headers) + "\n    }"
+
+    out = sys.stdout
+    out.write(head)
+    for start in range(0, len(table), _CHUNK_ROWS):
+        cells = table[start : start + _CHUNK_ROWS] * scales
+        if fmt == "csv":
+            cells += 0.0  # -0.0 prints as 0, as in format_number
+            formats = _csv_formats(cells)
+        else:
+            formats = [row] * len(cells)
+        if start:
+            out.write(sep)
+        out.write(sep.join(formats) % tuple(cells.ravel().tolist()))
+    out.write(tail)
 
     if worst_gap > SWEEP_PHASE_BOUND:
         print(
@@ -291,24 +296,18 @@ def _reconstruction_residual(r1, phi1, r2, phi2, triple):
     return np.maximum(abs(rebuilt[0] - target[0]), abs(rebuilt[1] - target[1]))
 
 
-def cmd_decompose(
-    prime: SqueezeParams,
-    doubleprime: SqueezeParams,
-    degrees: bool = False,
-    stream: TextIO | None = None,
-) -> int:
+def cmd_decompose(prime: SqueezeParams, doubleprime: SqueezeParams, degrees: bool = False) -> int:
     """Print the squeeze-plus-rotation factorization of S(prime)^dag S(doubleprime)."""
-    out = stream if stream is not None else sys.stdout
     triple = su11.decompose_product(prime, doubleprime)
     residual = _reconstruction_residual(
         prime.r, prime.phi, doubleprime.r, doubleprime.phi, (triple.R, triple.Phi, triple.Theta)
     )
     scale = _DEG if degrees else 1.0
-    out.write(f"R = {format_number(triple.R)}\n")
-    out.write(f"Phi = {format_number(triple.Phi * scale)}\n")
-    out.write(f"Theta = {format_number(triple.Theta * scale)}\n")
-    out.write(f"reconstruction_residual = {format_number(residual)}\n")
-    out.write(f"degenerate_phase = {'true' if triple.degenerate else 'false'}\n")
+    print(f"R = {format_number(triple.R)}")
+    print(f"Phi = {format_number(triple.Phi * scale)}")
+    print(f"Theta = {format_number(triple.Theta * scale)}")
+    print(f"reconstruction_residual = {format_number(residual)}")
+    print(f"degenerate_phase = {'true' if triple.degenerate else 'false'}")
     return 0
 
 
@@ -644,21 +643,20 @@ def run_invariant_suite(seed: int = 0) -> list[CheckResult]:
     return [check(fock.DEFAULT_MAX_CUTOFF, rng) for check in _CHECKS]
 
 
-def cmd_verify(seed: int = 0, stream: TextIO | None = None) -> int:
+def cmd_verify(seed: int = 0) -> int:
     """Print the invariant table; exit 0 iff every check passes."""
-    out = stream if stream is not None else sys.stdout
     results = run_invariant_suite(seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         # A failed check's nan or inf worst prints as such.
         worst = format_number(res.worst) if math.isfinite(res.worst) else repr(res.worst)
-        out.write(
+        print(
             f"{status}  {res.name:<28s} worst {worst:>17s}"
-            f"  bound {format_number(res.bound):>8s}  [{res.detail}]\n"
+            f"  bound {format_number(res.bound):>8s}  [{res.detail}]"
         )
     passed = sum(res.passed for res in results)
     verdict = "PASS" if passed == len(results) else "FAIL"
-    out.write(f"VERDICT: {verdict} ({passed}/{len(results)} invariants)\n")
+    print(f"VERDICT: {verdict} ({passed}/{len(results)} invariants)")
     return 0 if passed == len(results) else 1
 
 

@@ -186,21 +186,19 @@ def test_criterion_8_gauge_invariance():
                     assert circle_distance(shifted, reference) <= 1e-10
 
 
-def test_criterion_9_cli_verify_and_determinism():
+def test_criterion_9_cli_verify_and_determinism(capsys):
     with criterion(9, "cmd_verify green under 60 s; sweep output byte-deterministic"):
         started = time.perf_counter()
-        sink = io.StringIO()
-        assert cmd_verify(seed=0, stream=sink) == 0
+        assert cmd_verify(seed=0) == 0
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
-        assert "VERDICT: PASS" in sink.getvalue()
+        assert "VERDICT: PASS" in capsys.readouterr().out
 
         spec = SweepSpec("gamma_c", 0.0, TAU, 101)
         runs = []
         for _ in range(2):
-            out = io.StringIO()
-            assert cmd_sweep(spec, fmt="csv", stream=out) == 0
-            runs.append(out.getvalue())
+            assert cmd_sweep(spec, fmt="csv") == 0
+            runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1]
 
 

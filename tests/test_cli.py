@@ -2,7 +2,6 @@
 
 import hashlib
 import inspect
-import io
 import json
 import math
 import os
@@ -10,6 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,13 @@ def _by_format_number(rows, scales):
     )
 
 
+def _by_row_formats(rows, scales):
+    """CSV lines of rows * scales as cmd_sweep writes one chunk: one ``%``
+    over the lines' formats from cli._csv_formats."""
+    cells = np.array(rows) * np.array(scales) + 0.0
+    return "\n".join(cli._csv_formats(cells)) % tuple(cells.ravel().tolist()) + "\n"
+
+
 class TestFormatNumber:
     def test_zero(self):
         assert format_number(0.0) == "0"
@@ -90,7 +97,7 @@ class TestTableFormatter:
         cells = [x for x in cells if math.isfinite(x * scale)]
         assume(cells)
         scales = [scale] * len(cells)
-        got = cli._csv_lines(np.array([cells]), np.array(scales))
+        got = _by_row_formats([cells], scales)
         assert got.split(",") == _by_format_number([cells], scales).split(",")
 
     def test_rows_of_mixed_classes(self):
@@ -98,7 +105,7 @@ class TestTableFormatter:
         # in one chunk must each keep their own.
         rows = [_EDGE_CELLS, _EDGE_CELLS[::-1], [1.0] * len(_EDGE_CELLS), _EDGE_CELLS]
         scales = [_DEG, 1.0] * (len(_EDGE_CELLS) // 2) + [1.0] * (len(_EDGE_CELLS) % 2)
-        assert cli._csv_lines(np.array(rows), np.array(scales)) == _by_format_number(rows, scales)
+        assert _by_row_formats(rows, scales) == _by_format_number(rows, scales)
 
 
 class TestSweepSpecValidation:
@@ -124,38 +131,36 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(**kwargs)
 
-    def test_numpy_points_become_an_int(self):
+    def test_numpy_points_become_an_int(self, capsys):
         # An int, so that a JSON sweep can print its spec.
         spec = SweepSpec("gamma_c", 0.0, 1.0, np.int64(3))
         assert type(spec.points) is int
-        out = io.StringIO()
-        assert cmd_sweep(spec, fmt="json", stream=out) == 0
-        assert json.loads(out.getvalue())["spec"]["points"] == 3
+        assert cmd_sweep(spec, fmt="json") == 0
+        assert json.loads(capsys.readouterr().out)["spec"]["points"] == 3
 
     @pytest.mark.parametrize("spec", [
         SweepSpec("gamma_c", np.float32(0.0), 1.0, 3),
         SweepSpec("omega_t", 0.0, np.float32(1.0), 3, {"r": np.float32(0.5)}),
     ], ids=["bound", "fixed"])
-    def test_numpy_floats_become_python_floats(self, spec):
+    def test_numpy_floats_become_python_floats(self, spec, capsys):
         # Python floats, so that a JSON sweep can print its spec.
         assert type(spec.start) is type(spec.stop) is float
         assert all(type(value) is float for value in spec.fixed.values())
-        out = io.StringIO()
-        assert cmd_sweep(spec, fmt="json", stream=out) == 0
-        printed = json.loads(out.getvalue())["spec"]
+        assert cmd_sweep(spec, fmt="json") == 0
+        printed = json.loads(capsys.readouterr().out)["spec"]
         assert (printed["start"], printed["stop"], printed["fixed"]) == (
             spec.start, spec.stop, spec.fixed)
 
 
 class TestSweepGammaC:
-    def run(self, points=101):
+    @staticmethod
+    def run(capsys, points=101):
         spec = SweepSpec("gamma_c", 0.0, TAU, points)
-        out = io.StringIO()
-        code = cmd_sweep(spec, fmt="csv", stream=out)
-        return code, out.getvalue()
+        code = cmd_sweep(spec, fmt="csv")
+        return code, capsys.readouterr().out
 
-    def test_figure_endpoints(self):
-        code, text = self.run()
+    def test_figure_endpoints(self, capsys):
+        code, text = self.run(capsys)
         assert code == 0
         lines = text.strip().split("\n")
         assert lines[0] == "gamma_c,entropy"
@@ -166,13 +171,13 @@ class TestSweepGammaC:
         assert abs(float(last[0]) - TAU) < 1e-11
         assert abs(float(last[1]) - ENTROPY_FIG1_END) < 1e-11
 
-    def test_byte_determinism(self):
-        _, first = self.run()
-        _, second = self.run()
+    def test_byte_determinism(self, capsys):
+        _, first = self.run(capsys)
+        _, second = self.run(capsys)
         assert first == second
 
-    def test_curve_is_increasing(self):
-        _, text = self.run()
+    def test_curve_is_increasing(self, capsys):
+        _, text = self.run(capsys)
         values = [float(line.split(",")[1]) for line in text.strip().split("\n")[1:]]
         assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -186,11 +191,10 @@ class TestSweepGammaC:
 
 
 class TestSweepOmegaT:
-    def test_vacuum_has_zero_phase_columns(self):
+    def test_vacuum_has_zero_phase_columns(self, capsys):
         spec = SweepSpec("omega_t", 0.0, TAU, 9, fixed={"r": 0.0})
-        out = io.StringIO()
-        assert cmd_sweep(spec, stream=out) == 0
-        lines = out.getvalue().strip().split("\n")
+        assert cmd_sweep(spec) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         header = lines[0].split(",")
         gamma_col = header.index("gamma_mod_2pi")
         numeric_col = header.index("gamma_numeric")
@@ -199,32 +203,30 @@ class TestSweepOmegaT:
             assert float(cells[gamma_col]) == 0.0
             assert float(cells[numeric_col]) == 0.0
 
-    def test_cyclic_point_value(self):
+    def test_cyclic_point_value(self, capsys):
         spec = SweepSpec("omega_t", 0.0, TAU, 5, fixed={"r": 1.0})
-        out = io.StringIO()
-        assert cmd_sweep(spec, stream=out) == 0
-        last = out.getvalue().strip().split("\n")[-1].split(",")
-        header = out.getvalue().split("\n")[0].split(",")
+        assert cmd_sweep(spec) == 0
+        text = capsys.readouterr().out
+        last = text.strip().split("\n")[-1].split(",")
+        header = text.split("\n")[0].split(",")
         gamma = float(last[header.index("gamma_mod_2pi")])
         assert abs(gamma - GAMMA_CYCLE_REDUCED) < 1e-9
         assert float(last[header.index("abs_error")]) <= 1e-8
 
-    def test_row_count_and_header(self):
+    def test_row_count_and_header(self, capsys):
         spec = SweepSpec("omega_t", 0.0, 1.0, 17, fixed={"r": 0.7})
-        out = io.StringIO()
-        cmd_sweep(spec, stream=out)
-        lines = out.getvalue().strip().split("\n")
+        cmd_sweep(spec)
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == ("omega_t,re_overlap,im_overlap,total_phase,delta,"
                             "gamma_mod_2pi,gamma_numeric,abs_error")
         assert len(lines) == 18
 
 
 class TestSweepR:
-    def test_columns_and_entropy(self):
+    def test_columns_and_entropy(self, capsys):
         spec = SweepSpec("r", 0.0, 1.5, 7, fixed={"t": 0.9})
-        out = io.StringIO()
-        assert cmd_sweep(spec, stream=out) == 0
-        lines = out.getvalue().strip().split("\n")
+        assert cmd_sweep(spec) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         header = lines[0].split(",")
         assert header == ["r", "re_overlap", "im_overlap", "total_phase", "delta",
                           "gamma_mod_2pi", "gamma_numeric", "abs_error",
@@ -239,16 +241,68 @@ class TestSweepR:
 
 
 class TestSweepJson:
-    def test_structure_matches_csv_headers(self):
+    def test_structure_matches_csv_headers(self, capsys):
         spec = SweepSpec("gamma_c", 0.0, TAU, 5)
-        out = io.StringIO()
-        assert cmd_sweep(spec, fmt="json", stream=out) == 0
-        payload = json.loads(out.getvalue())
+        assert cmd_sweep(spec, fmt="json") == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["spec"]["variable"] == "gamma_c"
         assert payload["spec"]["points"] == 5
         assert len(payload["rows"]) == 5
         assert list(payload["rows"][0].keys()) == ["gamma_c", "entropy"]
         assert abs(payload["rows"][-1]["entropy"] - ENTROPY_FIG1_END) < 1e-11
+
+    @pytest.mark.parametrize("degrees", [False, True], ids=["radians", "degrees"])
+    def test_cells_print_as_json_dumps_prints_them(self, degrees, capsys, monkeypatch):
+        # The edge cells, -0.0 among them, over a chunk boundary: the bytes
+        # of json.dumps(indent=2) over the spec and one dict per row.
+        headers = [name for name, _ in cli._COLUMNS["r"]]
+        rows = cli._CHUNK_ROWS + 1
+        table = np.resize(np.array(_EDGE_CELLS), (rows, len(headers)))
+        table[:, headers.index("abs_error")] = 0.0
+        monkeypatch.setattr(cli, "sweep_rows", lambda spec, max_cutoff: (headers, table))
+        spec = SweepSpec("r", 0.0, 1.0, rows, {"t": 0.5})
+        assert cmd_sweep(spec, fmt="json", degrees=degrees) == 0
+        scales = [_DEG if degrees and angle else 1.0 for _, angle in cli._COLUMNS["r"]]
+        payload = {
+            "spec": {"variable": "r", "start": 0.0, "stop": 1.0, "points": rows,
+                     "fixed": {"t": 0.5}, "degrees": degrees},
+            "rows": [dict(zip(headers, row)) for row in (table * scales).tolist()],
+        }
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def test_unknown_format_is_refused_before_the_grid(self, capsys, monkeypatch):
+        def refuse(spec, max_cutoff):
+            raise AssertionError("sweep_rows ran")
+
+        monkeypatch.setattr(cli, "sweep_rows", refuse)
+        with pytest.raises(ValueError, match="csv or json, got 'xml'"):
+            cmd_sweep(SweepSpec("gamma_c", 0.0, 1.0, 3), fmt="xml")
+        assert capsys.readouterr().out == ""
+
+    def test_peak_is_the_table_plus_one_chunk(self, monkeypatch):
+        # Over what sweep_rows peaks at (its columns, its table and the
+        # oracle), the writer holds one chunk of _CHUNK_ROWS rows: per cell,
+        # 8 B of scaled cell, a Python float and its list slot (32 B), a
+        # tuple slot (8 B), its part of the row format (at most 32
+        # characters, for the longest header) and of the text (at most 56,
+        # the same with a 24-character repr), 136 B in all.
+        argv = ["sweep", "--variable", "r", "--start", "0", "--stop", "3.1",
+                "--points", "10000", "--format", "json"]
+        spec = SweepSpec("r", 0.0, 3.1, 10_000)
+        bound = 136 * cli._CHUNK_ROWS * len(cli._COLUMNS["r"])
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            assert main(argv) == 0  # first-call caches and the json import
+            peaks = []
+            for run in (lambda: cli.sweep_rows(spec), lambda: main(argv)):
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        table_peak, sweep_peak = peaks
+        assert sweep_peak <= table_peak + bound
 
 
 class TestSweepGoldenBytes:
@@ -302,6 +356,12 @@ class TestSweepGoldenBytes:
     # while every row still had a block and a Schmidt state of its own.
     R_DENSE = ["sweep", "--variable", "r", "--start", "0", "--stop", "1",
                "--points", "10000"]
+    # JSON across chunk boundaries: 2500 rows end in a part chunk, and 2049
+    # rows in a one-row chunk.  Recorded while JSON rows were still dicts
+    # of Python floats given whole to json.dumps(indent=2).
+    GAMMA_C_WIDE = ["sweep", "--variable", "gamma_c", "--start", "0", "--stop", "50",
+                    "--points", "2500", "--format", "json", "--degrees"]
+    OMEGA_T_CHUNKS = OMEGA_T[:8] + ["2049"] + OMEGA_T[9:] + ["--format", "json"]
 
     OMEGA_T_DIGEST = "18e55540c36748c295ea1ed8a86a4c963c6ca2ecfeddd980989a6f50ad0b6ab9"
     R_DENSE_DIGEST = "05f01bee1e859c11cfb2b1ceb5622f9ab9572c608ab8f5382b03d79cb19a28a0"
@@ -317,8 +377,10 @@ class TestSweepGoldenBytes:
          "342325237c6b4a700c535640dbfdfac33b01fe73bb1996bbf59d2b89acad441a"),
         (R_WIDE, "647dd6d1e8d66ccca2d4e239e32ace17dc2bce54fee92a35d7ed2d1f75533c98"),
         (R_DENSE, R_DENSE_DIGEST),
+        (GAMMA_C_WIDE, "7495df7421b1722148472790d6b5506145bff934279ff75eb7f24ee6a7cadcc7"),
+        (OMEGA_T_CHUNKS, "20237b2bac5479a1a1ed4f8958a63e6ed3b437e9d71a00284bf177422ac50ca0"),
     ], ids=["omega_t-csv", "omega_t-json", "r-csv", "omega_t-degrees", "r-json", "r-wide",
-            "r-dense"])
+            "r-dense", "gamma_c-json-chunks", "omega_t-json-chunks"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -386,7 +448,8 @@ class TestSweepTable:
         SweepSpec("r", 0.0, 1.0, 1100, {"phi": 0.7, "t": 0.9}),
     ], ids=["omega_t", "r"])
     @pytest.mark.parametrize("degrees", [False, True], ids=["radians", "degrees"])
-    def test_multi_chunk_table_prints_format_number_cells(self, spec, degrees, monkeypatch):
+    def test_multi_chunk_table_prints_format_number_cells(self, spec, degrees, capsys,
+                                                          monkeypatch):
         assert spec.points > cli._CHUNK_ROWS
         real, tables = cli.sweep_rows, []
 
@@ -395,12 +458,11 @@ class TestSweepTable:
             return tables[-1]
 
         monkeypatch.setattr(cli, "sweep_rows", recording)
-        out = io.StringIO()
-        assert cmd_sweep(spec, degrees=degrees, stream=out) == 0
+        assert cmd_sweep(spec, degrees=degrees) == 0
         (headers, table), = tables
         scales = [_DEG if degrees and angle else 1.0 for _, angle in cli._COLUMNS[spec.variable]]
         want = ",".join(headers) + "\n" + _by_format_number(table.tolist(), scales)
-        assert out.getvalue() == want
+        assert capsys.readouterr().out == want
 
 
 def _evolved_rows(phase_table):
@@ -745,35 +807,37 @@ class TestSu11BulkDraws:
 
 
 class TestDecomposeCommand:
-    def run(self, prime, dbl, degrees=False):
-        out = io.StringIO()
-        code = cmd_decompose(prime, dbl, degrees=degrees, stream=out)
-        lines = out.getvalue().strip().split("\n")
+    @staticmethod
+    def run(capsys, prime, dbl, degrees=False):
+        code = cmd_decompose(prime, dbl, degrees=degrees)
+        lines = capsys.readouterr().out.strip().split("\n")
         values = dict(line.split(" = ") for line in lines)
         return code, values
 
-    def test_equal_params_degenerate(self):
-        code, values = self.run(SqueezeParams(1.0, 0.3), SqueezeParams(1.0, 0.3))
+    def test_equal_params_degenerate(self, capsys):
+        code, values = self.run(capsys, SqueezeParams(1.0, 0.3), SqueezeParams(1.0, 0.3))
         assert code == 0
         assert values["R"] == "0"
         assert values["degenerate_phase"] == "true"
 
-    def test_half_pi_example(self):
-        code, values = self.run(SqueezeParams(1.0, 0.0), SqueezeParams(1.0, -math.pi / 2))
+    def test_half_pi_example(self, capsys):
+        code, values = self.run(
+            capsys, SqueezeParams(1.0, 0.0), SqueezeParams(1.0, -math.pi / 2)
+        )
         assert code == 0
         assert abs(float(values["R"]) - 2.0) < 1e-11
         assert abs(float(values["Theta"])) < 1e-11
         assert float(values["reconstruction_residual"]) < 1e-10
         assert values["degenerate_phase"] == "false"
 
-    def test_quarter_pi_example(self):
-        _, values = self.run(SqueezeParams(1.0, 0.0), SqueezeParams(1.0, -math.pi / 4))
+    def test_quarter_pi_example(self, capsys):
+        _, values = self.run(capsys, SqueezeParams(1.0, 0.0), SqueezeParams(1.0, -math.pi / 4))
         assert abs(float(values["Theta"]) - 0.5256029929681379) < 1e-11
 
-    def test_degrees_display_only(self):
-        _, radians = self.run(SqueezeParams(1.0, 0.0), SqueezeParams(1.0, -math.pi / 4))
+    def test_degrees_display_only(self, capsys):
+        _, radians = self.run(capsys, SqueezeParams(1.0, 0.0), SqueezeParams(1.0, -math.pi / 4))
         _, degrees = self.run(
-            SqueezeParams(1.0, 0.0), SqueezeParams(1.0, -math.pi / 4), degrees=True
+            capsys, SqueezeParams(1.0, 0.0), SqueezeParams(1.0, -math.pi / 4), degrees=True
         )
         assert abs(float(degrees["Theta"]) - math.degrees(float(radians["Theta"]))) < 1e-9
         assert degrees["R"] == radians["R"]  # R is not an angle
@@ -1003,10 +1067,10 @@ class TestMainEntry:
         # The first row's entropy comes before the second row's gamma_c.
         table = (["gamma_c", "entropy"], [(0.0, math.nan), (math.inf, 0.0)])
         monkeypatch.setattr(cli, "sweep_rows", lambda spec, max_cutoff: table)
-        out = io.StringIO()
-        assert cmd_sweep(SweepSpec("gamma_c", 0.0, 1.0, 2), stream=out) == 1
-        assert out.getvalue() == ""
-        assert capsys.readouterr().err == "non-finite value in column entropy\n"
+        assert cmd_sweep(SweepSpec("gamma_c", 0.0, 1.0, 2)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "non-finite value in column entropy\n"
 
     def test_squeeze_beyond_cutoff_reach_is_resource_error(self, capsys):
         argv = ["sweep", "--variable", "omega_t", "--start", "0", "--points", "3",
@@ -1294,10 +1358,14 @@ class TestPublicSurface:
         (su11.check_squeeze_factor, "r_max"),
         (cli.run_invariant_suite, "max_cutoff"),
         (cli.cmd_verify, "max_cutoff"),
+        (cli.cmd_verify, "stream"),
+        (cli.cmd_sweep, "stream"),
+        (cli.cmd_decompose, "stream"),
     ])
     def test_derived_values_are_not_parameters(self, owner, name):
         # Cutoffs follow from the arrays, degeneracy from R, and the caps are
-        # the module constants FULL_SPACE_MAX_CUTOFF, DEFAULT_MAX_CUTOFF and R_MAX.
+        # the module constants FULL_SPACE_MAX_CUTOFF, DEFAULT_MAX_CUTOFF and R_MAX;
+        # every command writes to sys.stdout.
         assert name not in inspect.signature(owner).parameters
 
     @pytest.mark.parametrize("name", ["overlap_numeric", "energy_expectation",
