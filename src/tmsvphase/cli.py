@@ -55,10 +55,6 @@ _DEG = 180.0 / math.pi
 # which prints 0 as "0", or scientific notation with 12 digits.
 _FORMATS = ("%.12g", "%.11e")
 
-# Rows per chunk of a sweep table, formatted and written this many rows at a
-# time, so that no list or string holds the table.
-_CHUNK_ROWS = 1024
-
 
 def _is_small(x):
     """Whether a number prints in scientific notation: 0 < |x| < 1e-4.
@@ -164,15 +160,17 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
 
     The headers are the names in ``_COLUMNS[spec.variable]`` and the table
     is one (points, columns) float64 array in that column order.  A phase
-    sweep asks the oracle for all its (r, t) rows in one call, each row
-    evolved to t alone (its delta is t <H>_0, which verify's
-    ``dynamical-quadrature`` holds to 2 Omega t sinh^2 r).  The closed-form
-    columns are the scalar API's own kernels in ``phases``, each column group
-    one call over the whole grid, so every cell is bit for bit
-    ``phases.geometric_phase``, ``cyclic_geometric_phase`` or
-    ``entropy_from_*`` at its row; the columns are then stacked.  The oracle
-    has validated r and t by then; a gamma_c grid rises from its first row,
-    whose check holds for all.
+    sweep's rows are (r, t): the grid for the swept one, and the fixed one
+    handed over as one float, which stands for every row (the rule of
+    ``phases``), so an ``omega_t`` sweep forms sinh^2 r once.  The precision
+    gate, the oracle and the closed forms each take the grid in one call.
+    The oracle evolves each row to t alone (its delta is t <H>_0, which
+    verify's ``dynamical-quadrature`` holds to 2 Omega t sinh^2 r).  The
+    closed-form columns are the scalar API's own kernels in ``phases``, so
+    every cell is bit for bit ``phases.geometric_phase``,
+    ``cyclic_geometric_phase`` or ``entropy_from_*`` at its row; the columns
+    are then stacked.  The oracle has validated r and t by then; a gamma_c
+    grid rises from its first row, whose check holds for all.
 
     Before the oracle runs, PrecisionExceededError refuses a table with a
     row whose cond eps exceeds SWEEP_PHASE_BOUND.  cond = delta + 2 Omega t r
@@ -192,27 +190,30 @@ def sweep_rows(spec: SweepSpec, max_cutoff: int = fock.DEFAULT_MAX_CUTOFF):
         # nan and passes, to end in the oracle's usage error; rows with r > 0 fail.
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.variable == "omega_t":
-                rs, ts = np.full(grid.size, fx["r"]), grid / fx["Omega"]
+                r, t = fx["r"], grid / fx["Omega"]
             else:
-                rs, ts = grid, np.full(grid.size, fx["t"])
+                r, t = grid, fx["t"]
+            # np.square, not ** 2: a numpy float's ** 2 calls pow, which can
+            # round a fixed r's square otherwise than an array's square.
             over = np.flatnonzero(
-                (2.0 * fx["Omega"] * ts * (np.sinh(rs) ** 2 + rs * np.sinh(2.0 * rs)) + 1.0)
+                (2.0 * fx["Omega"] * t * (np.square(np.sinh(r)) + r * np.sinh(2.0 * r)) + 1.0)
                 * np.finfo(np.float64).eps > SWEEP_PHASE_BOUND
             )
             if over.size:
+                row_r, row_t = (np.broadcast_to(x, grid.shape)[over[0]] for x in (r, t))
                 raise PrecisionExceededError(
-                    f"no double carries the geometric phase at r={rs[over[0]]:g}, Omega t="
-                    f"{fx['Omega'] * ts[over[0]]:g}: cond * eps exceeds the sweep bound "
+                    f"no double carries the geometric phase at r={row_r:g}, Omega t="
+                    f"{fx['Omega'] * row_t:g}: cond * eps exceeds the sweep bound "
                     f"{SWEEP_PHASE_BOUND:.1e}"
                 )
         numeric = fock.geometric_phase_numeric(
-            rs, h, ts, accuracy=SWEEP_PHASE_BOUND / _HEADROOM, max_cutoff=max_cutoff,
+            r, h, t, accuracy=SWEEP_PHASE_BOUND / _HEADROOM, max_cutoff=max_cutoff,
         )
     if spec.variable == "gamma_c":
         columns = (grid, phases._cyclic_entropy(grid))
     else:
-        sinh2 = phases._sinh2(rs)
-        overlap, total, delta, gamma, _ = phases._phase_row(sinh2, h.Omega, ts)
+        sinh2 = phases._sinh2(r)
+        overlap, total, delta, gamma, _ = phases._phase_row(sinh2, h.Omega, t)
         columns = (grid, overlap.real, overlap.imag, total, delta, gamma,
                    numeric, circle_distance(numeric, gamma))
     if spec.variable == "r":
@@ -227,10 +228,10 @@ def cmd_sweep(spec: SweepSpec, fmt: str = "csv", max_cutoff: int = fock.DEFAULT_
     ``fmt`` is ``csv`` or ``json``, else a ValueError before the grid is
     evaluated.  A non-finite cell is named by its column, the first in
     row-major order.  One writer serves both formats: a head, then
-    _CHUNK_ROWS rows of ``table * scales`` at a time (``--degrees`` scales
-    the angle columns of ``_COLUMNS``), each chunk one ``%`` over its row
-    formats joined by a separator, then a tail, so no list or string holds
-    the table.  A CSV row's format follows its cells' _FORMATS classes; a
+    ``phases._BATCH_ROWS`` rows of ``table * scales`` at a time
+    (``--degrees`` scales the angle columns of ``_COLUMNS``), each chunk one
+    ``%`` over its row formats joined by a separator, then a tail, so no
+    list or string holds the table.  A CSV row's format follows its cells' _FORMATS classes; a
     JSON row is an object of ``%r`` cells, as ``json`` prints a finite
     float, inside the spec as ``json.dumps`` prints it.
     """
@@ -259,8 +260,8 @@ def cmd_sweep(spec: SweepSpec, fmt: str = "csv", max_cutoff: int = fock.DEFAULT_
 
     out = sys.stdout
     out.write(head)
-    for start in range(0, len(table), _CHUNK_ROWS):
-        cells = table[start : start + _CHUNK_ROWS] * scales
+    for start in range(0, len(table), phases._BATCH_ROWS):
+        cells = table[start : start + phases._BATCH_ROWS] * scales
         if fmt == "csv":
             cells += 0.0  # -0.0 prints as 0, as in format_number
             formats = _csv_formats(cells)
@@ -552,7 +553,7 @@ def _cyclic_total_phase(accuracy, max_cutoff, rng):
     # epsilon != 0: at epsilon = 0 every E_n t is a multiple of 2 pi here even
     # with epsilon miscounted in the energies.
     _, overlaps, _ = fock._evolution(
-        "mass", np.array(_R_GRID), HamiltonianParams(1.0, 0.37), np.full(len(_R_GRID), TAU),
+        "mass", _R_GRID, HamiltonianParams(1.0, 0.37), TAU,
         accuracy=accuracy, max_cutoff=max_cutoff, energy_shift=0.0,
     )
     gaps = [abs(overlap / abs(overlap) - 1.0) for overlap in overlaps.tolist()]

@@ -55,6 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import phases
 from .errors import CutoffExceededError, ExpmNotConvergedError
 from .phases import HamiltonianParams, _arg, _reduce_angle
 from .su11 import R_MAX, _exp2i, _require_finite, check_squeeze_factor
@@ -71,9 +72,6 @@ _EXPM_NORM_TOL = 1e-12
 # Entries a block of the grid oracle holds (:func:`_row_entries`): 630 sweep
 # rows at N = 379, or 20 such rows when they differ in r.
 _BLOCK_ELEMENTS = 24576
-
-# Rows per chunk of a grid's cutoff bisection: its arrays stay small.
-_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -241,7 +239,10 @@ def _cutoffs(
 ) -> np.ndarray:
     """:func:`cutoff_for` at each row (rs[i], Omega t = wts[i]) of two 1-D float arrays.
 
-    Rows go _CHUNK_ROWS at a time, each tail from the L_hi of
+    Either array may be a broadcast view of one value, as ``_evolution``
+    passes a fixed r or t: every step reads a chunk's rows through np.abs,
+    a fresh contiguous array, so a row's bits do not depend on how it came.
+    Rows go ``phases._BATCH_ROWS`` at a time, each tail from the L_hi of
     :func:`_log_tanh` that the moduli it truncates read.  A chunk's rows are
     checked in one pass each (r valid, numpy's float64 tanh r below 1, Omega t
     finite, the tail at the top of the bracket within ``accuracy``), and the
@@ -259,8 +260,8 @@ def _cutoffs(
         raise ValueError(f"unknown observable {observable!r}, not in {list(_OBSERVABLES)}")
     top = min(max_cutoff, _BRACKET_TOP)
     cutoffs = np.empty(wts.size, dtype=np.int64)
-    for start in range(0, wts.size, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
+    for start in range(0, wts.size, phases._BATCH_ROWS):
+        rows = slice(start, start + phases._BATCH_ROWS)
         r, wt = np.abs(rs[rows]), np.abs(wts[rows])
         # Refused rows (r or Omega t huge or not finite) may overflow or divide by zero.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -505,8 +506,8 @@ def evolve(
     t = _require_finite("t", t)
     shift = _require_finite("energy_shift", energy_shift)
     hi, lo = _phases(_energies(h, state.cutoff), np.array(t), shift)
-    phases = np.multiply.outer(hi, lo).reshape(-1)[: state.coeffs.size]
-    return DiagonalFockState(state.coeffs * phases)
+    factors = np.multiply.outer(hi, lo).reshape(-1)[: state.coeffs.size]
+    return DiagonalFockState(state.coeffs * factors)
 
 
 def _energy_integrals(
@@ -562,26 +563,22 @@ def _energy_integrals(
     return integrals, overlaps
 
 
-def _grid(t: float | np.ndarray, r: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """``t`` and ``r`` as float arrays, ``t`` 1-D with a row per r; whether both were floats."""
-    ts, rs = np.asarray(t, dtype=np.float64), np.asarray(r, dtype=np.float64)
-    if max(ts.ndim, rs.ndim) > 1:
-        raise ValueError(f"t and r must be floats or 1-D arrays, got {ts.shape} and {rs.shape}")
-    scalar = ts.ndim == rs.ndim == 0
-    return np.full(rs.shape, ts) if ts.ndim < rs.ndim else ts.reshape(-1), rs, scalar
-
-
 def _evolution(
-    observable: str, r: float | np.ndarray, h: HamiltonianParams, ts: np.ndarray,
+    observable: str, r: float | np.ndarray, h: HamiltonianParams, t: float | np.ndarray,
     *, accuracy: float, max_cutoff: int, energy_shift: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's energy integral, overlap <psi(0)|psi(t)> and cutoff, ts 1-D.
+    """Each row's energy integral, overlap <psi(0)|psi(t)> and cutoff, as 1-D arrays.
 
-    ``r`` is a float or one value per row.  Row i runs at P Q - 1, the largest
+    ``r`` and ``t`` are floats or 1-D arrays of one length, and a float stands
+    for every row, as numpy broadcasts it (the rule of :mod:`tmsvphase.phases`);
+    two floats make one row.  Row i runs at P Q - 1, the largest
     cutoff with the phase tables (:func:`_sides`) of ``cutoff_for(observable,
     r[i], accuracy, t=Omega t[i])``, or at ``max_cutoff`` if less.
     """
-    rs = np.broadcast_to(np.asarray(r, dtype=np.float64), ts.shape)
+    rs, ts = np.broadcast_arrays(np.asarray(r, dtype=np.float64), np.asarray(t, dtype=np.float64))
+    if rs.ndim > 1:
+        raise ValueError(f"r and t must be floats or 1-D arrays, got shape {rs.shape}")
+    rs, ts = rs.reshape(-1), ts.reshape(-1)
     # An overflowing or undefined Omega t is refused by _cutoffs, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         smallest = _cutoffs(observable, rs, h.Omega * ts, accuracy, max_cutoff)
@@ -606,12 +603,11 @@ def dynamical_integral(
 
     ``t`` and ``r`` may be 1-D arrays, as in :func:`geometric_phase_numeric`.
     """
-    ts, rs, scalar = _grid(t, r)
     integrals, _, _ = _evolution(
-        "energy", rs, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
+        "energy", r, h, t, accuracy=accuracy, max_cutoff=max_cutoff,
         energy_shift=energy_shift,
     )
-    return float(integrals[0]) if scalar else integrals
+    return integrals if np.ndim(r) or np.ndim(t) else float(integrals[0])
 
 
 def geometric_phase_numeric(
@@ -625,19 +621,18 @@ def geometric_phase_numeric(
     :func:`tmsvphase.phases.geometric_phase` within ``accuracy``, the phase
     tail the cutoff is chosen for at each Omega t.
 
-    ``t`` and ``r`` may be 1-D arrays of one length, or one of them a float
-    that holds for every row; the result is then an array, row i bit for
-    bit the value at (r[i], t[i]) alone.
+    ``r`` and ``t`` are each a float or a 1-D array, arrays of one length,
+    and a float stands for every row (:func:`_evolution`).  With an array
+    the result is one, row i bit for bit the value at (r[i], t[i]) alone.
     """
-    ts, rs, scalar = _grid(t, r)
     deltas, overlaps, _ = _evolution(
-        "phase", rs, h, ts, accuracy=accuracy, max_cutoff=max_cutoff,
+        "phase", r, h, t, accuracy=accuracy, max_cutoff=max_cutoff,
         energy_shift=energy_shift,
     )
     # arg<psi(0)|psi(t)> and the reduction are the closed forms' own.
     gammas = _arg(overlaps)
     gammas = _reduce_angle(gammas + deltas)
-    return float(gammas[0]) if scalar else gammas
+    return gammas if np.ndim(r) or np.ndim(t) else float(gammas[0])
 
 
 def entropy_numeric(state: DiagonalFockState) -> float:

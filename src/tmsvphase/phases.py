@@ -20,10 +20,13 @@ Conventions: angles in radians throughout; entropies in nats; reduced
 phases live in [0, 2 pi).  All functions are pure and reentrant.
 
 The public functions validate floats; the private kernels behind them
-also take equal-length float64 arrays (a sweep's columns), entry by entry
-bit for bit the scalar call: real arithmetic (+, -, *, / and %) runs
-elementwise, where numpy rounds as Python does, and each step that calls
-libm or divides complex numbers runs per element (:func:`_per_element`).
+also take 1-D float64 arrays of one length (a sweep's columns), entry by
+entry bit for bit the scalar call.  One rule makes a grid of rows: a float
+argument stands for every row, as numpy broadcasts it, so a sweep hands its
+fixed parameter over once as a float and never as a column of copies.
+Real arithmetic (+, -, *, / and %) runs elementwise, where numpy rounds as
+Python does, and each step that calls libm or divides complex numbers runs
+per element (:func:`_per_element`).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -41,30 +45,36 @@ from .su11 import R_MAX, _require_finite, check_squeeze_factor
 TAU = 2.0 * math.pi
 
 
-# Entries of one list of Python numbers in _per_element: no list of a whole
-# grid, whose objects would stay resident after the call.
-_LIST_ENTRIES = 1024
+# Rows a grid loop takes at a time: the lists of Python numbers in
+# _per_element, the chunks of fock._cutoffs' bisection and of the table
+# cli.cmd_sweep writes.  Each loop reads it here at call time; only memory
+# depends on it, never a row's bits.
+_BATCH_ROWS = 1024
 
 
 def _per_element(f):
-    """``f`` for floats; for float64 arrays, ``f`` of each entry, as an array.
+    """``f`` for floats; with any float64 array argument, ``f`` of each row, as an array.
 
     This is the one place where floats and arrays take different code.  The
-    entries go through ``f`` in lists of at most _LIST_ENTRIES Python floats,
-    into one preallocated array (float64 if there are none).
+    array arguments are 1-D of one length, and a float argument stands for
+    every row, as numpy broadcasts it.  The rows go through ``f`` in lists of
+    at most _BATCH_ROWS Python floats, into one preallocated array (float64
+    if there are none).
     """
-    array = np.ndarray  # bound here: the scalar API pays for every lookup
+    # isinstance(x, np.ndarray), bound here: the scalar API pays for every lookup.
+    is_array = np.ndarray.__instancecheck__
 
     @functools.wraps(f)
     def each(*xs):
-        if not isinstance(xs[0], array):
+        if not any(map(is_array, xs)):
             return f(*xs)
+        size = np.broadcast(*xs).size
         out = np.empty(0)
-        for start in range(0, xs[0].size, _LIST_ENTRIES):
-            rows = slice(start, start + _LIST_ENTRIES)
-            values = list(map(f, *(x[rows].tolist() for x in xs)))
+        for start in range(0, size, _BATCH_ROWS):
+            rows = slice(start, start + _BATCH_ROWS)
+            values = list(map(f, *(x[rows].tolist() if is_array(x) else repeat(x) for x in xs)))
             if not start:  # the first value fixes the dtype
-                out = np.empty(xs[0].size, type(values[0]))
+                out = np.empty(size, type(values[0]))
             out[rows] = values
         return out
 
@@ -156,8 +166,9 @@ def overlap_analytic(r: float, Omega: float, t: float) -> complex:
 @_per_element
 def _overlap(sinh2: float, wt: float) -> complex:
     """:func:`overlap_analytic` from sinh^2 r and Wt = Omega t."""
-    s = 2.0 * sinh2 * math.sin(wt)
-    return 1.0 / complex(1.0 + s * math.sin(wt), s * math.cos(wt))
+    sin = math.sin(wt)
+    s = 2.0 * sinh2 * sin
+    return 1.0 / complex(1.0 + s * sin, s * math.cos(wt))
 
 
 def total_phase_factor(r: float, Omega: float, t: float) -> complex:

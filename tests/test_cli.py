@@ -6,10 +6,12 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -256,7 +258,7 @@ class TestSweepJson:
         # The edge cells, -0.0 among them, over a chunk boundary: the bytes
         # of json.dumps(indent=2) over the spec and one dict per row.
         headers = [name for name, _ in cli._COLUMNS["r"]]
-        rows = cli._CHUNK_ROWS + 1
+        rows = phases._BATCH_ROWS + 1
         table = np.resize(np.array(_EDGE_CELLS), (rows, len(headers)))
         table[:, headers.index("abs_error")] = 0.0
         monkeypatch.setattr(cli, "sweep_rows", lambda spec, max_cutoff: (headers, table))
@@ -281,7 +283,7 @@ class TestSweepJson:
 
     def test_peak_is_the_table_plus_one_chunk(self, monkeypatch):
         # Over what sweep_rows peaks at (its columns, its table and the
-        # oracle), the writer holds one chunk of _CHUNK_ROWS rows: per cell,
+        # oracle), the writer holds one chunk of _BATCH_ROWS rows: per cell,
         # 8 B of scaled cell, a Python float and its list slot (32 B), a
         # tuple slot (8 B), its part of the row format (at most 32
         # characters, for the longest header) and of the text (at most 56,
@@ -289,7 +291,7 @@ class TestSweepJson:
         argv = ["sweep", "--variable", "r", "--start", "0", "--stop", "3.1",
                 "--points", "10000", "--format", "json"]
         spec = SweepSpec("r", 0.0, 3.1, 10_000)
-        bound = 136 * cli._CHUNK_ROWS * len(cli._COLUMNS["r"])
+        bound = 136 * phases._BATCH_ROWS * len(cli._COLUMNS["r"])
         with open(os.devnull, "w") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             assert main(argv) == 0  # first-call caches and the json import
@@ -437,7 +439,7 @@ class TestSweepTable:
 
     def test_tiny_r_grid_reaches_its_edge_cases(self):
         grid = np.linspace(self.TINY_R.start, self.TINY_R.stop, self.TINY_R.points)
-        assert grid.size > cli._CHUNK_ROWS
+        assert grid.size > phases._BATCH_ROWS
         assert grid[512] == 0.0 and grid[0] < 0.0
         sinh2 = np.sinh(grid) ** 2
         assert 0.0 < sinh2[0] < sys.float_info.min
@@ -450,7 +452,7 @@ class TestSweepTable:
     @pytest.mark.parametrize("degrees", [False, True], ids=["radians", "degrees"])
     def test_multi_chunk_table_prints_format_number_cells(self, spec, degrees, capsys,
                                                           monkeypatch):
-        assert spec.points > cli._CHUNK_ROWS
+        assert spec.points > phases._BATCH_ROWS
         real, tables = cli.sweep_rows, []
 
         def recording(*args):
@@ -1018,6 +1020,41 @@ class TestMainEntry:
         assert main(argv) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag,key", [
+        ("--r=nan", "r"), ("--omega=inf", "Omega"), ("--t=-inf", "t"), ("--epsilon=nan", "epsilon"),
+    ])
+    def test_non_finite_fixed_value_is_one_usage_line(self, flag, key, capsys):
+        # SweepSpec refuses it before the grid, so nothing reaches stdout.
+        variable = "r" if key == "t" else "omega_t"
+        assert main(["sweep", "--variable", variable, "--start", "0", "--stop", "1",
+                     "--points", "3", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: fixed parameter {key} must be finite\n"
+
+    def test_oracle_gap_above_the_bound_prints_the_table_and_exits_one(self, capsys,
+                                                                       monkeypatch):
+        # The sweep's own gate: an oracle 2e-8 off still prints every row,
+        # then one stderr line names the worst gap, and the exit code is 1.
+        argv = ["sweep", "--variable", "omega_t", "--start", "0", "--stop", "1",
+                "--points", "7", "--r", "0.5"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        real = fock.geometric_phase_numeric
+        monkeypatch.setattr(fock, "geometric_phase_numeric",
+                            lambda *args, **kwargs: real(*args, **kwargs) + 2e-8)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"analytic/oracle phase gap 2\.\d{3}e-08 exceeds 1\.0e-08\n",
+                            captured.err)
+        lines = captured.out.splitlines()
+        assert len(lines) == len(plain) == 8 and lines[0] == plain[0]
+        # The closed-form cells are the plain run's; only the oracle's moved.
+        numeric = plain[0].split(",").index("gamma_numeric")
+        for line, before in zip(lines[1:], plain[1:]):
+            assert line.split(",")[:numeric] == before.split(",")[:numeric]
+            assert 1.9e-8 < float(line.split(",")[-1]) < 2.1e-8
+
     def test_long_sweep_within_gate(self, capsys):
         # The oracle's phase error grows with Omega t; its cutoff follows.
         assert main(["sweep", "--variable", "omega_t", "--start", "0",
@@ -1387,9 +1424,9 @@ class TestOneOracleCall:
         seen = []
         real = fock._evolution
 
-        def counting(observable, r, *args, **kwargs):
-            seen.append(np.size(r))
-            return real(observable, r, *args, **kwargs)
+        def counting(observable, r, h, t, **kwargs):
+            seen.append(np.broadcast(r, t).size)  # a float stands for every row
+            return real(observable, r, h, t, **kwargs)
 
         monkeypatch.setattr(fock, "_evolution", counting)
         return seen
@@ -1410,3 +1447,32 @@ class TestOneOracleCall:
     def test_verify_check(self, calls, check, sizes):
         assert check(fock.DEFAULT_MAX_CUTOFF, random.Random(0)).passed
         assert calls == sizes
+
+
+class TestFixedParameterOnce:
+    """A sweep hands its fixed r or t over as one float, which stands for every row.
+
+    Each ``math.sinh`` call in ``phases`` is recorded by its argument.
+    """
+
+    @pytest.fixture
+    def sinh_calls(self, monkeypatch):
+        seen = []
+
+        def sinh(x):
+            seen.append(x)
+            return math.sinh(x)
+
+        monkeypatch.setattr(phases, "math", types.SimpleNamespace(**{**vars(math), "sinh": sinh}))
+        return seen
+
+    def test_benchmark_sweep_forms_sinh2_once(self, sinh_calls, capsys):
+        assert main(_BENCH_SWEEP) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10_001
+        assert sinh_calls == [2.0]
+
+    def test_r_sweep_forms_sinh2_once_per_row(self, sinh_calls, capsys):
+        assert main(["sweep", "--variable", "r", "--start", "0", "--stop", "1.5",
+                     "--points", "7"]) == 0
+        capsys.readouterr()
+        assert sinh_calls == np.linspace(0.0, 1.5, 7).tolist()

@@ -283,7 +283,7 @@ class TestCutoffGrids:
     @example(observable="energy", r=0.0, r_span=0.5, wt=TAU, sign=-1.0, points=2600, seed=7)
     def test_equals_cutoff_for_row_by_row(self, observable, r, r_span, wt, sign, points, seed):
         # Sorted grids over r and Omega t, which hold N between rows, or the
-        # same rows shuffled (seed not None), across chunks of _CHUNK_ROWS.
+        # same rows shuffled (seed not None), across chunks of _BATCH_ROWS.
         rs = np.linspace(r, r + r_span, points)
         wts = sign * np.linspace(0.0, wt, points)
         if seed is not None:
@@ -339,7 +339,7 @@ class TestCutoffGrids:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_omega_t_mid_chunk_is_named_as_alone(self, bad):
-        # Row 1500 lies inside the second chunk of _CHUNK_ROWS = 1024 rows.
+        # Row 1500 lies inside the second chunk of _BATCH_ROWS = 1024 rows.
         wts = np.linspace(0.0, TAU, 3000)
         wts[1500] = bad
         with pytest.raises(ValueError) as alone:
@@ -1540,10 +1540,10 @@ class TestOracleMemory:
         # most 8 B an entry), and in a block of several r 8 B per entry of
         # its moduli and weight tables: at most 24 B an entry, E at most
         # _BLOCK_ELEMENTS on these grids.  The overlaps' argument takes one
-        # list of _LIST_ENTRIES rows at a time as Python complex and float
+        # list of _BATCH_ROWS rows at a time as Python complex and float
         # objects with their lists, about 72 B a row.
         rows = np.broadcast(rs, ts).size
-        bound = 56 * rows + 24 * fock._BLOCK_ELEMENTS + 72 * phases._LIST_ENTRIES
+        bound = 56 * rows + 24 * fock._BLOCK_ELEMENTS + 72 * phases._BATCH_ROWS
         h = HamiltonianParams(1.0, 0.2)
         geometric_phase_numeric(rs, h, ts, accuracy=1e-9)  # first-call caches
         tracemalloc.start()
@@ -1558,6 +1558,10 @@ class TestOracleMemory:
 class TestEntropyNumeric:
     def test_vacuum(self):
         assert entropy_numeric(schmidt_state(0.0, 0.0, 4)) == 0.0
+
+    def test_zero_state_is_refused(self):
+        with pytest.raises(ValueError, match="cannot renormalize a zero state"):
+            entropy_numeric(DiagonalFockState(np.zeros(4)))
 
     def test_half_squeeze_frozen(self):
         state = schmidt_state(0.5, 0.0, cutoff_for("mass", 0.5, 1e-12))

@@ -1,6 +1,7 @@
 """Tests for the closed-form phase and entropy expressions."""
 
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -376,12 +377,12 @@ class TestArrayKernels:
         assert phases._cyclic_entropy(gs).tobytes() == self.bits(
             [entropy_from_cyclic_phase(g) for g in gs.tolist()])
 
-    # Around and across the list bound of _per_element, phases._LIST_ENTRIES = 1024.
+    # Around and across the list bound of _per_element, phases._BATCH_ROWS = 1024.
     SIZES = [0, 1, 1023, 1024, 1025, 2500]
 
     @pytest.mark.parametrize("size", SIZES)
     def test_kernels_across_the_list_bound(self, size):
-        assert phases._LIST_ENTRIES == 1024
+        assert phases._BATCH_ROWS == 1024
         rng = np.random.default_rng(size)
         xs = rng.uniform(-3.0, 3.0, size)
         ys = rng.uniform(-3.0, 3.0, size)
@@ -399,6 +400,25 @@ class TestArrayKernels:
                 assert got.tobytes() == self.bits(scalar), kernel.__name__
             else:
                 assert got.dtype == np.float64
+
+    @pytest.mark.parametrize("size", SIZES[1:])
+    @pytest.mark.parametrize("kernel,arity", [
+        (phases._overlap, 2), (phases._delta, 3), (phases._phase_row, 3),
+    ], ids=["overlap", "delta", "phase_row"])
+    def test_a_float_stands_for_every_row(self, kernel, arity, size):
+        # Each kernel of two or more arguments, with each choice of floats
+        # that leaves an array: the mixed call equals, bit for bit, the call
+        # that has a column of copies in each float's place.
+        rng = np.random.default_rng(size)
+        columns = [phases._sinh2(rng.uniform(-3.0, 3.0, size)), rng.uniform(0.5, 2.0, size),
+                   rng.uniform(0.0, 20.0, size)][:arity]
+        for fixed in itertools.product([False, True], repeat=arity):
+            if all(fixed):
+                continue
+            mixed = kernel(*(float(c[0]) if f else c for c, f in zip(columns, fixed)))
+            full = kernel(*(np.full(size, c[0]) if f else c for c, f in zip(columns, fixed)))
+            mixed, full = (out if isinstance(out, tuple) else (out,) for out in (mixed, full))
+            assert [m.tobytes() for m in mixed] == [f.tobytes() for f in full], fixed
 
     @pytest.mark.parametrize("size", SIZES)
     def test_no_list_is_longer_than_the_bound(self, size):
@@ -420,10 +440,10 @@ class TestArrayKernels:
         xs = np.arange(size, dtype=np.float64)
         got = probe(xs.view(Probe))
         assert np.asarray(got).tobytes() == (-xs).tobytes()
-        assert max(lists, default=0) <= phases._LIST_ENTRIES
-        assert max(calls, default=0) <= phases._LIST_ENTRIES
+        assert max(lists, default=0) <= phases._BATCH_ROWS
+        assert max(calls, default=0) <= phases._BATCH_ROWS
         assert sum(lists) == sum(calls) == size
-        assert len(lists) == -(-size // phases._LIST_ENTRIES)
+        assert len(lists) == -(-size // phases._BATCH_ROWS)
 
     def test_reduce_angle_on_floats_and_arrays(self):
         # x a hair below 0 rounds x % 2 pi up to 2 pi, which reduces to 0.
