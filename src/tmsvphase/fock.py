@@ -352,11 +352,14 @@ def squeeze_by_exponentiation(r: float, phi: float, N: int) -> DiagonalFockState
     Phys. 81, 3967, 1984), rho = |r| (2N - 1) being T's Gershgorin bound,
     cut after rho + 12 rho^{1/3} + 30 terms; the J_k come from Miller's
     backward recurrence of J_k / J_{k-1}, normalised by J_0 + 2 sum J_{2k} =
-    1.  T couples even n only to odd n, so T_k(x)|0> lives on the n of k's
-    parity: each step of the three-term recurrence updates one half-length
-    real vector in place, and exp(-iT)|0> is real on even n, -i times real
-    on odd n.  Truncation costs a reflection of order tanh^{N+1}|r|/cosh r.
-    Pick N with ``cutoff_for("expm", ...)`` for a componentwise accuracy.
+    1.  The series is summed from its top term down by Clenshaw's recurrence
+    (Math. Tables Aids Comput. 9, 118, 1955), b_k = c_k|0> + 2x b_{k+1} -
+    b_{k+2}, to J_0|0> + x b_1 - b_2, with real weights c_k = 2 (-1)^{k // 2}
+    J_k.  Real weights lose nothing: T couples even n only to odd n, so
+    T_k(x)|0> lives on the n of k's parity, even n collect even k alone and
+    odd n odd k alone, and -i on odd n restores (-i)^k.  Truncation costs a
+    reflection of order tanh^{N+1}|r|/cosh r.  Pick N with
+    ``cutoff_for("expm", ...)`` for a componentwise accuracy.
 
     Raises
     ------
@@ -377,26 +380,24 @@ def squeeze_by_exponentiation(r: float, phi: float, N: int) -> DiagonalFockState
     for k in range(1, terms):
         bessel[k] *= bessel[k - 1]
     j0 = 1.0 / (1.0 + 2.0 * math.fsum(bessel[2::2]))
-    # 2x couples n - 1 and n by 2 r n / rho: even[j] (n = 2j) to odd[j + 1]
-    # (n = 2j + 1) by above[j], to odd[j] (n = 2j - 1) by below[j]; zeros pad.
-    half = (N + 1) // 2
-    coupling = np.arange(1, N + 1) * (math.copysign(2.0, r) / max(2 * N - 1, 1))
-    above, below, product, term = np.zeros((4, half + 1))
-    above[:half], below[1 : N // 2 + 1] = coupling[0::2], coupling[1::2]
-    even, odd = np.zeros(half + 1), np.zeros(half + 2)  # odd[0], odd[-1] pad
-    even[0], odd[1:-1][:1] = 1.0, coupling[:1] / 2.0
-    sums = [j0 * even, 2.0 * j0 * bessel[1] * odd[1:-1]]
-    steps = ((even, below, above, odd[:-1], odd[1:], product, term),
-             (odd[1:-1], above[:-1], below[1:], even[:-1], even[1:], product[:half], term[:half]))
-    for k in range(2, terms):
-        # T_k(x)|0> = 2x T_{k-1}(x)|0> - T_{k-2}(x)|0>, weighted by 2 (-i)^k J_k.
-        target, lo, hi, left, right, p, t = steps[k & 1]
-        np.add(np.multiply(lo, left, out=p), np.multiply(hi, right, out=t), out=p)
-        np.subtract(p, target, out=target)
-        sums[k & 1] += np.multiply(target, (-2.0 if k & 2 else 2.0) * j0 * bessel[k], out=t)
+    # b_m in row (m + 1) & 1, amplitude n at index n + 1, both ends zero.  2x
+    # couples n - 1 and n by w[n] = 2 r n / rho; w[N + 1] = 0 cuts the chain at N.
+    b, scratch = np.zeros((2, N + 3)), np.empty(N + 1)
+    w = np.arange(N + 2) * (math.copysign(2.0, r) / max(2 * N - 1, 1))
+    w[-1] = 0.0
+    lo, hi = w[:-1], w[1:]
+    views = [(b[p, :-2], b[p, 2:], b[1 - p, 1:-1]) for p in (0, 1)]
+    for k in range(terms - 1, -1, -1):
+        # b_k over b_{k+2}; J_0|0> + x b_1 - b_2 is the step k = 0 at half w.
+        if not k:
+            w *= 0.5
+        left, right, target = views[k & 1]
+        np.subtract(np.multiply(lo, left, out=scratch), target, out=target)
+        target += np.multiply(hi, right, out=scratch)
+        target[0] += (-2.0 if k & 2 else 2.0 if k else 1.0) * j0 * bessel[k]
     coeffs = (-1j * _exp2i(phi)) ** np.arange(N + 1)  # theta^n
-    coeffs[0::2] *= sums[0][: N // 2 + 1]
-    coeffs[1::2] *= -1j * sums[1]
+    coeffs[0::2] *= b[1, 1:-1:2]
+    coeffs[1::2] *= -1j * b[1, 2:-1:2]
     norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > _EXPM_NORM_TOL:
         raise ExpmNotConvergedError(

@@ -702,8 +702,8 @@ _FAULTS = {
                              "overlap-agreement geometric-phase-agreement dynamical-quadrature "
                              "exponentiation-agreement cyclic-gamma entropy-numeric-agreement"),
     # Odd amplitudes of the opposite sign keep the norm but not the state.
-    "odd-amplitude-sign": (fock, "squeeze_by_exponentiation", "-1j * sums[1]", "1j * sums[1]",
-                           "exponentiation-agreement"),
+    "odd-amplitude-sign": (fock, "squeeze_by_exponentiation", "-1j * b[1, 2:-1:2]",
+                           "1j * b[1, 2:-1:2]", "exponentiation-agreement"),
     # A Chebyshev series cut after about rho / 2 terms loses the norm, and
     # the check, not the run, fails on the broken exponential.
     "series-cut-short": (fock, "squeeze_by_exponentiation", "int(rho + 12.0 * rho ** (1 / 3))",
@@ -835,6 +835,18 @@ class TestDecomposeCommand:
     def test_quarter_pi_example(self, capsys):
         _, values = self.run(capsys, SqueezeParams(1.0, 0.0), SqueezeParams(1.0, -math.pi / 4))
         assert abs(float(values["Theta"]) - 0.5256029929681379) < 1e-11
+
+    def test_residual_floor_grows_like_cosh_R(self, capsys):
+        # The residual is an absolute entry gap: here sinh 40 sin(fl(pi)),
+        # from e^{i(2 Phi - Theta)} at Phi = pi / 2, about 14.4 but 0.55 eps
+        # of cosh R, for a correct factorization.
+        assert main(["decompose", "20", "0", "-20", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values = dict(line.split(" = ") for line in captured.out.strip().split("\n"))
+        assert values["R"] == "40"
+        residual = float(values["reconstruction_residual"])
+        assert residual / math.cosh(40.0) <= 4 * sys.float_info.epsilon
 
     def test_degrees_display_only(self, capsys):
         _, radians = self.run(capsys, SqueezeParams(1.0, 0.0), SqueezeParams(1.0, -math.pi / 4))
@@ -1118,6 +1130,29 @@ class TestMainEntry:
         # cond is about 1: the gate passes and tanh r rounds to 1.
         assert main(argv + ["--stop", "1e-30"]) == 3
         assert capsys.readouterr().err.startswith("CUTOFF_EXCEEDED: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--variable", "omega_t", "--start", "0", "--stop", "1", "--points", "3",
+         "--r", "21"],
+        ["sweep", "--variable", "omega_t", "--start", "0", "--stop", "1e-30", "--points", "3",
+         "--r", "21"],
+        ["sweep", "--variable", "r", "--start", "0", "--stop", "1000", "--points", "3"],
+        ["sweep", "--variable", "r", "--start", "0", "--stop", "1000", "--points", "3",
+         "--t", "0"],
+        ["decompose", "21", "0", "0", "0"],
+    ], ids=["omega_t", "omega_t-tiny-t", "r", "r-t0", "decompose"])
+    def test_squeeze_beyond_r_max_is_a_usage_error_at_any_t(self, argv, capsys, monkeypatch):
+        # |r| > R_MAX is refused before the precision gate, whose cond would
+        # otherwise call it a resource limit wherever t is not tiny.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran on a squeeze beyond R_MAX")
+
+        monkeypatch.setattr(fock, "geometric_phase_numeric", refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: |r| = ")
+        assert captured.err.count("\n") == 1
 
     def test_r_sweep_reach_follows_max_cutoff(self, capsys):
         # At Omega t = 1 the oracle column needs N > 4096 above r ~ 3.15.

@@ -661,7 +661,7 @@ class TestSqueezeByExponentiation:
         assert abs(state.coeffs[0] - 1.0) < 1e-15
         assert np.abs(state.coeffs[1:]).max() < 1e-15
 
-    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.5])
     def test_matches_schmidt_at_accuracy_cutoff(self, r):
         N = cutoff_for("expm", r, 1e-11)
         brute = squeeze_by_exponentiation(r, 0.3, N)
@@ -748,7 +748,7 @@ class TestSqueezeByExponentiation:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_peak_memory_grows_by_vectors_only(self):
         # The SVD of the 328 x 329 block at N = 655 grew the peak RSS by
-        # about 10 MB; the series holds a few vectors of N / 2 floats.  Read
+        # about 10 MB; the series holds two rows of N + 3 floats.  Read
         # as VmHWM in a fresh process: a child's ru_maxrss starts at this
         # process's peak, which it keeps through fork and exec.
         code = (
